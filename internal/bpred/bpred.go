@@ -96,17 +96,46 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 
 func (p *Perceptron) index(pc uint64) int { return int(pc % uint64(p.weights.Len())) }
 
+// output is the perceptron's dot product: the bias weight plus, for each
+// history bit, +w if the bit is set and -w if not. The bipolar input is
+// computed arithmetically (x = 2*bit - 1), so the loop has no
+// data-dependent branch for the host to mispredict on random history.
+//
+//dmp:hotpath
 func (p *Perceptron) output(pc uint64, hist GHR) int32 {
 	w := p.weights.RO(p.index(pc))
 	y := int32(w[0]) // bias
-	for i := 0; i < p.hbits; i++ {
-		if hist>>uint(i)&1 == 1 {
-			y += int32(w[i+1])
-		} else {
-			y -= int32(w[i+1])
-		}
+	h := uint64(hist)
+	for _, wi := range w[1:] {
+		y += (int32(h&1)*2 - 1) * int32(wi)
+		h >>= 1
 	}
 	return y
+}
+
+// train applies the threshold rule given the row's current output y:
+// the row moves toward the outcome when the prediction was wrong or its
+// magnitude did not exceed theta. Each weight steps by x*t, with x the
+// bipolar history bit and t the bipolar outcome, saturating at the int8
+// range.
+//
+//dmp:hotpath
+func (p *Perceptron) train(pc uint64, hist GHR, y int32, taken bool) {
+	t := int16(-1)
+	if taken {
+		t = 1
+	}
+	if (y >= 0) == taken && max(y, -y) > p.theta {
+		return
+	}
+	w := p.weights.Mut(p.index(pc))
+	w[0] = satAdd(w[0], t)
+	h := uint64(hist)
+	row := w[1:]
+	for i, wi := range row {
+		row[i] = satAdd(wi, (int16(h&1)*2-1)*t)
+		h >>= 1
+	}
 }
 
 // Predict returns true (taken) if the perceptron output is non-negative.
@@ -117,28 +146,18 @@ func (p *Perceptron) Predict(pc uint64, hist GHR) bool {
 // Update trains with the resolved outcome under the prediction-time
 // history.
 func (p *Perceptron) Update(pc uint64, hist GHR, taken bool) {
+	p.train(pc, hist, p.output(pc, hist), taken)
+}
+
+// PredictUpdate is Predict followed by Update under the same history,
+// computing the dot product once: both read the same weight row, and
+// nothing writes it in between.
+//
+//dmp:hotpath
+func (p *Perceptron) PredictUpdate(pc uint64, hist GHR, taken bool) bool {
 	y := p.output(pc, hist)
-	pred := y >= 0
-	mag := y
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred == taken && mag > p.theta {
-		return
-	}
-	w := p.weights.Mut(p.index(pc))
-	t := int16(-1)
-	if taken {
-		t = 1
-	}
-	w[0] = satAdd(w[0], t)
-	for i := 0; i < p.hbits; i++ {
-		x := int16(-1)
-		if hist>>uint(i)&1 == 1 {
-			x = 1
-		}
-		w[i+1] = satAdd(w[i+1], x*t)
-	}
+	p.train(pc, hist, y, taken)
+	return y >= 0
 }
 
 func (p *Perceptron) HistoryBits() int { return p.hbits }
@@ -154,14 +173,29 @@ func (p *Perceptron) Clone() *Perceptron {
 // satAdd adds with saturation at int8 range; 8-bit weights are the
 // standard hardware budget.
 func satAdd(a, b int16) int16 {
-	s := a + b
-	if s > 127 {
-		return 127
+	return min(max(a+b, -128), 127)
+}
+
+// predictUpdater is a DirPredictor that can predict and train in one
+// call (see PredictUpdate).
+type predictUpdater interface {
+	PredictUpdate(pc uint64, hist GHR, taken bool) bool
+}
+
+// PredictUpdate returns p's prediction for the branch at pc under hist
+// and then trains p with the resolved outcome under the same history:
+// exactly Predict followed by Update, in one call when p has a fused
+// PredictUpdate method. It is for callers that know the outcome at
+// prediction time (functional warming); the pipeline predicts at fetch
+// and trains at retirement, with other branches' training in between,
+// and keeps the two calls separate.
+func PredictUpdate(p DirPredictor, pc uint64, hist GHR, taken bool) bool {
+	if f, ok := p.(predictUpdater); ok {
+		return f.PredictUpdate(pc, hist, taken)
 	}
-	if s < -128 {
-		return -128
-	}
-	return s
+	pred := p.Predict(pc, hist)
+	p.Update(pc, hist, taken)
+	return pred
 }
 
 // --- two-bit counter helpers ---

@@ -100,14 +100,14 @@ func (m *Machine) FunctionalWarm(n uint64) (uint64, error) {
 	ws := WarmState{hier: m.hier, pred: m.pred, confEst: m.confEst, btb: m.btb, ras: m.ras,
 		itc: m.itc, merge: m.merge, ghr: m.fetchGHR, perfectConf: m.cfg.ConfidenceName == "perfect"}
 	var warmed uint64
+	var st emu.Step
 	for warmed < n && !we.Halted {
 		pc := we.PC
-		st, err := we.Step()
-		if err != nil {
+		if err := we.StepInto(&st); err != nil {
 			return warmed, fmt.Errorf("core: functional warm at pc %d: %w", pc, err)
 		}
 		warmed++
-		ws.observe(we, pc, st)
+		ws.observe(we, &st)
 	}
 	ghr := ws.ghr
 	m.commitRegs = we.Regs

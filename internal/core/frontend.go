@@ -222,7 +222,7 @@ func (m *Machine) stepOracle(u *uop) {
 		return
 	}
 	wasOn := m.oracle.onPath
-	if st, ok := m.oracle.stepIfAt(u); ok {
+	if st := m.oracle.stepIfAt(u); st != nil {
 		u.onPath = true
 		u.oracleHasStep = true
 		u.oracleTaken = st.Taken

@@ -32,8 +32,9 @@ type Machine struct {
 	dmem       *emu.Memory
 
 	// Oracle and golden-model checker.
-	oracle  *fetchOracle
-	checker *emu.Emulator
+	oracle    *fetchOracle
+	checker   *emu.Emulator
+	checkStep emu.Step // the checker's record of the instruction being retired
 
 	// Pipeline.
 	arena           uopArena

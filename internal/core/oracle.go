@@ -28,7 +28,8 @@ import (
 type fetchOracle struct {
 	em      *emu.Emulator
 	onPath  bool
-	lastSeq uint64 // seq of the youngest uop the oracle executed
+	lastSeq uint64   // seq of the youngest uop the oracle executed
+	st      emu.Step // record of the oracle's latest step, overwritten by the next
 }
 
 func newFetchOracle(p *prog.Program) *fetchOracle {
@@ -48,25 +49,25 @@ func newFetchOracleFrom(em *emu.Emulator) *fetchOracle {
 
 // stepIfAt executes the instruction the uop was fetched from, if the
 // oracle is in lockstep and agrees on the PC. It returns the
-// architectural step and whether the oracle executed it. A PC mismatch
-// while in lockstep means fetch has just diverged: the oracle pauses.
-func (o *fetchOracle) stepIfAt(u *uop) (emu.Step, bool) {
+// architectural step, valid until the oracle steps again, or nil if the
+// oracle did not execute it. A PC mismatch while in lockstep means fetch
+// has just diverged: the oracle pauses.
+func (o *fetchOracle) stepIfAt(u *uop) *emu.Step {
 	if !o.onPath || o.em.Halted {
-		return emu.Step{}, false
+		return nil
 	}
 	if o.em.PC != u.pc {
 		o.onPath = false
-		return emu.Step{}, false
+		return nil
 	}
-	s, err := o.em.Step()
-	if err != nil {
+	if err := o.em.StepInto(&o.st); err != nil {
 		// The oracle only steps in-image instructions; a failure here is
 		// a simulator bug surfaced as a paused oracle.
 		o.onPath = false
-		return emu.Step{}, false
+		return nil
 	}
 	o.lastSeq = u.seq
-	return s, true
+	return &o.st
 }
 
 // waitingAt reports whether the oracle is paused exactly at pc.

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"dmp/internal/profile"
 	"dmp/internal/workload"
 )
 
@@ -16,15 +15,7 @@ func TestOracleLockstepHealthy(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			train := w.Build(workload.BuildConfig{Seed: workload.TrainSeed, Scale: 1})
-			if _, err := profile.Run(train, profile.DefaultOptions()); err != nil {
-				t.Fatal(err)
-			}
-			ref := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: 1})
-			for pc, d := range train.Diverge {
-				ref.MarkDiverge(pc, d)
-			}
-			m, err := New(ref, EnhancedDMPConfig())
+			m, err := New(annotatedRef(t, w, 1), EnhancedDMPConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

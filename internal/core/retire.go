@@ -93,7 +93,7 @@ func (m *Machine) retireOne(u *uop) {
 		// instruction is architecturally the oracle's next step, so the
 		// oracle can safely follow the retirement stream until fetch
 		// lockstep can re-form (see fetchStage's drained-machine resync).
-		m.oracle.em.Step() //nolint:errcheck // next check catches drift
+		m.oracle.em.StepInto(&m.oracle.st) //nolint:errcheck // next check catches drift
 	}
 	if m.retired&1023 == 0 {
 		// Retired instructions can never be squashed: shrink the
@@ -154,8 +154,8 @@ func (m *Machine) checkRetired(u *uop) {
 		m.fail(u, fmt.Sprintf("golden model at pc %d", m.checker.PC))
 		return
 	}
-	st, err := m.checker.Step()
-	if err != nil {
+	st := &m.checkStep
+	if err := m.checker.StepInto(st); err != nil {
 		m.fail(u, "golden model error: "+err.Error())
 		return
 	}

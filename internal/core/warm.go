@@ -150,7 +150,15 @@ const wrongPathDepth = 256
 // approximation versus a detailed run remains: SelectiveBPUpdate cannot
 // suppress updates for would-be-predicated branches, since no episodes
 // exist without a pipeline.
-func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
+//
+// The direction predictor predicts and trains in one fused call
+// (bpred.PredictUpdate): the outcome is known here, and none of the
+// calls retirement makes between the two touches the predictor, so the
+// result is bit-identical to a separate Predict and Update.
+//
+//dmp:hotpath
+func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step) {
+	pc := st.PC
 	ws.hier.InstLatency(pc * 8)
 	if ws.cachesOnly {
 		// Reduced warming (WarmMode "caches"): only the hierarchy sees the
@@ -179,9 +187,9 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 			ws.epCFMs = 0
 		}
 	}
-	in := st.Inst
+	in := &st.Inst
 	if in.Op == isa.BR {
-		pred := ws.pred.Predict(pc, ws.ghr)
+		pred := bpred.PredictUpdate(ws.pred, pc, ws.ghr, st.Taken)
 		low := ws.confEst.LowConfidence(pc, ws.ghr)
 		if ws.perfectConf {
 			low = pred != st.Taken
@@ -189,7 +197,6 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 		if ws.merge != nil {
 			ws.merge.Observe(pc, in.Op, st.Taken, low || pred != st.Taken)
 		}
-		ws.pred.Update(pc, ws.ghr, st.Taken)
 		ws.confEst.Update(pc, ws.ghr, pred == st.Taken)
 		if st.Taken {
 			ws.btb.Insert(pc, st.NextPC)
@@ -232,7 +239,7 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 // early-exit threshold and cut at any CFM point. Reports whether an
 // episode region began at this branch (suppressing mispredict runahead —
 // a predicated branch never flushes).
-func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st emu.Step, low bool) bool {
+func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, low bool) bool {
 	if ws.mode != ModeDMP && ws.mode != ModeDHP {
 		return false
 	}
@@ -262,7 +269,7 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st emu.Step, low 
 	}
 	ws.epCFMs = copy(ws.epStore[:], d.CFMs)
 	ws.epLeft = wrongPathDepth
-	em.Excursion(altPC, thr, func(s emu.Step) bool {
+	em.Excursion(altPC, thr, func(s *emu.Step) bool {
 		ws.hier.InstLatency(s.PC * 8)
 		if s.IsLoad {
 			ws.hier.DataLatency(s.Addr)
@@ -311,7 +318,7 @@ func (ws *WarmState) divergeFor(p *prog.Program, pc uint64) *prog.Diverge {
 // flush (loads issue at execute; stores only touch the cache at retire,
 // which a wrong path never reaches).
 func (ws *WarmState) runahead(em *emu.Emulator, pc uint64) {
-	em.Excursion(pc, wrongPathDepth, func(s emu.Step) bool {
+	em.Excursion(pc, wrongPathDepth, func(s *emu.Step) bool {
 		ws.hier.InstLatency(s.PC * 8)
 		if s.IsLoad {
 			ws.hier.DataLatency(s.Addr)
@@ -328,6 +335,7 @@ func (ws *WarmState) runahead(em *emu.Emulator, pc uint64) {
 type Warmer struct {
 	em *emu.Emulator
 	ws WarmState
+	st emu.Step // the record WarmTo steps into, reused per instruction
 }
 
 // NewWarmer builds a warmer for p with cfg's predictor complement.
@@ -340,15 +348,17 @@ func NewWarmer(p *prog.Program, cfg Config) (*Warmer, error) {
 }
 
 // WarmTo advances to the absolute instruction count target, training the
-// warm state on every instruction along the way.
+// warm state on every instruction along the way. In steady state it
+// allocates nothing (TestWarmToAllocs).
+//
+//dmp:hotpath
 func (w *Warmer) WarmTo(target uint64) error {
 	for w.em.Count < target && !w.em.Halted {
 		pc := w.em.PC
-		st, err := w.em.Step()
-		if err != nil {
+		if err := w.em.StepInto(&w.st); err != nil {
 			return fmt.Errorf("core: functional warm at pc %d: %w", pc, err)
 		}
-		w.ws.observe(w.em, pc, st)
+		w.ws.observe(w.em, &w.st)
 	}
 	return nil
 }

@@ -137,7 +137,7 @@ func TestExcursionLeavesStateUntouched(t *testing.T) {
 			if !st.Taken {
 				wrong = st.Inst.Target
 			}
-			e.Excursion(wrong, 64, func(Step) bool { return true })
+			e.Excursion(wrong, 64, func(*Step) bool { return true })
 		}
 	}
 	if e.Count != plain.Count || e.Regs != plain.Regs {

@@ -42,6 +42,10 @@ type Emulator struct {
 	Halted bool
 
 	hist *History
+	// Excursion scratch: the wrong-path store overlay and the record
+	// handed to the callback, reused across excursions.
+	overlay map[uint64]uint64
+	wp      Step
 }
 
 // New returns an emulator at the program entry with initial data memory
@@ -60,7 +64,8 @@ func New(p *prog.Program) *Emulator {
 func (e *Emulator) Clone() *Emulator {
 	c := *e
 	c.Mem = e.Mem.Clone()
-	c.hist = nil // history does not transfer across clones
+	c.hist = nil    // history does not transfer across clones
+	c.overlay = nil // nor does excursion scratch
 	return &c
 }
 
@@ -82,18 +87,35 @@ func (e *Emulator) setReg(r isa.Reg, v uint64) {
 // past a HALT or outside the code image returns an error: the golden
 // model must never run wild, so this is a hard failure for the caller.
 func (e *Emulator) Step() (Step, error) {
+	var s Step
+	err := e.StepInto(&s)
+	return s, err
+}
+
+// StepInto is Step writing the record into a caller-owned *s, which hot
+// loops reuse from one instruction to the next. Every field is written,
+// so nothing carries over from the previous instruction; on an error *s
+// is the zero Step.
+//
+//dmp:hotpath
+func (e *Emulator) StepInto(s *Step) error {
 	if e.Halted {
-		return Step{}, fmt.Errorf("emu: step after halt")
+		*s = Step{}
+		return fmt.Errorf("emu: step after halt")
 	}
 	if !e.Prog.InCode(e.PC) {
-		return Step{}, fmt.Errorf("emu: pc %d outside code image", e.PC)
+		*s = Step{}
+		return fmt.Errorf("emu: pc %d outside code image", e.PC)
 	}
-	in := e.Prog.Code[e.PC]
-	s := Step{PC: e.PC, Inst: in, NextPC: e.PC + 1}
+	in := &e.Prog.Code[e.PC]
+	s.PC, s.Inst, s.NextPC = e.PC, *in, e.PC+1
+	s.Taken, s.Halted = false, false
+	s.WroteReg, s.Reg, s.RegVal = false, 0, 0
+	s.IsLoad, s.IsStore, s.Addr, s.MemVal = false, false, 0, 0
 
 	switch {
 	case in.IsALU():
-		v := isa.EvalALU(in, e.Reg(in.Src1), e.Reg(in.Src2))
+		v := isa.EvalALU(*in, e.Reg(in.Src1), e.Reg(in.Src2))
 		e.setReg(in.Dst, v)
 		s.WroteReg, s.Reg, s.RegVal = true, in.Dst, v
 	case in.Op == isa.LD:
@@ -137,7 +159,8 @@ func (e *Emulator) Step() (Step, error) {
 	case in.Op == isa.NOP:
 		// nothing
 	default:
-		return Step{}, fmt.Errorf("emu: pc %d: unimplemented op %v", e.PC, in.Op)
+		*s = Step{}
+		return fmt.Errorf("emu: pc %d: unimplemented op %v", e.PC, in.Op)
 	}
 
 	e.PC = s.NextPC
@@ -145,78 +168,79 @@ func (e *Emulator) Step() (Step, error) {
 	if e.hist != nil {
 		e.hist.marks = append(e.hist.marks, e.markNow())
 	}
-	return s, nil
+	return nil
 }
 
 // Excursion speculatively executes from pc for up to max instructions
 // without disturbing the emulator: registers are copied, stores land in
 // a private overlay, and loads see the overlay first and committed
 // memory second. fn receives each step; returning false stops the walk.
-// Execution also stops silently at a HALT, at any PC outside the code
-// image, or on an op Step would reject — a wrong path may run anywhere,
-// and the caller (wrong-path runahead warming) wants "stop", not an
-// error. The emulator's own Regs, Mem, PC, and Count are untouched.
-func (e *Emulator) Excursion(pc uint64, max int, fn func(Step) bool) {
+// The record fn receives is reused for the next step and must not be
+// retained. Execution also stops silently at a HALT, at any PC outside
+// the code image, or on an op Step would reject — a wrong path may run
+// anywhere, and the caller (wrong-path runahead warming) wants "stop",
+// not an error. The emulator's own Regs, Mem, PC, and Count are
+// untouched. The overlay map is kept on the emulator and emptied at the
+// start of every excursion, so no store of one excursion is visible to
+// the next.
+//
+//dmp:hotpath
+func (e *Emulator) Excursion(pc uint64, max int, fn func(*Step) bool) {
 	regs := e.Regs
-	var overlay map[uint64]uint64
-	reg := func(r isa.Reg) uint64 {
-		if r == isa.Zero {
-			return 0
-		}
-		return regs[r]
-	}
-	setReg := func(r isa.Reg, v uint64) {
-		if r != isa.Zero {
-			regs[r] = v
-		}
-	}
+	regs[isa.Zero] = 0 // zeroed again after every instruction, so r0 reads 0 and writes to it are discarded
+	overlay := e.overlay
+	clear(overlay)
+	s := &e.wp
 	for n := 0; n < max; n++ {
 		if !e.Prog.InCode(pc) {
 			return
 		}
-		in := e.Prog.Code[pc]
-		s := Step{PC: pc, Inst: in, NextPC: pc + 1}
+		in := &e.Prog.Code[pc]
+		s.PC, s.Inst, s.NextPC = pc, *in, pc+1
+		s.Taken, s.IsLoad, s.IsStore, s.Addr = false, false, false, 0
 		switch {
 		case in.IsALU():
-			setReg(in.Dst, isa.EvalALU(in, reg(in.Src1), reg(in.Src2)))
+			regs[in.Dst] = isa.EvalALU(*in, regs[in.Src1], regs[in.Src2])
 		case in.Op == isa.LD:
-			addr := reg(in.Src1) + uint64(in.Imm)
+			addr := regs[in.Src1] + uint64(in.Imm)
 			v, ok := overlay[addr>>3]
 			if !ok {
 				v = e.Mem.Read(addr)
 			}
-			setReg(in.Dst, v)
+			regs[in.Dst] = v
 			s.IsLoad, s.Addr = true, addr
 		case in.Op == isa.ST:
-			addr := reg(in.Src1) + uint64(in.Imm)
+			addr := regs[in.Src1] + uint64(in.Imm)
 			if overlay == nil {
-				overlay = map[uint64]uint64{}
+				overlay = map[uint64]uint64{} //dmp:allow hotalloc -- once per emulator; later excursions reuse it
+				e.overlay = overlay
 			}
-			overlay[addr>>3] = reg(in.Src2)
+			overlay[addr>>3] = regs[in.Src2]
 			s.IsStore, s.Addr = true, addr
 		case in.Op == isa.BR:
-			s.Taken = in.Cond.Eval(reg(in.Src1), reg(in.Src2))
+			s.Taken = in.Cond.Eval(regs[in.Src1], regs[in.Src2])
 			if s.Taken {
 				s.NextPC = in.Target
 			}
 		case in.Op == isa.JMP:
 			s.NextPC = in.Target
 		case in.Op == isa.JR:
-			s.NextPC = reg(in.Src1)
+			s.NextPC = regs[in.Src1]
 		case in.Op == isa.CALL:
-			setReg(in.Dst, pc+1)
+			regs[in.Dst] = pc + 1
 			s.NextPC = in.Target
 		case in.Op == isa.CALLR:
-			t := reg(in.Src1)
-			setReg(in.Dst, pc+1)
+			t := regs[in.Src1]
+			regs[in.Dst] = pc + 1
 			s.NextPC = t
 		case in.Op == isa.RET:
-			s.NextPC = reg(in.Src1)
+			s.NextPC = regs[in.Src1]
 		case in.Op == isa.NOP:
 			// nothing
 		default:
 			return // HALT or unimplemented: the wrong path ends here
 		}
+		regs[isa.Zero] = 0
 		if !fn(s) {
 			return
 		}
@@ -228,11 +252,12 @@ func (e *Emulator) Excursion(pc uint64, max int, fn func(Step) bool) {
 // means no limit). It returns the number of instructions executed.
 func (e *Emulator) Run(max uint64) (uint64, error) {
 	start := e.Count
+	var s Step
 	for !e.Halted {
 		if max != 0 && e.Count-start >= max {
 			break
 		}
-		if _, err := e.Step(); err != nil {
+		if err := e.StepInto(&s); err != nil {
 			return e.Count - start, err
 		}
 	}
@@ -243,12 +268,12 @@ func (e *Emulator) Run(max uint64) (uint64, error) {
 // step. If fn returns false, execution stops early.
 func (e *Emulator) RunFunc(max uint64, fn func(Step) bool) error {
 	start := e.Count
+	var s Step
 	for !e.Halted {
 		if max != 0 && e.Count-start >= max {
 			return nil
 		}
-		s, err := e.Step()
-		if err != nil {
+		if err := e.StepInto(&s); err != nil {
 			return err
 		}
 		if !fn(s) {

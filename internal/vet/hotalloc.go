@@ -37,7 +37,8 @@ var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag sorting, per-cycle allocation, and unguarded probe/telemetry emission in the pipeline loop",
 	Packages: []string{"dmp/internal/core", "dmp/internal/obs", "dmp/internal/merge", "dmp/internal/cow",
-		"dmp/internal/sample", "dmp/internal/telemetry", "dmp/internal/sched", "dmp/internal/store"},
+		"dmp/internal/sample", "dmp/internal/telemetry", "dmp/internal/sched", "dmp/internal/store",
+		"dmp/internal/emu", "dmp/internal/bpred"},
 	Run: runHotAlloc,
 }
 

@@ -146,6 +146,12 @@ func TestAnalyzerApplies(t *testing.T) {
 	if !HotAlloc.applies("dmp/internal/telemetry") {
 		t.Error("hotalloc must run on telemetry (its metric hot paths promise zero allocation)")
 	}
+	if !HotAlloc.applies("dmp/internal/emu") {
+		t.Error("hotalloc must run on the emulator (StepInto and Excursion are the functional-warming loop)")
+	}
+	if !HotAlloc.applies("dmp/internal/bpred") {
+		t.Error("hotalloc must run on the predictors (the perceptron kernel trains on every warmed branch)")
+	}
 	if !Canonical.applies("dmp/internal/core") {
 		t.Error("canonical must run on core (Config.Canonical lives there)")
 	}
