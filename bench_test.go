@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"dmp/internal/bpred"
 	"dmp/internal/cache"
@@ -371,8 +370,9 @@ func BenchmarkProfilePass(b *testing.B) {
 // site a single pointer compare — and must stay within noise (<2%,
 // recorded in BENCH_obs.json) of the tree before the probe layer
 // existed. "attached" runs every sink at once (pipetrace, episode
-// timeline, interval sampler, heartbeat) into io.Discard and bounds
-// the price of turning observability on.
+// timeline, interval sampler, and the progress probe feeding a
+// progress renderer) into io.Discard and bounds the price of turning
+// observability on.
 func BenchmarkObserverOverhead(b *testing.B) {
 	p, err := exp.Annotated("mcf", 1)
 	if err != nil {
@@ -401,10 +401,18 @@ func BenchmarkObserverOverhead(b *testing.B) {
 				obs.NewPipetrace(io.Discard, obs.FormatText).Probe(),
 				obs.NewEpisodeLog(io.Discard).Probe(),
 				obs.NewIntervalSampler(io.Discard, 10000).Probe(),
-				obs.NewHeartbeat(io.Discard, time.Hour).Probe(),
+				progressProbe(),
 			)
 		})
 	})
+}
+
+// progressProbe is dmpsim's progress path: obs.ProgressProbe on a
+// subscriber-only feed rendered by telemetry.Progress.
+func progressProbe() *core.Probe {
+	feed := telemetry.NewFeed(nil)
+	feed.Subscribe(telemetry.NewProgress(io.Discard, false).Event)
+	return obs.ProgressProbe(feed)
 }
 
 // BenchmarkTelemetryOverhead pins the cost of the host-side telemetry

@@ -60,7 +60,6 @@ import (
 
 	"dmp/internal/exp"
 	"dmp/internal/lint"
-	"dmp/internal/obs"
 	"dmp/internal/prog"
 	"dmp/internal/telemetry"
 	"dmp/internal/workload"
@@ -89,29 +88,10 @@ func main() {
 		sampleIvl  = flag.Uint64("sample-interval", 0, "sampling experiment: retired instructions per detailed interval (0 = default)")
 		sampleWarm = flag.Uint64("sample-warmup", 0, "sampling experiment: extra per-interval warmup instructions")
 		sampleWM   = flag.String("sample-warm-mode", "", "sampling experiment: warm mode (full or caches; default per-benchmark)")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a host heap profile to this file at exit")
-		exectrace  = flag.String("trace", "", "write a host runtime execution trace to this file")
-
-		telemetryOn  = flag.Bool("telemetry", false, "attach host-side telemetry: live progress line, metrics, spans")
-		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory; implies -telemetry")
 	)
+	var obsFlags telemetry.Flags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
-
-	stopProfiles, err := obs.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmpexp: profiling: %v\n", err)
-		os.Exit(1) // nothing started; nothing to stop
-	}
-	// os.Exit skips deferred calls, so every exit path below goes
-	// through this instead of a bare os.Exit.
-	exit := func(code int) {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: profiling: %v\n", err)
-		}
-		os.Exit(code)
-	}
 
 	opts := exp.DefaultOptions()
 	opts.Scale = *scale
@@ -125,10 +105,11 @@ func main() {
 	opts.SampleWarmup = *sampleWarm
 	opts.SampleWarmMode = *sampleWM
 
+	// Usage errors exit before anything starts.
 	ids := flag.Args()
 	if len(ids) == 0 {
 		fmt.Fprintln(os.Stderr, "dmpexp: specify experiment ids or 'all'; known:", strings.Join(exp.IDs(), " "))
-		exit(2)
+		os.Exit(2)
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = exp.IDs()
@@ -136,18 +117,16 @@ func main() {
 	for _, id := range ids {
 		if exp.All[id] == nil {
 			fmt.Fprintf(os.Stderr, "dmpexp: unknown experiment %q (known: %s)\n", id, strings.Join(exp.IDs(), " "))
-			exit(2)
+			os.Exit(2)
 		}
 	}
-	if *remote != "" {
-		// Everything below runs simulations (or inspects local telemetry)
-		// on this host; the remote path delegates all of it to the daemon.
-		if *doLint || *sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
-			*sampleWarm != 0 || *sampleWM != "" || *telemetryOn || *telemetryOut != "" {
-			fmt.Fprintln(os.Stderr, "dmpexp: -lint, -sample-* and -telemetry* are local-only; drop them with -remote")
-			exit(2)
-		}
-		exit(runRemote(*remote, ids, opts))
+	// Everything past the remote check runs simulations (or inspects
+	// local telemetry) on this host; the remote path delegates all of it
+	// to the daemon.
+	if *remote != "" && (*doLint || *sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
+		*sampleWarm != 0 || *sampleWM != "" || obsFlags.On || obsFlags.Out != "") {
+		fmt.Fprintln(os.Stderr, "dmpexp: -lint, -sample-* and -telemetry* are local-only; drop them with -remote")
+		os.Exit(2)
 	}
 	wantSampling := false
 	for _, id := range ids {
@@ -155,7 +134,35 @@ func main() {
 	}
 	if !wantSampling && (*sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 || *sampleWarm != 0 || *sampleWM != "") {
 		fmt.Fprintln(os.Stderr, "dmpexp: -sample-* flags need the sampling experiment among the requested ids")
-		exit(2)
+		os.Exit(2)
+	}
+
+	// The telemetry Set is process-global (Enable), so the result cache,
+	// worker pool, sampling pipeline and differential harness all report
+	// into it without plumbing. With it on, the structured feed (and its
+	// live progress line) replaces the ad-hoc per-experiment stderr
+	// timing lines; stdout is untouched either way.
+	run, err := obsFlags.Start("dmpexp", "exp", fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " ")))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
+		os.Exit(1)
+	}
+	// os.Exit skips deferred calls, so every exit path below goes
+	// through this instead of a bare os.Exit.
+	exit := func(code int) {
+		if err := run.Finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
+		}
+		os.Exit(code)
+	}
+	if *remote != "" {
+		exit(runRemote(*remote, ids, opts))
+	}
+	tel := run.Set
+	var progress *telemetry.Progress
+	if tel != nil {
+		progress = telemetry.NewProgress(os.Stderr, telemetry.IsTerminal(os.Stderr))
+		tel.Feed().Subscribe(progress.Event)
 	}
 
 	// Pre-flight lint gate: every benchmark's annotated program (both
@@ -196,38 +203,6 @@ func main() {
 		}
 	}
 
-	// Telemetry attach: the Set is process-global (Enable), so the result
-	// cache, worker pool, sampling pipeline and differential harness all
-	// report into it without plumbing. With it on, the structured feed
-	// (and its live progress line) replaces the ad-hoc per-experiment
-	// stderr timing lines; stdout is untouched either way.
-	var (
-		tel      *telemetry.Set
-		progress *telemetry.Progress
-		rootSpan *telemetry.Span
-	)
-	if *telemetryOut != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		if *telemetryOut != "" {
-			var terr error
-			tel, terr = telemetry.OpenDir(*telemetryOut)
-			if terr != nil {
-				fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", terr)
-				exit(1)
-			}
-		} else {
-			tel = telemetry.New(telemetry.Options{})
-		}
-		progress = telemetry.NewProgress(os.Stderr, telemetry.IsTerminal(os.Stderr))
-		tel.Feed().Subscribe(progress.Event)
-		telemetry.Enable(tel)
-		rootSpan = tel.Tracer().Begin("dmpexp", "exp")
-		tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpexp",
-			Msg: fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " "))})
-	}
-
 	type result struct {
 		table   *exp.Table
 		err     error
@@ -250,7 +225,7 @@ func main() {
 			o := opts
 			var sp *telemetry.Span
 			if tel != nil {
-				sp = rootSpan.ChildAsync(id, "exp")
+				sp = run.Root.ChildAsync(id, "exp")
 				o.Span = sp
 				tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "start"})
 			}
@@ -293,21 +268,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, r.elapsed.Seconds())
 		}
 	}
-	if tel != nil {
-		tel.Feed().Emit(telemetry.Event{Kind: "run-end", V: time.Since(start).Seconds()})
-		rootSpan.End()
-		snap, terr := tel.Close()
-		progress.Finish()
-		telemetry.Enable(nil)
-		if terr != nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", terr)
-		}
-		if *telemetryOut != "" {
-			if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", err)
-			}
-		}
-	}
+	progress.Finish()
 	hits, misses := exp.SimCounts()
 	fmt.Fprintf(os.Stderr, "total %.1fs; result cache: %d simulations, %d reused\n",
 		time.Since(start).Seconds(), misses, hits)

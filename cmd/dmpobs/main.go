@@ -164,27 +164,40 @@ func checkManifest(m *sample.Manifest) error {
 	return nil
 }
 
-// validateTrace unmarshals the whole trace as a JSON array and spot
-// checks that the events carry the trace_event fields Perfetto needs.
+// validateTrace checks a Chrome trace file with checkTrace and reports
+// its event count.
 func validateTrace(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	n, err := checkTrace(data)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: valid Chrome trace, %d events\n", path, n)
+	return nil
+}
+
+// checkTrace unmarshals a whole trace as a JSON array and checks that
+// every event carries the trace_event fields Perfetto needs. It returns
+// the event count.
+func checkTrace(data []byte) (int, error) {
 	var evs []map[string]any
 	if err := json.Unmarshal(data, &evs); err != nil {
-		return fmt.Errorf("invalid Chrome trace JSON: %w", err)
+		return 0, fmt.Errorf("invalid Chrome trace JSON: %w", err)
 	}
 	if len(evs) == 0 {
-		return fmt.Errorf("trace is empty")
+		return 0, fmt.Errorf("trace is empty")
 	}
-	for _, k := range []string{"name", "ph", "ts", "pid", "tid"} {
-		if _, ok := evs[0][k]; !ok {
-			return fmt.Errorf("trace events missing %q field", k)
+	for i, ev := range evs {
+		for _, k := range []string{"name", "ph", "ts", "pid", "tid"} {
+			if _, ok := ev[k]; !ok {
+				return 0, fmt.Errorf("trace event %d missing %q field", i, k)
+			}
 		}
 	}
-	fmt.Printf("%s: valid Chrome trace, %d events\n", path, len(evs))
-	return nil
+	return len(evs), nil
 }
 
 func summarizeEvents(path string) error {

@@ -65,3 +65,35 @@ func TestCheckManifest(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckTrace pins the -validate contract: every event, not just the
+// first, must carry the fields Perfetto needs.
+func TestCheckTrace(t *testing.T) {
+	const ev = `{"name":"u","cat":"uop","ph":"X","ts":1,"dur":1,"pid":0,"tid":1,"args":{}}`
+	cases := []struct {
+		name    string
+		trace   string
+		wantN   int
+		wantErr string
+	}{
+		{name: "well-formed", trace: "[" + ev + ",\n" + ev + "]", wantN: 2},
+		{name: "not-json", trace: "[" + ev + ",", wantErr: "invalid Chrome trace JSON"},
+		{name: "empty", trace: "[]", wantErr: "trace is empty"},
+		{name: "first-missing-ph", trace: `[{"name":"u","ts":1,"pid":0,"tid":1}]`, wantErr: `event 0 missing "ph"`},
+		{name: "later-missing-tid", trace: "[" + ev + "," + ev + `,{"name":"u","ph":"X","ts":3,"pid":0}]`, wantErr: `event 2 missing "tid"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := checkTrace([]byte(tc.trace))
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || n != tc.wantN {
+				t.Fatalf("got %d events, err %v; want %d, nil", n, err, tc.wantN)
+			}
+		})
+	}
+}

@@ -58,34 +58,29 @@ func main() {
 		maxReq   = flag.Int("max-requests", 0, "requests executing concurrently (default 2)")
 		queuePC  = flag.Int("queue-per-client", 0, "queued requests allowed per client before shedding (default 8)")
 		queueTot = flag.Int("queue-total", 0, "queued requests allowed in total before shedding (default 64)")
-
-		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory on shutdown")
 	)
-	flag.Parse()
-
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dmpserve: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
 	// The daemon always runs with an attached telemetry set: the feed is
 	// what the SSE endpoint streams and EmitMetrics checkpoints come for
 	// free with it. -telemetry-out additionally persists the artifacts.
-	var (
-		tel *telemetry.Set
-		err error
-	)
-	if *telemetryOut != "" {
-		tel, err = telemetry.OpenDir(*telemetryOut)
-		if err != nil {
-			fail("telemetry: %v", err)
+	obsFlags := telemetry.Flags{On: true}
+	flag.StringVar(&obsFlags.Out, "telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory on shutdown")
+	flag.Parse()
+
+	var run *telemetry.Run // Finish is nil-safe, so fail works before Start
+	finish := func() {
+		if err := run.Finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "dmpserve: %v\n", err)
 		}
-	} else {
-		tel = telemetry.New(telemetry.Options{})
 	}
-	telemetry.Enable(tel)
-	root := tel.Tracer().Begin("dmpserve", "serve")
-	tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpserve", Msg: "listen " + *listen})
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "dmpserve: "+format+"\n", args...)
+		finish()
+		os.Exit(1)
+	}
+	run, err := obsFlags.Start("dmpserve", "serve", "listen "+*listen)
+	if err != nil {
+		fail("%v", err)
+	}
 
 	cfg := serve.Config{
 		Parallel: *par,
@@ -94,7 +89,7 @@ func main() {
 			MaxQueuedPerClient: *queuePC,
 			MaxQueuedTotal:     *queueTot,
 		},
-		Span: root,
+		Span: run.Root,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
@@ -131,16 +126,5 @@ func main() {
 	}
 	srv.Close()
 
-	tel.Feed().Emit(telemetry.Event{Kind: "run-end"})
-	root.End()
-	snap, terr := tel.Close()
-	telemetry.Enable(nil)
-	if terr != nil {
-		fmt.Fprintf(os.Stderr, "dmpserve: telemetry: %v\n", terr)
-	}
-	if *telemetryOut != "" {
-		if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-			fmt.Fprintf(os.Stderr, "dmpserve: telemetry: %v\n", err)
-		}
-	}
+	finish()
 }

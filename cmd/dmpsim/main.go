@@ -34,9 +34,12 @@
 // pipeline trace (Chrome trace_event JSON for Perfetto when the file
 // ends in .json, text otherwise), -events writes the dynamic
 // predication episode timeline as JSONL (summarize with dmpobs),
-// -interval writes an interval Stats CSV every N cycles. A progress
-// heartbeat prints on stderr every few seconds unless -q.
-// -cpuprofile/-memprofile/-trace profile the simulator itself.
+// -interval writes an interval Stats CSV every N cycles. Unless -q, a
+// progress line (telemetry.Progress over obs.ProgressProbe) reports
+// cycle, retired instructions, sim-IPC and host rates on stderr every
+// few seconds, then a one-line summary.
+// -cpuprofile/-memprofile/-trace profile the simulator itself; every
+// exit, failed ones included, finishes the profiles and telemetry.
 //
 // -telemetry attaches the host-side telemetry layer (internal/telemetry);
 // -telemetry-out DIR (implies -telemetry) records spans.json (host spans:
@@ -47,6 +50,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,54 +70,61 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "dmpsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. Every return after the observability attach
+// passes its deferred Finish, so a failed run still leaves complete
+// profiles and telemetry artifacts.
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		bench    = flag.String("bench", "", "benchmark name (see -list)")
-		asm      = flag.String("asm", "", "assembly file to run instead of a benchmark")
-		mode     = flag.String("mode", "baseline", "baseline|perfect|dmp|dhp|dualpath|enhanced")
-		conf     = flag.String("conf", "jrs", "confidence estimator: jrs|perfect|always-low|never-low")
-		predName = flag.String("pred", "perceptron", "predictor: perceptron|gshare|bimodal|hybrid")
-		scale    = flag.Int("scale", 3, "workload scale factor")
-		rob      = flag.Int("rob", 512, "reorder buffer entries")
-		depth    = flag.Int("depth", 30, "pipeline depth")
-		maxInsts = flag.Uint64("max-insts", 0, "stop after N retired instructions (0 = run to halt)")
-		mcfm     = flag.Bool("mcfm", false, "enable multiple CFM points (2.7.1)")
-		eexit    = flag.Bool("eexit", false, "enable early exit (2.7.2)")
-		mdb      = flag.Bool("mdb", false, "enable multiple diverge branches (2.7.3)")
-		loops    = flag.Bool("loops", false, "enable diverge loop branches (2.7.4)")
-		cfmSrc   = flag.String("cfm-source", "annotated", "CFM point source: annotated|dynamic|hybrid (dynamic/hybrid use the runtime merge-point predictor)")
-		mergeTbl = flag.Int("merge-table", 0, "merge-point predictor table entries (0 = default; needs -cfm-source dynamic|hybrid)")
-		mergeSt  = flag.Bool("merge-stats", false, "print a merge-point predictor summary line")
-		nocheck  = flag.Bool("nocheck", false, "disable the golden-model retirement checker")
+		bench    = fs.String("bench", "", "benchmark name (see -list)")
+		asm      = fs.String("asm", "", "assembly file to run instead of a benchmark")
+		mode     = fs.String("mode", "baseline", "baseline|perfect|dmp|dhp|dualpath|enhanced")
+		conf     = fs.String("conf", "jrs", "confidence estimator: jrs|perfect|always-low|never-low")
+		predName = fs.String("pred", "perceptron", "predictor: perceptron|gshare|bimodal|hybrid")
+		scale    = fs.Int("scale", 3, "workload scale factor")
+		rob      = fs.Int("rob", 512, "reorder buffer entries")
+		depth    = fs.Int("depth", 30, "pipeline depth")
+		maxInsts = fs.Uint64("max-insts", 0, "stop after N retired instructions (0 = run to halt)")
+		mcfm     = fs.Bool("mcfm", false, "enable multiple CFM points (2.7.1)")
+		eexit    = fs.Bool("eexit", false, "enable early exit (2.7.2)")
+		mdb      = fs.Bool("mdb", false, "enable multiple diverge branches (2.7.3)")
+		loops    = fs.Bool("loops", false, "enable diverge loop branches (2.7.4)")
+		cfmSrc   = fs.String("cfm-source", "annotated", "CFM point source: annotated|dynamic|hybrid (dynamic/hybrid use the runtime merge-point predictor)")
+		mergeTbl = fs.Int("merge-table", 0, "merge-point predictor table entries (0 = default; needs -cfm-source dynamic|hybrid)")
+		mergeSt  = fs.Bool("merge-stats", false, "print a merge-point predictor summary line")
+		nocheck  = fs.Bool("nocheck", false, "disable the golden-model retirement checker")
 
-		doSample    = flag.Bool("sample", false, "sampled simulation: fast-forward + warmed detailed intervals instead of an exact run")
-		samplePer   = flag.Uint64("sample-period", 0, "instructions per sampling period (0 = default; needs -sample)")
-		sampleIvl   = flag.Uint64("sample-interval", 0, "retired instructions measured per detailed interval (0 = default; needs -sample)")
-		sampleWarm  = flag.Uint64("sample-warmup", 0, "extra per-interval functional warmup instructions (needs -sample)")
-		warmMode    = flag.String("warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
-		sampleManif = flag.String("sample-manifest", "", "write the sampled run's interval manifest (JSON) to this file (needs -sample)")
+		doSample    = fs.Bool("sample", false, "sampled simulation: fast-forward + warmed detailed intervals instead of an exact run")
+		samplePer   = fs.Uint64("sample-period", 0, "instructions per sampling period (0 = default; needs -sample)")
+		sampleIvl   = fs.Uint64("sample-interval", 0, "retired instructions measured per detailed interval (0 = default; needs -sample)")
+		sampleWarm  = fs.Uint64("sample-warmup", 0, "extra per-interval functional warmup instructions (needs -sample)")
+		warmMode    = fs.String("warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
+		sampleManif = fs.String("sample-manifest", "", "write the sampled run's interval manifest (JSON) to this file (needs -sample)")
 
-		doLint = flag.Bool("lint", false, "statically check the program and annotations, print findings, and exit")
-		list   = flag.Bool("list", false, "list benchmarks and exit")
+		doLint = fs.Bool("lint", false, "statically check the program and annotations, print findings, and exit")
+		list   = fs.Bool("list", false, "list benchmarks and exit")
 
-		pipetrace   = flag.String("pipetrace", "", "write a per-uop pipetrace to this file (.json = Chrome trace for Perfetto, else text)")
-		events      = flag.String("events", "", "write the dynamic-predication episode timeline (JSONL) to this file")
-		interval    = flag.Uint64("interval", 0, "sample Stats deltas every N cycles into an interval CSV")
-		intervalOut = flag.String("interval-out", "", "interval CSV destination (default stdout)")
-		quiet       = flag.Bool("q", false, "suppress the stderr progress heartbeat")
-		cpuprofile  = flag.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a host heap profile to this file at exit")
-		exectrace   = flag.String("trace", "", "write a host runtime execution trace to this file")
-
-		telemetryOn  = flag.Bool("telemetry", false, "attach host-side telemetry (metrics, spans, progress feed)")
-		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory; implies -telemetry")
+		pipetrace   = fs.String("pipetrace", "", "write a per-uop pipetrace to this file (.json = Chrome trace for Perfetto, else text)")
+		events      = fs.String("events", "", "write the dynamic-predication episode timeline (JSONL) to this file")
+		interval    = fs.Uint64("interval", 0, "sample Stats deltas every N cycles into an interval CSV")
+		intervalOut = fs.String("interval-out", "", "interval CSV destination (default stdout)")
+		quiet       = fs.Bool("q", false, "suppress the stderr progress line")
 	)
-	flag.Parse()
+	var obsFlags telemetry.Flags
+	obsFlags.Register(fs)
+	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	if *list {
 		for _, w := range workload.All() {
 			fmt.Printf("%-8s %s\n", w.Name, w.Desc)
 		}
-		return
+		return nil
 	}
 
 	cfg := core.DefaultConfig()
@@ -130,7 +141,7 @@ func main() {
 	case "enhanced":
 		cfg = core.EnhancedDMPConfig()
 	default:
-		fatal("unknown -mode %q", *mode)
+		return fmt.Errorf("unknown -mode %q", *mode)
 	}
 	cfg.ConfidenceName = *conf
 	cfg.PredictorName = *predName
@@ -151,10 +162,13 @@ func main() {
 		cfg.EnableLoopDiverge = true
 	}
 	if err := setCFMSource(&cfg, *cfmSrc, *mergeTbl); err != nil {
-		fatal("%v", err)
+		return err
 	}
 	if err := setSampling(&cfg, *doSample, *samplePer, *sampleIvl, *sampleWarm, *warmMode, *sampleManif); err != nil {
-		fatal("%v", err)
+		return err
+	}
+	if *doSample && (*pipetrace != "" || *events != "" || *interval != 0) {
+		return errors.New("-pipetrace/-events/-interval trace exact runs; they are not available with -sample")
 	}
 
 	var p *prog.Program
@@ -162,25 +176,25 @@ func main() {
 	case *asm != "":
 		src, err := os.ReadFile(*asm)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		p, err = prog.Assemble(string(src))
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		if cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP {
 			if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
-				fatal("profile: %v", err)
+				return fmt.Errorf("profile: %w", err)
 			}
 		}
 	case *bench != "":
 		var err error
 		p, err = exp.Annotated(*bench, *scale)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 	default:
-		fatal("need -bench or -asm (try -list)")
+		return errors.New("need -bench or -asm (try -list)")
 	}
 
 	if *doLint {
@@ -189,79 +203,45 @@ func main() {
 			fmt.Println(d)
 		}
 		if ds.HasErrors() {
-			fatal("lint: %d error(s)", len(ds.Errors()))
+			return fmt.Errorf("lint: %d error(s)", len(ds.Errors()))
 		}
 		if len(ds) == 0 {
 			fmt.Println("lint: clean")
 		} else {
 			fmt.Printf("lint: clean (%d warning(s) suppressed)\n", len(ds))
 		}
-		return
+		return nil
 	}
 
-	stopProfiles, err := obs.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
+	// One root span for the run; a sampled run hangs its stage spans and
+	// interval jobs under it.
+	o, err := obsFlags.Start("dmpsim", "sim", fmt.Sprintf("%s %s scale %d", benchName(*bench, *asm), *mode, *scale))
 	if err != nil {
-		fatal("profiling: %v", err)
+		return err
 	}
-
-	// Telemetry attach: one root span for the run; a sampled run hangs
-	// its stage spans and interval jobs under it. finishTelemetry closes
-	// the set and records the metrics artifacts.
-	var tel *telemetry.Set
-	var rootSpan *telemetry.Span
-	if *telemetryOut != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		if *telemetryOut != "" {
-			tel, err = telemetry.OpenDir(*telemetryOut)
-			if err != nil {
-				fatal("telemetry: %v", err)
-			}
-		} else {
-			tel = telemetry.New(telemetry.Options{})
-		}
-		telemetry.Enable(tel)
-		rootSpan = tel.Tracer().Begin("dmpsim", "sim")
-		tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpsim",
-			Msg: fmt.Sprintf("%s %s scale %d", benchName(*bench, *asm), *mode, *scale)})
-	}
-	finishTelemetry := func() {
-		if tel == nil {
-			return
-		}
-		tel.Feed().Emit(telemetry.Event{Kind: "run-end"})
-		rootSpan.End()
-		snap, err := tel.Close()
-		telemetry.Enable(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmpsim: telemetry: %v\n", err)
-		}
-		if *telemetryOut != "" {
-			if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "dmpsim: telemetry: %v\n", err)
-			}
+	finish := func() {
+		if err := o.Finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "dmpsim: %v\n", err)
 		}
 	}
+	defer finish()
 
 	if *doSample {
-		if *pipetrace != "" || *events != "" || *interval != 0 {
-			fatal("-pipetrace/-events/-interval trace exact runs; they are not available with -sample")
-		}
-		r, err := sample.Run(p, cfg, sample.Options{Span: rootSpan})
+		r, err := sample.Run(p, cfg, sample.Options{Span: o.Root})
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		if *sampleManif != "" {
 			f, err := os.Create(*sampleManif)
 			if err != nil {
-				fatal("%v", err)
+				return err
 			}
 			if err := r.WriteManifest(f); err != nil {
-				fatal("manifest: %v", err)
+				f.Close()
+				return fmt.Errorf("manifest: %w", err)
 			}
 			if err := f.Close(); err != nil {
-				fatal("manifest: %v", err)
+				return fmt.Errorf("manifest: %w", err)
 			}
 		}
 		printSampled(r)
@@ -270,11 +250,7 @@ func main() {
 			fmt.Print(mergeStatsLine(r.Extrapolated))
 		}
 		printHostThroughput(p, cfg.MaxInsts, float64(r.TotalInsts)/r.WallSeconds)
-		finishTelemetry()
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "dmpsim: profiling: %v\n", err)
-		}
-		return
+		return nil
 	}
 
 	var probes []*core.Probe
@@ -282,7 +258,7 @@ func main() {
 	if *pipetrace != "" {
 		f, err := os.Create(*pipetrace)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		format := obs.FormatText
 		if strings.HasSuffix(*pipetrace, ".json") {
@@ -295,22 +271,18 @@ func main() {
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		el := obs.NewEpisodeLog(f)
 		probes = append(probes, el.Probe())
 		sinks = append(sinks, el, f)
 	}
 	if *interval != 0 {
-		var w *os.File
+		w := os.Stdout
 		if *intervalOut != "" {
-			f, err := os.Create(*intervalOut)
-			if err != nil {
-				fatal("%v", err)
+			if w, err = os.Create(*intervalOut); err != nil {
+				return err
 			}
-			w = f
-		} else {
-			w = os.Stdout
 		}
 		iv := obs.NewIntervalSampler(w, *interval)
 		probes = append(probes, iv.Probe())
@@ -320,17 +292,28 @@ func main() {
 		}
 	}
 	if !*quiet {
-		probes = append(probes, obs.NewHeartbeat(os.Stderr, 5*time.Second).Probe())
+		// The progress line renders the run's own feed when telemetry is
+		// attached (so events.jsonl records the progress too), else a
+		// subscriber-only one.
+		feed := o.Set.Feed()
+		if feed == nil {
+			feed = telemetry.NewFeed(nil)
+		}
+		pr := telemetry.NewProgress(os.Stderr, telemetry.IsTerminal(os.Stderr))
+		pr.Every = 5 * time.Second
+		feed.Subscribe(pr.Event)
+		defer pr.Finish()
+		probes = append(probes, obs.ProgressProbe(feed))
 	}
 
 	m, err := core.New(p, cfg)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	if len(probes) > 0 {
 		m.SetProbe(obs.Tee(probes...))
 	}
-	runSpan := rootSpan.Child("run", "sim")
+	runSpan := o.Root.Child("run", "sim")
 	st, runErr := m.Run()
 	runSpan.End()
 	for _, s := range sinks {
@@ -338,12 +321,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dmpsim: closing sink: %v\n", err)
 		}
 	}
-	finishTelemetry()
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "dmpsim: profiling: %v\n", err)
-	}
+	finish() // before the emu-only timing below, which is not the run
 	if runErr != nil {
-		fatal("%v\npartial stats: %v", runErr, st)
+		return fmt.Errorf("%v\npartial stats: %v", runErr, st)
 	}
 	printStats(st)
 	if *mergeSt {
@@ -352,6 +332,7 @@ func main() {
 	if st.WallSeconds > 0 {
 		printHostThroughput(p, cfg.MaxInsts, float64(st.RetiredInsts)/st.WallSeconds)
 	}
+	return nil
 }
 
 // benchName names the workload for telemetry: the benchmark if one was
@@ -491,9 +472,4 @@ func printStats(s *core.Stats) {
 	fmt.Printf("halted            %12v\n", s.HaltRetired)
 	fmt.Printf("sim throughput    %12.0f cycles/s, %.0f retired uops/s (%.2fs wall, %d uops created)\n",
 		s.SimCyclesPerSec(), s.RetiredUopsPerSec(), s.WallSeconds, s.FetchedUops)
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dmpsim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,5 +126,62 @@ func TestSetSampling(t *testing.T) {
 				t.Errorf("applied config fails Validate: %v", err)
 			}
 		})
+	}
+}
+
+// TestErrorExitFinishesObservability pins that a run failing after the
+// observability attach still finishes it: the CPU profile is complete
+// (non-empty) and the telemetry artifacts parse, ending in run-end. A
+// flag conflict, by contrast, is rejected before anything starts.
+func TestErrorExitFinishesObservability(t *testing.T) {
+	dir := t.TempDir()
+	cpu, tel := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "tel")
+	err := run([]string{"-bench", "mcf", "-scale", "1", "-mode", "enhanced", "-q",
+		"-pipetrace", filepath.Join(dir, "missing", "x.json"), "-cpuprofile", cpu, "-telemetry-out", tel})
+	if err == nil || !strings.Contains(err.Error(), "x.json") {
+		t.Fatalf("err = %v, want the pipetrace create failure", err)
+	}
+	fi, err := os.Stat(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Error("CPU profile is empty: the profiler was never stopped")
+	}
+	data, err := os.ReadFile(filepath.Join(tel, "spans.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []map[string]any
+	if err := json.Unmarshal(data, &spans); err != nil || len(spans) == 0 {
+		t.Fatalf("spans.json: %v, %d spans:\n%s", err, len(spans), data)
+	}
+	f, err := os.Open(filepath.Join(tel, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var kinds []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var ev struct{ Kind string }
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("events.jsonl line %q: %v", sc.Text(), err)
+		}
+		kinds = append(kinds, ev.Kind)
+	}
+	if len(kinds) < 2 || kinds[0] != "run-start" || !strings.Contains(strings.Join(kinds, " "), "run-end") {
+		t.Errorf("event kinds %v: want run-start ... run-end", kinds)
+	}
+
+	cpu2, tel2 := filepath.Join(dir, "cpu2.prof"), filepath.Join(dir, "tel2")
+	err = run([]string{"-bench", "mcf", "-scale", "1", "-mode", "enhanced", "-sample",
+		"-pipetrace", filepath.Join(dir, "x.json"), "-cpuprofile", cpu2, "-telemetry-out", tel2})
+	if err == nil || !strings.Contains(err.Error(), "not available with -sample") {
+		t.Fatalf("err = %v, want the -sample conflict", err)
+	}
+	for _, p := range []string{cpu2, tel2, filepath.Join(dir, "x.json")} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a rejected flag conflict (stat err %v)", p, err)
+		}
 	}
 }

@@ -1,26 +1,50 @@
 // Package obs builds observability sinks on top of the core.Probe hook
-// layer: a per-uop pipetrace (text or Chrome trace_event JSON for
-// Perfetto), a dynamic-predication episode timeline (JSONL), an
-// interval Stats sampler (CSV), and a wall-clock progress heartbeat.
-// It also wraps the host-side runtime profilers (CPU/heap/execution
-// trace) behind one start/stop pair for the CLIs.
+// layer: a per-uop pipetrace (text, or Chrome trace_event JSON for
+// Perfetto written through telemetry.Tracer), a dynamic-predication
+// episode timeline (JSONL), an interval Stats sampler (CSV), and a
+// progress probe that publishes simulated progress on a telemetry.Feed
+// for telemetry.Progress to render.
 //
-// Every sink exposes Probe() *core.Probe; attach one directly with
+// Every sink exposes a *core.Probe; attach one directly with
 // Machine.SetProbe, or combine several with Tee. Sinks only observe:
 // they never mutate core.Stats, and a run with any of them attached
 // retires the exact same instruction stream as an unobserved run
-// (pinned by TestObserversDoNotPerturb).
+// (pinned by TestObserversDoNotPerturb). The package reads no clock
+// (dmpvet's nondeterminism analyzer holds it to that): host time comes
+// from the telemetry writers it feeds.
+//
+// obs stays separate from internal/telemetry because it imports core,
+// and telemetry must stay core-free so that core can later report
+// per-stage host time into it.
 package obs
 
 import (
-	"errors"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-
 	"dmp/internal/core"
+	"dmp/internal/telemetry"
 )
+
+// progressTick is ProgressProbe's cycle cadence: frequent enough for a
+// multi-second reporting period to be hit within tens of milliseconds
+// at real simulator speeds, rare enough to keep the feed off the
+// per-cycle path.
+const progressTick = 1 << 14
+
+// ProgressProbe publishes a run's simulated progress on f: a "cycle"
+// event (N = retired instructions, V = cycle) every progressTick
+// cycles, and a final one with Msg "done" once Stats is final. It reads
+// no clock: the feed stamps each event with host time, from which
+// telemetry.Progress derives sim-IPC and host rates.
+func ProgressProbe(f *telemetry.Feed) *core.Probe {
+	return &core.Probe{
+		TickEvery: progressTick,
+		Tick: func(cycle uint64, st *core.Stats) {
+			f.Emit(telemetry.Event{Kind: "cycle", N: st.RetiredInsts, V: float64(cycle)})
+		},
+		Done: func(st *core.Stats) {
+			f.Emit(telemetry.Event{Kind: "cycle", Msg: "done", N: st.RetiredInsts, V: float64(st.Cycles)})
+		},
+	}
+}
 
 // Tee fans one machine probe out to several sinks. Nil probes (and nil
 // callbacks within a probe) are skipped. The merged Tick runs at the
@@ -115,69 +139,4 @@ func gcd(a, b uint64) uint64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// StartHostProfiles starts the requested host-side profilers (any
-// argument may be empty): a CPU profile, a heap profile written at
-// stop, and a runtime execution trace. It returns a stop function that
-// finishes and closes everything; callers must invoke it before the
-// process exits (explicitly on os.Exit paths — deferred calls do not
-// run there).
-func StartHostProfiles(cpuFile, memFile, traceFile string) (stop func() error, err error) {
-	var stops []func() error
-	fail := func(err error) (func() error, error) {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]() //nolint:errcheck // already failing
-		}
-		return nil, err
-	}
-	if cpuFile != "" {
-		f, err := os.Create(cpuFile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		stops = append(stops, func() error {
-			pprof.StopCPUProfile()
-			return f.Close()
-		})
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		stops = append(stops, func() error {
-			rtrace.Stop()
-			return f.Close()
-		})
-	}
-	if memFile != "" {
-		stops = append(stops, func() error {
-			f, err := os.Create(memFile)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // up-to-date allocation data
-			werr := pprof.WriteHeapProfile(f)
-			cerr := f.Close()
-			return errors.Join(werr, cerr)
-		})
-	}
-	return func() error {
-		var errs []error
-		for i := len(stops) - 1; i >= 0; i-- {
-			if err := stops[i](); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"dmp/internal/core"
 	"dmp/internal/exp"
+	"dmp/internal/telemetry"
 )
 
 // runMCF runs mcf at scale 1 on the enhanced DMP configuration (the
@@ -58,8 +59,9 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			trace := NewPipetrace(&ptBuf, FormatChrome)
 			elog := NewEpisodeLog(&evBuf)
 			samp := NewIntervalSampler(&ivBuf, 5000)
-			hb := NewHeartbeat(io.Discard, time.Hour)
-			st := runMCF(t, loops, Tee(trace.Probe(), elog.Probe(), samp.Probe(), hb.Probe()))
+			feed := telemetry.NewFeed(nil)
+			feed.Subscribe(telemetry.NewProgress(io.Discard, false).Event)
+			st := runMCF(t, loops, Tee(trace.Probe(), elog.Probe(), samp.Probe(), ProgressProbe(feed)))
 			if err := trace.Close(); err != nil {
 				t.Fatalf("pipetrace close: %v", err)
 			}
@@ -214,31 +216,39 @@ func TestTee(t *testing.T) {
 	}
 }
 
-// TestHeartbeatFinalSummary pins the end-of-run summary: a heartbeat
-// whose reporting period never elapses still prints exactly one line —
-// the final totals — and its numbers match the run's Stats. A
-// short-period heartbeat additionally prints progress lines.
-func TestHeartbeatFinalSummary(t *testing.T) {
-	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, time.Hour)
-	st := runMCF(t, false, hb.Probe())
-	out := buf.String()
+// TestProgressFinalSummary pins dmpsim's progress path, ProgressProbe
+// feeding telemetry.Progress: a renderer whose period never elapses
+// still prints exactly one line — the final totals, matching the run's
+// Stats — so even a run shorter than one period says what happened. A
+// short-period renderer additionally prints rate lines.
+func TestProgressFinalSummary(t *testing.T) {
+	render := func(every time.Duration) (string, *core.Stats) {
+		var buf bytes.Buffer
+		feed := telemetry.NewFeed(nil)
+		pr := telemetry.NewProgress(&buf, false)
+		pr.Every = every
+		feed.Subscribe(pr.Event)
+		st := runMCF(t, false, ProgressProbe(feed))
+		pr.Finish()
+		return buf.String(), st
+	}
+
+	out, st := render(time.Hour)
 	want := fmt.Sprintf("done: retired %d insts in %d cycles (IPC %.3f)", st.RetiredInsts, st.Cycles, st.IPC())
 	if !strings.Contains(out, want) {
 		t.Errorf("final summary missing or wrong:\n  got  %q\n  want containing %q", out, want)
 	}
 	if n := strings.Count(out, "\n"); n != 1 {
-		t.Errorf("hour-period heartbeat printed %d lines, want just the summary:\n%s", n, out)
+		t.Errorf("hour-period renderer printed %d lines, want just the summary:\n%s", n, out)
 	}
 
-	buf.Reset()
-	hb = NewHeartbeat(&buf, time.Nanosecond)
-	runMCF(t, false, hb.Probe())
-	if !strings.Contains(buf.String(), "Mcycles/s") {
-		t.Error("nanosecond-period heartbeat printed no progress lines")
+	out, _ = render(time.Nanosecond)
+	if !strings.Contains(out, "Mcycles/s") || !strings.Contains(out, "sim-IPC") {
+		t.Errorf("nanosecond-period renderer printed no progress lines:\n%s", out)
 	}
-	if !strings.Contains(buf.String(), "done: retired") {
-		t.Error("short-period heartbeat lost the final summary")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if !strings.HasPrefix(lines[len(lines)-1], want) {
+		t.Errorf("short-period renderer's last line is not the final summary:\n%s", out)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dmp/internal/core"
 	"dmp/internal/isa"
+	"dmp/internal/telemetry"
 )
 
 // PipetraceFormat selects the pipetrace output encoding.
@@ -17,10 +18,11 @@ const (
 	// (gem5 O3PipeView-style: the life of each instruction across the
 	// pipeline).
 	FormatText PipetraceFormat = iota
-	// FormatChrome emits a Chrome trace_event JSON array loadable in
-	// Perfetto (ui.perfetto.dev) or chrome://tracing: one complete
-	// ("ph":"X") event per uop spanning fetch to retire/squash, with the
-	// per-stage cycles in args.
+	// FormatChrome writes a Chrome trace_event JSON array through
+	// telemetry.Tracer, loadable in Perfetto (ui.perfetto.dev) or
+	// chrome://tracing: one complete ("ph":"X") event per uop on pid 0,
+	// spanning fetch to retire/squash in cycles, with the per-stage
+	// cycles in args.
 	FormatChrome
 )
 
@@ -54,24 +56,25 @@ type ptRec struct {
 // steady-state tracing allocates only when the in-flight population
 // grows past its high-water mark.
 type Pipetrace struct {
-	w      *bufio.Writer
-	format PipetraceFormat
+	w      *bufio.Writer     // FormatText output
+	trace  *telemetry.Tracer // FormatChrome output
+	emit   func(*ptRec)      // the format's encoder
+	args   []byte            // Chrome args scratch, reused per uop
 	recs   []ptRec
 	byID   map[uint64]int32
 	free   []int32
-	events int // emitted uops (Chrome comma separation)
 	closed bool
 }
 
 // NewPipetrace creates a pipetrace sink writing to w. Close flushes it.
 func NewPipetrace(w io.Writer, format PipetraceFormat) *Pipetrace {
-	t := &Pipetrace{
-		w:      bufio.NewWriterSize(w, 1<<16),
-		format: format,
-		byID:   map[uint64]int32{},
-	}
+	t := &Pipetrace{byID: map[uint64]int32{}}
 	if format == FormatChrome {
-		t.w.WriteString("[") //nolint:errcheck // bufio defers errors to Flush
+		t.trace = telemetry.NewTracer(w)
+		t.emit = t.emitChrome
+	} else {
+		t.w = bufio.NewWriterSize(w, 1<<16)
+		t.emit = t.emitText
 	}
 	return t
 }
@@ -150,16 +153,16 @@ func (t *Pipetrace) drain() {
 	t.free = nil
 }
 
-// Close drains any in-flight records, terminates the Chrome array, and
-// flushes the writer. Safe to call after Done already drained.
+// Close drains any in-flight records and flushes the output (closing
+// the Chrome trace's array). Safe to call after Done already drained.
 func (t *Pipetrace) Close() error {
 	if t.closed {
 		return nil
 	}
 	t.closed = true
 	t.drain()
-	if t.format == FormatChrome {
-		t.w.WriteString("\n]\n") //nolint:errcheck // Flush reports
+	if t.trace != nil {
+		return t.trace.Close()
 	}
 	return t.w.Flush()
 }
@@ -168,11 +171,7 @@ func (t *Pipetrace) Close() error {
 // never reached that stage.
 func cyc(c uint64) int64 { return int64(c) - 1 }
 
-func (t *Pipetrace) emit(r *ptRec) {
-	if t.format == FormatChrome {
-		t.emitChrome(r)
-		return
-	}
+func (t *Pipetrace) emitText(r *ptRec) {
 	fmt.Fprintf(t.w, "u%-8d seq=%-8d pc=%-6d %-22s fetch=%-8d rename=%-8d issue=%-8d complete=%-8d",
 		r.id, r.seq, r.pc, t.name(r), cyc(r.fetch), cyc(r.rename), cyc(r.issue), cyc(r.complete))
 	if r.squash != 0 {
@@ -208,8 +207,8 @@ func (t *Pipetrace) name(r *ptRec) string {
 }
 
 func (t *Pipetrace) emitChrome(r *ptRec) {
-	// One complete ("X") event per uop: ts = first observed stage,
-	// dur = lifetime in cycles (min 1 so zero-length uops stay visible).
+	// ts = first observed stage, dur = lifetime in cycles (min 1 so
+	// zero-length uops stay visible), 32 lanes by uop id.
 	start := r.fetch
 	if start == 0 {
 		start = r.rename
@@ -222,23 +221,14 @@ func (t *Pipetrace) emitChrome(r *ptRec) {
 	if r.squash != 0 {
 		end, status = r.squash, "squash"
 	}
-	if end < start {
-		end = start
+	dur := int64(1)
+	if end > start {
+		dur = int64(end - start)
 	}
-	dur := end - start
-	if dur == 0 {
-		dur = 1
-	}
-	if t.events > 0 {
-		t.w.WriteString(",") //nolint:errcheck
-	}
-	t.events++
-	fmt.Fprintf(t.w, "\n{\"name\":%q,\"cat\":\"uop\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d,"+
-		"\"args\":{\"id\":%d,\"seq\":%d,\"pc\":%d,\"kind\":%q,\"fetch\":%d,\"rename\":%d,\"issue\":%d,"+
-		"\"complete\":%d,\"retire\":%d,\"squash\":%d,\"memblock\":%d,\"pred\":%d,\"alt\":%t,\"stream\":%d,"+
-		"\"false\":%t,\"end\":%q}}",
-		t.name(r), r.id%32, cyc(start), dur,
+	t.args = fmt.Appendf(t.args[:0], `{"id":%d,"seq":%d,"pc":%d,"kind":%q,"fetch":%d,"rename":%d,"issue":%d,`+
+		`"complete":%d,"retire":%d,"squash":%d,"memblock":%d,"pred":%d,"alt":%t,"stream":%d,"false":%t,"end":%q}`,
 		r.id, r.seq, r.pc, r.kind.String(), cyc(r.fetch), cyc(r.rename), cyc(r.issue),
 		cyc(r.complete), cyc(r.retire), cyc(r.squash), cyc(r.memblock), r.predID, r.onAlt, r.stream,
 		r.isFalse, status)
+	t.trace.Complete(t.name(r), "uop", 0, r.id%32, cyc(start), dur, t.args)
 }

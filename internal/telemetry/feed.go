@@ -18,6 +18,7 @@ import (
 //	diff           Name=stage on divergence, N=seeds verified so far
 //	progress       N=completed units, V=total units, Msg=current item
 //	metrics        Metrics=delta of every registered metric since last metrics event
+//	cycle          N=retired instructions, V=simulated cycle (obs.ProgressProbe); Msg="done" on the final one
 //	run-end        V=total wall seconds
 type Event struct {
 	T       float64   `json:"t"` // seconds since the feed started
@@ -30,8 +31,8 @@ type Event struct {
 }
 
 // Feed fans structured progress events out to an optional JSONL writer
-// and any in-process subscribers (the TTY renderer now, dmpserve's SSE
-// hub later). Emit is safe for concurrent use and nil-safe; subscribers
+// and any in-process subscribers (the Progress renderer, dmpserve's SSE
+// endpoint). Emit is safe for concurrent use and nil-safe; subscribers
 // run synchronously under the feed lock, so they must be fast and must
 // not call back into the feed.
 type Feed struct {

@@ -9,29 +9,41 @@ import (
 	"time"
 )
 
-// Progress is a live single-line renderer over a Feed: it repaints one
-// status line in place (carriage return, no scroll) on a TTY, or prints
-// occasional plain lines on a pipe. Attach with feed.Subscribe(p.Event)
-// and call Finish when the run ends to terminate the line.
+// Progress is the live progress renderer, a Feed subscriber: it
+// repaints one status line in place (carriage return, no scroll) on a
+// TTY, or prints plain lines on a pipe, at most once per Every of feed
+// time. It renders units done ("progress"), result-cache hits and
+// misses ("simulation"), the current experiment, and a simulation's
+// clock-free progress ("cycle", from obs.ProgressProbe), whose sim-IPC
+// and host rates it derives from the feed's timestamps. The final
+// cycle event prints a one-line run summary. Attach with
+// feed.Subscribe(p.Event) and call Finish when the run ends.
 type Progress struct {
+	// Every is the minimum feed time between two lines (default
+	// 100ms): a scale-3 suite emits thousands of events, and a repaint
+	// per event is pure flicker.
+	Every time.Duration
+
 	w   io.Writer
 	tty bool
 
-	mu       sync.Mutex
-	done     uint64
-	total    float64
-	current  string
-	hits     uint64
-	misses   uint64
-	lastLen  int
-	lastDraw time.Time
-	finished bool
+	mu        sync.Mutex
+	done      uint64
+	total     float64
+	current   string
+	hits      uint64
+	misses    uint64
+	sim       bool  // a cycle event has arrived
+	cyc, base Event // the latest cycle event, and the one rates run from
+	lastLen   int
+	lastDraw  float64 // feed time of the last line
+	finished  bool
 }
 
 // NewProgress builds a renderer writing to w; tty selects in-place
 // repainting (pass IsTerminal(w)).
 func NewProgress(w io.Writer, tty bool) *Progress {
-	return &Progress{w: w, tty: tty}
+	return &Progress{w: w, tty: tty, Every: 100 * time.Millisecond}
 }
 
 // IsTerminal reports whether w is an *os.File on a character device —
@@ -74,6 +86,21 @@ func (p *Progress) Event(ev Event) {
 		if ev.Msg == "start" {
 			p.current = ev.Name
 		}
+	case "cycle":
+		if ev.Msg == "done" {
+			p.endLine()
+			ipc := 0.0
+			if ev.V > 0 {
+				ipc = float64(ev.N) / ev.V
+			}
+			fmt.Fprintf(p.w, "done: retired %d insts in %d cycles (IPC %.3f), %.2fs wall\n", ev.N, uint64(ev.V), ipc, ev.T)
+			return
+		}
+		p.cyc = ev
+		if !p.sim {
+			p.sim, p.base = true, ev // no rate until a second sample
+			return
+		}
 	default:
 		return
 	}
@@ -81,13 +108,10 @@ func (p *Progress) Event(ev Event) {
 }
 
 func (p *Progress) draw(t float64) {
-	// Rate-limit repaints: a scale-3 suite emits thousands of events and
-	// a TTY repaint per event is pure flicker.
-	now := time.Now()
-	if now.Sub(p.lastDraw) < 100*time.Millisecond {
+	if t-p.lastDraw < p.Every.Seconds() {
 		return
 	}
-	p.lastDraw = now
+	p.lastDraw = t
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%6.1fs]", t)
@@ -95,6 +119,16 @@ func (p *Progress) draw(t float64) {
 		fmt.Fprintf(&b, " %d/%d", p.done, uint64(p.total))
 	} else if p.done > 0 {
 		fmt.Fprintf(&b, " %d done", p.done)
+	}
+	if dt := p.cyc.T - p.base.T; p.sim && dt > 0 {
+		dc, dr := p.cyc.V-p.base.V, float64(p.cyc.N-p.base.N)
+		ipc := 0.0
+		if dc > 0 {
+			ipc = dr / dc
+		}
+		fmt.Fprintf(&b, " cycle %d, retired %d, sim-IPC %.3f, %.1f Mcycles/s, %.2f MIPS",
+			uint64(p.cyc.V), p.cyc.N, ipc, dc/dt/1e6, dr/dt/1e6)
+		p.base = p.cyc
 	}
 	if p.hits+p.misses > 0 {
 		fmt.Fprintf(&b, " · cache %d hit %d miss", p.hits, p.misses)
@@ -115,16 +149,25 @@ func (p *Progress) draw(t float64) {
 	}
 }
 
-// Finish terminates the status line (newline on a TTY) and stops
-// further rendering.
-func (p *Progress) Finish() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.finished {
-		return
-	}
-	p.finished = true
+// endLine terminates a repainted TTY line so the next output starts on
+// a fresh one.
+func (p *Progress) endLine() {
 	if p.tty && p.lastLen > 0 {
 		fmt.Fprintln(p.w)
+		p.lastLen = 0
+	}
+}
+
+// Finish terminates the status line and stops further rendering. It is
+// a no-op on a nil *Progress.
+func (p *Progress) Finish() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.finished {
+		p.finished = true
+		p.endLine()
 	}
 }

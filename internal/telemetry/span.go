@@ -4,14 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Tracer emits host-side spans as a Chrome trace_event JSON array —
-// the same format obs.Pipetrace uses for the simulated pipeline, so a
-// run's host spans and its pipetraces load into one Perfetto session.
+// Tracer writes a Chrome trace_event JSON array. It is the repo's only
+// trace_event writer: host spans go through Begin/Child/End (pid 1, ts
+// in microseconds since the tracer started), and obs.Pipetrace's
+// per-uop events go through Complete on a tracer of their own (pid 0,
+// ts in simulated cycles), so both load into Perfetto the same way.
 //
 // Spans form a tree: Begin starts a root, Span.Child a nested span on
 // the same lane (tid), Span.ChildAsync a span on a fresh lane for work
@@ -121,9 +124,8 @@ func (s *Span) Tracer() *Tracer {
 // and cat must be constant strings, start/dur come from the caller's
 // own clock reads. This is the form //dmp:hotpath code uses — wrapped
 // in an `if tr != nil` guard it costs nothing when tracing is off and
-// allocates nothing when on (no *Span object; the emit path reuses the
-// tracer's buffer). parent is the enclosing span's ID (0 for a root);
-// the event gets its own fresh lane.
+// allocates no *Span object when on. parent is the enclosing span's ID
+// (0 for a root); the event gets its own fresh lane.
 func (t *Tracer) SpanAt(name, cat string, start time.Time, dur time.Duration, parent uint64) {
 	if t == nil {
 		return
@@ -141,6 +143,18 @@ func (t *Tracer) emit(name, cat string, id, parent, tid uint64, start time.Time,
 	if us < 1 {
 		us = 1 // Perfetto drops zero-width complete events
 	}
+	t.Complete(name, cat, 1, tid, ts, us, fmt.Appendf(nil, `{"id":%d,"parent":%d}`, id, parent))
+}
+
+// Complete writes one complete ("X") event with caller-supplied
+// coordinates: pid and tid pick the Perfetto process and lane, ts and
+// dur are in the trace's own unit, and args is the event's args object
+// as JSON. Raw newlines in name are replaced so one event cannot break
+// the array.
+func (t *Tracer) Complete(name, cat string, pid, tid uint64, ts, dur int64, args []byte) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -150,15 +164,15 @@ func (t *Tracer) emit(name, cat string, id, parent, tid uint64, start time.Time,
 		t.w.WriteString(",\n")
 	}
 	t.events++
-	fmt.Fprintf(t.w,
-		`{"name":%q,"cat":%q,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d,"args":{"id":%d,"parent":%d}}`,
-		escape(name), cat, ts, us, tid, id, parent)
-}
-
-func escape(s string) string {
-	// %q handles JSON-relevant escaping for the names we generate; strip
-	// raw newlines defensively so one span can't corrupt the array.
-	return strings.ReplaceAll(s, "\n", " ")
+	// Appended by hand rather than through fmt: a pipetrace writes one
+	// event per simulated uop.
+	b := strconv.AppendQuote(append(t.w.AvailableBuffer(), `{"name":`...), strings.ReplaceAll(name, "\n", " "))
+	b = strconv.AppendQuote(append(b, `,"cat":`...), cat)
+	b = strconv.AppendInt(append(b, `,"ph":"X","ts":`...), ts, 10)
+	b = strconv.AppendInt(append(b, `,"dur":`...), dur, 10)
+	b = strconv.AppendUint(append(b, `,"pid":`...), pid, 10)
+	b = strconv.AppendUint(append(b, `,"tid":`...), tid, 10)
+	t.w.Write(append(append(append(b, `,"args":`...), args...), '}'))
 }
 
 // Close terminates the JSON array and flushes. Idempotent.

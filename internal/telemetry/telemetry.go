@@ -11,14 +11,19 @@
 //     fixed-bucket histograms (metrics.go). Metric hot paths are atomic
 //     and allocation-free; Snapshot/Delta mirror core.Stats.Delta, and a
 //     snapshot writes itself as Prometheus text or JSON.
-//   - a span Tracer (span.go) emitting Chrome trace_event JSON, so a
-//     whole experiment run (suite → experiment → simulation →
-//     sample-pipeline stage → interval job) loads into one Perfetto
-//     timeline next to the machine-level pipetraces.
+//   - a span Tracer (span.go), the repo's one Chrome trace_event
+//     writer: a whole experiment run (suite → experiment → simulation →
+//     sample-pipeline stage → interval job) loads into Perfetto, and
+//     obs.Pipetrace writes its per-uop events through a Tracer too.
 //   - a structured progress-event Feed (feed.go): JSONL writer plus an
-//     in-process subscriber API. It replaces dmpexp's ad-hoc stderr
-//     timing/hit-miss lines and is the stream a future dmpserve daemon
-//     serves over SSE.
+//     in-process subscriber API. Progress (progress.go), the one live
+//     progress renderer, subscribes to it, and dmpserve streams it over
+//     SSE.
+//
+// cli.go holds the one attach path the CLIs share: the Flags bundle
+// (-cpuprofile -memprofile -trace -telemetry -telemetry-out) and the
+// Run that starts the host profilers and the Set and finishes both on
+// every exit path.
 //
 // The perturbation contract inherits PR 4's two halves: with telemetry
 // disabled the instrumentation costs only atomic counter updates and

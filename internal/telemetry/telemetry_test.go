@@ -373,9 +373,7 @@ func TestProgressRenderer(t *testing.T) {
 	var b bytes.Buffer
 	p := NewProgress(&b, true)
 	p.Event(Event{Kind: "progress", N: 1, V: 3, Msg: "mcf", T: 1})
-	p.mu.Lock()
-	p.lastDraw = time.Time{} // defeat the repaint rate limit
-	p.mu.Unlock()
+	p.Event(Event{Kind: "simulation", Msg: "miss", T: 1.05}) // rate-limited
 	p.Event(Event{Kind: "simulation", Msg: "miss", T: 1.5})
 	p.Finish()
 	out := b.String()
@@ -385,7 +383,10 @@ func TestProgressRenderer(t *testing.T) {
 	if !strings.Contains(out, "1/3") || !strings.Contains(out, "mcf") {
 		t.Fatalf("missing progress fields: %q", out)
 	}
-	if !strings.Contains(out, "0 hit 1 miss") {
+	if strings.Count(out, "\r") != 2 {
+		t.Fatalf("want two repaints (one rate-limited away): %q", out)
+	}
+	if !strings.Contains(out, "0 hit 2 miss") {
 		t.Fatalf("missing cache tally: %q", out)
 	}
 	if !strings.HasSuffix(out, "\n") {

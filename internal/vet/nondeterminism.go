@@ -24,6 +24,10 @@ var Nondeterminism = &Analyzer{
 		"dmp/internal/core",
 		"dmp/internal/emu",
 		"dmp/internal/exp",
+		// The probe sinks write artifacts that must be a function of the
+		// simulated run alone; host time reaches them only through the
+		// telemetry writers they feed.
+		"dmp/internal/obs",
 		"dmp/internal/sample",
 		// The scheduler's cache keys and the persistent store's digests
 		// must be reproducible across processes: a wall-clock or

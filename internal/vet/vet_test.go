@@ -128,6 +128,9 @@ func TestAnalyzerApplies(t *testing.T) {
 	if Nondeterminism.applies("dmp/cmd/dmpexp") {
 		t.Error("nondeterminism is scoped to the simulator packages")
 	}
+	if !Nondeterminism.applies("dmp/internal/obs") {
+		t.Error("nondeterminism must run on the obs sinks (they read no clock)")
+	}
 	if !HotAlloc.applies("dmp/internal/core") {
 		t.Error("hotalloc must run on core")
 	}
