@@ -34,7 +34,11 @@
 // (golden diffs hold either way), and the stderr summary reports the
 // daemon's result-cache delta — including store hits, simulations the
 // daemon's persistent store answered from disk. Local-only flags
-// (-lint, -sample-*, -telemetry*) are rejected with -remote.
+// (-sample-*, -telemetry*) are rejected with -remote. Either way the
+// experiments run through serve.RunExperiments, locally or in the daemon.
+//
+// Annotation legality is dmplint's job (dmplint -werror all, with and
+// without -loops), which checks the same programs dmpexp simulates.
 //
 // -telemetry attaches the host-side telemetry layer (internal/telemetry):
 // a live single-line progress renderer on stderr (cache hits/misses,
@@ -59,19 +63,9 @@ import (
 	"time"
 
 	"dmp/internal/exp"
-	"dmp/internal/lint"
-	"dmp/internal/prog"
+	"dmp/internal/serve"
 	"dmp/internal/telemetry"
-	"dmp/internal/workload"
 )
-
-// annotated dispatches to the plain or loop-marking annotation builder.
-func annotated(bench string, scale int, loops bool) (*prog.Program, error) {
-	if loops {
-		return exp.AnnotatedLoops(bench, scale)
-	}
-	return exp.Annotated(bench, scale)
-}
 
 func main() {
 	var (
@@ -79,7 +73,6 @@ func main() {
 		bench   = flag.String("bench", "", "comma-separated benchmark subset (default: all 15)")
 		nocheck = flag.Bool("nocheck", false, "disable the golden-model checker (faster)")
 		par     = flag.Int("parallel", 0, "simulation worker cap, shared by all experiments (default NumCPU)")
-		doLint  = flag.Bool("lint", false, "lint every benchmark program and annotation set before running")
 		remote  = flag.String("remote", "", "run on a dmpserve daemon at this base URL instead of locally")
 
 		sampleJSON = flag.String("sample-json", "", "write the sampling experiment's report (JSON) to this file")
@@ -106,26 +99,17 @@ func main() {
 	opts.SampleWarmMode = *sampleWM
 
 	// Usage errors exit before anything starts.
-	ids := flag.Args()
-	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "dmpexp: specify experiment ids or 'all'; known:", strings.Join(exp.IDs(), " "))
+	ids, err := exp.Resolve(flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
 		os.Exit(2)
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = exp.IDs()
-	}
-	for _, id := range ids {
-		if exp.All[id] == nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: unknown experiment %q (known: %s)\n", id, strings.Join(exp.IDs(), " "))
-			os.Exit(2)
-		}
 	}
 	// Everything past the remote check runs simulations (or inspects
 	// local telemetry) on this host; the remote path delegates all of it
 	// to the daemon.
-	if *remote != "" && (*doLint || *sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
+	if *remote != "" && (*sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
 		*sampleWarm != 0 || *sampleWM != "" || obsFlags.On || obsFlags.Out != "") {
-		fmt.Fprintln(os.Stderr, "dmpexp: -lint, -sample-* and -telemetry* are local-only; drop them with -remote")
+		fmt.Fprintln(os.Stderr, "dmpexp: -sample-* and -telemetry* are local-only; drop them with -remote")
 		os.Exit(2)
 	}
 	wantSampling := false
@@ -165,113 +149,50 @@ func main() {
 		tel.Feed().Subscribe(progress.Event)
 	}
 
-	// Pre-flight lint gate: every benchmark's annotated program (both
-	// with and without loop diverge marking, since the loop-diverge
-	// experiments use the latter) must be free of Error-severity
-	// findings before any simulation starts.
-	if *doLint {
-		bad, warns := 0, 0
-		benches := opts.Benchmarks
-		if len(benches) == 0 {
-			benches = workload.Names()
-		}
-		for _, b := range benches {
-			for _, loops := range []bool{false, true} {
-				p, err := annotated(b, opts.Scale, loops)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "dmpexp: lint %s: %v\n", b, err)
-					exit(1)
-				}
-				for _, d := range lint.Check(p, lint.Options{}) {
-					fmt.Fprintf(os.Stderr, "dmpexp: lint %s (loops=%v): %s\n", b, loops, d)
-					if d.Sev == lint.Error {
-						bad++
-					} else {
-						warns++
-					}
-				}
-			}
-		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "dmpexp: lint: %d error(s), %d warning(s)\n", bad, warns)
-			exit(1)
-		}
-		if warns > 0 {
-			fmt.Fprintf(os.Stderr, "dmpexp: lint: clean (%d warning(s) suppressed)\n", warns)
-		} else {
-			fmt.Fprintln(os.Stderr, "dmpexp: lint: clean")
-		}
-	}
-
-	type result struct {
-		table   *exp.Table
-		err     error
-		elapsed time.Duration
-		done    chan struct{}
-	}
-	results := make([]*result, len(ids))
+	// Tables stream in the requested order as each one (and everything
+	// before it) is ready. A failing experiment does not abort the rest:
+	// every table that succeeded still prints, and the joined errors
+	// decide the exit status at the end.
 	start := time.Now()
-	// The sampling experiment runs through SamplingReport when a -sample-*
-	// flag needs the machine-readable report; the channel close publishes
-	// sampleRep to the presentation loop below.
-	var sampleRep *exp.SampleReport
-	needRep := *sampleJSON != "" || *sampleGate != 0
-	for i, id := range ids {
-		r := &result{done: make(chan struct{})}
-		results[i] = r
-		go func(id string, r *result) {
-			defer close(r.done)
-			t0 := time.Now()
-			o := opts
-			var sp *telemetry.Span
-			if tel != nil {
-				sp = run.Root.ChildAsync(id, "exp")
-				o.Span = sp
-				tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "start"})
-			}
-			if id == "sampling" && needRep {
-				r.table, sampleRep, r.err = exp.SamplingReport(o)
-			} else {
-				r.table, r.err = exp.All[id](o)
-			}
-			r.elapsed = time.Since(t0)
-			sp.End()
-			if tel != nil {
-				tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "done", V: r.elapsed.Seconds()})
-			}
-		}(id, r)
-	}
-
-	// Present in the requested order, streaming each table as soon as it
-	// (and everything before it) is ready. A failing experiment does not
-	// abort the rest: every table that succeeded still prints, and the
-	// joined errors decide the exit status at the end.
+	o := opts
+	o.Span = run.Root
 	var failed []error
-	for i, id := range ids {
-		r := results[i]
-		<-r.done
-		if r.err != nil {
-			failed = append(failed, fmt.Errorf("%s: %w", id, r.err))
-			fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", id, r.err)
-			continue
+	presented := 0
+	serve.RunExperiments(ids, o, func(id string, t *exp.Table, err error, elapsed time.Duration) {
+		presented++
+		if err != nil {
+			failed = append(failed, fmt.Errorf("%s: %w", id, err))
+			fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", id, err)
+			return
 		}
-		fmt.Print(r.table.String())
+		fmt.Print(t.String())
 		fmt.Println()
 		if tel != nil {
 			// The feed (and its progress line) carries what the ad-hoc
 			// stderr timing line used to; a metrics delta per presented
 			// experiment gives the event stream checkpoints dmpobs can sum.
 			tel.Feed().Emit(telemetry.Event{Kind: "progress",
-				N: uint64(i + 1), V: float64(len(ids)), Msg: id})
+				N: uint64(presented), V: float64(len(ids)), Msg: id})
 			tel.EmitMetrics()
 		} else {
-			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, r.elapsed.Seconds())
+			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, elapsed.Seconds())
 		}
-	}
+	})
 	progress.Finish()
 	hits, misses := exp.SimCounts()
 	fmt.Fprintf(os.Stderr, "total %.1fs; result cache: %d simulations, %d reused\n",
 		time.Since(start).Seconds(), misses, hits)
+	// The machine-readable sampling report reads the runs the sampling
+	// table already made (exact ones from the result cache, sampled ones
+	// from exp's sampled-run memo): it simulates nothing, and it comes
+	// after the summary so the printed counts are the tables' own.
+	var sampleRep *exp.SampleReport
+	if *sampleJSON != "" || *sampleGate != 0 {
+		if _, sampleRep, err = exp.SamplingReport(opts); err != nil {
+			fmt.Fprintf(os.Stderr, "dmpexp: sampling report: %v\n", err)
+			failed = append(failed, err)
+		}
+	}
 	if sampleRep != nil {
 		if *sampleJSON != "" {
 			if err := writeSampleJSON(*sampleJSON, sampleRep); err != nil {

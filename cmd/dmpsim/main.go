@@ -60,7 +60,6 @@ import (
 	"dmp/internal/core"
 	"dmp/internal/emu"
 	"dmp/internal/exp"
-	"dmp/internal/lint"
 	"dmp/internal/obs"
 	"dmp/internal/profile"
 	"dmp/internal/prog"
@@ -107,8 +106,7 @@ func run(args []string) error {
 		warmMode    = fs.String("warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
 		sampleManif = fs.String("sample-manifest", "", "write the sampled run's interval manifest (JSON) to this file (needs -sample)")
 
-		doLint = fs.Bool("lint", false, "statically check the program and annotations, print findings, and exit")
-		list   = fs.Bool("list", false, "list benchmarks and exit")
+		list = fs.Bool("list", false, "list benchmarks and exit")
 
 		pipetrace   = fs.String("pipetrace", "", "write a per-uop pipetrace to this file (.json = Chrome trace for Perfetto, else text)")
 		events      = fs.String("events", "", "write the dynamic-predication episode timeline (JSONL) to this file")
@@ -127,21 +125,9 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := core.DefaultConfig()
-	switch *mode {
-	case "baseline":
-	case "perfect":
-		cfg.Mode = core.ModePerfect
-	case "dmp":
-		cfg.Mode = core.ModeDMP
-	case "dhp":
-		cfg.Mode = core.ModeDHP
-	case "dualpath":
-		cfg.Mode = core.ModeDualPath
-	case "enhanced":
-		cfg = core.EnhancedDMPConfig()
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
+	cfg, err := core.ModeConfig(*mode)
+	if err != nil {
+		return fmt.Errorf("-mode: %w", err)
 	}
 	cfg.ConfidenceName = *conf
 	cfg.PredictorName = *predName
@@ -188,29 +174,12 @@ func run(args []string) error {
 			}
 		}
 	case *bench != "":
-		var err error
 		p, err = exp.Annotated(*bench, *scale)
 		if err != nil {
 			return err
 		}
 	default:
 		return errors.New("need -bench or -asm (try -list)")
-	}
-
-	if *doLint {
-		ds := lint.Check(p, lint.Options{})
-		for _, d := range ds {
-			fmt.Println(d)
-		}
-		if ds.HasErrors() {
-			return fmt.Errorf("lint: %d error(s)", len(ds.Errors()))
-		}
-		if len(ds) == 0 {
-			fmt.Println("lint: clean")
-		} else {
-			fmt.Printf("lint: clean (%d warning(s) suppressed)\n", len(ds))
-		}
-		return nil
 	}
 
 	// One root span for the run; a sampled run hangs its stage spans and

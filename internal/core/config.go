@@ -238,6 +238,30 @@ func DHPConfig() Config {
 	return c
 }
 
+// ModeConfig returns one of the six machines the paper compares by the
+// name dmpsim -mode and dmpserve's run requests use: baseline, perfect
+// (perfect conditional-branch prediction), dmp, dhp, dualpath, or
+// enhanced (DMP with all three Section 2.7 enhancements).
+func ModeConfig(name string) (Config, error) {
+	c := DefaultConfig()
+	switch name {
+	case "baseline":
+	case "perfect":
+		c.Mode = ModePerfect
+	case "dmp":
+		c.Mode = ModeDMP
+	case "dhp":
+		c.Mode = ModeDHP
+	case "dualpath":
+		c.Mode = ModeDualPath
+	case "enhanced":
+		c = EnhancedDMPConfig()
+	default:
+		return c, fmt.Errorf("unknown mode %q (want baseline, perfect, dmp, dhp, dualpath or enhanced)", name)
+	}
+	return c, nil
+}
+
 // Canonical returns a semantically equivalent Config normalized for use
 // as a cache key. Config is a flat comparable struct, so the canonical
 // value can index a map directly; two configurations that would drive

@@ -222,3 +222,42 @@ func TestValidateWarmMode(t *testing.T) {
 		t.Error("Validate accepted an unknown warm mode")
 	}
 }
+
+// TestModeConfig pins the machine vocabulary shared by dmpsim -mode and
+// dmpserve's run requests: each name builds the configuration the paper
+// compares under it, and anything else is rejected.
+func TestModeConfig(t *testing.T) {
+	perfect := DefaultConfig()
+	perfect.Mode = ModePerfect
+	dmp := DefaultConfig()
+	dmp.Mode = ModeDMP
+	dhp := DefaultConfig()
+	dhp.Mode = ModeDHP
+	dual := DefaultConfig()
+	dual.Mode = ModeDualPath
+	for name, want := range map[string]Config{
+		"baseline": DefaultConfig(),
+		"perfect":  perfect,
+		"dmp":      dmp,
+		"dhp":      dhp,
+		"dualpath": dual,
+		"enhanced": EnhancedDMPConfig(),
+	} {
+		got, err := ModeConfig(name)
+		if err != nil {
+			t.Errorf("ModeConfig(%q): %v", name, err)
+			continue
+		}
+		if got != want {
+			t.Errorf("ModeConfig(%q) = %+v, want %+v", name, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("ModeConfig(%q) fails Validate: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "perfect-cbp", "Enhanced", "warp"} {
+		if _, err := ModeConfig(name); err == nil {
+			t.Errorf("ModeConfig(%q) accepted an unknown mode", name)
+		}
+	}
+}

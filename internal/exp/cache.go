@@ -39,23 +39,49 @@ type progKey struct {
 }
 
 // progEntry is a once-built cache slot; concurrent requesters for the
-// same key block on the Once instead of profiling in parallel.
+// same key block on the Once instead of profiling in parallel. The
+// program's workload hash is computed on its own Once, on first request:
+// only the persistent store keys on it, so CLI runs never pay for it.
 type progEntry struct {
 	once sync.Once
 	p    *prog.Program
 	err  error
+
+	hashOnce sync.Once
+	hash     string
 }
 
 var progCache sync.Map // progKey -> *progEntry
 
-// annotatedCached returns the memoized annotated program for the key,
-// building it on first use. Errors are cached too: a benchmark that fails
-// to build fails identically for every configuration that asks.
-func annotatedCached(bench string, scale int, loops bool) (*prog.Program, error) {
+// programEntry returns the key's cache slot with its program built.
+// Errors are cached too: a benchmark that fails to build fails
+// identically for every configuration that asks.
+func programEntry(bench string, scale int, loops bool) *progEntry {
 	v, _ := progCache.LoadOrStore(progKey{bench, scale, loops}, &progEntry{})
 	e := v.(*progEntry)
 	e.once.Do(func() { e.p, e.err = buildAnnotated(bench, scale, loops) })
+	return e
+}
+
+// annotatedCached returns the memoized annotated program for the key,
+// building it on first use.
+func annotatedCached(bench string, scale int, loops bool) (*prog.Program, error) {
+	e := programEntry(bench, scale, loops)
 	return e.p, e.err
+}
+
+// WorkloadHash returns prog.Program.Hash of one memoized annotation
+// variant — the program Annotated (or, with loops, AnnotatedLoops)
+// returns — hashing it once per cached program. The dmpserve store folds
+// it into every persistent key, pinning results to the program bytes
+// they were measured on.
+func WorkloadHash(bench string, scale int, loops bool) (string, error) {
+	e := programEntry(bench, scale, loops)
+	if e.err != nil {
+		return "", e.err
+	}
+	e.hashOnce.Do(func() { e.hash = e.p.Hash() })
+	return e.hash, nil
 }
 
 // resetProgramCache drops every cached program (tests only).

@@ -127,7 +127,7 @@ func runSuite(cfg core.Config, o Options) ([]*core.Stats, error) {
 		wg.Add(1)
 		go func(i int, bench string) {
 			defer wg.Done()
-			stats[i], errs[i] = runOneCached(bench, cfg, o, false)
+			stats[i], errs[i] = RunOne(bench, cfg, o, false)
 		}(i, bench)
 	}
 	wg.Wait()

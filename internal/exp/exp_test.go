@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -232,5 +234,75 @@ func TestLoopDivergeTable(t *testing.T) {
 	// variant must create additional episodes.
 	if atof(t, tb.Rows[0][4]) <= 0 {
 		t.Errorf("no extra loop episodes: %v", tb.Rows[0])
+	}
+}
+
+func TestResolve(t *testing.T) {
+	cases := []struct {
+		name string
+		ids  []string
+		want []string // nil: an error
+	}{
+		{"all", []string{"all"}, IDs()},
+		{"subset keeps order", []string{"fig7", "table3"}, []string{"fig7", "table3"}},
+		{"nil", nil, nil},
+		{"empty", []string{}, nil},
+		{"unknown", []string{"fig7", "fig99"}, nil},
+		{"all mixed first", []string{"all", "fig7"}, nil},
+		{"all mixed last", []string{"fig7", "all"}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Resolve(tc.ids)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("Resolve(%q) = %q, want an error", tc.ids, got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Resolve(%q): %v", tc.ids, err)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("Resolve(%q) = %q, want %q", tc.ids, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSamplingReportAfterSampling pins what dmpexp relies on when it
+// asks for the sampling report after the tables: every run the report
+// needs is memoized, so it simulates nothing, renders the same table,
+// and reads the same sampled results (wall-clock fields included) on
+// every call.
+func TestSamplingReportAfterSampling(t *testing.T) {
+	Reset()
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true}
+	tb, err := Sampling(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, misses := SimCounts()
+	report := func() []byte {
+		t.Helper()
+		rt, rep, err := SamplingReport(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.String() != tb.String() {
+			t.Errorf("report table differs from Sampling's:\n%s\nvs\n%s", rt, tb)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first, second := report(), report()
+	if _, after := SimCounts(); after != misses {
+		t.Errorf("SamplingReport simulated %d more runs", after-misses)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("report JSON differs between calls:\n%s\n%s", first, second)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"dmp/internal/core"
@@ -404,15 +405,15 @@ func LoopDiverge(o Options) (*Table, error) {
 		go func(i int, bench string) {
 			defer wg.Done()
 			r := &results[i]
-			if r.base, errs[i] = runOneCached(bench, core.DefaultConfig(), o, false); errs[i] != nil {
+			if r.base, errs[i] = RunOne(bench, core.DefaultConfig(), o, false); errs[i] != nil {
 				return
 			}
-			if r.enh, errs[i] = runOneCached(bench, core.EnhancedDMPConfig(), o, false); errs[i] != nil {
+			if r.enh, errs[i] = RunOne(bench, core.EnhancedDMPConfig(), o, false); errs[i] != nil {
 				return
 			}
 			cfg := core.EnhancedDMPConfig()
 			cfg.EnableLoopDiverge = true
-			if r.loops, errs[i] = runOneCached(bench, cfg, o, true); errs[i] != nil {
+			if r.loops, errs[i] = RunOne(bench, cfg, o, true); errs[i] != nil {
 				errs[i] = fmt.Errorf("%s loops: %w", bench, errs[i])
 			}
 		}(i, bench)
@@ -462,4 +463,22 @@ func IDs() []string {
 		panic(fmt.Sprintf("exp: id list drift: %v", keys))
 	}
 	return ids
+}
+
+// Resolve checks a request's experiment ids: a lone "all" expands to
+// every id in presentation order, and otherwise each id must be known.
+func Resolve(ids []string) ([]string, error) {
+	if len(ids) == 1 && ids[0] == "all" {
+		return IDs(), nil
+	}
+	known := strings.Join(IDs(), " ")
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("no experiment ids: give ids or \"all\" (known: %s)", known)
+	}
+	for _, id := range ids {
+		if All[id] == nil {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, known)
+		}
+	}
+	return ids, nil
 }

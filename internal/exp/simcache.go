@@ -64,54 +64,33 @@ func workerSlots(n int) chan struct{} {
 	return sched.Shared(n).Chan()
 }
 
-// runOneCached returns the memoized simulation of bench under cfg,
-// running it on first request. The returned Stats are shared and frozen —
-// Clone before mutating. loops selects the loop-marked annotated program
-// (LoopDiverge); everything else passes false.
-func runOneCached(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
+// RunOne returns the memoized simulation of bench under cfg, running it
+// on first request: every experiment's suites and the dmpserve daemon's
+// POST /v1/runs come through here. cfg is an exact configuration; sampled
+// runs go through sampleCached. The returned Stats are shared and frozen
+// — Clone before mutating. loops selects the loop-marked annotated
+// program (LoopDiverge); everything else passes false.
+func RunOne(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
+	o = o.norm()
 	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Loops: loops, Cfg: cfg.Canonical()}
 	return simCache.Do(key, sched.Job{
 		Pool: sched.Shared(o.Parallel),
 		Span: o.Span,
-		Run: func(sp *telemetry.Span) (*core.Stats, error) {
-			so := o
-			so.Span = sp // sampled runs hang their stage spans under the simulation
-			return simulate(bench, cfg, so, loops)
+		Run: func(*telemetry.Span) (*core.Stats, error) {
+			return simulate(bench, cfg, o, loops)
 		},
 	})
 }
 
-// RunOne is the exported single-simulation entry point for embedders
-// (the dmpserve daemon's POST /v1/runs): one benchmark, one machine
-// configuration, memoized through the process-wide cache exactly like
-// an experiment's request. The returned Stats are shared and frozen —
-// Clone before mutating.
-func RunOne(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
-	return runOneCached(bench, cfg, o.norm(), loops)
-}
-
-// simulate is the uncached simulation behind runOneCached: one benchmark,
-// one machine configuration, one run. The result is detached from the
-// Machine (Clone) so the cache does not pin simulator state. A SampleMode
-// config dispatches to the sampling driver (internal/sample) and caches
-// the extrapolated Stats; Config.Canonical keeps SampleMode in the key,
-// so a sampled result can never alias the exact result.
+// simulate is the uncached simulation behind RunOne: one benchmark, one
+// machine configuration, one run. The result is detached from the
+// Machine (Clone) so the cache does not pin simulator state.
 func simulate(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
 	p, err := annotatedCached(bench, o.Scale, loops)
 	if err != nil {
 		return nil, err
 	}
 	cfg.CheckRetirement = o.Check
-	if cfg.SampleMode {
-		// The calling goroutine holds a worker slot for the whole sampled
-		// run; handing the pool down lets interval jobs use idle slots
-		// (try-acquire — a full pool runs intervals inline, no deadlock).
-		res, err := sample.Run(p, cfg, sample.Options{Slots: workerSlots(o.Parallel), Span: o.Span})
-		if err != nil {
-			return nil, fmt.Errorf("under %v: %w", cfg.Mode, err)
-		}
-		return res.Extrapolated.Clone(), nil
-	}
 	m, err := core.New(p, cfg)
 	if err != nil {
 		return nil, err
@@ -129,7 +108,7 @@ func simulate(bench string, cfg core.Config, o Options, loops bool) (*core.Stats
 
 // sampleCache memoizes full sample.Result values per (bench, scale,
 // check, canonical sampled config), so the daemon's overlapping clients
-// coalesce to one sampled run each, the way runOneCached coalesces
+// coalesce to one sampled run each, the way RunOne coalesces
 // exact runs. It is process-local and never persisted: a Result carries
 // host wall-clock (Timing, WallSeconds) alongside its deterministic
 // fields, so only live requests may share one. Shared Results are

@@ -49,14 +49,14 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s fresh: %v", name, bench, err)
 			}
-			cached, err := runOneCached(bench, cfg, o, false)
+			cached, err := RunOne(bench, cfg, o, false)
 			if err != nil {
 				t.Fatalf("%s/%s cached: %v", name, bench, err)
 			}
 			if !statsEqualModuloWall(fresh, cached) {
 				t.Errorf("%s/%s: cached stats differ from fresh\ncached: %v\nfresh:  %v", name, bench, cached, fresh)
 			}
-			again, err := runOneCached(bench, cfg, o, false)
+			again, err := RunOne(bench, cfg, o, false)
 			if err != nil {
 				t.Fatalf("%s/%s hit: %v", name, bench, err)
 			}
@@ -71,7 +71,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := runOneCached("gzip", loops, o, true)
+	cached, err := RunOne("gzip", loops, o, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,12 @@ func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	Reset()
 	cfg := core.DefaultConfig()
 	o := simOpts()
-	if _, err := runOneCached("mcf", cfg, o, false); err != nil {
+	if _, err := RunOne("mcf", cfg, o, false); err != nil {
 		t.Fatal(err)
 	}
 	noCheck := o
 	noCheck.Check = false
-	if _, err := runOneCached("mcf", cfg, noCheck, false); err != nil {
+	if _, err := RunOne("mcf", cfg, noCheck, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := SimCounts(); misses != 2 {
@@ -171,14 +171,14 @@ func TestFrozenStatsGuard(t *testing.T) {
 	defer Reset() // do not leak the poisoned entry to other tests
 	o := simOpts()
 	cfg := core.DefaultConfig()
-	st, err := runOneCached("mcf", cfg, o, false)
+	st, err := RunOne("mcf", cfg, o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A Clone may be mutated freely without tripping the guard.
 	cl := st.Clone()
 	cl.RetiredInsts += 100
-	if _, err := runOneCached("mcf", cfg, o, false); err != nil {
+	if _, err := RunOne("mcf", cfg, o, false); err != nil {
 		t.Fatalf("hit after mutating a Clone: %v", err)
 	}
 	// Mutating the shared result itself must be caught.
@@ -191,5 +191,5 @@ func TestFrozenStatsGuard(t *testing.T) {
 			t.Errorf("unexpected panic: %v", r)
 		}
 	}()
-	runOneCached("mcf", cfg, o, false)
+	RunOne("mcf", cfg, o, false)
 }

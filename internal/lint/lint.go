@@ -11,8 +11,8 @@
 // against the static CFG (CFM legality within the profiler's distance
 // bound, branch-class and loop-flag consistency, nested-region
 // containment). Both return structured diagnostics rather than a single
-// error so callers — cmd/dmplint, the -lint flags on dmpsim/dmpexp, the
-// workload gate test, and the fuzz harness — can distinguish hard
+// error so callers — cmd/dmplint, the workload gate test, and the fuzz
+// harness — can distinguish hard
 // illegality (Severity Error) from suspicious-but-runnable shapes
 // (Severity Warning).
 //
@@ -149,7 +149,7 @@ func (o Options) norm() Options {
 
 // Check runs Program and, when the image itself is error-free,
 // Annotations on a freshly built CFG. It is the one-call entry point used
-// by cmd/dmplint and the -lint flags.
+// by cmd/dmplint.
 func Check(p *prog.Program, opts Options) Diags {
 	ds := program(p, opts)
 	if ds.HasErrors() {

@@ -34,9 +34,6 @@ func (k Key) Label() string {
 	if k.Loops {
 		l += "/loops"
 	}
-	if k.Cfg.SampleMode {
-		l += "/sampled"
-	}
 	return l
 }
 

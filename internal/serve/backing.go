@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sync"
-
 	"dmp/internal/core"
 	"dmp/internal/exp"
 	"dmp/internal/sched"
@@ -13,62 +11,17 @@ import (
 // scheduler's Backing interface. The translation from a sched.Key to a
 // store.Meta adds the one fact the scheduler does not track: the
 // workload hash, a digest of the exact annotated program bytes the
-// result was measured on. Folding it into the persistent key means a
-// store survives workload-generator changes safely — results for the
-// old program bytes simply stop being addressed, instead of being
-// served against the new ones.
+// result was measured on (exp.WorkloadHash, memoized with the program
+// itself). Folding it into the persistent key means a store survives
+// workload-generator changes safely — results for the old program bytes
+// simply stop being addressed, instead of being served against the new
+// ones.
 type storeBacking struct {
 	st *store.Store
-
-	mu     sync.Mutex
-	hashes map[workloadKey]workloadHash
 }
 
-type workloadKey struct {
-	bench string
-	scale int
-	loops bool
-}
-
-type workloadHash struct {
-	hash string
-	err  error
-}
-
-func newStoreBacking(st *store.Store) *storeBacking {
-	return &storeBacking{st: st, hashes: make(map[workloadKey]workloadHash)}
-}
-
-// hashFor returns the memoized workload hash for one annotation
-// variant. Building the annotated program is the expensive half (it
-// runs the training profile), but every simulation of the same variant
-// needs that same build and shares it through exp's program cache, so
-// the marginal cost here is one traversal per (bench, scale, loops)
-// per process.
-func (b *storeBacking) hashFor(k sched.Key) (string, error) {
-	wk := workloadKey{bench: k.Bench, scale: k.Scale, loops: k.Loops}
-	b.mu.Lock()
-	h, ok := b.hashes[wk]
-	b.mu.Unlock()
-	if !ok {
-		p, err := exp.Annotated(k.Bench, k.Scale)
-		if k.Loops {
-			p, err = exp.AnnotatedLoops(k.Bench, k.Scale)
-		}
-		if err != nil {
-			h = workloadHash{err: err}
-		} else {
-			h = workloadHash{hash: p.Hash()}
-		}
-		b.mu.Lock()
-		b.hashes[wk] = h
-		b.mu.Unlock()
-	}
-	return h.hash, h.err
-}
-
-func (b *storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
-	h, err := b.hashFor(k)
+func (b storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
+	h, err := exp.WorkloadHash(k.Bench, k.Scale, k.Loops)
 	if err != nil {
 		// No workload identity, no persistent key: the scheduler will
 		// compute (and fail with the real error) instead.
@@ -78,7 +31,7 @@ func (b *storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
 		Config: k.Cfg, WorkloadHash: h}, true
 }
 
-func (b *storeBacking) Load(k sched.Key) (*core.Stats, bool) {
+func (b storeBacking) Load(k sched.Key) (*core.Stats, bool) {
 	m, ok := b.metaFor(k)
 	if !ok {
 		return nil, false
@@ -86,7 +39,7 @@ func (b *storeBacking) Load(k sched.Key) (*core.Stats, bool) {
 	return b.st.Load(m)
 }
 
-func (b *storeBacking) Store(k sched.Key, st *core.Stats) {
+func (b storeBacking) Store(k sched.Key, st *core.Stats) {
 	m, ok := b.metaFor(k)
 	if !ok {
 		return

@@ -25,6 +25,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -91,7 +92,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, adm: sched.NewAdmitter(cfg.Admit), hub: newHub(), runs: make(map[string]*run)}
 	if cfg.Store != nil {
-		exp.ResultCache().SetBacking(newStoreBacking(cfg.Store))
+		exp.ResultCache().SetBacking(storeBacking{cfg.Store})
 	}
 	telemetry.Active().Feed().Subscribe(s.hub.publish)
 	mux := http.NewServeMux()
@@ -134,7 +135,7 @@ type RunRequest struct {
 	// Bench is a workload name (dmpsim -list).
 	Bench string `json:"bench"`
 	// Mode selects the machine: baseline (default), perfect, dmp, dhp,
-	// dualpath, or enhanced — the same vocabulary as dmpsim -mode.
+	// dualpath, or enhanced — core.ModeConfig, as dmpsim -mode.
 	Mode string `json:"mode,omitempty"`
 	// CFMSource overrides the merge-point source (annotated, dynamic,
 	// hybrid).
@@ -267,35 +268,6 @@ func decodeStrict(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// configFor maps the request's mode vocabulary onto a machine
-// configuration, mirroring dmpsim -mode / -cfm-source.
-func configFor(mode, cfmSource string) (core.Config, error) {
-	cfg := core.DefaultConfig()
-	switch mode {
-	case "", "baseline":
-	case "perfect":
-		cfg.Mode = core.ModePerfect
-	case "dmp":
-		cfg.Mode = core.ModeDMP
-	case "dhp":
-		cfg.Mode = core.ModeDHP
-	case "dualpath":
-		cfg.Mode = core.ModeDualPath
-	case "enhanced":
-		cfg = core.EnhancedDMPConfig()
-	default:
-		return cfg, fmt.Errorf("unknown mode %q (want baseline, perfect, dmp, dhp, dualpath or enhanced)", mode)
-	}
-	switch cfmSource {
-	case "":
-	case "annotated", "dynamic", "hybrid":
-		cfg.CFMSource = cfmSource
-	default:
-		return cfg, fmt.Errorf("unknown cfm_source %q (want annotated, dynamic or hybrid)", cfmSource)
-	}
-	return cfg, nil
-}
-
 func (s *Server) options(scale int, check *bool) exp.Options {
 	o := exp.DefaultOptions()
 	o.Scale = scale
@@ -318,8 +290,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	cfg, err := configFor(req.Mode, req.CFMSource)
+	mode := req.Mode
+	if mode == "" {
+		mode = "baseline"
+	}
+	cfg, err := core.ModeConfig(mode)
 	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	cfg.CFMSource = req.CFMSource
+	if err := cfg.Validate(); err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
@@ -342,19 +323,10 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "bad request body: %v", err)
 		return
 	}
-	ids := req.IDs
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = exp.IDs()
-	}
-	if len(ids) == 0 {
-		badRequest(w, "ids is required (experiment ids or [\"all\"]; known: %s)", strings.Join(exp.IDs(), " "))
+	ids, err := exp.Resolve(req.IDs)
+	if err != nil {
+		badRequest(w, "%v", err)
 		return
-	}
-	for _, id := range ids {
-		if exp.All[id] == nil {
-			badRequest(w, "unknown experiment %q (known: %s)", id, strings.Join(exp.IDs(), " "))
-			return
-		}
 	}
 	for _, b := range req.Benchmarks {
 		if _, err := workload.ByName(b); err != nil {
@@ -365,8 +337,23 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	o := s.options(req.Scale, req.Check)
 	o.Benchmarks = req.Benchmarks
 	s.submit(w, r, "experiments", func(sp *telemetry.Span) (*RunStatus, error) {
-		tables, err := runExperiments(ids, o, sp)
-		return &RunStatus{Tables: tables}, err
+		o.Span = sp
+		res := &RunStatus{}
+		var failed []string
+		RunExperiments(ids, o, func(id string, t *exp.Table, err error, _ time.Duration) {
+			tr := TableResult{ID: id}
+			if err != nil {
+				tr.Error = err.Error()
+				failed = append(failed, fmt.Sprintf("%s: %v", id, err))
+			} else {
+				tr.Text = t.String()
+			}
+			res.Tables = append(res.Tables, tr)
+		})
+		if len(failed) > 0 {
+			return res, errors.New(strings.Join(failed, "; "))
+		}
+		return res, nil
 	})
 }
 
@@ -442,49 +429,43 @@ func (s *Server) execute(ru *run, fn func(*telemetry.Span) (*RunStatus, error)) 
 	close(ru.done)
 }
 
-// runExperiments mirrors dmpexp's concurrent launch: every experiment
-// generates at once (the shared result cache and worker pool dedupe and
-// bound the simulations), tables collect in requested order, and a
-// failing experiment fails the run without discarding the tables that
-// succeeded.
-func runExperiments(ids []string, o exp.Options, sp *telemetry.Span) ([]TableResult, error) {
-	type gen struct {
-		table *exp.Table
-		err   error
-		done  chan struct{}
+// RunExperiments generates the experiments ids (resolved, see
+// exp.Resolve) and hands each one's table, error and elapsed time to
+// emit, in requested order, as soon as it and every id before it are
+// done. Every experiment starts at once — the shared result cache and
+// worker pool dedupe and bound their simulations — each on its own
+// async "exp" span under o.Span with experiment start/done feed events,
+// and a failing experiment never holds back the others. dmpexp's local
+// path and POST /v1/experiments both run here, so a remote table is a
+// local table by construction.
+func RunExperiments(ids []string, o exp.Options, emit func(id string, t *exp.Table, err error, elapsed time.Duration)) {
+	type result struct {
+		table   *exp.Table
+		err     error
+		elapsed time.Duration
+		done    chan struct{}
 	}
-	gens := make([]*gen, len(ids))
+	results := make([]result, len(ids))
 	for i, id := range ids {
-		g := &gen{done: make(chan struct{})}
-		gens[i] = g
-		go func(id string, g *gen) {
-			defer close(g.done)
+		r := &results[i]
+		r.done = make(chan struct{})
+		go func() {
+			defer close(r.done)
+			start := time.Now()
 			eo := o
-			esp := sp.ChildAsync(id, "exp")
-			eo.Span = esp
+			eo.Span = o.Span.ChildAsync(id, "exp")
 			telemetry.Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "start"})
-			g.table, g.err = exp.All[id](eo)
-			esp.End()
-			telemetry.Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "done"})
-		}(id, g)
+			r.table, r.err = exp.All[id](eo)
+			r.elapsed = time.Since(start)
+			eo.Span.End()
+			telemetry.Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "done", V: r.elapsed.Seconds()})
+		}()
 	}
-	tables := make([]TableResult, len(ids))
-	var failed []string
 	for i, id := range ids {
-		g := gens[i]
-		<-g.done
-		tables[i] = TableResult{ID: id}
-		if g.err != nil {
-			tables[i].Error = g.err.Error()
-			failed = append(failed, fmt.Sprintf("%s: %v", id, g.err))
-			continue
-		}
-		tables[i].Text = g.table.String()
+		r := &results[i]
+		<-r.done
+		emit(id, r.table, r.err, r.elapsed)
 	}
-	if len(failed) > 0 {
-		return tables, fmt.Errorf("%s", strings.Join(failed, "; "))
-	}
-	return tables, nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dmp/internal/exp"
 	"dmp/internal/sched"
@@ -225,10 +226,11 @@ func TestRunEndpoint(t *testing.T) {
 	}
 
 	for name, body := range map[string]map[string]any{
-		"unknown bench": {"bench": "nope"},
-		"unknown mode":  {"bench": "mcf", "mode": "warp"},
-		"missing bench": {"mode": "dmp"},
-		"unknown field": {"bench": "mcf", "turbo": true},
+		"unknown bench":      {"bench": "nope"},
+		"unknown mode":       {"bench": "mcf", "mode": "warp"},
+		"missing bench":      {"mode": "dmp"},
+		"unknown field":      {"bench": "mcf", "turbo": true},
+		"unknown cfm_source": {"bench": "mcf", "cfm_source": "oracle"},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", "run-a", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -317,5 +319,157 @@ func TestSSEEvents(t *testing.T) {
 	}
 	if final.State != "done" || final.Stats == nil {
 		t.Fatalf("final status %+v, want a completed run with stats", final)
+	}
+}
+
+// TestExperimentsEndpointRejects pins the 400 answers for experiment
+// ids that exp.Resolve refuses, before anything is admitted.
+func TestExperimentsEndpointRejects(t *testing.T) {
+	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 2}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	for name, body := range map[string]map[string]any{
+		"empty ids":         {"ids": []string{}},
+		"missing ids":       {"scale": 1},
+		"unknown id":        {"ids": []string{"fig7", "fig99"}},
+		"all mixed with id": {"ids": []string{"all", "fig7"}},
+	} {
+		resp, _ := postJSON(t, ts.URL+"/v1/experiments?wait=1", "reject-a", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestRunExperimentsOrder pins the shared runner's contract: results
+// arrive in requested order whatever order the experiments finish in,
+// each with its own start/done feed events, and the done event carries
+// the elapsed time.
+func TestRunExperimentsOrder(t *testing.T) {
+	exp.ResetResults()
+	tel := telemetry.New(telemetry.Options{})
+	telemetry.Enable(tel)
+	defer telemetry.Enable(nil)
+	var mu sync.Mutex
+	events := map[string][]telemetry.Event{}
+	tel.Feed().Subscribe(func(ev telemetry.Event) {
+		if ev.Kind == "experiment" {
+			mu.Lock()
+			events[ev.Name] = append(events[ev.Name], ev)
+			mu.Unlock()
+		}
+	})
+
+	o := exp.DefaultOptions()
+	o.Scale = 1
+	o.Benchmarks = testBenches
+	// fig7 needs five suites and table2 none, so completion order
+	// differs from the requested one.
+	ids := []string{"fig7", "table3", "table2"}
+	var got []string
+	RunExperiments(ids, o, func(id string, tb *exp.Table, err error, elapsed time.Duration) {
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			return
+		}
+		if tb.ID != id {
+			t.Errorf("emitted %s with table %s", id, tb.ID)
+		}
+		if elapsed <= 0 {
+			t.Errorf("%s: elapsed %v", id, elapsed)
+		}
+		got = append(got, id)
+	})
+	if strings.Join(got, " ") != strings.Join(ids, " ") {
+		t.Fatalf("emitted %v, want %v", got, ids)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range ids {
+		evs := events[id]
+		if len(evs) != 2 || evs[0].Msg != "start" || evs[1].Msg != "done" || evs[1].V <= 0 {
+			t.Errorf("%s: feed events %+v, want start then done with elapsed", id, evs)
+		}
+	}
+}
+
+// TestRunExperimentsKeepsSuccesses pins that one failing experiment
+// does not drop another's table.
+func TestRunExperimentsKeepsSuccesses(t *testing.T) {
+	o := exp.DefaultOptions()
+	o.Scale = 1
+	o.Benchmarks = []string{"nope"}
+	tables := map[string]*exp.Table{}
+	errs := map[string]error{}
+	RunExperiments([]string{"table3", "table2"}, o, func(id string, tb *exp.Table, err error, _ time.Duration) {
+		tables[id], errs[id] = tb, err
+	})
+	if errs["table3"] == nil {
+		t.Error("table3 over an unknown benchmark succeeded")
+	}
+	if errs["table2"] != nil || tables["table2"] == nil || len(tables["table2"].Rows) == 0 {
+		t.Errorf("table2 lost beside the failing table3: table %v, err %v", tables["table2"], errs["table2"])
+	}
+}
+
+// TestLoopsRunPersistsUnderLoopsHash covers the store key of the
+// loop-marked annotation variant: a loops run persists under the hash
+// of exp.AnnotatedLoops' program, and a restarted server answers the
+// same request from the store without simulating.
+func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
+	dir := t.TempDir()
+	defer exp.ResultCache().SetBacking(nil)
+	body := map[string]any{"bench": "gzip", "mode": "enhanced", "scale": 1, "loops": true}
+	serveOnce := func(client string) (*store.Store, RunStatus) {
+		t.Helper()
+		exp.Reset()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Store: st, Admit: sched.AdmitOptions{MaxConcurrent: 2}})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		defer srv.Close()
+		resp, run := postJSON(t, ts.URL+"/v1/runs?wait=1", client, body)
+		if resp.StatusCode != http.StatusOK || run.State != "done" {
+			t.Fatalf("status %d state %q error %q", resp.StatusCode, run.State, run.Error)
+		}
+		return st, run
+	}
+
+	st, cold := serveOnce("loops-a")
+	if cold.Counts.Simulated != 1 {
+		t.Fatalf("cold run counts %+v, want 1 simulated", cold.Counts)
+	}
+	loopsProg, err := exp.AnnotatedLoops("gzip", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainProg, err := exp.Annotated("gzip", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := loopsProg.Hash()
+	if want == plainProg.Hash() {
+		t.Fatal("gzip's loop-marked program hashes like the plain one; the test cannot tell them apart")
+	}
+	var persisted []store.Meta
+	for _, d := range st.Digests() {
+		if m, ok := st.Meta(d); ok {
+			persisted = append(persisted, m)
+		}
+	}
+	if len(persisted) != 1 || !persisted[0].Loops || persisted[0].WorkloadHash != want {
+		t.Fatalf("persisted %+v, want one loops entry under hash %s", persisted, want)
+	}
+
+	_, warm := serveOnce("loops-b")
+	if warm.Counts.Simulated != 0 || warm.Counts.StoreHits != 1 {
+		t.Fatalf("restarted run counts %+v, want 0 simulated and 1 store hit", warm.Counts)
+	}
+	if *warm.Stats != *cold.Stats {
+		t.Error("store answer differs from the simulated one")
 	}
 }
