@@ -101,27 +101,22 @@ func validateManifest(path string) error {
 	if err != nil {
 		return err
 	}
-	var m sample.Manifest
+	var m sample.Result
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("invalid manifest JSON: %w", err)
 	}
 	if err := checkManifest(&m); err != nil {
 		return err
 	}
-	detPct := 100 * float64(m.DetRetired) / float64(m.TotalInsts)
+	detPct := 100 * float64(m.DetailedRetired) / float64(m.TotalInsts)
 	fmt.Printf("%s: consistent sampled-run manifest\n", path)
 	fmt.Printf("  %d insts: prefix %d exact, %d intervals of ~%d (detailed %.1f%%), period %d\n",
-		m.TotalInsts, m.PrefRetired, m.K, m.IntervalLen, detPct, m.Period)
+		m.TotalInsts, m.PrefixRetired, m.K, m.IntervalLen, detPct, m.Period)
 	fmt.Printf("  IPC estimate %.3f ± %.3f (95%% CI; interval mean %.3f)\n", m.IPC, m.CI95, m.IPCMean)
-	if tm := m.Timing; tm != nil {
-		total := tm.PrefixSeconds + tm.WarmSeconds + tm.SnapshotSeconds + tm.DetailedSeconds + tm.ExtrapolateSeconds
-		fmt.Printf("  host time %.3fs: prefix %.3f, warm %.3f, snapshot %.3f, detailed %.3f, extrapolate %.3f\n",
-			total, tm.PrefixSeconds, tm.WarmSeconds, tm.SnapshotSeconds, tm.DetailedSeconds, tm.ExtrapolateSeconds)
-	}
 	return nil
 }
 
-func checkManifest(m *sample.Manifest) error {
+func checkManifest(m *sample.Result) error {
 	if m.K != len(m.Intervals) {
 		return fmt.Errorf("k = %d but %d intervals listed", m.K, len(m.Intervals))
 	}
@@ -147,16 +142,16 @@ func checkManifest(m *sample.Manifest) error {
 		sumR += iv.Retired
 		sumC += iv.Cycles
 	}
-	if got := m.PrefRetired + sumR; got != m.DetRetired {
+	if got := m.PrefixRetired + sumR; got != m.DetailedRetired {
 		return fmt.Errorf("detailed_retired %d but prefix %d + interval sum %d = %d",
-			m.DetRetired, m.PrefRetired, sumR, got)
+			m.DetailedRetired, m.PrefixRetired, sumR, got)
 	}
-	if got := m.PrefCycles + sumC; got != m.DetCycles {
+	if got := m.PrefixCycles + sumC; got != m.DetailedCycles {
 		return fmt.Errorf("detailed_cycles %d but prefix %d + interval sum %d = %d",
-			m.DetCycles, m.PrefCycles, sumC, got)
+			m.DetailedCycles, m.PrefixCycles, sumC, got)
 	}
-	if m.DetRetired > m.TotalInsts {
-		return fmt.Errorf("detailed_retired %d exceeds total_insts %d", m.DetRetired, m.TotalInsts)
+	if m.DetailedRetired > m.TotalInsts {
+		return fmt.Errorf("detailed_retired %d exceeds total_insts %d", m.DetailedRetired, m.TotalInsts)
 	}
 	if m.IPC <= 0 || m.CI95 < 0 {
 		return fmt.Errorf("implausible estimate: ipc %g, ci95 %g", m.IPC, m.CI95)

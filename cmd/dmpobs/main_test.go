@@ -8,45 +8,45 @@ import (
 )
 
 // goodManifest builds a minimal internally consistent manifest.
-func goodManifest() sample.Manifest {
+func goodManifest() sample.Result {
 	ivs := []sample.Interval{
 		{Index: 0, Start: 3000, RampRetired: 512, Retired: 500, Cycles: 1000, IPC: 0.5},
 		{Index: 1, Start: 9000, RampRetired: 512, Retired: 500, Cycles: 500, IPC: 1.0},
 	}
-	return sample.Manifest{
-		TotalInsts:  20000,
-		Period:      6000,
-		IntervalLen: 500,
-		Ramp:        512,
-		PrefRetired: 2048,
-		PrefCycles:  4000,
-		K:           2,
-		DetRetired:  2048 + 1000,
-		DetCycles:   4000 + 1500,
-		IPC:         0.7,
-		IPCMean:     0.75,
-		CI95:        0.1,
-		Intervals:   ivs,
+	return sample.Result{
+		TotalInsts:      20000,
+		Period:          6000,
+		IntervalLen:     500,
+		Ramp:            512,
+		PrefixRetired:   2048,
+		PrefixCycles:    4000,
+		K:               2,
+		DetailedRetired: 2048 + 1000,
+		DetailedCycles:  4000 + 1500,
+		IPC:             0.7,
+		IPCMean:         0.75,
+		CI95:            0.1,
+		Intervals:       ivs,
 	}
 }
 
 func TestCheckManifest(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*sample.Manifest)
+		mutate  func(*sample.Result)
 		wantErr string
 	}{
-		{name: "consistent", mutate: func(m *sample.Manifest) {}},
-		{name: "k-mismatch", mutate: func(m *sample.Manifest) { m.K = 3 }, wantErr: "intervals listed"},
-		{name: "no-intervals", mutate: func(m *sample.Manifest) { m.K = 0; m.Intervals = nil }, wantErr: "no intervals"},
-		{name: "index-order", mutate: func(m *sample.Manifest) { m.Intervals[1].Index = 5 }, wantErr: "out of order"},
-		{name: "start-order", mutate: func(m *sample.Manifest) { m.Intervals[1].Start = 10 }, wantErr: "before previous"},
-		{name: "empty-interval", mutate: func(m *sample.Manifest) { m.Intervals[0].Cycles = 0 }, wantErr: "empty measurement"},
-		{name: "ipc-arith", mutate: func(m *sample.Manifest) { m.Intervals[1].IPC = 0.9 }, wantErr: "retired/cycles"},
-		{name: "retired-sum", mutate: func(m *sample.Manifest) { m.DetRetired++ }, wantErr: "detailed_retired"},
-		{name: "cycle-sum", mutate: func(m *sample.Manifest) { m.DetCycles++ }, wantErr: "detailed_cycles"},
-		{name: "detailed-exceeds-total", mutate: func(m *sample.Manifest) { m.TotalInsts = 100 }, wantErr: "exceeds total_insts"},
-		{name: "bad-estimate", mutate: func(m *sample.Manifest) { m.IPC = 0 }, wantErr: "implausible"},
+		{name: "consistent", mutate: func(m *sample.Result) {}},
+		{name: "k-mismatch", mutate: func(m *sample.Result) { m.K = 3 }, wantErr: "intervals listed"},
+		{name: "no-intervals", mutate: func(m *sample.Result) { m.K = 0; m.Intervals = nil }, wantErr: "no intervals"},
+		{name: "index-order", mutate: func(m *sample.Result) { m.Intervals[1].Index = 5 }, wantErr: "out of order"},
+		{name: "start-order", mutate: func(m *sample.Result) { m.Intervals[1].Start = 10 }, wantErr: "before previous"},
+		{name: "empty-interval", mutate: func(m *sample.Result) { m.Intervals[0].Cycles = 0 }, wantErr: "empty measurement"},
+		{name: "ipc-arith", mutate: func(m *sample.Result) { m.Intervals[1].IPC = 0.9 }, wantErr: "retired/cycles"},
+		{name: "retired-sum", mutate: func(m *sample.Result) { m.DetailedRetired++ }, wantErr: "detailed_retired"},
+		{name: "cycle-sum", mutate: func(m *sample.Result) { m.DetailedCycles++ }, wantErr: "detailed_cycles"},
+		{name: "detailed-exceeds-total", mutate: func(m *sample.Result) { m.TotalInsts = 100 }, wantErr: "exceeds total_insts"},
+		{name: "bad-estimate", mutate: func(m *sample.Result) { m.IPC = 0 }, wantErr: "implausible"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

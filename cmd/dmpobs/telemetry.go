@@ -46,9 +46,6 @@ func validateTelemetry(dir string) error {
 	if err := compareSnapshots(folded, final); err != nil {
 		return fmt.Errorf("folded event deltas vs %s: %w", telemetry.MetricsFile, err)
 	}
-	if err := checkStageEvents(evs, final); err != nil {
-		return fmt.Errorf("sample-stage events vs metrics: %w", err)
-	}
 
 	kinds := map[string]int{}
 	for _, e := range evs {
@@ -274,43 +271,6 @@ func compareSnapshots(got, want telemetry.Snapshot) error {
 		}
 		if !floatClose(g.Sum, w.Sum) {
 			return fmt.Errorf("histogram %s: folded sum %g, final %g", w.Name, g.Sum, w.Sum)
-		}
-	}
-	return nil
-}
-
-// checkStageEvents cross-checks the per-stage sample-pipeline events
-// against the dmp_sample_*_seconds histograms: every stage's event
-// count must equal the histogram's observation count and the event
-// values must sum to the histogram's sum. The two are written by
-// independent code paths (feed emission vs atomic observation), so
-// agreement means the sampling telemetry is internally consistent.
-// Runs without sampling have neither and pass vacuously.
-func checkStageEvents(evs []telemetry.Event, final telemetry.Snapshot) error {
-	sums := map[string]float64{}
-	counts := map[string]uint64{}
-	for _, e := range evs {
-		if e.Kind != "sample-stage" {
-			continue
-		}
-		sums[e.Name] += e.V
-		counts[e.Name]++
-	}
-	hists := map[string]telemetry.HistogramVal{}
-	for _, h := range final.Histograms {
-		hists[h.Name] = h
-	}
-	for stage, n := range counts {
-		name := "dmp_sample_" + stage + "_seconds"
-		h, ok := hists[name]
-		if !ok {
-			return fmt.Errorf("stage %q events but no histogram %s", stage, name)
-		}
-		if h.Count != n {
-			return fmt.Errorf("stage %q: %d events, histogram count %d", stage, n, h.Count)
-		}
-		if !floatClose(sums[stage], h.Sum) {
-			return fmt.Errorf("stage %q: event sum %g, histogram sum %g", stage, sums[stage], h.Sum)
 		}
 	}
 	return nil

@@ -143,36 +143,6 @@ func TestFoldAndCompare(t *testing.T) {
 	}
 }
 
-func TestCheckStageEvents(t *testing.T) {
-	final := telemetry.Snapshot{Histograms: []telemetry.HistogramVal{
-		{Name: "dmp_sample_prefix_seconds", Count: 2, Sum: 3.0},
-	}}
-	good := []telemetry.Event{
-		{Kind: "sample-stage", Name: "prefix", V: 1.25},
-		{Kind: "sample-stage", Name: "prefix", V: 1.75},
-	}
-	if err := checkStageEvents(good, final); err != nil {
-		t.Fatalf("consistent stages rejected: %v", err)
-	}
-	if err := checkStageEvents(nil, telemetry.Snapshot{}); err != nil {
-		t.Fatalf("no sampling should pass vacuously: %v", err)
-	}
-	if err := checkStageEvents(good[:1], final); err == nil || !strings.Contains(err.Error(), "histogram count") {
-		t.Fatalf("err = %v, want count mismatch", err)
-	}
-	worse := []telemetry.Event{
-		{Kind: "sample-stage", Name: "prefix", V: 1.0},
-		{Kind: "sample-stage", Name: "prefix", V: 1.0},
-	}
-	if err := checkStageEvents(worse, final); err == nil || !strings.Contains(err.Error(), "histogram sum") {
-		t.Fatalf("err = %v, want sum mismatch", err)
-	}
-	orphan := []telemetry.Event{{Kind: "sample-stage", Name: "mystery", V: 1}}
-	if err := checkStageEvents(orphan, final); err == nil || !strings.Contains(err.Error(), "no histogram") {
-		t.Fatalf("err = %v, want missing histogram", err)
-	}
-}
-
 // TestValidateTelemetryEndToEnd drives a real Set through OpenDir,
 // emits spans, events and metric deltas, closes it, records the
 // finals, and checks validateTelemetry accepts the directory.

@@ -196,10 +196,14 @@ func run(args []string) error {
 	defer finish()
 
 	if *doSample {
+		// The stage histograms are the run's host-time record; the
+		// registry delta across the run is this run's share of them.
+		before := telemetry.DefaultRegistry().Snapshot()
 		r, err := sample.Run(p, cfg, sample.Options{Span: o.Root})
 		if err != nil {
 			return err
 		}
+		stages := telemetry.DefaultRegistry().Snapshot().Delta(before)
 		if *sampleManif != "" {
 			f, err := os.Create(*sampleManif)
 			if err != nil {
@@ -213,12 +217,12 @@ func run(args []string) error {
 				return fmt.Errorf("manifest: %w", err)
 			}
 		}
-		printSampled(r)
+		printSampled(r, stages)
 		printStats(r.Extrapolated)
 		if *mergeSt {
 			fmt.Print(mergeStatsLine(r.Extrapolated))
 		}
-		printHostThroughput(p, cfg.MaxInsts, float64(r.TotalInsts)/r.WallSeconds)
+		printHostThroughput(p, cfg.MaxInsts, float64(r.TotalInsts)/r.Extrapolated.WallSeconds)
 		return nil
 	}
 
@@ -340,19 +344,23 @@ func setSampling(cfg *core.Config, on bool, period, interval, warmup uint64, war
 
 // printSampled renders the sampling-specific summary: what was measured,
 // what was extrapolated, how tight the estimate is, and where the host
-// time went (the breakdown is wall-clock dependent; everything else is
-// deterministic).
-func printSampled(r *sample.Result) {
+// time went. The breakdown divides each dmp_sample_<stage>_seconds sum in
+// stages (the run's metrics delta) by the run's wall time; it is
+// wall-clock dependent, everything else is deterministic.
+func printSampled(r *sample.Result, stages telemetry.Snapshot) {
 	fmt.Printf("sampled run       %12d insts: prefix %d exact, %d intervals of ~%d (detailed %.1f%%), period %d, warmup %d, ramp %d\n",
 		r.TotalInsts, r.PrefixRetired, r.K, r.IntervalLen,
 		100*float64(r.DetailedRetired)/float64(r.TotalInsts), r.Period, r.Warmup, r.Ramp)
 	fmt.Printf("IPC estimate      %12.3f ± %.3f (95%% CI over %d intervals; interval mean %.3f)\n",
 		r.IPC, r.CI95, r.K, r.IPCMean)
-	tm := r.Timing
+	wall := r.Extrapolated.WallSeconds
+	sums := map[string]float64{}
+	for _, h := range stages.Histograms {
+		sums[h.Name] = h.Sum
+	}
+	stage := func(name string) float64 { return pct(sums["dmp_sample_"+name+"_seconds"], wall) }
 	fmt.Printf("time breakdown    %12s prefix %.0f%%, warming %.0f%%, snapshot %.0f%%, detailed %.0f%%, extrapolate %.0f%% of %.3fs wall\n",
-		"", pct(tm.PrefixSeconds, r.WallSeconds), pct(tm.WarmSeconds, r.WallSeconds),
-		pct(tm.SnapshotSeconds, r.WallSeconds), pct(tm.DetailedSeconds, r.WallSeconds),
-		pct(tm.ExtrapolateSeconds, r.WallSeconds), r.WallSeconds)
+		"", stage("prefix"), stage("warm"), stage("snapshot"), stage("detailed"), stage("extrapolate"), wall)
 }
 
 // pct is a safe percentage: 0 when the denominator is 0.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Stats aggregates everything the paper's evaluation reports.
@@ -103,46 +104,9 @@ func (s *Stats) Clone() *Stats {
 // interval sampler (internal/obs) builds its per-interval rows from
 // this. HaltRetired is taken from s.
 func (s *Stats) Delta(prev *Stats) Stats {
-	d := Stats{
-		Cycles:             s.Cycles - prev.Cycles,
-		RetiredInsts:       s.RetiredInsts - prev.RetiredInsts,
-		RetiredFalse:       s.RetiredFalse - prev.RetiredFalse,
-		RetiredSelects:     s.RetiredSelects - prev.RetiredSelects,
-		RetiredMarkers:     s.RetiredMarkers - prev.RetiredMarkers,
-		FetchedInsts:       s.FetchedInsts - prev.FetchedInsts,
-		FetchedWrongCD:     s.FetchedWrongCD - prev.FetchedWrongCD,
-		FetchedWrongCI:     s.FetchedWrongCI - prev.FetchedWrongCI,
-		FetchedMarkers:     s.FetchedMarkers - prev.FetchedMarkers,
-		ExecutedInsts:      s.ExecutedInsts - prev.ExecutedInsts,
-		ExecutedSelects:    s.ExecutedSelects - prev.ExecutedSelects,
-		ExecutedMarkers:    s.ExecutedMarkers - prev.ExecutedMarkers,
-		RetiredBranches:    s.RetiredBranches - prev.RetiredBranches,
-		RetiredMispredicts: s.RetiredMispredicts - prev.RetiredMispredicts,
-		Flushes:            s.Flushes - prev.Flushes,
-		EarlyExits:         s.EarlyExits - prev.EarlyExits,
-		MDBConversions:     s.MDBConversions - prev.MDBConversions,
-		Episodes:           s.Episodes - prev.Episodes,
-		LowConfCorrect:     s.LowConfCorrect - prev.LowConfCorrect,
-		LowConfWrong:       s.LowConfWrong - prev.LowConfWrong,
-		MergeHits:          s.MergeHits - prev.MergeHits,
-		MergeMisses:        s.MergeMisses - prev.MergeMisses,
-		MergeEvictions:     s.MergeEvictions - prev.MergeEvictions,
-		MergeTrainings:     s.MergeTrainings - prev.MergeTrainings,
-		MergeMispredicts:   s.MergeMispredicts - prev.MergeMispredicts,
-		DynCFMEpisodes:     s.DynCFMEpisodes - prev.DynCFMEpisodes,
-		L1IMisses:          s.L1IMisses - prev.L1IMisses,
-		L1DMisses:          s.L1DMisses - prev.L1DMisses,
-		L2Misses:           s.L2Misses - prev.L2Misses,
-		LoadStalls:         s.LoadStalls - prev.LoadStalls,
-		OraclePauses:       s.OraclePauses - prev.OraclePauses,
-		OracleResumes:      s.OracleResumes - prev.OracleResumes,
-		HaltRetired:        s.HaltRetired,
-		FetchedUops:        s.FetchedUops - prev.FetchedUops,
-		WallSeconds:        s.WallSeconds - prev.WallSeconds,
-	}
-	for i := range d.ExitCases {
-		d.ExitCases[i] = s.ExitCases[i] - prev.ExitCases[i]
-	}
+	d := zipCounters(s, prev, func(x, y uint64) uint64 { return x - y })
+	d.HaltRetired = s.HaltRetired
+	d.WallSeconds = s.WallSeconds - prev.WallSeconds
 	return d
 }
 
@@ -151,46 +115,9 @@ func (s *Stats) Delta(prev *Stats) Stats {
 // its detailed intervals this way before extrapolating). HaltRetired is
 // OR-ed — the union of two windows ran to completion if either did.
 func (s *Stats) Add(o *Stats) Stats {
-	a := Stats{
-		Cycles:             s.Cycles + o.Cycles,
-		RetiredInsts:       s.RetiredInsts + o.RetiredInsts,
-		RetiredFalse:       s.RetiredFalse + o.RetiredFalse,
-		RetiredSelects:     s.RetiredSelects + o.RetiredSelects,
-		RetiredMarkers:     s.RetiredMarkers + o.RetiredMarkers,
-		FetchedInsts:       s.FetchedInsts + o.FetchedInsts,
-		FetchedWrongCD:     s.FetchedWrongCD + o.FetchedWrongCD,
-		FetchedWrongCI:     s.FetchedWrongCI + o.FetchedWrongCI,
-		FetchedMarkers:     s.FetchedMarkers + o.FetchedMarkers,
-		ExecutedInsts:      s.ExecutedInsts + o.ExecutedInsts,
-		ExecutedSelects:    s.ExecutedSelects + o.ExecutedSelects,
-		ExecutedMarkers:    s.ExecutedMarkers + o.ExecutedMarkers,
-		RetiredBranches:    s.RetiredBranches + o.RetiredBranches,
-		RetiredMispredicts: s.RetiredMispredicts + o.RetiredMispredicts,
-		Flushes:            s.Flushes + o.Flushes,
-		EarlyExits:         s.EarlyExits + o.EarlyExits,
-		MDBConversions:     s.MDBConversions + o.MDBConversions,
-		Episodes:           s.Episodes + o.Episodes,
-		LowConfCorrect:     s.LowConfCorrect + o.LowConfCorrect,
-		LowConfWrong:       s.LowConfWrong + o.LowConfWrong,
-		MergeHits:          s.MergeHits + o.MergeHits,
-		MergeMisses:        s.MergeMisses + o.MergeMisses,
-		MergeEvictions:     s.MergeEvictions + o.MergeEvictions,
-		MergeTrainings:     s.MergeTrainings + o.MergeTrainings,
-		MergeMispredicts:   s.MergeMispredicts + o.MergeMispredicts,
-		DynCFMEpisodes:     s.DynCFMEpisodes + o.DynCFMEpisodes,
-		L1IMisses:          s.L1IMisses + o.L1IMisses,
-		L1DMisses:          s.L1DMisses + o.L1DMisses,
-		L2Misses:           s.L2Misses + o.L2Misses,
-		LoadStalls:         s.LoadStalls + o.LoadStalls,
-		OraclePauses:       s.OraclePauses + o.OraclePauses,
-		OracleResumes:      s.OracleResumes + o.OracleResumes,
-		HaltRetired:        s.HaltRetired || o.HaltRetired,
-		FetchedUops:        s.FetchedUops + o.FetchedUops,
-		WallSeconds:        s.WallSeconds + o.WallSeconds,
-	}
-	for i := range a.ExitCases {
-		a.ExitCases[i] = s.ExitCases[i] + o.ExitCases[i]
-	}
+	a := zipCounters(s, o, func(x, y uint64) uint64 { return x + y })
+	a.HaltRetired = s.HaltRetired || o.HaltRetired
+	a.WallSeconds = s.WallSeconds + o.WallSeconds
 	return a
 }
 
@@ -202,48 +129,32 @@ func (s *Stats) Add(o *Stats) Stats {
 // unscaled sums, so derived metrics survive extrapolation exactly.
 // HaltRetired copies.
 func (s *Stats) Scale(f float64) Stats {
-	su := func(v uint64) uint64 { return uint64(math.Floor(float64(v)*f + 0.5)) }
-	c := Stats{
-		Cycles:             su(s.Cycles),
-		RetiredInsts:       su(s.RetiredInsts),
-		RetiredFalse:       su(s.RetiredFalse),
-		RetiredSelects:     su(s.RetiredSelects),
-		RetiredMarkers:     su(s.RetiredMarkers),
-		FetchedInsts:       su(s.FetchedInsts),
-		FetchedWrongCD:     su(s.FetchedWrongCD),
-		FetchedWrongCI:     su(s.FetchedWrongCI),
-		FetchedMarkers:     su(s.FetchedMarkers),
-		ExecutedInsts:      su(s.ExecutedInsts),
-		ExecutedSelects:    su(s.ExecutedSelects),
-		ExecutedMarkers:    su(s.ExecutedMarkers),
-		RetiredBranches:    su(s.RetiredBranches),
-		RetiredMispredicts: su(s.RetiredMispredicts),
-		Flushes:            su(s.Flushes),
-		EarlyExits:         su(s.EarlyExits),
-		MDBConversions:     su(s.MDBConversions),
-		Episodes:           su(s.Episodes),
-		LowConfCorrect:     su(s.LowConfCorrect),
-		LowConfWrong:       su(s.LowConfWrong),
-		MergeHits:          su(s.MergeHits),
-		MergeMisses:        su(s.MergeMisses),
-		MergeEvictions:     su(s.MergeEvictions),
-		MergeTrainings:     su(s.MergeTrainings),
-		MergeMispredicts:   su(s.MergeMispredicts),
-		DynCFMEpisodes:     su(s.DynCFMEpisodes),
-		L1IMisses:          su(s.L1IMisses),
-		L1DMisses:          su(s.L1DMisses),
-		L2Misses:           su(s.L2Misses),
-		LoadStalls:         su(s.LoadStalls),
-		OraclePauses:       su(s.OraclePauses),
-		OracleResumes:      su(s.OracleResumes),
-		HaltRetired:        s.HaltRetired,
-		FetchedUops:        su(s.FetchedUops),
-		WallSeconds:        s.WallSeconds * f,
-	}
-	for i := range c.ExitCases {
-		c.ExitCases[i] = su(s.ExitCases[i])
-	}
+	c := zipCounters(s, s, func(x, _ uint64) uint64 { return uint64(math.Floor(float64(x)*f + 0.5)) })
+	c.HaltRetired = s.HaltRetired
+	c.WallSeconds = s.WallSeconds * f
 	return c
+}
+
+// zipCounters returns the Stats whose every uint64 counter, ExitCases
+// elements included, is op of the same counter in a and b. It walks the
+// struct, so a counter added to Stats is combined without being listed
+// here; the non-counter fields (HaltRetired, WallSeconds) are left zero
+// for the caller.
+func zipCounters(a, b *Stats, op func(x, y uint64) uint64) Stats {
+	var out Stats
+	vo, va, vb := reflect.ValueOf(&out).Elem(), reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < vo.NumField(); i++ {
+		fo, fa, fb := vo.Field(i), va.Field(i), vb.Field(i)
+		switch fo.Kind() {
+		case reflect.Uint64:
+			fo.SetUint(op(fa.Uint(), fb.Uint()))
+		case reflect.Array:
+			for j := 0; j < fo.Len(); j++ {
+				fo.Index(j).SetUint(op(fa.Index(j).Uint(), fb.Index(j).Uint()))
+			}
+		}
+	}
+	return out
 }
 
 // SimCyclesPerSec returns simulated cycles per host wall-clock second.

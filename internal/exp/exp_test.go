@@ -306,3 +306,19 @@ func TestSamplingReportAfterSampling(t *testing.T) {
 		t.Errorf("report JSON differs between calls:\n%s\n%s", first, second)
 	}
 }
+
+// TestSamplingReportJoinsErrors pins that every failing sampled
+// benchmark is reported, not just the first: a period longer than the
+// program leaves each benchmark with no interval to measure.
+func TestSamplingReportJoinsErrors(t *testing.T) {
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true, SamplePeriod: 1 << 30}
+	_, _, err := SamplingReport(o)
+	if err == nil {
+		t.Fatal("sampling with a period longer than the program succeeded")
+	}
+	for _, b := range o.Benchmarks {
+		if !strings.Contains(err.Error(), b+":") {
+			t.Errorf("error does not name %s: %v", b, err)
+		}
+	}
+}

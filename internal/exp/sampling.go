@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -137,10 +138,6 @@ type SampleBench struct {
 	// Speedup is simulated instructions per host second, sampled over
 	// exact (same program, so also the wall-clock ratio).
 	Speedup float64 `json:"speedup"`
-	// Timing is the sampled run's host time breakdown by stage
-	// (wall-clock dependent), so the report can be cross-checked against
-	// the telemetry span data and stage histograms.
-	Timing sample.Timing `json:"timing"`
 }
 
 // SampleReport aggregates the per-benchmark validation for
@@ -205,10 +202,8 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		}(i, bench, sCfg)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 
 	def := samplePoint{}.orDefaults()
@@ -233,15 +228,14 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 			Covered:    r.Covers(ex.IPC()),
 			K:          r.K,
 			ExactWall:  ex.WallSeconds,
-			SampleWall: r.WallSeconds,
-			Timing:     r.Timing,
+			SampleWall: r.Extrapolated.WallSeconds,
 		}
 		b.ErrPct = 100 * (r.IPC - b.ExactIPC) / b.ExactIPC
-		if ex.WallSeconds > 0 {
-			b.ExactInstsPerSec = float64(ex.RetiredInsts) / ex.WallSeconds
+		if b.ExactWall > 0 {
+			b.ExactInstsPerSec = float64(ex.RetiredInsts) / b.ExactWall
 		}
-		if r.WallSeconds > 0 {
-			b.SampleInstsPerSec = float64(r.TotalInsts) / r.WallSeconds
+		if b.SampleWall > 0 {
+			b.SampleInstsPerSec = float64(r.TotalInsts) / b.SampleWall
 		}
 		if b.ExactInstsPerSec > 0 {
 			b.Speedup = b.SampleInstsPerSec / b.ExactInstsPerSec

@@ -110,7 +110,7 @@ func simulate(bench string, cfg core.Config, o Options, loops bool) (*core.Stats
 // check, canonical sampled config), so the daemon's overlapping clients
 // coalesce to one sampled run each, the way RunOne coalesces
 // exact runs. It is process-local and never persisted: a Result carries
-// host wall-clock (Timing, WallSeconds) alongside its deterministic
+// host wall-clock (Extrapolated.WallSeconds) alongside its deterministic
 // fields, so only live requests may share one. Shared Results are
 // read-only by the same frozen contract as cached Stats.
 var sampleCache sync.Map // sched.Key -> *sampleEntry
@@ -124,7 +124,9 @@ type sampleEntry struct {
 // sampleCached runs (or reuses) the sampled simulation of bench under
 // sCfg, holding one slot from slots for the duration of an actual run;
 // interval jobs try-acquire further slots from the same pool and fall
-// back inline.
+// back inline. An actual run gets its own trace lane under o.Span,
+// labelled like sched's exact runs: an experiment's sampled runs overlap,
+// and their stage spans are sequential only within one run.
 func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}) (*sample.Result, error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Cfg: sCfg.Canonical()}
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
@@ -135,9 +137,14 @@ func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}
 			e.err = err
 			return
 		}
+		var sp *telemetry.Span
+		if o.Span != nil {
+			sp = o.Span.ChildAsync(key.Label(), "sample")
+		}
+		defer sp.End()
 		slots <- struct{}{}
 		defer func() { <-slots }()
-		e.res, e.err = sample.Run(p, sCfg, sample.Options{Slots: slots, Span: o.Span})
+		e.res, e.err = sample.Run(p, sCfg, sample.Options{Slots: slots, Span: sp})
 	})
 	return e.res, e.err
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"dmp/internal/telemetry"
@@ -53,5 +55,65 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	}
 	if sm.String() != smb.String() {
 		t.Errorf("Sampling table changed under telemetry:\nwithout:\n%s\nwith:\n%s", sm, smb)
+	}
+}
+
+// TestSampledRunsGetOwnLanes pins the span contract of the sampling
+// experiment: its sampled runs overlap, so each gets its own async lane
+// under the experiment span, and a run's sequential stage spans
+// (prefix, warm, extrapolate) nest on that lane, never on the
+// experiment's.
+func TestSampledRunsGetOwnLanes(t *testing.T) {
+	ResetResults()
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(&buf)
+	root := tr.Begin("sampling", "exp")
+	o := smallOpts()
+	o.Span = root
+	if _, _, err := SamplingReport(o); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var evs []struct {
+		Name string `json:"name"`
+		TID  uint64 `json:"tid"`
+		Args struct {
+			ID     uint64 `json:"id"`
+			Parent uint64 `json:"parent"`
+		} `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	lane := map[uint64]uint64{} // span id -> tid
+	for _, e := range evs {
+		lane[e.Args.ID] = e.TID
+	}
+	rootLane := lane[root.ID()]
+	runs := map[uint64]bool{}
+	for _, e := range evs {
+		switch e.Name {
+		case "prefix", "warm", "extrapolate":
+			if e.TID == rootLane {
+				t.Errorf("%s span on the experiment span's lane", e.Name)
+			}
+		}
+		if e.Name != "prefix" {
+			continue
+		}
+		p := e.Args.Parent
+		if p == root.ID() || runs[p] {
+			t.Errorf("prefix span's parent %d is the experiment span or shared with another run", p)
+		}
+		if lane[p] != p || lane[p] == rootLane {
+			t.Errorf("prefix span's parent %d is not on a lane of its own (tid %d)", p, lane[p])
+		}
+		runs[p] = true
+	}
+	if len(runs) != len(o.Benchmarks) {
+		t.Errorf("%d sampled-run lanes, want one per benchmark (%d)", len(runs), len(o.Benchmarks))
 	}
 }

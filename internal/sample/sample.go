@@ -40,7 +40,9 @@
 package sample
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -95,27 +97,6 @@ type Options struct {
 	Span *telemetry.Span
 }
 
-// Timing is the host wall-clock breakdown of one sampled run, for
-// diagnosing where the speedup goes. All fields are wall-clock dependent
-// and excluded from the Manifest and every determinism comparison.
-// DetailedSeconds sums per-interval durations across worker goroutines,
-// so with the streamed pipeline it can exceed the run's WallSeconds (the
-// overlap is the point); the remaining fields are producer-side.
-type Timing struct {
-	// PrefixSeconds is the exactly simulated cold-start prefix.
-	PrefixSeconds float64 `json:"prefix_seconds"`
-	// WarmSeconds is the continuous functional warming pass, including
-	// the untrained fast-forward tail after the last checkpoint.
-	WarmSeconds float64 `json:"warm_seconds"`
-	// SnapshotSeconds is checkpoint capture: architectural Checkpoint
-	// plus the copy-on-write WarmState Snapshot, per period.
-	SnapshotSeconds float64 `json:"snapshot_seconds"`
-	// DetailedSeconds sums the detailed interval simulations.
-	DetailedSeconds float64 `json:"detailed_seconds"`
-	// ExtrapolateSeconds is aggregation and extrapolation at the end.
-	ExtrapolateSeconds float64 `json:"extrapolate_seconds"`
-}
-
 // Interval is one measured detailed interval.
 type Interval struct {
 	// Index is the interval's position in program order.
@@ -137,51 +118,64 @@ type Interval struct {
 }
 
 // Result is a sampled run: the extrapolated full-run Stats plus the
-// per-interval evidence behind them.
+// per-interval evidence behind them. Its JSON form is the run's
+// manifest (WriteManifest): every field but Extrapolated, all
+// deterministic, so identical runs encode byte-identically. The stage
+// histograms and spans carry the run's per-stage host time.
 type Result struct {
-	// Effective sampling parameters (defaults applied).
-	Period, IntervalLen, Warmup, Ramp uint64
 	// TotalInsts is the architectural instruction count of the full run
 	// (the functional pass runs it end to end; MaxInsts truncates it).
-	TotalInsts uint64
+	TotalInsts uint64 `json:"total_insts"`
+	// Effective sampling parameters (defaults applied).
+	Period      uint64 `json:"period"`
+	IntervalLen uint64 `json:"interval"`
+	Warmup      uint64 `json:"warmup"`
+	Ramp        uint64 `json:"ramp"`
 	// PrefixRetired / PrefixCycles are the exactly measured cold-start
 	// prefix (~one period from instruction zero).
-	PrefixRetired uint64
-	PrefixCycles  uint64
+	PrefixRetired uint64 `json:"prefix_retired"`
+	PrefixCycles  uint64 `json:"prefix_cycles"`
 	// K is the number of measured intervals; Intervals lists them.
-	K         int
-	Intervals []Interval
+	K int `json:"k"`
 	// DetailedRetired / DetailedCycles sum the measured windows and the
 	// prefix — every exactly simulated, counted instruction.
-	DetailedRetired uint64
-	DetailedCycles  uint64
+	DetailedRetired uint64 `json:"detailed_retired"`
+	DetailedCycles  uint64 `json:"detailed_cycles"`
 	// IPC is the headline sampled estimate: TotalInsts over (prefix
 	// cycles + sampled-region instructions x measured CPI). IPCMean is
 	// the unweighted mean of per-interval IPCs (diagnostic only). CI95
 	// is the 95% confidence half-width around IPC, from the
 	// per-interval CPI spread (CLT over k intervals) propagated through
 	// the extrapolation.
-	IPC     float64
-	IPCMean float64
-	CI95    float64
+	IPC       float64    `json:"ipc"`
+	IPCMean   float64    `json:"ipc_mean"`
+	CI95      float64    `json:"ci95"`
+	Intervals []Interval `json:"intervals"`
 	// Extrapolated is the full-run Stats estimate: exact prefix Stats
 	// plus interval counters scaled to the sampled region, with
 	// RetiredInsts pinned to the exact TotalInsts and WallSeconds set to
 	// the driver's real wall time (so throughput metrics describe the
-	// sampled run).
-	Extrapolated *core.Stats
-	// WallSeconds is the host wall-clock time of the whole sampled run
-	// (prefix + warming pass + detailed intervals); Timing breaks it
-	// down by activity. Both are wall-clock dependent and excluded from
-	// the Manifest and determinism comparisons.
-	WallSeconds float64
-	Timing      Timing
+	// sampled run). It is the one wall-clock field of a Result.
+	Extrapolated *core.Stats `json:"-"`
 }
 
 // Covers reports whether the 95% confidence interval around the sampled
 // IPC estimate contains ipc (typically the exact run's IPC).
 func (r *Result) Covers(ipc float64) bool {
 	return math.Abs(ipc-r.IPC) <= r.CI95
+}
+
+// WriteManifest writes the result as indented JSON: the interval
+// accounting dmpsim -sample-manifest records and dmpobs -manifest
+// validates (interval count, warmup and detailed sums, per-interval IPC
+// consistency) without re-running anything.
+func (r *Result) WriteManifest(w io.Writer) error {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // checkpointAt pairs a captured architectural checkpoint with its
@@ -237,7 +231,7 @@ type pipeline struct {
 //
 //dmp:hotpath
 func (pl *pipeline) runJob(jb *intervalJob) {
-	t0 := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	t0 := time.Now() //dmp:allow nondeterminism -- host telemetry only
 	jb.iv, jb.st, jb.err = runInterval(pl.p, pl.cfg, jb.c, pl.warmup, pl.interval)
 	jb.iv.Index = jb.index
 	jb.c = checkpointAt{}
@@ -246,7 +240,7 @@ func (pl *pipeline) runJob(jb *intervalJob) {
 	if pl.tr != nil {
 		pl.tr.SpanAt("interval", "sample", t0, time.Since(t0), pl.spanID) //dmp:allow nondeterminism -- host telemetry only
 	}
-	pl.detNS.Add(time.Since(t0).Nanoseconds()) //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	pl.detNS.Add(time.Since(t0).Nanoseconds()) //dmp:allow nondeterminism -- host telemetry only
 }
 
 // consume drains the job queue until it is empty or closed, then hands
@@ -336,7 +330,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 		return nil, err
 	}
 	period, interval, warmup := cfg.SampleParams()
-	start := time.Now() //dmp:allow nondeterminism -- feeds only WallSeconds, excluded from golden tables
+	start := time.Now() //dmp:allow nondeterminism -- host time: stage histograms and WallSeconds only
 	maxTotal := cfg.MaxInsts
 	prefSpan := o.Span.Child("prefix", "sample")
 
@@ -366,8 +360,11 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 			prefTarget)
 	}
 	prefR := pre.RetiredInsts
-	var tm Timing
-	tm.PrefixSeconds = time.Since(start).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	// Host seconds per stage, observed into the stage histograms once
+	// the run succeeds. warmS includes the untrained tail after the last
+	// checkpoint.
+	prefixS := time.Since(start).Seconds() //dmp:allow nondeterminism -- host telemetry only
+	var warmS, snapS float64
 	prefSpan.End()
 
 	// Streamed pipeline: the warming pass (producer) hands each
@@ -402,9 +399,9 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 		return nil, err
 	}
 	warmTo := func(target uint64) error {
-		t0 := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+		t0 := time.Now() //dmp:allow nondeterminism -- host telemetry only
 		err := w.WarmTo(target)
-		tm.WarmSeconds += time.Since(t0).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+		warmS += time.Since(t0).Seconds() //dmp:allow nondeterminism -- host telemetry only
 		return err
 	}
 	if err := warmTo(prefR); err != nil {
@@ -425,10 +422,10 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 		if w.Halted() {
 			break
 		}
-		t0 := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+		t0 := time.Now() //dmp:allow nondeterminism -- host telemetry only
 		jb := &intervalJob{index: len(pl.all),
 			c: checkpointAt{start: w.Count(), ck: w.Checkpoint(), ws: w.Snapshot()}}
-		tm.SnapshotSeconds += time.Since(t0).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+		snapS += time.Since(t0).Seconds() //dmp:allow nondeterminism -- host telemetry only
 		mLiveSnapshots.Add(1)
 		if pl.tr != nil {
 			pl.tr.SpanAt("snapshot", "sample", t0, time.Since(t0), warmSpan.ID()) //dmp:allow nondeterminism -- host telemetry only
@@ -446,7 +443,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 		}
 	}
 	// Tail after the last checkpoint: plain fast-forward, no training.
-	tTail := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	tTail := time.Now() //dmp:allow nondeterminism -- host telemetry only
 	if maxTotal == 0 {
 		if err := w.RunToHalt(); err != nil {
 			return nil, err
@@ -454,7 +451,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	} else if err := w.SkipTo(maxTotal); err != nil {
 		return nil, err
 	}
-	tm.WarmSeconds += time.Since(tTail).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	warmS += time.Since(tTail).Seconds() //dmp:allow nondeterminism -- host telemetry only
 	warmSpan.End()
 	total := w.Count()
 	// Drain whatever the consumers have not picked up, then wait for the
@@ -465,7 +462,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 			total, period)
 	}
 
-	tExtrap := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	tExtrap := time.Now() //dmp:allow nondeterminism -- host telemetry only
 	exSpan := o.Span.Child("extrapolate", "sample")
 	res := &Result{Period: period, IntervalLen: interval, Warmup: warmup, Ramp: RampRetired,
 		TotalInsts: total, PrefixRetired: prefR, PrefixCycles: pre.Cycles}
@@ -510,14 +507,15 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	ex := pre.Add(&sc)
 	ex.RetiredInsts = total // the ratio is exact here; don't let rounding drift it
 	ex.HaltRetired = w.Halted()
-	tm.DetailedSeconds = float64(pl.detNS.Load()) / 1e9
-	tm.ExtrapolateSeconds = time.Since(tExtrap).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+	tEnd := time.Now() //dmp:allow nondeterminism -- host time: stage histograms and WallSeconds only
 	exSpan.End()
-	res.Timing = tm
-	res.WallSeconds = time.Since(start).Seconds() //dmp:allow nondeterminism -- WallSeconds is excluded from golden tables
-	ex.WallSeconds = res.WallSeconds
+	ex.WallSeconds = tEnd.Sub(start).Seconds()
 	res.Extrapolated = &ex
-	stageTelemetry(tm)
+	mStagePrefix.Observe(prefixS)
+	mStageWarm.Observe(warmS)
+	mStageSnapshot.Observe(snapS)
+	mStageDetailed.Observe(float64(pl.detNS.Load()) / 1e9)
+	mStageExtrapolate.Observe(tEnd.Sub(tExtrap).Seconds())
 	return res, nil
 }
 

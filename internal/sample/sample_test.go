@@ -131,8 +131,8 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(a.Manifest())
-	jb, _ := json.Marshal(b.Manifest())
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Errorf("two sampled runs differ:\n%s\n%s", ja, jb)
 	}
@@ -157,8 +157,8 @@ func TestSharedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(a.Manifest())
-	jb, _ := json.Marshal(b.Manifest())
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Error("shared-pool run differs from private-pool run")
 	}
@@ -178,13 +178,13 @@ func TestSequentialMatchesStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, _ := json.Marshal(seq.Manifest())
+	js, _ := json.Marshal(seq)
 	for _, o := range []Options{{}, {Slots: make(chan struct{}, 4)}} {
 		str, err := Run(p, sampleCfg(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ja, _ := json.Marshal(str.Manifest())
+		ja, _ := json.Marshal(str)
 		if !bytes.Equal(js, ja) {
 			t.Errorf("streamed manifest differs from sequential:\n%s\n%s", js, ja)
 		}
@@ -224,8 +224,8 @@ func TestCachesOnlyWarmMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(r.Manifest())
-	jb, _ := json.Marshal(b.Manifest())
+	ja, _ := json.Marshal(r)
+	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Error("caches-only runs differ between streamed and sequential paths")
 	}

@@ -3,14 +3,14 @@ package sample
 import "dmp/internal/telemetry"
 
 // Host-side telemetry for the sampled-run driver. The stage histograms
-// are fed from the same measurements that populate Timing (one
-// observation per stage per run), so span data, feed events, and the
-// Timing struct are three views of one clock and dmpobs can cross-check
-// them exactly. The live-snapshots gauge tracks checkpoint memory: it
-// rises when the warming pass captures a checkpoint and falls when the
-// interval job releases it, so its peak is the streamed pipeline's
-// snapshot working set. Everything here is host-side only — no
-// simulator state, no effect on Stats or the Manifest.
+// are the one record of where a sampled run's host time goes: Run
+// observes each stage once per successful run (detailed summed across
+// interval workers, warm including the untrained tail), and dmpsim's
+// time-breakdown line and dmpbench read them back. The live-snapshots
+// gauge tracks checkpoint memory: it rises when the warming pass
+// captures a checkpoint and falls when the interval job releases it, so
+// its peak is the streamed pipeline's snapshot working set. Everything here is host-side only — no
+// simulator state, no effect on Stats or the Result.
 var (
 	mStagePrefix = telemetry.NewHistogram("dmp_sample_prefix_seconds",
 		"exactly simulated cold-start prefix, per sampled run", telemetry.SecondsBuckets())
@@ -29,31 +29,3 @@ var (
 	mIntervals = telemetry.NewCounter("dmp_sample_intervals_total",
 		"detailed intervals simulated")
 )
-
-// stageTelemetry publishes one finished run's Timing to the stage
-// histograms and, when telemetry is attached, as sample-stage feed
-// events carrying the identical values — the redundancy is deliberate,
-// it is what dmpobs -telemetry cross-checks.
-func stageTelemetry(tm Timing) {
-	mStagePrefix.Observe(tm.PrefixSeconds)
-	mStageWarm.Observe(tm.WarmSeconds)
-	mStageSnapshot.Observe(tm.SnapshotSeconds)
-	mStageDetailed.Observe(tm.DetailedSeconds)
-	mStageExtrapolate.Observe(tm.ExtrapolateSeconds)
-	tel := telemetry.Active()
-	if tel == nil {
-		return
-	}
-	for _, s := range []struct {
-		name string
-		v    float64
-	}{
-		{"prefix", tm.PrefixSeconds},
-		{"warm", tm.WarmSeconds},
-		{"snapshot", tm.SnapshotSeconds},
-		{"detailed", tm.DetailedSeconds},
-		{"extrapolate", tm.ExtrapolateSeconds},
-	} {
-		tel.Feed().Emit(telemetry.Event{Kind: "sample-stage", Name: s.name, V: s.v})
-	}
-}

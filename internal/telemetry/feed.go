@@ -14,7 +14,6 @@ import (
 //	run-start      Name=command, Msg=args summary
 //	experiment     Name=experiment, Msg="start"|"done", V=wall seconds when done
 //	simulation     Name=bench/config label, Msg="hit"|"miss"|"done", V=wall seconds
-//	sample-stage   Name=stage (prefix|warm|snapshot|detailed|extrapolate), V=seconds
 //	diff           Name=stage on divergence, N=seeds verified so far
 //	progress       N=completed units, V=total units, Msg=current item
 //	metrics        Metrics=delta of every registered metric since last metrics event
