@@ -144,9 +144,7 @@ func run(args []string) error {
 	if *mdb {
 		cfg.MultipleDiverge = true
 	}
-	if *loops {
-		cfg.EnableLoopDiverge = true
-	}
+	cfg.EnableLoopDiverge = *loops
 	if err := setCFMSource(&cfg, *cfmSrc, *mergeTbl); err != nil {
 		return err
 	}
@@ -169,12 +167,18 @@ func run(args []string) error {
 			return err
 		}
 		if cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP {
-			if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
+			popts := profile.DefaultOptions()
+			popts.IncludeLoops = *loops
+			if _, err := profile.Run(p, popts); err != nil {
 				return fmt.Errorf("profile: %w", err)
 			}
 		}
 	case *bench != "":
-		p, err = exp.Annotated(*bench, *scale)
+		annotated := exp.Annotated
+		if *loops {
+			annotated = exp.AnnotatedLoops
+		}
+		p, err = annotated(*bench, *scale)
 		if err != nil {
 			return err
 		}
@@ -374,6 +378,7 @@ func pct(num, den float64) float64 {
 // printHostThroughput reports how fast the simulation ran relative to the
 // pure functional emulator over the same program — the fast-forward
 // ceiling any sampled run approaches as its detailed fraction shrinks.
+// Both rates count architectural instructions per host second.
 func printHostThroughput(p *prog.Program, maxInsts uint64, simRate float64) {
 	emuRate, err := emuOnlyRate(p, maxInsts)
 	if err != nil {
@@ -384,7 +389,7 @@ func printHostThroughput(p *prog.Program, maxInsts uint64, simRate float64) {
 	if simRate > 0 && emuRate > 0 {
 		slow = fmt.Sprintf("%.1fx", emuRate/simRate)
 	}
-	fmt.Printf("host throughput   %12.0f simulated uops/s vs %.0f emu-only (slowdown %s)\n",
+	fmt.Printf("host throughput   %12.0f simulated insts/s vs %.0f emu-only (slowdown %s)\n",
 		simRate, emuRate, slow)
 }
 

@@ -185,3 +185,42 @@ func TestErrorExitFinishesObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopsFlagRunsLoopDiverge pins that -loops is loop diverge end to
+// end: the machine predicates loop branches and runs the program with
+// them marked. gzip's loop branches add episodes at scale 1, as in the
+// loopdiverge experiment.
+func TestLoopsFlagRunsLoopDiverge(t *testing.T) {
+	episodes := func(extra ...string) string {
+		t.Helper()
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		stdout := os.Stdout
+		os.Stdout = out
+		err = run(append([]string{"-bench", "gzip", "-scale", "1", "-mode", "enhanced", "-q"}, extra...))
+		os.Stdout = stdout
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] == "dpred" && f[1] == "episodes" {
+				return f[2]
+			}
+		}
+		t.Fatalf("no episodes line in:\n%s", data)
+		return ""
+	}
+	if got := episodes(); got != "809" {
+		t.Errorf("enhanced: %s episodes, want 809", got)
+	}
+	if got := episodes("-loops"); got != "1167" {
+		t.Errorf("enhanced -loops: %s episodes, want 1167", got)
+	}
+}

@@ -55,15 +55,9 @@ type JRSConfig struct {
 // with 12 bits of history each (pc, history) context sees too few
 // branches for the miss-distance counters to ever reach the confidence
 // threshold, so the estimator would flag essentially every branch
-// low-confidence forever. PaperJRSConfig preserves the published
-// parameters for long runs and ablations.
+// low-confidence forever.
 func DefaultJRSConfig() JRSConfig {
 	return JRSConfig{LogEntries: 11, HistBits: 5, Max: 15, Threshold: 15}
-}
-
-// PaperJRSConfig is the configuration as published (12-bit history).
-func PaperJRSConfig() JRSConfig {
-	return JRSConfig{LogEntries: 11, HistBits: 12, Max: 15, Threshold: 15}
 }
 
 // NewJRS builds a JRS estimator.

@@ -93,9 +93,6 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
-// Footprint returns the number of resident words, for tests.
-func (m *Memory) Footprint() int { return len(m.pages) * pageWords }
-
 // Each calls fn for every non-zero resident word, in unspecified order.
 func (m *Memory) Each(fn func(addr, val uint64)) {
 	//dmp:allow nondeterminism -- unspecified order is documented; callers must sort

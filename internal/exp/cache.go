@@ -3,6 +3,7 @@ package exp
 import (
 	"sync"
 
+	"dmp/internal/core"
 	"dmp/internal/prog"
 )
 
@@ -63,20 +64,21 @@ func programEntry(bench string, scale int, loops bool) *progEntry {
 	return e
 }
 
-// annotatedCached returns the memoized annotated program for the key,
-// building it on first use.
-func annotatedCached(bench string, scale int, loops bool) (*prog.Program, error) {
-	e := programEntry(bench, scale, loops)
-	return e.p, e.err
+// programFor returns the slot of the program bench runs on under cfg. It
+// is the one place that picks the annotation variant: the loop-marked
+// program exactly when cfg predicates loop diverge branches (Section
+// 2.7.4). Canonical folds that bit away for modes that never read
+// annotations, so they share the plain program.
+func programFor(bench string, scale int, cfg core.Config) *progEntry {
+	return programEntry(bench, scale, cfg.Canonical().EnableLoopDiverge)
 }
 
-// WorkloadHash returns prog.Program.Hash of one memoized annotation
-// variant — the program Annotated (or, with loops, AnnotatedLoops)
-// returns — hashing it once per cached program. The dmpserve store folds
-// it into every persistent key, pinning results to the program bytes
-// they were measured on.
-func WorkloadHash(bench string, scale int, loops bool) (string, error) {
-	e := programEntry(bench, scale, loops)
+// WorkloadHash returns prog.Program.Hash of the memoized program bench
+// runs on under cfg (see programFor), hashing it once per cached
+// program. The dmpserve store folds it into every persistent key,
+// pinning results to the program bytes they were measured on.
+func WorkloadHash(bench string, scale int, cfg core.Config) (string, error) {
+	e := programFor(bench, scale, cfg)
 	if e.err != nil {
 		return "", e.err
 	}

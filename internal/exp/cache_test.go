@@ -83,7 +83,7 @@ func TestFigure6LeavesCacheIntact(t *testing.T) {
 // TestParallelSuitesShareCache runs several suites concurrently against
 // one cold cache. Under -race this is the regression test for the
 // build-once memoization: every worker of every suite hits
-// annotatedCached at once, and all must agree with a serial run.
+// programEntry at once, and all must agree with a serial run.
 func TestParallelSuitesShareCache(t *testing.T) {
 	Reset()
 	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf", "perlbmk"}, Check: true}

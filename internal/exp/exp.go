@@ -80,14 +80,16 @@ func (o Options) norm() Options {
 // configuration; it must be treated as read-only (see cache.go for the
 // sharing invariant).
 func Annotated(bench string, scale int) (*prog.Program, error) {
-	return annotatedCached(bench, scale, false)
+	e := programEntry(bench, scale, false)
+	return e.p, e.err
 }
 
 // AnnotatedLoops is Annotated with loop diverge branches (Section 2.7.4)
 // additionally marked, as the loop-diverge experiments use. The same
 // read-only sharing contract applies.
 func AnnotatedLoops(bench string, scale int) (*prog.Program, error) {
-	return annotatedCached(bench, scale, true)
+	e := programEntry(bench, scale, true)
+	return e.p, e.err
 }
 
 // buildAnnotated is the uncached builder behind Annotated: workload
@@ -127,7 +129,7 @@ func runSuite(cfg core.Config, o Options) ([]*core.Stats, error) {
 		wg.Add(1)
 		go func(i int, bench string) {
 			defer wg.Done()
-			stats[i], errs[i] = RunOne(bench, cfg, o, false)
+			stats[i], errs[i] = RunOne(bench, cfg, o)
 		}(i, bench)
 	}
 	wg.Wait()

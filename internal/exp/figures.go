@@ -385,11 +385,11 @@ func DualPath(o Options) (*Table, error) {
 
 // LoopDiverge evaluates the diverge loop branch extension (Section 2.7.4
 // future work, implemented here): enhanced DMP with and without
-// predication of marked backward branches. The loop-marked run simulates
-// a separately annotated program (profile.Options.IncludeLoops), cached
-// under its own variant key so it can never be confused with the default
-// annotation. Benchmarks run concurrently; the baseline and enhanced legs
-// resolve from the result cache when other experiments already ran them.
+// predication of marked backward branches. The loop-diverge run simulates
+// a separately annotated program (profile.Options.IncludeLoops), which
+// RunOne picks from the config's EnableLoopDiverge bit. Benchmarks run
+// concurrently; the baseline and enhanced legs resolve from the result
+// cache when other experiments already ran them.
 func LoopDiverge(o Options) (*Table, error) {
 	o = o.norm()
 	t := &Table{ID: "loopdiverge", Title: "Diverge loop branches (paper Section 2.7.4, future work)",
@@ -405,15 +405,15 @@ func LoopDiverge(o Options) (*Table, error) {
 		go func(i int, bench string) {
 			defer wg.Done()
 			r := &results[i]
-			if r.base, errs[i] = RunOne(bench, core.DefaultConfig(), o, false); errs[i] != nil {
+			if r.base, errs[i] = RunOne(bench, core.DefaultConfig(), o); errs[i] != nil {
 				return
 			}
-			if r.enh, errs[i] = RunOne(bench, core.EnhancedDMPConfig(), o, false); errs[i] != nil {
+			if r.enh, errs[i] = RunOne(bench, core.EnhancedDMPConfig(), o); errs[i] != nil {
 				return
 			}
 			cfg := core.EnhancedDMPConfig()
 			cfg.EnableLoopDiverge = true
-			if r.loops, errs[i] = RunOne(bench, cfg, o, true); errs[i] != nil {
+			if r.loops, errs[i] = RunOne(bench, cfg, o); errs[i] != nil {
 				errs[i] = fmt.Errorf("%s loops: %w", bench, errs[i])
 			}
 		}(i, bench)

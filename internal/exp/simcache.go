@@ -68,16 +68,15 @@ func workerSlots(n int) chan struct{} {
 // on first request: every experiment's suites and the dmpserve daemon's
 // POST /v1/runs come through here. cfg is an exact configuration; sampled
 // runs go through sampleCached. The returned Stats are shared and frozen
-// — Clone before mutating. loops selects the loop-marked annotated
-// program (LoopDiverge); everything else passes false.
-func RunOne(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
+// — Clone before mutating.
+func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	o = o.norm()
-	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Loops: loops, Cfg: cfg.Canonical()}
+	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Cfg: cfg.Canonical()}
 	return simCache.Do(key, sched.Job{
 		Pool: sched.Shared(o.Parallel),
 		Span: o.Span,
 		Run: func(*telemetry.Span) (*core.Stats, error) {
-			return simulate(bench, cfg, o, loops)
+			return simulate(bench, cfg, o)
 		},
 	})
 }
@@ -85,13 +84,13 @@ func RunOne(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, 
 // simulate is the uncached simulation behind RunOne: one benchmark, one
 // machine configuration, one run. The result is detached from the
 // Machine (Clone) so the cache does not pin simulator state.
-func simulate(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
-	p, err := annotatedCached(bench, o.Scale, loops)
-	if err != nil {
-		return nil, err
+func simulate(bench string, cfg core.Config, o Options) (*core.Stats, error) {
+	pe := programFor(bench, o.Scale, cfg)
+	if pe.err != nil {
+		return nil, pe.err
 	}
 	cfg.CheckRetirement = o.Check
-	m, err := core.New(p, cfg)
+	m, err := core.New(pe.p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -132,9 +131,9 @@ func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
 	e := v.(*sampleEntry)
 	e.once.Do(func() {
-		p, err := annotatedCached(bench, o.Scale, false)
-		if err != nil {
-			e.err = err
+		pe := programFor(bench, o.Scale, sCfg)
+		if pe.err != nil {
+			e.err = pe.err
 			return
 		}
 		var sp *telemetry.Span
@@ -144,7 +143,7 @@ func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}
 		defer sp.End()
 		slots <- struct{}{}
 		defer func() { <-slots }()
-		e.res, e.err = sample.Run(p, sCfg, sample.Options{Slots: slots, Span: sp})
+		e.res, e.err = sample.Run(pe.p, sCfg, sample.Options{Slots: slots, Span: sp})
 	})
 	return e.res, e.err
 }

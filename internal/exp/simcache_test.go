@@ -45,18 +45,18 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	o := simOpts()
 	for name, cfg := range modeConfigs() {
 		for _, bench := range o.Benchmarks {
-			fresh, err := simulate(bench, cfg, o, false)
+			fresh, err := simulate(bench, cfg, o)
 			if err != nil {
 				t.Fatalf("%s/%s fresh: %v", name, bench, err)
 			}
-			cached, err := RunOne(bench, cfg, o, false)
+			cached, err := RunOne(bench, cfg, o)
 			if err != nil {
 				t.Fatalf("%s/%s cached: %v", name, bench, err)
 			}
 			if !statsEqualModuloWall(fresh, cached) {
 				t.Errorf("%s/%s: cached stats differ from fresh\ncached: %v\nfresh:  %v", name, bench, cached, fresh)
 			}
-			again, err := RunOne(bench, cfg, o, false)
+			again, err := RunOne(bench, cfg, o)
 			if err != nil {
 				t.Fatalf("%s/%s hit: %v", name, bench, err)
 			}
@@ -67,11 +67,11 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	}
 	loops := core.EnhancedDMPConfig()
 	loops.EnableLoopDiverge = true
-	fresh, err := simulate("gzip", loops, o, true)
+	fresh, err := simulate("gzip", loops, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := RunOne("gzip", loops, o, true)
+	cached, err := RunOne("gzip", loops, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +105,47 @@ func TestSimCacheDedupAcrossExperiments(t *testing.T) {
 }
 
 // TestSimCacheKeySeparatesVariants pins the key dimensions: checker
-// on/off, scale, and the loop-annotation variant must never alias.
+// on/off and loop diverge on an annotation-reading machine must never
+// alias, while loop diverge on the baseline (which reads no annotations)
+// must.
 func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	Reset()
 	cfg := core.DefaultConfig()
 	o := simOpts()
-	if _, err := RunOne("mcf", cfg, o, false); err != nil {
+	if _, err := RunOne("mcf", cfg, o); err != nil {
 		t.Fatal(err)
 	}
 	noCheck := o
 	noCheck.Check = false
-	if _, err := RunOne("mcf", cfg, noCheck, false); err != nil {
+	if _, err := RunOne("mcf", cfg, noCheck); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := SimCounts(); misses != 2 {
 		t.Errorf("check on/off aliased: %d misses, want 2", misses)
+	}
+	baseLoops := cfg
+	baseLoops.EnableLoopDiverge = true
+	if _, err := RunOne("mcf", baseLoops, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := SimCounts(); misses != 2 {
+		t.Errorf("baseline with loop diverge did not reuse the baseline run: %d misses, want 2", misses)
+	}
+	enh := core.EnhancedDMPConfig()
+	plain, err := RunOne("gzip", enh, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enh.EnableLoopDiverge = true
+	loops, err := RunOne("gzip", enh, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := SimCounts(); misses != 4 {
+		t.Errorf("enhanced with/without loop diverge aliased: %d misses, want 4", misses)
+	}
+	if loops.Episodes <= plain.Episodes {
+		t.Errorf("loop diverge ran %d episodes, plain %d: want the loop-marked program's extra episodes", loops.Episodes, plain.Episodes)
 	}
 }
 
@@ -171,14 +197,14 @@ func TestFrozenStatsGuard(t *testing.T) {
 	defer Reset() // do not leak the poisoned entry to other tests
 	o := simOpts()
 	cfg := core.DefaultConfig()
-	st, err := RunOne("mcf", cfg, o, false)
+	st, err := RunOne("mcf", cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A Clone may be mutated freely without tripping the guard.
 	cl := st.Clone()
 	cl.RetiredInsts += 100
-	if _, err := RunOne("mcf", cfg, o, false); err != nil {
+	if _, err := RunOne("mcf", cfg, o); err != nil {
 		t.Fatalf("hit after mutating a Clone: %v", err)
 	}
 	// Mutating the shared result itself must be caught.
@@ -191,5 +217,5 @@ func TestFrozenStatsGuard(t *testing.T) {
 			t.Errorf("unexpected panic: %v", r)
 		}
 	}()
-	RunOne("mcf", cfg, o, false)
+	RunOne("mcf", cfg, o)
 }

@@ -64,13 +64,6 @@ func New(o Options) *Generated {
 // Generate is the convenience one-call form of New.
 func Generate(o Options) *prog.Program { return New(o).Prog }
 
-// Reemit re-emits the receiver's tree under different options (data
-// seed, iteration count, annotation toggle). The code image is identical
-// to Emit of the same tree under the original options.
-func (g *Generated) Reemit(o Options) *prog.Program {
-	return Emit(g.Root, g.Fns, o.norm())
-}
-
 // Emit lowers a tree to a program: called functions first, then the
 // driver loop wrapping the body. Every construction preserves the lint
 // invariants (see the package comment); when o.Annotate is set the

@@ -166,13 +166,6 @@ func (a *Admitter) RetryAfter() time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// Queued returns the number of waiting requests.
-func (a *Admitter) Queued() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.queued
-}
-
 // Running returns the number of dispatched, unfinished requests.
 func (a *Admitter) Running() int {
 	a.mu.Lock()

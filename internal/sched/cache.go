@@ -19,7 +19,6 @@ type Key struct {
 	Bench string
 	Scale int
 	Check bool // golden-model retirement checker on
-	Loops bool // loop-marked annotation variant (Section 2.7.4)
 	Cfg   core.Config
 }
 
@@ -31,7 +30,7 @@ func (k Key) Label() string {
 	if k.Cfg.CFMSource != "" && k.Cfg.CFMSource != "annotated" {
 		l += "/" + k.Cfg.CFMSource
 	}
-	if k.Loops {
+	if k.Cfg.EnableLoopDiverge {
 		l += "/loops"
 	}
 	return l

@@ -21,14 +21,13 @@ type storeBacking struct {
 }
 
 func (b storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
-	h, err := exp.WorkloadHash(k.Bench, k.Scale, k.Loops)
+	h, err := exp.WorkloadHash(k.Bench, k.Scale, k.Cfg)
 	if err != nil {
 		// No workload identity, no persistent key: the scheduler will
 		// compute (and fail with the real error) instead.
 		return store.Meta{}, false
 	}
-	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: k.Check, Loops: k.Loops,
-		Config: k.Cfg, WorkloadHash: h}, true
+	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: k.Check, Config: k.Cfg, WorkloadHash: h}, true
 }
 
 func (b storeBacking) Load(k sched.Key) (*core.Stats, bool) {

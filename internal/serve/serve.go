@@ -144,7 +144,9 @@ type RunRequest struct {
 	Scale int `json:"scale,omitempty"`
 	// Check enables the golden-model retirement checker (default true).
 	Check *bool `json:"check,omitempty"`
-	// Loops runs the loop-marked annotation variant.
+	// Loops turns on loop diverge (Section 2.7.4): the machine predicates
+	// backward branches too, on the program with loop branches marked.
+	// Baseline and perfect ignore it.
 	Loops bool `json:"loops,omitempty"`
 }
 
@@ -300,6 +302,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg.CFMSource = req.CFMSource
+	cfg.EnableLoopDiverge = req.Loops
 	if err := cfg.Validate(); err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -308,7 +311,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, r, "run", func(sp *telemetry.Span) (*RunStatus, error) {
 		ro := o
 		ro.Span = sp
-		st, err := exp.RunOne(req.Bench, cfg, ro, req.Loops)
+		st, err := exp.RunOne(req.Bench, cfg, ro)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dmp/internal/core"
 	"dmp/internal/exp"
 	"dmp/internal/sched"
 	"dmp/internal/store"
@@ -413,10 +414,64 @@ func TestRunExperimentsKeepsSuccesses(t *testing.T) {
 	}
 }
 
-// TestLoopsRunPersistsUnderLoopsHash covers the store key of the
-// loop-marked annotation variant: a loops run persists under the hash
-// of exp.AnnotatedLoops' program, and a restarted server answers the
-// same request from the store without simulating.
+// TestLoopsRunMatchesLoopDivergeLeg pins what RunRequest.Loops means: a
+// loops:true run is the LoopDiverge experiment's enhanced+loops leg. It
+// reuses the leg's cache entry, its episodes exceed the enhanced run's by
+// the table's loop-episodes cell, and its Stats equal a direct
+// loop-diverge simulation of the loop-marked program.
+func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
+	exp.Reset()
+	defer exp.Reset()
+	tb, err := exp.LoopDiverge(exp.Options{Scale: 1, Benchmarks: []string{"gzip"}, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 2}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	serve := func(loops bool) RunStatus {
+		t.Helper()
+		body := map[string]any{"bench": "gzip", "mode": "enhanced", "scale": 1, "loops": loops}
+		resp, run := postJSON(t, ts.URL+"/v1/runs?wait=1", "loops", body)
+		if resp.StatusCode != http.StatusOK || run.State != "done" {
+			t.Fatalf("status %d state %q error %q", resp.StatusCode, run.State, run.Error)
+		}
+		if run.Counts.Simulated != 0 || run.Counts.Reused != 1 {
+			t.Errorf("loops=%v counts %+v, want the experiment's cached leg reused", loops, run.Counts)
+		}
+		return run
+	}
+	loops, enh := serve(true), serve(false)
+	if got, want := strconv.FormatUint(loops.Stats.Episodes-enh.Stats.Episodes, 10), tb.Rows[0][4]; got != want {
+		t.Errorf("loops run has %s more episodes than enhanced, table says %s", got, want)
+	}
+
+	p, err := exp.AnnotatedLoops("gzip", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.EnhancedDMPConfig()
+	cfg.EnableLoopDiverge = true
+	m, err := core.New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *loops.Stats
+	got.WallSeconds = want.WallSeconds
+	if got != *want {
+		t.Errorf("loops run differs from a loop-diverge simulation\nserved: %v\ndirect: %v", &got, want)
+	}
+}
+
+// TestLoopsRunPersistsUnderLoopsHash covers the store key of a loop
+// diverge run: it persists with EnableLoopDiverge in its config under
+// the hash of exp.AnnotatedLoops' program, and a restarted server
+// answers the same request from the store without simulating.
 func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
 	dir := t.TempDir()
 	defer exp.ResultCache().SetBacking(nil)
@@ -461,7 +516,7 @@ func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
 			persisted = append(persisted, m)
 		}
 	}
-	if len(persisted) != 1 || !persisted[0].Loops || persisted[0].WorkloadHash != want {
+	if len(persisted) != 1 || !persisted[0].Config.EnableLoopDiverge || persisted[0].WorkloadHash != want {
 		t.Fatalf("persisted %+v, want one loops entry under hash %s", persisted, want)
 	}
 

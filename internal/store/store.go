@@ -1,9 +1,10 @@
 // Package store is a content-addressed on-disk result store: the
 // persistent half of the scheduler's result cache (internal/sched's
 // Backing). Entries are keyed by a digest of everything that determines
-// a simulation's outcome — the canonical machine configuration, the
-// benchmark/scale/checker/annotation-variant tuple, and a hash of the
-// workload program itself — and hold versioned, checksummed
+// a simulation's outcome — the canonical machine configuration (whose
+// loop-diverge bit also picks the annotation variant), the
+// benchmark/scale/checker tuple, and a hash of the workload program
+// itself — and hold versioned, checksummed
 // JSON-serialized core.Stats.
 //
 // Durability contract: a reader may never observe a torn or corrupt
@@ -81,7 +82,6 @@ type Meta struct {
 	Bench string `json:"bench"`
 	Scale int    `json:"scale"`
 	Check bool   `json:"check"`
-	Loops bool   `json:"loops"`
 	// Config must be canonical (core.Config.Canonical) so equivalent
 	// configurations share one entry.
 	Config core.Config `json:"config"`

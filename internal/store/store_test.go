@@ -64,7 +64,7 @@ func TestDigestSeparatesVariants(t *testing.T) {
 	for name, m := range map[string]func(Meta) Meta{
 		"scale":    func(m Meta) Meta { m.Scale = 2; return m },
 		"check":    func(m Meta) Meta { m.Check = false; return m },
-		"loops":    func(m Meta) Meta { m.Loops = true; return m },
+		"loops":    func(m Meta) Meta { m.Config.EnableLoopDiverge = true; return m },
 		"bench":    func(m Meta) Meta { m.Bench = "gcc"; return m },
 		"workload": func(m Meta) Meta { m.WorkloadHash = "other"; return m },
 		"config":   func(m Meta) Meta { m.Config = core.DefaultConfig().Canonical(); return m },
