@@ -122,13 +122,6 @@ func (r *RAS) Pop() uint64 {
 	return r.stack[r.top]
 }
 
-// Snapshot copies the RAS state for checkpointing.
-func (r *RAS) Snapshot() RASState {
-	var s RASState
-	r.SnapshotInto(&s)
-	return s
-}
-
 // SnapshotInto copies the RAS state into s, reusing s's backing storage
 // when it is large enough (checkpoint pooling: the core takes a snapshot
 // per control uop, which dominates allocation if each copy is fresh).

@@ -83,7 +83,8 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(1)
 	r.Push(2)
-	snap := r.Snapshot()
+	var snap RASState
+	r.SnapshotInto(&snap)
 	r.Pop()
 	r.Push(99)
 	r.Push(98)

@@ -3,31 +3,42 @@ package core
 import "sync"
 
 // uopArena allocates the machine's uops from chunked slabs instead of one
-// heap object per fetched uop. Slabs come from a process-wide sync.Pool
+// heap object per fetched uop, and takes them back once they are
+// unreachable, so a run's slab count is set by the instruction window,
+// not by the run's length. Slabs come from a process-wide sync.Pool
 // shared by all machines: a slab is zeroed when taken (it may carry a
 // previous machine's dead uops) and every slab goes back to the pool at
-// the end of Run, once no uop can ever be dereferenced again. An
-// experiment sweep that runs hundreds of machines back to back therefore
-// recirculates a working set of a few slabs instead of pushing the
-// per-uop fetch rate through the garbage collector. Pointer-identity
-// semantics within one machine are preserved exactly.
+// the end of Run. An experiment sweep that runs hundreds of machines back
+// to back therefore recirculates a working set of a few slabs.
 //
-// On top of the slabs sits a free list fed by the squash paths that can
-// prove a uop is unreferenced:
+// A recycled uop goes on a free list with its generation (uop.gen)
+// bumped. Holders that may outlive a uop name it by (pointer, gen) — RAT
+// entries and episodes do — so a reused slot reads as stale instead of
+// silently aliasing its new occupant. Uops return to the free list from
+// four places, each of which proves the uop unreachable:
 //
-//   - uops dropped from the front-end queue before rename (recycleFEQ).
-//     Pre-rename uops are referenced only by the queue itself — they have
-//     no waiters, no RAT entry, no ROB/ready/replay/event slot and no
-//     store-buffer entry, all of which are established at rename or
-//     later. The one exception is a diverge branch anchoring an episode
-//     (episode.divergeU), which recycleFEQ therefore refuses; it stays on
-//     its slab until the chunk dies.
+//   - uops dropped from the front-end queue before rename
+//     (Machine.recycleFEQ). Pre-rename uops are referenced only by the
+//     queue itself — they have no waiters, no RAT entry, no
+//     ROB/ready/replay/event slot and no store-buffer entry, all of which
+//     are established at rename or later. (An episode copies what it
+//     reads of its diverge branch, so the branch is no exception.)
 //   - uops squashed by a pipeline flush, after recoverFrom has purged
 //     every transient structure that might still name them (ready queue,
 //     replay list, surviving producers' waiter lists, live episodes'
 //     predicate waiter lists — see reclaimSquashed). A squashed uop whose
 //     completion event is still in the heap is recycled lazily when
 //     completeStage pops it.
+//   - retired uops without a destination (Machine.dropRetired). Only a
+//     producer can be named by a rename map; every other reference to a
+//     uop ends when it leaves the ROB.
+//   - retired producers that no rename map names any more
+//     (reclaimRetired). A retired producer's value must stay readable:
+//     a saved RAT (a branch checkpoint, CP1/CP2, a dual-path stream RAT)
+//     may name it, and a consumer renamed from that RAT reads the value
+//     from the uop — even on a predicate-FALSE path, where the value
+//     differs from the committed register but still decides a load's
+//     address and thus cache timing.
 type uopArena struct {
 	chunks []*[uopChunkSize]uop // every slab taken from the pool
 	next   int                  // next unhanded element of the last slab
@@ -40,9 +51,7 @@ type uopArena struct {
 
 // uopChunkSize is the slab granularity. 64 uops keep a chunk in the
 // small-object allocation path (a whole-chunk clear stays cache-friendly)
-// while still amortising the per-uop allocation; it also bounds how much
-// memory a stray long-lived uop (e.g. a retired producer still named by
-// a cold RAT entry) pins.
+// while still amortising the per-uop allocation.
 const uopChunkSize = 64
 
 // chunkPool shares uop slabs across machines (experiments run many
@@ -52,6 +61,8 @@ const uopChunkSize = 64
 var chunkPool = sync.Pool{New: func() any { return new([uopChunkSize]uop) }}
 
 // alloc returns a zeroed uop.
+//
+//dmp:hotpath
 func (a *uopArena) alloc() *uop {
 	a.allocated++
 	if n := len(a.free); n > 0 {
@@ -88,53 +99,114 @@ func (a *uopArena) release() {
 	a.chunks = nil
 }
 
-// recycle zeroes a provably unreferenced uop and puts it on the free
-// list. The waiter list's backing array is kept (cleared, truncated) so a
-// recycled producer does not regrow it from scratch.
+// recycle zeroes a provably unreferenced uop, bumps its generation and
+// puts it on the free list. The uop's waiter list must already be empty
+// (Machine.recycle frees it).
+//
+//dmp:hotpath
 func (a *uopArena) recycle(u *uop) {
-	w := u.waiters
-	for i := range w {
-		w[i] = waiter{}
-	}
+	gen := u.gen + 1
 	*u = uop{}
-	u.waiters = w[:0]
+	u.gen = gen
 	a.free = append(a.free, u)
 }
 
-// recycleFEQ returns a uop dropped from the front-end queue to the free
-// list. The caller guarantees the uop never renamed; the arena re-checks
-// the one pre-rename escape hatch (an episode's diverge branch) and the
-// rename flag itself, declining rather than corrupting live state.
-func (a *uopArena) recycleFEQ(u *uop) {
-	if u.renamed || u.isDiverge {
-		return
-	}
-	a.recycle(u)
-}
-
-// recycleSquashed returns a flush-squashed uop's storage to the arena,
-// first salvaging its poolable side allocations (the per-branch RAT
-// checkpoint and the fetch snapshot, both referenced by this uop alone).
-func (m *Machine) recycleSquashed(u *uop) {
-	if u.fetchSnap != nil {
-		m.snapPool = append(m.snapPool, u.fetchSnap)
-	}
-	if u.checkpoint != nil {
-		m.ckptPool = append(m.ckptPool, u.checkpoint)
-	}
+// recycle returns an unreachable uop's storage to the arena, first
+// salvaging its poolable side allocations and freeing its waiter list
+// (a squashed producer may still list its squashed consumers).
+//
+//dmp:hotpath
+func (m *Machine) recycle(u *uop) {
+	m.salvage(u)
+	m.freeWaiters(u)
 	m.arena.recycle(u)
 }
 
-// salvageRetired reclaims a retiring uop's side snapshots. Both are read
-// only by misprediction recovery (recoverFrom), and only while the branch
-// is in flight; a retired uop can never again be a recovery point, so its
-// fetch snapshot and RAT checkpoint are dead the moment it leaves the
-// ROB. The uop struct itself stays on its slab — RAT entries and saved
-// checkpoints may still name it as a done producer — but returning the
-// snapshots keeps snapFetch and snapshotRAT allocation-free in steady
-// state, where they otherwise dominate the heap (one snapshot per control
-// uop, one checkpoint per branch).
-func (m *Machine) salvageRetired(u *uop) {
+// addWaiter appends consumer u's source operand which to producer p's
+// waiter list. Nodes come from the machine-wide store, so its size
+// follows the window's number of pending operands rather than any one
+// producer's history.
+//
+//dmp:hotpath
+func (m *Machine) addWaiter(p, u *uop, which int) {
+	i := m.wfree
+	if i != 0 {
+		m.wfree = m.wnodes[i].next
+		m.wnodes[i] = waiter{u: u, which: int32(which)}
+	} else {
+		if len(m.wnodes) == 0 {
+			m.wnodes = append(m.wnodes, waiter{}) // node 0 ends every list
+		}
+		i = int32(len(m.wnodes))
+		m.wnodes = append(m.wnodes, waiter{u: u, which: int32(which)})
+	}
+	if p.wTail != 0 {
+		m.wnodes[p.wTail].next = i
+	} else {
+		p.wHead = i
+	}
+	p.wTail = i
+}
+
+// freeWaiters returns p's whole waiter list to the node store.
+//
+//dmp:hotpath
+func (m *Machine) freeWaiters(p *uop) {
+	if p.wHead == 0 {
+		return
+	}
+	m.wnodes[p.wTail].next = m.wfree
+	m.wfree = p.wHead
+	p.wHead, p.wTail = 0, 0
+}
+
+// dropSquashedWaiters unlinks p's squashed consumers from its waiter
+// list, keeping the survivors in order.
+func (m *Machine) dropSquashedWaiters(p *uop) {
+	prev := int32(0)
+	for i := p.wHead; i != 0; {
+		next := m.wnodes[i].next
+		if m.wnodes[i].u.squashed {
+			if prev == 0 {
+				p.wHead = next
+			} else {
+				m.wnodes[prev].next = next
+			}
+			if p.wTail == i {
+				p.wTail = prev
+			}
+			m.wnodes[i] = waiter{next: m.wfree}
+			m.wfree = i
+		} else {
+			prev = i
+		}
+		i = next
+	}
+}
+
+// recycleFEQ returns a uop dropped from the front-end queue to the arena.
+// The caller guarantees the uop never renamed; the rename flag is
+// re-checked, declining rather than corrupting live state.
+//
+//dmp:hotpath
+func (m *Machine) recycleFEQ(u *uop) {
+	if u.renamed {
+		return
+	}
+	m.recycle(u)
+}
+
+// salvage returns a uop's side snapshots to their pools: the fetch
+// snapshot (every control uop carries one from fetch) and the RAT
+// checkpoint (every branch takes one at rename). Both are read only by
+// misprediction recovery (recoverFrom) while the branch is in flight and
+// only this uop references them, so they are dead once the uop retires
+// or is squashed. Returning them keeps snapFetch and snapshotRAT
+// allocation-free in steady state, where they otherwise dominate the
+// heap.
+//
+//dmp:hotpath
+func (m *Machine) salvage(u *uop) {
 	if u.fetchSnap != nil {
 		m.snapPool = append(m.snapPool, u.fetchSnap)
 		u.fetchSnap = nil
@@ -145,16 +217,193 @@ func (m *Machine) salvageRetired(u *uop) {
 	}
 }
 
-// snapshotRAT copies r into a checkpoint, reusing storage salvaged from
-// squashed branches when available.
-func (m *Machine) snapshotRAT(r *rat) *ratCheckpoint {
-	if n := len(m.ckptPool); n > 0 {
-		c := m.ckptPool[n-1]
-		m.ckptPool = m.ckptPool[:n-1]
-		*c = *r
-		return c
+// dropRetired hands back a uop that just left the ROB. A producer waits
+// in the parked list for reclaimRetired, since rename maps may still name
+// it; any other uop is unreachable and recycles at once.
+//
+//dmp:hotpath
+func (m *Machine) dropRetired(u *uop) {
+	if u.hasDst {
+		m.parked = append(m.parked, u)
+		return
 	}
-	return r.snapshot()
+	m.arena.recycle(u)
+}
+
+// snapshotRAT copies r into a checkpoint from the pool (salvaged from
+// retired and squashed branches and reclaimed episodes).
+//
+//dmp:hotpath
+func (m *Machine) snapshotRAT(r *rat) *ratCheckpoint {
+	if len(m.ckptPool) == 0 {
+		m.ckptPool = growPool(m.ckptPool)
+	}
+	n := len(m.ckptPool)
+	c := m.ckptPool[n-1]
+	m.ckptPool = m.ckptPool[:n-1]
+	*c = *r
+	return c
+}
+
+// poolChunk is how many records a side pool (checkpoints, fetch
+// snapshots, episodes) gains when it runs dry. Growing in chunks makes a
+// new high-water mark, and so an allocation, rare once a run has warmed
+// up.
+const poolChunk = 32
+
+// growPool adds a chunk of zeroed records to pool.
+func growPool[T any](pool []*T) []*T {
+	c := make([]T, poolChunk)
+	for i := range c {
+		pool = append(pool, &c[i])
+	}
+	return pool
+}
+
+// checkpointInto saves r into *c, reusing the checkpoint already there.
+//
+//dmp:hotpath
+func (m *Machine) checkpointInto(c **ratCheckpoint, r *rat) {
+	if *c != nil {
+		**c = *r
+		return
+	}
+	*c = m.snapshotRAT(r)
+}
+
+// dropCheckpoint returns *c to the checkpoint pool and clears it.
+//
+//dmp:hotpath
+func (m *Machine) dropCheckpoint(c **ratCheckpoint) {
+	if *c != nil {
+		m.ckptPool = append(m.ckptPool, *c)
+		*c = nil
+	}
+}
+
+// newEpisode hands out an episode record from the pool, zeroed except
+// for the RAS snapshots' backing arrays. The record joins epLive until
+// reclaimRetired finds it unreachable.
+//
+//dmp:hotpath
+func (m *Machine) newEpisode() *episode {
+	if len(m.epPool) == 0 {
+		m.epPool = growPool(m.epPool)
+	}
+	n := len(m.epPool)
+	ep := m.epPool[n-1]
+	m.epPool = m.epPool[:n-1]
+	m.epLive = append(m.epLive, ep)
+	return ep
+}
+
+// reclaimRetired recycles what nothing in flight can reach any more: the
+// parked retired producers no rename map names, the episode records no
+// in-flight uop or pipeline register points at (returning their
+// checkpoints), and the predicate ids older than any still read. It marks
+// from the roots that can be read later — the active and dual-path RATs,
+// the pending select-uop sources, the in-flight branches' checkpoints,
+// and the reachable episodes' CP1/CP2 — then sweeps. Stale entries (a
+// squashed producer's recycled slot) pin nothing.
+//
+//dmp:hotpath
+func (m *Machine) reclaimRetired() {
+	m.reclaimPass++
+	pass := m.reclaimPass
+	oldestPred := m.preds.next
+
+	pinRAT(&m.rat, pass)
+	for _, r := range m.dualRats {
+		if r != nil {
+			pinRAT(r, pass)
+		}
+	}
+	for i := range m.selPending {
+		m.selPending[i].fromCP2.pin(pass)
+		m.selPending[i].fromRAT.pin(pass)
+	}
+	for _, u := range m.rob {
+		if u.checkpoint != nil {
+			pinRAT(u.checkpoint, pass)
+		}
+		oldestPred = markUop(u, pass, oldestPred)
+	}
+	for _, u := range m.feq {
+		oldestPred = markUop(u, pass, oldestPred)
+	}
+	for _, ep := range m.episodes {
+		oldestPred = markEpisode(ep, pass, oldestPred)
+	}
+	oldestPred = markEpisode(m.selEp, pass, oldestPred)
+	oldestPred = markEpisode(m.live, pass, oldestPred)
+	oldestPred = markEpisode(m.feEp, pass, oldestPred)
+	oldestPred = markEpisode(m.dualEp, pass, oldestPred)
+
+	kept := m.parked[:0]
+	for _, u := range m.parked {
+		if u.pin == pass {
+			kept = append(kept, u)
+		} else {
+			m.arena.recycle(u)
+		}
+	}
+	clear(m.parked[len(kept):])
+	m.parked = kept
+
+	keptEp := m.epLive[:0]
+	for _, ep := range m.epLive {
+		if ep.mark == pass {
+			keptEp = append(keptEp, ep)
+			continue
+		}
+		m.dropCheckpoint(&ep.cp1)
+		m.dropCheckpoint(&ep.cp2)
+		*ep = episode{rasAtDiverge: ep.rasAtDiverge, rasAtCFM: ep.rasAtCFM}
+		m.epPool = append(m.epPool, ep)
+	}
+	clear(m.epLive[len(keptEp):])
+	m.epLive = keptEp
+
+	m.preds.release(oldestPred)
+}
+
+// markUop marks what an in-flight uop can still read: its episode and
+// its predicate ids. It returns oldest lowered to the uop's predicate ids.
+func markUop(u *uop, pass uint32, oldest int) int {
+	oldest = markEpisode(u.ep, pass, oldest)
+	return minPred(minPred(oldest, u.predID), u.selPred)
+}
+
+// markEpisode marks a reachable episode record and pins the producers
+// its checkpoints name. It returns oldest lowered to the episode's
+// predicate ids.
+func markEpisode(ep *episode, pass uint32, oldest int) int {
+	if ep == nil || ep.mark == pass {
+		return oldest
+	}
+	ep.mark = pass
+	if ep.cp1 != nil {
+		pinRAT(ep.cp1, pass)
+	}
+	if ep.cp2 != nil {
+		pinRAT(ep.cp2, pass)
+	}
+	return minPred(minPred(oldest, ep.predID1), ep.predID2)
+}
+
+// minPred lowers oldest to id, ignoring id 0 (unpredicated).
+func minPred(oldest, id int) int {
+	if id != 0 && id < oldest {
+		return id
+	}
+	return oldest
+}
+
+// pinRAT marks every producer r names as reachable in this pass.
+func pinRAT(r *rat, pass uint32) {
+	for i := range r.e {
+		r.e[i].pin(pass)
+	}
 }
 
 // reclaimSquashed removes every remaining reference to the uops a flush
@@ -173,19 +422,7 @@ func (m *Machine) reclaimSquashed(dead []*uop) {
 	// (consumers are always younger than their producers, so the reverse
 	// cannot happen: a squashed producer's waiters are all squashed too).
 	for _, u := range m.rob {
-		if len(u.waiters) == 0 {
-			continue
-		}
-		kept := u.waiters[:0]
-		for _, w := range u.waiters {
-			if !w.u.squashed {
-				kept = append(kept, w)
-			}
-		}
-		for i := len(kept); i < len(u.waiters); i++ {
-			u.waiters[i] = waiter{}
-		}
-		u.waiters = kept
+		m.dropSquashedWaiters(u)
 	}
 	// Surviving episodes' predicates may hold squashed select-uops (a
 	// flush can rewind into an episode past its selects). Dead episodes'
@@ -201,7 +438,7 @@ func (m *Machine) reclaimSquashed(dead []*uop) {
 			// this uop when the event pops.
 			continue
 		}
-		m.recycleSquashed(u)
+		m.recycle(u)
 	}
 }
 

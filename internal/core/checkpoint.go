@@ -69,7 +69,10 @@ func (m *Machine) seedEmus() {
 	// clones it, so the oracle and checker each own their memory and
 	// speculative oracle stores never leak into committed state.
 	ck := emu.Checkpoint{Regs: m.commitRegs, Mem: m.dmem, PC: m.fetchPC, Count: 0, Halted: m.fetchHalted}
-	m.oracle = newFetchOracleFrom(emu.NewFromCheckpoint(m.prog, ck))
+	if m.oracle != nil {
+		m.oracle.em.ReleaseHistory()
+	}
+	m.oracle = newFetchOracleFrom(emu.NewFromCheckpoint(m.prog, ck), m.oracleWindow())
 	if m.cfg.CheckRetirement {
 		m.checker = emu.NewFromCheckpoint(m.prog, ck)
 	}

@@ -66,10 +66,21 @@ func (c ExitCase) String() string {
 // episode is one dynamic predication episode: a low-confidence diverge
 // branch being dynamically predicated (or a dual-path fork). It carries
 // both fetch-side state (phase, CFM watch, alternate counters) and
-// rename-side state (the CP1/CP2 checkpoints).
+// rename-side state (the CP1/CP2 checkpoints). Records come from the
+// machine's episode pool (newEpisode) and go back to it once nothing in
+// flight can reach them (reclaimRetired).
 type episode struct {
-	id        int
-	divergeU  *uop
+	id int
+
+	// The diverge branch. Its pc, seq and oracle mark are copied at entry:
+	// the branch retires, and its uop slot is reused, while the episode's
+	// select-uops and markers may still need them. divergeU names the uop
+	// itself, valid only while divergeGen matches (divergeInFlight).
+	divergePC, divergeSeq uint64
+	divergeMark           oracleMark
+	divergeU              *uop
+	divergeGen            uint32
+
 	cfms      []uint64 // candidate CFM points (CAM contents)
 	cfm       uint64   // CFM chosen by the predicted path (valid once chosen)
 	cfmChosen bool
@@ -106,6 +117,16 @@ type episode struct {
 
 	// dual-path only: per-stream fetch contexts live in the frontend.
 	dual bool
+
+	mark uint32 // the reclaimRetired pass that last found this record reachable
+}
+
+// divergeInFlight reports whether the episode's diverge branch is still
+// in the window, unresolved: its uop slot has not been recycled since
+// entry, and the uop has neither resolved nor been squashed.
+func (ep *episode) divergeInFlight() bool {
+	u := ep.divergeU
+	return u.gen == ep.divergeGen && !u.resolved && !u.squashed
 }
 
 // predicate is one predicate register (Section 2.4): defined by the
@@ -118,30 +139,58 @@ type predicate struct {
 }
 
 // predFile is the predicate register file. IDs are allocated
-// monotonically; id 0 means "not predicated".
+// monotonically (id 0 means "not predicated") into a ring of records:
+// the ids base..next-1 are live, and release moves base past the ids
+// nothing in flight can read any more (reclaimRetired decides which), so
+// the ring stays as small as the window's predicate working set.
 type predFile struct {
-	preds map[int]*predicate
-	next  int
+	ring       []predicate // id's record is ring[id&(len(ring)-1)]
+	base, next int
 }
 
 func newPredFile() *predFile {
-	return &predFile{preds: map[int]*predicate{}, next: 1}
+	return &predFile{ring: make([]predicate, 16), base: 1, next: 1}
 }
 
-// alloc returns a fresh predicate id.
+// alloc returns a fresh predicate id. A reused record keeps its waiter
+// list's backing array.
+//
+//dmp:hotpath
 func (f *predFile) alloc() int {
+	if f.next-f.base == len(f.ring) {
+		f.grow()
+	}
 	id := f.next
 	f.next++
-	f.preds[id] = &predicate{}
+	p := &f.ring[id&(len(f.ring)-1)]
+	*p = predicate{waiters: p.waiters[:0]}
 	return id
 }
 
-// get returns the predicate record for id (nil for id 0).
+// grow doubles the ring, moving every live record to its new slot.
+func (f *predFile) grow() {
+	old := f.ring
+	f.ring = make([]predicate, 2*len(old))
+	for id := f.base; id < f.next; id++ {
+		f.ring[id&(len(f.ring)-1)] = old[id&(len(old)-1)]
+	}
+}
+
+// release frees every id below live, the oldest id anything in flight
+// can still read.
+func (f *predFile) release(live int) {
+	if live > f.base {
+		f.base = live
+	}
+}
+
+// get returns the predicate record for id: nil for id 0 and for ids
+// outside the live range (never allocated, or released).
 func (f *predFile) get(id int) *predicate {
-	if id == 0 {
+	if id < f.base || id >= f.next {
 		return nil
 	}
-	return f.preds[id]
+	return &f.ring[id&(len(f.ring)-1)]
 }
 
 // known reports whether the predicate value has been broadcast. id 0
@@ -150,7 +199,7 @@ func (f *predFile) known(id int) bool {
 	if id == 0 {
 		return true
 	}
-	p := f.preds[id]
+	p := f.get(id)
 	return p != nil && p.known
 }
 
@@ -159,15 +208,19 @@ func (f *predFile) value(id int) bool {
 	if id == 0 {
 		return true
 	}
-	p := f.preds[id]
+	p := f.get(id)
 	return p != nil && p.known && p.value
 }
 
 // broadcast produces a predicate value and returns the uops waiting on
 // it. Broadcasting an already-known predicate to the same value is a
 // no-op; to a different value it panics (that would be a protocol bug).
+//
+// The returned slice aliases the record's waiter list, which keeps its
+// backing array for the next awaits: the caller must consume it before
+// the predicate file is next written (wakePred does).
 func (f *predFile) broadcast(id int, val bool) []*uop {
-	p := f.preds[id]
+	p := f.get(id)
 	if p == nil {
 		return nil
 	}
@@ -180,7 +233,7 @@ func (f *predFile) broadcast(id int, val bool) []*uop {
 	p.known = true
 	p.value = val
 	w := p.waiters
-	p.waiters = nil
+	p.waiters = w[:0]
 	return w
 }
 
@@ -188,7 +241,7 @@ func (f *predFile) broadcast(id int, val bool) []*uop {
 // list (flush cleanup: their storage is about to be recycled, and a later
 // broadcast must not dereference them).
 func (f *predFile) dropSquashedWaiters(id int) {
-	p := f.preds[id]
+	p := f.get(id)
 	if p == nil || len(p.waiters) == 0 {
 		return
 	}
@@ -208,7 +261,7 @@ func (f *predFile) dropSquashedWaiters(id int) {
 // reports whether the value is already known (in which case the caller
 // should not wait).
 func (f *predFile) await(id int, u *uop) bool {
-	p := f.preds[id]
+	p := f.get(id)
 	if p == nil || p.known {
 		return true
 	}

@@ -20,14 +20,21 @@ func (m *Machine) maybeFork(u *uop) bool {
 		return false
 	}
 	m.episodeSeq++
-	ep := &episode{
+	ep := m.newEpisode()
+	*ep = episode{
 		id:             m.episodeSeq,
+		divergePC:      u.pc,
+		divergeSeq:     u.seq,
+		divergeMark:    u.oracleMark,
 		divergeU:       u,
+		divergeGen:     u.gen,
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
 		predID1:        m.preds.alloc(),
 		predID2:        m.preds.alloc(),
 		dual:           true,
+		rasAtDiverge:   ep.rasAtDiverge,
+		rasAtCFM:       ep.rasAtCFM,
 	}
 	if u.predictedTaken {
 		ep.altStartPC = u.pc + 1
@@ -50,8 +57,9 @@ func (m *Machine) maybeFork(u *uop) bool {
 		active: true,
 		pc:     ep.altStartPC,
 		ghr:    u.fetchGHR.Push(!u.predictedTaken),
-		ras:    m.ras.Snapshot(),
+		ras:    m.streams[1].ras,
 	}
+	m.ras.SnapshotInto(&m.streams[1].ras)
 	m.dualActive = true
 	m.fetchStream = 0
 	m.oracleStream = 0
@@ -117,7 +125,8 @@ func (m *Machine) swapInStream(s int) {
 	if s == 0 {
 		return
 	}
-	m.streams[0] = streamCtx{pc: m.fetchPC, ghr: m.fetchGHR, ras: m.ras.Snapshot(), halted: m.fetchHalted}
+	m.streams[0] = streamCtx{pc: m.fetchPC, ghr: m.fetchGHR, ras: m.streams[0].ras, halted: m.fetchHalted}
+	m.ras.SnapshotInto(&m.streams[0].ras)
 	c := m.streams[1]
 	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
@@ -129,7 +138,7 @@ func (m *Machine) swapOutStream(s int) {
 		return
 	}
 	m.streams[1].pc, m.streams[1].ghr, m.streams[1].halted = m.fetchPC, m.fetchGHR, m.fetchHalted
-	m.streams[1].ras = m.ras.Snapshot()
+	m.ras.SnapshotInto(&m.streams[1].ras)
 	c := m.streams[0]
 	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
@@ -156,7 +165,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.recycleFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -175,7 +184,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 		m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
 		m.ras.Restore(c.ras)
 	}
-	m.streams[1] = streamCtx{}
+	m.streams[1] = streamCtx{ras: m.streams[1].ras}
 	m.dualActive = false
 	m.fetchStream = 0
 	m.oracleStream = 0
@@ -195,7 +204,6 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 	m.wakePred(m.preds.broadcast(ep.predID1, true))
 	m.wakePred(m.preds.broadcast(ep.predID2, false))
 	ep.converted = true
-	ep.divergeU.dpConverted = true
 	if m.probe != nil {
 		m.probeEpisode(EpDualAbort, ep)
 	}
@@ -207,7 +215,7 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.recycleFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -218,14 +226,14 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 		m.rat = *m.dualRats[0]
 	}
 	m.dualRats[0], m.dualRats[1] = nil, nil
-	m.streams[1] = streamCtx{}
+	m.streams[1] = streamCtx{ras: m.streams[1].ras}
 	m.dualActive = false
 	m.fetchStream = 0
-	if m.oracleStream == 1 && ep.divergeU.oracleHasStep {
+	if m.oracleStream == 1 && ep.divergeMark.oracleHasStep {
 		// The oracle followed the (correct) forked stream we just
 		// killed: park it at the fork point; the fork branch's eventual
 		// misprediction flush resumes it.
-		if m.oracle.rewindTo(ep.divergeU.oracleCount) {
+		if m.oracle.rewindTo(ep.divergeMark.oracleCount) {
 			m.oracle.pause()
 			m.openWP()
 		}
@@ -249,7 +257,7 @@ func (m *Machine) collapseDualOnFlush(b *uop) {
 	m.dualEp = nil
 	m.dualActive = false
 	m.dualRats[0], m.dualRats[1] = nil, nil
-	m.streams[1] = streamCtx{}
+	m.streams[1] = streamCtx{ras: m.streams[1].ras}
 	m.fetchStream = 0
 	m.oracleStream = 0
 }

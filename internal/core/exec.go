@@ -173,7 +173,7 @@ func (m *Machine) completeStage() {
 		if u.squashed {
 			// This event was the uop's last remaining reference (the flush
 			// purged every other structure; see reclaimSquashed).
-			m.recycleSquashed(u)
+			m.recycle(u)
 			continue
 		}
 		u.done = true
@@ -181,7 +181,8 @@ func (m *Machine) completeStage() {
 			m.probeUop(StageComplete, u)
 		}
 		// Value broadcast.
-		for _, w := range u.waiters {
+		for i := u.wHead; i != 0; i = m.wnodes[i].next {
+			w := m.wnodes[i]
 			if w.u.squashed {
 				continue
 			}
@@ -195,7 +196,7 @@ func (m *Machine) completeStage() {
 			}
 			m.enqueueReady(w.u)
 		}
-		u.waiters = nil
+		m.freeWaiters(u)
 		if u.kind == kindInst && u.inst.IsControl() && u.inst.Op != isa.HALT {
 			m.resolveControl(u)
 		}
@@ -209,7 +210,7 @@ func (m *Machine) resolveControl(u *uop) {
 	if m.traceWP != nil && u.inst.Op == isa.BR {
 		m.traceWP(fmt.Sprintf("resolve pc=%d seq=%d misp=%v pred=%d known=%v val=%v div=%v conv=%v",
 			u.pc, u.seq, u.actualNext != u.predictedNext, u.predID,
-			m.preds.known(u.predID), m.preds.value(u.predID), u.isDiverge, u.dpConverted))
+			m.preds.known(u.predID), m.preds.value(u.predID), u.isDiverge, u.isDiverge && u.ep.converted))
 	}
 	switch u.inst.Op {
 	case isa.JMP, isa.CALL:
@@ -223,7 +224,9 @@ func (m *Machine) resolveControl(u *uop) {
 		return
 	}
 
-	if u.isDiverge && !u.dpConverted {
+	// A diverge branch's u.ep is its own episode; a converted episode is
+	// dead, so its branch resolves as a normal one.
+	if u.isDiverge {
 		if ep := u.ep; ep != nil && ep.phase != dpDead {
 			if ep.dual {
 				m.resolveFork(u, ep)
@@ -234,7 +237,7 @@ func (m *Machine) resolveControl(u *uop) {
 		}
 	}
 	if u.mispredicted {
-		if m.dualEp != nil && u.seq > m.dualEp.divergeU.seq {
+		if m.dualEp != nil && u.seq > m.dualEp.divergeSeq {
 			m.conservativeDualAbort(u, m.dualEp)
 			return
 		}
@@ -319,9 +322,8 @@ func (m *Machine) resolveDiverge(u *uop, ep *episode) {
 		}
 
 	default:
-		// Dead episodes resolve as normal branches (conversion paths set
-		// dpConverted, so this is only reachable for squashed-then-dead
-		// corner states).
+		// Dead episodes resolve as normal branches (resolveControl routes
+		// them past this function, so this is only a safety net).
 		if u.mispredicted {
 			m.recoverFrom(u)
 		}
@@ -345,11 +347,11 @@ func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
 	for _, q := range m.feq {
 		if q.ep == ep && (q.onAlt || q.kind == kindEnterAlt || q.kind == kindExitPred) {
 			q.squashed = true
-			q.sqBy, q.sqAt, q.sqHow = ep.divergeU.seq, m.cycle, "drop-alt-feq"
+			q.sqBy, q.sqAt, q.sqHow = ep.divergeSeq, m.cycle, "drop-alt-feq"
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.recycleFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -396,10 +398,9 @@ func (m *Machine) recoverFrom(b *uop) {
 		if m.probe != nil {
 			m.probeUop(StageSquash, q)
 		}
-		// Pre-rename uops are unreferenced outside the queue; the arena
-		// declines diverge branches, whose episodes (torn down just
-		// below) still read divergeU.seq.
-		m.arena.recycleFEQ(q)
+		// Pre-rename uops are unreferenced outside the queue (episodes
+		// copy what they read of their diverge branch).
+		m.recycleFEQ(q)
 	}
 	m.feq = m.feq[:0]
 
@@ -410,7 +411,7 @@ func (m *Machine) recoverFrom(b *uop) {
 
 	// Kill episodes whose diverge branch was squashed.
 	for _, ep := range m.episodes {
-		if ep.divergeU.seq > b.seq {
+		if ep.divergeSeq > b.seq {
 			m.Stats.ExitCases[0]++
 			if m.probe != nil {
 				m.probeEpisode(EpSquash, ep)
@@ -440,13 +441,13 @@ func (m *Machine) recoverFrom(b *uop) {
 	// is still live and unresolved).
 	m.feEp = nil
 	if snap.epID != 0 {
-		if ep := m.episodes[snap.epID]; ep != nil && ep == m.live && !ep.divergeU.resolved && !ep.divergeU.squashed {
+		if ep := m.episodes[snap.epID]; ep != nil && ep == m.live && ep.divergeInFlight() {
 			ep.phase = snap.phase
 			ep.altFetched = snap.altFetched
 			ep.cfmChosen = snap.cfmChosen
 			ep.cfm = snap.cfm
 			if ep.phase == dpPredicted {
-				ep.cp2 = nil
+				m.dropCheckpoint(&ep.cp2)
 				ep.predID2 = 0
 			}
 			if ep.phase == dpPredicted || ep.phase == dpAlternate {

@@ -26,18 +26,23 @@ func (m *Machine) feqCap() int {
 	return m.cfg.FetchQueueSize + m.cfg.frontEndDelay()*m.cfg.FetchWidth
 }
 
+// snapFetch captures the fetch-side state for a control uop in a
+// snapshot from the pool (salvaged from retired and squashed control
+// uops), keeping its RAS copy's backing array.
+//
+//dmp:hotpath
 func (m *Machine) snapFetch() *fetchSnapshot {
-	var s *fetchSnapshot
-	if n := len(m.snapPool); n > 0 {
-		// Reuse a snapshot salvaged from a squashed control uop, keeping
-		// its RAS copy's backing array.
-		s = m.snapPool[n-1]
-		m.snapPool = m.snapPool[:n-1]
-		ras := s.ras
-		*s = fetchSnapshot{ras: ras}
-	} else {
-		s = &fetchSnapshot{}
+	if len(m.snapPool) == 0 {
+		// Size the new snapshots' RAS copies now, not one at first use.
+		m.snapPool = growPool(m.snapPool)
+		for _, s := range m.snapPool {
+			m.ras.SnapshotInto(&s.ras)
+		}
 	}
+	n := len(m.snapPool)
+	s := m.snapPool[n-1]
+	m.snapPool = m.snapPool[:n-1]
+	*s = fetchSnapshot{ras: s.ras}
 	s.ghr = m.fetchGHR
 	m.ras.SnapshotInto(&s.ras)
 	if m.feEp != nil {
@@ -392,9 +397,14 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		thr = m.cfg.EarlyExitDefault
 	}
 	m.episodeSeq++
-	ep := &episode{
+	ep := m.newEpisode()
+	*ep = episode{
 		id:             m.episodeSeq,
+		divergePC:      u.pc,
+		divergeSeq:     u.seq,
+		divergeMark:    u.oracleMark,
 		divergeU:       u,
+		divergeGen:     u.gen,
 		cfms:           cfms,
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
@@ -402,6 +412,8 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		exitThreshold:  thr,
 		loop:           d.Loop,
 		dynCFM:         dyn,
+		rasAtDiverge:   ep.rasAtDiverge,
+		rasAtCFM:       ep.rasAtCFM,
 	}
 	if dyn {
 		// d points at the machine's scratch Diverge: give the episode its
@@ -416,7 +428,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		ep.altStartPC = u.inst.Target
 	}
 	ep.ghr1 = u.fetchGHR.Push(u.predictedTaken)
-	ep.rasAtDiverge = m.ras.Snapshot()
+	m.ras.SnapshotInto(&ep.rasAtDiverge)
 	u.isDiverge = true
 	u.ep = ep
 	m.live = ep
@@ -435,7 +447,7 @@ func (m *Machine) switchToAlternate(ep *episode) {
 	ep.cfm = m.fetchPC
 	ep.cfmChosen = true
 	ep.ghrAtCFM = m.fetchGHR
-	ep.rasAtCFM = m.ras.Snapshot()
+	m.ras.SnapshotInto(&ep.rasAtCFM)
 	m.emitMarker(kindEnterAlt, ep)
 	ep.predID2 = m.preds.alloc()
 	ep.phase = dpAlternate
@@ -453,8 +465,8 @@ func (m *Machine) switchToAlternate(ep *episode) {
 	// both the usual case, where the oracle paused there when the wrong
 	// predicted path was fetched, and the empty-predicted-path case,
 	// where it never diverged at all.)
-	if ep.divergeU.oracleHasStep && ep.divergeU.oracleTaken != ep.predictedTaken {
-		if m.oracle.rewindTo(ep.divergeU.oracleCount) {
+	if ep.divergeMark.oracleHasStep && ep.divergeMark.oracleTaken != ep.predictedTaken {
+		if m.oracle.rewindTo(ep.divergeMark.oracleCount) {
 			m.closeWP()
 		}
 	}
@@ -481,7 +493,7 @@ func (m *Machine) exitPredication(ep *episode) {
 	// was the correct path and the oracle is waiting at the CFM point.
 	// (Any later squash of the post-CFM work the oracle then executes is
 	// handled by the flush-time rewind in recoverFrom.)
-	if ep.divergeU.onPath && ep.divergeU.oracleTaken == ep.predictedTaken {
+	if ep.divergeMark.onPath && ep.divergeMark.oracleTaken == ep.predictedTaken {
 		if m.oracle.resumeAt(m.fetchPC) {
 			m.closeWP()
 		}
@@ -508,16 +520,16 @@ func (m *Machine) earlyExit(ep *episode) {
 	m.fetchGHR = ep.ghrAtCFM
 	m.ras.Restore(ep.rasAtCFM)
 	m.fetchHalted = false
-	if ep.divergeU.oracleHasStep && ep.divergeU.oracleTaken != ep.predictedTaken {
+	if ep.divergeMark.oracleHasStep && ep.divergeMark.oracleTaken != ep.predictedTaken {
 		// The diverge branch is actually mispredicted, so the oracle was
 		// following (or waiting at) the alternate path we just abandoned.
 		// Park it at the alternate start; the eventual misprediction
 		// flush of the diverge branch resumes it there.
-		if m.oracle.rewindTo(ep.divergeU.oracleCount) {
+		if m.oracle.rewindTo(ep.divergeMark.oracleCount) {
 			m.oracle.pause()
 			m.openWP()
 		}
-	} else if ep.divergeU.onPath {
+	} else if ep.divergeMark.onPath {
 		// Predicted path was correct: the oracle waits at the CFM point.
 		if m.oracle.resumeAt(m.fetchPC) {
 			m.closeWP()
@@ -533,7 +545,6 @@ func (m *Machine) earlyExit(ep *episode) {
 // diverge branch then behaves like a normal branch at resolution.
 func (m *Machine) killEpisodeAssumePredicted(ep *episode) {
 	ep.converted = true
-	ep.divergeU.dpConverted = true
 	m.wakePred(m.preds.broadcast(ep.predID1, true))
 	if ep.predID2 != 0 {
 		m.wakePred(m.preds.broadcast(ep.predID2, false))
@@ -547,7 +558,7 @@ func (m *Machine) killEpisodeAssumePredicted(ep *episode) {
 				if m.probe != nil {
 					m.probeUop(StageSquash, q)
 				}
-				m.arena.recycleFEQ(q)
+				m.recycleFEQ(q)
 				continue
 			}
 			kept = append(kept, q)
@@ -577,7 +588,7 @@ func (m *Machine) teardownEpisode(ep *episode) {
 // emitMarker pushes a predication marker uop into the front-end queue.
 func (m *Machine) emitMarker(kind uopKind, ep *episode) {
 	mu := m.arena.alloc()
-	mu.seq, mu.pc, mu.inst, mu.kind, mu.ep = m.nextSeq(), ep.divergeU.pc, isa.Inst{Op: isa.NOP}, kind, ep
+	mu.seq, mu.pc, mu.inst, mu.kind, mu.ep = m.nextSeq(), ep.divergePC, isa.Inst{Op: isa.NOP}, kind, ep
 	m.Stats.FetchedMarkers++
 	m.pushUop(mu)
 }
@@ -588,7 +599,7 @@ func (m *Machine) emitMarker(kind uopKind, ep *episode) {
 //dmp:hotpath
 func (m *Machine) pushUop(u *uop) {
 	u.renameAt = m.cycle + uint64(m.cfg.frontEndDelay())
-	m.feq = append(m.feq, u)
+	m.feq = pushQueue(m.feqBuf, m.feq, u)
 	if m.probe != nil {
 		m.probeUop(StageFetch, u)
 	}
@@ -605,127 +616,4 @@ func (m *Machine) redirectFetch(pc uint64) {
 // fetches for Figure 1.
 func (m *Machine) noteFetched(u *uop) {
 	m.Stats.FetchedInsts++
-}
-
-// --- wrong-path episode tracking (Figure 1) ---
-
-// openWP starts a wrong-path fetch episode when the oracle pauses.
-func (m *Machine) openWP() {
-	if m.wpOpen != nil {
-		return
-	}
-	m.Stats.OraclePauses++
-	if m.traceWP != nil {
-		m.traceWP("pause")
-	}
-	if m.probe != nil {
-		m.probeOracle(false)
-	}
-	m.wpNextID++
-	if n := len(m.wpPool); n > 0 {
-		e := m.wpPool[n-1]
-		m.wpPool = m.wpPool[:n-1]
-		e.id = m.wpNextID
-		m.wpOpen = e
-		return
-	}
-	m.wpOpen = &wpEpisode{id: m.wpNextID, firstSeen: map[uint64]int{}, split: -1}
-}
-
-// recycleWP resets a finished episode for reuse, keeping the PC log's
-// capacity and the map's buckets (episodes are opened at every oracle
-// pause, so fresh allocations here add up).
-func (m *Machine) recycleWP(e *wpEpisode) {
-	e.pcs = e.pcs[:0]
-	clear(e.firstSeen)
-	e.split = -1
-	e.watchLeft = 0
-	m.wpPool = append(m.wpPool, e)
-}
-
-// recordWrongFetch logs a wrong-path fetched PC into the open episode.
-func (m *Machine) recordWrongFetch(pc uint64) {
-	e := m.wpOpen
-	if e == nil {
-		// Paused before this machine opened an episode (e.g. dual-path
-		// non-oracle stream): open one now.
-		m.openWP()
-		e = m.wpOpen
-	}
-	if _, ok := e.firstSeen[pc]; !ok {
-		e.firstSeen[pc] = len(e.pcs)
-	}
-	e.pcs = append(e.pcs, pc)
-}
-
-// closeWP ends the open wrong-path episode (the oracle resumed); the
-// episode then watches the next correct-path fetches to find where the
-// wrong path had reconverged with the correct path.
-func (m *Machine) closeWP() {
-	if m.wpOpen == nil {
-		return
-	}
-	m.Stats.OracleResumes++
-	if m.traceWP != nil {
-		m.traceWP("resume")
-	}
-	if m.probe != nil {
-		m.probeOracle(true)
-	}
-	e := m.wpOpen
-	m.wpOpen = nil
-	if len(e.pcs) == 0 {
-		m.recycleWP(e)
-		return
-	}
-	e.watchLeft = 512
-	m.wpWatching = append(m.wpWatching, e)
-}
-
-// feedWPWatchers gives a correct-path fetched PC to all watching
-// episodes: the first wrong-path occurrence of a correct-path PC marks
-// the start of the control-independent portion of that wrong path.
-func (m *Machine) feedWPWatchers(pc uint64) {
-	if len(m.wpWatching) == 0 {
-		return
-	}
-	kept := m.wpWatching[:0]
-	for _, e := range m.wpWatching {
-		if idx, ok := e.firstSeen[pc]; ok && (e.split == -1 || idx < e.split) {
-			e.split = idx
-		}
-		e.watchLeft--
-		if e.watchLeft <= 0 || e.split == 0 {
-			m.finishWP(e)
-			m.recycleWP(e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	m.wpWatching = kept
-}
-
-// finishWP accounts a finished wrong-path episode into Figure-1 counters.
-func (m *Machine) finishWP(e *wpEpisode) {
-	if e.split < 0 {
-		m.Stats.FetchedWrongCD += uint64(len(e.pcs))
-		return
-	}
-	m.Stats.FetchedWrongCD += uint64(e.split)
-	m.Stats.FetchedWrongCI += uint64(len(e.pcs) - e.split)
-}
-
-// flushWPAll finalizes all outstanding wrong-path episodes (end of run).
-func (m *Machine) flushWPAll() {
-	if m.wpOpen != nil {
-		e := m.wpOpen
-		m.wpOpen = nil
-		if len(e.pcs) > 0 {
-			m.finishWP(e)
-		}
-	}
-	for _, e := range m.wpWatching {
-		m.finishWP(e)
-	}
-	m.wpWatching = nil
 }

@@ -1,48 +1,38 @@
 package core
 
-// sbEntry is one store-buffer slot. The store buffer holds stores in
-// program order from rename until retirement; dynamically predicated
-// stores carry their predicate register id and are not released to the
-// memory system until the predicate resolves TRUE (Section 2.5).
-type sbEntry struct {
-	u     *uop
-	alive bool
-}
+// The store buffer (Machine.sb) holds stores in program order from
+// rename until retirement; dynamically predicated stores carry their
+// predicate register id and are not released to the memory system until
+// the predicate resolves TRUE (Section 2.5).
 
 func (m *Machine) sbFull() bool { return len(m.sb) >= m.cfg.StoreBufferSize }
 
+// sbAlloc appends a renamed store to the store buffer.
+//
+//dmp:hotpath
 func (m *Machine) sbAlloc(u *uop) {
-	m.sb = append(m.sb, &sbEntry{u: u, alive: true})
+	m.sb = append(m.sb, u)
 }
 
-// sbSquash kills store-buffer entries younger than seq (pipeline flush).
+// sbSquash drops store-buffer entries younger than seq (pipeline flush).
 func (m *Machine) sbSquash(seq uint64) {
 	kept := m.sb[:0]
-	for _, e := range m.sb {
-		if e.u.seq > seq {
-			e.alive = false
-			continue
+	for _, u := range m.sb {
+		if u.seq <= seq {
+			kept = append(kept, u)
 		}
-		kept = append(kept, e)
 	}
 	m.sb = kept
 }
 
-// sbRetireHead removes the oldest live store-buffer entry, which must be
-// the store u (stores retire in program order).
+// sbRetireHead removes the oldest store-buffer entry, which must be the
+// store u (stores retire in program order).
 func (m *Machine) sbRetireHead(u *uop) bool {
-	for i, e := range m.sb {
-		if !e.alive {
-			continue
-		}
-		if e.u != u {
-			return false
-		}
-		e.alive = false
-		m.sb = append(m.sb[:i], m.sb[i+1:]...)
-		return true
+	if len(m.sb) == 0 || m.sb[0] != u {
+		return false
 	}
-	return false
+	m.sb = append(m.sb[:0], m.sb[1:]...)
+	return true
 }
 
 // loadLookup implements the store-to-load forwarding rules of Section
@@ -63,9 +53,8 @@ func (m *Machine) sbRetireHead(u *uop) bool {
 //dmp:hotpath
 func (m *Machine) loadLookup(ld *uop) (val uint64, fromSB, stall bool) {
 	for i := len(m.sb) - 1; i >= 0; i-- {
-		e := m.sb[i]
-		su := e.u
-		if !e.alive || su.squashed || su.seq >= ld.seq {
+		su := m.sb[i]
+		if su.squashed || su.seq >= ld.seq {
 			continue
 		}
 		// Dead-path stores are transparent even before their address is

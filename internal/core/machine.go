@@ -36,10 +36,18 @@ type Machine struct {
 	checker   *emu.Emulator
 	checkStep emu.Step // the checker's record of the instruction being retired
 
-	// Pipeline.
+	// Pipeline. rob and feq slide over the fixed arrays robBuf and feqBuf
+	// (pushQueue).
 	arena           uopArena
-	snapPool        []*fetchSnapshot // salvaged from squashed control uops
-	ckptPool        []*ratCheckpoint // salvaged from squashed branches
+	wnodes          []waiter         // waiter-list nodes (addWaiter); node 0 is the terminator
+	wfree           int32            // head of the free node list
+	parked          []*uop           // retired producers awaiting reclaimRetired
+	parkedKept      int              // parked entries the last reclaimRetired kept
+	reclaimPass     uint32           // number of reclaimRetired passes so far
+	snapPool        []*fetchSnapshot // salvaged from retired and squashed control uops
+	ckptPool        []*ratCheckpoint // salvaged from retired and squashed branches
+	epPool          []*episode       // reclaimed episode records
+	epLive          []*episode       // episode records handed out and not yet reclaimed
 	cycle           uint64
 	seq             uint64
 	fetchPC         uint64
@@ -48,15 +56,18 @@ type Machine struct {
 	fetchHalted     bool
 	feq             []*uop // front-end delay queue (fetch -> rename)
 	rob             []*uop
+	feqBuf, robBuf  []*uop
 	readyQ          []*uop
 	events          eventHeap
-	sb              []*sbEntry
+	sb              []*uop // store buffer: in-flight stores in program order
 	replayLoads     []*uop
 
 	// Rename state.
 	rat        rat
 	dualRats   [2]*rat  // per-stream RATs while a dual-path fork is live
+	dualStore  [2]rat   // storage dualRats points into
 	selPending []selReq // select-uops awaiting insertion bandwidth
+	selBuf     [isa.NumRegs]selReq
 	selEp      *episode
 	selExitSeq uint64 // seq of the exit.pred that queued the selects
 
@@ -85,9 +96,10 @@ type Machine struct {
 	oracleStream int
 
 	// Wrong-path classification (Figure 1).
-	wpOpen     *wpEpisode
-	wpWatching []*wpEpisode
-	wpPool     []*wpEpisode // finished episodes, PC log and map kept for reuse
+	wpOpen     *wpEpisode  // &wpOpenRec while an episode is open, else nil
+	wpOpenRec  wpEpisode   // storage for the open episode
+	wpWatching []wpEpisode // closed episodes still watching the correct path
+	wpIdx      wpIndex     // first-fetch index of every open or watching episode's PCs
 	wpNextID   int
 
 	// traceWP, when set, is called on oracle pause/resume (debugging).
@@ -122,7 +134,6 @@ type streamCtx struct {
 	ghr    bpred.GHR
 	ras    bpred.RASState
 	halted bool
-	rat    *rat // rename-side RAT for this stream (dual mode only)
 }
 
 // selReq is one pending select-uop insertion.
@@ -130,16 +141,6 @@ type selReq struct {
 	reg     isa.Reg
 	fromCP2 ratEntry
 	fromRAT ratEntry
-}
-
-// wpEpisode tracks one wrong-path fetch episode for control-independence
-// classification.
-type wpEpisode struct {
-	id        int
-	pcs       []uint64       // wrong-path PCs in fetch order
-	firstSeen map[uint64]int // pc -> first index in pcs
-	watchLeft int
-	split     int // index where control-independence starts (-1 unknown)
 }
 
 // New builds a machine for p under cfg. The program must already carry
@@ -161,7 +162,7 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	}
 	m.commitRegs[isa.SP] = p.StackBase
 
-	m.oracle = newFetchOracle(p)
+	m.oracle = newFetchOracle(p, m.oracleWindow())
 	if cfg.CheckRetirement {
 		m.checker = emu.New(p)
 	}
@@ -187,8 +188,18 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m.fetchGHR = ws.ghr
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
+	// Twice each queue's bound, so pushQueue never reallocates.
+	m.robBuf = make([]*uop, 2*cfg.ROBSize)
+	m.rob = m.robBuf[:0]
+	m.feqBuf = make([]*uop, 2*(m.feqCap()+1))
+	m.feq = m.feqBuf[:0]
 	return m
 }
+
+// oracleWindow bounds how many instructions the fetch oracle runs ahead
+// of retirement: only fetched, unretired instructions, which the ROB and
+// the fetch queue hold.
+func (m *Machine) oracleWindow() int { return m.cfg.ROBSize + m.feqCap() + 1 }
 
 // Run simulates until the program halts or a run limit is reached, and
 // returns the statistics. A golden-model divergence returns an error.
@@ -251,9 +262,10 @@ func (m *Machine) RunUntil(n uint64) (*Stats, error) {
 
 // Finish finalizes a run started with Run or RunUntil: wall-clock
 // accounting, wrong-path episode flush, merge-predictor counters, probe
-// completion, and arena release. The pipeline is permanently stopped
-// afterwards — no uop will be dereferenced again, so the slabs can go
-// back to the shared pool. Idempotent.
+// completion, and arena and oracle-history release. The pipeline is
+// permanently stopped afterwards — no uop will be dereferenced and the
+// oracle never rewinds again, so the slabs and the history buffers can
+// go back to their shared pools. Idempotent.
 func (m *Machine) Finish() (*Stats, error) {
 	if !m.finished {
 		m.finished = true
@@ -272,6 +284,7 @@ func (m *Machine) Finish() (*Stats, error) {
 			m.probeDone()
 		}
 		m.arena.release()
+		m.oracle.em.ReleaseHistory()
 	}
 	if m.runErr != nil {
 		return &m.Stats, m.runErr
@@ -394,6 +407,20 @@ func (m *Machine) enqueueReady(u *uop) {
 	}
 	u.inReady = true
 	m.readyQ = insertBySeq(m.readyQ, u)
+}
+
+// pushQueue appends u to the FIFO q, a window sliding over the fixed
+// array buf as its head is popped: when q reaches the end of buf, its
+// live entries first move back to the front. buf holds twice the queue's
+// bound, so append never reallocates and the moves cost at most one copy
+// per popped entry.
+//
+//dmp:hotpath
+func pushQueue(buf, q []*uop, u *uop) []*uop {
+	if len(q) == cap(q) && len(q) < len(buf) {
+		q = buf[:copy(buf, q)]
+	}
+	return append(q, u)
 }
 
 // insertBySeq inserts u into the seq-ascending slice q, shifting from the

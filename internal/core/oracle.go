@@ -32,18 +32,24 @@ type fetchOracle struct {
 	st      emu.Step // record of the oracle's latest step, overwritten by the next
 }
 
-func newFetchOracle(p *prog.Program) *fetchOracle {
-	return newFetchOracleFrom(emu.New(p))
+// oracleTrimEvery is how many retirements pass between trims of the
+// oracle's rewind window. A trim only moves the window's base, so it can
+// be frequent, which keeps the window close to the instruction window.
+const oracleTrimEvery = 64
+
+func newFetchOracle(p *prog.Program, window int) *fetchOracle {
+	return newFetchOracleFrom(emu.New(p), window)
 }
 
 // newFetchOracleFrom wraps an already-positioned emulator (the sampling
 // driver seeds it from a mid-program checkpoint). The emulator's Count
 // must equal the machine's retired-instruction count at that point —
 // checkpoint transplant zeroes both — because retirement resync compares
-// the two directly.
-func newFetchOracleFrom(em *emu.Emulator) *fetchOracle {
+// the two directly. window bounds how far the oracle runs ahead of
+// retirement (Machine.oracleWindow).
+func newFetchOracleFrom(em *emu.Emulator, window int) *fetchOracle {
 	o := &fetchOracle{em: em, onPath: true}
-	o.em.EnableHistory()
+	o.em.EnableHistory(window + oracleTrimEvery)
 	return o
 }
 

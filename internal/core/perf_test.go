@@ -98,26 +98,30 @@ func TestInsertBySeqStableOnTies(t *testing.T) {
 // --- uop arena ---
 
 func TestArenaRecyclesOnlySafeUops(t *testing.T) {
-	var a uopArena
-	u := a.alloc()
+	m := lsqMachine(t)
+	u := m.arena.alloc()
 	u.seq = 42
-	a.recycleFEQ(u)
-	if got := a.alloc(); got != u {
+	u.fetchSnap = m.snapFetch()
+	pooled, gen := len(m.snapPool), u.gen
+	m.recycleFEQ(u)
+	if got := m.arena.alloc(); got != u {
 		t.Fatal("free-listed uop not reused by next alloc")
-	} else if got.seq != 0 {
+	} else if got.seq != 0 || got.fetchSnap != nil {
 		t.Fatal("recycled uop not zeroed")
+	} else if got.gen != gen+1 {
+		t.Fatalf("recycle left generation %d, want %d", got.gen, gen+1)
+	}
+	if len(m.snapPool) != pooled+1 {
+		t.Fatalf("front-end recycle left %d pooled fetch snapshots, want %d", len(m.snapPool), pooled+1)
 	}
 
-	// Renamed and diverge uops may still be referenced (ROB, RAT,
-	// episode.divergeU) and must be declined.
-	r := a.alloc()
+	// A renamed uop may still be referenced (ROB, RAT, waiters) and must
+	// be declined.
+	r := m.arena.alloc()
 	r.renamed = true
-	a.recycleFEQ(r)
-	dv := a.alloc()
-	dv.isDiverge = true
-	a.recycleFEQ(dv)
-	if len(a.free) != 0 {
-		t.Fatalf("free list has %d entries after declining unsafe uops", len(a.free))
+	m.recycleFEQ(r)
+	if len(m.arena.free) != 0 {
+		t.Fatalf("free list has %d entries after declining a renamed uop", len(m.arena.free))
 	}
 }
 
@@ -159,7 +163,7 @@ func BenchmarkArenaAllocRecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := a.alloc()
 		u.seq = uint64(i)
-		a.recycleFEQ(u)
+		a.recycle(u)
 	}
 }
 

@@ -249,7 +249,7 @@ func (m *Machine) probeEpisode(kind EpisodeKind, ep *episode) {
 		Cycle:      m.cycle,
 		ID:         ep.id,
 		Kind:       kind,
-		DivergePC:  ep.divergeU.pc,
+		DivergePC:  ep.divergePC,
 		CFM:        ep.cfm,
 		Case:       ep.exitCase,
 		AltFetched: ep.altFetched,

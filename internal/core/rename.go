@@ -5,14 +5,30 @@ import (
 	"fmt"
 )
 
-// ratEntry maps one architectural register to its current producer: a
-// not-yet-retired uop, or a literal value. The M bit implements the
+// ratEntry maps one architectural register to its current producer — a
+// uop, named by (u, gen), in flight or retired but still parked (see
+// reclaimRetired) — or to a literal value. The M bit implements the
 // "modified in dynamic predication mode" tracking used to find the
 // registers that need select-uops (Section 2.4).
 type ratEntry struct {
 	u   *uop // producing uop; nil means val holds the value
 	val uint64
+	gen uint32 // u's generation when the entry was made
 	m   bool
+}
+
+// producerEntry names u as the producer of a register.
+func producerEntry(u *uop, m bool) ratEntry { return ratEntry{u: u, gen: u.gen, m: m} }
+
+// stale reports whether the entry names a uop whose slot the arena has
+// recycled since the entry was made.
+func (e ratEntry) stale() bool { return e.u != nil && e.u.gen != e.gen }
+
+// pin marks the entry's producer as reachable in a reclaimRetired pass.
+func (e ratEntry) pin(pass uint32) {
+	if e.u != nil && !e.stale() {
+		e.u.pin = pass
+	}
 }
 
 // rat is the register alias table. Copies of the whole struct are the
@@ -24,11 +40,6 @@ type rat struct {
 // ratCheckpoint is a saved copy of the RAT.
 type ratCheckpoint = rat
 
-func (r *rat) snapshot() *ratCheckpoint {
-	c := *r
-	return &c
-}
-
 func (r *rat) clearM() {
 	for i := range r.e {
 		r.e[i].m = false
@@ -38,7 +49,7 @@ func (r *rat) clearM() {
 // sameSource reports whether two RAT entries name the same physical value.
 func sameSource(a, b ratEntry) bool {
 	if a.u != nil || b.u != nil {
-		return a.u == b.u
+		return a.u == b.u && a.gen == b.gen
 	}
 	return a.val == b.val
 }
@@ -113,14 +124,14 @@ func (m *Machine) renameOne(u *uop) {
 		// Section 2.4: clear all M bits, then checkpoint CP1.
 		if ep := u.ep; ep != nil && !ep.converted {
 			m.curRAT(u).clearM()
-			ep.cp1 = m.curRAT(u).snapshot()
+			m.checkpointInto(&ep.cp1, m.curRAT(u))
 		}
 		m.finishMarker(u)
 	case kindEnterAlt:
 		// Checkpoint CP2 (end of predicted path), then restore CP1 so
 		// the alternate path renames with pre-branch mappings.
 		if ep := u.ep; ep != nil && !ep.converted && ep.cp1 != nil {
-			ep.cp2 = m.curRAT(u).snapshot()
+			m.checkpointInto(&ep.cp2, m.curRAT(u))
 			*m.curRAT(u) = *ep.cp1
 		}
 		m.finishMarker(u)
@@ -144,7 +155,7 @@ func (m *Machine) renameOne(u *uop) {
 func (m *Machine) finishMarker(u *uop) {
 	u.done = true
 	m.Stats.ExecutedMarkers++
-	m.rob = append(m.rob, u)
+	m.rob = pushQueue(m.robBuf, m.rob, u)
 	if m.probe != nil {
 		m.probeUop(StageComplete, u)
 	}
@@ -160,6 +171,8 @@ func (m *Machine) curRAT(u *uop) *rat {
 }
 
 // renameInst renames a program instruction.
+//
+//dmp:hotpath
 func (m *Machine) renameInst(u *uop) {
 	in := u.inst
 	r := m.curRAT(u)
@@ -179,7 +192,7 @@ func (m *Machine) renameInst(u *uop) {
 	if in.HasDst() && in.Dst != isa.Zero {
 		u.hasDst = true
 		u.dstArch = in.Dst
-		r.e[in.Dst] = ratEntry{u: u, m: true}
+		r.e[in.Dst] = producerEntry(u, true)
 	}
 
 	switch in.Op {
@@ -195,7 +208,7 @@ func (m *Machine) renameInst(u *uop) {
 		m.sbAlloc(u)
 	}
 
-	m.rob = append(m.rob, u)
+	m.rob = pushQueue(m.robBuf, m.rob, u)
 	m.enqueueReady(u)
 }
 
@@ -204,12 +217,23 @@ func (m *Machine) regIdx(r isa.Reg) int { return int(r) % isa.NumRegs }
 
 // operandFrom renames one source operand from a RAT entry, registering
 // the consumer with the producer if the value is not ready yet.
+//
+//dmp:hotpath
 func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operand {
 	if reg == isa.Zero {
 		return operand{ready: true}
 	}
 	if e.u == nil {
 		return operand{ready: true, val: e.val}
+	}
+	if e.stale() {
+		// The producer's slot was recycled: it was squashed (a RAT must
+		// never name a squashed producer, see below), or it retired while
+		// a root reclaimRetired does not scan still named it. Either way
+		// the slot now holds another uop, so fail loudly rather than read
+		// its value.
+		m.fail(u, fmt.Sprintf("renamed %v against a recycled producer (generation %d, slot now at %d)", reg, e.gen, e.u.gen))
+		return operand{ready: true}
 	}
 	if e.u.squashed && !e.u.done {
 		// A RAT entry must never name a squashed producer: its value
@@ -220,7 +244,7 @@ func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operan
 	if e.u.done {
 		return operand{ready: true, val: e.u.dstVal}
 	}
-	e.u.waiters = append(e.u.waiters, waiter{u: u, which: which})
+	m.addWaiter(e.u, u, which)
 	return operand{producer: e.u.seq}
 }
 
@@ -230,6 +254,7 @@ func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operan
 func (m *Machine) queueSelects(ep *episode, exitSeq uint64) {
 	cp2 := ep.cp2
 	r := &m.rat
+	m.selPending = m.selBuf[:0]
 	for i := 0; i < isa.NumRegs; i++ {
 		if isa.Reg(i) == isa.Zero {
 			continue
@@ -262,7 +287,7 @@ func (m *Machine) queueSelects(ep *episode, exitSeq uint64) {
 func (m *Machine) insertSelect(req selReq) {
 	ep := m.selEp
 	su := m.arena.alloc()
-	su.seq, su.pc, su.inst, su.kind = m.selExitSeq, ep.divergeU.pc, isa.Inst{Op: isa.NOP}, kindSelect
+	su.seq, su.pc, su.inst, su.kind = m.selExitSeq, ep.divergePC, isa.Inst{Op: isa.NOP}, kindSelect
 	su.ep, su.selPred = ep, ep.predID1
 	su.hasDst, su.dstArch = true, req.reg
 	su.numSrc, su.renamed = 3, true
@@ -274,8 +299,8 @@ func (m *Machine) insertSelect(req selReq) {
 	su.src1 = m.operandFrom(req.fromCP2, su, 1, req.reg)
 	su.src2 = operand{ready: true}
 	su.src3 = m.operandFrom(req.fromRAT, su, 3, req.reg)
-	m.rat.e[req.reg] = ratEntry{u: su}
-	m.rob = append(m.rob, su)
+	m.rat.e[req.reg] = producerEntry(su, false)
+	m.rob = pushQueue(m.robBuf, m.rob, su)
 	m.preds.await(su.selPred, su)
 	m.enqueueReady(su)
 }
@@ -290,8 +315,8 @@ func (m *Machine) wakePred(ws []*uop) {
 // renameFork snapshots the active RAT into the two dual-path stream RATs.
 func (m *Machine) renameFork(u *uop) {
 	if ep := u.ep; ep != nil && ep.phase != dpDead {
-		a, b := m.rat, m.rat
-		m.dualRats[0], m.dualRats[1] = &a, &b
+		m.dualStore[0], m.dualStore[1] = m.rat, m.rat
+		m.dualRats[0], m.dualRats[1] = &m.dualStore[0], &m.dualStore[1]
 	}
 	m.finishMarker(u)
 }

@@ -14,6 +14,12 @@ import (
 //
 //dmp:hotpath
 func (m *Machine) retireStage() {
+	// A ROB's worth of newly parked producers triggers a reclaim pass,
+	// which bounds the parked list, and so the arena, by the window.
+	if len(m.parked)-m.parkedKept >= m.cfg.ROBSize {
+		m.reclaimRetired()
+		m.parkedKept = len(m.parked)
+	}
 	for n := 0; n < m.cfg.RetireWidth && len(m.rob) > 0; n++ {
 		u := m.rob[0]
 		if !u.done {
@@ -29,8 +35,9 @@ func (m *Machine) retireStage() {
 		if m.probe != nil {
 			m.probeUop(StageRetire, u)
 		}
-		m.salvageRetired(u)
+		m.salvage(u)
 		m.retireOne(u)
+		m.dropRetired(u)
 		if m.halted || m.runErr != nil {
 			return
 		}
@@ -95,7 +102,7 @@ func (m *Machine) retireOne(u *uop) {
 		// lockstep can re-form (see fetchStage's drained-machine resync).
 		m.oracle.em.StepInto(&m.oracle.st) //nolint:errcheck // next check catches drift
 	}
-	if m.retired&1023 == 0 {
+	if m.retired%oracleTrimEvery == 0 {
 		// Retired instructions can never be squashed: shrink the
 		// oracle's rewind window.
 		m.oracle.trim(m.retired)

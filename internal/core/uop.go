@@ -77,9 +77,10 @@ type uop struct {
 	sqAt     uint64 // debug: cycle of the squash
 	sqHow    string // debug: which mechanism squashed it
 
-	// waiters are consumers renamed against this uop's destination that
-	// were not ready at rename time; completion wakes them.
-	waiters []waiter
+	// wHead..wTail is the list of consumers renamed against this uop's
+	// destination that were not ready at rename time, as nodes in
+	// Machine.wnodes (0 = empty); completion wakes them.
+	wHead, wTail int32
 
 	// Dynamic predication.
 	ep      *episode // episode this uop belongs to (nil outside DP mode)
@@ -95,7 +96,6 @@ type uop struct {
 	resolved       bool
 	mispredicted   bool
 	isDiverge      bool // fetched as a dynamically predicated diverge branch
-	dpConverted    bool // diverge reverted to a normal branch (early exit / MDB)
 	lowConf        bool
 	fetchGHR       bpred.GHR // speculative GHR *before* this branch's prediction
 	fetchSnap      *fetchSnapshot
@@ -109,12 +109,8 @@ type uop struct {
 	memLat          int
 
 	// Oracle bookkeeping (statistics and perfect prediction/confidence).
-	onPath        bool // fetched while the oracle was in lockstep
-	wpEpisode     int  // wrong-path episode id (0 = none)
-	oracleTaken   bool // oracle outcome, valid for on-path branches
-	oracleNext    uint64
-	oracleHasStep bool
-	oracleCount   uint64 // architectural step count after the oracle ran it
+	oracleMark
+	oracleNext uint64
 
 	// Dual path.
 	stream int // 0 = primary, 1 = forked stream
@@ -123,12 +119,31 @@ type uop struct {
 	// probe event for this uop (0 = none yet). Unlike seq it is never
 	// shared between uops.
 	obsID uint64
+
+	// Storage lifetime (arena.go). gen counts how often the arena has
+	// recycled this slot, so a (pointer, gen) pair names one uop and goes
+	// stale when the slot is reused. pin is the reclaimRetired pass that
+	// last found this uop named by a rename map.
+	gen uint32
+	pin uint32
 }
 
-// waiter records a consumer waiting on a producer's completion.
+// oracleMark is what the fetch oracle recorded for a uop at fetch. An
+// episode keeps a copy of its diverge branch's mark, which outlives the
+// branch's own uop.
+type oracleMark struct {
+	onPath        bool   // fetched while the oracle was in lockstep
+	oracleHasStep bool   // the oracle executed this instruction
+	oracleTaken   bool   // oracle outcome, valid for on-path branches
+	oracleCount   uint64 // architectural step count after the oracle ran it
+}
+
+// waiter records a consumer waiting on a producer's completion: a node
+// of a producer's waiter list in Machine.wnodes.
 type waiter struct {
 	u     *uop
-	which int // 1, 2 or 3: which source operand
+	which int32 // 1, 2 or 3: which source operand
+	next  int32 // next node of the list (0 = end)
 }
 
 // srcReady reports whether all renamed sources are available.

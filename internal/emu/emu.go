@@ -128,7 +128,7 @@ func (e *Emulator) StepInto(s *Step) error {
 		addr := e.Reg(in.Src1) + uint64(in.Imm)
 		v := e.Reg(in.Src2)
 		if e.hist != nil {
-			e.hist.wr = append(e.hist.wr, histWrite{addr, e.Mem.Read(addr)})
+			e.hist.recordWrite(addr, e.Mem.Read(addr))
 		}
 		e.Mem.Write(addr, v)
 		s.IsStore, s.Addr, s.MemVal = true, addr, v
@@ -166,7 +166,7 @@ func (e *Emulator) StepInto(s *Step) error {
 	e.PC = s.NextPC
 	e.Count++
 	if e.hist != nil {
-		e.hist.marks = append(e.hist.marks, e.markNow())
+		e.hist.recordStep(e)
 	}
 	return nil
 }

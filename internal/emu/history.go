@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"sync"
 
 	"dmp/internal/isa"
 )
@@ -18,9 +19,16 @@ import (
 // lockstep again. The window never needs to reach behind retirement
 // (retired instructions cannot be squashed), which bounds its size by
 // the instruction window.
+//
+// Both logs are rings indexed by absolute position — the mark for step
+// count c at marks[c mod len], write number w at wr[w mod len] — so
+// trimming only moves a base and rewinding only moves an end: neither
+// copies. A ring doubles when the window outgrows it.
 type History struct {
-	base  uint64 // step count of marks[0]
-	marks []histMark
+	base  uint64     // step count of the oldest mark
+	marks []histMark // power-of-two ring of the marks for steps base..Count
+	wbase uint64     // number of the oldest write still logged
+	nwr   uint64     // number of writes logged so far (one past the newest)
 	wr    []histWrite
 }
 
@@ -28,26 +36,92 @@ type histMark struct {
 	regs   [isa.NumRegs]uint64
 	pc     uint64
 	halted bool
-	nwr    int // total memory writes recorded up to and including this step
+	nwr    uint64 // total memory writes logged up to and including this step
 }
 
 type histWrite struct {
 	addr, old uint64
 }
 
+// histPool recirculates history buffers between emulators: a simulator
+// runs many short-lived machines back to back, each with a fetch oracle
+// whose history is sized to the machine's window.
+var histPool sync.Pool // of *History
+
 // EnableHistory starts recording rewind state on every Step. The current
-// state becomes the oldest rewindable point.
-func (e *Emulator) EnableHistory() {
-	e.hist = &History{base: e.Count}
-	e.hist.marks = append(e.hist.marks, e.markNow())
+// state becomes the oldest rewindable point. window is the most steps
+// the caller expects to hold between trims; reserving it up front keeps
+// stepping allocation-free while the window stays within it.
+func (e *Emulator) EnableHistory(window int) {
+	n := 16
+	for n < window+1 {
+		n *= 2
+	}
+	h, _ := histPool.Get().(*History)
+	if h == nil || len(h.marks) < n {
+		h = &History{marks: make([]histMark, n), wr: make([]histWrite, n)}
+	}
+	h.base, h.wbase, h.nwr = e.Count, 0, 0
+	e.hist = h
+	h.marks[e.Count&uint64(len(h.marks)-1)] = e.markNow()
+}
+
+// ReleaseHistory stops recording and hands the history's buffers to a
+// later EnableHistory. The emulator can no longer be rewound.
+func (e *Emulator) ReleaseHistory() {
+	if e.hist != nil {
+		histPool.Put(e.hist)
+		e.hist = nil
+	}
 }
 
 func (e *Emulator) markNow() histMark {
 	m := histMark{regs: e.Regs, pc: e.PC, halted: e.Halted}
 	if e.hist != nil {
-		m.nwr = len(e.hist.wr)
+		m.nwr = e.hist.nwr
 	}
 	return m
+}
+
+// recordStep logs the mark for the step just executed (Count already
+// advanced).
+//
+//dmp:hotpath
+func (h *History) recordStep(e *Emulator) {
+	if e.Count-h.base >= uint64(len(h.marks)) {
+		h.growMarks(e.Count)
+	}
+	h.marks[e.Count&uint64(len(h.marks)-1)] = e.markNow()
+}
+
+// growMarks doubles the mark ring, keeping the marks for steps
+// base..count-1.
+func (h *History) growMarks(count uint64) {
+	old := h.marks
+	h.marks = make([]histMark, 2*len(old))
+	for c := h.base; c < count; c++ {
+		h.marks[c&uint64(len(h.marks)-1)] = old[c&uint64(len(old)-1)]
+	}
+}
+
+// recordWrite logs the value a store is about to overwrite.
+//
+//dmp:hotpath
+func (h *History) recordWrite(addr, old uint64) {
+	if h.nwr-h.wbase >= uint64(len(h.wr)) {
+		h.growWrites()
+	}
+	h.wr[h.nwr&uint64(len(h.wr)-1)] = histWrite{addr, old}
+	h.nwr++
+}
+
+// growWrites doubles the write ring, keeping the logged writes.
+func (h *History) growWrites() {
+	prev := h.wr
+	h.wr = make([]histWrite, 2*len(prev))
+	for w := h.wbase; w < h.nwr; w++ {
+		h.wr[w&uint64(len(h.wr)-1)] = prev[w&uint64(len(prev)-1)]
+	}
 }
 
 // RewindTo restores the emulator to its state immediately after step
@@ -60,14 +134,13 @@ func (e *Emulator) RewindTo(count uint64) error {
 	if count < h.base || count > e.Count {
 		return fmt.Errorf("emu: RewindTo(%d) outside window [%d, %d]", count, h.base, e.Count)
 	}
-	idx := int(count - h.base)
-	m := h.marks[idx]
+	m := h.marks[count&uint64(len(h.marks)-1)]
 	// Undo memory writes performed after the mark, newest first.
-	for i := len(h.wr) - 1; i >= m.nwr; i-- {
-		e.Mem.Write(h.wr[i].addr, h.wr[i].old)
+	for w := h.nwr; w > m.nwr; w-- {
+		x := h.wr[(w-1)&uint64(len(h.wr)-1)]
+		e.Mem.Write(x.addr, x.old)
 	}
-	h.wr = h.wr[:m.nwr]
-	h.marks = h.marks[:idx+1]
+	h.nwr = m.nwr
 	e.Regs, e.PC, e.Halted = m.regs, m.pc, m.halted
 	e.Count = count
 	return nil
@@ -84,16 +157,8 @@ func (e *Emulator) TrimHistory(count uint64) {
 	if count > e.Count {
 		count = e.Count
 	}
-	idx := int(count - h.base)
-	keep := h.marks[idx].nwr
-	// Compact in place; the slices stay amortised O(1) per step.
-	h.wr = append(h.wr[:0], h.wr[keep:]...)
-	for i := range h.marks[idx:] {
-		h.marks[i] = h.marks[idx+i]
-		h.marks[i].nwr -= keep
-	}
-	h.marks = h.marks[:len(h.marks)-idx]
 	h.base = count
+	h.wbase = h.marks[count&uint64(len(h.marks)-1)].nwr
 }
 
 // HistoryLen reports the current window size in steps, for tests.
@@ -101,5 +166,5 @@ func (e *Emulator) HistoryLen() int {
 	if e.hist == nil {
 		return 0
 	}
-	return len(e.hist.marks) - 1
+	return int(e.Count - e.hist.base)
 }

@@ -41,7 +41,7 @@ func capture(e *Emulator) archState {
 
 func TestHistoryRewindExact(t *testing.T) {
 	e := New(historyProg())
-	e.EnableHistory()
+	e.EnableHistory(0)
 
 	var states []archState
 	var mems []uint64 // mem[0x4000] probe after each step
@@ -72,7 +72,7 @@ func TestHistoryRewindExact(t *testing.T) {
 
 func TestHistoryRewindThenReplayMatches(t *testing.T) {
 	e := New(historyProg())
-	e.EnableHistory()
+	e.EnableHistory(0)
 	for i := 0; i < 100; i++ {
 		e.Step() //nolint:errcheck
 	}
@@ -93,7 +93,7 @@ func TestHistoryRewindThenReplayMatches(t *testing.T) {
 
 func TestHistoryTrim(t *testing.T) {
 	e := New(historyProg())
-	e.EnableHistory()
+	e.EnableHistory(0)
 	for i := 0; i < 100; i++ {
 		e.Step() //nolint:errcheck
 	}
@@ -117,7 +117,7 @@ func TestHistoryTrim(t *testing.T) {
 
 func TestHistoryTrimThenContinue(t *testing.T) {
 	e := New(historyProg())
-	e.EnableHistory()
+	e.EnableHistory(0)
 	ref := New(historyProg())
 	for i := 0; i < 50; i++ {
 		e.Step()   //nolint:errcheck
@@ -138,7 +138,7 @@ func TestHistoryErrors(t *testing.T) {
 	if err := e.RewindTo(0); err == nil {
 		t.Error("RewindTo without history succeeded")
 	}
-	e.EnableHistory()
+	e.EnableHistory(0)
 	e.Step() //nolint:errcheck
 	if err := e.RewindTo(5); err == nil {
 		t.Error("RewindTo beyond Count succeeded")
@@ -151,7 +151,7 @@ func TestHistoryQuickRewindReplay(t *testing.T) {
 	f := func(nRaw, backRaw uint8) bool {
 		n := int(nRaw%100) + 10
 		e := New(historyProg())
-		e.EnableHistory()
+		e.EnableHistory(0)
 		ref := New(historyProg())
 		for i := 0; i < n && !e.Halted; i++ {
 			e.Step()   //nolint:errcheck
