@@ -95,7 +95,7 @@ func main() {
 // internal/sample promises: the interval list matches k, the detailed
 // instruction and cycle sums decompose into prefix plus intervals, every
 // interval's IPC is its own retired/cycles, and intervals appear in
-// program order. checkManifest is split out so the contract is testable.
+// program order (sample.Result.Check).
 func validateManifest(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,7 +105,7 @@ func validateManifest(path string) error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("invalid manifest JSON: %w", err)
 	}
-	if err := checkManifest(&m); err != nil {
+	if err := m.Check(); err != nil {
 		return err
 	}
 	detPct := 100 * float64(m.DetailedRetired) / float64(m.TotalInsts)
@@ -113,49 +113,6 @@ func validateManifest(path string) error {
 	fmt.Printf("  %d insts: prefix %d exact, %d intervals of ~%d (detailed %.1f%%), period %d\n",
 		m.TotalInsts, m.PrefixRetired, m.K, m.IntervalLen, detPct, m.Period)
 	fmt.Printf("  IPC estimate %.3f ± %.3f (95%% CI; interval mean %.3f)\n", m.IPC, m.CI95, m.IPCMean)
-	return nil
-}
-
-func checkManifest(m *sample.Result) error {
-	if m.K != len(m.Intervals) {
-		return fmt.Errorf("k = %d but %d intervals listed", m.K, len(m.Intervals))
-	}
-	if m.K == 0 {
-		return fmt.Errorf("manifest has no intervals")
-	}
-	var sumR, sumC uint64
-	var prev uint64
-	for i, iv := range m.Intervals {
-		if iv.Index != i {
-			return fmt.Errorf("interval %d: index %d out of order", i, iv.Index)
-		}
-		if iv.Start < prev {
-			return fmt.Errorf("interval %d: start %d before previous interval at %d", i, iv.Start, prev)
-		}
-		prev = iv.Start
-		if iv.Retired == 0 || iv.Cycles == 0 {
-			return fmt.Errorf("interval %d: empty measurement (%d retired, %d cycles)", i, iv.Retired, iv.Cycles)
-		}
-		if want := float64(iv.Retired) / float64(iv.Cycles); iv.IPC != want {
-			return fmt.Errorf("interval %d: ipc %g but retired/cycles = %g", i, iv.IPC, want)
-		}
-		sumR += iv.Retired
-		sumC += iv.Cycles
-	}
-	if got := m.PrefixRetired + sumR; got != m.DetailedRetired {
-		return fmt.Errorf("detailed_retired %d but prefix %d + interval sum %d = %d",
-			m.DetailedRetired, m.PrefixRetired, sumR, got)
-	}
-	if got := m.PrefixCycles + sumC; got != m.DetailedCycles {
-		return fmt.Errorf("detailed_cycles %d but prefix %d + interval sum %d = %d",
-			m.DetailedCycles, m.PrefixCycles, sumC, got)
-	}
-	if m.DetailedRetired > m.TotalInsts {
-		return fmt.Errorf("detailed_retired %d exceeds total_insts %d", m.DetailedRetired, m.TotalInsts)
-	}
-	if m.IPC <= 0 || m.CI95 < 0 {
-		return fmt.Errorf("implausible estimate: ipc %g, ci95 %g", m.IPC, m.CI95)
-	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,6 +32,9 @@ func goodManifest() sample.Result {
 	}
 }
 
+// TestCheckManifest pins the -manifest contract: validateManifest decodes
+// the file dmpsim -sample-manifest writes and rejects every accounting
+// violation sample.Result.Check knows.
 func TestCheckManifest(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -52,7 +57,18 @@ func TestCheckManifest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := goodManifest()
 			tc.mutate(&m)
-			err := checkManifest(&m)
+			path := filepath.Join(t.TempDir(), "manifest.json")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteManifest(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = validateManifest(path)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -23,7 +23,7 @@
 // continuous functional-warming pass, and short detailed intervals whose
 // measurements extrapolate the full run with a 95% confidence interval.
 // -sample-period/-sample-interval/-sample-warmup override the default
-// parameters (and require -sample); -warm-mode caches restricts the
+// parameters (and require -sample); -sample-warm-mode caches restricts the
 // continuous warming pass to the cache hierarchy (predictors retrain per
 // interval via -sample-warmup — cheaper warming, pair it with a nonzero
 // warmup); -sample-manifest records the per-interval accounting as JSON
@@ -103,7 +103,7 @@ func run(args []string) error {
 		samplePer   = fs.Uint64("sample-period", 0, "instructions per sampling period (0 = default; needs -sample)")
 		sampleIvl   = fs.Uint64("sample-interval", 0, "retired instructions measured per detailed interval (0 = default; needs -sample)")
 		sampleWarm  = fs.Uint64("sample-warmup", 0, "extra per-interval functional warmup instructions (needs -sample)")
-		warmMode    = fs.String("warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
+		warmMode    = fs.String("sample-warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
 		sampleManif = fs.String("sample-manifest", "", "write the sampled run's interval manifest (JSON) to this file (needs -sample)")
 
 		list = fs.Bool("list", false, "list benchmarks and exit")
@@ -326,7 +326,7 @@ func benchName(bench, asm string) string {
 func setSampling(cfg *core.Config, on bool, period, interval, warmup uint64, warmMode, manifest string) error {
 	if !on {
 		if period != 0 || interval != 0 || warmup != 0 || warmMode != "" || manifest != "" {
-			return fmt.Errorf("-sample-period, -sample-interval, -sample-warmup, -warm-mode and -sample-manifest need -sample")
+			return fmt.Errorf("-sample-period, -sample-interval, -sample-warmup, -sample-warm-mode and -sample-manifest need -sample")
 		}
 		return nil
 	}
@@ -340,7 +340,7 @@ func setSampling(cfg *core.Config, on bool, period, interval, warmup uint64, war
 	n.SampleWarmup = warmup
 	n.WarmMode = warmMode
 	if err := n.Validate(); err != nil {
-		return err // e.g. an unknown -warm-mode; leave cfg untouched
+		return err // e.g. an unknown -sample-warm-mode; leave cfg untouched
 	}
 	*cfg = n
 	return nil

@@ -125,10 +125,10 @@ func (m *Machine) swapInStream(s int) {
 	if s == 0 {
 		return
 	}
-	m.streams[0] = streamCtx{pc: m.fetchPC, ghr: m.fetchGHR, ras: m.streams[0].ras, halted: m.fetchHalted}
+	m.streams[0] = streamCtx{pc: m.fetchPC, ghr: m.ghr, ras: m.streams[0].ras, halted: m.fetchHalted}
 	m.ras.SnapshotInto(&m.streams[0].ras)
 	c := m.streams[1]
-	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
+	m.fetchPC, m.ghr, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
 }
 
@@ -137,10 +137,10 @@ func (m *Machine) swapOutStream(s int) {
 		m.fetchStream = 0
 		return
 	}
-	m.streams[1].pc, m.streams[1].ghr, m.streams[1].halted = m.fetchPC, m.fetchGHR, m.fetchHalted
+	m.streams[1].pc, m.streams[1].ghr, m.streams[1].halted = m.fetchPC, m.ghr, m.fetchHalted
 	m.ras.SnapshotInto(&m.streams[1].ras)
 	c := m.streams[0]
-	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
+	m.fetchPC, m.ghr, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
 	m.fetchStream = 0
 }
@@ -181,7 +181,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 	// Fetch continues on the winner's context.
 	if winner == 1 {
 		c := m.streams[1]
-		m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
+		m.fetchPC, m.ghr, m.fetchHalted = c.pc, c.ghr, c.halted
 		m.ras.Restore(c.ras)
 	}
 	m.streams[1] = streamCtx{ras: m.streams[1].ras}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"dmp/internal/isa"
-)
+import "dmp/internal/isa"
 
 // issueStage selects ready uops oldest-first, up to IssueWidth per cycle
 // with LoadPorts data-cache ports, executes them with real data values,
@@ -207,11 +203,6 @@ func (m *Machine) completeStage() {
 // predicate production for diverge branches, and the Table-1 exit cases.
 func (m *Machine) resolveControl(u *uop) {
 	u.resolved = true
-	if m.traceWP != nil && u.inst.Op == isa.BR {
-		m.traceWP(fmt.Sprintf("resolve pc=%d seq=%d misp=%v pred=%d known=%v val=%v div=%v conv=%v",
-			u.pc, u.seq, u.actualNext != u.predictedNext, u.predID,
-			m.preds.known(u.predID), m.preds.value(u.predID), u.isDiverge, u.isDiverge && u.ep.converted))
-	}
 	switch u.inst.Op {
 	case isa.JMP, isa.CALL:
 		return // direct targets never mispredict
@@ -282,7 +273,7 @@ func (m *Machine) resolveDiverge(u *uop, ep *episode) {
 				m.rat = *ep.cp2
 			}
 			m.fetchPC = ep.cfm
-			m.fetchGHR = ep.ghrAtCFM
+			m.ghr = ep.ghrAtCFM
 			m.ras.Restore(ep.rasAtCFM)
 			m.fetchHalted = false
 			m.fetchStallUntil = 0
@@ -368,9 +359,6 @@ func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
 // redirect fetch to the resolved target.
 func (m *Machine) recoverFrom(b *uop) {
 	m.Stats.Flushes++
-	if m.traceWP != nil {
-		m.traceWP(fmt.Sprintf("flush from pc=%d seq=%d onPath=%v -> %d", b.pc, b.seq, b.onPath, b.actualNext))
-	}
 
 	// Squash younger ROB entries.
 	cut := len(m.rob)
@@ -432,7 +420,7 @@ func (m *Machine) recoverFrom(b *uop) {
 	if b.inst.Op == isa.BR {
 		ghr = ghr.SetLast(b.actualTaken)
 	}
-	m.fetchGHR = ghr
+	m.ghr = ghr
 	m.ras.Restore(snap.ras)
 	m.fetchHalted = false
 	m.fetchStallUntil = 0

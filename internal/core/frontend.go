@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dmp/internal/bpred"
 	"dmp/internal/isa"
 	"dmp/internal/prog"
@@ -43,7 +41,7 @@ func (m *Machine) snapFetch() *fetchSnapshot {
 	s := m.snapPool[n-1]
 	m.snapPool = m.snapPool[:n-1]
 	*s = fetchSnapshot{ras: s.ras}
-	s.ghr = m.fetchGHR
+	s.ghr = m.ghr
 	m.ras.SnapshotInto(&s.ras)
 	if m.feEp != nil {
 		s.epID = m.feEp.id
@@ -168,7 +166,7 @@ func (m *Machine) fetchOne() (redirected, isCond bool) {
 	}
 	m.stepOracle(u)
 	m.noteFetched(u)
-	u.fetchGHR = m.fetchGHR
+	u.fetchGHR = m.ghr
 
 	switch in.Op {
 	case isa.BR:
@@ -189,13 +187,13 @@ func (m *Machine) fetchOne() (redirected, isCond bool) {
 		redirected = true
 	case isa.CALLR:
 		m.ras.Push(pc + 1)
-		u.predictedNext = m.itc.Lookup(pc, m.fetchGHR)
+		u.predictedNext = m.itc.Lookup(pc, m.ghr)
 		m.pushUop(u)
 		u.fetchSnap = m.snapFetch()
 		m.redirectFetch(u.predictedNext)
 		redirected = true
 	case isa.JR:
-		u.predictedNext = m.itc.Lookup(pc, m.fetchGHR)
+		u.predictedNext = m.itc.Lookup(pc, m.ghr)
 		m.pushUop(u)
 		u.fetchSnap = m.snapFetch()
 		m.redirectFetch(u.predictedNext)
@@ -236,9 +234,6 @@ func (m *Machine) stepOracle(u *uop) {
 		m.feedWPWatchers(u.pc)
 	} else if wasOn && !m.oracle.onPath {
 		// Fetch just left the correct path at this instruction.
-		if m.traceWP != nil {
-			m.traceWP(fmt.Sprintf("pause-at fetch pc=%d seq=%d ep=%v", u.pc, u.seq, u.ep != nil))
-		}
 		m.openWP()
 		m.recordWrongFetch(u.pc)
 	} else if !m.oracle.onPath {
@@ -251,7 +246,7 @@ func (m *Machine) stepOracle(u *uop) {
 // redirected.
 func (m *Machine) fetchBranch(u *uop) bool {
 	in := u.inst
-	taken := m.pred.Predict(u.pc, m.fetchGHR)
+	taken := m.pred.Predict(u.pc, m.ghr)
 	if m.cfg.Mode == ModePerfect && u.oracleHasStep {
 		taken = u.oracleTaken
 	}
@@ -273,7 +268,7 @@ func (m *Machine) fetchBranch(u *uop) bool {
 	entered := m.maybeEnterDP(u)
 	m.pushUop(u)
 	// Speculative history update with the predicted outcome.
-	m.fetchGHR = m.fetchGHR.Push(taken)
+	m.ghr = m.ghr.Push(taken)
 	u.fetchSnap = m.snapFetch()
 	if entered {
 		if u.ep.dual {
@@ -290,7 +285,7 @@ func (m *Machine) fetchBranch(u *uop) bool {
 // lowConfidence consults the confidence estimator (or the oracle for
 // perfect confidence) for a fetched conditional branch.
 func (m *Machine) lowConfidence(u *uop) bool {
-	if m.cfg.ConfidenceName == "perfect" {
+	if m.perfectConf {
 		return u.oracleHasStep && u.predictedTaken != u.oracleTaken
 	}
 	return m.confEst.LowConfidence(u.pc, u.fetchGHR)
@@ -310,17 +305,14 @@ func (m *Machine) maybeEnterDP(u *uop) bool {
 	if !u.lowConf {
 		return false
 	}
-	d, dyn := m.divergeFor(u)
-	if d == nil || len(d.CFMs) == 0 {
-		// No CFM source for this branch — unannotated under the dynamic
-		// source with nothing learned yet, or a (malformed) annotation
-		// with an empty CFM list: fall back to normal branch prediction.
-		return false
+	d, lk := m.episodeDiverge(m.prog, u.pc)
+	switch lk {
+	case mergeHit:
+		m.Stats.MergeHits++
+	case mergeMiss:
+		m.Stats.MergeMisses++
 	}
-	if m.cfg.Mode == ModeDHP && d.Class != prog.ClassSimpleHammock {
-		return false
-	}
-	if d.Loop && !m.cfg.EnableLoopDiverge {
+	if d == nil {
 		return false
 	}
 	if ep := m.liveEp(); ep != nil {
@@ -337,47 +329,8 @@ func (m *Machine) maybeEnterDP(u *uop) bool {
 			return false
 		}
 	}
-	m.enterEpisode(u, d, dyn)
+	m.enterEpisode(u, d, lk == mergeHit)
 	return true
-}
-
-// divergeFor returns the diverge annotation guiding dynamic-predication
-// entry at the fetched branch u, and whether it came from the runtime
-// merge-point predictor rather than the compiler. With no predictor
-// attached (annotated source, or any non-DMP mode) this is exactly the
-// static annotation. Under the dynamic source the annotation is ignored;
-// under hybrid it wins when present. A predictor hit is synthesized into
-// the machine's scratch Diverge — enterEpisode copies the CFM out, so
-// the scratch may be reused by the next lookup.
-func (m *Machine) divergeFor(u *uop) (d *prog.Diverge, dyn bool) {
-	d = m.prog.DivergeAt(u.pc)
-	if m.merge == nil {
-		return d, false
-	}
-	if m.cfg.CFMSource == "dynamic" {
-		d = nil
-	}
-	if d != nil {
-		return d, false // hybrid: the compiler annotation wins
-	}
-	pr, ok := m.merge.Lookup(u.pc)
-	if !ok {
-		m.Stats.MergeMisses++
-		return nil, false
-	}
-	m.Stats.MergeHits++
-	m.dynCFM[0] = pr.CFM
-	m.dynDiv = prog.Diverge{
-		CFMs: m.dynCFM[:1],
-		// The predictor knows reconvergence, not hammock shape, so the
-		// learned region is treated as a complex (frequently-hit-path)
-		// diverge; backward branches are flagged as loop diverges and
-		// filtered by EnableLoopDiverge like annotated ones.
-		Class:         prog.ClassComplexDiverge,
-		ExitThreshold: pr.ExitThreshold,
-		Loop:          u.inst.Target <= u.pc,
-	}
-	return &m.dynDiv, true
 }
 
 // liveEp returns the unresolved, un-dead episode if one exists. The
@@ -392,10 +345,6 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 	if !m.cfg.MultipleCFM {
 		cfms = cfms[:1]
 	}
-	thr := d.ExitThreshold
-	if thr <= 0 {
-		thr = m.cfg.EarlyExitDefault
-	}
 	m.episodeSeq++
 	ep := m.newEpisode()
 	*ep = episode{
@@ -409,14 +358,14 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
 		predID1:        m.preds.alloc(),
-		exitThreshold:  thr,
+		exitThreshold:  m.exitThreshold(d),
 		loop:           d.Loop,
 		dynCFM:         dyn,
 		rasAtDiverge:   ep.rasAtDiverge,
 		rasAtCFM:       ep.rasAtCFM,
 	}
 	if dyn {
-		// d points at the machine's scratch Diverge: give the episode its
+		// d points at the scratch dynDiv: give the episode its
 		// own copy of the single learned CFM so the scratch can be reused.
 		ep.cfmStore[0] = cfms[0]
 		ep.cfms = ep.cfmStore[:1]
@@ -446,7 +395,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 func (m *Machine) switchToAlternate(ep *episode) {
 	ep.cfm = m.fetchPC
 	ep.cfmChosen = true
-	ep.ghrAtCFM = m.fetchGHR
+	ep.ghrAtCFM = m.ghr
 	m.ras.SnapshotInto(&ep.rasAtCFM)
 	m.emitMarker(kindEnterAlt, ep)
 	ep.predID2 = m.preds.alloc()
@@ -456,7 +405,7 @@ func (m *Machine) switchToAlternate(ep *episode) {
 	}
 	ep.altFetched = 0
 	m.fetchPC = ep.altStartPC
-	m.fetchGHR = ep.ghr1.SetLast(!ep.predictedTaken)
+	m.ghr = ep.ghr1.SetLast(!ep.predictedTaken)
 	m.ras.Restore(ep.rasAtDiverge)
 	m.fetchHalted = false
 	// If the diverge branch was mispredicted, the alternate path is the
@@ -487,7 +436,7 @@ func (m *Machine) exitPredication(ep *episode) {
 	if !m.cfg.KeepAlternateGHR {
 		// Resume post-CFM fetch with the predicted path's history (see
 		// Config.KeepAlternateGHR).
-		m.fetchGHR = ep.ghrAtCFM
+		m.ghr = ep.ghrAtCFM
 	}
 	// If the diverge branch was correctly predicted, the predicted path
 	// was the correct path and the oracle is waiting at the CFM point.
@@ -517,7 +466,7 @@ func (m *Machine) earlyExit(ep *episode) {
 	}
 	m.killEpisodeAssumePredicted(ep)
 	m.fetchPC = ep.cfm
-	m.fetchGHR = ep.ghrAtCFM
+	m.ghr = ep.ghrAtCFM
 	m.ras.Restore(ep.rasAtCFM)
 	m.fetchHalted = false
 	if ep.divergeMark.oracleHasStep && ep.divergeMark.oracleTaken != ep.predictedTaken {

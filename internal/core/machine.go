@@ -5,27 +5,18 @@ import (
 	"time"
 
 	"dmp/internal/bpred"
-	"dmp/internal/cache"
-	"dmp/internal/conf"
 	"dmp/internal/emu"
 	"dmp/internal/isa"
-	"dmp/internal/merge"
 	"dmp/internal/prog"
 )
 
 // Machine is one configured processor instance bound to a program.
 // Create with New, run with Run; a Machine is single-use.
 type Machine struct {
-	cfg  Config
+	// The configuration, predictors, memory system, merge-point
+	// predictor and speculative fetch history (ghr).
+	WarmState
 	prog *prog.Program
-
-	// Predictors and memory system.
-	pred    bpred.DirPredictor
-	confEst conf.Estimator
-	btb     *bpred.BTB
-	ras     *bpred.RAS
-	itc     *bpred.ITC
-	hier    *cache.Hierarchy
 
 	// Architectural (committed) state.
 	commitRegs [isa.NumRegs]uint64
@@ -51,7 +42,6 @@ type Machine struct {
 	cycle           uint64
 	seq             uint64
 	fetchPC         uint64
-	fetchGHR        bpred.GHR
 	fetchStallUntil uint64
 	fetchHalted     bool
 	feq             []*uop // front-end delay queue (fetch -> rename)
@@ -80,14 +70,6 @@ type Machine struct {
 	episodes   map[int]*episode
 	episodeSeq int
 
-	// Merge-point predictor (nil unless Mode is DMP and CFMSource is
-	// dynamic or hybrid). dynDiv/dynCFM are the scratch annotation a
-	// predictor hit is synthesized into; it is only alive between
-	// divergeFor and enterEpisode, which copies the CFM into the episode.
-	merge  *merge.Predictor
-	dynDiv prog.Diverge
-	dynCFM [1]uint64
-
 	// Dual path.
 	streams      [2]streamCtx
 	dualActive   bool
@@ -101,9 +83,6 @@ type Machine struct {
 	wpWatching []wpEpisode // closed episodes still watching the correct path
 	wpIdx      wpIndex     // first-fetch index of every open or watching episode's PCs
 	wpNextID   int
-
-	// traceWP, when set, is called on oracle pause/resume (debugging).
-	traceWP func(string)
 
 	// Observability (probe.go). probe is nil unless SetProbe attached
 	// one; every hook site in the pipeline guards on that. obsSeq hands
@@ -171,21 +150,14 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// newWith builds the machine around an existing learned-state complement
-// (cfg must already be validated, ws must come from newWarmState(cfg) or
-// a Warmer under the same cfg). The caller finishes architectural setup:
-// New starts at the program entry; NewFromCheckpointWarm transplants a
-// checkpoint.
+// newWith builds the machine around an existing learned-state record,
+// copied into the machine (cfg must already be validated, ws must come
+// from newWarmState(cfg) or a Warmer under the same cfg). The caller
+// finishes architectural setup: New starts at the program entry;
+// NewFromCheckpointWarm transplants a checkpoint.
 func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
-	m := &Machine{cfg: cfg, prog: p}
-	m.pred = ws.pred
-	m.confEst = ws.confEst
-	m.btb = ws.btb
-	m.ras = ws.ras
-	m.itc = ws.itc
-	m.hier = ws.hier
-	m.merge = ws.merge
-	m.fetchGHR = ws.ghr
+	m := &Machine{WarmState: *ws, prog: p}
+	m.cfg = cfg
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
 	// Twice each queue's bound, so pushQueue never reallocates.

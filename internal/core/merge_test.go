@@ -20,6 +20,44 @@ func TestEmptyCFMListFallsBack(t *testing.T) {
 	}
 }
 
+// TestEpisodeEntryRule pins the filters of the episode-entry rule fetch
+// and functional warming share (WarmState.episodeDiverge): DHP predicates
+// only simple hammocks, and a loop-marked diverge branch is predicated
+// only with EnableLoopDiverge. Every branch is low-confidence, so the one
+// annotated branch enters an episode exactly when the rule admits it.
+func TestEpisodeEntryRule(t *testing.T) {
+	for _, mode := range []Mode{ModeDMP, ModeDHP} {
+		for _, class := range []prog.BranchClass{prog.ClassSimpleHammock, prog.ClassComplexDiverge} {
+			for _, loop := range []bool{false, true} {
+				for _, enable := range []bool{false, true} {
+					cfg := DMPConfig()
+					cfg.Mode = mode
+					cfg.ConfidenceName = "always-low"
+					cfg.EnableLoopDiverge = enable
+					p, brPC := randomHammockProg(300)
+					p.Diverge[brPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: class, Loop: loop}
+					admitted := !(mode == ModeDHP && class != prog.ClassSimpleHammock) && !(loop && !enable)
+
+					ws, err := newWarmState(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, _ := ws.episodeDiverge(p, brPC)
+					st := runBoth(t, p, cfg)
+					if got := d != nil; got != admitted {
+						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge admitted=%v, want %v",
+							mode, class, loop, enable, got, admitted)
+					}
+					if got := st.Episodes != 0; got != admitted {
+						t.Errorf("%v class=%v loop=%v enable=%v: %d episodes, want admitted=%v",
+							mode, class, loop, enable, st.Episodes, admitted)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAnnotatedSourceByteIdentical pins that spelling out the default
 // CFM source (and setting a table size, which the annotated source
 // ignores) leaves Stats byte-identical to the seed configuration — the

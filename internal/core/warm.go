@@ -20,8 +20,15 @@ import (
 // continuously while fast-forwarding (core.Warmer) and transplants a
 // clone into each detailed interval's machine (NewFromCheckpointWarm),
 // so intervals start with the long-lived learned state an exact run
-// would have instead of cold tables.
+// would have instead of cold tables. A Machine embeds its WarmState: the
+// fetch stage predicts from, and retirement trains, the same record, and
+// ghr is the machine's speculative fetch history.
+//
+// The record also carries the configuration it was built for, because
+// episode entry (episodeDiverge) is a rule over learned state and
+// configuration that fetch and functional warming share.
 type WarmState struct {
+	cfg         Config
 	hier        *cache.Hierarchy
 	pred        bpred.DirPredictor
 	confEst     conf.Estimator
@@ -30,36 +37,28 @@ type WarmState struct {
 	itc         *bpred.ITC
 	merge       *merge.Predictor // nil unless cfg uses the runtime merge predictor
 	ghr         bpred.GHR
-	perfectConf bool
-	// cachesOnly selects the reduced warming mode (Config.WarmMode
-	// "caches"): observe trains only the cache hierarchy and skips
-	// predictor training and wrong-path/episode excursions.
-	cachesOnly bool
+	perfectConf bool // cfg.ConfidenceName == "perfect", read on every branch
 
-	// Episode-entry mirror of Machine.maybeEnterDP, so warming replays
-	// the cache footprint of dynamic predication (see observe).
-	mode        Mode
-	cfmSource   string
-	loopDiverge bool
-	earlyExit   int
-	epStore     [8]uint64 // owned copies of the active region's CFM PCs
-	epCFMs      int       // CFM count while inside a mirrored episode region, else 0
-	epLeft      int       // instruction budget left in that region
-	dynCFM      [1]uint64
-	dynDiv      prog.Diverge
+	// dynDiv/dynCFM are the scratch annotation a merge-predictor hit is
+	// synthesized into (episodeDiverge); the region is only alive until
+	// the caller copies its CFM out.
+	dynDiv prog.Diverge
+	dynCFM [1]uint64
+}
+
+// epRegion is continuous warming's record of the episode region it is
+// replaying (maybeEpisode). It belongs to the Warmer, not to the learned
+// state: a detailed machine tracks its own episodes.
+type epRegion struct {
+	cfms [8]uint64 // owned copies of the region's CFM PCs
+	n    int       // CFM count while inside a replayed region, else 0
+	left int       // instruction budget left in the region
 }
 
 // newWarmState builds the learned-state components for cfg — the same
 // selection Machine construction uses (New installs the result).
 func newWarmState(cfg Config) (WarmState, error) {
-	ws := WarmState{
-		perfectConf: cfg.ConfidenceName == "perfect",
-		cachesOnly:  cfg.WarmMode == "caches",
-		mode:        cfg.Mode,
-		cfmSource:   cfg.CFMSource,
-		loopDiverge: cfg.EnableLoopDiverge,
-		earlyExit:   cfg.EarlyExitDefault,
-	}
+	ws := WarmState{cfg: cfg, perfectConf: cfg.ConfidenceName == "perfect"}
 	switch cfg.PredictorName {
 	case "", "perceptron":
 		ws.pred = bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
@@ -105,28 +104,77 @@ func newWarmState(cfg Config) (WarmState, error) {
 // and the detailed machine the clone seeds can keep training. The RAS is
 // copied eagerly (64 words).
 func (ws *WarmState) clone() *WarmState {
-	c := &WarmState{
-		hier:        ws.hier.Clone(),
-		pred:        bpred.CloneDir(ws.pred),
-		confEst:     conf.CloneEstimator(ws.confEst),
-		btb:         ws.btb.Clone(),
-		ras:         ws.ras.Clone(),
-		itc:         ws.itc.Clone(),
-		ghr:         ws.ghr,
-		perfectConf: ws.perfectConf,
-		cachesOnly:  ws.cachesOnly,
-		mode:        ws.mode,
-		cfmSource:   ws.cfmSource,
-		loopDiverge: ws.loopDiverge,
-		earlyExit:   ws.earlyExit,
-		epStore:     ws.epStore,
-		epCFMs:      ws.epCFMs,
-		epLeft:      ws.epLeft,
-	}
+	c := *ws
+	c.hier = ws.hier.Clone()
+	c.pred = bpred.CloneDir(ws.pred)
+	c.confEst = conf.CloneEstimator(ws.confEst)
+	c.btb = ws.btb.Clone()
+	c.ras = ws.ras.Clone()
+	c.itc = ws.itc.Clone()
 	if ws.merge != nil {
 		c.merge = ws.merge.Clone()
 	}
-	return c
+	return &c
+}
+
+// mergeLookup records whether episode entry consulted the merge-point
+// predictor, and its answer.
+type mergeLookup uint8
+
+const (
+	mergeNotAsked mergeLookup = iota // no predictor, or the annotation won
+	mergeMiss
+	mergeHit
+)
+
+// episodeDiverge is the episode-entry rule fetch (Machine.maybeEnterDP)
+// and functional warming (maybeEpisode) share: the diverge region a
+// low-confidence conditional branch at pc predicates, or nil when it
+// stays a normally predicted branch. The CFM source is the compiler
+// annotation, the runtime merge-point predictor, or their hybrid, per
+// cfg.CFMSource: with no predictor attached (annotated source, or any
+// non-DMP mode) this is the static annotation; under the dynamic source
+// the annotation is ignored; under hybrid it wins when present. A region
+// with no CFM point, a region other than a simple hammock under DHP, and
+// a loop diverge without EnableLoopDiverge are filtered. A predictor hit
+// is synthesized into the scratch dynDiv — the caller copies the CFM out,
+// so the next call may reuse it.
+func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (*prog.Diverge, mergeLookup) {
+	d, lk := p.DivergeAt(pc), mergeNotAsked
+	if ws.merge != nil && (d == nil || ws.cfg.CFMSource == "dynamic") {
+		d, lk = nil, mergeMiss
+		if pr, ok := ws.merge.Lookup(pc); ok {
+			lk = mergeHit
+			ws.dynCFM[0] = pr.CFM
+			ws.dynDiv = prog.Diverge{
+				CFMs: ws.dynCFM[:1],
+				// The predictor knows reconvergence, not hammock shape, so
+				// the learned region is treated as a complex
+				// (frequently-hit-path) diverge; backward branches are
+				// flagged as loop diverges and filtered like annotated ones.
+				Class:         prog.ClassComplexDiverge,
+				ExitThreshold: pr.ExitThreshold,
+				Loop:          p.Code[pc].Target <= pc,
+			}
+			d = &ws.dynDiv
+		}
+	}
+	switch {
+	case d == nil || len(d.CFMs) == 0,
+		ws.cfg.Mode == ModeDHP && d.Class != prog.ClassSimpleHammock,
+		d.Loop && !ws.cfg.EnableLoopDiverge:
+		return nil, lk
+	}
+	return d, lk
+}
+
+// exitThreshold is the early-exit threshold of an episode over d: the
+// region's own, else cfg.EarlyExitDefault.
+func (ws *WarmState) exitThreshold(d *prog.Diverge) int {
+	if d.ExitThreshold > 0 {
+		return d.ExitThreshold
+	}
+	return ws.cfg.EarlyExitDefault
 }
 
 // wrongPathDepth bounds the runahead excursion taken at each mispredicted
@@ -146,10 +194,13 @@ const wrongPathDepth = 256
 // estimator and merge gating see the same correct/incorrect signal).
 // Mispredicted branches additionally replay bounded wrong-path runahead
 // into the caches (see wrongPathDepth); em is the emulator that just
-// executed st, whose state anchors the excursion. One deliberate
-// approximation versus a detailed run remains: SelectiveBPUpdate cannot
-// suppress updates for would-be-predicated branches, since no episodes
-// exist without a pipeline.
+// executed st, whose state anchors the excursion. With an episode region
+// rg, a branch that enters dynamic predication replays the episode's
+// alternate path instead (maybeEpisode); with rg nil no episode is
+// replayed. One deliberate approximation versus a
+// detailed run remains: SelectiveBPUpdate cannot suppress updates for
+// would-be-predicated branches, since no episodes exist without a
+// pipeline.
 //
 // The direction predictor predicts and trains in one fused call
 // (bpred.PredictUpdate): the outcome is known here, and none of the
@@ -157,34 +208,24 @@ const wrongPathDepth = 256
 // result is bit-identical to a separate Predict and Update.
 //
 //dmp:hotpath
-func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step) {
+func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step, rg *epRegion) {
 	pc := st.PC
 	ws.hier.InstLatency(pc * 8)
-	if ws.cachesOnly {
-		// Reduced warming (WarmMode "caches"): only the hierarchy sees the
-		// stream. No predictor training means no mispredict signal, so
-		// wrong-path and episode excursions are skipped too; per-interval
-		// SampleWarmup is expected to rebuild the short-history state.
-		if st.IsLoad || st.IsStore {
-			ws.hier.DataLatency(st.Addr)
-		}
-		return
-	}
-	if ws.epCFMs > 0 {
-		// Inside a mirrored episode region: the machine runs one episode
+	if rg != nil && rg.n > 0 {
+		// Inside a replayed episode region: the machine runs one episode
 		// at a time, so further diverge branches are ignored until the
 		// architectural stream reaches a CFM point (or the budget runs
 		// out — an early exit would have flushed by now).
 		hit := false
-		for _, c := range ws.epStore[:ws.epCFMs] {
+		for _, c := range rg.cfms[:rg.n] {
 			if pc == c {
 				hit = true
 				break
 			}
 		}
-		ws.epLeft--
-		if hit || ws.epLeft <= 0 {
-			ws.epCFMs = 0
+		rg.left--
+		if hit || rg.left <= 0 {
+			rg.n = 0
 		}
 	}
 	in := &st.Inst
@@ -202,7 +243,7 @@ func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step) {
 			ws.btb.Insert(pc, st.NextPC)
 		}
 		ws.ghr = ws.ghr.Push(st.Taken)
-		if !ws.maybeEpisode(em, pc, st, low) && pred != st.Taken {
+		if !(rg != nil && low && ws.maybeEpisode(em, pc, st, rg)) && pred != st.Taken {
 			wrongPC := pc + 1
 			if pred {
 				wrongPC = in.Target
@@ -230,36 +271,38 @@ func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step) {
 	}
 }
 
-// maybeEpisode mirrors Machine.maybeEnterDP on the warmed state: a
-// low-confidence conditional branch with a CFM source starts a dynamic
-// predication episode, during which the machine fetches and executes
-// BOTH hammock paths up to the merge point. The architectural stream
-// already warms the taken side; the excursion replays the other side's
-// fetch and load footprint into the caches, bounded by the episode's
-// early-exit threshold and cut at any CFM point. Reports whether an
-// episode region began at this branch (suppressing mispredict runahead —
-// a predicated branch never flushes).
-func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, low bool) bool {
-	if ws.mode != ModeDMP && ws.mode != ModeDHP {
+// observeCaches is observe for reduced warming (WarmMode "caches"): only
+// the hierarchy sees the stream. No predictor training means no
+// mispredict signal, so wrong-path and episode excursions are skipped
+// too; per-interval SampleWarmup is expected to rebuild the short-history
+// state.
+//
+//dmp:hotpath
+func (ws *WarmState) observeCaches(st *emu.Step) {
+	ws.hier.InstLatency(st.PC * 8)
+	if st.IsLoad || st.IsStore {
+		ws.hier.DataLatency(st.Addr)
+	}
+}
+
+// maybeEpisode replays dynamic predication on the warmed state: a
+// low-confidence conditional branch that the shared entry rule
+// (episodeDiverge) predicates starts an episode, during which the
+// machine fetches and executes BOTH hammock paths up to the merge point.
+// The architectural stream already warms the taken side; the excursion
+// replays the other side's fetch and load footprint into the caches,
+// bounded by the episode's early-exit threshold and cut at any CFM
+// point. Reports whether an episode region began at this branch
+// (suppressing mispredict runahead — a predicated branch never flushes).
+func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, rg *epRegion) bool {
+	if (ws.cfg.Mode != ModeDMP && ws.cfg.Mode != ModeDHP) || rg.n > 0 {
 		return false
 	}
-	if !low || ws.epCFMs > 0 {
+	d, _ := ws.episodeDiverge(em.Prog, pc)
+	if d == nil {
 		return false
 	}
-	d := ws.divergeFor(em.Prog, pc)
-	if d == nil || len(d.CFMs) == 0 {
-		return false
-	}
-	if ws.mode == ModeDHP && d.Class != prog.ClassSimpleHammock {
-		return false
-	}
-	if d.Loop && !ws.loopDiverge {
-		return false
-	}
-	thr := d.ExitThreshold
-	if thr <= 0 {
-		thr = ws.earlyExit
-	}
+	thr := ws.exitThreshold(d)
 	if thr <= 0 || thr > wrongPathDepth {
 		thr = wrongPathDepth
 	}
@@ -267,14 +310,14 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, low
 	if !st.Taken {
 		altPC = st.Inst.Target
 	}
-	ws.epCFMs = copy(ws.epStore[:], d.CFMs)
-	ws.epLeft = wrongPathDepth
+	rg.n = copy(rg.cfms[:], d.CFMs)
+	rg.left = wrongPathDepth
 	em.Excursion(altPC, thr, func(s *emu.Step) bool {
 		ws.hier.InstLatency(s.PC * 8)
 		if s.IsLoad {
 			ws.hier.DataLatency(s.Addr)
 		}
-		for _, c := range ws.epStore[:ws.epCFMs] {
+		for _, c := range rg.cfms[:rg.n] {
 			if s.NextPC == c {
 				return false
 			}
@@ -282,34 +325,6 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, low
 		return true
 	})
 	return true
-}
-
-// divergeFor mirrors Machine.divergeFor for the warmed state: the CFM
-// source is the compiler annotation, the runtime merge-point predictor,
-// or their hybrid, per cfg.CFMSource.
-func (ws *WarmState) divergeFor(p *prog.Program, pc uint64) *prog.Diverge {
-	d := p.DivergeAt(pc)
-	if ws.merge == nil {
-		return d
-	}
-	if ws.cfmSource == "dynamic" {
-		d = nil
-	}
-	if d != nil {
-		return d // hybrid: the compiler annotation wins
-	}
-	pr, ok := ws.merge.Lookup(pc)
-	if !ok {
-		return nil
-	}
-	ws.dynCFM[0] = pr.CFM
-	ws.dynDiv = prog.Diverge{
-		CFMs:          ws.dynCFM[:1],
-		Class:         prog.ClassComplexDiverge,
-		ExitThreshold: pr.ExitThreshold,
-		Loop:          p.Code[pc].Target <= pc,
-	}
-	return &ws.dynDiv
 }
 
 // runahead replays bounded wrong-path execution into the caches: every
@@ -335,6 +350,7 @@ func (ws *WarmState) runahead(em *emu.Emulator, pc uint64) {
 type Warmer struct {
 	em *emu.Emulator
 	ws WarmState
+	rg epRegion
 	st emu.Step // the record WarmTo steps into, reused per instruction
 }
 
@@ -353,12 +369,17 @@ func NewWarmer(p *prog.Program, cfg Config) (*Warmer, error) {
 //
 //dmp:hotpath
 func (w *Warmer) WarmTo(target uint64) error {
+	cachesOnly := w.ws.cfg.WarmMode == "caches"
 	for w.em.Count < target && !w.em.Halted {
 		pc := w.em.PC
 		if err := w.em.StepInto(&w.st); err != nil {
 			return fmt.Errorf("core: functional warm at pc %d: %w", pc, err)
 		}
-		w.ws.observe(w.em, &w.st)
+		if cachesOnly {
+			w.ws.observeCaches(&w.st)
+		} else {
+			w.ws.observe(w.em, &w.st, &w.rg)
+		}
 	}
 	return nil
 }

@@ -22,9 +22,6 @@ func (m *Machine) openWP() {
 		return
 	}
 	m.Stats.OraclePauses++
-	if m.traceWP != nil {
-		m.traceWP("pause")
-	}
 	if m.probe != nil {
 		m.probeOracle(false)
 	}
@@ -62,9 +59,6 @@ func (m *Machine) closeWP() {
 		return
 	}
 	m.Stats.OracleResumes++
-	if m.traceWP != nil {
-		m.traceWP("resume")
-	}
 	if m.probe != nil {
 		m.probeOracle(true)
 	}

@@ -9,7 +9,7 @@ import (
 // state: registers, a deep copy of the sparse data memory, the PC, the
 // instruction count, and the halt flag. The sampling driver captures one
 // per detailed interval during functional fast-forward and transplants
-// it into fresh machines (core.NewFromCheckpoint), so a checkpoint must
+// it into fresh machines (core.NewFromCheckpointWarm), so a checkpoint must
 // stay valid after the emulator that produced it keeps running.
 type Checkpoint struct {
 	Regs   [isa.NumRegs]uint64

@@ -387,44 +387,22 @@ func DualPath(o Options) (*Table, error) {
 // future work, implemented here): enhanced DMP with and without
 // predication of marked backward branches. The loop-diverge run simulates
 // a separately annotated program (profile.Options.IncludeLoops), which
-// RunOne picks from the config's EnableLoopDiverge bit. Benchmarks run
-// concurrently; the baseline and enhanced legs resolve from the result
-// cache when other experiments already ran them.
+// RunOne picks from the config's EnableLoopDiverge bit. The baseline and
+// enhanced suites resolve from the result cache when other experiments
+// already ran them.
 func LoopDiverge(o Options) (*Table, error) {
 	o = o.norm()
-	t := &Table{ID: "loopdiverge", Title: "Diverge loop branches (paper Section 2.7.4, future work)",
-		Header: []string{"bench", "base-IPC", "enhanced%", "enhanced+loops%", "loop-episodes"}}
-	type legs struct {
-		base, enh, loops *core.Stats
-	}
-	results := make([]legs, len(o.Benchmarks))
-	errs := make([]error, len(o.Benchmarks))
-	var wg sync.WaitGroup
-	for i, bench := range o.Benchmarks {
-		wg.Add(1)
-		go func(i int, bench string) {
-			defer wg.Done()
-			r := &results[i]
-			if r.base, errs[i] = RunOne(bench, core.DefaultConfig(), o); errs[i] != nil {
-				return
-			}
-			if r.enh, errs[i] = RunOne(bench, core.EnhancedDMPConfig(), o); errs[i] != nil {
-				return
-			}
-			cfg := core.EnhancedDMPConfig()
-			cfg.EnableLoopDiverge = true
-			if r.loops, errs[i] = RunOne(bench, cfg, o); errs[i] != nil {
-				errs[i] = fmt.Errorf("%s loops: %w", bench, errs[i])
-			}
-		}(i, bench)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	loops := core.EnhancedDMPConfig()
+	loops.EnableLoopDiverge = true
+	all, err := runSuites([]core.Config{core.DefaultConfig(), core.EnhancedDMPConfig(), loops}, o)
+	if err != nil {
 		return nil, err
 	}
+	t := &Table{ID: "loopdiverge", Title: "Diverge loop branches (paper Section 2.7.4, future work)",
+		Header: []string{"bench", "base-IPC", "enhanced%", "enhanced+loops%", "loop-episodes"}}
 	for i, bench := range o.Benchmarks {
-		r := results[i]
-		t.AddRow(bench, f3(r.base.IPC()), f1(pctImp(r.enh, r.base)), f1(pctImp(r.loops, r.base)), d(r.loops.Episodes-r.enh.Episodes))
+		base, enh, lp := all[0][i], all[1][i], all[2][i]
+		t.AddRow(bench, f3(base.IPC()), f1(pctImp(enh, base)), f1(pctImp(lp, base)), d(lp.Episodes-enh.Episodes))
 	}
 	t.Note = "backward (loop) diverge branches predicated like wish loops; episode delta counts the extra loop episodes"
 	return t, nil

@@ -221,18 +221,8 @@ func verify(p *prog.Program, o DiffOptions) *Divergence {
 		if !res.Extrapolated.HaltRetired {
 			return &Divergence{Stage: "sample", Detail: "extrapolated stats did not retire HALT"}
 		}
-		if res.K < 1 || res.K != len(res.Intervals) {
-			return &Divergence{Stage: "sample",
-				Detail: fmt.Sprintf("K=%d but %d intervals", res.K, len(res.Intervals))}
-		}
-		var ivSum uint64
-		for _, iv := range res.Intervals {
-			ivSum += iv.Retired
-		}
-		if res.DetailedRetired != res.PrefixRetired+ivSum {
-			return &Divergence{Stage: "sample",
-				Detail: fmt.Sprintf("detailed %d != prefix %d + intervals %d",
-					res.DetailedRetired, res.PrefixRetired, ivSum)}
+		if err := res.Check(); err != nil {
+			return &Divergence{Stage: "sample", Detail: err.Error()}
 		}
 	}
 	return nil

@@ -165,10 +165,57 @@ func (r *Result) Covers(ipc float64) bool {
 	return math.Abs(ipc-r.IPC) <= r.CI95
 }
 
+// Check verifies the accounting invariants of a sampled run from its
+// manifest fields alone, with no re-simulation: the interval list
+// matches K, intervals appear in program order, every interval's IPC is
+// its own retired/cycles, the detailed instruction and cycle sums
+// decompose into prefix plus intervals, and the estimate is plausible.
+func (r *Result) Check() error {
+	if r.K != len(r.Intervals) {
+		return fmt.Errorf("k = %d but %d intervals listed", r.K, len(r.Intervals))
+	}
+	if r.K == 0 {
+		return fmt.Errorf("manifest has no intervals")
+	}
+	var sumR, sumC uint64
+	var prev uint64
+	for i, iv := range r.Intervals {
+		if iv.Index != i {
+			return fmt.Errorf("interval %d: index %d out of order", i, iv.Index)
+		}
+		if iv.Start < prev {
+			return fmt.Errorf("interval %d: start %d before previous interval at %d", i, iv.Start, prev)
+		}
+		prev = iv.Start
+		if iv.Retired == 0 || iv.Cycles == 0 {
+			return fmt.Errorf("interval %d: empty measurement (%d retired, %d cycles)", i, iv.Retired, iv.Cycles)
+		}
+		if want := float64(iv.Retired) / float64(iv.Cycles); iv.IPC != want {
+			return fmt.Errorf("interval %d: ipc %g but retired/cycles = %g", i, iv.IPC, want)
+		}
+		sumR += iv.Retired
+		sumC += iv.Cycles
+	}
+	if got := r.PrefixRetired + sumR; got != r.DetailedRetired {
+		return fmt.Errorf("detailed_retired %d but prefix %d + interval sum %d = %d",
+			r.DetailedRetired, r.PrefixRetired, sumR, got)
+	}
+	if got := r.PrefixCycles + sumC; got != r.DetailedCycles {
+		return fmt.Errorf("detailed_cycles %d but prefix %d + interval sum %d = %d",
+			r.DetailedCycles, r.PrefixCycles, sumC, got)
+	}
+	if r.DetailedRetired > r.TotalInsts {
+		return fmt.Errorf("detailed_retired %d exceeds total_insts %d", r.DetailedRetired, r.TotalInsts)
+	}
+	if r.IPC <= 0 || r.CI95 < 0 {
+		return fmt.Errorf("implausible estimate: ipc %g, ci95 %g", r.IPC, r.CI95)
+	}
+	return nil
+}
+
 // WriteManifest writes the result as indented JSON: the interval
 // accounting dmpsim -sample-manifest records and dmpobs -manifest
-// validates (interval count, warmup and detailed sums, per-interval IPC
-// consistency) without re-running anything.
+// validates with Check.
 func (r *Result) WriteManifest(w io.Writer) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
