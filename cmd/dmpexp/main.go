@@ -19,7 +19,9 @@
 // -sample-warm-mode override the sampling parameters; with none of them
 // set, each benchmark runs at its own validated operating point (see
 // internal/exp benchPoints). All of them require the sampling experiment
-// to be among the requested ids.
+// to be among the requested ids, and a point dmpsim -sample would reject
+// (an interval, plus its warmup, that does not fit inside the period; an
+// unknown warm mode) is a usage error before anything runs.
 //
 // All requested experiments generate concurrently: the process-wide
 // result cache in internal/exp simulates each unique (benchmark, config,
@@ -62,29 +64,34 @@ import (
 	"strings"
 	"time"
 
+	"dmp/internal/core"
 	"dmp/internal/exp"
 	"dmp/internal/serve"
 	"dmp/internal/telemetry"
 )
 
 func main() {
-	var (
-		scale   = flag.Int("scale", 3, "workload scale factor")
-		bench   = flag.String("bench", "", "comma-separated benchmark subset (default: all 15)")
-		nocheck = flag.Bool("nocheck", false, "disable the golden-model checker (faster)")
-		par     = flag.Int("parallel", 0, "simulation worker cap, shared by all experiments (default NumCPU)")
-		remote  = flag.String("remote", "", "run on a dmpserve daemon at this base URL instead of locally")
+	os.Exit(run(os.Args[1:]))
+}
 
-		sampleJSON = flag.String("sample-json", "", "write the sampling experiment's report (JSON) to this file")
-		sampleGate = flag.Float64("sample-gate", 0, "fail unless every sampled benchmark has |IPC err%| <= this and CI coverage (0 = off)")
-		samplePer  = flag.Uint64("sample-period", 0, "sampling experiment: instructions per period (0 = default)")
-		sampleIvl  = flag.Uint64("sample-interval", 0, "sampling experiment: retired instructions per detailed interval (0 = default)")
-		sampleWarm = flag.Uint64("sample-warmup", 0, "sampling experiment: extra per-interval warmup instructions")
-		sampleWM   = flag.String("sample-warm-mode", "", "sampling experiment: warm mode (full or caches; default per-benchmark)")
+// run is the whole command; it returns the process exit status. Usage
+// errors, a bad sampling point included, return 2 before anything runs.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		scale   = fs.Int("scale", 3, "workload scale factor")
+		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: all 15)")
+		nocheck = fs.Bool("nocheck", false, "disable the golden-model checker (faster)")
+		par     = fs.Int("parallel", 0, "simulation worker cap, shared by all experiments (default NumCPU)")
+		remote  = fs.String("remote", "", "run on a dmpserve daemon at this base URL instead of locally")
+
+		sampleJSON = fs.String("sample-json", "", "write the sampling experiment's report (JSON) to this file")
+		sampleGate = fs.Float64("sample-gate", 0, "fail unless every sampled benchmark has |IPC err%| <= this and CI coverage (0 = off)")
+		samplePt   = exp.SampleFlags(fs)
 	)
 	var obsFlags telemetry.Flags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	opts := exp.DefaultOptions()
 	opts.Scale = *scale
@@ -93,32 +100,33 @@ func main() {
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")
 	}
-	opts.SamplePeriod = *samplePer
-	opts.SampleInterval = *sampleIvl
-	opts.SampleWarmup = *sampleWarm
-	opts.SampleWarmMode = *sampleWM
+	opts.Sample = *samplePt
 
 	// Usage errors exit before anything starts.
-	ids, err := exp.Resolve(flag.Args())
+	usage := func(msg string) int {
+		fmt.Fprintf(os.Stderr, "dmpexp: %s\n", msg)
+		return 2
+	}
+	ids, err := exp.Resolve(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
-		os.Exit(2)
+		return usage(err.Error())
+	}
+	if err := samplePt.Validate(); err != nil {
+		return usage(err.Error())
 	}
 	// Everything past the remote check runs simulations (or inspects
 	// local telemetry) on this host; the remote path delegates all of it
 	// to the daemon.
-	if *remote != "" && (*sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
-		*sampleWarm != 0 || *sampleWM != "" || obsFlags.On || obsFlags.Out != "") {
-		fmt.Fprintln(os.Stderr, "dmpexp: -sample-* and -telemetry* are local-only; drop them with -remote")
-		os.Exit(2)
+	sampleFlags := *sampleJSON != "" || *sampleGate != 0 || opts.Sample != (core.SamplePoint{})
+	if *remote != "" && (sampleFlags || obsFlags.On || obsFlags.Out != "") {
+		return usage("-sample-* and -telemetry* are local-only; drop them with -remote")
 	}
 	wantSampling := false
 	for _, id := range ids {
 		wantSampling = wantSampling || id == "sampling"
 	}
-	if !wantSampling && (*sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 || *sampleWarm != 0 || *sampleWM != "") {
-		fmt.Fprintln(os.Stderr, "dmpexp: -sample-* flags need the sampling experiment among the requested ids")
-		os.Exit(2)
+	if !wantSampling && sampleFlags {
+		return usage("-sample-* flags need the sampling experiment among the requested ids")
 	}
 
 	// The telemetry Set is process-global (Enable), so the result cache,
@@ -126,23 +134,23 @@ func main() {
 	// into it without plumbing. With it on, the structured feed (and its
 	// live progress line) replaces the ad-hoc per-experiment stderr
 	// timing lines; stdout is untouched either way.
-	run, err := obsFlags.Start("dmpexp", "exp", fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " ")))
+	obsRun, err := obsFlags.Start("dmpexp", "exp", fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " ")))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	// os.Exit skips deferred calls, so every exit path below goes
-	// through this instead of a bare os.Exit.
-	exit := func(code int) {
-		if err := run.Finish(); err != nil {
+	// Every return below goes through this, so a failed run still
+	// finishes its profiles and telemetry.
+	exit := func(code int) int {
+		if err := obsRun.Finish(); err != nil {
 			fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
 		}
-		os.Exit(code)
+		return code
 	}
 	if *remote != "" {
-		exit(runRemote(*remote, ids, opts))
+		return exit(runRemote(*remote, ids, opts))
 	}
-	tel := run.Set
+	tel := obsRun.Set
 	var progress *telemetry.Progress
 	if tel != nil {
 		progress = telemetry.NewProgress(os.Stderr, telemetry.IsTerminal(os.Stderr))
@@ -155,7 +163,7 @@ func main() {
 	// decide the exit status at the end.
 	start := time.Now()
 	o := opts
-	o.Span = run.Root
+	o.Span = obsRun.Root
 	var failed []error
 	presented := 0
 	serve.RunExperiments(ids, o, func(id string, t *exp.Table, err error, elapsed time.Duration) {
@@ -210,9 +218,9 @@ func main() {
 		}
 	}
 	if err := errors.Join(failed...); err != nil {
-		exit(1)
+		return exit(1)
 	}
-	exit(0)
+	return exit(0)
 }
 
 // writeSampleJSON records the sampling report (BENCH_sample.json).

@@ -44,9 +44,6 @@ func main() {
 		iters      = flag.Int("iters", 0, "driver-loop trips per program (0 = generator default)")
 		depth      = flag.Int("depth", 0, "max structural nesting depth (0 = default)")
 		stmts      = flag.Int("stmts", 0, "top-level statements in the driver body (0 = default)")
-		noLoops    = flag.Bool("no-loops", false, "disable loop nodes")
-		noCalls    = flag.Bool("no-calls", false, "disable call-tree nodes")
-		noComplex  = flag.Bool("no-complex", false, "disable unstructured complex regions")
 		noAnnotate = flag.Bool("no-annotate", false, "disable the CFM-annotation synthesizer")
 		doSample   = flag.Bool("sample", false, "also check sampled-vs-exact accounting invariants")
 		dump       = flag.Bool("dump", false, "with -seed: print the generated program")
@@ -68,9 +65,6 @@ func main() {
 	if *stmts > 0 {
 		base.Stmts = *stmts
 	}
-	base.Loops = !*noLoops
-	base.Calls = !*noCalls
-	base.Complex = !*noComplex
 	base.Annotate = !*noAnnotate
 	dopts := diff.DiffOptions{Sample: *doSample}
 

@@ -24,8 +24,6 @@ import (
 
 	"dmp/internal/exp"
 	"dmp/internal/lint"
-	"dmp/internal/profile"
-	"dmp/internal/prog"
 	"dmp/internal/workload"
 )
 
@@ -44,47 +42,22 @@ func main() {
 	opts := lint.Options{MaxDist: *maxDist, StrictUninit: *strict}
 
 	var total lint.Diags
+	names := flag.Args()
 	switch {
 	case *asm != "":
-		src, err := os.ReadFile(*asm)
+		names = []string{*asm}
+	case len(names) == 0:
+		fmt.Fprintln(os.Stderr, "dmplint: specify benchmark names or 'all' (or -asm file)")
+		os.Exit(2)
+	case len(names) == 1 && names[0] == "all":
+		names = workload.Names()
+	}
+	for _, name := range names {
+		p, err := exp.Load(name, *asm, *scale, *loops, *doProf)
 		if err != nil {
-			fatal("%v", err)
+			fatal("%s: %v", name, err)
 		}
-		p, err := prog.Assemble(string(src))
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *doProf {
-			popts := profile.DefaultOptions()
-			popts.IncludeLoops = *loops
-			if _, err := profile.Run(p, popts); err != nil {
-				fatal("profile: %v", err)
-			}
-		}
-		total = report(*asm, lint.Check(p, opts))
-	default:
-		names := flag.Args()
-		if len(names) == 0 {
-			fmt.Fprintln(os.Stderr, "dmplint: specify benchmark names or 'all' (or -asm file)")
-			os.Exit(2)
-		}
-		if len(names) == 1 && names[0] == "all" {
-			names = names[:0]
-			for _, w := range workload.All() {
-				names = append(names, w.Name)
-			}
-		}
-		annotated := exp.Annotated
-		if *loops {
-			annotated = exp.AnnotatedLoops
-		}
-		for _, name := range names {
-			p, err := annotated(name, *scale)
-			if err != nil {
-				fatal("%s: %v", name, err)
-			}
-			total = append(total, report(name, lint.Check(p, opts))...)
-		}
+		total = append(total, report(name, lint.Check(p, opts))...)
 	}
 
 	if len(total) == 0 {

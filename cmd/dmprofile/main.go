@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"dmp/internal/exp"
 	"dmp/internal/profile"
 	"dmp/internal/prog"
 	"dmp/internal/workload"
@@ -35,12 +36,8 @@ func main() {
 	var p *prog.Program
 	switch {
 	case *asm != "":
-		src, err := os.ReadFile(*asm)
-		if err != nil {
-			fatal("%v", err)
-		}
-		p, err = prog.Assemble(string(src))
-		if err != nil {
+		var err error
+		if p, err = exp.Load("", *asm, 0, false, false); err != nil {
 			fatal("%v", err)
 		}
 	case *bench != "":

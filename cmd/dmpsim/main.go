@@ -26,9 +26,11 @@
 // parameters (and require -sample); -sample-warm-mode caches restricts the
 // continuous warming pass to the cache hierarchy (predictors retrain per
 // interval via -sample-warmup — cheaper warming, pair it with a nonzero
-// warmup); -sample-manifest records the per-interval accounting as JSON
-// for dmpobs -manifest to validate. The summary includes a host time
-// breakdown (prefix/warming/snapshot/detailed/extrapolate).
+// warmup). These four are dmpexp's flags too, checked by the same
+// core.SamplePoint.Validate before anything runs. -sample-manifest
+// records the per-interval accounting as JSON for dmpobs -manifest to
+// validate. The summary includes a host time breakdown
+// (prefix/warming/snapshot/detailed/extrapolate).
 //
 // Observability (see internal/obs): -pipetrace writes a per-uop
 // pipeline trace (Chrome trace_event JSON for Perfetto when the file
@@ -61,7 +63,6 @@ import (
 	"dmp/internal/emu"
 	"dmp/internal/exp"
 	"dmp/internal/obs"
-	"dmp/internal/profile"
 	"dmp/internal/prog"
 	"dmp/internal/sample"
 	"dmp/internal/telemetry"
@@ -100,10 +101,7 @@ func run(args []string) error {
 		nocheck  = fs.Bool("nocheck", false, "disable the golden-model retirement checker")
 
 		doSample    = fs.Bool("sample", false, "sampled simulation: fast-forward + warmed detailed intervals instead of an exact run")
-		samplePer   = fs.Uint64("sample-period", 0, "instructions per sampling period (0 = default; needs -sample)")
-		sampleIvl   = fs.Uint64("sample-interval", 0, "retired instructions measured per detailed interval (0 = default; needs -sample)")
-		sampleWarm  = fs.Uint64("sample-warmup", 0, "extra per-interval functional warmup instructions (needs -sample)")
-		warmMode    = fs.String("sample-warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup (needs -sample)")
+		samplePt    = exp.SampleFlags(fs)
 		sampleManif = fs.String("sample-manifest", "", "write the sampled run's interval manifest (JSON) to this file (needs -sample)")
 
 		list = fs.Bool("list", false, "list benchmarks and exit")
@@ -148,42 +146,24 @@ func run(args []string) error {
 	if err := setCFMSource(&cfg, *cfmSrc, *mergeTbl); err != nil {
 		return err
 	}
-	if err := setSampling(&cfg, *doSample, *samplePer, *sampleIvl, *sampleWarm, *warmMode, *sampleManif); err != nil {
+	if !*doSample && (*samplePt != (core.SamplePoint{}) || *sampleManif != "") {
+		return errors.New("-sample-period, -sample-interval, -sample-warmup, -sample-warm-mode and -sample-manifest need -sample")
+	}
+	if err := samplePt.Validate(); err != nil {
 		return err
 	}
+	cfg.SampleMode = *doSample
+	cfg.SamplePoint = *samplePt
 	if *doSample && (*pipetrace != "" || *events != "" || *interval != 0) {
 		return errors.New("-pipetrace/-events/-interval trace exact runs; they are not available with -sample")
 	}
 
-	var p *prog.Program
-	switch {
-	case *asm != "":
-		src, err := os.ReadFile(*asm)
-		if err != nil {
-			return err
-		}
-		p, err = prog.Assemble(string(src))
-		if err != nil {
-			return err
-		}
-		if cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP {
-			popts := profile.DefaultOptions()
-			popts.IncludeLoops = *loops
-			if _, err := profile.Run(p, popts); err != nil {
-				return fmt.Errorf("profile: %w", err)
-			}
-		}
-	case *bench != "":
-		annotated := exp.Annotated
-		if *loops {
-			annotated = exp.AnnotatedLoops
-		}
-		p, err = annotated(*bench, *scale)
-		if err != nil {
-			return err
-		}
-	default:
+	if *bench == "" && *asm == "" {
 		return errors.New("need -bench or -asm (try -list)")
+	}
+	p, err := exp.Load(*bench, *asm, *scale, *loops, cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP)
+	if err != nil {
+		return err
 	}
 
 	// One root span for the run; a sampled run hangs its stage spans and
@@ -319,31 +299,6 @@ func benchName(bench, asm string) string {
 		return bench
 	}
 	return asm
-}
-
-// setSampling validates and applies the -sample* flags. Split out of
-// main so the flag-rejection contract is testable.
-func setSampling(cfg *core.Config, on bool, period, interval, warmup uint64, warmMode, manifest string) error {
-	if !on {
-		if period != 0 || interval != 0 || warmup != 0 || warmMode != "" || manifest != "" {
-			return fmt.Errorf("-sample-period, -sample-interval, -sample-warmup, -sample-warm-mode and -sample-manifest need -sample")
-		}
-		return nil
-	}
-	if interval != 0 && period != 0 && interval >= period {
-		return fmt.Errorf("-sample-interval %d must be smaller than -sample-period %d", interval, period)
-	}
-	n := *cfg
-	n.SampleMode = true
-	n.SamplePeriod = period
-	n.SampleInterval = interval
-	n.SampleWarmup = warmup
-	n.WarmMode = warmMode
-	if err := n.Validate(); err != nil {
-		return err // e.g. an unknown -sample-warm-mode; leave cfg untouched
-	}
-	*cfg = n
-	return nil
 }
 
 // printSampled renders the sampling-specific summary: what was measured,

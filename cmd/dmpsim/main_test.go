@@ -73,60 +73,80 @@ func TestMergeStatsLine(t *testing.T) {
 	}
 }
 
-// TestSetSampling pins the -sample* flag contract: the knobs and the
-// manifest path are usage errors without -sample, the interval must fit
-// inside the period, and valid flags land on the config.
+// TestSetSampling pins the -sample* flag contract through the command
+// itself: the knobs and the manifest path are usage errors without
+// -sample, the point must pass core.SamplePoint.Validate before the run
+// starts, and valid flags reach the sampled run.
 func TestSetSampling(t *testing.T) {
 	cases := []struct {
-		name                     string
-		on                       bool
-		period, interval, warmup uint64
-		warmMode, manifest       string
-		wantErr                  string
+		name    string
+		args    []string
+		wantErr string
+		want    string // a stdout fragment the run must print
 	}{
-		{name: "off-default", on: false},
-		{name: "on-default", on: true},
-		{name: "on-custom", on: true, period: 4000, interval: 500, warmup: 100},
-		{name: "on-caches", on: true, warmup: 512, warmMode: "caches"},
-		{name: "period-without-sample", period: 4000, wantErr: "need -sample"},
-		{name: "interval-without-sample", interval: 500, wantErr: "need -sample"},
-		{name: "warmup-without-sample", warmup: 10, wantErr: "need -sample"},
-		{name: "warm-mode-without-sample", warmMode: "caches", wantErr: "need -sample"},
-		{name: "manifest-without-sample", manifest: "m.json", wantErr: "need -sample"},
-		{name: "interval-ge-period", on: true, period: 500, interval: 500, wantErr: "must be smaller"},
-		{name: "unknown-warm-mode", on: true, warmMode: "none", wantErr: "warm mode"},
+		{name: "off-default", want: "retired insts"},
+		{name: "on-default", args: []string{"-sample"}, want: "period 6000, warmup 0"},
+		{name: "on-custom", args: []string{"-sample", "-sample-period", "4000", "-sample-interval", "500", "-sample-warmup", "100"},
+			want: "period 4000, warmup 100"},
+		{name: "on-caches", args: []string{"-sample", "-sample-warmup", "512", "-sample-warm-mode", "caches"},
+			want: "period 6000, warmup 512"},
+		{name: "period-without-sample", args: []string{"-sample-period", "4000"}, wantErr: "need -sample"},
+		{name: "interval-without-sample", args: []string{"-sample-interval", "500"}, wantErr: "need -sample"},
+		{name: "warmup-without-sample", args: []string{"-sample-warmup", "10"}, wantErr: "need -sample"},
+		{name: "warm-mode-without-sample", args: []string{"-sample-warm-mode", "caches"}, wantErr: "need -sample"},
+		{name: "manifest-without-sample", args: []string{"-sample-manifest", "m.json"}, wantErr: "need -sample"},
+		{name: "interval-ge-period", args: []string{"-sample", "-sample-period", "500", "-sample-interval", "500"}, wantErr: "must be smaller"},
+		{name: "warmup-overflows-period", args: []string{"-sample", "-sample-period", "1000", "-sample-interval", "600", "-sample-warmup", "500"},
+			wantErr: "shorter than"},
+		{name: "unknown-warm-mode", args: []string{"-sample", "-sample-warm-mode", "none"}, wantErr: "warm mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.EnhancedDMPConfig()
-			err := setSampling(&cfg, tc.on, tc.period, tc.interval, tc.warmup, tc.warmMode, tc.manifest)
+			args := []string{"-bench", "mcf", "-scale", "1", "-mode", "enhanced", "-q"}
+			// A rejected run must fail before the observability attach,
+			// which would create the CPU profile.
+			cpu := filepath.Join(t.TempDir(), "cpu.prof")
+			if tc.wantErr != "" {
+				args = append(args, "-cpuprofile", cpu)
+			}
+			out, err := runCaptured(t, append(args, tc.args...))
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want containing %q", err, tc.wantErr)
 				}
-				if cfg != core.EnhancedDMPConfig() {
-					t.Error("rejected flags mutated the config")
+				if _, statErr := os.Stat(cpu); out != "" || statErr == nil {
+					t.Errorf("rejected flags still started the run:\n%s", out)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if cfg.SampleMode != tc.on {
-				t.Errorf("SampleMode = %v, want %v", cfg.SampleMode, tc.on)
-			}
-			if cfg.SamplePeriod != tc.period || cfg.SampleInterval != tc.interval || cfg.SampleWarmup != tc.warmup {
-				t.Errorf("got %d/%d/%d, want %d/%d/%d", cfg.SamplePeriod,
-					cfg.SampleInterval, cfg.SampleWarmup, tc.period, tc.interval, tc.warmup)
-			}
-			if cfg.WarmMode != tc.warmMode {
-				t.Errorf("WarmMode = %q, want %q", cfg.WarmMode, tc.warmMode)
-			}
-			if err := cfg.Validate(); err != nil {
-				t.Errorf("applied config fails Validate: %v", err)
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("stdout lacks %q:\n%s", tc.want, out)
 			}
 		})
 	}
+}
+
+// runCaptured runs the command with args and returns what it printed to
+// stdout.
+func runCaptured(t *testing.T, args []string) (string, error) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	runErr := run(args)
+	os.Stdout = stdout
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data), runErr
 }
 
 // TestErrorExitFinishesObservability pins that a run failing after the
@@ -193,23 +213,11 @@ func TestErrorExitFinishesObservability(t *testing.T) {
 func TestLoopsFlagRunsLoopDiverge(t *testing.T) {
 	episodes := func(extra ...string) string {
 		t.Helper()
-		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		data, err := runCaptured(t, append([]string{"-bench", "gzip", "-scale", "1", "-mode", "enhanced", "-q"}, extra...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer out.Close()
-		stdout := os.Stdout
-		os.Stdout = out
-		err = run(append([]string{"-bench", "gzip", "-scale", "1", "-mode", "enhanced", "-q"}, extra...))
-		os.Stdout = stdout
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
+		for _, line := range strings.Split(data, "\n") {
 			if f := strings.Fields(line); len(f) > 2 && f[0] == "dpred" && f[1] == "episodes" {
 				return f[2]
 			}

@@ -130,17 +130,27 @@ type Config struct {
 	// reported with confidence bounds. The Machine itself ignores these
 	// knobs — drivers (internal/sample, cmd/dmpsim, the exp result cache)
 	// dispatch on SampleMode — but they live on Config so Canonical() keys
-	// sampled and exact results apart in the result cache.
-	//
-	// SamplePeriod is the number of program instructions from one detailed
-	// interval start to the next (and the length of the exactly measured
-	// cold-start prefix); SampleInterval the retired instructions measured
-	// per detailed interval; SampleWarmup optional extra per-interval
-	// functional warming (predictors, caches, merge table trained without
-	// cycle accounting) on top of the continuous warming the fast-forward
-	// pass already does. Zero period/interval take the DefaultSample*
-	// constants. All three are ignored when SampleMode is off.
-	SampleMode     bool
+	// sampled and exact results apart in the result cache. The embedded
+	// SamplePoint is the operating point; it is ignored when SampleMode is
+	// off.
+	SampleMode bool
+	SamplePoint
+
+	// CheckRetirement compares every retired instruction against a
+	// lockstep functional emulator (golden model). Cheap; on by default.
+	CheckRetirement bool
+}
+
+// SamplePoint is a sampling operating point: the knobs of a sampled run.
+// The zero value of each field selects its default (WithDefaults).
+type SamplePoint struct {
+	// SamplePeriod is the number of program instructions from one
+	// detailed interval start to the next (and the length of the exactly
+	// measured cold-start prefix); SampleInterval the retired
+	// instructions measured per detailed interval; SampleWarmup optional
+	// extra per-interval functional warming (predictors, caches, merge
+	// table trained without cycle accounting) on top of the continuous
+	// warming the fast-forward pass already does.
 	SamplePeriod   uint64
 	SampleInterval uint64
 	SampleWarmup   uint64
@@ -154,12 +164,8 @@ type Config struct {
 	// cheaper per instruction; the predictors then start each detailed
 	// interval cold, so it should be paired with a nonzero SampleWarmup
 	// that retrains the short-history state just before each measured
-	// window. Ignored when SampleMode is off.
+	// window.
 	WarmMode string
-
-	// CheckRetirement compares every retired instruction against a
-	// lockstep functional emulator (golden model). Cheap; on by default.
-	CheckRetirement bool
 }
 
 // Default sampling parameters (SampleMode with zero knobs). The period
@@ -173,23 +179,38 @@ type Config struct {
 const (
 	DefaultSamplePeriod   = 6_000
 	DefaultSampleInterval = 500
-	DefaultSampleWarmup   = 0
 )
 
-// SampleParams returns the effective sampling parameters with defaults
-// applied: what the sampling driver will actually use for this config.
-func (c Config) SampleParams() (period, interval, warmup uint64) {
-	period, interval, warmup = c.SamplePeriod, c.SampleInterval, c.SampleWarmup
-	if period == 0 {
-		period = DefaultSamplePeriod
+// WithDefaults spells out the defaulted knobs: what the sampling driver
+// will actually run for this point.
+func (p SamplePoint) WithDefaults() SamplePoint {
+	if p.SamplePeriod == 0 {
+		p.SamplePeriod = DefaultSamplePeriod
 	}
-	if interval == 0 {
-		interval = DefaultSampleInterval
+	if p.SampleInterval == 0 {
+		p.SampleInterval = DefaultSampleInterval
 	}
-	if warmup == 0 {
-		warmup = DefaultSampleWarmup
+	if p.WarmMode == "" {
+		p.WarmMode = "full"
 	}
-	return period, interval, warmup
+	return p
+}
+
+// Validate reports a point no sampled run can use: an unknown warm
+// mode, or an interval (plus its warmup) that does not fit strictly
+// inside the period. Defaults apply first.
+func (p SamplePoint) Validate() error {
+	p = p.WithDefaults()
+	switch {
+	case p.WarmMode != "full" && p.WarmMode != "caches":
+		return fmt.Errorf("unknown warm mode %q (want full or caches)", p.WarmMode)
+	case p.SampleInterval >= p.SamplePeriod:
+		return fmt.Errorf("sample interval %d must be smaller than sample period %d", p.SampleInterval, p.SamplePeriod)
+	case p.SampleWarmup > p.SamplePeriod-p.SampleInterval:
+		return fmt.Errorf("sample period %d shorter than sample interval %d + sample warmup %d",
+			p.SamplePeriod, p.SampleInterval, p.SampleWarmup)
+	}
+	return nil
 }
 
 // DefaultConfig is the baseline processor of Table 2 of the paper.
@@ -280,11 +301,10 @@ func ModeConfig(name string) (Config, error) {
 //     (the experiment result cache does, so a cache hit always ran with
 //     the same checking the caller asked for) must carry it beside the
 //     canonical Config in their key;
-//   - folds the sampling knobs to zero when SampleMode is off (an exact
-//     run never reads them) and spells out their defaults when it is on
+//   - folds the SamplePoint to zero when SampleMode is off (an exact
+//     run never reads it) and spells out its defaults when it is on
 //     (a defaulted and an explicitly default-parameterised sampled run
-//     are the same simulation). WarmMode is spelled out to "full" when
-//     sampling and folded to "" otherwise. SampleMode itself is never
+//     are the same simulation). SampleMode itself is never
 //     folded: a sampled result must never alias the exact result for the
 //     same machine configuration in the result cache;
 //   - spells out the defaulted CFMSource ("" is "annotated") and folds
@@ -343,13 +363,9 @@ func (c Config) Canonical() Config {
 		c.MergeTableSize = merge.DefaultConfig().TableSize
 	}
 	if c.SampleMode {
-		c.SamplePeriod, c.SampleInterval, c.SampleWarmup = c.SampleParams()
-		if c.WarmMode == "" {
-			c.WarmMode = "full"
-		}
+		c.SamplePoint = c.SamplePoint.WithDefaults()
 	} else {
-		c.SamplePeriod, c.SampleInterval, c.SampleWarmup = 0, 0, 0
-		c.WarmMode = ""
+		c.SamplePoint = SamplePoint{}
 	}
 	c.CheckRetirement = false
 	return c
@@ -391,16 +407,9 @@ func (c *Config) Validate() error {
 	if c.MergeTableSize < 0 {
 		return fmt.Errorf("core: MergeTableSize must be non-negative")
 	}
-	switch c.WarmMode {
-	case "", "full", "caches":
-	default:
-		return fmt.Errorf("core: unknown warm mode %q (want full or caches)", c.WarmMode)
-	}
 	if c.SampleMode {
-		period, interval, warmup := c.SampleParams()
-		if period < interval+warmup {
-			return fmt.Errorf("core: SamplePeriod %d shorter than SampleInterval %d + SampleWarmup %d",
-				period, interval, warmup)
+		if err := c.SamplePoint.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCanonicalNormalizesDefaultNames pins that defaulted predictor and
 // confidence names canonicalize to the concrete choices machine
@@ -220,6 +223,52 @@ func TestValidateWarmMode(t *testing.T) {
 	c.WarmMode = "none"
 	if err := c.Validate(); err == nil {
 		t.Error("Validate accepted an unknown warm mode")
+	}
+}
+
+// TestSamplePointValidate is the one sampling-point rule dmpsim -sample
+// and dmpexp both apply at parse time: defaults first, then a known warm
+// mode and an interval plus warmup that fits strictly inside the period.
+// The rejected rows are the union of what either command rejected
+// before they shared the rule.
+func TestSamplePointValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pt      SamplePoint
+		wantErr string
+	}{
+		{name: "defaults"},
+		{name: "custom", pt: SamplePoint{SamplePeriod: 4000, SampleInterval: 500, SampleWarmup: 100}},
+		{name: "caches", pt: SamplePoint{SampleWarmup: 512, WarmMode: "caches"}},
+		{name: "warmup-fills-period", pt: SamplePoint{SamplePeriod: 1024, SampleInterval: 512, SampleWarmup: 512}},
+		{name: "interval-eq-period", pt: SamplePoint{SamplePeriod: 500, SampleInterval: 500}, wantErr: "must be smaller"},
+		{name: "interval-eq-default-period", pt: SamplePoint{SampleInterval: DefaultSamplePeriod}, wantErr: "must be smaller"},
+		{name: "warmup-overflows-period", pt: SamplePoint{SamplePeriod: 1000, SampleInterval: 600, SampleWarmup: 500}, wantErr: "shorter than"},
+		{name: "huge-warmup", pt: SamplePoint{SampleWarmup: ^uint64(0)}, wantErr: "shorter than"},
+		{name: "unknown-warm-mode", pt: SamplePoint{WarmMode: "none"}, wantErr: "warm mode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.pt.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate = %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate = %v, want containing %q", err, tc.wantErr)
+			}
+			c := EnhancedDMPConfig()
+			c.SampleMode = true
+			c.SamplePoint = tc.pt
+			if c.Validate() == nil {
+				t.Error("Config.Validate accepted the point")
+			}
+			c.SampleMode = false
+			if err := c.Validate(); err != nil {
+				t.Errorf("exact Config.Validate = %v; the point is ignored without SampleMode", err)
+			}
+		})
 	}
 }
 

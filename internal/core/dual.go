@@ -158,19 +158,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 	m.wakePred(m.preds.broadcast(ep.predID2, winner == 1))
 
 	// Drop the loser's not-yet-renamed uops.
-	kept := m.feq[:0]
-	for _, q := range m.feq {
-		if q.ep == ep && q.stream != winner {
-			q.squashed = true
-			if m.probe != nil {
-				m.probeUop(StageSquash, q)
-			}
-			m.recycleFEQ(q)
-			continue
-		}
-		kept = append(kept, q)
-	}
-	m.feq = kept
+	m.dropFEQ(ep, "fork-loser", func(q *uop) bool { return q.stream != winner })
 
 	// The winner's RAT becomes the active RAT.
 	if m.dualRats[winner] != nil {
@@ -208,19 +196,7 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 		m.probeEpisode(EpDualAbort, ep)
 	}
 
-	kept := m.feq[:0]
-	for _, q := range m.feq {
-		if q.ep == ep && q.stream == 1 {
-			q.squashed = true
-			if m.probe != nil {
-				m.probeUop(StageSquash, q)
-			}
-			m.recycleFEQ(q)
-			continue
-		}
-		kept = append(kept, q)
-	}
-	m.feq = kept
+	m.dropFEQ(ep, "dual-abort", func(q *uop) bool { return q.stream == 1 })
 
 	if m.dualRats[0] != nil {
 		m.rat = *m.dualRats[0]

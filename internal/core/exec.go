@@ -331,14 +331,15 @@ func (m *Machine) setExit(ep *episode, c ExitCase) {
 	}
 }
 
-// dropEpisodeAltFromFEQ removes the episode's not-yet-renamed
-// alternate-path uops and markers from the front-end queue.
-func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
+// dropFEQ removes ep's not-yet-renamed uops that drop selects from the
+// front-end queue, recording each as squashed by ep's diverge branch via
+// how (the record a stale-producer failure in operandFrom prints).
+func (m *Machine) dropFEQ(ep *episode, how string, drop func(*uop) bool) {
 	kept := m.feq[:0]
 	for _, q := range m.feq {
-		if q.ep == ep && (q.onAlt || q.kind == kindEnterAlt || q.kind == kindExitPred) {
+		if q.ep == ep && drop(q) {
 			q.squashed = true
-			q.sqBy, q.sqAt, q.sqHow = ep.divergeSeq, m.cycle, "drop-alt-feq"
+			q.sqBy, q.sqAt, q.sqHow = ep.divergeSeq, m.cycle, how
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
@@ -348,6 +349,18 @@ func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
 		kept = append(kept, q)
 	}
 	m.feq = kept
+}
+
+// altPath reports whether u belongs to its episode's alternate path: an
+// alternate-path uop, or the enter.alt / exit.pred marker around it.
+func (u *uop) altPath() bool {
+	return u.onAlt || u.kind == kindEnterAlt || u.kind == kindExitPred
+}
+
+// dropEpisodeAltFromFEQ removes the episode's not-yet-renamed
+// alternate-path uops and markers from the front-end queue.
+func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
+	m.dropFEQ(ep, "drop-alt-feq", (*uop).altPath)
 	if m.feEp == ep {
 		m.feEp = nil
 	}

@@ -501,18 +501,7 @@ func (m *Machine) killEpisodeAssumePredicted(ep *episode) {
 	// Drop not-yet-renamed alternate-path uops and this episode's
 	// enter.alt / exit.pred markers.
 	if ep.phase == dpAlternate || ep.phase == dpExited {
-		kept := m.feq[:0]
-		for _, q := range m.feq {
-			if q.ep == ep && (q.onAlt || q.kind == kindEnterAlt || q.kind == kindExitPred) {
-				if m.probe != nil {
-					m.probeUop(StageSquash, q)
-				}
-				m.recycleFEQ(q)
-				continue
-			}
-			kept = append(kept, q)
-		}
-		m.feq = kept
+		m.dropFEQ(ep, "kill-episode", (*uop).altPath)
 		// If the alternate path already renamed, undo its RAT effects by
 		// restoring the checkpoint taken at the end of the predicted path.
 		if ep.cp2 != nil {

@@ -14,6 +14,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -38,16 +39,12 @@ type Options struct {
 	// The cap is process-level, shared by every concurrently running
 	// experiment: the first run fixes the pool size (see simcache.go).
 	Parallel int
-	// SamplePeriod / SampleInterval / SampleWarmup / SampleWarmMode
-	// override the sampling parameters for the sampling experiment (zero
-	// values = per-benchmark operating points, see sampling.go). They
-	// affect no other experiment. Setting ANY of them disables the
+	// Sample overrides the sampling experiment's operating point (the
+	// zero point = per-benchmark operating points, see sampling.go). It
+	// affects no other experiment. Setting ANY of its knobs disables the
 	// per-benchmark points for the whole run, so an explicit operating
 	// point is exactly what runs.
-	SamplePeriod   uint64
-	SampleInterval uint64
-	SampleWarmup   uint64
-	SampleWarmMode string
+	Sample core.SamplePoint
 	// Span, when non-nil, is the telemetry parent span for this
 	// experiment's simulations (each runs as an async child on its own
 	// trace lane). It is host-side observability only: never part of any
@@ -90,6 +87,35 @@ func Annotated(bench string, scale int) (*prog.Program, error) {
 func AnnotatedLoops(bench string, scale int) (*prog.Program, error) {
 	e := programEntry(bench, scale, true)
 	return e.p, e.err
+}
+
+// Load returns the program a command runs: the assembly file asm when
+// it is set, else bench's annotated measurement program at scale
+// (AnnotatedLoops when loops is set, else Annotated). An assembly file
+// carries no annotations of its own: with prof set it is profiled in
+// place on its one input, marking loop diverge branches when loops is
+// set.
+func Load(bench, asm string, scale int, loops, prof bool) (*prog.Program, error) {
+	if asm == "" {
+		e := programEntry(bench, scale, loops)
+		return e.p, e.err
+	}
+	src, err := os.ReadFile(asm)
+	if err != nil {
+		return nil, err
+	}
+	p, err := prog.Assemble(string(src))
+	if err != nil {
+		return nil, err
+	}
+	if prof {
+		popts := profile.DefaultOptions()
+		popts.IncludeLoops = loops
+		if _, err := profile.Run(p, popts); err != nil {
+			return nil, fmt.Errorf("profile: %w", err)
+		}
+	}
+	return p, nil
 }
 
 // buildAnnotated is the uncached builder behind Annotated: workload

@@ -311,7 +311,7 @@ func TestSamplingReportAfterSampling(t *testing.T) {
 // benchmark is reported, not just the first: a period longer than the
 // program leaves each benchmark with no interval to measure.
 func TestSamplingReportJoinsErrors(t *testing.T) {
-	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true, SamplePeriod: 1 << 30}
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true, Sample: core.SamplePoint{SamplePeriod: 1 << 30}}
 	_, _, err := SamplingReport(o)
 	if err == nil {
 		t.Fatal("sampling with a period longer than the program succeeded")

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"strconv"
@@ -11,31 +12,13 @@ import (
 	"dmp/internal/sample"
 )
 
-// samplePoint is one benchmark's sampling operating point. The suite
+// benchPoints holds per-benchmark sampling operating points. The suite
 // default (period 6000, interval 500, warmup 0, full warming) is a
 // compromise; benchmarks whose phase structure aliases with it get their
-// own point (see benchPoints).
-type samplePoint struct {
-	period, interval, warmup uint64
-	warmMode                 string
-}
-
-func (pt samplePoint) orDefaults() samplePoint {
-	if pt.period == 0 {
-		pt.period = core.DefaultSamplePeriod
-	}
-	if pt.interval == 0 {
-		pt.interval = core.DefaultSampleInterval
-	}
-	if pt.warmMode == "" {
-		pt.warmMode = "full"
-	}
-	return pt
-}
-
-// benchPoints holds per-benchmark sampling operating points, applied only
-// when the caller sets none of the Sample* options (an explicit option
-// runs everywhere, so CI gates stay pinned to their spelled-out points).
+// own point here, applied only when the caller sets no Options.Sample
+// knob (an explicit point runs everywhere, so CI gates stay pinned to
+// their spelled-out points).
+//
 // Chosen by sweeping period x interval x warm mode against exact golden
 // runs at scale 3 and keeping, per benchmark, the fastest point whose
 // signed error stayed within the suite budget with CI coverage intact:
@@ -63,22 +46,22 @@ func (pt samplePoint) orDefaults() samplePoint {
 // coverage, not any single row); longer periods and caches-only warming
 // are the two throughput levers on a single-CPU host, where the streamed
 // pipeline cannot overlap intervals.
-var benchPoints = map[string]samplePoint{
-	"ammp":    {period: 18000, interval: 500, warmup: 1024, warmMode: "caches"},
-	"bzip2":   {period: 24000, interval: 750},
-	"crafty":  {period: 24000, interval: 750},
-	"eon":     {period: 30000, interval: 500, warmup: 512, warmMode: "caches"},
-	"fma3d":   {period: 12000, interval: 750},
-	"gap":     {period: 24000, interval: 750, warmup: 512, warmMode: "caches"},
-	"gcc":     {period: 15000, interval: 500},
-	"gzip":    {period: 15000, interval: 750},
-	"mcf":     {period: 18000, interval: 750, warmup: 1024, warmMode: "caches"},
-	"mesa":    {period: 30000, interval: 750},
-	"parser":  {period: 15000, interval: 750},
-	"perlbmk": {period: 12000, interval: 500, warmup: 1024, warmMode: "caches"},
-	"twolf":   {period: 24000, interval: 500, warmup: 512, warmMode: "caches"},
-	"vortex":  {period: 15000, interval: 750},
-	"vpr":     {period: 24000, interval: 750},
+var benchPoints = map[string]core.SamplePoint{
+	"ammp":    {SamplePeriod: 18000, SampleInterval: 500, SampleWarmup: 1024, WarmMode: "caches"},
+	"bzip2":   {SamplePeriod: 24000, SampleInterval: 750},
+	"crafty":  {SamplePeriod: 24000, SampleInterval: 750},
+	"eon":     {SamplePeriod: 30000, SampleInterval: 500, SampleWarmup: 512, WarmMode: "caches"},
+	"fma3d":   {SamplePeriod: 12000, SampleInterval: 750},
+	"gap":     {SamplePeriod: 24000, SampleInterval: 750, SampleWarmup: 512, WarmMode: "caches"},
+	"gcc":     {SamplePeriod: 15000, SampleInterval: 500},
+	"gzip":    {SamplePeriod: 15000, SampleInterval: 750},
+	"mcf":     {SamplePeriod: 18000, SampleInterval: 750, SampleWarmup: 1024, WarmMode: "caches"},
+	"mesa":    {SamplePeriod: 30000, SampleInterval: 750},
+	"parser":  {SamplePeriod: 15000, SampleInterval: 750},
+	"perlbmk": {SamplePeriod: 12000, SampleInterval: 500, SampleWarmup: 1024, WarmMode: "caches"},
+	"twolf":   {SamplePeriod: 24000, SampleInterval: 500, SampleWarmup: 512, WarmMode: "caches"},
+	"vortex":  {SamplePeriod: 15000, SampleInterval: 750},
+	"vpr":     {SamplePeriod: 24000, SampleInterval: 750},
 }
 
 // tunedScale is the -scale the benchPoints periods were swept at. Above
@@ -92,18 +75,30 @@ const tunedScale = 3
 // pointFor resolves a benchmark's operating point: options override
 // everything, then benchPoints (period rescaled to o.Scale), then the
 // core defaults.
-func pointFor(o Options, bench string) samplePoint {
-	if o.SamplePeriod != 0 || o.SampleInterval != 0 || o.SampleWarmup != 0 || o.SampleWarmMode != "" {
-		return samplePoint{o.SamplePeriod, o.SampleInterval, o.SampleWarmup, o.SampleWarmMode}.orDefaults()
+func pointFor(o Options, bench string) core.SamplePoint {
+	if o.Sample != (core.SamplePoint{}) {
+		return o.Sample.WithDefaults()
 	}
 	pt, ok := benchPoints[bench]
 	if !ok || o.Scale < tunedScale {
-		return samplePoint{}.orDefaults()
+		return core.SamplePoint{}.WithDefaults()
 	}
-	pt = pt.orDefaults()
+	pt = pt.WithDefaults()
 	if o.Scale > tunedScale {
-		pt.period = pt.period * uint64(o.Scale) / tunedScale
+		pt.SamplePeriod = pt.SamplePeriod * uint64(o.Scale) / tunedScale
 	}
+	return pt
+}
+
+// SampleFlags registers the four -sample-* operating-point flags on fs
+// and returns the point they fill in. Every flag left at zero takes its
+// default; check the point with Validate once fs is parsed.
+func SampleFlags(fs *flag.FlagSet) *core.SamplePoint {
+	pt := new(core.SamplePoint)
+	fs.Uint64Var(&pt.SamplePeriod, "sample-period", 0, "instructions per sampling period (0 = default)")
+	fs.Uint64Var(&pt.SampleInterval, "sample-interval", 0, "retired instructions measured per detailed interval (0 = default)")
+	fs.Uint64Var(&pt.SampleWarmup, "sample-warmup", 0, "extra per-interval functional warmup instructions")
+	fs.StringVar(&pt.WarmMode, "sample-warm-mode", "", "functional warming mode: full (default) or caches — caches-only warming retrains predictors per interval via -sample-warmup")
 	return pt
 }
 
@@ -178,7 +173,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 	}
 
 	results := make([]*sample.Result, len(o.Benchmarks))
-	points := make([]samplePoint, len(o.Benchmarks))
+	points := make([]core.SamplePoint, len(o.Benchmarks))
 	errs := make([]error, len(o.Benchmarks))
 	slots := workerSlots(o.Parallel)
 	var wg sync.WaitGroup
@@ -188,10 +183,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		sCfg := exCfg
 		sCfg.SampleMode = true
 		sCfg.CheckRetirement = o.Check
-		sCfg.SamplePeriod = pt.period
-		sCfg.SampleInterval = pt.interval
-		sCfg.SampleWarmup = pt.warmup
-		sCfg.WarmMode = pt.warmMode
+		sCfg.SamplePoint = pt
 		wg.Add(1)
 		go func(i int, bench string, sCfg core.Config) {
 			defer wg.Done()
@@ -206,8 +198,8 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		return nil, nil, err
 	}
 
-	def := samplePoint{}.orDefaults()
-	rep := &SampleReport{Scale: o.Scale, Period: def.period, Interval: def.interval, Warmup: def.warmup, Ramp: sample.RampRetired}
+	def := core.SamplePoint{}.WithDefaults()
+	rep := &SampleReport{Scale: o.Scale, Period: def.SamplePeriod, Interval: def.SampleInterval, Warmup: def.SampleWarmup, Ramp: sample.RampRetired}
 	t := &Table{ID: "sampling", Title: "Sampled simulation: fast-forward + warmed intervals vs exact golden runs",
 		Header: []string{"bench", "insts", "point", "exact-IPC", "sampled-IPC", "err%", "±ci95", "cover", "k"}}
 	var absErrs, speedups []float64
@@ -217,10 +209,10 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		b := SampleBench{
 			Bench:      bench,
 			TotalInsts: r.TotalInsts,
-			Period:     pt.period,
-			Interval:   pt.interval,
-			Warmup:     pt.warmup,
-			WarmMode:   pt.warmMode,
+			Period:     pt.SamplePeriod,
+			Interval:   pt.SampleInterval,
+			Warmup:     pt.SampleWarmup,
+			WarmMode:   pt.WarmMode,
 			ExactIPC:   ex.IPC(),
 			SampledIPC: r.IPC,
 			IPCMean:    r.IPCMean,
@@ -251,12 +243,12 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		if b.Covered {
 			cover = "yes"
 		}
-		point := fmt.Sprintf("%d/%d", pt.period, pt.interval)
-		if pt.warmup != 0 {
-			point += fmt.Sprintf("+w%d", pt.warmup)
+		point := fmt.Sprintf("%d/%d", pt.SamplePeriod, pt.SampleInterval)
+		if pt.SampleWarmup != 0 {
+			point += fmt.Sprintf("+w%d", pt.SampleWarmup)
 		}
-		if pt.warmMode != "full" {
-			point += "/" + pt.warmMode
+		if pt.WarmMode != "full" {
+			point += "/" + pt.WarmMode
 		}
 		t.AddRow(bench, d(r.TotalInsts), point, f3(b.ExactIPC), f3(b.SampledIPC),
 			f2(b.ErrPct), f3(b.CI95), cover, strconv.Itoa(b.K))
@@ -269,6 +261,6 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 			"ramp %d (detailed %.1f%% of instructions); "+
 			"err%% = sampled vs exact IPC, amean of |err%%|; cover = exact IPC within mean ± ci95; "+
 			"speedups are wall-clock dependent and reported via dmpexp -sample-json",
-		def.period, def.interval, sample.RampRetired, 100*detailedFrac/float64(len(o.Benchmarks)))
+		def.SamplePeriod, def.SampleInterval, sample.RampRetired, 100*detailedFrac/float64(len(o.Benchmarks)))
 	return t, rep, nil
 }

@@ -84,15 +84,16 @@ type DiffOptions struct {
 	Configs []NamedConfig
 	// MaxSteps bounds the emulator reference run; 0 selects 5M.
 	MaxSteps uint64
-	// Sample also runs the sampled-simulation leg (enhanced config,
-	// small period) and checks its accounting invariants against the
+	// Sample also runs the sampled-simulation leg (enhanced config at
+	// legPoint) and checks its accounting invariants against the
 	// exact reference. It is skipped silently when the program is too
-	// short to sample at SamplePeriod.
+	// short to sample at that point.
 	Sample bool
-	// SamplePeriod/SampleInterval override the sampled leg's operating
-	// point; 0 selects 1200/200 (scaled for generated program lengths).
-	SamplePeriod, SampleInterval uint64
 }
+
+// legPoint is the sampled leg's operating point, scaled down for
+// generated program lengths.
+var legPoint = core.SamplePoint{SamplePeriod: 1200, SampleInterval: 200, SampleWarmup: 256}
 
 func (o DiffOptions) norm() DiffOptions {
 	if o.Configs == nil {
@@ -100,12 +101,6 @@ func (o DiffOptions) norm() DiffOptions {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 5_000_000
-	}
-	if o.SamplePeriod == 0 {
-		o.SamplePeriod = 1200
-	}
-	if o.SampleInterval == 0 {
-		o.SampleInterval = 200
 	}
 	return o
 }
@@ -196,12 +191,10 @@ func verify(p *prog.Program, o DiffOptions) *Divergence {
 	// sampled estimator is statistical in IPC but exact in accounting:
 	// it must see the true instruction count, extrapolate to exactly the
 	// reference retirement, and its detailed-interval sums must tally.
-	if o.Sample && ref.Count >= 2048+3*o.SamplePeriod {
+	if o.Sample && ref.Count >= 2048+3*legPoint.SamplePeriod {
 		cfg := core.EnhancedDMPConfig()
 		cfg.SampleMode = true
-		cfg.SamplePeriod = o.SamplePeriod
-		cfg.SampleInterval = o.SampleInterval
-		cfg.SampleWarmup = 256
+		cfg.SamplePoint = legPoint
 		res, err := sample.Run(p, cfg, sample.Options{Sequential: true})
 		if err != nil {
 			return &Divergence{Stage: "sample", Detail: err.Error()}

@@ -38,8 +38,8 @@ import (
 )
 
 // Options parameterises one generated program. The zero value of every
-// knob selects a default via norm; the feature booleans default to off,
-// so use DefaultOptions for the everything-on population.
+// knob selects a default via norm; Annotate defaults to off, so use
+// DefaultOptions for the annotated population.
 type Options struct {
 	// Seed drives program structure. Two Options with equal Seed and
 	// shape knobs emit byte-identical code images regardless of DataSeed.
@@ -56,9 +56,6 @@ type Options struct {
 	// Stmts is the number of top-level nodes in the driver body.
 	// Default 7.
 	Stmts int
-	// Loops, Calls, Complex enable loop nodes, call-tree nodes, and
-	// unstructured multi-branch regions.
-	Loops, Calls, Complex bool
 	// Annotate runs the CFM-annotation synthesizer over the emitted
 	// program (annotate.go), attaching every structurally derived
 	// annotation the lint oracle accepts.
@@ -68,16 +65,10 @@ type Options struct {
 	MaxDist int
 }
 
-// DefaultOptions returns the everything-on generator configuration for
-// one structure seed.
+// DefaultOptions returns the annotated generator configuration for one
+// structure seed.
 func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:     seed,
-		Loops:    true,
-		Calls:    true,
-		Complex:  true,
-		Annotate: true,
-	}
+	return Options{Seed: seed, Annotate: true}
 }
 
 func (o Options) norm() Options {
@@ -216,14 +207,12 @@ type Generated struct {
 func grow(o Options) (*Node, []*Fn) {
 	r := newRng(o.Seed)
 	var fns []*Fn
-	if o.Calls {
-		nLeaf := 1 + r.n(3)
-		for i := 0; i < nLeaf; i++ {
-			fns = append(fns, &Fn{Leaf: true, Body: stmtsNode(r, 1+r.n(3))})
-		}
-		if r.coin(70) {
-			fns = append(fns, &Fn{Callee: r.n(nLeaf), Body: stmtsNode(r, 1+r.n(2))})
-		}
+	nLeaf := 1 + r.n(3)
+	for i := 0; i < nLeaf; i++ {
+		fns = append(fns, &Fn{Leaf: true, Body: stmtsNode(r, 1+r.n(3))})
+	}
+	if r.coin(70) {
+		fns = append(fns, &Fn{Callee: r.n(nLeaf), Body: stmtsNode(r, 1+r.n(2))})
 	}
 	root := &Node{Kind: KSeq, Seed: r.next()}
 	for i := 0; i < o.Stmts; i++ {
@@ -255,7 +244,7 @@ func growNode(r *rng, o Options, depth, loopDepth, nFns int) *Node {
 			h.Kids = append(h.Kids, growSeq(r, o, depth+1, loopDepth, nFns))
 		}
 		return h
-	case roll < 78 && o.Loops && loopDepth < len(loopRegs):
+	case roll < 78 && loopDepth < len(loopRegs):
 		l := &Node{Kind: KLoop, N: 1 + r.n(4), Seed: r.next()}
 		body := growSeq(r, o, depth+1, loopDepth+1, nFns)
 		// Conditional early exit / iteration skip, somewhere in the body.
@@ -269,9 +258,9 @@ func growNode(r *rng, o Options, depth, loopDepth, nFns int) *Node {
 		}
 		l.Kids = []*Node{body}
 		return l
-	case roll < 88 && o.Calls && nFns > 0:
+	case roll < 88 && nFns > 0:
 		return &Node{Kind: KCall, N: r.n(nFns), Seed: r.next()}
-	case roll < 96 && o.Complex:
+	case roll < 96:
 		return &Node{Kind: KComplex, Seed: r.next()}
 	default:
 		return stmtsNode(r, 1+r.n(2))

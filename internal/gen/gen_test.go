@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -37,6 +39,22 @@ func progPrint(t *testing.T, g *Generated) string {
 		s += fmt.Sprintf("data %#x=%d\n", a, p.Data[a])
 	}
 	return s
+}
+
+// TestGeneratedPopulationPinned pins the generated population: the
+// SHA-256 over seeds 1-50's program hashes (code image, data and
+// annotations) under DefaultOptions. A change that moves it changes
+// every committed fuzz corpus entry and every seed a divergence report
+// names, so it must be deliberate.
+func TestGeneratedPopulationPinned(t *testing.T) {
+	const want = "e715502192dd221e338da498956e82e8c95c0f01208b0d8032735de4d9f1d52b"
+	h := sha256.New()
+	for seed := uint64(1); seed <= 50; seed++ {
+		fmt.Fprintln(h, Generate(DefaultOptions(seed)).Hash())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("seeds 1-50 hash to %s, want %s", got, want)
+	}
 }
 
 // TestGeneratedWorkloadsLintClean is the population-scale generator

@@ -366,9 +366,9 @@ func (pl *pipeline) drain() {
 }
 
 // Run samples one program under cfg. cfg.SampleMode must be set; the
-// sampling parameters come from cfg.SampleParams(). cfg.MaxInsts, when
-// non-zero, truncates the sampled region exactly as it truncates an
-// exact run.
+// sampling parameters are cfg.SamplePoint with defaults applied.
+// cfg.MaxInsts, when non-zero, truncates the sampled region exactly as
+// it truncates an exact run.
 func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	if !cfg.SampleMode {
 		return nil, fmt.Errorf("sample: config has SampleMode off")
@@ -376,7 +376,8 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	period, interval, warmup := cfg.SampleParams()
+	pt := cfg.SamplePoint.WithDefaults()
+	period, interval, warmup := pt.SamplePeriod, pt.SampleInterval, pt.SampleWarmup
 	start := time.Now() //dmp:allow nondeterminism -- host time: stage histograms and WallSeconds only
 	maxTotal := cfg.MaxInsts
 	prefSpan := o.Span.Child("prefix", "sample")

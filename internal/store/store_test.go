@@ -80,6 +80,31 @@ func TestDigestSeparatesVariants(t *testing.T) {
 	}
 }
 
+// TestDigestPinned pins two store keys to their hex values: one exact
+// baseline run and one sampled enhanced run at a per-benchmark
+// operating point. Persisted objects are addressed by these digests, so
+// a Config change that moves them (a renamed, reordered or regrouped
+// field) turns every stored result into a miss.
+func TestDigestPinned(t *testing.T) {
+	sampled := core.EnhancedDMPConfig()
+	sampled.SampleMode = true
+	sampled.SamplePoint = core.SamplePoint{SamplePeriod: 18000, SampleInterval: 750, SampleWarmup: 1024, WarmMode: "caches"}
+	for _, tc := range []struct {
+		name string
+		meta Meta
+		want string
+	}{
+		{"exact-baseline", Meta{Bench: "mcf", Scale: 1, Check: true, Config: core.DefaultConfig().Canonical(), WorkloadHash: "w"},
+			"913fa43ed73b083ece1f622e5bc7924f76f7831e091ea784c37d24b3942308ee"},
+		{"sampled-enhanced", Meta{Bench: "mcf", Scale: 3, Check: true, Config: sampled.Canonical(), WorkloadHash: "w"},
+			"ca859ebed177f29974d12f94e767e0498a1ac6387105fc26dede03e1cde12985"},
+	} {
+		if got := tc.meta.Digest(); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestTruncatedValueDegradesToMiss pins the first corruption path: a
 // value file cut short (crash mid-write would be caught by the rename
 // protocol, but disks and copies can still truncate) reads as a miss
