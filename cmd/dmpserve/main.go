@@ -4,7 +4,9 @@
 // process-wide result cache (internal/sched), and persists every
 // computed result in a content-addressed on-disk store (internal/store)
 // so that repeated requests — and future daemon processes over the same
-// store directory — answer without simulating.
+// store directory — answer without simulating. The store also keeps
+// each program's diverge table from the training profile, so a later
+// daemon process builds its programs without profiling them again.
 //
 // Usage:
 //
@@ -48,6 +50,16 @@ import (
 	"dmp/internal/serve"
 	"dmp/internal/store"
 	"dmp/internal/telemetry"
+)
+
+// Connection timeouts. A client that never finishes its headers, or
+// holds an idle keep-alive connection open, is cut off rather than
+// pinning a connection for ever. There is no read or write timeout on
+// the whole exchange: a ?wait=1 request legitimately waits for as long
+// as its simulations run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -101,7 +113,12 @@ func main() {
 	}
 	srv := serve.New(cfg)
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv}
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "dmpserve: listening on %s\n", *listen)

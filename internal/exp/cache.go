@@ -11,15 +11,16 @@ import (
 // the workload build plus the training profile.Run dominates experiment
 // wall-clock, and figures.go runs the same benchmark under 20+ machine
 // configurations, so building each annotated program once eliminates
-// nearly all of that work.
+// nearly all of that work. (Across processes, the daemon's stored
+// diverge tables stand in for the profile: see annotations.go.)
 //
 // Sharing one *prog.Program across concurrently running Machines is safe
 // because a Program is read-only once buildAnnotated returns:
 //
 //   - profile.Run trains on the *training* build and mutates only it; the
-//     published reference build receives the annotations via MarkDiverge
-//     before the cache entry is published (the sync.Once provides the
-//     happens-before edge).
+//     published reference build receives the annotations (profiled, or a
+//     freshly decoded stored table) before the cache entry is published
+//     (the sync.Once provides the happens-before edge).
 //   - core.New copies p.Data into the machine's own emu.Memory, and
 //     emu.New (the golden checker and the fetch oracle) does the same;
 //     stores never write through to the Program.

@@ -14,6 +14,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"strings"
@@ -119,24 +120,44 @@ func Load(bench, asm string, scale int, loops, prof bool) (*prog.Program, error)
 }
 
 // buildAnnotated is the uncached builder behind Annotated: workload
-// build, training profile, annotation transfer. loops additionally marks
-// backward (loop) diverge branches (Section 2.7.4).
+// build, then the training input's diverge table (stored, or profiled)
+// transferred to the reference build. loops additionally marks backward
+// (loop) diverge branches (Section 2.7.4).
 func buildAnnotated(bench string, scale int, loops bool) (*prog.Program, error) {
 	w, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	train := w.Build(workload.BuildConfig{Seed: workload.TrainSeed, Scale: scale})
+	ref := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: scale})
 	popts := profile.DefaultOptions()
 	popts.IncludeLoops = loops
+
+	b := annotationBacking()
+	var trainHash, profiler string
+	if b != nil {
+		trainHash, profiler = train.Hash(), popts.Key()
+		table, err := b.Annotations(trainHash, profiler)
+		switch {
+		case err == nil && markChecked(ref, table, popts):
+			return ref, nil
+		case err == nil || !errors.Is(err, fs.ErrNotExist):
+			mAnnotationRejects.Inc()
+		}
+	}
+
+	mProfileRuns.Inc()
 	if _, err := profile.Run(train, popts); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	ref := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: scale})
 	// The code image is identical across seeds (only data differs), so
 	// the training annotations transfer by PC.
 	for pc, d := range train.Diverge {
 		ref.MarkDiverge(pc, d)
+	}
+	if b != nil {
+		// A failed write only costs the next process a profile.
+		b.PutAnnotations(trainHash, profiler, train)
 	}
 	return ref, nil
 }

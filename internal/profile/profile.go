@@ -62,6 +62,14 @@ type Options struct {
 	Predictor bpred.DirPredictor
 }
 
+// Version names the profiler's selection behaviour. Diverge tables
+// persisted by the result store are keyed by it (through Options.Key),
+// so bump it with any change to this package that can move the table
+// Run produces for some program and options: every stored table then
+// reads as a miss and is profiled afresh, instead of being served
+// stale. TestProfileTablesPinned fails until it is bumped.
+const Version = 1
+
 // DefaultOptions returns the paper's heuristics.
 func DefaultOptions() Options {
 	return Options{
@@ -71,6 +79,16 @@ func DefaultOptions() Options {
 		MaxCFMs:          4,
 		SamplesPerBranch: 2000,
 	}
+}
+
+// Key names the profiler and every scalar option that selects the
+// diverge table Run produces: two Options with equal Keys mark the same
+// program identically. Predictor is not part of it; callers that key
+// persisted tables on Key run the default predictor.
+func (o Options) Key() string {
+	return fmt.Sprintf("profile/v%d max-insts=%d mispredict-share=%g reconverge-frac=%g max-dist=%d max-cfms=%d samples=%d loops=%t postdom=%t",
+		Version, o.MaxInsts, o.MispredictShare, o.ReconvergeFrac, o.MaxDist, o.MaxCFMs,
+		o.SamplesPerBranch, o.IncludeLoops, o.UsePostDom)
 }
 
 // BranchStat summarises one static branch over the profiling run.

@@ -5,7 +5,8 @@
 // backing of the process-wide result cache — every simulation any
 // request triggers lands on disk, and any later request (or daemon
 // restart) for the same (workload bytes, config, scale, checker) key is
-// a read, not a simulation.
+// a read, not a simulation. The same store keeps each program's diverge
+// table, so a restarted daemon builds its programs without profiling.
 //
 // Endpoints:
 //
@@ -93,6 +94,7 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, adm: sched.NewAdmitter(cfg.Admit), hub: newHub(), runs: make(map[string]*run)}
 	if cfg.Store != nil {
 		exp.ResultCache().SetBacking(storeBacking{cfg.Store})
+		exp.SetAnnotationBacking(cfg.Store)
 	}
 	telemetry.Active().Feed().Subscribe(s.hub.publish)
 	mux := http.NewServeMux()
@@ -125,6 +127,7 @@ func (s *Server) Close() {
 	s.adm.Stop()
 	if s.cfg.Store != nil {
 		exp.ResultCache().SetBacking(nil)
+		exp.SetAnnotationBacking(nil)
 	}
 }
 
@@ -264,10 +267,28 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a POST body. A valid request is a few hundred
+// bytes; the bound keeps a broken or hostile client from making the
+// daemon buffer without end.
+const maxBodyBytes = 1 << 20
+
+// decodeStrict decodes a request body of at most maxBodyBytes into v,
+// rejecting unknown fields. On failure it has already answered: 413 for
+// a body over the bound, 400 for any other bad body.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+	default:
+		badRequest(w, "bad request body: %v", err)
+	}
+	return false
 }
 
 func (s *Server) options(scale int, check *bool) exp.Options {
@@ -280,8 +301,7 @@ func (s *Server) options(scale int, check *bool) exp.Options {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeStrict(r, &req); err != nil {
-		badRequest(w, "bad request body: %v", err)
+	if !decodeStrict(w, r, &req) {
 		return
 	}
 	if req.Bench == "" {
@@ -322,8 +342,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentsRequest
-	if err := decodeStrict(r, &req); err != nil {
-		badRequest(w, "bad request body: %v", err)
+	if !decodeStrict(w, r, &req) {
 		return
 	}
 	ids, err := exp.Resolve(req.IDs)

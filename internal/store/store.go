@@ -29,8 +29,9 @@
 //
 // Layout under the store directory:
 //
-//	objects/<digest[:2]>/<digest>.json   one entry per unique simulation
-//	index.jsonl                          advisory inventory, one line per entry
+//	objects/<digest[:2]>/<digest>.json       one entry per unique simulation
+//	index.jsonl                              advisory inventory, one line per entry
+//	annotations/<digest[:2]>/<digest>.json   one diverge table (annotations.go)
 //
 // The index is an inventory for humans and for fast Open; reads go
 // straight to the object files, so several processes may share one
@@ -65,15 +66,17 @@ const FormatVersion = 1
 // folded into every digest so that a Stats schema change invalidates
 // the whole store by construction: an old entry could otherwise decode
 // "successfully" with a missing field silently zeroed.
-var statsSchema = func() string {
-	t := reflect.TypeOf(core.Stats{})
+var statsSchema = schemaOf(reflect.TypeOf(core.Stats{}))
+
+// schemaOf fingerprints a struct type's field names and types.
+func schemaOf(t reflect.Type) string {
 	h := sha256.New()
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		fmt.Fprintf(h, "%s %s\n", f.Name, f.Type.String())
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}()
+}
 
 // Meta identifies one simulation: the store-side mirror of sched.Key
 // with the program pinned by content hash instead of by name alone (a
@@ -136,8 +139,9 @@ type Store struct {
 
 // Open opens (creating if needed) a store directory and runs crash
 // recovery: leftover temp files from interrupted writes are removed,
-// torn index lines are dropped, and objects missing from the index are
-// verified and adopted (or deleted if corrupt).
+// torn index lines are dropped, objects missing from the index are
+// verified and adopted (or deleted if corrupt), and annotation objects
+// are verified and kept (or deleted if corrupt), never indexed.
 func Open(dir string) (*Store, error) {
 	objects := filepath.Join(dir, "objects")
 	if err := os.MkdirAll(objects, 0o755); err != nil {
@@ -198,6 +202,28 @@ func Open(dir string) (*Store, error) {
 		s.idx[digest] = meta
 		s.appendIndex(indexLine{Digest: digest, Meta: meta})
 	}
+
+	// Annotation objects are verified the same way but never indexed.
+	err = filepath.WalkDir(filepath.Join(dir, "annotations"), func(path string, d fs.DirEntry, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil || d.IsDir() {
+			return err
+		}
+		switch {
+		case strings.HasSuffix(path, ".tmp"):
+			os.Remove(path)
+		case strings.HasSuffix(path, ".json"):
+			if _, err := readAnnotations(path, strings.TrimSuffix(filepath.Base(path), ".json")); err != nil {
+				os.Remove(path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: scan annotations: %w", err)
+	}
 	return s, nil
 }
 
@@ -207,11 +233,15 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") }
 
 func (s *Store) objectPath(digest string) string {
-	shard := "xx"
-	if len(digest) >= 2 {
-		shard = digest[:2]
+	return filepath.Join(s.dir, "objects", shard(digest), digest+".json")
+}
+
+// shard is the subdirectory an object with this digest is filed under.
+func shard(digest string) string {
+	if len(digest) < 2 {
+		return "xx"
 	}
-	return filepath.Join(s.dir, "objects", shard, digest+".json")
+	return digest[:2]
 }
 
 // Get returns the Stats stored under digest, or (nil, false) on any
@@ -248,32 +278,8 @@ func (s *Store) Load(m Meta) (*core.Stats, bool) {
 // simulator is deterministic, and the last rename wins.
 func (s *Store) Put(m Meta, st *core.Stats) (string, error) {
 	digest := m.Digest()
-	pl, err := json.Marshal(payload{Meta: m, Stats: *st})
-	if err != nil {
-		return "", fmt.Errorf("store: marshal payload: %w", err)
-	}
-	sum := sha256.Sum256(pl)
-	env, err := json.Marshal(envelope{Version: FormatVersion, Sum: hex.EncodeToString(sum[:]), Payload: pl})
-	if err != nil {
-		return "", fmt.Errorf("store: marshal envelope: %w", err)
-	}
-	path := s.objectPath(digest)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), digest+".*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	_, werr := tmp.Write(append(env, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("store: write %s: %w", digest[:12], errFirst(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("store: publish %s: %w", digest[:12], err)
+	if err := writeObject(s.objectPath(digest), digest, payload{Meta: m, Stats: *st}); err != nil {
+		return "", err
 	}
 	s.mu.Lock()
 	_, known := s.idx[digest]
@@ -285,6 +291,39 @@ func (s *Store) Put(m Meta, st *core.Stats) (string, error) {
 		s.appendIndex(indexLine{Digest: digest, Meta: m})
 	}
 	return digest, nil
+}
+
+// writeObject seals pl in an envelope and publishes it at path through
+// a private temp file and an atomic rename, so a reader sees either
+// nothing or the whole object.
+func writeObject(path, digest string, pl any) error {
+	data, err := json.Marshal(pl)
+	if err != nil {
+		return fmt.Errorf("store: marshal payload: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	env, err := json.Marshal(envelope{Version: FormatVersion, Sum: hex.EncodeToString(sum[:]), Payload: data})
+	if err != nil {
+		return fmt.Errorf("store: marshal envelope: %w", err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), digest+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, werr := tmp.Write(append(env, '\n'))
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: write %s: %w", digest[:12], errFirst(werr, cerr))
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: publish %s: %w", digest[:12], err)
+	}
+	return nil
 }
 
 // appendIndex appends one inventory line. The index is advisory (reads
@@ -330,30 +369,39 @@ func (s *Store) Meta(digest string) (Meta, bool) {
 	return m, ok
 }
 
-// readObject reads and fully validates one object file.
+// readObject reads and fully validates one result object file.
 func readObject(path string) (*core.Stats, Meta, error) {
+	var p payload
+	if err := readEnvelope(path, &p); err != nil {
+		return nil, Meta{}, err
+	}
+	return &p.Stats, p.Meta, nil
+}
+
+// readEnvelope reads one object file, checks its envelope version and
+// payload checksum, and decodes the payload strictly into pl.
+func readEnvelope(path string, pl any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, Meta{}, err
+		return err
 	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, Meta{}, fmt.Errorf("store: envelope: %w", err)
+		return fmt.Errorf("store: envelope: %w", err)
 	}
 	if env.Version != FormatVersion {
-		return nil, Meta{}, fmt.Errorf("store: format version %d, want %d", env.Version, FormatVersion)
+		return fmt.Errorf("store: format version %d, want %d", env.Version, FormatVersion)
 	}
 	sum := sha256.Sum256(env.Payload)
 	if hex.EncodeToString(sum[:]) != env.Sum {
-		return nil, Meta{}, fmt.Errorf("store: payload checksum mismatch")
+		return fmt.Errorf("store: payload checksum mismatch")
 	}
 	dec := json.NewDecoder(bytes.NewReader(env.Payload))
 	dec.DisallowUnknownFields()
-	var p payload
-	if err := dec.Decode(&p); err != nil {
-		return nil, Meta{}, fmt.Errorf("store: payload: %w", err)
+	if err := dec.Decode(pl); err != nil {
+		return fmt.Errorf("store: payload: %w", err)
 	}
-	return &p.Stats, p.Meta, nil
+	return nil
 }
 
 func errFirst(errs ...error) error {
