@@ -6,13 +6,20 @@ import "sync"
 // heap object per fetched uop, and takes them back once they are
 // unreachable, so a run's slab count is set by the instruction window,
 // not by the run's length. Slabs come from a process-wide sync.Pool
-// shared by all machines: a slab is zeroed when taken (it may carry a
-// previous machine's dead uops) and every slab goes back to the pool at
-// the end of Run. An experiment sweep that runs hundreds of machines back
-// to back therefore recirculates a working set of a few slabs.
+// shared by all machines, and every slab goes back to the pool at the
+// end of Run. An experiment sweep that runs hundreds of machines back to
+// back therefore recirculates a working set of a few slabs.
+//
+// Everything that holds a uop names it by slot (uopRef), never by
+// pointer, and a uop holds no pointer either: its episode, fetch
+// snapshot and RAT checkpoint are indices into value pools. The slabs,
+// the queues, the event heap, the waiter nodes and the rename maps are
+// therefore pointer-free, so the collector never scans them and storing
+// a uop into one of them needs no write barrier. A *uop is only ever a
+// local, short-lived view of a slot.
 //
 // A recycled uop goes on a free list with its generation (uop.gen)
-// bumped. Holders that may outlive a uop name it by (pointer, gen) — RAT
+// bumped. Holders that may outlive a uop name it by (slot, gen) — RAT
 // entries and episodes do — so a reused slot reads as stale instead of
 // silently aliasing its new occupant. Uops return to the free list from
 // four places, each of which proves the uop unreachable:
@@ -39,10 +46,20 @@ import "sync"
 //     from the uop — even on a predicate-FALSE path, where the value
 //     differs from the committed register but still decides a load's
 //     address and thus cache timing.
+//
+// Recycling clears nothing but bumps the generation: alloc writes the
+// whole uop, its identity fields set and every other field zeroed, in
+// one pass over storage it is about to use.
 type uopArena struct {
-	chunks []*[uopChunkSize]uop // every slab taken from the pool
-	next   int                  // next unhanded element of the last slab
-	free   []*uop               // recycled uops, already zeroed
+	// chunks holds every slab taken from the pool, as a slice: indexing
+	// a slice bounds-checks against its length in a register, where
+	// indexing through an array pointer would first touch the slab's
+	// first line to check the pointer for nil. Slabs are page-sized, so
+	// their first lines share a few cache sets, and that touch thrashed
+	// them.
+	chunks [][]uop
+	next   int      // next unhanded element of the last slab
+	free   []uopRef // recycled slots
 	// allocated counts every uop handed out (fresh or recycled), for the
 	// throughput accounting in Stats.
 	allocated uint64
@@ -50,8 +67,8 @@ type uopArena struct {
 }
 
 // uopChunkSize is the slab granularity. 64 uops keep a chunk in the
-// small-object allocation path (a whole-chunk clear stays cache-friendly)
-// while still amortising the per-uop allocation.
+// small-object allocation path while still amortising the per-uop
+// allocation.
 const uopChunkSize = 64
 
 // chunkPool shares uop slabs across machines (experiments run many
@@ -60,32 +77,54 @@ const uopChunkSize = 64
 // between Get and release).
 var chunkPool = sync.Pool{New: func() any { return new([uopChunkSize]uop) }}
 
-// alloc returns a zeroed uop.
+// at returns the uop in slot r. r must name a slot (r != 0).
 //
 //dmp:hotpath
-func (a *uopArena) alloc() *uop {
+func (a *uopArena) at(r uopRef) *uop {
+	i := uint32(r) - 1
+	return &a.chunks[i/uopChunkSize][i%uopChunkSize]
+}
+
+// alloc returns a uop with the given identity and every other field
+// zero; its instruction is therefore a NOP until the caller sets it.
+//
+//dmp:hotpath
+func (a *uopArena) alloc(seq, pc uint64, kind uopKind) *uop {
 	a.allocated++
+	var u *uop
 	if n := len(a.free); n > 0 {
-		u := a.free[n-1]
+		u = a.at(a.free[n-1])
 		a.free = a.free[:n-1]
-		return u
+	} else {
+		if len(a.chunks) == 0 || a.next == uopChunkSize {
+			a.grow()
+		}
+		u = &a.chunks[len(a.chunks)-1][a.next]
+		a.next++
 	}
-	if len(a.chunks) == 0 || a.next == uopChunkSize {
-		c := chunkPool.Get().(*[uopChunkSize]uop)
-		*c = [uopChunkSize]uop{} // may carry a previous machine's dead uops
-		a.chunks = append(a.chunks, c)
-		a.next = 0
-	}
-	u := &a.chunks[len(a.chunks)-1][a.next]
-	a.next++
+	ref, gen := u.ref, u.gen
+	*u = uop{}
+	u.seq, u.pc, u.kind, u.ref, u.gen = seq, pc, kind, ref, gen
 	return u
 }
 
+// grow takes a slab from the pool and numbers its slots. A slab may
+// carry a previous machine's dead uops; alloc overwrites each in full.
+func (a *uopArena) grow() {
+	c := chunkPool.Get().(*[uopChunkSize]uop)
+	base := len(a.chunks) * uopChunkSize
+	for i := range c {
+		c[i].ref = uopRef(base + i + 1)
+	}
+	a.chunks = append(a.chunks, c[:])
+	a.next = 0
+}
+
 // release returns every slab to the shared pool. Only legal once no uop
-// from this arena can ever be dereferenced again — i.e. at the very end
-// of Run, after the last pipeline stage has executed. The machine's
-// dangling internal references (ROB, RAT, checkpoints) are never read
-// after Run returns; a Machine is single-use.
+// from this arena can ever be read again — i.e. at the very end of Run,
+// after the last pipeline stage has executed. The machine's dangling
+// slot references (ROB, RAT, checkpoints) are never read after Run
+// returns; a Machine is single-use.
 func (a *uopArena) release() {
 	if a.released {
 		return
@@ -93,27 +132,35 @@ func (a *uopArena) release() {
 	a.released = true
 	a.free = nil
 	for i, c := range a.chunks {
-		chunkPool.Put(c)
+		chunkPool.Put((*[uopChunkSize]uop)(c))
 		a.chunks[i] = nil
 	}
 	a.chunks = nil
 }
 
-// recycle zeroes a provably unreferenced uop, bumps its generation and
-// puts it on the free list. The uop's waiter list must already be empty
-// (Machine.recycle frees it).
+// recycle puts a provably unreferenced uop on the free list with its
+// generation bumped, which makes every (slot, gen) handle to it stale.
+// The uop's waiter list must already be empty (Machine.recycle frees
+// it).
 //
 //dmp:hotpath
 func (a *uopArena) recycle(u *uop) {
-	gen := u.gen + 1
-	*u = uop{}
-	u.gen = gen
-	a.free = append(a.free, u)
+	u.gen++
+	a.free = append(a.free, u.ref)
+}
+
+// bySlot returns the side table t, grown if need be so that slot r
+// indexes it.
+func bySlot[T any](t []T, r uopRef) []T {
+	if int(r) >= len(t) {
+		t = append(t, make([]T, int(r)+1-len(t)+uopChunkSize)...)
+	}
+	return t
 }
 
 // recycle returns an unreachable uop's storage to the arena, first
-// salvaging its poolable side allocations and freeing its waiter list
-// (a squashed producer may still list its squashed consumers).
+// salvaging its poolable side records and freeing its waiter list (a
+// squashed producer may still list its squashed consumers).
 //
 //dmp:hotpath
 func (m *Machine) recycle(u *uop) {
@@ -128,17 +175,17 @@ func (m *Machine) recycle(u *uop) {
 // producer's history.
 //
 //dmp:hotpath
-func (m *Machine) addWaiter(p, u *uop, which int) {
+func (m *Machine) addWaiter(p, u *uop, which int32) {
 	i := m.wfree
 	if i != 0 {
 		m.wfree = m.wnodes[i].next
-		m.wnodes[i] = waiter{u: u, which: int32(which)}
+		m.wnodes[i] = waiter{u: u.ref, which: which}
 	} else {
 		if len(m.wnodes) == 0 {
 			m.wnodes = append(m.wnodes, waiter{}) // node 0 ends every list
 		}
 		i = int32(len(m.wnodes))
-		m.wnodes = append(m.wnodes, waiter{u: u, which: int32(which)})
+		m.wnodes = append(m.wnodes, waiter{u: u.ref, which: which})
 	}
 	if p.wTail != 0 {
 		m.wnodes[p.wTail].next = i
@@ -166,7 +213,7 @@ func (m *Machine) dropSquashedWaiters(p *uop) {
 	prev := int32(0)
 	for i := p.wHead; i != 0; {
 		next := m.wnodes[i].next
-		if m.wnodes[i].u.squashed {
+		if m.arena.at(m.wnodes[i].u).squashed {
 			if prev == 0 {
 				p.wHead = next
 			} else {
@@ -196,25 +243,20 @@ func (m *Machine) recycleFEQ(u *uop) {
 	m.recycle(u)
 }
 
-// salvage returns a uop's side snapshots to their pools: the fetch
+// salvage returns a uop's side records to their pools: the fetch
 // snapshot (every control uop carries one from fetch) and the RAT
 // checkpoint (every branch takes one at rename). Both are read only by
 // misprediction recovery (recoverFrom) while the branch is in flight and
 // only this uop references them, so they are dead once the uop retires
-// or is squashed. Returning them keeps snapFetch and snapshotRAT
-// allocation-free in steady state, where they otherwise dominate the
-// heap.
+// or is squashed.
 //
 //dmp:hotpath
 func (m *Machine) salvage(u *uop) {
-	if u.fetchSnap != nil {
-		m.snapPool = append(m.snapPool, u.fetchSnap)
-		u.fetchSnap = nil
+	if u.fetchSnap != 0 {
+		m.snaps.put(u.fetchSnap)
+		u.fetchSnap = 0
 	}
-	if u.checkpoint != nil {
-		m.ckptPool = append(m.ckptPool, u.checkpoint)
-		u.checkpoint = nil
-	}
+	m.dropCheckpoint(&u.checkpoint)
 }
 
 // dropRetired hands back a uop that just left the ROB. A producer waits
@@ -224,25 +266,10 @@ func (m *Machine) salvage(u *uop) {
 //dmp:hotpath
 func (m *Machine) dropRetired(u *uop) {
 	if u.hasDst {
-		m.parked = append(m.parked, u)
+		m.parked = append(m.parked, u.ref)
 		return
 	}
 	m.arena.recycle(u)
-}
-
-// snapshotRAT copies r into a checkpoint from the pool (salvaged from
-// retired and squashed branches and reclaimed episodes).
-//
-//dmp:hotpath
-func (m *Machine) snapshotRAT(r *rat) *ratCheckpoint {
-	if len(m.ckptPool) == 0 {
-		m.ckptPool = growPool(m.ckptPool)
-	}
-	n := len(m.ckptPool)
-	c := m.ckptPool[n-1]
-	m.ckptPool = m.ckptPool[:n-1]
-	*c = *r
-	return c
 }
 
 // poolChunk is how many records a side pool (checkpoints, fetch
@@ -251,50 +278,107 @@ func (m *Machine) snapshotRAT(r *rat) *ratCheckpoint {
 // up.
 const poolChunk = 32
 
-// growPool adds a chunk of zeroed records to pool.
-func growPool[T any](pool []*T) []*T {
-	c := make([]T, poolChunk)
-	for i := range c {
-		pool = append(pool, &c[i])
-	}
-	return pool
+// pool hands out records of type T by index (0 names none) from chunks
+// of values. A chunk never moves once made, so growing the pool leaves
+// every record where it was: a *T obtained from at stays valid, and the
+// index is what uops and episodes store.
+type pool[T any] struct {
+	chunks [][]T
+	free   []int32 // indices of the records not handed out
 }
 
-// checkpointInto saves r into *c, reusing the checkpoint already there.
+// at returns record i (i != 0).
 //
 //dmp:hotpath
-func (m *Machine) checkpointInto(c **ratCheckpoint, r *rat) {
-	if *c != nil {
-		**c = *r
+func (p *pool[T]) at(i int32) *T {
+	j := uint32(i) - 1
+	return &p.chunks[j/poolChunk][j%poolChunk]
+}
+
+// get hands out a record, as the last holder left it. grew is the new
+// chunk when the pool had to grow (its records zero), else nil.
+//
+//dmp:hotpath
+func (p *pool[T]) get() (i int32, grew []T) {
+	if len(p.free) == 0 {
+		grew = p.grow()
+	}
+	n := len(p.free)
+	i = p.free[n-1]
+	p.free = p.free[:n-1]
+	return i, grew
+}
+
+// grow adds a chunk of zeroed records to the pool and returns it.
+func (p *pool[T]) grow() []T {
+	c := make([]T, poolChunk)
+	base := int32(len(p.chunks) * poolChunk)
+	p.chunks = append(p.chunks, c)
+	for k := int32(poolChunk); k > 0; k-- {
+		p.free = append(p.free, base+k)
+	}
+	return c
+}
+
+// put takes record i back.
+//
+//dmp:hotpath
+func (p *pool[T]) put(i int32) { p.free = append(p.free, i) }
+
+// snapshotRAT copies r into a checkpoint from the pool (salvaged from
+// retired and squashed branches and reclaimed episodes) and returns its
+// index.
+//
+//dmp:hotpath
+func (m *Machine) snapshotRAT(r *rat) int32 {
+	i, _ := m.ckpts.get()
+	*m.ckpts.at(i) = *r
+	return i
+}
+
+// checkpointInto saves r into checkpoint *c, reusing the one already
+// there.
+//
+//dmp:hotpath
+func (m *Machine) checkpointInto(c *int32, r *rat) {
+	if *c != 0 {
+		*m.ckpts.at(*c) = *r
 		return
 	}
 	*c = m.snapshotRAT(r)
 }
 
-// dropCheckpoint returns *c to the checkpoint pool and clears it.
+// dropCheckpoint returns checkpoint *c to the pool and clears *c.
 //
 //dmp:hotpath
-func (m *Machine) dropCheckpoint(c **ratCheckpoint) {
-	if *c != nil {
-		m.ckptPool = append(m.ckptPool, *c)
-		*c = nil
+func (m *Machine) dropCheckpoint(c *int32) {
+	if *c != 0 {
+		m.ckpts.put(*c)
+		*c = 0
 	}
 }
 
 // newEpisode hands out an episode record from the pool, zeroed except
-// for the RAS snapshots' backing arrays. The record joins epLive until
-// reclaimRetired finds it unreachable.
+// for its index and the RAS snapshots' backing arrays. The record joins
+// epLive until reclaimRetired finds it unreachable.
 //
 //dmp:hotpath
 func (m *Machine) newEpisode() *episode {
-	if len(m.epPool) == 0 {
-		m.epPool = growPool(m.epPool)
-	}
-	n := len(m.epPool)
-	ep := m.epPool[n-1]
-	m.epPool = m.epPool[:n-1]
-	m.epLive = append(m.epLive, ep)
+	i, _ := m.eps.get()
+	ep := m.eps.at(i)
+	ep.ref = i
+	m.epLive = append(m.epLive, i)
 	return ep
+}
+
+// epOf returns the episode u belongs to, or nil.
+//
+//dmp:hotpath
+func (m *Machine) epOf(u *uop) *episode {
+	if u.ep == 0 {
+		return nil
+	}
+	return m.eps.at(u.ep)
 }
 
 // reclaimRetired recycles what nothing in flight can reach any more: the
@@ -312,56 +396,56 @@ func (m *Machine) reclaimRetired() {
 	pass := m.reclaimPass
 	oldestPred := m.preds.next
 
-	pinRAT(&m.rat, pass)
+	m.pinRAT(&m.rat, pass)
 	for _, r := range m.dualRats {
 		if r != nil {
-			pinRAT(r, pass)
+			m.pinRAT(r, pass)
 		}
 	}
 	for i := range m.selPending {
-		m.selPending[i].fromCP2.pin(pass)
-		m.selPending[i].fromRAT.pin(pass)
+		m.pinEntry(m.selPending[i].fromCP2, pass)
+		m.pinEntry(m.selPending[i].fromRAT, pass)
 	}
-	for _, u := range m.rob {
-		if u.checkpoint != nil {
-			pinRAT(u.checkpoint, pass)
+	for _, r := range m.rob {
+		u := m.arena.at(r)
+		if u.checkpoint != 0 {
+			m.pinRAT(m.ckpts.at(u.checkpoint), pass)
 		}
-		oldestPred = markUop(u, pass, oldestPred)
+		oldestPred = m.markUop(u, pass, oldestPred)
 	}
-	for _, u := range m.feq {
-		oldestPred = markUop(u, pass, oldestPred)
+	for _, r := range m.feq {
+		oldestPred = m.markUop(m.arena.at(r), pass, oldestPred)
 	}
 	for _, ep := range m.episodes {
-		oldestPred = markEpisode(ep, pass, oldestPred)
+		oldestPred = m.markEpisode(ep, pass, oldestPred)
 	}
-	oldestPred = markEpisode(m.selEp, pass, oldestPred)
-	oldestPred = markEpisode(m.live, pass, oldestPred)
-	oldestPred = markEpisode(m.feEp, pass, oldestPred)
-	oldestPred = markEpisode(m.dualEp, pass, oldestPred)
+	oldestPred = m.markEpisode(m.selEp, pass, oldestPred)
+	oldestPred = m.markEpisode(m.live, pass, oldestPred)
+	oldestPred = m.markEpisode(m.feEp, pass, oldestPred)
+	oldestPred = m.markEpisode(m.dualEp, pass, oldestPred)
 
 	kept := m.parked[:0]
-	for _, u := range m.parked {
-		if u.pin == pass {
-			kept = append(kept, u)
+	for _, r := range m.parked {
+		if u := m.arena.at(r); u.pin == pass {
+			kept = append(kept, r)
 		} else {
 			m.arena.recycle(u)
 		}
 	}
-	clear(m.parked[len(kept):])
 	m.parked = kept
 
 	keptEp := m.epLive[:0]
-	for _, ep := range m.epLive {
+	for _, i := range m.epLive {
+		ep := m.eps.at(i)
 		if ep.mark == pass {
-			keptEp = append(keptEp, ep)
+			keptEp = append(keptEp, i)
 			continue
 		}
 		m.dropCheckpoint(&ep.cp1)
 		m.dropCheckpoint(&ep.cp2)
 		*ep = episode{rasAtDiverge: ep.rasAtDiverge, rasAtCFM: ep.rasAtCFM}
-		m.epPool = append(m.epPool, ep)
+		m.eps.put(i)
 	}
-	clear(m.epLive[len(keptEp):])
 	m.epLive = keptEp
 
 	m.preds.release(oldestPred)
@@ -369,30 +453,30 @@ func (m *Machine) reclaimRetired() {
 
 // markUop marks what an in-flight uop can still read: its episode and
 // its predicate ids. It returns oldest lowered to the uop's predicate ids.
-func markUop(u *uop, pass uint32, oldest int) int {
-	oldest = markEpisode(u.ep, pass, oldest)
+func (m *Machine) markUop(u *uop, pass uint32, oldest int32) int32 {
+	oldest = m.markEpisode(m.epOf(u), pass, oldest)
 	return minPred(minPred(oldest, u.predID), u.selPred)
 }
 
 // markEpisode marks a reachable episode record and pins the producers
 // its checkpoints name. It returns oldest lowered to the episode's
 // predicate ids.
-func markEpisode(ep *episode, pass uint32, oldest int) int {
+func (m *Machine) markEpisode(ep *episode, pass uint32, oldest int32) int32 {
 	if ep == nil || ep.mark == pass {
 		return oldest
 	}
 	ep.mark = pass
-	if ep.cp1 != nil {
-		pinRAT(ep.cp1, pass)
+	if ep.cp1 != 0 {
+		m.pinRAT(m.ckpts.at(ep.cp1), pass)
 	}
-	if ep.cp2 != nil {
-		pinRAT(ep.cp2, pass)
+	if ep.cp2 != 0 {
+		m.pinRAT(m.ckpts.at(ep.cp2), pass)
 	}
 	return minPred(minPred(oldest, ep.predID1), ep.predID2)
 }
 
 // minPred lowers oldest to id, ignoring id 0 (unpredicated).
-func minPred(oldest, id int) int {
+func minPred(oldest, id int32) int32 {
 	if id != 0 && id < oldest {
 		return id
 	}
@@ -400,9 +484,9 @@ func minPred(oldest, id int) int {
 }
 
 // pinRAT marks every producer r names as reachable in this pass.
-func pinRAT(r *rat, pass uint32) {
+func (m *Machine) pinRAT(r *rat, pass uint32) {
 	for i := range r.e {
-		r.e[i].pin(pass)
+		m.pinEntry(r.e[i], pass)
 	}
 }
 
@@ -412,27 +496,31 @@ func pinRAT(r *rat, pass uint32) {
 // skip squashed entries already, so dropping them (order-preserving)
 // changes no simulation outcome — it only makes the "unreferenced" proof
 // the free list relies on.
-func (m *Machine) reclaimSquashed(dead []*uop) {
+func (m *Machine) reclaimSquashed(dead []uopRef) {
 	if len(dead) == 0 {
 		return
 	}
-	m.readyQ = dropSquashed(m.readyQ)
-	m.replayLoads = dropSquashed(m.replayLoads)
+	m.readyQ = m.dropSquashed(m.readyQ)
+	m.replayLoads = m.dropSquashed(m.replayLoads)
 	// Surviving producers may hold waiter entries for squashed consumers
 	// (consumers are always younger than their producers, so the reverse
 	// cannot happen: a squashed producer's waiters are all squashed too).
-	for _, u := range m.rob {
-		m.dropSquashedWaiters(u)
+	for _, r := range m.rob {
+		m.dropSquashedWaiters(m.arena.at(r))
 	}
 	// Surviving episodes' predicates may hold squashed select-uops (a
 	// flush can rewind into an episode past its selects). Dead episodes'
 	// predicates can never broadcast again, so their waiter lists are
 	// never read and need no purge.
 	for _, ep := range m.episodes {
-		m.preds.dropSquashedWaiters(ep.predID1)
-		m.preds.dropSquashedWaiters(ep.predID2)
+		for _, id := range [2]int32{ep.predID1, ep.predID2} {
+			if p := m.preds.get(id); p != nil {
+				p.waiters = m.dropSquashed(p.waiters)
+			}
+		}
 	}
-	for _, u := range dead {
+	for _, r := range dead {
+		u := m.arena.at(r)
 		if u.issued && !u.done {
 			// Completion event still in the heap; completeStage recycles
 			// this uop when the event pops.
@@ -444,15 +532,12 @@ func (m *Machine) reclaimSquashed(dead []*uop) {
 
 // dropSquashed filters squashed uops out of a queue in place, preserving
 // the order of the survivors.
-func dropSquashed(q []*uop) []*uop {
+func (m *Machine) dropSquashed(q []uopRef) []uopRef {
 	kept := q[:0]
-	for _, u := range q {
-		if !u.squashed {
-			kept = append(kept, u)
+	for _, r := range q {
+		if !m.arena.at(r).squashed {
+			kept = append(kept, r)
 		}
-	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
 	}
 	return kept
 }

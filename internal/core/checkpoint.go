@@ -41,6 +41,7 @@ func (m *Machine) restart(regs [isa.NumRegs]uint64, pc uint64, halted bool) {
 	m.fetchPC = pc
 	m.fetchHalted = halted
 	m.halted = halted
+	m.rat = rat{}
 	for r := range m.rat.e {
 		m.rat.e[r] = ratEntry{val: regs[r]}
 	}

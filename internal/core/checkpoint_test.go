@@ -29,6 +29,7 @@ func TestRunUntilSegmentsMatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, m, whole)
 
 	m2, err := New(p, segCfg())
 	if err != nil {
@@ -47,6 +48,7 @@ func TestRunUntilSegmentsMatchRun(t *testing.T) {
 	if seg, err = m2.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, m2, seg)
 	a, b := *whole, *seg
 	a.WallSeconds, b.WallSeconds = 0, 0
 	if a != b {
@@ -81,6 +83,7 @@ func TestCheckpointWarmStitchedRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stitched run failed retirement checking: %v", err)
 	}
+	checkStats(t, m, st)
 	if !st.HaltRetired {
 		t.Fatal("stitched run did not retire HALT")
 	}
@@ -95,6 +98,7 @@ func TestCheckpointWarmStitchedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, exact, es)
 	if got, want := w.Count()+st.RetiredInsts, es.RetiredInsts; got != want {
 		t.Errorf("warmed %d + stitched %d = %d retired, exact run %d",
 			w.Count(), st.RetiredInsts, got, want)
@@ -135,6 +139,7 @@ func TestSnapshotIsolatesWarmState(t *testing.T) {
 		if _, err := m.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, m, &m.Stats)
 		snap.WallSeconds = 0
 		return snap
 	}
@@ -178,4 +183,5 @@ func TestFunctionalWarmAdvancesTransplant(t *testing.T) {
 	if _, err := m.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, m, &m.Stats)
 }

@@ -78,7 +78,7 @@ type episode struct {
 	// itself, valid only while divergeGen matches (divergeInFlight).
 	divergePC, divergeSeq uint64
 	divergeMark           oracleMark
-	divergeU              *uop
+	divergeU              uopRef
 	divergeGen            uint32
 
 	cfms      []uint64 // candidate CFM points (CAM contents)
@@ -95,11 +95,12 @@ type episode struct {
 	earlyExited    bool
 
 	// predID1 predicates the predicted path, predID2 the alternate path.
-	predID1, predID2 int
+	predID1, predID2 int32
 
-	// Rename-side checkpoints (Section 2.4). cp1 is taken when
-	// enter.pred.path renames, cp2 when enter.alternate.path renames.
-	cp1, cp2 *ratCheckpoint
+	// Rename-side checkpoints (Section 2.4), indices into Machine.ckpts
+	// (0 = none). cp1 is taken when enter.pred.path renames, cp2 when
+	// enter.alternate.path renames.
+	cp1, cp2 int32
 
 	altFetched    int // alternate-path instructions fetched (early exit)
 	exitThreshold int
@@ -119,13 +120,14 @@ type episode struct {
 	dual bool
 
 	mark uint32 // the reclaimRetired pass that last found this record reachable
+	ref  int32  // this record's index in Machine.eps, what uops store
 }
 
 // divergeInFlight reports whether the episode's diverge branch is still
 // in the window, unresolved: its uop slot has not been recycled since
 // entry, and the uop has neither resolved nor been squashed.
-func (ep *episode) divergeInFlight() bool {
-	u := ep.divergeU
+func (m *Machine) divergeInFlight(ep *episode) bool {
+	u := m.arena.at(ep.divergeU)
 	return u.gen == ep.divergeGen && !u.resolved && !u.squashed
 }
 
@@ -135,7 +137,7 @@ func (ep *episode) divergeInFlight() bool {
 type predicate struct {
 	known   bool
 	value   bool
-	waiters []*uop // select-uops (and stalled loads' stores) woken on broadcast
+	waiters []uopRef // select-uops woken on broadcast
 }
 
 // predFile is the predicate register file. IDs are allocated
@@ -145,7 +147,7 @@ type predicate struct {
 // the ring stays as small as the window's predicate working set.
 type predFile struct {
 	ring       []predicate // id's record is ring[id&(len(ring)-1)]
-	base, next int
+	base, next int32
 }
 
 func newPredFile() *predFile {
@@ -156,13 +158,13 @@ func newPredFile() *predFile {
 // list's backing array.
 //
 //dmp:hotpath
-func (f *predFile) alloc() int {
-	if f.next-f.base == len(f.ring) {
+func (f *predFile) alloc() int32 {
+	if int(f.next-f.base) == len(f.ring) {
 		f.grow()
 	}
 	id := f.next
 	f.next++
-	p := &f.ring[id&(len(f.ring)-1)]
+	p := &f.ring[int(id)&(len(f.ring)-1)]
 	*p = predicate{waiters: p.waiters[:0]}
 	return id
 }
@@ -172,13 +174,13 @@ func (f *predFile) grow() {
 	old := f.ring
 	f.ring = make([]predicate, 2*len(old))
 	for id := f.base; id < f.next; id++ {
-		f.ring[id&(len(f.ring)-1)] = old[id&(len(old)-1)]
+		f.ring[int(id)&(len(f.ring)-1)] = old[int(id)&(len(old)-1)]
 	}
 }
 
 // release frees every id below live, the oldest id anything in flight
 // can still read.
-func (f *predFile) release(live int) {
+func (f *predFile) release(live int32) {
 	if live > f.base {
 		f.base = live
 	}
@@ -186,16 +188,16 @@ func (f *predFile) release(live int) {
 
 // get returns the predicate record for id: nil for id 0 and for ids
 // outside the live range (never allocated, or released).
-func (f *predFile) get(id int) *predicate {
+func (f *predFile) get(id int32) *predicate {
 	if id < f.base || id >= f.next {
 		return nil
 	}
-	return &f.ring[id&(len(f.ring)-1)]
+	return &f.ring[int(id)&(len(f.ring)-1)]
 }
 
 // known reports whether the predicate value has been broadcast. id 0
 // (unpredicated) is always known-true.
-func (f *predFile) known(id int) bool {
+func (f *predFile) known(id int32) bool {
 	if id == 0 {
 		return true
 	}
@@ -204,7 +206,7 @@ func (f *predFile) known(id int) bool {
 }
 
 // value returns the broadcast value; id 0 is true.
-func (f *predFile) value(id int) bool {
+func (f *predFile) value(id int32) bool {
 	if id == 0 {
 		return true
 	}
@@ -219,7 +221,7 @@ func (f *predFile) value(id int) bool {
 // The returned slice aliases the record's waiter list, which keeps its
 // backing array for the next awaits: the caller must consume it before
 // the predicate file is next written (wakePred does).
-func (f *predFile) broadcast(id int, val bool) []*uop {
+func (f *predFile) broadcast(id int32, val bool) []uopRef {
 	p := f.get(id)
 	if p == nil {
 		return nil
@@ -237,30 +239,10 @@ func (f *predFile) broadcast(id int, val bool) []*uop {
 	return w
 }
 
-// dropSquashedWaiters removes squashed uops from a predicate's waiter
-// list (flush cleanup: their storage is about to be recycled, and a later
-// broadcast must not dereference them).
-func (f *predFile) dropSquashedWaiters(id int) {
-	p := f.get(id)
-	if p == nil || len(p.waiters) == 0 {
-		return
-	}
-	kept := p.waiters[:0]
-	for _, u := range p.waiters {
-		if !u.squashed {
-			kept = append(kept, u)
-		}
-	}
-	for i := len(kept); i < len(p.waiters); i++ {
-		p.waiters[i] = nil
-	}
-	p.waiters = kept
-}
-
 // await registers a uop to be woken when the predicate broadcasts. It
 // reports whether the value is already known (in which case the caller
 // should not wait).
-func (f *predFile) await(id int, u *uop) bool {
+func (f *predFile) await(id int32, u uopRef) bool {
 	p := f.get(id)
 	if p == nil || p.known {
 		return true

@@ -21,7 +21,7 @@ func TestPredFileAllocAndDefaults(t *testing.T) {
 func TestPredFileBroadcastWakesWaiters(t *testing.T) {
 	f := newPredFile()
 	id := f.alloc()
-	u1, u2 := &uop{seq: 1}, &uop{seq: 2}
+	u1, u2 := uopRef(1), uopRef(2)
 	if f.await(id, u1) {
 		t.Error("await on unknown predicate reported known")
 	}
@@ -63,7 +63,7 @@ func TestPredFileUnknownID(t *testing.T) {
 	if f.broadcast(99, true) != nil {
 		t.Error("broadcast to unallocated id returned waiters")
 	}
-	if !f.await(99, &uop{}) {
+	if !f.await(99, 1) {
 		t.Error("await on unallocated id should not register")
 	}
 	if f.get(0) != nil {
@@ -115,16 +115,15 @@ func TestUopSrcReady(t *testing.T) {
 	if u.srcReady() {
 		t.Error("unready sources reported ready")
 	}
-	u.src1 = operand{ready: true}
-	u.src2 = operand{ready: true}
+	u.src1Ready, u.src2Ready = true, true
 	if !u.srcReady() {
 		t.Error("ready sources reported unready")
 	}
-	sel := &uop{numSrc: 3, src1: operand{ready: true}, src2: operand{ready: true}}
+	sel := &uop{numSrc: 3, src1Ready: true, src2Ready: true}
 	if sel.srcReady() {
 		t.Error("select with pending src3 reported ready")
 	}
-	sel.src3 = operand{ready: true}
+	sel.src3Ready = true
 	if !sel.srcReady() {
 		t.Error("fully ready select reported unready")
 	}

@@ -26,7 +26,7 @@ func (m *Machine) maybeFork(u *uop) bool {
 		divergePC:      u.pc,
 		divergeSeq:     u.seq,
 		divergeMark:    u.oracleMark,
-		divergeU:       u,
+		divergeU:       u.ref,
 		divergeGen:     u.gen,
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
@@ -35,6 +35,7 @@ func (m *Machine) maybeFork(u *uop) bool {
 		dual:           true,
 		rasAtDiverge:   ep.rasAtDiverge,
 		rasAtCFM:       ep.rasAtCFM,
+		ref:            ep.ref,
 	}
 	if u.predictedTaken {
 		ep.altStartPC = u.pc + 1
@@ -42,7 +43,7 @@ func (m *Machine) maybeFork(u *uop) bool {
 		ep.altStartPC = u.inst.Target
 	}
 	u.isDiverge = true
-	u.ep = ep
+	u.ep = ep.ref
 	u.predID = 0
 	m.dualEp = ep
 	m.episodes[ep.id] = ep
@@ -158,7 +159,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 	m.wakePred(m.preds.broadcast(ep.predID2, winner == 1))
 
 	// Drop the loser's not-yet-renamed uops.
-	m.dropFEQ(ep, "fork-loser", func(q *uop) bool { return q.stream != winner })
+	m.dropFEQ(ep, func(q *uop) bool { return int(q.stream) != winner })
 
 	// The winner's RAT becomes the active RAT.
 	if m.dualRats[winner] != nil {
@@ -196,7 +197,7 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 		m.probeEpisode(EpDualAbort, ep)
 	}
 
-	m.dropFEQ(ep, "dual-abort", func(q *uop) bool { return q.stream == 1 })
+	m.dropFEQ(ep, func(q *uop) bool { return q.stream == 1 })
 
 	if m.dualRats[0] != nil {
 		m.rat = *m.dualRats[0]

@@ -16,19 +16,20 @@ func (m *Machine) issueStage() {
 	// per-cycle sort is needed.
 	if len(m.replayLoads) > 0 {
 		still := m.replayLoads[:0]
-		for _, ld := range m.replayLoads {
+		for _, r := range m.replayLoads {
+			ld := m.arena.at(r)
 			if ld.squashed || ld.done {
 				continue
 			}
 			if width <= 0 || loadPorts <= 0 {
-				still = append(still, ld)
+				still = append(still, r)
 				continue
 			}
 			if m.tryIssueLoad(ld) {
 				width--
 				loadPorts--
 			} else {
-				still = append(still, ld)
+				still = append(still, r)
 			}
 		}
 		m.replayLoads = still
@@ -38,17 +39,18 @@ func (m *Machine) issueStage() {
 		return
 	}
 	rest := m.readyQ[:0]
-	for _, u := range m.readyQ {
+	for _, r := range m.readyQ {
+		u := m.arena.at(r)
 		if u.squashed || u.issued {
 			continue
 		}
 		if width <= 0 {
-			rest = append(rest, u)
+			rest = append(rest, r)
 			continue
 		}
 		if u.isLoad {
 			if loadPorts <= 0 {
-				rest = append(rest, u)
+				rest = append(rest, r)
 				continue
 			}
 			u.inReady = false
@@ -71,13 +73,13 @@ func (m *Machine) issueStage() {
 //
 //dmp:hotpath
 func (m *Machine) tryIssueLoad(ld *uop) bool {
-	ld.addr = ld.src1.val + uint64(ld.inst.Imm)
+	ld.addr = ld.src1 + uint64(ld.inst.Imm)
 	ld.addrValid = true
 	val, fromSB, stall := m.loadLookup(ld)
 	if stall {
 		if !ld.inReplay {
 			ld.inReplay = true
-			m.replayLoads = insertBySeq(m.replayLoads, ld)
+			m.replayLoads = m.insertBySeq(m.replayLoads, ld)
 			m.Stats.LoadStalls++
 		}
 		return false
@@ -115,9 +117,9 @@ func (m *Machine) execute(u *uop) {
 		// The predicate is known (issue is gated on it): mux the two
 		// paths' values (Section 2.4).
 		if m.preds.value(u.selPred) {
-			u.dstVal = u.src1.val
+			u.dstVal = u.src1
 		} else {
-			u.dstVal = u.src3.val
+			u.dstVal = u.src3
 		}
 		m.Stats.ExecutedSelects++
 	case kindInst:
@@ -125,13 +127,13 @@ func (m *Machine) execute(u *uop) {
 		lat = in.Latency()
 		switch {
 		case in.IsALU():
-			u.dstVal = isa.EvalALU(in, u.src1.val, u.src2.val)
+			u.dstVal = isa.EvalALU(in, u.src1, u.src2)
 		case in.Op == isa.ST:
-			u.addr = u.src1.val + uint64(in.Imm)
+			u.addr = u.src1 + uint64(in.Imm)
 			u.addrValid = true
-			u.dstVal = u.src2.val
+			u.dstVal = u.src2
 		case in.Op == isa.BR:
-			u.actualTaken = in.Cond.Eval(u.src1.val, u.src2.val)
+			u.actualTaken = in.Cond.Eval(u.src1, u.src2)
 			if u.actualTaken {
 				u.actualNext = in.Target
 			} else {
@@ -144,9 +146,9 @@ func (m *Machine) execute(u *uop) {
 			u.actualNext = in.Target
 		case in.Op == isa.CALLR:
 			u.dstVal = u.pc + 1
-			u.actualNext = u.src1.val
+			u.actualNext = u.src1
 		case in.Op == isa.JR, in.Op == isa.RET:
-			u.actualNext = u.src1.val
+			u.actualNext = u.src1
 		case in.Op == isa.HALT, in.Op == isa.NOP:
 			u.actualNext = u.pc
 		}
@@ -165,7 +167,7 @@ func (m *Machine) execute(u *uop) {
 //dmp:hotpath
 func (m *Machine) completeStage() {
 	for len(m.events) > 0 && m.events[0].at <= m.cycle {
-		u := m.events.pop().u
+		u := m.arena.at(m.events.pop().u)
 		if u.squashed {
 			// This event was the uop's last remaining reference (the flush
 			// purged every other structure; see reclaimSquashed).
@@ -179,18 +181,19 @@ func (m *Machine) completeStage() {
 		// Value broadcast.
 		for i := u.wHead; i != 0; i = m.wnodes[i].next {
 			w := m.wnodes[i]
-			if w.u.squashed {
+			c := m.arena.at(w.u)
+			if c.squashed {
 				continue
 			}
 			switch w.which {
 			case 1:
-				w.u.src1 = operand{ready: true, val: u.dstVal}
+				c.src1, c.src1Ready = u.dstVal, true
 			case 2:
-				w.u.src2 = operand{ready: true, val: u.dstVal}
+				c.src2, c.src2Ready = u.dstVal, true
 			case 3:
-				w.u.src3 = operand{ready: true, val: u.dstVal}
+				c.src3, c.src3Ready = u.dstVal, true
 			}
-			m.enqueueReady(w.u)
+			m.enqueueReady(c)
 		}
 		m.freeWaiters(u)
 		if u.kind == kindInst && u.inst.IsControl() && u.inst.Op != isa.HALT {
@@ -218,7 +221,7 @@ func (m *Machine) resolveControl(u *uop) {
 	// A diverge branch's u.ep is its own episode; a converted episode is
 	// dead, so its branch resolves as a normal one.
 	if u.isDiverge {
-		if ep := u.ep; ep != nil && ep.phase != dpDead {
+		if ep := m.epOf(u); ep != nil && ep.phase != dpDead {
 			if ep.dual {
 				m.resolveFork(u, ep)
 			} else {
@@ -269,8 +272,8 @@ func (m *Machine) resolveDiverge(u *uop, ep *episode) {
 				m.wakePred(m.preds.broadcast(ep.predID2, false))
 			}
 			m.dropEpisodeAltFromFEQ(ep)
-			if ep.cp2 != nil {
-				m.rat = *ep.cp2
+			if ep.cp2 != 0 {
+				m.rat = *m.ckpts.at(ep.cp2)
 			}
 			m.fetchPC = ep.cfm
 			m.ghr = ep.ghrAtCFM
@@ -332,21 +335,19 @@ func (m *Machine) setExit(ep *episode, c ExitCase) {
 }
 
 // dropFEQ removes ep's not-yet-renamed uops that drop selects from the
-// front-end queue, recording each as squashed by ep's diverge branch via
-// how (the record a stale-producer failure in operandFrom prints).
-func (m *Machine) dropFEQ(ep *episode, how string, drop func(*uop) bool) {
+// front-end queue and recycles them.
+func (m *Machine) dropFEQ(ep *episode, drop func(*uop) bool) {
 	kept := m.feq[:0]
-	for _, q := range m.feq {
-		if q.ep == ep && drop(q) {
+	for _, r := range m.feq {
+		if q := m.arena.at(r); q.ep == ep.ref && drop(q) {
 			q.squashed = true
-			q.sqBy, q.sqAt, q.sqHow = ep.divergeSeq, m.cycle, how
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
 			m.recycleFEQ(q)
 			continue
 		}
-		kept = append(kept, q)
+		kept = append(kept, r)
 	}
 	m.feq = kept
 }
@@ -360,7 +361,7 @@ func (u *uop) altPath() bool {
 // dropEpisodeAltFromFEQ removes the episode's not-yet-renamed
 // alternate-path uops and markers from the front-end queue.
 func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
-	m.dropFEQ(ep, "drop-alt-feq", (*uop).altPath)
+	m.dropFEQ(ep, (*uop).altPath)
 	if m.feEp == ep {
 		m.feEp = nil
 	}
@@ -375,16 +376,17 @@ func (m *Machine) recoverFrom(b *uop) {
 
 	// Squash younger ROB entries.
 	cut := len(m.rob)
-	for i, u := range m.rob {
-		if u.seq > b.seq {
+	for i, r := range m.rob {
+		if m.arena.at(r).seq > b.seq {
 			cut = i
 			break
 		}
 	}
 	dead := m.rob[cut:]
-	for _, u := range dead {
+	for _, r := range dead {
+		u := m.arena.at(r)
 		u.squashed = true
-		u.sqBy, u.sqAt, u.sqHow = b.seq, m.cycle, "flush-rob"
+		m.noteSquash(u, b.seq)
 		if m.probe != nil {
 			m.probeUop(StageSquash, u)
 		}
@@ -393,9 +395,9 @@ func (m *Machine) recoverFrom(b *uop) {
 
 	m.sbSquash(b.seq)
 
-	for _, q := range m.feq {
+	for _, r := range m.feq {
+		q := m.arena.at(r)
 		q.squashed = true
-		q.sqBy, q.sqAt, q.sqHow = b.seq, m.cycle, "flush-feq"
 		if m.probe != nil {
 			m.probeUop(StageSquash, q)
 		}
@@ -422,12 +424,12 @@ func (m *Machine) recoverFrom(b *uop) {
 	}
 
 	// Restore rename state.
-	if b.checkpoint != nil {
-		m.rat = *b.checkpoint
+	if b.checkpoint != 0 {
+		m.rat = *m.ckpts.at(b.checkpoint)
 	}
 
 	// Restore fetch state.
-	snap := b.fetchSnap
+	snap := m.snaps.at(b.fetchSnap)
 	m.fetchPC = b.actualNext
 	ghr := snap.ghr
 	if b.inst.Op == isa.BR {
@@ -442,7 +444,7 @@ func (m *Machine) recoverFrom(b *uop) {
 	// is still live and unresolved).
 	m.feEp = nil
 	if snap.epID != 0 {
-		if ep := m.episodes[snap.epID]; ep != nil && ep == m.live && ep.divergeInFlight() {
+		if ep := m.episodes[snap.epID]; ep != nil && ep == m.live && m.divergeInFlight(ep) {
 			ep.phase = snap.phase
 			ep.altFetched = snap.altFetched
 			ep.cfmChosen = snap.cfmChosen
@@ -472,4 +474,24 @@ func (m *Machine) recoverFrom(b *uop) {
 	// With every structure that could still name a squashed uop now
 	// purged or restored, return the dead uops' storage to the arena.
 	m.reclaimSquashed(dead)
+}
+
+// squashRec records who squashed a ROB entry: the flushing branch's seq
+// and the cycle. Only the stale-producer failure in operandFrom reads it.
+type squashRec struct{ by, at uint64 }
+
+// noteSquash records in the side table, by slot, that a flush by the
+// branch with seq by squashed the ROB entry u.
+func (m *Machine) noteSquash(u *uop, by uint64) {
+	m.squashLog = bySlot(m.squashLog, u.ref)
+	m.squashLog[u.ref] = squashRec{by: by, at: m.cycle}
+}
+
+// squashOf returns the side-table record of the flush that squashed the
+// ROB entry u.
+func (m *Machine) squashOf(u *uop) squashRec {
+	if int(u.ref) < len(m.squashLog) {
+		return m.squashLog[u.ref]
+	}
+	return squashRec{}
 }

@@ -58,6 +58,7 @@ func runExit(t *testing.T, p *prog.Program, cfg Config) *Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, m, st)
 	if !st.HaltRetired {
 		t.Fatal("did not halt")
 	}

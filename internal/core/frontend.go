@@ -29,28 +29,21 @@ func (m *Machine) feqCap() int {
 // uops), keeping its RAS copy's backing array.
 //
 //dmp:hotpath
-func (m *Machine) snapFetch() *fetchSnapshot {
-	if len(m.snapPool) == 0 {
+func (m *Machine) snapFetch() int32 {
+	i, grew := m.snaps.get()
+	for k := range grew {
 		// Size the new snapshots' RAS copies now, not one at first use.
-		m.snapPool = growPool(m.snapPool)
-		for _, s := range m.snapPool {
-			m.ras.SnapshotInto(&s.ras)
-		}
+		m.ras.SnapshotInto(&grew[k].ras)
 	}
-	n := len(m.snapPool)
-	s := m.snapPool[n-1]
-	m.snapPool = m.snapPool[:n-1]
-	*s = fetchSnapshot{ras: s.ras}
+	s := m.snaps.at(i)
 	s.ghr = m.ghr
 	m.ras.SnapshotInto(&s.ras)
-	if m.feEp != nil {
-		s.epID = m.feEp.id
-		s.phase = m.feEp.phase
-		s.altFetched = m.feEp.altFetched
-		s.cfmChosen = m.feEp.cfmChosen
-		s.cfm = m.feEp.cfm
+	if ep := m.feEp; ep != nil {
+		s.epID, s.phase, s.altFetched, s.cfmChosen, s.cfm = ep.id, ep.phase, ep.altFetched, ep.cfmChosen, ep.cfm
+	} else {
+		s.epID, s.phase, s.altFetched, s.cfmChosen, s.cfm = 0, 0, 0, false, 0
 	}
-	return s
+	return i
 }
 
 // fetchStage fetches up to FetchWidth instructions, at most MaxBrPerFetch
@@ -143,11 +136,12 @@ func (m *Machine) cfmHit(ep *episode, pc uint64) bool {
 // group) and whether the instruction was a conditional branch.
 func (m *Machine) fetchOne() (redirected, isCond bool) {
 	pc := m.fetchPC
-	in := m.prog.At(pc)
-	u := m.arena.alloc()
-	u.seq, u.pc, u.inst, u.kind, u.stream = m.nextSeq(), pc, in, kindInst, m.fetchStream
+	u := m.arena.alloc(m.nextSeq(), pc, kindInst)
+	u.inst = m.prog.At(pc)
+	in := &u.inst
+	u.stream = uint8(m.fetchStream)
 	if ep := m.feEp; ep != nil {
-		u.ep = ep
+		u.ep = ep.ref
 		if ep.phase == dpAlternate {
 			u.onAlt = true
 			u.predID = ep.predID2
@@ -156,7 +150,7 @@ func (m *Machine) fetchOne() (redirected, isCond bool) {
 			u.predID = ep.predID1
 		}
 	} else if m.dualActive {
-		u.ep = m.dualEp
+		u.ep = m.dualEp.ref
 		if m.fetchStream == 1 {
 			u.onAlt = true
 			u.predID = m.dualEp.predID2
@@ -220,7 +214,7 @@ func (m *Machine) fetchOne() (redirected, isCond bool) {
 // stepOracle offers the fetched instruction to the fetch oracle and
 // records on-path/wrong-path bookkeeping.
 func (m *Machine) stepOracle(u *uop) {
-	if m.dualActive && u.stream != m.oracleStream {
+	if m.dualActive && int(u.stream) != m.oracleStream {
 		// The oracle follows only the stream it knows to be correct.
 		return
 	}
@@ -229,7 +223,6 @@ func (m *Machine) stepOracle(u *uop) {
 		u.onPath = true
 		u.oracleHasStep = true
 		u.oracleTaken = st.Taken
-		u.oracleNext = st.NextPC
 		u.oracleCount = m.oracle.em.Count
 		m.feedWPWatchers(u.pc)
 	} else if wasOn && !m.oracle.onPath {
@@ -271,10 +264,10 @@ func (m *Machine) fetchBranch(u *uop) bool {
 	m.ghr = m.ghr.Push(taken)
 	u.fetchSnap = m.snapFetch()
 	if entered {
-		if u.ep.dual {
-			m.emitMarker(kindFork, u.ep)
+		if ep := m.epOf(u); ep.dual {
+			m.emitMarker(kindFork, ep)
 		} else {
-			m.emitMarker(kindEnterPred, u.ep)
+			m.emitMarker(kindEnterPred, ep)
 		}
 	}
 	m.fetchPC = u.predictedNext
@@ -352,7 +345,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		divergePC:      u.pc,
 		divergeSeq:     u.seq,
 		divergeMark:    u.oracleMark,
-		divergeU:       u,
+		divergeU:       u.ref,
 		divergeGen:     u.gen,
 		cfms:           cfms,
 		phase:          dpPredicted,
@@ -363,6 +356,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		dynCFM:         dyn,
 		rasAtDiverge:   ep.rasAtDiverge,
 		rasAtCFM:       ep.rasAtCFM,
+		ref:            ep.ref,
 	}
 	if dyn {
 		// d points at the scratch dynDiv: give the episode its
@@ -379,7 +373,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 	ep.ghr1 = u.fetchGHR.Push(u.predictedTaken)
 	m.ras.SnapshotInto(&ep.rasAtDiverge)
 	u.isDiverge = true
-	u.ep = ep
+	u.ep = ep.ref
 	m.live = ep
 	m.feEp = ep
 	m.episodes[ep.id] = ep
@@ -501,11 +495,11 @@ func (m *Machine) killEpisodeAssumePredicted(ep *episode) {
 	// Drop not-yet-renamed alternate-path uops and this episode's
 	// enter.alt / exit.pred markers.
 	if ep.phase == dpAlternate || ep.phase == dpExited {
-		m.dropFEQ(ep, "kill-episode", (*uop).altPath)
+		m.dropFEQ(ep, (*uop).altPath)
 		// If the alternate path already renamed, undo its RAT effects by
 		// restoring the checkpoint taken at the end of the predicted path.
-		if ep.cp2 != nil {
-			m.rat = *ep.cp2
+		if ep.cp2 != 0 {
+			m.rat = *m.ckpts.at(ep.cp2)
 		}
 	}
 	m.teardownEpisode(ep)
@@ -525,8 +519,8 @@ func (m *Machine) teardownEpisode(ep *episode) {
 
 // emitMarker pushes a predication marker uop into the front-end queue.
 func (m *Machine) emitMarker(kind uopKind, ep *episode) {
-	mu := m.arena.alloc()
-	mu.seq, mu.pc, mu.inst, mu.kind, mu.ep = m.nextSeq(), ep.divergePC, isa.Inst{Op: isa.NOP}, kind, ep
+	mu := m.arena.alloc(m.nextSeq(), ep.divergePC, kind)
+	mu.ep = ep.ref
 	m.Stats.FetchedMarkers++
 	m.pushUop(mu)
 }
@@ -537,7 +531,7 @@ func (m *Machine) emitMarker(kind uopKind, ep *episode) {
 //dmp:hotpath
 func (m *Machine) pushUop(u *uop) {
 	u.renameAt = m.cycle + uint64(m.cfg.frontEndDelay())
-	m.feq = pushQueue(m.feqBuf, m.feq, u)
+	m.feq = pushQueue(m.feqBuf, m.feq, u.ref)
 	if m.probe != nil {
 		m.probeUop(StageFetch, u)
 	}

@@ -220,6 +220,7 @@ func TestFuzzRandomProgramsAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v\nstats: %v", seed, name, err, st)
 			}
+			checkStats(t, m, st)
 			if !st.HaltRetired {
 				t.Fatalf("seed %d %s: did not halt (%v)", seed, name, st)
 			}
@@ -275,6 +276,7 @@ func TestFuzzSmallWindows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d geom %d: %v", seed, gi, err)
 			}
+			checkStats(t, m, st)
 			if st.RetiredInsts != ref.Count {
 				t.Errorf("seed %d geom %d: retired %d, want %d", seed, gi, st.RetiredInsts, ref.Count)
 			}

@@ -47,6 +47,7 @@ func TestMachineRunAllocs(t *testing.T) {
 		if _, err := m.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, m, &m.Stats)
 	}
 }
 
@@ -87,6 +88,7 @@ func TestArenaHighWaterFlat(t *testing.T) {
 				if _, err := m.Finish(); err != nil {
 					t.Fatal(err)
 				}
+				checkStats(t, m, &m.Stats)
 			}
 			if peak[0] != peak[1] {
 				t.Errorf("%s %v: %d slabs at scale 1 but %d at scale 4; the arena grows with run length", name, cfg.Mode, peak[0], peak[1])
@@ -108,53 +110,54 @@ func TestSelectFromCP2AfterFalseProducerRetired(t *testing.T) {
 	p1 := m.preds.alloc()
 	m.preds.broadcast(p1, false)
 
-	prod := m.arena.alloc()
-	prod.seq, prod.kind, prod.renamed, prod.issued, prod.done = 10, kindInst, true, true, true
+	prod := m.arena.alloc(10, 0, kindInst)
+	prod.renamed, prod.issued, prod.done = true, true, true
 	prod.hasDst, prod.dstArch, prod.dstVal, prod.predID = true, reg, 77, p1
 	gen := prod.gen
 
 	ep := m.newEpisode()
 	ep.id, ep.predID1, ep.divergePC = 1, p1, 3
 	ep.cp2 = m.snapshotRAT(&m.rat)
-	ep.cp2.e[reg] = producerEntry(prod, true)
-	m.rat.e[reg] = ratEntry{val: 5, m: true} // the alternate path's value
+	cp2 := m.ckpts.at(ep.cp2)
+	cp2.set(reg, producerEntry(prod), true)
+	m.rat.set(reg, ratEntry{val: 5}, true) // the alternate path's value
 
 	// The producer retires predicate-FALSE; the episode's exit.pred is
 	// still in the fetch queue, so CP2 stays readable.
 	m.dropRetired(prod)
-	exit := m.arena.alloc()
-	exit.seq, exit.kind, exit.ep = 20, kindExitPred, ep
-	m.feq = append(m.feq, exit)
+	exit := m.arena.alloc(20, 0, kindExitPred)
+	exit.ep = ep.ref
+	m.feq = append(m.feq, exit.ref)
 	m.reclaimRetired()
 	if prod.gen != gen {
 		t.Fatal("reclaim pass recycled a producer that a reachable CP2 still names")
 	}
 
 	m.queueSelects(ep, exit.seq)
-	if len(m.selPending) != 1 || !sameSource(m.selPending[0].fromCP2, ep.cp2.e[reg]) {
+	if len(m.selPending) != 1 || !sameSource(m.selPending[0].fromCP2, cp2.e[reg]) {
 		t.Fatalf("queued %d selects, want one sourcing CP2's %v", len(m.selPending), reg)
 	}
 	m.selEp = ep
 	m.insertSelect(m.selPending[0])
-	su := m.rob[len(m.rob)-1]
+	su := m.arena.at(m.rob[len(m.rob)-1])
 	if m.runErr != nil {
 		t.Fatal(m.runErr)
 	}
-	if !su.src1.ready || su.src1.val != 77 {
-		t.Fatalf("select src1 = %+v, want the retired producer's value 77", su.src1)
+	if !su.src1Ready || su.src1 != 77 {
+		t.Fatalf("select src1 = %d (ready %v), want the retired producer's value 77", su.src1, su.src1Ready)
 	}
 
 	// Once no fetch-queue uop, pipeline register or pending select can
 	// reach the episode, the producer recycles and CP2's entry is stale.
 	m.feq, m.selPending, m.selEp = m.feq[:0], nil, nil
 	m.rob = m.rob[:0]
-	m.rat.e[reg] = ratEntry{}
-	stale := ep.cp2.e[reg]
+	m.rat.set(reg, ratEntry{}, false)
+	stale := cp2.e[reg]
 	m.reclaimRetired()
-	if prod.gen == gen || !stale.stale() {
+	if prod.gen == gen || m.arena.at(stale.u).gen == stale.gen {
 		t.Fatal("unreachable retired producer was not recycled")
 	}
-	m.operandFrom(stale, m.arena.alloc(), 1, reg)
+	m.operandFrom(stale, m.arena.alloc(30, 0, kindInst), 1, reg)
 	if m.runErr == nil || !strings.Contains(m.runErr.Error(), "recycled producer") {
 		t.Fatalf("renaming against a recycled producer gave %v, want a recycled-producer failure", m.runErr)
 	}
@@ -164,30 +167,33 @@ func TestSelectFromCP2AfterFalseProducerRetired(t *testing.T) {
 // a RAT entry never names a squashed producer: such a value would never
 // broadcast, so renaming against it must fail the run, whether the
 // producer's slot is still waiting for its completion event or has
-// already been recycled. It must never read as a committed value.
+// already been recycled. It must never read as a committed value. A
+// producer squashed by a flush still in its slot is reported with the
+// flush that squashed it, from the side table.
 func TestRenameAgainstSquashedProducerFails(t *testing.T) {
 	const reg = isa.Reg(7)
 	for _, recycled := range []bool{false, true} {
 		m := lsqMachine(t)
 		m.commitRegs[reg] = 99
-		prod := m.arena.alloc()
-		prod.seq, prod.kind, prod.renamed, prod.issued = 4, kindInst, true, true
+		m.cycle = 12
+		prod := m.arena.alloc(4, 0, kindInst)
+		prod.renamed, prod.issued = true, true
 		prod.hasDst, prod.dstArch, prod.dstVal = true, reg, 99
-		e := producerEntry(prod, false)
+		e := producerEntry(prod)
 		prod.squashed = true
-		want := "squashed producer"
+		m.noteSquash(prod, 3)
+		want := "(squashed by seq=3 at cycle 12)"
 		if recycled {
 			m.recycle(prod)
-			m.arena.alloc().seq = 8 // the slot's next occupant
+			m.arena.alloc(8, 0, kindInst) // the slot's next occupant
 			want = "recycled producer"
 		}
-		consumer := m.arena.alloc()
-		consumer.seq = 9
-		op := m.operandFrom(e, consumer, 1, reg)
+		consumer := m.arena.alloc(9, 0, kindInst)
+		val, ready := m.operandFrom(e, consumer, 1, reg)
 		if m.runErr == nil || !strings.Contains(m.runErr.Error(), want) {
 			t.Fatalf("recycled=%v: renaming against a squashed producer gave %v, want a %q failure", recycled, m.runErr, want)
 		}
-		if op.ready && op.val == 99 {
+		if ready && val == 99 {
 			t.Fatalf("recycled=%v: squashed producer read as the committed value", recycled)
 		}
 	}
@@ -204,11 +210,11 @@ func TestReclaimKeepsProducersNamedByRoots(t *testing.T) {
 		hold, clear func(m *Machine, e ratEntry)
 	}{
 		{"active RAT",
-			func(m *Machine, e ratEntry) { m.rat.e[reg] = e },
-			func(m *Machine, e ratEntry) { m.rat.e[reg] = ratEntry{} }},
+			func(m *Machine, e ratEntry) { m.rat.set(reg, e, true) },
+			func(m *Machine, e ratEntry) { m.rat.set(reg, ratEntry{}, false) }},
 		{"dual-path stream RAT",
 			func(m *Machine, e ratEntry) {
-				m.dualStore[1].e[reg] = e
+				m.dualStore[1].set(reg, e, true)
 				m.dualRats[0], m.dualRats[1] = &m.dualStore[0], &m.dualStore[1]
 			},
 			func(m *Machine, e ratEntry) { m.dualRats[0], m.dualRats[1] = nil, nil }},
@@ -217,29 +223,29 @@ func TestReclaimKeepsProducersNamedByRoots(t *testing.T) {
 			func(m *Machine, e ratEntry) { m.selPending = nil }},
 		{"in-flight branch checkpoint",
 			func(m *Machine, e ratEntry) {
-				br := m.arena.alloc()
+				br := m.arena.alloc(2, 0, kindInst)
 				br.checkpoint = m.snapshotRAT(&m.rat)
-				br.checkpoint.e[reg] = e
-				m.rob = append(m.rob, br)
+				m.ckpts.at(br.checkpoint).set(reg, e, true)
+				m.rob = append(m.rob, br.ref)
 			},
 			func(m *Machine, e ratEntry) { m.rob = m.rob[:0] }},
 		{"episode CP1 of a queued marker",
 			func(m *Machine, e ratEntry) {
 				ep := m.newEpisode()
 				ep.cp1 = m.snapshotRAT(&m.rat)
-				ep.cp1.e[reg] = e
-				mk := m.arena.alloc()
-				mk.kind, mk.ep = kindEnterAlt, ep
-				m.feq = append(m.feq, mk)
+				m.ckpts.at(ep.cp1).set(reg, e, true)
+				mk := m.arena.alloc(3, 0, kindEnterAlt)
+				mk.ep = ep.ref
+				m.feq = append(m.feq, mk.ref)
 			},
 			func(m *Machine, e ratEntry) { m.feq = m.feq[:0] }},
 	}
 	for _, r := range roots {
 		m := lsqMachine(t)
-		prod := m.arena.alloc()
+		prod := m.arena.alloc(1, 0, kindInst)
 		prod.hasDst, prod.dstArch, prod.dstVal, prod.done = true, reg, 41, true
 		gen := prod.gen
-		e := producerEntry(prod, true)
+		e := producerEntry(prod)
 		r.hold(m, e)
 		m.dropRetired(prod)
 		m.reclaimRetired()

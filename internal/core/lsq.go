@@ -11,15 +11,15 @@ func (m *Machine) sbFull() bool { return len(m.sb) >= m.cfg.StoreBufferSize }
 //
 //dmp:hotpath
 func (m *Machine) sbAlloc(u *uop) {
-	m.sb = append(m.sb, u)
+	m.sb = append(m.sb, u.ref)
 }
 
 // sbSquash drops store-buffer entries younger than seq (pipeline flush).
 func (m *Machine) sbSquash(seq uint64) {
 	kept := m.sb[:0]
-	for _, u := range m.sb {
-		if u.seq <= seq {
-			kept = append(kept, u)
+	for _, r := range m.sb {
+		if m.arena.at(r).seq <= seq {
+			kept = append(kept, r)
 		}
 	}
 	m.sb = kept
@@ -28,7 +28,7 @@ func (m *Machine) sbSquash(seq uint64) {
 // sbRetireHead removes the oldest store-buffer entry, which must be the
 // store u (stores retire in program order).
 func (m *Machine) sbRetireHead(u *uop) bool {
-	if len(m.sb) == 0 || m.sb[0] != u {
+	if len(m.sb) == 0 || m.sb[0] != u.ref {
 		return false
 	}
 	m.sb = append(m.sb[:0], m.sb[1:]...)
@@ -53,7 +53,7 @@ func (m *Machine) sbRetireHead(u *uop) bool {
 //dmp:hotpath
 func (m *Machine) loadLookup(ld *uop) (val uint64, fromSB, stall bool) {
 	for i := len(m.sb) - 1; i >= 0; i-- {
-		su := m.sb[i]
+		su := m.arena.at(m.sb[i])
 		if su.squashed || su.seq >= ld.seq {
 			continue
 		}

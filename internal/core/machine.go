@@ -30,27 +30,28 @@ type Machine struct {
 	// Pipeline. rob and feq slide over the fixed arrays robBuf and feqBuf
 	// (pushQueue).
 	arena           uopArena
-	wnodes          []waiter         // waiter-list nodes (addWaiter); node 0 is the terminator
-	wfree           int32            // head of the free node list
-	parked          []*uop           // retired producers awaiting reclaimRetired
-	parkedKept      int              // parked entries the last reclaimRetired kept
-	reclaimPass     uint32           // number of reclaimRetired passes so far
-	snapPool        []*fetchSnapshot // salvaged from retired and squashed control uops
-	ckptPool        []*ratCheckpoint // salvaged from retired and squashed branches
-	epPool          []*episode       // reclaimed episode records
-	epLive          []*episode       // episode records handed out and not yet reclaimed
+	wnodes          []waiter            // waiter-list nodes (addWaiter); node 0 is the terminator
+	wfree           int32               // head of the free node list
+	parked          []uopRef            // retired producers awaiting reclaimRetired
+	parkedKept      int                 // parked entries the last reclaimRetired kept
+	reclaimPass     uint32              // number of reclaimRetired passes so far
+	snaps           pool[fetchSnapshot] // control uops' fetch snapshots (uop.fetchSnap)
+	ckpts           pool[ratCheckpoint] // branch and episode RAT checkpoints
+	eps             pool[episode]       // episode records (uop.ep)
+	epLive          []int32             // episode records handed out and not yet reclaimed
+	squashLog       []squashRec         // by slot: who squashed each ROB entry (noteSquash)
 	cycle           uint64
 	seq             uint64
 	fetchPC         uint64
 	fetchStallUntil uint64
 	fetchHalted     bool
-	feq             []*uop // front-end delay queue (fetch -> rename)
-	rob             []*uop
-	feqBuf, robBuf  []*uop
-	readyQ          []*uop
+	feq             []uopRef // front-end delay queue (fetch -> rename)
+	rob             []uopRef
+	feqBuf, robBuf  []uopRef
+	readyQ          []uopRef
 	events          eventHeap
-	sb              []*uop // store buffer: in-flight stores in program order
-	replayLoads     []*uop
+	sb              []uopRef // store buffer: in-flight stores in program order
+	replayLoads     []uopRef
 
 	// Rename state.
 	rat        rat
@@ -77,19 +78,19 @@ type Machine struct {
 	fetchStream  int
 	oracleStream int
 
-	// Wrong-path classification (Figure 1).
-	wpOpen     *wpEpisode  // &wpOpenRec while an episode is open, else nil
-	wpOpenRec  wpEpisode   // storage for the open episode
-	wpWatching []wpEpisode // closed episodes still watching the correct path
-	wpIdx      wpIndex     // first-fetch index of every open or watching episode's PCs
-	wpNextID   int
+	// Wrong-path classification (Figure 1). wrongFetches counts
+	// recordWrongFetch calls, which the classifier must account in full.
+	wp           wpClass
+	wrongFetches uint64
 
 	// Observability (probe.go). probe is nil unless SetProbe attached
 	// one; every hook site in the pipeline guards on that. obsSeq hands
 	// out unique per-uop ids for the pipetrace (seq is not unique:
-	// select-uops share their exit marker's seq).
+	// select-uops share their exit marker's seq), which obsIDs records
+	// by slot.
 	probe  *Probe
 	obsSeq uint64
+	obsIDs []obsRec
 
 	// Termination and run-loop bookkeeping. started/finished make the
 	// RunUntil/Finish pair safe to call in any sensible order; wdRetired/
@@ -161,9 +162,9 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
 	// Twice each queue's bound, so pushQueue never reallocates.
-	m.robBuf = make([]*uop, 2*cfg.ROBSize)
+	m.robBuf = make([]uopRef, 2*cfg.ROBSize)
 	m.rob = m.robBuf[:0]
-	m.feqBuf = make([]*uop, 2*(m.feqCap()+1))
+	m.feqBuf = make([]uopRef, 2*(m.feqCap()+1))
 	m.feq = m.feqBuf[:0]
 	return m
 }
@@ -268,13 +269,12 @@ func (m *Machine) headDesc() string {
 	if len(m.rob) == 0 {
 		return "<empty rob>"
 	}
-	h := m.rob[0]
+	h := m.arena.at(m.rob[0])
 	d := fmt.Sprintf("seq=%d pc=%d %v kind=%v issued=%v done=%v inReady=%v inReplay=%v predID=%d",
 		h.seq, h.pc, h.inst, h.kind, h.issued, h.done, h.inReady, h.inReplay, h.predID)
-	d += fmt.Sprintf(" src1={r=%v v=%d p=%d} src2={r=%v v=%d p=%d} src3={r=%v p=%d}",
-		h.src1.ready, h.src1.val, h.src1.producer,
-		h.src2.ready, h.src2.val, h.src2.producer,
-		h.src3.ready, h.src3.producer)
+	// A source's value is its producer's seq until it is ready.
+	d += fmt.Sprintf(" src1={r=%v v=%d} src2={r=%v v=%d} src3={r=%v v=%d}",
+		h.src1Ready, h.src1, h.src2Ready, h.src2, h.src3Ready, h.src3)
 	if h.kind == kindSelect {
 		d += fmt.Sprintf(" selPred=%d known=%v", h.selPred, m.preds.known(h.selPred))
 	}
@@ -306,7 +306,7 @@ func (m *Machine) nextSeq() uint64 {
 
 type event struct {
 	at uint64
-	u  *uop
+	u  uopRef
 }
 
 // eventHeap is a typed binary min-heap on event.at with direct push/pop
@@ -358,7 +358,7 @@ func (h *eventHeap) pop() event {
 }
 
 func (m *Machine) schedule(u *uop, at uint64) {
-	m.events.push(event{at: at, u: u})
+	m.events.push(event{at: at, u: u.ref})
 }
 
 // enqueueReady puts a uop on the ready queue if it is fully ready and not
@@ -378,7 +378,7 @@ func (m *Machine) enqueueReady(u *uop) {
 		return
 	}
 	u.inReady = true
-	m.readyQ = insertBySeq(m.readyQ, u)
+	m.readyQ = m.insertBySeq(m.readyQ, u)
 }
 
 // pushQueue appends u to the FIFO q, a window sliding over the fixed
@@ -388,22 +388,24 @@ func (m *Machine) enqueueReady(u *uop) {
 // per popped entry.
 //
 //dmp:hotpath
-func pushQueue(buf, q []*uop, u *uop) []*uop {
+func pushQueue(buf, q []uopRef, u uopRef) []uopRef {
 	if len(q) == cap(q) && len(q) < len(buf) {
 		q = buf[:copy(buf, q)]
 	}
 	return append(q, u)
 }
 
-// insertBySeq inserts u into the seq-ascending slice q, shifting from the
+// insertBySeq inserts u into the seq-ascending queue q, shifting from the
 // tail. Equal seqs place u after the existing entries (stable).
-func insertBySeq(q []*uop, u *uop) []*uop {
-	q = append(q, u)
+//
+//dmp:hotpath
+func (m *Machine) insertBySeq(q []uopRef, u *uop) []uopRef {
+	q = append(q, u.ref)
 	i := len(q) - 1
-	for i > 0 && q[i-1].seq > u.seq {
+	for i > 0 && m.arena.at(q[i-1]).seq > u.seq {
 		q[i] = q[i-1]
 		i--
 	}
-	q[i] = u
+	q[i] = u.ref
 	return q
 }

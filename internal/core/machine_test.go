@@ -30,6 +30,7 @@ func runBoth(t *testing.T, p *prog.Program, cfg Config) *Stats {
 	if err != nil {
 		t.Fatalf("machine (%v): %v\nstats: %v", cfg.Mode, err, st)
 	}
+	checkStats(t, m, st)
 	if !st.HaltRetired {
 		t.Fatalf("machine (%v) did not retire HALT: %v", cfg.Mode, st)
 	}
@@ -414,6 +415,7 @@ func TestMaxInstsStopsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, m, st)
 	if st.RetiredInsts < 20_000 || st.RetiredInsts > 21_000 {
 		t.Errorf("retired %d, want ~20000", st.RetiredInsts)
 	}
@@ -434,4 +436,17 @@ func TestSelectiveBPUpdate(t *testing.T) {
 	cfg := EnhancedDMPConfig()
 	cfg.SelectiveBPUpdate = true
 	runBoth(t, p, cfg)
+}
+
+// checkStats fails the test unless st, a finished run's Stats, are the
+// machine's own and obey the accounting's conservation laws
+// (Machine.CheckStats).
+func checkStats(t testing.TB, m *Machine, st *Stats) {
+	t.Helper()
+	if st != &m.Stats {
+		t.Fatal("run returned Stats that are not the machine's")
+	}
+	if err := m.CheckStats(); err != nil {
+		t.Fatal(err)
+	}
 }

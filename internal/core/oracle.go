@@ -19,7 +19,10 @@ import (
 // predication transition) moves fetch back to the correct continuation of
 // an oracle-executed instruction, the oracle rewinds to exactly that
 // step. Retirement trims the window, which therefore never grows beyond
-// the instruction window.
+// the instruction window. The window is an undo log (emu.History): each
+// step logs the PC before it and the register and memory word it
+// overwrote, a few words per fetched instruction, and a rewind undoes
+// the squashed steps newest first.
 //
 // The oracle provides: perfect conditional branch prediction
 // (ModePerfect), perfect confidence estimation (low-confidence exactly

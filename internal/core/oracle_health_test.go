@@ -23,6 +23,7 @@ func TestOracleLockstepHealthy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkStats(t, m, st)
 			if !st.HaltRetired {
 				t.Fatal("did not halt")
 			}

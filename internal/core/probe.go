@@ -200,21 +200,17 @@ func (m *Machine) probeUop(stage UopStage, u *uop) {
 	if p == nil || p.Uop == nil {
 		return
 	}
-	if u.obsID == 0 {
-		m.obsSeq++
-		u.obsID = m.obsSeq
-	}
 	ev := UopEvent{
 		Cycle:  m.cycle,
-		ID:     u.obsID,
+		ID:     m.obsID(u),
 		Seq:    u.seq,
 		PC:     u.pc,
 		Stage:  stage,
 		Kind:   u.kind,
 		Inst:   u.inst,
-		PredID: u.predID,
+		PredID: int(u.predID),
 		OnAlt:  u.onAlt,
-		Stream: u.stream,
+		Stream: int(u.stream),
 	}
 	if stage == StageRetire && u.predID != 0 {
 		ev.False = !m.preds.value(u.predID)
@@ -228,16 +224,33 @@ func (m *Machine) probeMemBlock(ld, blocker *uop) {
 	if p == nil || p.Uop == nil {
 		return
 	}
-	if ld.obsID == 0 {
-		m.obsSeq++
-		ld.obsID = m.obsSeq
-	}
 	p.Uop(UopEvent{
-		Cycle: m.cycle, ID: ld.obsID, Seq: ld.seq, PC: ld.pc,
+		Cycle: m.cycle, ID: m.obsID(ld), Seq: ld.seq, PC: ld.pc,
 		Stage: StageMemBlock, Kind: ld.kind, Inst: ld.inst,
-		PredID: ld.predID, OnAlt: ld.onAlt, Stream: ld.stream,
+		PredID: int(ld.predID), OnAlt: ld.onAlt, Stream: int(ld.stream),
 		Extra: blocker.seq,
 	})
+}
+
+// obsRec is a slot's pipetrace id and the generation of the occupant it
+// was handed to.
+type obsRec struct {
+	set bool
+	gen uint32
+	id  uint64
+}
+
+// obsID returns u's unique pipetrace id, handing out the next one on the
+// uop's first probe event. The ids live in a side table by slot, checked
+// against the slot's generation, so the uop itself carries none.
+func (m *Machine) obsID(u *uop) uint64 {
+	m.obsIDs = bySlot(m.obsIDs, u.ref)
+	r := &m.obsIDs[u.ref]
+	if !r.set || r.gen != u.gen {
+		m.obsSeq++
+		*r = obsRec{set: true, gen: u.gen, id: m.obsSeq}
+	}
+	return r.id
 }
 
 func (m *Machine) probeEpisode(kind EpisodeKind, ep *episode) {

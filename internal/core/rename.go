@@ -6,49 +6,58 @@ import (
 )
 
 // ratEntry maps one architectural register to its current producer — a
-// uop, named by (u, gen), in flight or retired but still parked (see
-// reclaimRetired) — or to a literal value. The M bit implements the
-// "modified in dynamic predication mode" tracking used to find the
-// registers that need select-uops (Section 2.4).
+// uop, named by (slot, gen), in flight or retired but still parked (see
+// reclaimRetired) — or to a literal value.
 type ratEntry struct {
-	u   *uop // producing uop; nil means val holds the value
 	val uint64
+	u   uopRef // producing uop; 0 means val holds the value
 	gen uint32 // u's generation when the entry was made
-	m   bool
 }
 
 // producerEntry names u as the producer of a register.
-func producerEntry(u *uop, m bool) ratEntry { return ratEntry{u: u, gen: u.gen, m: m} }
+func producerEntry(u *uop) ratEntry { return ratEntry{u: u.ref, gen: u.gen} }
 
-// stale reports whether the entry names a uop whose slot the arena has
-// recycled since the entry was made.
-func (e ratEntry) stale() bool { return e.u != nil && e.u.gen != e.gen }
-
-// pin marks the entry's producer as reachable in a reclaimRetired pass.
-func (e ratEntry) pin(pass uint32) {
-	if e.u != nil && !e.stale() {
-		e.u.pin = pass
+// pinEntry marks e's producer as reachable in a reclaimRetired pass.
+func (m *Machine) pinEntry(e ratEntry, pass uint32) {
+	if e.u != 0 {
+		if u := m.arena.at(e.u); u.gen == e.gen {
+			u.pin = pass
+		}
 	}
 }
 
 // rat is the register alias table. Copies of the whole struct are the
-// checkpoints CP1/CP2 and the per-branch recovery checkpoints.
+// checkpoints CP1/CP2 and the per-branch recovery checkpoints. The
+// "modified in dynamic predication mode" (M) bits, used to find the
+// registers that need select-uops (Section 2.4), are one mask beside the
+// entries: bit r is register r's.
 type rat struct {
 	e [isa.NumRegs]ratEntry
+	m uint64
 }
+
+// The M mask has a bit per architectural register.
+const _ = uint64(1) << (isa.NumRegs - 1)
 
 // ratCheckpoint is a saved copy of the RAT.
 type ratCheckpoint = rat
 
-func (r *rat) clearM() {
-	for i := range r.e {
-		r.e[i].m = false
+// set maps reg to e and sets or clears its M bit.
+func (r *rat) set(reg isa.Reg, e ratEntry, modified bool) {
+	r.e[reg] = e
+	bit := uint64(1) << (reg % isa.NumRegs)
+	if modified {
+		r.m |= bit
+	} else {
+		r.m &^= bit
 	}
 }
 
+func (r *rat) clearM() { r.m = 0 }
+
 // sameSource reports whether two RAT entries name the same physical value.
 func sameSource(a, b ratEntry) bool {
-	if a.u != nil || b.u != nil {
+	if a.u != 0 || b.u != 0 {
 		return a.u == b.u && a.gen == b.gen
 	}
 	return a.val == b.val
@@ -86,7 +95,7 @@ func (m *Machine) renameStage() {
 		if len(m.feq) == 0 {
 			return
 		}
-		u := m.feq[0]
+		u := m.arena.at(m.feq[0])
 		if u.renameAt > m.cycle {
 			return
 		}
@@ -122,7 +131,7 @@ func (m *Machine) renameOne(u *uop) {
 	switch u.kind {
 	case kindEnterPred:
 		// Section 2.4: clear all M bits, then checkpoint CP1.
-		if ep := u.ep; ep != nil && !ep.converted {
+		if ep := m.epOf(u); ep != nil && !ep.converted {
 			m.curRAT(u).clearM()
 			m.checkpointInto(&ep.cp1, m.curRAT(u))
 		}
@@ -130,13 +139,13 @@ func (m *Machine) renameOne(u *uop) {
 	case kindEnterAlt:
 		// Checkpoint CP2 (end of predicted path), then restore CP1 so
 		// the alternate path renames with pre-branch mappings.
-		if ep := u.ep; ep != nil && !ep.converted && ep.cp1 != nil {
+		if ep := m.epOf(u); ep != nil && !ep.converted && ep.cp1 != 0 {
 			m.checkpointInto(&ep.cp2, m.curRAT(u))
-			*m.curRAT(u) = *ep.cp1
+			*m.curRAT(u) = *m.ckpts.at(ep.cp1)
 		}
 		m.finishMarker(u)
 	case kindExitPred:
-		if ep := u.ep; ep != nil && !ep.converted && ep.cp2 != nil {
+		if ep := m.epOf(u); ep != nil && !ep.converted && ep.cp2 != 0 {
 			m.queueSelects(ep, u.seq)
 		}
 		m.finishMarker(u)
@@ -155,7 +164,7 @@ func (m *Machine) renameOne(u *uop) {
 func (m *Machine) finishMarker(u *uop) {
 	u.done = true
 	m.Stats.ExecutedMarkers++
-	m.rob = pushQueue(m.robBuf, m.rob, u)
+	m.rob = pushQueue(m.robBuf, m.rob, u.ref)
 	if m.probe != nil {
 		m.probeUop(StageComplete, u)
 	}
@@ -174,25 +183,25 @@ func (m *Machine) curRAT(u *uop) *rat {
 //
 //dmp:hotpath
 func (m *Machine) renameInst(u *uop) {
-	in := u.inst
+	in := &u.inst
 	r := m.curRAT(u)
 
 	u.numSrc = 2
 	if in.Uses1() {
-		u.src1 = m.operandFrom(r.e[m.regIdx(in.Src1)], u, 1, in.Src1)
+		u.src1, u.src1Ready = m.operandFrom(r.e[m.regIdx(in.Src1)], u, 1, in.Src1)
 	} else {
-		u.src1 = operand{ready: true}
+		u.src1Ready = true
 	}
 	if in.Uses2() {
-		u.src2 = m.operandFrom(r.e[m.regIdx(in.Src2)], u, 2, in.Src2)
+		u.src2, u.src2Ready = m.operandFrom(r.e[m.regIdx(in.Src2)], u, 2, in.Src2)
 	} else {
-		u.src2 = operand{ready: true}
+		u.src2Ready = true
 	}
 
 	if in.HasDst() && in.Dst != isa.Zero {
 		u.hasDst = true
 		u.dstArch = in.Dst
-		r.e[in.Dst] = producerEntry(u, true)
+		r.set(in.Dst, producerEntry(u), true)
 	}
 
 	switch in.Op {
@@ -208,7 +217,7 @@ func (m *Machine) renameInst(u *uop) {
 		m.sbAlloc(u)
 	}
 
-	m.rob = pushQueue(m.robBuf, m.rob, u)
+	m.rob = pushQueue(m.robBuf, m.rob, u.ref)
 	m.enqueueReady(u)
 }
 
@@ -216,43 +225,47 @@ func (m *Machine) renameInst(u *uop) {
 func (m *Machine) regIdx(r isa.Reg) int { return int(r) % isa.NumRegs }
 
 // operandFrom renames one source operand from a RAT entry, registering
-// the consumer with the producer if the value is not ready yet.
+// the consumer with the producer if the value is not ready yet. It
+// returns the value and whether it is ready; a value not ready yet is
+// the producer's seq.
 //
 //dmp:hotpath
-func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operand {
+func (m *Machine) operandFrom(e ratEntry, u *uop, which int32, reg isa.Reg) (val uint64, ready bool) {
 	if reg == isa.Zero {
-		return operand{ready: true}
+		return 0, true
 	}
-	if e.u == nil {
-		return operand{ready: true, val: e.val}
+	if e.u == 0 {
+		return e.val, true
 	}
-	if e.stale() {
+	p := m.arena.at(e.u)
+	if p.gen != e.gen {
 		// The producer's slot was recycled: it was squashed (a RAT must
 		// never name a squashed producer, see below), or it retired while
 		// a root reclaimRetired does not scan still named it. Either way
 		// the slot now holds another uop, so fail loudly rather than read
 		// its value.
-		m.fail(u, fmt.Sprintf("renamed %v against a recycled producer (generation %d, slot now at %d)", reg, e.gen, e.u.gen))
-		return operand{ready: true}
+		m.fail(u, fmt.Sprintf("renamed %v against a recycled producer (generation %d, slot now at %d)", reg, e.gen, p.gen))
+		return 0, true
 	}
-	if e.u.squashed && !e.u.done {
+	if p.squashed && !p.done {
 		// A RAT entry must never name a squashed producer: its value
 		// will never broadcast. This is a checkpoint-restore protocol
 		// bug, so fail loudly rather than deadlock.
-		m.fail(u, fmt.Sprintf("renamed %v against squashed producer seq=%d pc=%d %v (squashed by seq=%d at cycle %d via %s)", reg, e.u.seq, e.u.pc, e.u.inst, e.u.sqBy, e.u.sqAt, e.u.sqHow))
+		sq := m.squashOf(p)
+		m.fail(u, fmt.Sprintf("renamed %v against squashed producer seq=%d pc=%d %v (squashed by seq=%d at cycle %d)", reg, p.seq, p.pc, p.inst, sq.by, sq.at))
 	}
-	if e.u.done {
-		return operand{ready: true, val: e.u.dstVal}
+	if p.done {
+		return p.dstVal, true
 	}
-	m.addWaiter(e.u, u, which)
-	return operand{producer: e.u.seq}
+	m.addWaiter(p, u, which)
+	return p.seq, false
 }
 
 // queueSelects diffs CP2 against the active RAT and queues one
 // select-uop per architectural register whose mapping differs and was
 // modified on either path (the M-bit OR of Section 2.4).
 func (m *Machine) queueSelects(ep *episode, exitSeq uint64) {
-	cp2 := ep.cp2
+	cp2 := m.ckpts.at(ep.cp2)
 	r := &m.rat
 	m.selPending = m.selBuf[:0]
 	for i := 0; i < isa.NumRegs; i++ {
@@ -263,7 +276,7 @@ func (m *Machine) queueSelects(ep *episode, exitSeq uint64) {
 		// each select-uop; we leave them intact so a flush that rewinds
 		// fetch to inside the alternate path can regenerate the same
 		// select-uops from the same checkpoints.
-		if !cp2.e[i].m && !r.e[i].m {
+		if (cp2.m|r.m)&(1<<i) == 0 {
 			continue
 		}
 		if sameSource(cp2.e[i], r.e[i]) {
@@ -286,9 +299,8 @@ func (m *Machine) queueSelects(ep *episode, exitSeq uint64) {
 //dmp:hotpath
 func (m *Machine) insertSelect(req selReq) {
 	ep := m.selEp
-	su := m.arena.alloc()
-	su.seq, su.pc, su.inst, su.kind = m.selExitSeq, ep.divergePC, isa.Inst{Op: isa.NOP}, kindSelect
-	su.ep, su.selPred = ep, ep.predID1
+	su := m.arena.alloc(m.selExitSeq, ep.divergePC, kindSelect)
+	su.ep, su.selPred = ep.ref, ep.predID1
 	su.hasDst, su.dstArch = true, req.reg
 	su.numSrc, su.renamed = 3, true
 	if m.probe != nil {
@@ -296,25 +308,25 @@ func (m *Machine) insertSelect(req selReq) {
 		m.probeUop(StageFetch, su)
 		m.probeUop(StageRename, su)
 	}
-	su.src1 = m.operandFrom(req.fromCP2, su, 1, req.reg)
-	su.src2 = operand{ready: true}
-	su.src3 = m.operandFrom(req.fromRAT, su, 3, req.reg)
-	m.rat.e[req.reg] = producerEntry(su, false)
-	m.rob = pushQueue(m.robBuf, m.rob, su)
-	m.preds.await(su.selPred, su)
+	su.src1, su.src1Ready = m.operandFrom(req.fromCP2, su, 1, req.reg)
+	su.src2Ready = true
+	su.src3, su.src3Ready = m.operandFrom(req.fromRAT, su, 3, req.reg)
+	m.rat.set(req.reg, producerEntry(su), false)
+	m.rob = pushQueue(m.robBuf, m.rob, su.ref)
+	m.preds.await(su.selPred, su.ref)
 	m.enqueueReady(su)
 }
 
 // wakePred re-evaluates uops that were waiting for a predicate broadcast.
-func (m *Machine) wakePred(ws []*uop) {
+func (m *Machine) wakePred(ws []uopRef) {
 	for _, w := range ws {
-		m.enqueueReady(w)
+		m.enqueueReady(m.arena.at(w))
 	}
 }
 
 // renameFork snapshots the active RAT into the two dual-path stream RATs.
 func (m *Machine) renameFork(u *uop) {
-	if ep := u.ep; ep != nil && ep.phase != dpDead {
+	if ep := m.epOf(u); ep != nil && ep.phase != dpDead {
 		m.dualStore[0], m.dualStore[1] = m.rat, m.rat
 		m.dualRats[0], m.dualRats[1] = &m.dualStore[0], &m.dualStore[1]
 	}

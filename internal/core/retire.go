@@ -21,7 +21,7 @@ func (m *Machine) retireStage() {
 		m.parkedKept = len(m.parked)
 	}
 	for n := 0; n < m.cfg.RetireWidth && len(m.rob) > 0; n++ {
-		u := m.rob[0]
+		u := m.arena.at(m.rob[0])
 		if !u.done {
 			return
 		}

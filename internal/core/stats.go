@@ -238,3 +238,34 @@ func (s *Stats) String() string {
 		s.FetchedWrongCI, s.ExecutedInsts, s.ExecutedSelects, s.ExecutedMarkers,
 		s.Episodes, s.ExitCases)
 }
+
+// CheckStats checks the conservation laws of a finished run's accounting
+// (call it after Finish):
+//
+//   - Figure 1 classifies every wrong-path fetch exactly once:
+//     FetchedWrongCD + FetchedWrongCI is the number of fetches the front
+//     end recorded as wrong-path, and no more than FetchedInsts;
+//   - the oracle resumes only after pausing: OracleResumes ≤
+//     OraclePauses ≤ OracleResumes + 1;
+//   - RetiredMispredicts ≤ RetiredBranches.
+func (m *Machine) CheckStats() error {
+	st := &m.Stats
+	if !m.finished {
+		return fmt.Errorf("core: CheckStats before Finish")
+	}
+	wrong := st.FetchedWrongCD + st.FetchedWrongCI
+	if wrong != m.wrongFetches {
+		return fmt.Errorf("core: Figure 1 classified %d wrong-path fetches (CD %d + CI %d), fetch recorded %d",
+			wrong, st.FetchedWrongCD, st.FetchedWrongCI, m.wrongFetches)
+	}
+	if wrong > st.FetchedInsts {
+		return fmt.Errorf("core: %d wrong-path fetches of %d fetched instructions", wrong, st.FetchedInsts)
+	}
+	if st.OracleResumes > st.OraclePauses || st.OraclePauses > st.OracleResumes+1 {
+		return fmt.Errorf("core: %d oracle pauses against %d resumes", st.OraclePauses, st.OracleResumes)
+	}
+	if st.RetiredMispredicts > st.RetiredBranches {
+		return fmt.Errorf("core: %d retired mispredicts of %d retired branches", st.RetiredMispredicts, st.RetiredBranches)
+	}
+	return nil
+}

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dmp/internal/isa"
+	"dmp/internal/prog"
 )
 
 // TestStatsClone pins that Clone detaches completely: mutating the clone
@@ -323,9 +326,15 @@ func TestKeepAlternateGHRCorrect(t *testing.T) {
 	runBoth(t, p, cfg)
 }
 
+// wpMachine is a bare machine over a 1024-instruction code image, for
+// driving the wrong-path classifier directly.
+func wpMachine() *Machine {
+	return &Machine{prog: &prog.Program{Code: make([]isa.Inst, 1024)}}
+}
+
 // The wrong-path classifier: drive the wpEpisode machinery directly.
 func TestWPClassifier(t *testing.T) {
-	m := &Machine{}
+	m := wpMachine()
 	m.openWP()
 	for _, pc := range []uint64{10, 11, 12, 20, 21, 22} {
 		m.recordWrongFetch(pc)
@@ -342,7 +351,7 @@ func TestWPClassifier(t *testing.T) {
 }
 
 func TestWPClassifierNoReconvergence(t *testing.T) {
-	m := &Machine{}
+	m := wpMachine()
 	m.openWP()
 	for _, pc := range []uint64{10, 11, 12} {
 		m.recordWrongFetch(pc)
@@ -359,7 +368,7 @@ func TestWPClassifierNoReconvergence(t *testing.T) {
 }
 
 func TestWPClassifierUnfinishedEpisode(t *testing.T) {
-	m := &Machine{}
+	m := wpMachine()
 	m.openWP()
 	m.recordWrongFetch(1)
 	m.recordWrongFetch(2)

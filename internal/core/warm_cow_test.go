@@ -87,6 +87,7 @@ func TestSnapshotIsolationUnderInterleavedTraining(t *testing.T) {
 		if _, err := m.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, m, &m.Stats)
 		snap.WallSeconds = 0
 		return snap
 	}

@@ -108,6 +108,9 @@ func (e *Emulator) StepInto(s *Step) error {
 		return fmt.Errorf("emu: pc %d outside code image", e.PC)
 	}
 	in := &e.Prog.Code[e.PC]
+	if e.hist != nil {
+		e.hist.recordStep(e, in.Dst)
+	}
 	s.PC, s.Inst, s.NextPC = e.PC, *in, e.PC+1
 	s.Taken, s.Halted = false, false
 	s.WroteReg, s.Reg, s.RegVal = false, 0, 0
@@ -165,9 +168,6 @@ func (e *Emulator) StepInto(s *Step) error {
 
 	e.PC = s.NextPC
 	e.Count++
-	if e.hist != nil {
-		e.hist.recordStep(e)
-	}
 	return nil
 }
 

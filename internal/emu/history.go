@@ -7,10 +7,10 @@ import (
 	"dmp/internal/isa"
 )
 
-// History is a rolling undo window over an emulator's recent steps: a
-// register/PC snapshot per executed instruction plus an undo log of
-// memory writes, trimmed from the front as the consumer's retirement
-// frontier advances.
+// History is a rolling undo window over an emulator's recent steps: an
+// undo record per executed instruction plus an undo log of memory
+// writes, trimmed from the front as the consumer's retirement frontier
+// advances.
 //
 // The fetch oracle uses it to rewind to the architectural state
 // immediately after any in-flight instruction: when a pipeline flush
@@ -20,23 +20,31 @@ import (
 // (retired instructions cannot be squashed), which bounds its size by
 // the instruction window.
 //
-// Both logs are rings indexed by absolute position — the mark for step
-// count c at marks[c mod len], write number w at wr[w mod len] — so
-// trimming only moves a base and rewinding only moves an end: neither
-// copies. A ring doubles when the window outgrows it.
+// A step's undo record holds what the step overwrote — its PC, the
+// register it names as destination and that register's old value — and
+// the write-log position before it, a few words rather than a copy of
+// the register file. RewindTo walks the records backwards from the
+// newest, so a rewind costs the steps it undoes, which the window
+// bounds.
+//
+// Both logs are rings indexed by absolute position — the record of the
+// step that made the count c at steps[c mod len], write number w at
+// wr[w mod len] — so trimming only moves a base and rewinding only moves
+// an end: neither copies. A ring doubles when the window outgrows it.
 type History struct {
-	base  uint64     // step count of the oldest mark
-	marks []histMark // power-of-two ring of the marks for steps base..Count
+	base  uint64     // oldest count RewindTo can reach; records cover steps base+1..Count
+	steps []histStep // power-of-two ring of undo records
 	wbase uint64     // number of the oldest write still logged
 	nwr   uint64     // number of writes logged so far (one past the newest)
 	wr    []histWrite
 }
 
-type histMark struct {
-	regs   [isa.NumRegs]uint64
-	pc     uint64
-	halted bool
-	nwr    uint64 // total memory writes logged up to and including this step
+// histStep undoes one step.
+type histStep struct {
+	pc  uint64  // PC before the step
+	old uint64  // reg's value before the step
+	nwr uint64  // writes logged before the step
+	reg isa.Reg // the instruction's destination field, written or not
 }
 
 type histWrite struct {
@@ -58,12 +66,11 @@ func (e *Emulator) EnableHistory(window int) {
 		n *= 2
 	}
 	h, _ := histPool.Get().(*History)
-	if h == nil || len(h.marks) < n {
-		h = &History{marks: make([]histMark, n), wr: make([]histWrite, n)}
+	if h == nil || len(h.steps) < n {
+		h = &History{steps: make([]histStep, n), wr: make([]histWrite, n)}
 	}
 	h.base, h.wbase, h.nwr = e.Count, 0, 0
 	e.hist = h
-	h.marks[e.Count&uint64(len(h.marks)-1)] = e.markNow()
 }
 
 // ReleaseHistory stops recording and hands the history's buffers to a
@@ -75,32 +82,29 @@ func (e *Emulator) ReleaseHistory() {
 	}
 }
 
-func (e *Emulator) markNow() histMark {
-	m := histMark{regs: e.Regs, pc: e.PC, halted: e.Halted}
-	if e.hist != nil {
-		m.nwr = e.hist.nwr
-	}
-	return m
-}
-
-// recordStep logs the mark for the step just executed (Count already
-// advanced).
+// recordStep logs the undo record of the step e is about to execute,
+// whose instruction names dst as destination. The field is masked into
+// range: an instruction that writes no register restores that
+// register's unchanged value. A step that then fails leaves a record
+// past Count, which the next step overwrites.
 //
 //dmp:hotpath
-func (h *History) recordStep(e *Emulator) {
-	if e.Count-h.base >= uint64(len(h.marks)) {
-		h.growMarks(e.Count)
+func (h *History) recordStep(e *Emulator, dst isa.Reg) {
+	count := e.Count + 1
+	if count-h.base > uint64(len(h.steps)) {
+		h.growSteps(count)
 	}
-	h.marks[e.Count&uint64(len(h.marks)-1)] = e.markNow()
+	reg := dst % isa.NumRegs
+	h.steps[count&uint64(len(h.steps)-1)] = histStep{pc: e.PC, old: e.Regs[reg], nwr: h.nwr, reg: reg}
 }
 
-// growMarks doubles the mark ring, keeping the marks for steps
-// base..count-1.
-func (h *History) growMarks(count uint64) {
-	old := h.marks
-	h.marks = make([]histMark, 2*len(old))
-	for c := h.base; c < count; c++ {
-		h.marks[c&uint64(len(h.marks)-1)] = old[c&uint64(len(old)-1)]
+// growSteps doubles the record ring, keeping the records for steps
+// base+1..count-1.
+func (h *History) growSteps(count uint64) {
+	old := h.steps
+	h.steps = make([]histStep, 2*len(old))
+	for c := h.base + 1; c < count; c++ {
+		h.steps[c&uint64(len(h.steps)-1)] = old[c&uint64(len(old)-1)]
 	}
 }
 
@@ -134,14 +138,25 @@ func (e *Emulator) RewindTo(count uint64) error {
 	if count < h.base || count > e.Count {
 		return fmt.Errorf("emu: RewindTo(%d) outside window [%d, %d]", count, h.base, e.Count)
 	}
-	m := h.marks[count&uint64(len(h.marks)-1)]
-	// Undo memory writes performed after the mark, newest first.
-	for w := h.nwr; w > m.nwr; w-- {
+	if count == e.Count {
+		return nil
+	}
+	// Undo the steps after count, newest first. No step runs from a
+	// halted state, so the state after count was not halted.
+	mask := uint64(len(h.steps) - 1)
+	for c := e.Count; c > count; c-- {
+		s := &h.steps[c&mask]
+		e.Regs[s.reg] = s.old
+		e.PC = s.pc
+	}
+	// Undo memory writes performed after count, newest first.
+	nwr := h.steps[(count+1)&mask].nwr
+	for w := h.nwr; w > nwr; w-- {
 		x := h.wr[(w-1)&uint64(len(h.wr)-1)]
 		e.Mem.Write(x.addr, x.old)
 	}
-	h.nwr = m.nwr
-	e.Regs, e.PC, e.Halted = m.regs, m.pc, m.halted
+	h.nwr = nwr
+	e.Halted = false
 	e.Count = count
 	return nil
 }
@@ -154,11 +169,13 @@ func (e *Emulator) TrimHistory(count uint64) {
 	if h == nil || count <= h.base {
 		return
 	}
-	if count > e.Count {
+	if count >= e.Count {
 		count = e.Count
+		h.wbase = h.nwr
+	} else {
+		h.wbase = h.steps[(count+1)&uint64(len(h.steps)-1)].nwr
 	}
 	h.base = count
-	h.wbase = h.marks[count&uint64(len(h.marks)-1)].nwr
 }
 
 // HistoryLen reports the current window size in steps, for tests.

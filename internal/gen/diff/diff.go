@@ -27,6 +27,7 @@ import (
 //	emu      — a lint-clean program faulted or failed to halt on the
 //	           golden-model emulator (lint-soundness counterexample)
 //	machine  — core.New/Run returned an error
+//	stats    — the run's Stats broke a conservation law (Machine.CheckStats)
 //	retired  — retired-instruction count differs from the emulator
 //	reg      — a committed architectural register differs
 //	mem      — a committed memory word differs
@@ -161,6 +162,9 @@ func verify(p *prog.Program, o DiffOptions) *Divergence {
 		}
 		if !st.HaltRetired {
 			return &Divergence{Stage: "machine", Config: nc.Name, Detail: "machine did not retire HALT"}
+		}
+		if err := m.CheckStats(); err != nil {
+			return &Divergence{Stage: "stats", Config: nc.Name, Detail: err.Error()}
 		}
 		if st.RetiredInsts != ref.Count {
 			return &Divergence{Stage: "retired", Config: nc.Name,
