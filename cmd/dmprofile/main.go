@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dmp/internal/exp"
@@ -20,34 +21,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it writes the report to stdout and
+// diagnostics to stderr, and returns the process exit status (2 for a
+// bad flag, 1 for anything else that stops it).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmprofile", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench   = flag.String("bench", "", "benchmark name")
-		asm     = flag.String("asm", "", "assembly file")
-		scale   = flag.Int("scale", 3, "workload scale")
-		postdom = flag.Bool("postdom", false, "use immediate post-dominator CFM selection (ablation)")
-		loops   = flag.Bool("loops", false, "mark diverge loop branches too (2.7.4)")
-		share   = flag.Float64("share", 0.001, "minimum misprediction share for a candidate")
-		frac    = flag.Float64("frac", 0.2, "minimum reconvergence fraction for a CFM point")
-		dist    = flag.Int("dist", 120, "maximum dynamic distance to a CFM point")
-		dis     = flag.Bool("dis", false, "also print the annotated disassembly")
+		bench   = fs.String("bench", "", "benchmark name")
+		asm     = fs.String("asm", "", "assembly file")
+		scale   = fs.Int("scale", 3, "workload scale")
+		postdom = fs.Bool("postdom", false, "use immediate post-dominator CFM selection (ablation)")
+		loops   = fs.Bool("loops", false, "mark diverge loop branches too (2.7.4)")
+		share   = fs.Float64("share", 0.001, "minimum misprediction share for a candidate")
+		frac    = fs.Float64("frac", 0.2, "minimum reconvergence fraction for a CFM point")
+		dist    = fs.Int("dist", 120, "maximum dynamic distance to a CFM point")
+		dis     = fs.Bool("dis", false, "also print the annotated disassembly")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dmprofile: %v\n", err)
+		return 1
+	}
 
 	var p *prog.Program
 	switch {
 	case *asm != "":
 		var err error
 		if p, err = exp.Load("", *asm, 0, false, false); err != nil {
-			fatal("%v", err)
+			return fail(err)
 		}
 	case *bench != "":
 		w, err := workload.ByName(*bench)
 		if err != nil {
-			fatal("%v", err)
+			return fail(err)
 		}
 		p = w.Build(workload.BuildConfig{Seed: workload.TrainSeed, Scale: *scale})
 	default:
-		fatal("need -bench or -asm")
+		return fail(fmt.Errorf("need -bench or -asm"))
 	}
 
 	opts := profile.DefaultOptions()
@@ -59,16 +77,12 @@ func main() {
 
 	rep, err := profile.Run(p, opts)
 	if err != nil {
-		fatal("%v", err)
+		return fail(err)
 	}
-	fmt.Print(rep.String())
+	fmt.Fprint(stdout, rep.String())
 	if *dis {
-		fmt.Println()
-		fmt.Print(p.Disassemble())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, p.Disassemble())
 	}
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dmprofile: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

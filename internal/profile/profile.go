@@ -16,6 +16,20 @@
 //
 // Profiling must use a different input from measurement (the paper uses
 // the train input set); workloads expose distinct seeds for this.
+//
+// Run streams: it executes the program twice and keeps no per-instruction
+// record. Pass 1 counts every branch's executions, directions and
+// mispredictions in slices indexed by PC, and so picks the candidates.
+// Pass 2 re-executes the same instructions on a fresh emulator. It keeps
+// the last MaxDist (pc, call depth) pairs in a ring and a FIFO of the
+// sampled candidate instances whose windows are still open, and analyses
+// each window just before the ring overwrites its first instruction, so
+// the windows are analysed in instance order, as a whole-run trace would
+// give them. Pass 2 stops as soon as every (candidate, direction) sample
+// set holds SamplesPerBranch instances (or all the run has) and no window
+// is open, which on a long run is long before the end. What a profile
+// holds is therefore bounded by the code image, MaxDist and the sample
+// caps, not by the length of the run.
 package profile
 
 import (
@@ -136,7 +150,10 @@ func max64(a, b uint64) uint64 {
 }
 
 // Run profiles p and annotates it in place with diverge-branch marks.
-// It returns the report. The pass is deterministic.
+// It returns the report. The pass is deterministic. Besides the two
+// emulators, it holds per-PC counters and marks over the code image, a
+// ring and a window FIFO of MaxDist entries each, and per-candidate
+// merge-point statistics (see the package comment).
 func Run(p *prog.Program, opts Options) (*Report, error) {
 	if opts.MaxDist <= 0 || opts.ReconvergeFrac <= 0 {
 		return nil, fmt.Errorf("profile: invalid options (use DefaultOptions)")
@@ -146,148 +163,106 @@ func Run(p *prog.Program, opts Options) (*Report, error) {
 		pred = bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
 	}
 
-	// Pass 1: misprediction attribution and the full PC trace.
-	type bstat struct {
-		execs, taken, misp uint64
-	}
-	stats := map[uint64]*bstat{}
-	var trace []uint64
-	var depth []int32 // call depth at which each traced instruction ran
-	type instance struct {
-		branchPC uint64
-		taken    bool
-		index    int // position in trace of the instruction *after* the branch
-	}
-	var instances []instance
-
+	// Pass 1: per-branch execution, direction and misprediction counts,
+	// indexed by PC.
+	stats := make([]bstat, len(p.Code))
 	e := emu.New(p)
+	var s emu.Step
 	var hist bpred.GHR
 	var totalBr, totalMisp uint64
-	var curDepth int32
-	err := e.RunFunc(opts.MaxInsts, func(s emu.Step) bool {
-		trace = append(trace, s.PC)
-		depth = append(depth, curDepth)
-		switch s.Inst.Op {
-		case isa.CALL, isa.CALLR:
-			curDepth++
-		case isa.RET:
-			curDepth--
+	for !e.Halted && (opts.MaxInsts == 0 || e.Count < opts.MaxInsts) {
+		if err := e.StepInto(&s); err != nil {
+			return nil, fmt.Errorf("profile: emulation failed: %w", err)
 		}
-		if s.Inst.Op == isa.BR {
-			st := stats[s.PC]
-			if st == nil {
-				st = &bstat{}
-				stats[s.PC] = st
-			}
-			st.execs++
-			totalBr++
-			if s.Taken {
-				st.taken++
-			}
-			predicted := pred.Predict(s.PC, hist)
-			pred.Update(s.PC, hist, s.Taken)
-			if predicted != s.Taken {
-				st.misp++
-				totalMisp++
-			}
-			hist = hist.Push(s.Taken)
-			instances = append(instances, instance{s.PC, s.Taken, len(trace)})
-		}
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("profile: emulation failed: %w", err)
-	}
-
-	// Candidates by misprediction share.
-	candidates := map[uint64]bool{}
-	for pc, st := range stats {
-		if totalMisp > 0 && float64(st.misp) >= opts.MispredictShare*float64(totalMisp) && st.misp > 0 {
-			candidates[pc] = true
-		}
-	}
-
-	// Pass 2 (over the recorded trace): reconvergence analysis.
-	cands := map[uint64]*candData{}
-	for pc := range candidates {
-		cands[pc] = &candData{points: map[uint64]*cfmStat{}}
-	}
-	seen := map[uint64]int{} // pc -> instance serial, reused per window
-	serial := 0
-	for _, inst := range instances {
-		cd := cands[inst.branchPC]
-		if cd == nil {
+		if s.Inst.Op != isa.BR {
 			continue
 		}
-		if inst.taken {
-			if cd.takenSamples >= uint64(opts.SamplesPerBranch) {
-				continue
-			}
-			cd.takenSamples++
-		} else {
-			if cd.ntSamples >= uint64(opts.SamplesPerBranch) {
-				continue
-			}
-			cd.ntSamples++
+		st := &stats[s.PC]
+		st.execs++
+		totalBr++
+		if s.Taken {
+			st.taken++
 		}
-		serial++
-		end := inst.index + opts.MaxDist
-		if end > len(trace) {
-			end = len(trace)
+		if bpred.PredictUpdate(pred, s.PC, hist, s.Taken) != s.Taken {
+			st.misp++
+			totalMisp++
 		}
-		branchDepth := depth[inst.index-1]
-		for i := inst.index; i < end; i++ {
-			// A control-flow merge point must sit at the branch's own
-			// call depth: a PC inside a callee (or in a caller frame)
-			// only appears "on both paths" through unrelated dynamic
-			// call instances, and predicating up to it drags whole call
-			// bodies into the dynamically predicated region.
-			if depth[i] != branchDepth {
-				continue
-			}
-			pc := trace[i]
-			if seen[pc] == serial {
-				continue // only the first occurrence in this window counts
-			}
-			seen[pc] = serial
-			cs := cd.points[pc]
-			if cs == nil {
-				cs = &cfmStat{}
-				cd.points[pc] = cs
-			}
-			dist := uint64(i - inst.index + 1)
-			if inst.taken {
-				cs.takenHits++
-			} else {
-				cs.ntHits++
-			}
-			cs.sumDist += dist
+		hist = hist.Push(s.Taken)
+	}
+
+	// Candidates by misprediction share. Pass 1's direction counts say
+	// how many instances each (candidate, direction) sample set will
+	// take, so pass 2 knows when every set is full.
+	cands := make([]*candData, len(p.Code))
+	var want uint64
+	for pc := range stats {
+		st := &stats[pc]
+		if totalMisp > 0 && float64(st.misp) >= opts.MispredictShare*float64(totalMisp) && st.misp > 0 {
+			cd := &candData{points: map[uint64]*cfmStat{}}
+			cd.takenWant = min(st.taken, uint64(opts.SamplesPerBranch))
+			cd.ntWant = min(st.execs-st.taken, uint64(opts.SamplesPerBranch))
+			want += cd.takenWant + cd.ntWant
+			cands[pc] = cd
 		}
 	}
+
+	// Pass 2: reconvergence analysis over a re-execution of pass 1's
+	// instructions. Each sampled candidate instance opens a window over
+	// the MaxDist instructions after its branch, which the scanner
+	// analyses from its ring. The pass stops once every sample set is
+	// full and no window is open; windows still open when the run ends
+	// are cut there.
+	total := e.Count
+	sc := newScanner(len(p.Code), opts.MaxDist)
+	e = emu.New(p)
+	var depth int32 // call depth of the instruction about to execute
+	for e.Count < total && (want > 0 || sc.open > 0) {
+		if err := e.StepInto(&s); err != nil {
+			return nil, fmt.Errorf("profile: emulation failed: %w", err)
+		}
+		sc.push(s.PC, depth)
+		brDepth := depth
+		switch s.Inst.Op {
+		case isa.CALL, isa.CALLR:
+			depth++
+		case isa.RET:
+			depth--
+		case isa.BR:
+			if cd := cands[s.PC]; cd != nil && cd.sample(s.Taken) {
+				want--
+				sc.openWindow(cd, s.Taken, brDepth)
+			}
+		}
+	}
+	sc.flush()
 
 	// Selection.
 	cfg := prog.BuildCFG(p)
 	p.ClearDiverge()
-	report := &Report{TotalInsts: e.Count, TotalBranches: totalBr, TotalMispredicts: totalMisp}
+	report := &Report{TotalInsts: total, TotalBranches: totalBr, TotalMispredicts: totalMisp}
 
-	for pc, st := range stats {
-		bs := BranchStat{PC: pc, Execs: st.execs, Taken: st.taken, Mispredicts: st.misp}
+	for pc := range stats {
+		st := &stats[pc]
+		if st.execs == 0 {
+			continue
+		}
+		bs := BranchStat{PC: uint64(pc), Execs: st.execs, Taken: st.taken, Mispredicts: st.misp}
 		if cd := cands[pc]; cd != nil {
-			cfms, avgDist := selectCFMs(cfg, pc, cd, opts)
+			cfms, avgDist := selectCFMs(cfg, bs.PC, cd, opts)
 			if len(cfms) > 0 {
 				bs.CFMs, bs.AvgDist = cfms, avgDist
-				if _, isSimple := cfg.SimpleHammockJoin(pc); isSimple {
+				if _, isSimple := cfg.SimpleHammockJoin(bs.PC); isSimple {
 					bs.Class = prog.ClassSimpleHammock
 				} else {
 					bs.Class = prog.ClassComplexDiverge
 				}
-				isLoop := p.Code[pc].Target <= pc
+				isLoop := p.Code[pc].Target <= bs.PC
 				if !isLoop || opts.IncludeLoops {
 					thr := int(avgDist*1.5) + 8
 					if thr > opts.MaxDist {
 						thr = opts.MaxDist
 					}
-					p.MarkDiverge(pc, &prog.Diverge{
+					p.MarkDiverge(bs.PC, &prog.Diverge{
 						CFMs:          cfms,
 						Class:         bs.Class,
 						ExitThreshold: thr,
@@ -308,6 +283,126 @@ func Run(p *prog.Program, opts Options) (*Report, error) {
 	return report, nil
 }
 
+// bstat counts one static branch's pass-1 outcomes.
+type bstat struct {
+	execs, taken, misp uint64
+}
+
+// scanner is pass 2's bounded state: the ring of the last MaxDist
+// (pc, call depth) pairs, indexed by dynamic instruction number modulo
+// MaxDist, and the FIFO of open windows. At most MaxDist windows are
+// open at once, one per instruction in the ring.
+type scanner struct {
+	ring []traced
+	// n is the number of instructions pushed; the next goes to
+	// ring[slot], which is n modulo MaxDist.
+	n    uint64
+	slot int
+	// wins is the FIFO of open windows: open of them from wins[head],
+	// wrapping.
+	wins       []window
+	head, open int
+	// seen[pc] is the serial of the last window in which pc was counted,
+	// so only a PC's first occurrence in a window counts.
+	seen   []uint64
+	serial uint64
+}
+
+// traced is one ring entry: an executed PC and the call depth it ran at.
+type traced struct {
+	pc    uint64
+	depth int32
+}
+
+// window is one sampled candidate instance awaiting analysis. Its
+// window starts at dynamic instruction start, the one after the branch.
+type window struct {
+	cd    *candData
+	start uint64
+	depth int32 // the branch's call depth
+	taken bool
+}
+
+func newScanner(codeLen, maxDist int) *scanner {
+	return &scanner{ring: make([]traced, maxDist), wins: make([]window, maxDist), seen: make([]uint64, codeLen)}
+}
+
+// push appends the next executed instruction to the ring. If it is the
+// last instruction of the oldest open window, that window is analysed
+// at once, before the next push overwrites the window's first.
+func (sc *scanner) push(pc uint64, depth int32) {
+	sc.ring[sc.slot] = traced{pc, depth}
+	if sc.slot++; sc.slot == len(sc.ring) {
+		sc.slot = 0
+	}
+	sc.n++
+	if sc.open > 0 && sc.n-sc.wins[sc.head].start == uint64(len(sc.ring)) {
+		sc.analyse(&sc.wins[sc.head])
+		sc.pop()
+	}
+}
+
+func (sc *scanner) pop() {
+	sc.head++
+	if sc.head == len(sc.wins) {
+		sc.head = 0
+	}
+	sc.open--
+}
+
+// openWindow opens the window of the branch just pushed.
+func (sc *scanner) openWindow(cd *candData, taken bool, depth int32) {
+	sc.wins[(sc.head+sc.open)%len(sc.wins)] = window{cd: cd, start: sc.n, depth: depth, taken: taken}
+	sc.open++
+}
+
+// flush analyses the windows still open, cut at the last instruction
+// pushed.
+func (sc *scanner) flush() {
+	for sc.open > 0 {
+		sc.analyse(&sc.wins[sc.head])
+		sc.pop()
+	}
+}
+
+// analyse counts the first occurrence of every PC that ran at the
+// branch's call depth in w's window: the instructions from w.start to
+// the last one pushed.
+func (sc *scanner) analyse(w *window) {
+	sc.serial++
+	n := int(sc.n - w.start)
+	j := sc.slot - n
+	if j < 0 {
+		j += len(sc.ring)
+	}
+	for k := 1; k <= n; k++ {
+		t := sc.ring[j]
+		if j++; j == len(sc.ring) {
+			j = 0
+		}
+		// A control-flow merge point must sit at the branch's own call
+		// depth: a PC inside a callee (or in a caller frame) only
+		// appears "on both paths" through unrelated dynamic call
+		// instances, and predicating up to it drags whole call bodies
+		// into the dynamically predicated region.
+		if t.depth != w.depth || sc.seen[t.pc] == sc.serial {
+			continue
+		}
+		sc.seen[t.pc] = sc.serial
+		cs := w.cd.points[t.pc]
+		if cs == nil {
+			cs = &cfmStat{}
+			w.cd.points[t.pc] = cs
+		}
+		if w.taken {
+			cs.takenHits++
+		} else {
+			cs.ntHits++
+		}
+		cs.sumDist += uint64(k)
+	}
+}
+
 // cfmStat accumulates per-CFM-candidate appearance counts.
 type cfmStat struct {
 	takenHits, ntHits uint64
@@ -317,7 +412,27 @@ type cfmStat struct {
 // candData accumulates reconvergence data for one candidate branch.
 type candData struct {
 	takenSamples, ntSamples uint64
-	points                  map[uint64]*cfmStat
+	// takenWant and ntWant are how many instances each direction's
+	// sample set takes: SamplesPerBranch, or fewer if the run has fewer.
+	takenWant, ntWant uint64
+	points            map[uint64]*cfmStat
+}
+
+// sample reports whether an instance in direction taken is sampled:
+// the first SamplesPerBranch instances of each direction are.
+func (cd *candData) sample(taken bool) bool {
+	if taken {
+		if cd.takenSamples >= cd.takenWant {
+			return false
+		}
+		cd.takenSamples++
+		return true
+	}
+	if cd.ntSamples >= cd.ntWant {
+		return false
+	}
+	cd.ntSamples++
+	return true
 }
 
 // selectCFMs picks the qualifying CFM points for one candidate branch:
