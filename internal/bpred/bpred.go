@@ -14,7 +14,12 @@
 // (Section 2.3).
 package bpred
 
-import "dmp/internal/cow"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"dmp/internal/cow"
+)
 
 // GHR is a global history register of up to 64 branch outcomes; bit 0 is
 // the most recent branch (1 = taken).
@@ -65,15 +70,20 @@ type DirPredictor interface {
 // applies the standard threshold rule at retirement. Weight rows live in
 // a copy-on-write table so sampled simulation snapshots the trained
 // state in O(rows-metadata) (see internal/cow).
+//
+// Weights are bytes, as the paper's 64KB budget specifies. A row holds
+// each weight w in [-128, 127] as the byte w+128: first the bias, then
+// one byte per history bit, zero-padded to whole 8-byte words so the dot
+// product reads eight weights per load.
 type Perceptron struct {
-	weights cow.Table[int16]
+	weights cow.Table[uint8]
 	hbits   int
 	theta   int32
 }
 
 // PerceptronConfig sizes a perceptron predictor. The paper's baseline is
-// 64KB: 1021 entries × 59 history bits (60 signed weights just fit 64KB
-// with byte weights; we use the canonical parameters).
+// 64KB: 1021 entries × 59 history bits, whose 60 byte weights per row
+// (padded to 64 bytes) fill 1021 × 64 B of the budget.
 type PerceptronConfig struct {
 	Entries     int // number of perceptrons (paper: 1021)
 	HistoryBits int // history length (paper: 59)
@@ -89,38 +99,75 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 	if cfg.Entries <= 0 || cfg.HistoryBits <= 0 || cfg.HistoryBits > 63 {
 		panic("bpred: bad perceptron config")
 	}
-	// Optimal threshold from Jiménez & Lin: 1.93*h + 14.
-	return &Perceptron{weights: cow.NewTable[int16](cfg.Entries, cfg.HistoryBits+1), // +1 bias weight
-		hbits: cfg.HistoryBits, theta: int32(1.93*float64(cfg.HistoryBits) + 14)}
+	rowBytes := (cfg.HistoryBits + 1 + 7) &^ 7 // +1 bias weight, padded to words
+	p := &Perceptron{weights: cow.NewTable[uint8](cfg.Entries, rowBytes), hbits: cfg.HistoryBits,
+		// Optimal threshold from Jiménez & Lin: 1.93*h + 14.
+		theta: int32(1.93*float64(cfg.HistoryBits) + 14)}
+	for i := 0; i < cfg.Entries; i++ {
+		row := p.weights.Mut(i)
+		for j := range row[:cfg.HistoryBits+1] {
+			row[j] = 128 // weight 0
+		}
+	}
+	return p
 }
 
 func (p *Perceptron) index(pc uint64) int { return int(pc % uint64(p.weights.Len())) }
 
+// byteMask[b] has byte j all ones exactly when bit j of b is set: it
+// selects the weights of one word whose history bits are set.
+var byteMask = func() (m [256]uint64) {
+	for b := range m {
+		for j := 0; j < 8; j++ {
+			if b>>j&1 == 1 {
+				m[b] |= 0xFF << (8 * j)
+			}
+		}
+	}
+	return m
+}()
+
 // output is the perceptron's dot product: the bias weight plus, for each
-// history bit, +w if the bit is set and -w if not. The bipolar input is
-// computed arithmetically (x = 2*bit - 1), so the loop has no
-// data-dependent branch for the host to mispredict on random history.
+// history bit, +w if the bit is set and -w if not. With the stored bytes
+// b = w+128, S_sel the sum of the history bytes whose bit is set, S_all
+// the sum of all history bytes and n = hbits,
+//
+//	y = (b0-128) + 2·(S_sel - 128·popcount(h)) - (S_all - 128·n).
+//
+// Both sums are taken eight bytes per word: the selected bytes are
+// masked through byteMask, and each word's bytes are added in 16-bit
+// lanes, which cannot overflow (a row has at most 64 bytes of at most
+// 255). The padding bytes are zero and add nothing.
 //
 //dmp:hotpath
-func (p *Perceptron) output(pc uint64, hist GHR) int32 {
-	w := p.weights.RO(p.index(pc))
-	y := int32(w[0]) // bias
-	h := uint64(hist)
-	for _, wi := range w[1:] {
-		y += (int32(h&1)*2 - 1) * int32(wi)
-		h >>= 1
+func (p *Perceptron) output(row []uint8, hist GHR) int32 {
+	const lanes = 0x00FF00FF00FF00FF
+	h := uint64(hist) & (1<<p.hbits - 1)
+	b0 := int32(row[0])
+	sel := h << 1 // byte j of the row holds the weight of history bit j-1
+	var all, set uint64
+	for ; len(row) >= 8; row = row[8:] {
+		w := binary.LittleEndian.Uint64(row)
+		m := w & byteMask[uint8(sel)]
+		all += w&lanes + w>>8&lanes
+		set += m&lanes + m>>8&lanes
+		sel >>= 8
 	}
-	return y
+	// Multiplying by 0x0001000100010001 adds the four lanes into the top
+	// one.
+	sAll := int32(all*0x0001000100010001>>48) - b0 // history bytes only
+	sSel := int32(set * 0x0001000100010001 >> 48)
+	return b0 - 128 + 2*(sSel-128*int32(bits.OnesCount64(h))) - (sAll - 128*int32(p.hbits))
 }
 
-// train applies the threshold rule given the row's current output y:
+// train applies the threshold rule to row i given its current output y:
 // the row moves toward the outcome when the prediction was wrong or its
 // magnitude did not exceed theta. Each weight steps by x*t, with x the
 // bipolar history bit and t the bipolar outcome, saturating at the int8
 // range.
 //
 //dmp:hotpath
-func (p *Perceptron) train(pc uint64, hist GHR, y int32, taken bool) {
+func (p *Perceptron) train(i int, hist GHR, y int32, taken bool) {
 	t := int16(-1)
 	if taken {
 		t = 1
@@ -128,35 +175,36 @@ func (p *Perceptron) train(pc uint64, hist GHR, y int32, taken bool) {
 	if (y >= 0) == taken && max(y, -y) > p.theta {
 		return
 	}
-	w := p.weights.Mut(p.index(pc))
-	w[0] = satAdd(w[0], t)
+	w := p.weights.Mut(i)
+	w[0] = uint8(satAdd(int16(w[0])-128, t) + 128)
 	h := uint64(hist)
-	row := w[1:]
-	for i, wi := range row {
-		row[i] = satAdd(wi, (int16(h&1)*2-1)*t)
+	row := w[1 : p.hbits+1]
+	for j, b := range row {
+		row[j] = uint8(satAdd(int16(b)-128, (int16(h&1)*2-1)*t) + 128)
 		h >>= 1
 	}
 }
 
 // Predict returns true (taken) if the perceptron output is non-negative.
 func (p *Perceptron) Predict(pc uint64, hist GHR) bool {
-	return p.output(pc, hist) >= 0
+	return p.output(p.weights.RO(p.index(pc)), hist) >= 0
 }
 
 // Update trains with the resolved outcome under the prediction-time
 // history.
 func (p *Perceptron) Update(pc uint64, hist GHR, taken bool) {
-	p.train(pc, hist, p.output(pc, hist), taken)
+	p.PredictUpdate(pc, hist, taken)
 }
 
 // PredictUpdate is Predict followed by Update under the same history,
-// computing the dot product once: both read the same weight row, and
-// nothing writes it in between.
+// finding the row and computing the dot product once: both read the
+// same weight row, and nothing writes it in between.
 //
 //dmp:hotpath
 func (p *Perceptron) PredictUpdate(pc uint64, hist GHR, taken bool) bool {
-	y := p.output(pc, hist)
-	p.train(pc, hist, y, taken)
+	i := p.index(pc)
+	y := p.output(p.weights.RO(i), hist)
+	p.train(i, hist, y, taken)
 	return y >= 0
 }
 

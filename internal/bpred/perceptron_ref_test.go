@@ -6,9 +6,9 @@ import (
 )
 
 // refPerceptron is the perceptron as first written, with a data-dependent
-// branch per history bit in both the dot product and the training loop.
-// It is kept as the reference the branch-free kernel must match bit for
-// bit.
+// branch per history bit in both the dot product and the training loop,
+// over int16 weights. It is kept as the reference the byte-weight SWAR
+// kernel must match bit for bit.
 type refPerceptron struct {
 	weights [][]int16
 	hbits   int
@@ -109,10 +109,29 @@ func saturatingStream(n int) []branchEvent {
 	return ev
 }
 
-// TestPerceptronMatchesReference runs the branch-free perceptron, through
-// Predict+Update and through the fused PredictUpdate, in lockstep with
-// the branchy reference: every prediction and, at the end, every weight
-// must agree, and the stream must have pushed weights to both limits.
+// decodedRow returns row i's signed weights, bias first, decoded from
+// their stored bytes; it fails t if a padding byte is not zero, since the
+// dot product sums the padding along with the weights.
+func (p *Perceptron) decodedRow(t *testing.T, i int) []int16 {
+	t.Helper()
+	b := p.weights.RO(i)
+	for j, pad := range b[p.hbits+1:] {
+		if pad != 0 {
+			t.Fatalf("row %d: padding byte %d = %d, want 0", i, j, pad)
+		}
+	}
+	w := make([]int16, p.hbits+1)
+	for j := range w {
+		w[j] = int16(b[j]) - 128
+	}
+	return w
+}
+
+// TestPerceptronMatchesReference runs the byte-weight SWAR perceptron,
+// through Predict+Update and through the fused PredictUpdate, in
+// lockstep with the branchy int16 reference: every prediction and, at
+// the end, every decoded weight must agree, and the stream must have
+// pushed weights to both limits.
 func TestPerceptronMatchesReference(t *testing.T) {
 	cfg := DefaultPerceptronConfig()
 	ref := newRefPerceptron(cfg)
@@ -135,10 +154,10 @@ func TestPerceptronMatchesReference(t *testing.T) {
 			hi = hi || w == 127
 			lo = lo || w == -128
 		}
-		if got := split.weights.RO(row); !reflect.DeepEqual(got, want) {
+		if got := split.decodedRow(t, row); !reflect.DeepEqual(got, want) {
 			t.Fatalf("row %d after Predict+Update:\n got %v\nwant %v", row, got, want)
 		}
-		if got := fused.weights.RO(row); !reflect.DeepEqual(got, want) {
+		if got := fused.decodedRow(t, row); !reflect.DeepEqual(got, want) {
 			t.Fatalf("row %d after PredictUpdate:\n got %v\nwant %v", row, got, want)
 		}
 	}

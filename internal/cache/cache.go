@@ -27,16 +27,29 @@ type Config struct {
 // snapshot a continuously warmed cache in O(sets-metadata): Clone
 // freezes the current tag state, and each side privately re-copies only
 // the sets it touches afterwards.
+//
+// The cache remembers the line of its previous access. A repeat of that
+// line is a hit that touches no set (no copy-on-write, no LRU stamp, no
+// clock tick), and it is exact: the previous line is resident and
+// already holds the newest stamp in the whole cache, so re-stamping it
+// would change no set's LRU order and hence no later hit, miss or
+// victim.
 type Cache struct {
-	cfg     Config
+	latency int
 	sets    cow.Table[line]
 	setMask uint64
 	lineSh  uint
 	setSh   uint
 	clock   uint64
+	base    uint64 // mask that clears the offset within a line
+	last    uint64 // base address of the previous access's line; noLine before any
 
 	Hits, Misses uint64
 }
+
+// noLine is the memo before the first access. No line's base address is
+// odd, because lines are at least 2 bytes.
+const noLine = 1
 
 type line struct {
 	valid bool
@@ -61,19 +74,39 @@ func New(cfg Config) *Cache {
 			panic("cache: line size must be a power of two")
 		}
 	}
+	if sh == 0 {
+		panic("cache: line size must be at least 2 bytes")
+	}
 	setSh := uint(0)
 	for 1<<setSh != nsets {
 		setSh++
 	}
-	return &Cache{cfg: cfg, sets: cow.NewTable[line](nsets, cfg.Assoc),
-		setMask: uint64(nsets - 1), lineSh: sh, setSh: setSh}
+	return &Cache{latency: cfg.Latency, sets: cow.NewTable[line](nsets, cfg.Assoc),
+		setMask: uint64(nsets - 1), lineSh: sh, setSh: setSh,
+		base: ^uint64(cfg.LineBytes - 1), last: noLine}
 }
 
 // Access looks up addr, fills on miss, and reports whether it hit.
+//
+//dmp:hotpath
 func (c *Cache) Access(addr uint64) bool {
+	if addr&c.base == c.last {
+		c.Hits++
+		return true
+	}
+	return c.access(addr)
+}
+
+// access is Access for a line other than the previous one (kept out of
+// Access so the repeat-line path inlines into its callers).
+//
+//dmp:hotpath
+func (c *Cache) access(addr uint64) bool {
+	c.last = addr & c.base
 	lineAddr := addr >> c.lineSh
-	// Every access writes the set (LRU stamp on hit, fill on miss), so
-	// take it mutable up front; the COW fast path is one compare.
+	// Every access from here writes the set (LRU stamp on hit, fill on
+	// miss), so take it mutable up front; the COW fast path is one
+	// compare.
 	set := c.sets.Mut(int(lineAddr & c.setMask))
 	tag := lineAddr >> c.setSh
 	c.clock++
@@ -100,7 +133,7 @@ func (c *Cache) Access(addr uint64) bool {
 }
 
 // Latency returns the hit latency.
-func (c *Cache) Latency() int { return c.cfg.Latency }
+func (c *Cache) Latency() int { return c.latency }
 
 // Clone snapshots the cache copy-on-write: tag state is frozen and
 // shared (cow.Table.Clone — O(sets) header copies, no line copies), LRU
@@ -109,7 +142,8 @@ func (c *Cache) Latency() int { return c.cfg.Latency }
 // per checkpoint so every detailed interval starts with the
 // long-reuse-distance cache state an exact run would have; both the
 // warmer and the interval machine keep training their instance, each
-// privately re-copying only the sets it touches.
+// privately re-copying only the sets it touches. The previous-line memo
+// is copied too: both sides hold the same sets, so it is exact on each.
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.sets = c.sets.Clone()
@@ -155,9 +189,24 @@ func (h *Hierarchy) Clone() *Hierarchy {
 }
 
 // InstLatency returns the cycles to fetch the instruction word at byte
-// address addr.
+// address addr. Consecutive fetches mostly stay in one line, so the
+// L1I's repeat-line hit is checked here, on a path small enough to
+// inline into the fetch and warming loops.
+//
+//dmp:hotpath
 func (h *Hierarchy) InstLatency(addr uint64) int {
-	if h.L1I.Access(addr) {
+	if addr&h.L1I.base == h.L1I.last {
+		h.L1I.Hits++
+		return h.L1I.latency
+	}
+	return h.instLatency(addr)
+}
+
+// instLatency is InstLatency past the repeat-line hit.
+//
+//dmp:hotpath
+func (h *Hierarchy) instLatency(addr uint64) int {
+	if h.L1I.access(addr) {
 		return h.L1I.Latency()
 	}
 	if h.L2.Access(addr) {

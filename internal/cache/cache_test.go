@@ -43,6 +43,7 @@ func TestCacheGeometryPanics(t *testing.T) {
 		{SizeBytes: 0, Assoc: 1, LineBytes: 64},
 		{SizeBytes: 1024, Assoc: 1, LineBytes: 63},
 		{SizeBytes: 192, Assoc: 1, LineBytes: 64}, // 3 sets
+		{SizeBytes: 64, Assoc: 1, LineBytes: 1},   // no spare bit for the empty memo
 	}
 	for i, cfg := range bad {
 		func() {

@@ -81,10 +81,10 @@ func TestProfilerSkipsPredictableBranch(t *testing.T) {
 	}
 }
 
-func TestProfilerLoopBranchWithIncludeLoops(t *testing.T) {
-	// A loop whose trip count is random (1 or 2 iterations) makes the
-	// back-branch hard to predict; with IncludeLoops it may be marked,
-	// and must then carry Loop=true.
+// randomTripLoop builds a loop whose trip count is random (1 or 2
+// iterations), which makes its back-branch hard to predict. It returns
+// the program and the back-branch's PC.
+func randomTripLoop() (*prog.Program, uint64) {
 	b := prog.NewBuilder()
 	b.Li(1, 88172645463325252)
 	b.Li(2, 4000) // outer iterations
@@ -101,25 +101,30 @@ func TestProfilerLoopBranchWithIncludeLoops(t *testing.T) {
 	b.Subi(2, 2, 1)
 	b.Br(isa.GT, 2, isa.Zero, "outer")
 	b.Halt()
-	p := b.MustBuild()
+	return b.MustBuild(), innerBr
+}
 
+func TestProfilerLoopBranchWithIncludeLoops(t *testing.T) {
+	// With IncludeLoops the hard-to-predict back-branch is marked, and
+	// as a loop diverge branch.
+	p, innerBr := randomTripLoop()
 	opts := DefaultOptions()
 	opts.IncludeLoops = true
 	if _, err := Run(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if d := p.DivergeAt(innerBr); d != nil && !d.Loop {
-		t.Error("backward diverge branch not flagged Loop")
+	if d := p.DivergeAt(innerBr); d == nil || !d.Loop {
+		t.Errorf("with IncludeLoops, back-branch marked %+v; want a Loop diverge branch", d)
 	}
 
 	// Without IncludeLoops the same branch must not be marked.
-	p2 := rebuild(t)
-	_ = p2
-}
-
-func rebuild(t *testing.T) *prog.Program {
-	t.Helper()
-	return nil
+	p, innerBr = randomTripLoop()
+	if _, err := Run(p, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.DivergeAt(innerBr); d != nil {
+		t.Errorf("without IncludeLoops, back-branch marked %+v", d)
+	}
 }
 
 func TestProfilerComplexDivergeClassification(t *testing.T) {
