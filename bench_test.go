@@ -33,7 +33,7 @@ import (
 var benchSubset = []string{"mcf", "parser", "twolf", "vpr", "perlbmk"}
 
 func benchOpts() exp.Options {
-	return exp.Options{Scale: 1, Benchmarks: benchSubset, Check: false}
+	return exp.Options{Scale: 1, Benchmarks: benchSubset}
 }
 
 // runFigure runs one experiment generator b.N times, logging the table

@@ -79,11 +79,10 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		scale   = fs.Int("scale", 3, "workload scale factor")
-		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: all 15)")
-		nocheck = fs.Bool("nocheck", false, "disable the golden-model checker (faster)")
-		par     = fs.Int("parallel", 0, "simulation worker cap, shared by all experiments (default NumCPU)")
-		remote  = fs.String("remote", "", "run on a dmpserve daemon at this base URL instead of locally")
+		scale  = fs.Int("scale", 3, "workload scale factor")
+		bench  = fs.String("bench", "", "comma-separated benchmark subset (default: all 15)")
+		par    = fs.Int("parallel", 0, "simulation worker cap, shared by all experiments (default NumCPU)")
+		remote = fs.String("remote", "", "run on a dmpserve daemon at this base URL instead of locally")
 
 		sampleJSON = fs.String("sample-json", "", "write the sampling experiment's report (JSON) to this file")
 		sampleGate = fs.Float64("sample-gate", 0, "fail unless every sampled benchmark has |IPC err%| <= this and CI coverage (0 = off)")
@@ -95,7 +94,6 @@ func run(args []string) int {
 
 	opts := exp.DefaultOptions()
 	opts.Scale = *scale
-	opts.Check = !*nocheck
 	opts.Parallel = *par
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")

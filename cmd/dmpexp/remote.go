@@ -26,7 +26,6 @@ func runRemote(base string, ids []string, opts exp.Options) int {
 		IDs:        ids,
 		Benchmarks: opts.Benchmarks,
 		Scale:      opts.Scale,
-		Check:      &opts.Check,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmpexp: remote: %v\n", err)

@@ -98,7 +98,6 @@ func run(args []string) error {
 		cfmSrc   = fs.String("cfm-source", "annotated", "CFM point source: annotated|dynamic|hybrid (dynamic/hybrid use the runtime merge-point predictor)")
 		mergeTbl = fs.Int("merge-table", 0, "merge-point predictor table entries (0 = default; needs -cfm-source dynamic|hybrid)")
 		mergeSt  = fs.Bool("merge-stats", false, "print a merge-point predictor summary line")
-		nocheck  = fs.Bool("nocheck", false, "disable the golden-model retirement checker")
 
 		doSample    = fs.Bool("sample", false, "sampled simulation: fast-forward + warmed detailed intervals instead of an exact run")
 		samplePt    = exp.SampleFlags(fs)
@@ -132,7 +131,6 @@ func run(args []string) error {
 	cfg.ROBSize = *rob
 	cfg.PipelineDepth = *depth
 	cfg.MaxInsts = *maxInsts
-	cfg.CheckRetirement = !*nocheck
 	if *mcfm {
 		cfg.MultipleCFM = true
 	}

@@ -13,10 +13,10 @@ import (
 // program entry, with ws's trained caches, predictors, and merge table
 // instead of cold ones, taking ownership of ws (pass Warmer.Snapshot
 // results, one per machine). The checkpoint's memory is cloned, so one
-// checkpoint can seed any number of machines, and the golden-model
-// checker starts at the same point, so a stitched mid-program run is
-// still validated instruction-by-instruction against the functional
-// emulator. This is the sampled-simulation seeding path, and it skips
+// checkpoint can seed any number of machines, and the fetch oracle
+// starts at the same point, so a stitched mid-program run is still
+// checked instruction by instruction. This is the sampled-simulation
+// seeding path, and it skips
 // the cold-component construction New would throw away — per-interval
 // setup matters when a sampled run builds dozens of short-lived machines.
 func NewFromCheckpointWarm(p *prog.Program, cfg Config, ck emu.Checkpoint, ws *WarmState) (*Machine, error) {
@@ -31,11 +31,10 @@ func NewFromCheckpointWarm(p *prog.Program, cfg Config, ck emu.Checkpoint, ws *W
 
 // restart installs committed registers regs over the machine's data
 // memory, with fetch at pc: the register alias table is re-rooted at the
-// committed values, and the fetch oracle and golden-model checker are
-// (re)built at that point. Their instruction counts start at zero: the
-// retirement-resync logic compares the oracle's Count against the
-// machine's own retired count, which also starts at zero on a
-// transplanted machine.
+// committed values, and the fetch oracle is (re)built at that point.
+// Its instruction count starts at zero: retirement compares the
+// oracle's Count against the machine's own retired count, which also
+// starts at zero on a transplanted machine.
 func (m *Machine) restart(regs [isa.NumRegs]uint64, pc uint64, halted bool) {
 	m.commitRegs = regs
 	m.fetchPC = pc
@@ -46,16 +45,13 @@ func (m *Machine) restart(regs [isa.NumRegs]uint64, pc uint64, halted bool) {
 		m.rat.e[r] = ratEntry{val: regs[r]}
 	}
 	// The transient Checkpoint aliases m.dmem; emu.NewFromCheckpoint
-	// clones it, so the oracle and checker each own their memory and
-	// speculative oracle stores never leak into committed state.
+	// clones it, so the oracle owns its memory and speculative oracle
+	// stores never leak into committed state.
 	ck := emu.Checkpoint{Regs: regs, Mem: m.dmem, PC: pc, Halted: halted}
 	if m.oracle != nil {
 		m.oracle.em.ReleaseHistory()
 	}
-	m.oracle = newFetchOracleFrom(emu.NewFromCheckpoint(m.prog, ck), m.oracleWindow())
-	if m.cfg.CheckRetirement {
-		m.checker = emu.NewFromCheckpoint(m.prog, ck)
-	}
+	m.oracle = newFetchOracle(emu.NewFromCheckpoint(m.prog, ck), m.oracleWindow())
 }
 
 // FunctionalWarm advances the machine's architectural state by n program

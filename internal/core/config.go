@@ -12,8 +12,8 @@
 // out-of-order issue/execute (real data values, including on wrong paths)
 // → in-order retire (predicate-FALSE squash, store drain, golden-model
 // check). A fetch-following functional emulator (the "oracle") supplies
-// perfect branch outcomes and classifies wrong-path fetches; see
-// oracle.go.
+// perfect branch outcomes, classifies wrong-path fetches and logs each
+// architectural step for the retirement check; see oracle.go.
 package core
 
 import (
@@ -136,8 +136,8 @@ type Config struct {
 	SampleMode bool
 	SamplePoint
 
-	// CheckRetirement compares every retired instruction against a
-	// lockstep functional emulator (golden model). Cheap; on by default.
+	// CheckRetirement compares every retired instruction with the fetch
+	// oracle's log of the same step (golden model). On by default.
 	CheckRetirement bool
 }
 
@@ -297,10 +297,8 @@ func ModeConfig(name string) (Config, error) {
 //     stored per episode but only ever compared under the EarlyExit
 //     flag);
 //   - folds CheckRetirement, which changes wall-clock but never a single
-//     Stats bit. Callers that want checked and unchecked runs kept apart
-//     (the experiment result cache does, so a cache hit always ran with
-//     the same checking the caller asked for) must carry it beside the
-//     canonical Config in their key;
+//     Stats bit. The experiment drivers always check; the store
+//     carries it beside the canonical Config (Meta.Check);
 //   - folds the SamplePoint to zero when SampleMode is off (an exact
 //     run never reads it) and spells out its defaults when it is on
 //     (a defaulted and an explicitly default-parameterised sampled run

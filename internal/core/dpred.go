@@ -92,7 +92,6 @@ type episode struct {
 	ghrAtCFM       bpred.GHR // fetch GHR when the predicted path reached the CFM
 	rasAtDiverge   bpred.RASState
 	rasAtCFM       bpred.RASState
-	earlyExited    bool
 
 	// predID1 predicates the predicted path, predID2 the alternate path.
 	predID1, predID2 int32

@@ -454,7 +454,6 @@ func (m *Machine) earlyExit(ep *episode) {
 		// the exit threshold: the prediction was (likely) wrong.
 		m.Stats.MergeMispredicts++
 	}
-	ep.earlyExited = true
 	if m.probe != nil {
 		m.probeEpisode(EpEarlyExit, ep)
 	}

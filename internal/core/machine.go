@@ -22,10 +22,8 @@ type Machine struct {
 	commitRegs [isa.NumRegs]uint64
 	dmem       *emu.Memory
 
-	// Oracle and golden-model checker.
-	oracle    *fetchOracle
-	checker   *emu.Emulator
-	checkStep emu.Step // the checker's record of the instruction being retired
+	// The fetch oracle, whose step log also checks retirement.
+	oracle *fetchOracle
 
 	// Pipeline. rob and feq slide over the fixed arrays robBuf and feqBuf
 	// (pushQueue).
@@ -142,10 +140,7 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	}
 	m.commitRegs[isa.SP] = p.StackBase
 
-	m.oracle = newFetchOracle(p, m.oracleWindow())
-	if cfg.CheckRetirement {
-		m.checker = emu.New(p)
-	}
+	m.oracle = newFetchOracle(emu.New(p), m.oracleWindow())
 	m.fetchPC = p.Entry
 	m.rat.e[isa.SP] = ratEntry{val: p.StackBase}
 	return m, nil

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dmp/internal/emu"
-	"dmp/internal/prog"
-)
+import "dmp/internal/emu"
 
 // fetchOracle is a functional emulator that follows the fetch stream
 // along correct-path instructions only. While fetch is on the correct
@@ -26,13 +23,13 @@ import (
 //
 // The oracle provides: perfect conditional branch prediction
 // (ModePerfect), perfect confidence estimation (low-confidence exactly
-// when mispredicted), and the correct-path/wrong-path labelling behind
-// Figure 1.
+// when mispredicted), the correct-path/wrong-path labelling behind
+// Figure 1, and the golden model: retirement checks each instruction
+// against the window's record of its step (emu.Emulator.Logged).
 type fetchOracle struct {
-	em      *emu.Emulator
-	onPath  bool
-	lastSeq uint64   // seq of the youngest uop the oracle executed
-	st      emu.Step // record of the oracle's latest step, overwritten by the next
+	em     *emu.Emulator
+	onPath bool
+	st     emu.Step // record of the oracle's latest step, overwritten by the next
 }
 
 // oracleTrimEvery is how many retirements pass between trims of the
@@ -40,17 +37,13 @@ type fetchOracle struct {
 // be frequent, which keeps the window close to the instruction window.
 const oracleTrimEvery = 64
 
-func newFetchOracle(p *prog.Program, window int) *fetchOracle {
-	return newFetchOracleFrom(emu.New(p), window)
-}
-
-// newFetchOracleFrom wraps an already-positioned emulator (the sampling
-// driver seeds it from a mid-program checkpoint). The emulator's Count
-// must equal the machine's retired-instruction count at that point —
-// checkpoint transplant zeroes both — because retirement resync compares
-// the two directly. window bounds how far the oracle runs ahead of
-// retirement (Machine.oracleWindow).
-func newFetchOracleFrom(em *emu.Emulator, window int) *fetchOracle {
+// newFetchOracle wraps an emulator at the program entry, or one the
+// sampling driver seeds from a mid-program checkpoint. The emulator's
+// Count must equal the machine's retired-instruction count at that
+// point — checkpoint transplant zeroes both — because retirement
+// compares the two directly. window bounds how far the oracle runs
+// ahead of retirement (Machine.oracleWindow).
+func newFetchOracle(em *emu.Emulator, window int) *fetchOracle {
 	o := &fetchOracle{em: em, onPath: true}
 	o.em.EnableHistory(window + oracleTrimEvery)
 	return o
@@ -75,7 +68,6 @@ func (o *fetchOracle) stepIfAt(u *uop) *emu.Step {
 		o.onPath = false
 		return nil
 	}
-	o.lastSeq = u.seq
 	return &o.st
 }
 

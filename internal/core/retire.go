@@ -9,8 +9,8 @@ import (
 // retireStage retires up to RetireWidth completed uops from the head of
 // the reorder buffer, in order. Predicate-FALSE instructions free their
 // results without updating architectural state (Section 2.5); stores
-// drain to memory; the golden-model checker validates every committed
-// instruction against the functional emulator.
+// drain to memory; every committed instruction is checked against the
+// fetch oracle's log of the program's architectural execution.
 //
 //dmp:hotpath
 func (m *Machine) retireStage() {
@@ -51,12 +51,13 @@ func (m *Machine) retireOne(u *uop) {
 		return
 	case kindSelect:
 		// Select-uops commit their muxed value. At this retirement point
-		// the golden model sits exactly at the CFM point, so the muxed
-		// value must equal the architectural register.
-		m.commitRegs[u.dstArch] = u.dstVal
-		if m.checker != nil && !m.checker.Halted && m.checker.Reg(u.dstArch) != u.dstVal {
-			m.fail(u, fmt.Sprintf("select %v = %d, golden %d", u.dstArch, u.dstVal, m.checker.Reg(u.dstArch)))
+		// the committed state sits exactly at the CFM point, so the muxed
+		// value must equal the architectural register — which is
+		// commitRegs, since every earlier commit passed its check.
+		if m.cfg.CheckRetirement && m.commitRegs[u.dstArch] != u.dstVal {
+			m.fail(u, fmt.Sprintf("select %v = %d, golden %d", u.dstArch, u.dstVal, m.commitRegs[u.dstArch]))
 		}
+		m.commitRegs[u.dstArch] = u.dstVal
 		m.Stats.RetiredSelects++
 		return
 	}
@@ -86,7 +87,14 @@ func (m *Machine) retireOne(u *uop) {
 		m.hier.DataLatency(u.addr) // allocate the line; latency is hidden
 	}
 
-	if m.checker != nil {
+	if !m.oracle.onPath && m.oracle.em.Count == m.retired && m.oracle.em.PC == u.pc {
+		// Retirement caught up with a paused oracle: the retiring
+		// instruction is architecturally the oracle's next step, so the
+		// oracle can safely follow the retirement stream until fetch
+		// lockstep can re-form (see fetchStage's drained-machine resync).
+		m.oracle.em.StepInto(&m.oracle.st) //nolint:errcheck // a failed step logs nothing, which the check reports
+	}
+	if m.cfg.CheckRetirement {
 		m.checkRetired(u)
 		if m.runErr != nil {
 			return
@@ -95,13 +103,6 @@ func (m *Machine) retireOne(u *uop) {
 
 	m.Stats.RetiredInsts++
 	m.retired++
-	if !m.oracle.onPath && m.oracle.em.Count == m.retired-1 && m.oracle.em.PC == u.pc {
-		// Retirement caught up with a paused oracle: the retiring
-		// instruction is architecturally the oracle's next step, so the
-		// oracle can safely follow the retirement stream until fetch
-		// lockstep can re-form (see fetchStage's drained-machine resync).
-		m.oracle.em.StepInto(&m.oracle.st) //nolint:errcheck // next check catches drift
-	}
 	if m.retired%oracleTrimEvery == 0 {
 		// Retired instructions can never be squashed: shrink the
 		// oracle's rewind window.
@@ -149,34 +150,22 @@ func (m *Machine) mergeObserve(u *uop) {
 	m.merge.Observe(u.pc, u.inst.Op, u.actualTaken, train)
 }
 
-// checkRetired steps the golden-model emulator and compares: the retired
-// predicate-TRUE instruction stream must be exactly the program's
-// architectural execution.
+// checkRetired compares the retiring instruction with the fetch
+// oracle's log of step retired+1: the retired predicate-TRUE instruction
+// stream must be exactly the program's architectural execution. The log
+// is never trimmed past retirement, so a missing record is a retirement
+// the program never made (after HALT, or a step the oracle could not run).
 func (m *Machine) checkRetired(u *uop) {
-	if m.checker.Halted {
-		m.fail(u, "retired instruction after golden model halted")
-		return
-	}
-	if m.checker.PC != u.pc {
-		m.fail(u, fmt.Sprintf("golden model at pc %d", m.checker.PC))
-		return
-	}
-	st := &m.checkStep
-	if err := m.checker.StepInto(st); err != nil {
-		m.fail(u, "golden model error: "+err.Error())
-		return
-	}
-	if u.hasDst && st.WroteReg && st.RegVal != u.dstVal {
-		m.fail(u, fmt.Sprintf("dst %v = %d, golden %d", u.dstArch, u.dstVal, st.RegVal))
-		return
-	}
-	if u.isStore && (!st.IsStore || st.Addr&^7 != u.addr&^7 || st.MemVal != u.dstVal) {
-		m.fail(u, fmt.Sprintf("store addr/val %d/%d, golden %d/%d", u.addr, u.dstVal, st.Addr, st.MemVal))
-		return
-	}
-	if u.isLoad && st.IsLoad && st.MemVal != u.dstVal {
-		m.fail(u, fmt.Sprintf("load val %d, golden %d", u.dstVal, st.MemVal))
-		return
+	pc, val, addr, ok := m.oracle.em.Logged(m.retired + 1)
+	switch {
+	case !ok:
+		m.fail(u, fmt.Sprintf("golden model has no step %d", m.retired+1))
+	case pc != u.pc:
+		m.fail(u, fmt.Sprintf("golden model at pc %d", pc))
+	case (u.hasDst || u.isLoad) && val != u.dstVal:
+		m.fail(u, fmt.Sprintf("dst %v = %d, golden %d", u.dstArch, u.dstVal, val))
+	case u.isStore && (addr&^7 != u.addr&^7 || val != u.dstVal):
+		m.fail(u, fmt.Sprintf("store addr/val %d/%d, golden %d/%d", u.addr, u.dstVal, addr, val))
 	}
 }
 

@@ -36,9 +36,9 @@ func (e *Emulator) Checkpoint() Checkpoint {
 
 // NewFromCheckpoint returns an emulator for p restored to ck. The
 // checkpoint's memory is cloned (copy-on-write), so one checkpoint can
-// seed any number of emulators (the sampler seeds a machine, its fetch
-// oracle and its golden-model checker from the same checkpoint) and each
-// write stream stays independent.
+// seed any number of emulators (the sampler seeds a machine and its
+// fetch oracle from the same checkpoint) and each write stream stays
+// independent.
 func NewFromCheckpoint(p *prog.Program, ck Checkpoint) *Emulator {
 	return &Emulator{
 		Prog:   p,

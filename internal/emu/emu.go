@@ -8,9 +8,9 @@ import (
 )
 
 // Step describes one architecturally executed instruction: what it was,
-// what it produced, and where control went. The out-of-order core's
-// retirement checker compares against Steps; the profiler consumes them
-// as a stream.
+// what it produced, and where control went. The fetch oracle's history
+// logs each Step's result for the out-of-order core's retirement check
+// (Logged); the profiler consumes Steps as a stream.
 type Step struct {
 	PC   uint64
 	Inst isa.Inst
@@ -108,8 +108,9 @@ func (e *Emulator) StepInto(s *Step) error {
 		return fmt.Errorf("emu: pc %d outside code image", e.PC)
 	}
 	in := &e.Prog.Code[e.PC]
+	var rec *histStep
 	if e.hist != nil {
-		e.hist.recordStep(e, in.Dst)
+		rec = e.hist.recordStep(e, in.Dst)
 	}
 	s.PC, s.Inst, s.NextPC = e.PC, *in, e.PC+1
 	s.Taken, s.Halted = false, false
@@ -168,6 +169,12 @@ func (e *Emulator) StepInto(s *Step) error {
 
 	e.PC = s.NextPC
 	e.Count++
+	if rec != nil {
+		rec.val = s.RegVal
+		if s.IsStore {
+			rec.val = s.MemVal
+		}
+	}
 	return nil
 }
 

@@ -25,7 +25,7 @@ import (
 // the write-log position before it, a few words rather than a copy of
 // the register file. RewindTo walks the records backwards from the
 // newest, so a rewind costs the steps it undoes, which the window
-// bounds.
+// bounds. The record also keeps the step's result (Logged).
 //
 // Both logs are rings indexed by absolute position — the record of the
 // step that made the count c at steps[c mod len], write number w at
@@ -39,11 +39,12 @@ type History struct {
 	wr    []histWrite
 }
 
-// histStep undoes one step.
+// histStep undoes one step and records its result.
 type histStep struct {
 	pc  uint64  // PC before the step
 	old uint64  // reg's value before the step
 	nwr uint64  // writes logged before the step
+	val uint64  // the value the step wrote to its register, or the word it stored
 	reg isa.Reg // the instruction's destination field, written or not
 }
 
@@ -83,19 +84,22 @@ func (e *Emulator) ReleaseHistory() {
 }
 
 // recordStep logs the undo record of the step e is about to execute,
-// whose instruction names dst as destination. The field is masked into
-// range: an instruction that writes no register restores that
-// register's unchanged value. A step that then fails leaves a record
-// past Count, which the next step overwrites.
+// whose instruction names dst as destination, and returns it for the
+// step to fill in its result. The field is masked into range: an
+// instruction that writes no register restores that register's
+// unchanged value. A step that then fails leaves a record past Count,
+// which the next step overwrites.
 //
 //dmp:hotpath
-func (h *History) recordStep(e *Emulator, dst isa.Reg) {
+func (h *History) recordStep(e *Emulator, dst isa.Reg) *histStep {
 	count := e.Count + 1
 	if count-h.base > uint64(len(h.steps)) {
 		h.growSteps(count)
 	}
 	reg := dst % isa.NumRegs
-	h.steps[count&uint64(len(h.steps)-1)] = histStep{pc: e.PC, old: e.Regs[reg], nwr: h.nwr, reg: reg}
+	s := &h.steps[count&uint64(len(h.steps)-1)]
+	*s = histStep{pc: e.PC, old: e.Regs[reg], nwr: h.nwr, reg: reg}
+	return s
 }
 
 // growSteps doubles the record ring, keeping the records for steps
@@ -176,6 +180,22 @@ func (e *Emulator) TrimHistory(count uint64) {
 		h.wbase = h.steps[(count+1)&uint64(len(h.steps)-1)].nwr
 	}
 	h.base = count
+}
+
+// Logged returns what step count did, as its record holds it: the PC
+// it ran at, its result (the value it wrote to its register, or the
+// word it stored) and, for a store, the address it wrote. ok is false
+// outside the window, which holds steps base+1..Count.
+func (e *Emulator) Logged(count uint64) (pc, val, addr uint64, ok bool) {
+	h := e.hist
+	if h == nil || count <= h.base || count > e.Count {
+		return 0, 0, 0, false
+	}
+	s := &h.steps[count&uint64(len(h.steps)-1)]
+	if e.Prog.Code[s.pc].Op == isa.ST {
+		addr = h.wr[s.nwr&uint64(len(h.wr)-1)].addr
+	}
+	return s.pc, s.val, addr, true
 }
 
 // HistoryLen reports the current window size in steps, for tests.

@@ -13,7 +13,10 @@ import (
 // rewinds. The window starts small, so the record and write rings grow
 // while steps are held, and rewinds cross stores and ring growths. After each rewind the
 // emulator's registers, PC, count, halt flag and memory must equal a
-// fresh emulator replayed to the same count.
+// fresh emulator replayed to the same count, and Logged must return
+// each step still in the window as the replay ran it: its PC, its result
+// and a store's address. Logged reports no step at the window's base or
+// past Count.
 func TestHistoryRewindEqualsReplay(t *testing.T) {
 	for _, name := range workload.Names() {
 		w, err := workload.ByName(name)
@@ -47,8 +50,25 @@ func TestHistoryRewindEqualsReplay(t *testing.T) {
 			}
 			ref := emu.New(p)
 			for ref.Count < target {
-				if _, err := ref.Step(); err != nil {
+				st, err := ref.Step()
+				if err != nil {
 					t.Fatalf("%s: replay: %v", name, err)
+				}
+				if ref.Count <= base {
+					continue
+				}
+				val, addr := st.RegVal, uint64(0)
+				if st.IsStore {
+					val, addr = st.MemVal, st.Addr
+				}
+				if pc, v, a, ok := e.Logged(ref.Count); !ok || pc != st.PC || v != val || a != addr {
+					t.Fatalf("%s round %d: Logged(%d) = pc %d val %d addr %d ok %v, replay pc %d val %d addr %d",
+						name, round, ref.Count, pc, v, a, ok, st.PC, val, addr)
+				}
+			}
+			for _, c := range []uint64{base, target + 1} {
+				if _, _, _, ok := e.Logged(c); ok {
+					t.Fatalf("%s round %d: Logged(%d) reports a step outside the window (%d, %d]", name, round, c, base, target)
 				}
 			}
 			if e.Regs != ref.Regs || e.PC != ref.PC || e.Count != ref.Count || e.Halted != ref.Halted {

@@ -4,12 +4,13 @@
 //
 // The emulator serves three roles in the reproduction:
 //
-//   - golden model: the out-of-order core's retired, predicate-TRUE
-//     instruction stream must match the emulator's execution exactly;
 //   - fetch oracle: a pausable emulator instance follows the fetch stream
 //     along correct-path instructions, providing perfect branch outcomes
 //     (perfect prediction and perfect confidence estimation) and the
 //     wrong-path classification behind Figure 1;
+//   - golden model: the same instance's step log (Logged) is what the
+//     out-of-order core's retired, predicate-TRUE instruction stream
+//     must match exactly;
 //   - profiler substrate: internal/profile drives it to collect edge
 //     profiles and reconvergence statistics.
 package emu
@@ -75,9 +76,9 @@ func (m *Memory) Write(addr, val uint64) {
 // copied, every page is frozen (disowned), and each side copies a page
 // privately on its first subsequent write to it. Checkpoints in sampled
 // simulation clone the warming emulator's memory once per period and the
-// interval machine clones the checkpoint three more times (committed
-// state, fetch oracle, golden-model checker) — page sharing makes all of
-// these O(metadata) instead of O(footprint).
+// interval machine clones the checkpoint twice more (committed state
+// and fetch oracle) — page sharing makes all of these O(metadata)
+// instead of O(footprint).
 func (m *Memory) Clone() *Memory {
 	c := &Memory{pages: make(map[uint64]*page, len(m.pages))}
 	for k, pg := range m.pages {

@@ -22,8 +22,8 @@ import (
 //     freshly decoded stored table) before the cache entry is published
 //     (the sync.Once provides the happens-before edge).
 //   - core.New copies p.Data into the machine's own emu.Memory, and
-//     emu.New (the golden checker and the fetch oracle) does the same;
-//     stores never write through to the Program.
+//     emu.New (the fetch oracle) does the same; stores never write
+//     through to the Program.
 //   - The core reads only p.Code (via At), p.Diverge (via DivergeAt),
 //     p.Entry and p.StackBase. Episode setup slices a Diverge's CFMs but
 //     never appends to or writes through it.

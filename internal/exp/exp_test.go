@@ -13,7 +13,7 @@ import (
 // smallOpts keeps experiment tests fast: two contrasting benchmarks at
 // scale 1 (one diverge-heavy, one predictable).
 func smallOpts() Options {
-	return Options{Scale: 1, Benchmarks: []string{"mcf", "perlbmk"}, Check: true}
+	return Options{Scale: 1, Benchmarks: []string{"mcf", "perlbmk"}}
 }
 
 func TestAnnotatedTransfersMarks(t *testing.T) {
@@ -277,7 +277,7 @@ func TestResolve(t *testing.T) {
 // every call.
 func TestSamplingReportAfterSampling(t *testing.T) {
 	Reset()
-	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true}
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}}
 	tb, err := Sampling(o)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestSamplingReportAfterSampling(t *testing.T) {
 // benchmark is reported, not just the first: a period longer than the
 // program leaves each benchmark with no interval to measure.
 func TestSamplingReportJoinsErrors(t *testing.T) {
-	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Check: true, Sample: core.SamplePoint{SamplePeriod: 1 << 30}}
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}, Sample: core.SamplePoint{SamplePeriod: 1 << 30}}
 	_, _, err := SamplingReport(o)
 	if err == nil {
 		t.Fatal("sampling with a period longer than the program succeeded")

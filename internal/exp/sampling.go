@@ -182,7 +182,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		points[i] = pt
 		sCfg := exCfg
 		sCfg.SampleMode = true
-		sCfg.CheckRetirement = o.Check
+		sCfg.CheckRetirement = true
 		sCfg.SamplePoint = pt
 		wg.Add(1)
 		go func(i int, bench string, sCfg core.Config) {

@@ -12,7 +12,7 @@ import (
 
 // Simulation results are memoized process-wide by internal/sched's
 // singleflight result cache, one entry per unique (benchmark, scale,
-// checker, annotation-variant, canonical config) tuple. `dmpexp all`
+// annotation-variant, canonical config) tuple. `dmpexp all`
 // asks for the same simulation many times over — the baseline suite
 // alone is needed by table3, fig1, fig7, fig9, fig11, fig12, dualpath
 // and loopdiverge — and the simulator is deterministic, so every repeat
@@ -71,7 +71,7 @@ func workerSlots(n int) chan struct{} {
 // — Clone before mutating.
 func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	o = o.norm()
-	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Cfg: cfg.Canonical()}
+	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.Canonical()}
 	return simCache.Do(key, sched.Job{
 		Pool: sched.Shared(o.Parallel),
 		Span: o.Span,
@@ -89,7 +89,7 @@ func simulate(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	if pe.err != nil {
 		return nil, pe.err
 	}
-	cfg.CheckRetirement = o.Check
+	cfg.CheckRetirement = true
 	m, err := core.New(pe.p, cfg)
 	if err != nil {
 		return nil, err
@@ -106,7 +106,7 @@ func simulate(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 // --- sampled-run memo ---
 
 // sampleCache memoizes full sample.Result values per (bench, scale,
-// check, canonical sampled config), so the daemon's overlapping clients
+// canonical sampled config), so the daemon's overlapping clients
 // coalesce to one sampled run each, the way RunOne coalesces
 // exact runs. It is process-local and never persisted: a Result carries
 // host wall-clock (Extrapolated.WallSeconds) alongside its deterministic
@@ -127,7 +127,7 @@ type sampleEntry struct {
 // labelled like sched's exact runs: an experiment's sampled runs overlap,
 // and their stage spans are sequential only within one run.
 func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}) (*sample.Result, error) {
-	key := sched.Key{Bench: bench, Scale: o.Scale, Check: o.Check, Cfg: sCfg.Canonical()}
+	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: sCfg.Canonical()}
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
 	e := v.(*sampleEntry)
 	e.once.Do(func() {

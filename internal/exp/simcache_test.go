@@ -9,7 +9,7 @@ import (
 )
 
 func simOpts() Options {
-	return Options{Scale: 1, Benchmarks: []string{"mcf", "perlbmk"}, Check: true}.norm()
+	return Options{Scale: 1, Benchmarks: []string{"mcf", "perlbmk"}}.norm()
 }
 
 // modeConfigs covers every machine organization the experiments compare.
@@ -104,10 +104,9 @@ func TestSimCacheDedupAcrossExperiments(t *testing.T) {
 	}
 }
 
-// TestSimCacheKeySeparatesVariants pins the key dimensions: checker
-// on/off and loop diverge on an annotation-reading machine must never
-// alias, while loop diverge on the baseline (which reads no annotations)
-// must.
+// TestSimCacheKeySeparatesVariants pins the key dimensions: loop
+// diverge on an annotation-reading machine must never alias, while loop
+// diverge on the baseline (which reads no annotations) must.
 func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	Reset()
 	cfg := core.DefaultConfig()
@@ -115,21 +114,13 @@ func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	if _, err := RunOne("mcf", cfg, o); err != nil {
 		t.Fatal(err)
 	}
-	noCheck := o
-	noCheck.Check = false
-	if _, err := RunOne("mcf", cfg, noCheck); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := SimCounts(); misses != 2 {
-		t.Errorf("check on/off aliased: %d misses, want 2", misses)
-	}
 	baseLoops := cfg
 	baseLoops.EnableLoopDiverge = true
 	if _, err := RunOne("mcf", baseLoops, o); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := SimCounts(); misses != 2 {
-		t.Errorf("baseline with loop diverge did not reuse the baseline run: %d misses, want 2", misses)
+	if _, misses := SimCounts(); misses != 1 {
+		t.Errorf("baseline with loop diverge did not reuse the baseline run: %d misses, want 1", misses)
 	}
 	enh := core.EnhancedDMPConfig()
 	plain, err := RunOne("gzip", enh, o)
@@ -141,8 +132,8 @@ func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := SimCounts(); misses != 4 {
-		t.Errorf("enhanced with/without loop diverge aliased: %d misses, want 4", misses)
+	if _, misses := SimCounts(); misses != 3 {
+		t.Errorf("enhanced with/without loop diverge aliased: %d misses, want 3", misses)
 	}
 	if loops.Episodes <= plain.Episodes {
 		t.Errorf("loop diverge ran %d episodes, plain %d: want the loop-marked program's extra episodes", loops.Episodes, plain.Episodes)

@@ -13,7 +13,7 @@ import (
 // integrity compare, and the counter/metric updates.
 func BenchmarkCacheHit(b *testing.B) {
 	c := NewCache()
-	key := Key{Bench: "mcf", Scale: 1, Check: true, Cfg: core.EnhancedDMPConfig().Canonical()}
+	key := Key{Bench: "mcf", Scale: 1, Cfg: core.EnhancedDMPConfig().Canonical()}
 	st := &core.Stats{RetiredInsts: 1, Cycles: 2}
 	pool := NewPool(1)
 	if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, error) { return st, nil }}); err != nil {

@@ -13,12 +13,11 @@ import (
 // Key identifies one unique simulation: the tuple the result cache and
 // the persistent store are both keyed by. Cfg must already be
 // canonicalized (core.Config.Canonical) so that configurations that
-// cannot change the result share one entry; Check rides outside the
-// config because Canonical deliberately folds CheckRetirement away.
+// cannot change the result share one entry. Every simulation is
+// checked, so checking is no key dimension.
 type Key struct {
 	Bench string
 	Scale int
-	Check bool // golden-model retirement checker on
 	Cfg   core.Config
 }
 

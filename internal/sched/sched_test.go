@@ -13,7 +13,7 @@ import (
 )
 
 func testKey(bench string) Key {
-	return Key{Bench: bench, Scale: 1, Check: true, Cfg: core.DefaultConfig().Canonical()}
+	return Key{Bench: bench, Scale: 1, Cfg: core.DefaultConfig().Canonical()}
 }
 
 // fakeBacking is an in-memory Backing with call accounting.

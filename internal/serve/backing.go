@@ -27,7 +27,9 @@ func (b storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
 		// compute (and fail with the real error) instead.
 		return store.Meta{}, false
 	}
-	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: k.Check, Config: k.Cfg, WorkloadHash: h}, true
+	// Every simulation the scheduler runs is checked, so Check is always
+	// true, which keeps the digests of stores written when it was a knob.
+	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: true, Config: k.Cfg, WorkloadHash: h}, true
 }
 
 func (b storeBacking) Load(k sched.Key) (*core.Stats, bool) {

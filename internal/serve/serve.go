@@ -4,7 +4,7 @@
 // the persistent content-addressed result store (internal/store) as the
 // backing of the process-wide result cache — every simulation any
 // request triggers lands on disk, and any later request (or daemon
-// restart) for the same (workload bytes, config, scale, checker) key is
+// restart) for the same (workload bytes, config, scale) key is
 // a read, not a simulation. The same store keeps each program's diverge
 // table, so a restarted daemon builds its programs without profiling.
 //
@@ -145,8 +145,6 @@ type RunRequest struct {
 	CFMSource string `json:"cfm_source,omitempty"`
 	// Scale is the workload scale factor (default 3).
 	Scale int `json:"scale,omitempty"`
-	// Check enables the golden-model retirement checker (default true).
-	Check *bool `json:"check,omitempty"`
 	// Loops turns on loop diverge (Section 2.7.4): the machine predicates
 	// backward branches too, on the program with loop branches marked.
 	// Baseline and perfect ignore it.
@@ -159,7 +157,6 @@ type ExperimentsRequest struct {
 	IDs        []string `json:"ids"`
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Scale      int      `json:"scale,omitempty"`
-	Check      *bool    `json:"check,omitempty"`
 }
 
 // TableResult is one experiment's rendered table (or its error).
@@ -291,10 +288,9 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-func (s *Server) options(scale int, check *bool) exp.Options {
+func (s *Server) options(scale int) exp.Options {
 	o := exp.DefaultOptions()
 	o.Scale = scale
-	o.Check = check == nil || *check
 	o.Parallel = s.cfg.Parallel
 	return o
 }
@@ -327,7 +323,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	o := s.options(req.Scale, req.Check)
+	o := s.options(req.Scale)
 	s.submit(w, r, "run", func(sp *telemetry.Span) (*RunStatus, error) {
 		ro := o
 		ro.Span = sp
@@ -356,7 +352,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	o := s.options(req.Scale, req.Check)
+	o := s.options(req.Scale)
 	o.Benchmarks = req.Benchmarks
 	s.submit(w, r, "experiments", func(sp *telemetry.Span) (*RunStatus, error) {
 		o.Span = sp

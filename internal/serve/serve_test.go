@@ -422,7 +422,7 @@ func TestRunExperimentsKeepsSuccesses(t *testing.T) {
 func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 	exp.Reset()
 	defer exp.Reset()
-	tb, err := exp.LoopDiverge(exp.Options{Scale: 1, Benchmarks: []string{"gzip"}, Check: true})
+	tb, err := exp.LoopDiverge(exp.Options{Scale: 1, Benchmarks: []string{"gzip"}})
 	if err != nil {
 		t.Fatal(err)
 	}
