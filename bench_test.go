@@ -99,9 +99,12 @@ func BenchmarkDualPath(b *testing.B) {
 
 // BenchmarkAllExperiments tracks the full evaluation suite the way
 // cmd/dmpexp runs it: every experiment generated concurrently against a
-// cold process-wide result cache, each unique (benchmark, config, scale,
-// check) pair simulated exactly once. This is the wall-clock number the
-// result-cache + global-scheduler work optimizes (BENCH_expcache.json).
+// cold process-wide result cache, each distinct machine (benchmark,
+// scale and config folded for its program, core.Config.FoldFor)
+// simulated exactly once. sims/run counts the simulations actually
+// executed; reused/run the requests answered without one of their own.
+// This is the wall-clock number the result-cache + global-scheduler work
+// optimizes (BENCH_expcache.json).
 func BenchmarkAllExperiments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp.Reset()

@@ -19,7 +19,9 @@ package core
 import (
 	"fmt"
 
+	"dmp/internal/isa"
 	"dmp/internal/merge"
+	"dmp/internal/prog"
 )
 
 // Mode selects the machine organization being simulated.
@@ -366,6 +368,67 @@ func (c Config) Canonical() Config {
 		c.SamplePoint = SamplePoint{}
 	}
 	c.CheckRetirement = false
+	return c
+}
+
+// FoldFor returns the identity of the simulation c runs on p: its
+// Canonical form, further folded by facts of p that leave some knobs
+// unreachable. Two configurations with equal FoldFor values on one
+// program give bit-identical Stats, though their Canonical values (and
+// so their result-cache keys) differ. The rules, each exact by reading
+// the code:
+//
+//   - No admissible mark. DHP, or DMP with the annotated CFM source,
+//     predicates only branches whose mark passes admits (episodeDiverge
+//     for fetch, maybeEpisode for warming). With no such mark no episode
+//     is ever entered, and every other predication knob is read only
+//     inside an episode or by the entry rule, so the machine is the
+//     baseline with the same predictor, confidence estimator, geometry
+//     and limits. The baseline reads no annotation, so the fold also
+//     drops EnableLoopDiverge, which only selects the annotated program.
+//   - DHP to DMP. When every mark DMP admits is a simple hammock, the DHP
+//     and DMP filters in admits agree, and core reads Mode nowhere else
+//     that tells the two apart.
+//   - Merge-table size. The runtime merge predictor (DMP with a dynamic
+//     or hybrid CFM source) allocates an entry only for the PC of a
+//     conditional branch (isa.BR) and reads its size only when the table
+//     is full, so a table that holds every conditional branch of p never
+//     evicts: any size of at least that count is that count.
+//
+// Sampled, dual-path and perfect-CBP configurations fold to Canonical.
+func (c Config) FoldFor(p *prog.Program) Config {
+	c = c.Canonical()
+	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) {
+		return c
+	}
+	if c.CFMSource != "annotated" {
+		// Dynamic or hybrid: Canonical left only DMP here.
+		brs := 0
+		for _, in := range p.Code {
+			if in.Op == isa.BR {
+				brs++
+			}
+		}
+		if c.MergeTableSize >= brs {
+			c.MergeTableSize = max(brs, 1)
+		}
+		return c
+	}
+	dmp := c
+	dmp.Mode = ModeDMP
+	admitted, complex := false, false
+	for _, d := range p.Diverge {
+		admitted = admitted || admits(&c, d)
+		complex = complex || (admits(&dmp, d) && d.Class != prog.ClassSimpleHammock)
+	}
+	switch {
+	case !admitted:
+		base := c
+		base.Mode = ModeBaseline
+		return base.Canonical()
+	case !complex:
+		return dmp
+	}
 	return c
 }
 

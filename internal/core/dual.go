@@ -79,7 +79,7 @@ func (m *Machine) maybeFork(u *uop) bool {
 // two streams (each gets half the front-end bandwidth, as in selective
 // dual-path proposals).
 func (m *Machine) fetchDualStage() {
-	if len(m.feq) >= m.feqCap() {
+	if len(m.feq) >= m.feqCap {
 		return
 	}
 	// Pick the stream for this cycle: alternate, skipping a halted one.
@@ -99,7 +99,7 @@ func (m *Machine) fetchDualStage() {
 		return
 	}
 	slots, brs := m.cfg.FetchWidth, 0
-	for slots > 0 && len(m.feq) < m.feqCap() && !m.fetchHalted {
+	for slots > 0 && len(m.feq) < m.feqCap && !m.fetchHalted {
 		redirected, isCond := m.fetchOne()
 		slots--
 		if isCond {

@@ -20,10 +20,6 @@ type fetchSnapshot struct {
 	cfm        uint64
 }
 
-func (m *Machine) feqCap() int {
-	return m.cfg.FetchQueueSize + m.cfg.frontEndDelay()*m.cfg.FetchWidth
-}
-
 // snapFetch captures the fetch-side state for a control uop in a
 // snapshot from the pool (salvaged from retired and squashed control
 // uops), keeping its RAS copy's backing array.
@@ -60,7 +56,7 @@ func (m *Machine) fetchStage() {
 		m.fetchDualStage()
 		return
 	}
-	if m.fetchHalted || len(m.feq) >= m.feqCap() {
+	if m.fetchHalted || len(m.feq) >= m.feqCap {
 		return
 	}
 	// Drained-machine resync: with an empty window and retirement at the
@@ -82,7 +78,7 @@ func (m *Machine) fetchStage() {
 	}
 
 	slots, brs := m.cfg.FetchWidth, 0
-	for slots > 0 && len(m.feq) < m.feqCap() && !m.fetchHalted {
+	for slots > 0 && len(m.feq) < m.feqCap && !m.fetchHalted {
 		if ep := m.feEp; ep != nil {
 			if ep.phase == dpAlternate && m.cfg.EarlyExit && ep.altFetched >= ep.exitThreshold {
 				m.earlyExit(ep)
@@ -529,7 +525,7 @@ func (m *Machine) emitMarker(kind uopKind, ep *episode) {
 //
 //dmp:hotpath
 func (m *Machine) pushUop(u *uop) {
-	u.renameAt = m.cycle + uint64(m.cfg.frontEndDelay())
+	u.renameAt = m.cycle + m.feDelay
 	m.feq = pushQueue(m.feqBuf, m.feq, u.ref)
 	if m.probe != nil {
 		m.probeUop(StageFetch, u)

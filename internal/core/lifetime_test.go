@@ -81,7 +81,7 @@ func TestArenaHighWaterFlat(t *testing.T) {
 				// retired producers parked between reclaim passes, and
 				// half a ROB of slack for producers pinned by saved RATs
 				// and squashed uops awaiting their completion events.
-				bound := (2*cfg.ROBSize + m.feqCap() + cfg.ROBSize/2 + uopChunkSize - 1) / uopChunkSize
+				bound := (2*cfg.ROBSize + m.feqCap + cfg.ROBSize/2 + uopChunkSize - 1) / uopChunkSize
 				if peak[i] > bound {
 					t.Errorf("%s scale %d %v: %d slabs, over the window bound of %d", name, scale, cfg.Mode, peak[i], bound)
 				}

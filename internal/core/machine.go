@@ -43,6 +43,8 @@ type Machine struct {
 	fetchPC         uint64
 	fetchStallUntil uint64
 	fetchHalted     bool
+	feqCap          int      // fetch-queue bound: FetchQueueSize plus the delay's in-flight fetch groups
+	feDelay         uint64   // cycles from fetch to rename (Config.frontEndDelay)
 	feq             []uopRef // front-end delay queue (fetch -> rename)
 	rob             []uopRef
 	feqBuf, robBuf  []uopRef
@@ -154,12 +156,14 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m := &Machine{WarmState: *ws, prog: p}
 	m.cfg = cfg
+	m.feDelay = uint64(cfg.frontEndDelay())
+	m.feqCap = cfg.FetchQueueSize + cfg.frontEndDelay()*cfg.FetchWidth
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
 	// Twice each queue's bound, so pushQueue never reallocates.
 	m.robBuf = make([]uopRef, 2*cfg.ROBSize)
 	m.rob = m.robBuf[:0]
-	m.feqBuf = make([]uopRef, 2*(m.feqCap()+1))
+	m.feqBuf = make([]uopRef, 2*(m.feqCap+1))
 	m.feq = m.feqBuf[:0]
 	return m
 }
@@ -167,7 +171,7 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 // oracleWindow bounds how many instructions the fetch oracle runs ahead
 // of retirement: only fetched, unretired instructions, which the ROB and
 // the fetch queue hold.
-func (m *Machine) oracleWindow() int { return m.cfg.ROBSize + m.feqCap() + 1 }
+func (m *Machine) oracleWindow() int { return m.cfg.ROBSize + m.feqCap + 1 }
 
 // Run simulates until the program halts or a run limit is reached, and
 // returns the statistics. A golden-model divergence returns an error.

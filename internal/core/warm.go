@@ -127,6 +127,19 @@ const (
 	mergeHit
 )
 
+// admits is the static filter of the episode-entry rule: whether a
+// machine configured as cfg may predicate a branch whose diverge region
+// is d. A missing region, a region with no CFM point, a region other
+// than a simple hammock under DHP, and a loop diverge without
+// EnableLoopDiverge are filtered. episodeDiverge applies it to every
+// region, annotated or learned; Config.FoldFor applies it to a
+// program's marks.
+func admits(cfg *Config, d *prog.Diverge) bool {
+	return d != nil && len(d.CFMs) > 0 &&
+		(cfg.Mode != ModeDHP || d.Class == prog.ClassSimpleHammock) &&
+		(!d.Loop || cfg.EnableLoopDiverge)
+}
+
 // episodeDiverge is the episode-entry rule fetch (Machine.maybeEnterDP)
 // and functional warming (maybeEpisode) share: the diverge region a
 // low-confidence conditional branch at pc predicates, or nil when it
@@ -134,11 +147,10 @@ const (
 // annotation, the runtime merge-point predictor, or their hybrid, per
 // cfg.CFMSource: with no predictor attached (annotated source, or any
 // non-DMP mode) this is the static annotation; under the dynamic source
-// the annotation is ignored; under hybrid it wins when present. A region
-// with no CFM point, a region other than a simple hammock under DHP, and
-// a loop diverge without EnableLoopDiverge are filtered. A predictor hit
-// is synthesized into the scratch dynDiv — the caller copies the CFM out,
-// so the next call may reuse it.
+// the annotation is ignored; under hybrid it wins when present. The
+// region is then filtered by admits. A predictor hit is synthesized into
+// the scratch dynDiv — the caller copies the CFM out, so the next call
+// may reuse it.
 func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (*prog.Diverge, mergeLookup) {
 	d, lk := p.DivergeAt(pc), mergeNotAsked
 	if ws.merge != nil && (d == nil || ws.cfg.CFMSource == "dynamic") {
@@ -159,10 +171,7 @@ func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (*prog.Diverge, 
 			d = &ws.dynDiv
 		}
 	}
-	switch {
-	case d == nil || len(d.CFMs) == 0,
-		ws.cfg.Mode == ModeDHP && d.Class != prog.ClassSimpleHammock,
-		d.Loop && !ws.cfg.EnableLoopDiverge:
+	if !admits(&ws.cfg, d) {
 		return nil, lk
 	}
 	return d, lk

@@ -59,16 +59,6 @@ func New(p *prog.Program) *Emulator {
 	return e
 }
 
-// Clone returns an independent copy of the emulator (used by the fetch
-// oracle when it needs to checkpoint around speculative regions in tests).
-func (e *Emulator) Clone() *Emulator {
-	c := *e
-	c.Mem = e.Mem.Clone()
-	c.hist = nil    // history does not transfer across clones
-	c.overlay = nil // nor does excursion scratch
-	return &c
-}
-
 // Reg returns a register value (the zero register always reads zero).
 func (e *Emulator) Reg(r isa.Reg) uint64 {
 	if r == isa.Zero {

@@ -238,26 +238,6 @@ loop:   addi r1, r1, 1
 	}
 }
 
-func TestEmulatorClone(t *testing.T) {
-	p := prog.MustAssemble(`
-        li r1, 1
-        st r1, 0x10(zero)
-        li r1, 2
-        halt`)
-	e := New(p)
-	e.Step() //nolint:errcheck
-	e.Step() //nolint:errcheck
-	c := e.Clone()
-	e.Step() //nolint:errcheck
-	if c.Regs[1] != 1 || e.Regs[1] != 2 {
-		t.Error("clone register state not independent")
-	}
-	c.Mem.Write(0x10, 9)
-	if e.Mem.Read(0x10) != 1 {
-		t.Error("clone memory not independent")
-	}
-}
-
 func TestEmulatorPCOutsideCode(t *testing.T) {
 	p := prog.MustAssemble("halt")
 	e := New(p)

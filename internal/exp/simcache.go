@@ -16,7 +16,9 @@ import (
 // asks for the same simulation many times over — the baseline suite
 // alone is needed by table3, fig1, fig7, fig9, fig11, fig12, dualpath
 // and loopdiverge — and the simulator is deterministic, so every repeat
-// after the first is a map lookup. This file is now only the glue
+// after the first is a map lookup. Below the request entries, requests
+// whose configurations fold to one machine for their program
+// (core.Config.FoldFor) share one simulation. This file is now only the glue
 // between experiments and the scheduler: it builds the sched.Key,
 // supplies the computation (simulate), and re-exports the counters the
 // CLI prints. The cache machinery itself — singleflight entries, the
@@ -50,11 +52,12 @@ func ResultCache() *sched.Cache { return simCache }
 
 // SimCounts returns the result-cache reuse and simulation totals since
 // process start (or the last Reset): hits are requests served without
-// running a simulation (in-memory entries plus backing-store loads),
-// misses count simulations actually executed.
+// running a simulation of their own (in-memory entries, backing-store
+// loads, and misses that shared another request's simulation), misses
+// count simulations actually executed.
 func SimCounts() (hits, misses uint64) {
 	c := simCache.Counts()
-	return c.Hits + c.StoreHits, c.Computed
+	return c.Hits + c.StoreHits + c.Shared, c.Computed
 }
 
 // workerSlots returns the process-wide simulation slot pool as a raw
@@ -67,14 +70,23 @@ func workerSlots(n int) chan struct{} {
 // RunOne returns the memoized simulation of bench under cfg, running it
 // on first request: every experiment's suites and the dmpserve daemon's
 // POST /v1/runs come through here. cfg is an exact configuration; sampled
-// runs go through sampleCached. The returned Stats are shared and frozen
-// — Clone before mutating.
+// runs go through sampleCached. The request is keyed by the canonical
+// configuration, and the simulation by its fold for the program it runs
+// on (core.Config.FoldFor), so requests for one machine share a run. The
+// returned Stats are shared and frozen — Clone before mutating.
 func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	o = o.norm()
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.Canonical()}
 	return simCache.Do(key, sched.Job{
 		Pool: sched.Shared(o.Parallel),
 		Span: o.Span,
+		SimKey: func() (sched.Key, error) {
+			pe := programFor(bench, o.Scale, cfg)
+			if pe.err != nil {
+				return sched.Key{}, pe.err
+			}
+			return sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.FoldFor(pe.p)}, nil
+		},
 		Run: func(*telemetry.Span) (*core.Stats, error) {
 			return simulate(bench, cfg, o)
 		},

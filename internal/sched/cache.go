@@ -10,11 +10,12 @@ import (
 	"dmp/internal/telemetry"
 )
 
-// Key identifies one unique simulation: the tuple the result cache and
-// the persistent store are both keyed by. Cfg must already be
-// canonicalized (core.Config.Canonical) so that configurations that
-// cannot change the result share one entry. Every simulation is
-// checked, so checking is no key dimension.
+// Key identifies one request: the tuple the result cache and the
+// persistent store are both keyed by. Cfg must already be canonicalized
+// (core.Config.Canonical) so that configurations that cannot change the
+// result share one entry. Every simulation is checked, so checking is no
+// key dimension. The same type also names a simulation (Job.SimKey),
+// which several requests may share.
 type Key struct {
 	Bench string
 	Scale int
@@ -46,7 +47,8 @@ type Backing interface {
 	Store(Key, *core.Stats)
 }
 
-// entry is a once-run cache slot.
+// entry is a once-run cache slot: a request's in the request map, a
+// simulation's in the simulation map.
 type entry struct {
 	once   sync.Once
 	st     *core.Stats
@@ -60,23 +62,33 @@ type Counts struct {
 	// entry (the singleflight case included).
 	Hits uint64
 	// Misses are requests that found no in-memory entry; each miss
-	// either loaded from the backing store or computed.
+	// loaded from the backing store, computed, or shared.
 	Misses uint64
 	// StoreHits are misses served from the backing store without
 	// running a simulation.
 	StoreHits uint64
 	// Computed are simulations actually executed.
 	Computed uint64
+	// Shared are misses answered by a simulation another request with
+	// an equal simulation key ran (or is running).
+	Shared uint64
 }
 
 // Job describes how to compute a missing entry: the pool to take a
-// worker slot from, the telemetry parent span, and the computation
-// itself (called with the simulation's own async child span, or nil
-// when telemetry is off).
+// worker slot from, the telemetry parent span, the key of the simulation
+// behind the request, and the computation itself (called with the
+// simulation's own async child span, or nil when telemetry is off).
+//
+// SimKey names the simulation the request needs. Requests whose
+// simulation keys are equal must give bit-identical Stats, and they
+// share one run. It is called only on a miss the backing store did not
+// answer, so a store-answered request never pays for it. Nil means the
+// request key itself.
 type Job struct {
-	Pool *Pool
-	Span *telemetry.Span
-	Run  func(sp *telemetry.Span) (*core.Stats, error)
+	Pool   *Pool
+	Span   *telemetry.Span
+	SimKey func() (Key, error)
+	Run    func(sp *telemetry.Span) (*core.Stats, error)
 }
 
 // Cache is a process-wide singleflight result cache. Results published
@@ -88,13 +100,15 @@ type Job struct {
 // error and panics with the offending key rather than returning
 // poisoned numbers.
 type Cache struct {
-	entries sync.Map // Key -> *entry
+	entries sync.Map // request Key -> *entry
+	sims    sync.Map // simulation Key (Job.SimKey) -> *entry
 	backing atomic.Pointer[backingBox]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	storeHits atomic.Uint64
 	computed  atomic.Uint64
+	shared    atomic.Uint64
 }
 
 // backingBox wraps the interface so it can live in an atomic.Pointer.
@@ -125,7 +139,11 @@ func (c *Cache) getBacking() Backing {
 // Do returns the cached result for key, computing it via job on first
 // request. Concurrent requests for the same key block on one execution
 // (without holding a worker slot — duplicate requests never occupy a
-// worker). The returned Stats are shared and frozen: Clone before
+// worker). A miss the backing store does not answer looks up its
+// simulation key (Job.SimKey) in a second singleflight map, so requests
+// that differ only in knobs their program never exercises share one run;
+// each still publishes under, and writes through to the store under, its
+// own key. The returned Stats are shared and frozen: Clone before
 // mutating.
 func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 	v, _ := c.entries.LoadOrStore(key, &entry{})
@@ -156,30 +174,29 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 			}
 			mStoreMisses.Inc()
 		}
-		c.computed.Add(1)
-		var sp *telemetry.Span
-		if tel != nil {
-			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "miss"})
-			// The simulation gets its own trace lane: pooled simulations
-			// from one experiment overlap each other and their parent.
-			sp = job.Span.ChildAsync(label, "sched")
+		simKey := key
+		if job.SimKey != nil {
+			if simKey, e.err = job.SimKey(); e.err != nil {
+				return
+			}
 		}
-		pool := job.Pool
-		if pool == nil {
-			pool = Shared(0)
-		}
-		pool.Acquire()
-		mSlotWait.Observe(time.Since(t0).Seconds()) //dmp:allow nondeterminism -- host telemetry only
-		defer pool.Release()
-		e.st, e.err = job.Run(sp)
-		if e.err == nil {
-			e.frozen = *e.st
-		}
-		sp.End()
-		elapsed := time.Since(t0).Seconds() //dmp:allow nondeterminism -- host telemetry only
-		mSimSeconds.Observe(elapsed)
-		if tel != nil {
-			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
+		sv, _ := c.sims.LoadOrStore(simKey, &entry{})
+		s := sv.(*entry)
+		ran := false
+		s.once.Do(func() {
+			ran = true
+			c.simulate(s, key, label, job, t0)
+		})
+		e.st, e.frozen, e.err = s.st, s.frozen, s.err
+		if !ran {
+			// Waiting on another request's simulation holds no slot,
+			// like a duplicate request.
+			c.shared.Add(1)
+			mShared.Inc()
+			if tel != nil {
+				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "shared"})
+			}
+			c.checkFrozen(key, e)
 		}
 		if e.err == nil {
 			if b := c.getBacking(); b != nil {
@@ -197,12 +214,50 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 		if tel := telemetry.Active(); tel != nil {
 			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: key.Label(), Msg: "hit"})
 		}
-		if e.err == nil && *e.st != e.frozen {
-			panic(fmt.Sprintf("sched: cached Stats for %s/%v (scale %d) were mutated; cached results are frozen — use Stats.Clone",
-				key.Bench, key.Cfg.Mode, key.Scale))
-		}
+		c.checkFrozen(key, e)
 	}
 	return e.st, e.err
+}
+
+// simulate runs the simulation behind simulation entry s for the
+// request key that found it missing: it takes a worker slot, records the
+// slot wait and the simulation's wall time, and freezes the result.
+func (c *Cache) simulate(s *entry, key Key, label string, job Job, t0 time.Time) {
+	c.computed.Add(1)
+	tel := telemetry.Active()
+	var sp *telemetry.Span
+	if tel != nil {
+		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "miss"})
+		// The simulation gets its own trace lane: pooled simulations
+		// from one experiment overlap each other and their parent.
+		sp = job.Span.ChildAsync(label, "sched")
+	}
+	pool := job.Pool
+	if pool == nil {
+		pool = Shared(0)
+	}
+	pool.Acquire()
+	mSlotWait.Observe(time.Since(t0).Seconds()) //dmp:allow nondeterminism -- host telemetry only
+	defer pool.Release()
+	s.st, s.err = job.Run(sp)
+	if s.err == nil {
+		s.frozen = *s.st
+	}
+	sp.End()
+	elapsed := time.Since(t0).Seconds() //dmp:allow nondeterminism -- host telemetry only
+	mSimSeconds.Observe(elapsed)
+	if tel != nil {
+		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
+	}
+}
+
+// checkFrozen panics if a published result was mutated since it was
+// frozen.
+func (c *Cache) checkFrozen(key Key, e *entry) {
+	if e.err == nil && *e.st != e.frozen {
+		panic(fmt.Sprintf("sched: cached Stats for %s/%v (scale %d) were mutated; cached results are frozen — use Stats.Clone",
+			key.Bench, key.Cfg.Mode, key.Scale))
+	}
 }
 
 // Counts returns the cache's request accounting since construction or
@@ -213,6 +268,7 @@ func (c *Cache) Counts() Counts {
 		Misses:    c.misses.Load(),
 		StoreHits: c.storeHits.Load(),
 		Computed:  c.computed.Load(),
+		Shared:    c.shared.Load(),
 	}
 }
 
@@ -220,12 +276,15 @@ func (c *Cache) Counts() Counts {
 // backing store, if any, stays installed and keeps its contents — a
 // reset process recomputes nothing that persisted.
 func (c *Cache) Reset() {
-	c.entries.Range(func(k, _ any) bool {
-		c.entries.Delete(k)
-		return true
-	})
+	for _, m := range []*sync.Map{&c.entries, &c.sims} {
+		m.Range(func(k, _ any) bool {
+			m.Delete(k)
+			return true
+		})
+	}
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.storeHits.Store(0)
 	c.computed.Store(0)
+	c.shared.Store(0)
 }

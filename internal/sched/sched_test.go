@@ -176,6 +176,98 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
+// TestCacheSharesSimulation pins sharing below the request map: requests
+// with different keys but one simulation key run one simulation, each
+// publishes it and writes it through under its own key, a store-answered
+// request never evaluates its simulation key, and Reset forgets the
+// simulation too.
+func TestCacheSharesSimulation(t *testing.T) {
+	c := NewCache()
+	b := newFakeBacking()
+	c.SetBacking(b)
+	var runs, simKeys atomic.Uint64
+	sim := testKey("eon")
+	job := Job{
+		Pool:   NewPool(2),
+		SimKey: func() (Key, error) { simKeys.Add(1); return sim, nil },
+		Run: func(*telemetry.Span) (*core.Stats, error) {
+			runs.Add(1)
+			return &core.Stats{RetiredInsts: 5, Cycles: 9}, nil
+		},
+	}
+	dmp, dhp := sim, sim
+	dmp.Cfg, dhp.Cfg = core.DMPConfig().Canonical(), core.DHPConfig().Canonical()
+	const callers = 8
+	var wg sync.WaitGroup
+	stats := make([]*core.Stats, 2*callers)
+	for i := range stats {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k := dmp
+			if i%2 == 1 {
+				k = dhp
+			}
+			st, err := c.Do(k, job)
+			if err != nil {
+				t.Error(err)
+			}
+			stats[i] = st
+		}(i)
+	}
+	wg.Wait()
+	if runs.Load() != 1 {
+		t.Fatalf("simulation ran %d times, want 1", runs.Load())
+	}
+	for i := range stats {
+		if stats[i] != stats[0] {
+			t.Fatalf("request %d got a different pointer: the simulation must be shared", i)
+		}
+	}
+	if cn := c.Counts(); cn.Misses != 2 || cn.Computed != 1 || cn.Shared != 1 || cn.Hits != 2*callers-2 {
+		t.Fatalf("counts = %+v, want 2 misses, 1 computed, 1 shared, %d hits", cn, 2*callers-2)
+	}
+	if b.stores.Load() != 2 {
+		t.Fatalf("stores = %d, want one write-through per request key", b.stores.Load())
+	}
+
+	// A restart answers each request from its own stored object.
+	c2 := NewCache()
+	c2.SetBacking(b)
+	simKeys.Store(0)
+	for _, k := range []Key{dmp, dhp} {
+		if _, err := c2.Do(k, job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cn := c2.Counts(); cn.StoreHits != 2 || cn.Computed != 0 || cn.Shared != 0 || simKeys.Load() != 0 {
+		t.Fatalf("restart counts = %+v with %d simulation keys evaluated, want 2 store hits and none", cn, simKeys.Load())
+	}
+
+	// Reset forgets simulations as well as requests.
+	c.SetBacking(nil)
+	c.Reset()
+	if _, err := c.Do(dhp, job); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 2 {
+		t.Fatalf("simulation ran %d times, want a rerun after Reset", runs.Load())
+	}
+
+	// A simulation key that cannot be computed fails the request, and the
+	// error is memoized like a failed run.
+	boom := errors.New("no program")
+	bad := Job{Pool: NewPool(1), SimKey: func() (Key, error) { return Key{}, boom }, Run: job.Run}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Do(testKey("bogus"), bad); !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the simulation key's error", err)
+		}
+	}
+	if runs.Load() != 2 {
+		t.Fatalf("a request without a simulation key ran a simulation")
+	}
+}
+
 func TestPoolBounds(t *testing.T) {
 	p := NewPool(2)
 	p.Acquire()

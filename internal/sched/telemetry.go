@@ -19,7 +19,9 @@ var (
 	mStoreHits = telemetry.NewCounter("dmp_sched_store_hits_total",
 		"cache misses served from the persistent backing store")
 	mStoreMisses = telemetry.NewCounter("dmp_sched_store_misses_total",
-		"cache misses the backing store also missed (a simulation ran)")
+		"cache misses the backing store also missed (a simulation ran or was shared)")
+	mShared = telemetry.NewCounter("dmp_sched_shared_total",
+		"cache misses answered by another request's simulation of the same machine")
 	mSingleflightWait = telemetry.NewHistogram("dmp_sched_singleflight_wait_seconds",
 		"time a cache hit spent blocked on another request's in-flight simulation",
 		telemetry.SecondsBuckets())

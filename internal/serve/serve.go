@@ -168,7 +168,8 @@ type TableResult struct {
 
 // CacheDelta reports what one request cost the scheduler: Simulated
 // counts simulations actually executed, StoreHits results loaded from
-// the persistent store, Reused in-memory cache hits. Concurrent
+// the persistent store, Reused in-memory cache hits and misses that
+// shared another request's simulation. Concurrent
 // requests share one cache, so deltas attribute overlapping work to
 // whichever request observed it complete.
 type CacheDelta struct {
@@ -425,7 +426,7 @@ func (s *Server) execute(ru *run, fn func(*telemetry.Span) (*RunStatus, error)) 
 	ru.update(func(st *RunStatus) {
 		st.ElapsedSeconds = elapsed
 		st.Counts = &CacheDelta{
-			Reused:    after.Hits - before.Hits,
+			Reused:    after.Hits + after.Shared - before.Hits - before.Shared,
 			StoreHits: after.StoreHits - before.StoreHits,
 			Simulated: after.Computed - before.Computed,
 		}
