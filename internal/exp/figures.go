@@ -10,6 +10,7 @@ import (
 	"dmp/internal/core"
 	"dmp/internal/profile"
 	"dmp/internal/prog"
+	"dmp/internal/sched"
 	"dmp/internal/workload"
 )
 
@@ -84,14 +85,14 @@ func Figure6(o Options) (*Table, error) {
 	mpkis := make([][3]float64, len(o.Benchmarks))
 	ks := make([]float64, len(o.Benchmarks))
 	errs := make([]error, len(o.Benchmarks))
-	slots := workerSlots(o.Parallel)
+	pool := sched.Shared(o.Parallel)
 	var wg sync.WaitGroup
 	for i, bench := range o.Benchmarks {
 		wg.Add(1)
 		go func(i int, bench string) {
 			defer wg.Done()
-			slots <- struct{}{}
-			defer func() { <-slots }()
+			pool.Acquire()
+			defer pool.Release()
 			// Attribute mispredictions on the reference input with the same
 			// predictor family as the machine. profile.Run annotates its
 			// argument in place (ClearDiverge + ref-derived MarkDiverge), so it

@@ -175,7 +175,6 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 	results := make([]*sample.Result, len(o.Benchmarks))
 	points := make([]core.SamplePoint, len(o.Benchmarks))
 	errs := make([]error, len(o.Benchmarks))
-	slots := workerSlots(o.Parallel)
 	var wg sync.WaitGroup
 	for i, bench := range o.Benchmarks {
 		pt := pointFor(o, bench)
@@ -187,7 +186,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		wg.Add(1)
 		go func(i int, bench string, sCfg core.Config) {
 			defer wg.Done()
-			results[i], errs[i] = sampleCached(bench, sCfg, o, slots)
+			results[i], errs[i] = sampleCached(bench, sCfg, o)
 			if errs[i] != nil {
 				errs[i] = fmt.Errorf("%s: %w", bench, errs[i])
 			}

@@ -60,13 +60,6 @@ func SimCounts() (hits, misses uint64) {
 	return c.Hits + c.StoreHits + c.Shared, c.Computed
 }
 
-// workerSlots returns the process-wide simulation slot pool as a raw
-// semaphore channel, creating it on first use with capacity n (<=0
-// means NumCPU). See sched.Shared for the first-caller-sizes contract.
-func workerSlots(n int) chan struct{} {
-	return sched.Shared(n).Chan()
-}
-
 // RunOne returns the memoized simulation of bench under cfg, running it
 // on first request: every experiment's suites and the dmpserve daemon's
 // POST /v1/runs come through here. cfg is an exact configuration; sampled
@@ -133,12 +126,12 @@ type sampleEntry struct {
 }
 
 // sampleCached runs (or reuses) the sampled simulation of bench under
-// sCfg, holding one slot from slots for the duration of an actual run;
-// interval jobs try-acquire further slots from the same pool and fall
-// back inline. An actual run gets its own trace lane under o.Span,
-// labelled like sched's exact runs: an experiment's sampled runs overlap,
-// and their stage spans are sequential only within one run.
-func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}) (*sample.Result, error) {
+// sCfg, holding one slot of the global pool for the duration of an
+// actual run; its intervals take further slots from the same pool when
+// free and run inline otherwise. An actual run gets its own trace lane
+// under o.Span, labelled like sched's exact runs: an experiment's sampled
+// runs overlap, and their stage spans are sequential only within one run.
+func sampleCached(bench string, sCfg core.Config, o Options) (*sample.Result, error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: sCfg.Canonical()}
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
 	e := v.(*sampleEntry)
@@ -153,9 +146,10 @@ func sampleCached(bench string, sCfg core.Config, o Options, slots chan struct{}
 			sp = o.Span.ChildAsync(key.Label(), "sample")
 		}
 		defer sp.End()
-		slots <- struct{}{}
-		defer func() { <-slots }()
-		e.res, e.err = sample.Run(pe.p, sCfg, sample.Options{Slots: slots, Span: sp})
+		pool := sched.Shared(o.Parallel)
+		pool.Acquire()
+		defer pool.Release()
+		e.res, e.err = sample.Run(pe.p, sCfg, sample.Options{Slots: pool.Chan(), Span: sp})
 	})
 	return e.res, e.err
 }

@@ -199,7 +199,9 @@ func verify(p *prog.Program, o DiffOptions) *Divergence {
 		cfg := core.EnhancedDMPConfig()
 		cfg.SampleMode = true
 		cfg.SamplePoint = legPoint
-		res, err := sample.Run(p, cfg, sample.Options{Sequential: true})
+		// A zero-capacity pool has no free slot: every interval runs
+		// inline, on the goroutine that verifies this program.
+		res, err := sample.Run(p, cfg, sample.Options{Slots: make(chan struct{})})
 		if err != nil {
 			return &Divergence{Stage: "sample", Detail: err.Error()}
 		}

@@ -249,12 +249,6 @@ func (o *AnnotationOracle) Check(pc uint64, d *prog.Diverge, opts Options) Diags
 	return ds.sorted()
 }
 
-// CheckAnnotation is a convenience one-shot form of AnnotationOracle for
-// callers validating a single candidate annotation.
-func CheckAnnotation(p *prog.Program, pc uint64, d *prog.Diverge, opts Options) Diags {
-	return NewAnnotationOracle(p, nil).Check(pc, d, opts)
-}
-
 func directionWord(loop bool) string {
 	if loop {
 		return "backward to/at"

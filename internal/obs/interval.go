@@ -17,7 +17,8 @@ const intervalHeader = "cycle,ipc,cycles,retired,retired_false,selects,markers,"
 	"fetched,fetched_markers,wrong_cd,wrong_ci," +
 	"exec,exec_selects,exec_markers,branches,mispredicts,flushes," +
 	"episodes,early_exits,mdb,exit0,exit1,exit2,exit3,exit4,exit5,exit6," +
-	"lowconf_ok,lowconf_bad,l1i,l1d,l2,load_stalls,oracle_pauses,oracle_resumes,uops\n"
+	"lowconf_ok,lowconf_bad,l1i,l1d,l2,load_stalls,oracle_pauses,oracle_resumes,uops," +
+	"merge_hits,merge_misses,merge_evictions,merge_trainings,merge_mispredicts,dyn_cfm_episodes\n"
 
 // IntervalSampler snapshots core.Stats every N cycles and writes one
 // CSV row of deltas per interval: IPC-over-time and phase-behaviour
@@ -65,14 +66,15 @@ func (s *IntervalSampler) row(cycle uint64, cur core.Stats) {
 	if d.Cycles > 0 {
 		ipc = float64(d.RetiredInsts) / float64(d.Cycles)
 	}
-	fmt.Fprintf(s.w, "%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+	fmt.Fprintf(s.w, "%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 		cycle, ipc, d.Cycles, d.RetiredInsts, d.RetiredFalse, d.RetiredSelects, d.RetiredMarkers,
 		d.FetchedInsts, d.FetchedMarkers, d.FetchedWrongCD, d.FetchedWrongCI,
 		d.ExecutedInsts, d.ExecutedSelects, d.ExecutedMarkers, d.RetiredBranches, d.RetiredMispredicts, d.Flushes,
 		d.Episodes, d.EarlyExits, d.MDBConversions,
 		d.ExitCases[0], d.ExitCases[1], d.ExitCases[2], d.ExitCases[3], d.ExitCases[4], d.ExitCases[5], d.ExitCases[6],
 		d.LowConfCorrect, d.LowConfWrong, d.L1IMisses, d.L1DMisses, d.L2Misses,
-		d.LoadStalls, d.OraclePauses, d.OracleResumes, d.FetchedUops)
+		d.LoadStalls, d.OraclePauses, d.OracleResumes, d.FetchedUops,
+		d.MergeHits, d.MergeMisses, d.MergeEvictions, d.MergeTrainings, d.MergeMispredicts, d.DynCFMEpisodes)
 }
 
 // Close flushes the CSV.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,8 +18,9 @@ import (
 
 // runMCF runs mcf at scale 1 on the enhanced DMP configuration (the
 // configuration that exercises every probe hook: episodes, early exit,
-// MDB, select-uops), optionally with a probe attached.
-func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
+// MDB, select-uops), optionally with a probe attached. cfm, when set,
+// is the CFM source ("dynamic" exercises the merge-point predictor).
+func runMCF(t *testing.T, loops bool, cfm string, p *core.Probe) *core.Stats {
 	t.Helper()
 	prg, err := exp.Annotated("mcf", 1)
 	if loops {
@@ -29,6 +31,7 @@ func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
 	}
 	cfg := core.EnhancedDMPConfig()
 	cfg.EnableLoopDiverge = loops
+	cfg.CFMSource = cfm
 	m, err := core.New(prg, cfg)
 	if err != nil {
 		t.Fatalf("new machine: %v", err)
@@ -49,11 +52,17 @@ func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
 // aggregation agrees with the machine's: the episode timeline's
 // exit-case tally equals Stats.ExitCases, the interval CSV's summed
 // deltas equal the final Stats, and the Chrome trace is valid non-empty
-// JSON.
+// JSON. The dynamic-CFM run gives the merge-predictor columns non-zero
+// sums.
 func TestObserversDoNotPerturb(t *testing.T) {
-	for _, loops := range []bool{false, true} {
-		t.Run("loops="+strconv.FormatBool(loops), func(t *testing.T) {
-			base := runMCF(t, loops, nil)
+	for _, tc := range []struct {
+		name  string
+		loops bool
+		cfm   string
+	}{{"loops=false", false, ""}, {"loops=true", true, ""}, {"cfm=dynamic", false, "dynamic"}} {
+		loops, cfm := tc.loops, tc.cfm
+		t.Run(tc.name, func(t *testing.T) {
+			base := runMCF(t, loops, cfm, nil)
 
 			var ptBuf, evBuf, ivBuf bytes.Buffer
 			trace := NewPipetrace(&ptBuf, FormatChrome)
@@ -61,7 +70,7 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			samp := NewIntervalSampler(&ivBuf, 5000)
 			feed := telemetry.NewFeed(nil)
 			feed.Subscribe(telemetry.NewProgress(io.Discard, false).Event)
-			st := runMCF(t, loops, Tee(trace.Probe(), elog.Probe(), samp.Probe(), ProgressProbe(feed)))
+			st := runMCF(t, loops, cfm, Tee(trace.Probe(), elog.Probe(), samp.Probe(), ProgressProbe(feed)))
 			if err := trace.Close(); err != nil {
 				t.Fatalf("pipetrace close: %v", err)
 			}
@@ -109,12 +118,36 @@ func TestObserversDoNotPerturb(t *testing.T) {
 
 			// Interval CSV column sums == final Stats.
 			checkIntervalSums(t, ivBuf.String(), st)
+			if cfm == "dynamic" && (st.MergeHits == 0 || st.MergeTrainings == 0 || st.DynCFMEpisodes == 0) {
+				t.Errorf("dynamic-CFM run left the merge counters at zero: %+v", st)
+			}
 		})
 	}
 }
 
+// intervalColumns names the interval CSV column of every uint64 counter
+// of core.Stats (array elements as Field[i]).
+var intervalColumns = map[string]string{
+	"Cycles": "cycles", "RetiredInsts": "retired", "RetiredFalse": "retired_false",
+	"RetiredSelects": "selects", "RetiredMarkers": "markers",
+	"FetchedInsts": "fetched", "FetchedMarkers": "fetched_markers",
+	"FetchedWrongCD": "wrong_cd", "FetchedWrongCI": "wrong_ci",
+	"ExecutedInsts": "exec", "ExecutedSelects": "exec_selects", "ExecutedMarkers": "exec_markers",
+	"RetiredBranches": "branches", "RetiredMispredicts": "mispredicts", "Flushes": "flushes",
+	"Episodes": "episodes", "EarlyExits": "early_exits", "MDBConversions": "mdb",
+	"ExitCases[0]": "exit0", "ExitCases[1]": "exit1", "ExitCases[2]": "exit2", "ExitCases[3]": "exit3",
+	"ExitCases[4]": "exit4", "ExitCases[5]": "exit5", "ExitCases[6]": "exit6",
+	"LowConfCorrect": "lowconf_ok", "LowConfWrong": "lowconf_bad",
+	"L1IMisses": "l1i", "L1DMisses": "l1d", "L2Misses": "l2",
+	"LoadStalls": "load_stalls", "OraclePauses": "oracle_pauses", "OracleResumes": "oracle_resumes",
+	"FetchedUops": "uops", "MergeHits": "merge_hits", "MergeMisses": "merge_misses",
+	"MergeEvictions": "merge_evictions", "MergeTrainings": "merge_trainings",
+	"MergeMispredicts": "merge_mispredicts", "DynCFMEpisodes": "dyn_cfm_episodes",
+}
+
 // checkIntervalSums sums every delta column of the interval CSV and
-// compares against the final Stats counter it samples.
+// compares against the final Stats counter it samples. Every uint64
+// counter of Stats must have a column.
 func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 	t.Helper()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
@@ -139,26 +172,41 @@ func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 			sums[cols[i]] += v
 		}
 	}
-	want := map[string]uint64{
-		"cycles": st.Cycles, "retired": st.RetiredInsts, "retired_false": st.RetiredFalse,
-		"selects": st.RetiredSelects, "markers": st.RetiredMarkers,
-		"fetched": st.FetchedInsts, "fetched_markers": st.FetchedMarkers,
-		"wrong_cd": st.FetchedWrongCD, "wrong_ci": st.FetchedWrongCI,
-		"exec": st.ExecutedInsts, "exec_selects": st.ExecutedSelects, "exec_markers": st.ExecutedMarkers,
-		"branches": st.RetiredBranches, "mispredicts": st.RetiredMispredicts, "flushes": st.Flushes,
-		"episodes": st.Episodes, "early_exits": st.EarlyExits, "mdb": st.MDBConversions,
-		"exit0": st.ExitCases[0], "exit1": st.ExitCases[1], "exit2": st.ExitCases[2],
-		"exit3": st.ExitCases[3], "exit4": st.ExitCases[4], "exit5": st.ExitCases[5], "exit6": st.ExitCases[6],
-		"lowconf_ok": st.LowConfCorrect, "lowconf_bad": st.LowConfWrong,
-		"l1i": st.L1IMisses, "l1d": st.L1DMisses, "l2": st.L2Misses,
-		"load_stalls": st.LoadStalls, "oracle_pauses": st.OraclePauses, "oracle_resumes": st.OracleResumes,
-		"uops": st.FetchedUops,
+	want := map[string]uint64{}
+	v := reflect.ValueOf(*st)
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		names, vals := []string{f.Name}, []reflect.Value{fv}
+		if f.Type.Kind() == reflect.Array {
+			names, vals = nil, nil
+			for j := 0; j < fv.Len(); j++ {
+				names = append(names, fmt.Sprintf("%s[%d]", f.Name, j))
+				vals = append(vals, fv.Index(j))
+			}
+		}
+		for j, name := range names {
+			if vals[j].Kind() != reflect.Uint64 {
+				continue
+			}
+			col, ok := intervalColumns[name]
+			if !ok {
+				t.Errorf("Stats.%s has no interval CSV column", name)
+				continue
+			}
+			want[col] = vals[j].Uint()
+		}
 	}
 	if len(want) != len(cols)-2 {
-		t.Errorf("column map covers %d columns, CSV has %d delta columns", len(want), len(cols)-2)
+		t.Errorf("Stats has %d counters with columns, CSV has %d delta columns", len(want), len(cols)-2)
+	}
+	header := make(map[string]bool, len(cols))
+	for _, c := range cols {
+		header[c] = true
 	}
 	for col, w := range want {
-		if sums[col] != w {
+		if !header[col] {
+			t.Errorf("interval CSV has no column %s", col)
+		} else if sums[col] != w {
 			t.Errorf("summed column %s = %d, final Stats = %d", col, sums[col], w)
 		}
 	}
@@ -169,7 +217,7 @@ func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 func TestPipetraceText(t *testing.T) {
 	var buf bytes.Buffer
 	trace := NewPipetrace(&buf, FormatText)
-	runMCF(t, false, trace.Probe())
+	runMCF(t, false, "", trace.Probe())
 	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +276,7 @@ func TestProgressFinalSummary(t *testing.T) {
 		pr := telemetry.NewProgress(&buf, false)
 		pr.Every = every
 		feed.Subscribe(pr.Event)
-		st := runMCF(t, false, ProgressProbe(feed))
+		st := runMCF(t, false, "", ProgressProbe(feed))
 		pr.Finish()
 		return buf.String(), st
 	}

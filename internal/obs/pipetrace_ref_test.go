@@ -73,7 +73,7 @@ func TestPipetraceChromeMatchesReference(t *testing.T) {
 	ref := NewPipetrace(nil, FormatText)
 	rc := newRefChrome(&want)
 	ref.emit = func(r *ptRec) { rc.emit(ref, r) }
-	runMCF(t, false, Tee(trace.Probe(), ref.Probe()))
+	runMCF(t, false, "", Tee(trace.Probe(), ref.Probe()))
 	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}

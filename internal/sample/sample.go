@@ -24,11 +24,13 @@
 //     offset would alias with periodic program phases) and captures an
 //     architectural checkpoint plus a deep copy of the warmed state.
 //
-//  3. One independent detailed interval per checkpoint, concurrently
-//     where the worker pool allows: transplant architectural state
-//     and warmed state (core.NewFromCheckpointWarm), run an
-//     optional SampleWarmup functional warm window, an unmeasured
-//     RampRetired detailed pipeline-fill ramp, then measure
+//  3. One independent detailed interval per checkpoint, dispatched the
+//     moment its checkpoint is captured: on a free worker slot,
+//     overlapping the rest of the warming pass, or inline on the warming
+//     goroutine when no slot is free. Each interval transplants
+//     architectural state and warmed state (core.NewFromCheckpointWarm),
+//     runs an optional SampleWarmup functional warm window and an
+//     unmeasured RampRetired detailed pipeline-fill ramp, then measures
 //     SampleInterval retired instructions as a Stats.Delta between two
 //     RunUntil snapshots.
 //
@@ -76,20 +78,16 @@ const PrefixRetired = 2048
 // Options controls driver resources (the sampling parameters themselves
 // live on core.Config, so the result cache keys on them).
 type Options struct {
-	// Slots, when non-nil, is a shared worker-slot semaphore (the exp
-	// package's global pool). The streamed pipeline try-acquires slots to
-	// spawn interval consumers: on success intervals simulate on worker
-	// goroutines overlapping the warming pass, otherwise jobs run inline
-	// on the producer's goroutine — which typically already holds a slot,
-	// so a full pool degrades to sequential instead of deadlocking. When
-	// nil, a private GOMAXPROCS-sized pool is used.
+	// Slots is the worker-slot semaphore intervals run on: a send takes
+	// a slot, a receive gives it back. Each interval takes a free slot
+	// without blocking and runs on a worker goroutine that overlaps the
+	// warming pass; with no slot free it runs inline on the caller's
+	// goroutine, which may itself hold a slot from the same pool (the
+	// exp package shares its global pool this way). A zero-capacity
+	// channel never has a free slot, so every interval runs inline. When
+	// nil, a private GOMAXPROCS-sized pool is used. The Result does not
+	// depend on which intervals ran where.
 	Slots chan struct{}
-	// Sequential forces every interval to run inline on the producer's
-	// goroutine, immediately after its checkpoint is captured — the
-	// pre-pipeline behaviour. The result must be byte-identical to the
-	// streamed path (the determinism tests pin this); the only difference
-	// is wall-clock.
-	Sequential bool
 	// Span, when non-nil, is the telemetry parent span of this run:
 	// per-stage child spans (prefix, warm, extrapolate) and per-job
 	// snapshot/interval events hang under it. Host-side observability
@@ -233,10 +231,10 @@ type checkpointAt struct {
 	ws    *core.WarmState
 }
 
-// intervalJob is one detailed interval flowing through the streamed
-// pipeline: the captured checkpoint in, the measured interval out. The
-// checkpoint field is cleared as soon as the interval completes so the
-// snapshot memory is released while the run is still warming.
+// intervalJob is one detailed interval: the captured checkpoint in, the
+// measured interval out. The checkpoint field is cleared as soon as the
+// interval completes so the snapshot memory is released while the run is
+// still warming.
 type intervalJob struct {
 	index int
 	c     checkpointAt
@@ -245,25 +243,21 @@ type intervalJob struct {
 	err   error
 }
 
-// pipeline is the streamed producer/consumer machinery of one sampled
-// run: the warming pass (producer) dispatches each captured checkpoint
-// the moment it exists, consumer goroutines try-acquire worker slots and
-// drain the bounded queue, and the producer degrades to running jobs
-// inline rather than ever blocking. Its per-checkpoint methods are
-// //dmp:hotpath: they sit between warming and detailed simulation, so an
-// accidental per-job allocation (beyond the job itself) would scale with
-// interval count.
+// pipeline is the interval dispatch of one sampled run: the warming pass
+// hands each captured checkpoint to dispatch, which runs its interval on
+// a worker goroutine if a slot is free and inline otherwise. Its
+// per-checkpoint methods are //dmp:hotpath: they sit between warming and
+// detailed simulation, so an accidental per-job allocation (beyond the
+// job itself) would scale with interval count.
 type pipeline struct {
 	p                *prog.Program
 	cfg              core.Config
 	warmup, interval uint64
 
-	slots chan struct{}     // shared worker slots (may span concurrent runs)
-	jobs  chan *intervalJob // nil in Sequential mode
-	all   []*intervalJob    // every job, in checkpoint order
-	wg    sync.WaitGroup    // in-flight jobs
-	cwg   sync.WaitGroup    // live consumer goroutines (they hold slots)
-	detNS atomic.Int64      // detailed-simulation wall time
+	slots chan struct{}  // shared worker slots (may span concurrent runs)
+	all   []*intervalJob // every job, in checkpoint order
+	wg    sync.WaitGroup // intervals running on worker slots
+	detNS atomic.Int64   // detailed-simulation wall time
 
 	// tr/spanID carry the attached telemetry tracer (nil when off) and
 	// the run span's id, so runJob can emit per-interval trace events
@@ -290,79 +284,29 @@ func (pl *pipeline) runJob(jb *intervalJob) {
 	pl.detNS.Add(time.Since(t0).Nanoseconds()) //dmp:allow nondeterminism -- host telemetry only
 }
 
-// consume drains the job queue until it is empty or closed, then hands
-// the worker slot back (so shared slots are never hoarded while the
-// producer warms toward the next checkpoint).
-//
-//dmp:hotpath
-func (pl *pipeline) consume() {
-	defer pl.release()
-	for {
-		select {
-		case jb, ok := <-pl.jobs:
-			if !ok {
-				return
-			}
-			pl.runJob(jb)
-			pl.wg.Done()
-		default:
-			return // queue drained: hand the slot back
-		}
-	}
-}
-
-// release returns the consumer's worker slot.
-func (pl *pipeline) release() { <-pl.slots }
-
-// spawn runs one consumer goroutine lifecycle.
-func (pl *pipeline) spawn() {
-	defer pl.cwg.Done()
-	pl.consume()
-}
-
-// dispatch hands a captured checkpoint to the consumers: enqueue and
-// opportunistically start a consumer if a slot is free; with the queue
-// full (or in Sequential mode) run the job inline, degrading toward the
-// sequential path instead of stalling the warming pass.
+// dispatch runs a captured checkpoint's interval on a free worker slot,
+// or inline when none is free. It never blocks on a slot: a producer
+// that already holds one (every slot, even) runs its intervals itself
+// instead of deadlocking, and each worker gives its slot back after one
+// interval, so no run hoards shared slots while it warms.
 //
 //dmp:hotpath
 func (pl *pipeline) dispatch(jb *intervalJob) {
 	pl.all = append(pl.all, jb)
-	if pl.jobs == nil {
-		pl.runJob(jb)
-		return
-	}
-	pl.wg.Add(1)
 	select {
-	case pl.jobs <- jb:
-		select {
-		case pl.slots <- struct{}{}:
-			pl.cwg.Add(1)
-			go pl.spawn()
-		default:
-		}
+	case pl.slots <- struct{}{}:
+		pl.wg.Add(1)
+		go pl.runOnSlot(jb)
 	default:
-		// Queue full and every consumer busy: run inline rather than
-		// stalling the warming pass.
 		pl.runJob(jb)
-		pl.wg.Done()
 	}
 }
 
-// drain closes the queue, runs whatever the consumers have not picked
-// up, and waits for in-flight jobs and consumers (consumers must release
-// their slots before Run returns).
-func (pl *pipeline) drain() {
-	if pl.jobs == nil {
-		return
-	}
-	close(pl.jobs)
-	for jb := range pl.jobs {
-		pl.runJob(jb)
-		pl.wg.Done()
-	}
-	pl.wg.Wait()
-	pl.cwg.Wait()
+// runOnSlot is a worker: one interval, then the slot goes back.
+func (pl *pipeline) runOnSlot(jb *intervalJob) {
+	pl.runJob(jb)
+	<-pl.slots
+	pl.wg.Done()
 }
 
 // Run samples one program under cfg. cfg.SampleMode must be set; the
@@ -415,18 +359,6 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	var warmS, snapS float64
 	prefSpan.End()
 
-	// Streamed pipeline: the warming pass (producer) hands each
-	// checkpoint to interval workers (consumers) the moment it is
-	// captured, so detailed simulation overlaps the rest of the warming
-	// pass instead of waiting for it. Jobs flow through a bounded
-	// channel; consumers are spawned by try-acquiring worker slots and
-	// exit when the queue drains (so shared slots are never hoarded while
-	// the producer warms toward the next checkpoint). The producer never
-	// blocks: with the queue full or no slot free it runs the job inline,
-	// degrading toward the sequential path instead of deadlocking.
-	// Results are aggregated in checkpoint (index) order afterwards, so
-	// Stats are byte-identical regardless of scheduling — Sequential mode
-	// pins this in the determinism tests.
 	slots := o.Slots
 	if slots == nil {
 		slots = make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -435,9 +367,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	mcfg.MaxInsts = 0 // interval machines are bounded by RunUntil targets
 	pl := &pipeline{p: p, cfg: mcfg, warmup: warmup, interval: interval, slots: slots,
 		tr: o.Span.Tracer(), spanID: o.Span.ID()}
-	if !o.Sequential {
-		pl.jobs = make(chan *intervalJob, cap(slots)+1)
-	}
+	defer pl.wg.Wait() // on error returns too: no worker outlives Run or keeps its slot
 
 	// Continuous functional warming pass over [prefR, total), capturing
 	// one checkpoint per period at a stratified pseudo-random offset.
@@ -502,9 +432,9 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	warmS += time.Since(tTail).Seconds() //dmp:allow nondeterminism -- host telemetry only
 	warmSpan.End()
 	total := w.Count()
-	// Drain whatever the consumers have not picked up, then wait for the
-	// in-flight ones.
-	pl.drain()
+	// Results are read in checkpoint order below, so every Result is
+	// byte-identical whichever intervals ran on workers.
+	pl.wg.Wait()
 	if len(pl.all) == 0 {
 		return nil, fmt.Errorf("sample: program too short to sample (%d instructions, period %d); run exact or shrink -sample-period",
 			total, period)

@@ -134,54 +134,68 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestSharedSlots pins that results do not depend on interval scheduling:
-// a shared worker pool (concurrent intervals) and the private pool give
-// byte-identical manifests.
+// shared worker pools of one and four slots (intervals overlap the warming
+// pass) and the private pool give byte-identical manifests, and every
+// shared slot is handed back.
 func TestSharedSlots(t *testing.T) {
 	p := mcfProg(t)
 	a, err := Run(p, sampleCfg(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := make(chan struct{}, 4)
-	b, err := Run(p, sampleCfg(), Options{Slots: slots})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Error("shared-pool run differs from private-pool run")
-	}
-	if len(slots) != 0 {
-		t.Errorf("%d slots leaked", len(slots))
-	}
-}
-
-// TestSequentialMatchesStreamed is the pipeline determinism golden: the
-// streamed producer/consumer path must produce byte-identical results —
-// manifest AND full extrapolated Stats — to the sequential
-// inline-after-capture path, for both the private pool and a shared one.
-// Run under -race this also exercises the checkpoint handoff for races.
-func TestSequentialMatchesStreamed(t *testing.T) {
-	p := mcfProg(t)
-	seq, err := Run(p, sampleCfg(), Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, _ := json.Marshal(seq)
-	for _, o := range []Options{{}, {Slots: make(chan struct{}, 4)}} {
-		str, err := Run(p, sampleCfg(), o)
+	for _, n := range []int{1, 4} {
+		slots := make(chan struct{}, n)
+		b, err := Run(p, sampleCfg(), Options{Slots: slots})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ja, _ := json.Marshal(str)
-		if !bytes.Equal(js, ja) {
-			t.Errorf("streamed manifest differs from sequential:\n%s\n%s", js, ja)
+		jb, _ := json.Marshal(b)
+		if !bytes.Equal(ja, jb) {
+			t.Errorf("%d-slot shared-pool run differs from private-pool run", n)
 		}
-		sa, sb := *seq.Extrapolated, *str.Extrapolated
-		sa.WallSeconds, sb.WallSeconds = 0, 0
-		if sa != sb {
-			t.Errorf("streamed Stats differ from sequential modulo WallSeconds:\n%+v\n%+v", sa, sb)
+		if len(slots) != 0 {
+			t.Errorf("%d slots: %d slots leaked", n, len(slots))
+		}
+	}
+}
+
+// TestSequentialMatchesStreamed is the pipeline determinism golden: runs
+// whose intervals go to worker goroutines (the private pool, four shared
+// slots) must produce byte-identical results — manifest AND full
+// extrapolated Stats — to the sequential run, where a slot channel with
+// no free slot makes every interval run inline on the warming pass. Both
+// warm modes are checked. Run under -race this also exercises the
+// checkpoint handoff to worker goroutines for races.
+func TestSequentialMatchesStreamed(t *testing.T) {
+	p := mcfProg(t)
+	for _, mode := range []string{"full", "caches"} {
+		cfg := sampleCfg()
+		cfg.WarmMode = mode
+		if mode == "caches" {
+			cfg.SampleWarmup = 512
+		}
+		seq, err := Run(p, cfg, Options{Slots: make(chan struct{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, _ := json.Marshal(seq)
+		for _, o := range []Options{{}, {Slots: make(chan struct{}, 4)}} {
+			str, err := Run(p, cfg, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ja, _ := json.Marshal(str)
+			if !bytes.Equal(js, ja) {
+				t.Errorf("%s, shared=%t: streamed manifest differs from sequential:\n%s\n%s",
+					mode, o.Slots != nil, js, ja)
+			}
+			sa, sb := *seq.Extrapolated, *str.Extrapolated
+			sa.WallSeconds, sb.WallSeconds = 0, 0
+			if sa != sb {
+				t.Errorf("%s, shared=%t: streamed Stats differ from sequential modulo WallSeconds:\n%+v\n%+v",
+					mode, o.Slots != nil, sa, sb)
+			}
 		}
 	}
 }
@@ -210,14 +224,14 @@ func TestCachesOnlyWarmMode(t *testing.T) {
 	if errPct > 20 {
 		t.Errorf("caches-only sampled IPC %.4f vs exact %.4f: |err| %.1f%% > 20%%", r.IPC, ex.IPC(), errPct)
 	}
-	b, err := Run(p, cfg, Options{Sequential: true})
+	b, err := Run(p, cfg, Options{Slots: make(chan struct{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ja, _ := json.Marshal(r)
 	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
-		t.Error("caches-only runs differ between streamed and sequential paths")
+		t.Error("caches-only runs differ between worker-run and all-inline intervals")
 	}
 }
 

@@ -8,9 +8,11 @@ import "dmp/internal/telemetry"
 // interval workers, warm including the untrained tail), and dmpsim's
 // time-breakdown line and dmpbench read them back. The live-snapshots
 // gauge tracks checkpoint memory: it rises when the warming pass
-// captures a checkpoint and falls when the interval job releases it, so
-// its peak is the streamed pipeline's snapshot working set. Everything here is host-side only — no
-// simulator state, no effect on Stats or the Result.
+// captures a checkpoint and falls when its interval releases it, so its
+// peak is the snapshot working set: one per interval running on a worker
+// slot, plus one per run whose warming goroutine runs an interval inline.
+// Everything here is host-side only — no simulator state, no effect on
+// Stats or the Result.
 var (
 	mStagePrefix = telemetry.NewHistogram("dmp_sample_prefix_seconds",
 		"exactly simulated cold-start prefix, per sampled run", telemetry.SecondsBuckets())

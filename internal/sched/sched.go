@@ -36,8 +36,7 @@ import (
 )
 
 // Pool is a bounded set of worker slots. Acquire blocks until a slot is
-// free; TryAcquire never blocks. The zero value is unusable — construct
-// with NewPool or Shared.
+// free. The zero value is unusable — construct with NewPool or Shared.
 type Pool struct {
 	ch chan struct{}
 }
@@ -58,18 +57,7 @@ func (p *Pool) Acquire() {
 	mPoolBusy.Add(1)
 }
 
-// TryAcquire takes a slot if one is free without blocking.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case p.ch <- struct{}{}:
-		mPoolBusy.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire or a successful TryAcquire.
+// Release returns a slot taken by Acquire.
 func (p *Pool) Release() {
 	mPoolBusy.Add(-1)
 	<-p.ch
@@ -78,12 +66,12 @@ func (p *Pool) Release() {
 // Cap returns the pool's slot count.
 func (p *Pool) Cap() int { return cap(p.ch) }
 
-// Chan exposes the underlying slot semaphore for packages that hand it
-// across API boundaries as a plain channel (sample.Options.Slots: the
-// streamed interval pipeline try-acquires slots with a raw select).
-// Sends take a slot, receives release one; raw channel users bypass the
-// pool gauges, which therefore undercount — they are host telemetry,
-// not accounting.
+// Chan exposes the underlying slot semaphore as a plain channel for
+// sample.Options.Slots: a sampled run's intervals take a free slot with
+// a non-blocking send and hand it back with a receive. Sends take a
+// slot, receives release one. Those raw takes bypass the pool gauges,
+// so a busy pool can read up to one slot per running interval low;
+// every slot taken with Acquire is counted.
 func (p *Pool) Chan() chan struct{} { return p.ch }
 
 // --- process-global pool ---

@@ -34,7 +34,7 @@ var (
 	mPoolQueued = telemetry.NewGauge("dmp_sched_pool_queued",
 		"simulations currently waiting for a worker-pool slot")
 	mPoolBusy = telemetry.NewGauge("dmp_sched_pool_busy",
-		"worker-pool slots currently held via Acquire/TryAcquire")
+		"worker-pool slots currently held via Acquire")
 
 	mAdmitted = telemetry.NewCounter("dmp_sched_admitted_total",
 		"requests accepted into the admission queue")
