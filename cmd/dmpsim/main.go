@@ -181,10 +181,12 @@ func run(args []string) error {
 		// The stage histograms are the run's host-time record; the
 		// registry delta across the run is this run's share of them.
 		before := telemetry.DefaultRegistry().Snapshot()
+		t0 := time.Now()
 		r, err := sample.Run(p, cfg, sample.Options{Span: o.Root})
 		if err != nil {
 			return err
 		}
+		wall := time.Since(t0).Seconds()
 		stages := telemetry.DefaultRegistry().Snapshot().Delta(before)
 		if *sampleManif != "" {
 			f, err := os.Create(*sampleManif)
@@ -199,12 +201,12 @@ func run(args []string) error {
 				return fmt.Errorf("manifest: %w", err)
 			}
 		}
-		printSampled(r, stages)
-		printStats(r.Extrapolated)
+		printSampled(r, stages, wall)
+		printStats(r.Extrapolated, wall)
 		if *mergeSt {
 			fmt.Print(mergeStatsLine(r.Extrapolated))
 		}
-		printHostThroughput(p, cfg.MaxInsts, float64(r.TotalInsts)/r.Extrapolated.WallSeconds)
+		printHostThroughput(p, cfg.MaxInsts, perSec(float64(r.TotalInsts), wall))
 		return nil
 	}
 
@@ -269,7 +271,9 @@ func run(args []string) error {
 		m.SetProbe(obs.Tee(probes...))
 	}
 	runSpan := o.Root.Child("run", "sim")
+	t0 := time.Now()
 	st, runErr := m.Run()
+	wall := time.Since(t0).Seconds()
 	runSpan.End()
 	for _, s := range sinks {
 		if err := s.Close(); err != nil {
@@ -280,13 +284,11 @@ func run(args []string) error {
 	if runErr != nil {
 		return fmt.Errorf("%v\npartial stats: %v", runErr, st)
 	}
-	printStats(st)
+	printStats(st, wall)
 	if *mergeSt {
 		fmt.Print(mergeStatsLine(st))
 	}
-	if st.WallSeconds > 0 {
-		printHostThroughput(p, cfg.MaxInsts, float64(st.RetiredInsts)/st.WallSeconds)
-	}
+	printHostThroughput(p, cfg.MaxInsts, perSec(float64(st.RetiredInsts), wall))
 	return nil
 }
 
@@ -302,30 +304,29 @@ func benchName(bench, asm string) string {
 // printSampled renders the sampling-specific summary: what was measured,
 // what was extrapolated, how tight the estimate is, and where the host
 // time went. The breakdown divides each dmp_sample_<stage>_seconds sum in
-// stages (the run's metrics delta) by the run's wall time; it is
-// wall-clock dependent, everything else is deterministic.
-func printSampled(r *sample.Result, stages telemetry.Snapshot) {
+// stages (the run's metrics delta) by wall, the host seconds sample.Run
+// took; it is wall-clock dependent, everything else is deterministic.
+func printSampled(r *sample.Result, stages telemetry.Snapshot, wall float64) {
 	fmt.Printf("sampled run       %12d insts: prefix %d exact, %d intervals of ~%d (detailed %.1f%%), period %d, warmup %d, ramp %d\n",
 		r.TotalInsts, r.PrefixRetired, r.K, r.IntervalLen,
 		100*float64(r.DetailedRetired)/float64(r.TotalInsts), r.Period, r.Warmup, r.Ramp)
 	fmt.Printf("IPC estimate      %12.3f ± %.3f (95%% CI over %d intervals; interval mean %.3f)\n",
 		r.IPC, r.CI95, r.K, r.IPCMean)
-	wall := r.Extrapolated.WallSeconds
 	sums := map[string]float64{}
 	for _, h := range stages.Histograms {
 		sums[h.Name] = h.Sum
 	}
-	stage := func(name string) float64 { return pct(sums["dmp_sample_"+name+"_seconds"], wall) }
+	stage := func(name string) float64 { return 100 * perSec(sums["dmp_sample_"+name+"_seconds"], wall) }
 	fmt.Printf("time breakdown    %12s prefix %.0f%%, warming %.0f%%, snapshot %.0f%%, detailed %.0f%%, extrapolate %.0f%% of %.3fs wall\n",
 		"", stage("prefix"), stage("warm"), stage("snapshot"), stage("detailed"), stage("extrapolate"), wall)
 }
 
-// pct is a safe percentage: 0 when the denominator is 0.
-func pct(num, den float64) float64 {
-	if den <= 0 {
+// perSec is a safe rate: 0 when secs is 0.
+func perSec(n, secs float64) float64 {
+	if secs <= 0 {
 		return 0
 	}
-	return 100 * num / den
+	return n / secs
 }
 
 // printHostThroughput reports how fast the simulation ran relative to the
@@ -387,7 +388,8 @@ func mergeStatsLine(s *core.Stats) string {
 		s.DynCFMEpisodes, s.MergeMispredicts)
 }
 
-func printStats(s *core.Stats) {
+// printStats renders s; wall, the run's host seconds, feeds the throughput line.
+func printStats(s *core.Stats, wall float64) {
 	fmt.Printf("cycles            %12d\n", s.Cycles)
 	fmt.Printf("retired insts     %12d  (IPC %.3f)\n", s.RetiredInsts, s.IPC())
 	fmt.Printf("branches          %12d  (%.2f%% mispredicted, %.2f MPKI)\n",
@@ -406,5 +408,5 @@ func printStats(s *core.Stats) {
 	}
 	fmt.Printf("halted            %12v\n", s.HaltRetired)
 	fmt.Printf("sim throughput    %12.0f cycles/s, %.0f retired uops/s (%.2fs wall, %d uops created)\n",
-		s.SimCyclesPerSec(), s.RetiredUopsPerSec(), s.WallSeconds, s.FetchedUops)
+		perSec(float64(s.Cycles), wall), perSec(float64(s.CommittedWork()), wall), wall, s.FetchedUops)
 }

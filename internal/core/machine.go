@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dmp/internal/bpred"
 	"dmp/internal/emu"
@@ -100,7 +99,6 @@ type Machine struct {
 	retired    uint64
 	started    bool
 	finished   bool
-	startTime  time.Time
 	wdRetired  uint64
 	wdProgress uint64
 
@@ -180,16 +178,6 @@ func (m *Machine) Run() (*Stats, error) {
 	return m.Finish()
 }
 
-// startRun marks the machine running and records the wall-clock start
-// (first call only; RunUntil may be called repeatedly).
-func (m *Machine) startRun() {
-	if m.started {
-		return
-	}
-	m.started = true
-	m.startTime = time.Now() //dmp:allow nondeterminism -- feeds only WallSeconds, excluded from golden tables
-}
-
 // RunUntil advances the simulation until total retired program
 // instructions reach n (0 = no target), the program halts, MaxCycles
 // trips, or an error stops the run. It may be called repeatedly with
@@ -199,7 +187,7 @@ func (m *Machine) startRun() {
 // after an unmeasured pipeline-fill ramp). Call Finish after the last
 // RunUntil to finalize the run.
 func (m *Machine) RunUntil(n uint64) (*Stats, error) {
-	m.startRun()
+	m.started = true
 	for !m.halted && m.runErr == nil {
 		if m.cfg.MaxCycles != 0 && m.cycle >= m.cfg.MaxCycles {
 			break
@@ -232,20 +220,17 @@ func (m *Machine) RunUntil(n uint64) (*Stats, error) {
 	return &m.Stats, m.runErr
 }
 
-// Finish finalizes a run started with Run or RunUntil: wall-clock
-// accounting, wrong-path episode flush, merge-predictor counters, probe
-// completion, and arena and oracle-history release. The pipeline is
-// permanently stopped afterwards — no uop will be dereferenced and the
-// oracle never rewinds again, so the slabs and the history buffers can
-// go back to their shared pools. Idempotent.
+// Finish finalizes a run started with Run or RunUntil: wrong-path
+// episode flush, merge-predictor counters, probe completion, and arena
+// and oracle-history release. The pipeline is permanently stopped
+// afterwards — no uop will be dereferenced and the oracle never rewinds
+// again, so the slabs and the history buffers can go back to their
+// shared pools. Idempotent.
 func (m *Machine) Finish() (*Stats, error) {
 	if !m.finished {
 		m.finished = true
 		m.Stats.Cycles = m.cycle
 		m.Stats.FetchedUops = m.arena.allocated
-		if !m.startTime.IsZero() {
-			m.Stats.WallSeconds = time.Since(m.startTime).Seconds() //dmp:allow nondeterminism -- WallSeconds is excluded from golden tables
-		}
 		m.flushWPAll()
 		if m.merge != nil {
 			mc := m.merge.Counts()

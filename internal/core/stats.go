@@ -80,12 +80,13 @@ type Stats struct {
 	// HaltRetired reports whether the program ran to completion.
 	HaltRetired bool
 
-	// Simulator throughput. FetchedUops counts every window entry the
-	// machine created (program instructions, markers and select-uops,
-	// wrong path included); WallSeconds is the host wall-clock time of
-	// Machine.Run. Both describe the simulator, not the simulated machine,
-	// so they are excluded from experiment tables and determinism
-	// comparisons.
+	// FetchedUops counts every window entry the machine created (program
+	// instructions, markers and select-uops, wrong path included): the
+	// simulator's work, which experiment tables do not print.
+	//
+	// WallSeconds is always zero: host time is kept beside results
+	// (sched.Cache.Seconds), never in them. It stays declared for the
+	// store's schema digest and cmd/dmpbench's build until ModelVersion.
 	FetchedUops uint64
 	WallSeconds float64
 }
@@ -106,7 +107,6 @@ func (s *Stats) Clone() *Stats {
 func (s *Stats) Delta(prev *Stats) Stats {
 	d := zipCounters(s, prev, func(x, y uint64) uint64 { return x - y })
 	d.HaltRetired = s.HaltRetired
-	d.WallSeconds = s.WallSeconds - prev.WallSeconds
 	return d
 }
 
@@ -117,7 +117,6 @@ func (s *Stats) Delta(prev *Stats) Stats {
 func (s *Stats) Add(o *Stats) Stats {
 	a := zipCounters(s, o, func(x, y uint64) uint64 { return x + y })
 	a.HaltRetired = s.HaltRetired || o.HaltRetired
-	a.WallSeconds = s.WallSeconds + o.WallSeconds
 	return a
 }
 
@@ -131,15 +130,13 @@ func (s *Stats) Add(o *Stats) Stats {
 func (s *Stats) Scale(f float64) Stats {
 	c := zipCounters(s, s, func(x, _ uint64) uint64 { return uint64(math.Floor(float64(x)*f + 0.5)) })
 	c.HaltRetired = s.HaltRetired
-	c.WallSeconds = s.WallSeconds * f
 	return c
 }
 
 // zipCounters returns the Stats whose every uint64 counter, ExitCases
 // elements included, is op of the same counter in a and b. It walks the
 // struct, so a counter added to Stats is combined without being listed
-// here; the non-counter fields (HaltRetired, WallSeconds) are left zero
-// for the caller.
+// here; the non-counter fields are left zero for the caller.
 func zipCounters(a, b *Stats, op func(x, y uint64) uint64) Stats {
 	var out Stats
 	vo, va, vb := reflect.ValueOf(&out).Elem(), reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
@@ -155,24 +152,6 @@ func zipCounters(a, b *Stats, op func(x, y uint64) uint64) Stats {
 		}
 	}
 	return out
-}
-
-// SimCyclesPerSec returns simulated cycles per host wall-clock second.
-func (s *Stats) SimCyclesPerSec() float64 {
-	if s.WallSeconds <= 0 {
-		return 0
-	}
-	return float64(s.Cycles) / s.WallSeconds
-}
-
-// RetiredUopsPerSec returns retired window entries (program instructions,
-// FALSE-predicate instructions, selects and markers) per host wall-clock
-// second.
-func (s *Stats) RetiredUopsPerSec() float64 {
-	if s.WallSeconds <= 0 {
-		return 0
-	}
-	return float64(s.CommittedWork()) / s.WallSeconds
 }
 
 // IPC returns retired instructions per cycle.

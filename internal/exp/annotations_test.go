@@ -92,7 +92,6 @@ func runEnhanced(t *testing.T, p *prog.Program) core.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.WallSeconds = 0
 	return *st
 }
 

@@ -274,7 +274,8 @@ func TestResolve(t *testing.T) {
 // asks for the sampling report after the tables: every run the report
 // needs is memoized, so it simulates nothing, renders the same table,
 // and reads the same sampled results (wall-clock fields included) on
-// every call.
+// every call. The wall-clock fields are measured beside the results: for
+// runs computed in this process they are positive.
 func TestSamplingReportAfterSampling(t *testing.T) {
 	Reset()
 	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}}
@@ -291,6 +292,12 @@ func TestSamplingReportAfterSampling(t *testing.T) {
 		}
 		if rt.String() != tb.String() {
 			t.Errorf("report table differs from Sampling's:\n%s\nvs\n%s", rt, tb)
+		}
+		for _, b := range rep.Benches {
+			if b.ExactWall <= 0 || b.SampleWall <= 0 || b.Speedup <= 0 {
+				t.Errorf("%s: exact_wall_s %g, sample_wall_s %g, speedup %g; want all > 0",
+					b.Bench, b.ExactWall, b.SampleWall, b.Speedup)
+			}
 		}
 		data, err := json.Marshal(rep)
 		if err != nil {

@@ -236,7 +236,7 @@ func TestFoldForIsExact(t *testing.T) {
 		if a == nil || b == nil {
 			continue
 		}
-		if !statsEqualModuloWall(a, b) {
+		if *a != *b {
 			t.Errorf("%s scale %d: %+v folds to %+v, but their Stats differ\nconfig: %v\nfolded: %v",
 				p.c.bench, p.c.scale, p.cfg, p.folds, a, b)
 		}

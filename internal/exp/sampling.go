@@ -10,6 +10,7 @@ import (
 
 	"dmp/internal/core"
 	"dmp/internal/sample"
+	"dmp/internal/sched"
 )
 
 // benchPoints holds per-benchmark sampling operating points. The suite
@@ -173,6 +174,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 	}
 
 	results := make([]*sample.Result, len(o.Benchmarks))
+	sampleWalls := make([]float64, len(o.Benchmarks))
 	points := make([]core.SamplePoint, len(o.Benchmarks))
 	errs := make([]error, len(o.Benchmarks))
 	var wg sync.WaitGroup
@@ -186,7 +188,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		wg.Add(1)
 		go func(i int, bench string, sCfg core.Config) {
 			defer wg.Done()
-			results[i], errs[i] = sampleCached(bench, sCfg, o)
+			results[i], sampleWalls[i], errs[i] = sampleCached(bench, sCfg, o)
 			if errs[i] != nil {
 				errs[i] = fmt.Errorf("%s: %w", bench, errs[i])
 			}
@@ -218,8 +220,8 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 			CI95:       r.CI95,
 			Covered:    r.Covers(ex.IPC()),
 			K:          r.K,
-			ExactWall:  ex.WallSeconds,
-			SampleWall: r.Extrapolated.WallSeconds,
+			ExactWall:  simCache.Seconds(sched.Key{Bench: bench, Scale: o.Scale, Cfg: exCfg.Canonical()}),
+			SampleWall: sampleWalls[i],
 		}
 		b.ErrPct = 100 * (r.IPC - b.ExactIPC) / b.ExactIPC
 		if b.ExactWall > 0 {

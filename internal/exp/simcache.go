@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"dmp/internal/core"
 	"dmp/internal/sample"
@@ -113,25 +114,28 @@ func simulate(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 // sampleCache memoizes full sample.Result values per (bench, scale,
 // canonical sampled config), so the daemon's overlapping clients
 // coalesce to one sampled run each, the way RunOne coalesces
-// exact runs. It is process-local and never persisted: a Result carries
-// host wall-clock (Extrapolated.WallSeconds) alongside its deterministic
-// fields, so only live requests may share one. Shared Results are
-// read-only by the same frozen contract as cached Stats.
+// exact runs. It is process-local and never persisted: the result store
+// has no kind for a sample.Result yet. Each entry keeps the host seconds
+// its sample.Run took beside the Result. Shared Results are read-only by
+// the same frozen contract as cached Stats.
 var sampleCache sync.Map // sched.Key -> *sampleEntry
 
 type sampleEntry struct {
 	once sync.Once
 	res  *sample.Result
+	secs float64
 	err  error
 }
 
 // sampleCached runs (or reuses) the sampled simulation of bench under
 // sCfg, holding one slot of the global pool for the duration of an
 // actual run; its intervals take further slots from the same pool when
-// free and run inline otherwise. An actual run gets its own trace lane
-// under o.Span, labelled like sched's exact runs: an experiment's sampled
-// runs overlap, and their stage spans are sequential only within one run.
-func sampleCached(bench string, sCfg core.Config, o Options) (*sample.Result, error) {
+// free and run inline otherwise. secs is the host time sample.Run took
+// once it held its slot; every request for the key reads the same value.
+// An actual run gets its own trace lane under o.Span, labelled like
+// sched's exact runs: an experiment's sampled runs overlap, and their
+// stage spans are sequential only within one run.
+func sampleCached(bench string, sCfg core.Config, o Options) (res *sample.Result, secs float64, err error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: sCfg.Canonical()}
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
 	e := v.(*sampleEntry)
@@ -149,9 +153,11 @@ func sampleCached(bench string, sCfg core.Config, o Options) (*sample.Result, er
 		pool := sched.Shared(o.Parallel)
 		pool.Acquire()
 		defer pool.Release()
+		t0 := time.Now() //dmp:allow nondeterminism -- host time: the sampling report's walls only
 		e.res, e.err = sample.Run(pe.p, sCfg, sample.Options{Slots: pool.Chan(), Span: sp})
+		e.secs = time.Since(t0).Seconds() //dmp:allow nondeterminism -- host time: the sampling report's walls only
 	})
-	return e.res, e.err
+	return e.res, e.secs, e.err
 }
 
 // Reset drops every cached program and simulation result and zeroes the

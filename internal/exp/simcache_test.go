@@ -1,11 +1,16 @@
 package exp
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"dmp/internal/core"
+	"dmp/internal/sample"
+	"dmp/internal/store"
 )
 
 func simOpts() Options {
@@ -28,18 +33,10 @@ func modeConfigs() map[string]core.Config {
 	}
 }
 
-// statsEqualModuloWall compares two Stats bit for bit, ignoring only the
-// host wall-clock fields that legitimately differ between runs.
-func statsEqualModuloWall(a, b *core.Stats) bool {
-	x, y := *a, *b
-	x.WallSeconds, y.WallSeconds = 0, 0
-	return x == y
-}
-
 // TestCachedStatsBitIdenticalAllModes pins the cache's core promise: the
-// Stats a cache hit returns are bit-identical (modulo wall-clock) to a
-// fresh uncached simulation, for every mode the paper compares and for
-// the loop-annotated variant.
+// Stats a cache hit returns are bit-identical to a fresh uncached
+// simulation, for every mode the paper compares and for the
+// loop-annotated variant.
 func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	Reset()
 	o := simOpts()
@@ -53,7 +50,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s cached: %v", name, bench, err)
 			}
-			if !statsEqualModuloWall(fresh, cached) {
+			if *fresh != *cached {
 				t.Errorf("%s/%s: cached stats differ from fresh\ncached: %v\nfresh:  %v", name, bench, cached, fresh)
 			}
 			again, err := RunOne(bench, cfg, o)
@@ -75,8 +72,69 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !statsEqualModuloWall(fresh, cached) {
+	if *fresh != *cached {
 		t.Errorf("loop variant: cached stats differ from fresh")
+	}
+}
+
+// TestRecomputedResultIsIdentical pins that results carry no host time:
+// two exact runs and two sampled runs of one configuration give equal
+// Stats with no field zeroed, WallSeconds stays 0, and a recomputed exact
+// result stored under the same Meta rewrites a byte-identical object.
+func TestRecomputedResultIsIdentical(t *testing.T) {
+	o := simOpts()
+	const bench = "mcf"
+	cfg := core.EnhancedDMPConfig()
+	exact := func() *core.Stats {
+		t.Helper()
+		st, err := simulate(bench, cfg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := exact(), exact()
+	if *a != *b || a.WallSeconds != 0 {
+		t.Errorf("exact runs differ or carry host time:\n%+v\n%+v", a, b)
+	}
+
+	sCfg := cfg
+	sCfg.SampleMode = true
+	sCfg.CheckRetirement = true
+	sCfg.SamplePoint = pointFor(o, bench)
+	pe := programFor(bench, o.Scale, sCfg)
+	sampled := func() *core.Stats {
+		t.Helper()
+		r, err := sample.Run(pe.p, sCfg, sample.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Extrapolated
+	}
+	sa, sb := sampled(), sampled()
+	if *sa != *sb || sa.WallSeconds != 0 {
+		t.Errorf("sampled runs differ or carry host time:\n%+v\n%+v", sa, sb)
+	}
+
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := store.Meta{Bench: bench, Scale: o.Scale, Check: true, Config: cfg.Canonical(), WorkloadHash: pe.p.Hash()}
+	object := func(st *core.Stats) []byte {
+		t.Helper()
+		d, err := s.Put(m, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(s.Dir(), "objects", d[:2], d+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if first, again := object(a), object(b); !bytes.Equal(first, again) {
+		t.Errorf("recomputed result wrote a different object:\n%s\n%s", first, again)
 	}
 }
 

@@ -151,9 +151,9 @@ type Result struct {
 	Intervals []Interval `json:"intervals"`
 	// Extrapolated is the full-run Stats estimate: exact prefix Stats
 	// plus interval counters scaled to the sampled region, with
-	// RetiredInsts pinned to the exact TotalInsts and WallSeconds set to
-	// the driver's real wall time (so throughput metrics describe the
-	// sampled run). It is the one wall-clock field of a Result.
+	// RetiredInsts pinned to the exact TotalInsts. Like every field of a
+	// Result it is deterministic: callers that want the run's host time
+	// measure it around Run.
 	Extrapolated *core.Stats `json:"-"`
 }
 
@@ -322,7 +322,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	}
 	pt := cfg.SamplePoint.WithDefaults()
 	period, interval, warmup := pt.SamplePeriod, pt.SampleInterval, pt.SampleWarmup
-	start := time.Now() //dmp:allow nondeterminism -- host time: stage histograms and WallSeconds only
+	start := time.Now() //dmp:allow nondeterminism -- host telemetry only
 	maxTotal := cfg.MaxInsts
 	prefSpan := o.Span.Child("prefix", "sample")
 
@@ -485,15 +485,13 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	ex := pre.Add(&sc)
 	ex.RetiredInsts = total // the ratio is exact here; don't let rounding drift it
 	ex.HaltRetired = w.Halted()
-	tEnd := time.Now() //dmp:allow nondeterminism -- host time: stage histograms and WallSeconds only
 	exSpan.End()
-	ex.WallSeconds = tEnd.Sub(start).Seconds()
 	res.Extrapolated = &ex
 	mStagePrefix.Observe(prefixS)
 	mStageWarm.Observe(warmS)
 	mStageSnapshot.Observe(snapS)
 	mStageDetailed.Observe(float64(pl.detNS.Load()) / 1e9)
-	mStageExtrapolate.Observe(tEnd.Sub(tExtrap).Seconds())
+	mStageExtrapolate.Observe(time.Since(tExtrap).Seconds()) //dmp:allow nondeterminism -- host telemetry only
 	return res, nil
 }
 

@@ -127,9 +127,8 @@ func TestDeterministic(t *testing.T) {
 		t.Errorf("two sampled runs differ:\n%s\n%s", ja, jb)
 	}
 	sa, sb := *a.Extrapolated, *b.Extrapolated
-	sa.WallSeconds, sb.WallSeconds = 0, 0
 	if sa != sb {
-		t.Errorf("extrapolated Stats differ modulo WallSeconds:\n%+v\n%+v", sa, sb)
+		t.Errorf("extrapolated Stats differ:\n%+v\n%+v", sa, sb)
 	}
 }
 
@@ -191,9 +190,8 @@ func TestSequentialMatchesStreamed(t *testing.T) {
 					mode, o.Slots != nil, js, ja)
 			}
 			sa, sb := *seq.Extrapolated, *str.Extrapolated
-			sa.WallSeconds, sb.WallSeconds = 0, 0
 			if sa != sb {
-				t.Errorf("%s, shared=%t: streamed Stats differ from sequential modulo WallSeconds:\n%+v\n%+v",
+				t.Errorf("%s, shared=%t: streamed Stats differ from sequential:\n%+v\n%+v",
 					mode, o.Slots != nil, sa, sb)
 			}
 		}
@@ -272,9 +270,9 @@ func TestSampleModeRequired(t *testing.T) {
 // TestPerIntervalWarmupPinned pins what per-interval functional warm-up
 // (Machine.FunctionalWarm) trains, at the caches-only CI gate's operating
 // point and under full continuous warming. Both hashes cover the manifest
-// and the extrapolated Stats (modulo WallSeconds). The golden tables have
-// no warm-up rows, so a change to the warm-up policy — for instance
-// replaying episode alternate paths during it — shows only here.
+// and the extrapolated Stats. The golden tables have no warm-up rows, so
+// a change to the warm-up policy — for instance replaying episode
+// alternate paths during it — shows only here.
 func TestPerIntervalWarmupPinned(t *testing.T) {
 	want := map[string]string{
 		"caches": "db390f90e7a9179e266cb70f4d8f539e032ed8902dff090d01dac93631bd153c",
@@ -291,7 +289,6 @@ func TestPerIntervalWarmupPinned(t *testing.T) {
 		}
 		man, _ := json.Marshal(r)
 		st := *r.Extrapolated
-		st.WallSeconds = 0
 		ext, _ := json.Marshal(st)
 		h := sha256.New()
 		h.Write(man)

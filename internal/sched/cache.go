@@ -54,6 +54,7 @@ type entry struct {
 	st     *core.Stats
 	frozen core.Stats // snapshot taken at publication; guards the read-only invariant
 	err    error
+	run    atomic.Int64 // time.Duration job.Run took; atomic, as Seconds may read a filling entry
 }
 
 // Counts is a snapshot of the cache's request accounting.
@@ -188,6 +189,7 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 			c.simulate(s, key, label, job, t0)
 		})
 		e.st, e.frozen, e.err = s.st, s.frozen, s.err
+		e.run.Store(s.run.Load())
 		if !ran {
 			// Waiting on another request's simulation holds no slot,
 			// like a duplicate request.
@@ -221,7 +223,7 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 
 // simulate runs the simulation behind simulation entry s for the
 // request key that found it missing: it takes a worker slot, records the
-// slot wait and the simulation's wall time, and freezes the result.
+// slot wait, the simulation's wall time and job.Run's, and freezes the result.
 func (c *Cache) simulate(s *entry, key Key, label string, job Job, t0 time.Time) {
 	c.computed.Add(1)
 	tel := telemetry.Active()
@@ -237,18 +239,33 @@ func (c *Cache) simulate(s *entry, key Key, label string, job Job, t0 time.Time)
 		pool = Shared(0)
 	}
 	pool.Acquire()
-	mSlotWait.Observe(time.Since(t0).Seconds()) //dmp:allow nondeterminism -- host telemetry only
+	t1 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
+	mSlotWait.Observe(t1.Sub(t0).Seconds())
 	defer pool.Release()
 	s.st, s.err = job.Run(sp)
+	t2 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
+	s.run.Store(int64(t2.Sub(t1)))
 	if s.err == nil {
 		s.frozen = *s.st
 	}
 	sp.End()
-	elapsed := time.Since(t0).Seconds() //dmp:allow nondeterminism -- host telemetry only
+	elapsed := t2.Sub(t0).Seconds()
 	mSimSeconds.Observe(elapsed)
 	if tel != nil {
 		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
 	}
+}
+
+// Seconds returns the host seconds job.Run took for the simulation that
+// answered key; requests that shared the simulation read the same value.
+// It is kept beside the Stats, never in them, and is 0 while key is
+// unrequested or running, or when the backing store answered it.
+func (c *Cache) Seconds(key Key) float64 {
+	v, ok := c.entries.Load(key)
+	if !ok {
+		return 0
+	}
+	return time.Duration(v.(*entry).run.Load()).Seconds()
 }
 
 // checkFrozen panics if a published result was mutated since it was

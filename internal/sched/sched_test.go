@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dmp/internal/core"
 	"dmp/internal/telemetry"
@@ -180,7 +181,8 @@ func TestCacheReset(t *testing.T) {
 // with different keys but one simulation key run one simulation, each
 // publishes it and writes it through under its own key, a store-answered
 // request never evaluates its simulation key, and Reset forgets the
-// simulation too.
+// simulation too. Both requests read the simulation's host seconds, and
+// reading them while requests still wait on the run is race-free.
 func TestCacheSharesSimulation(t *testing.T) {
 	c := NewCache()
 	b := newFakeBacking()
@@ -192,6 +194,7 @@ func TestCacheSharesSimulation(t *testing.T) {
 		SimKey: func() (Key, error) { simKeys.Add(1); return sim, nil },
 		Run: func(*telemetry.Span) (*core.Stats, error) {
 			runs.Add(1)
+			time.Sleep(time.Millisecond)
 			return &core.Stats{RetiredInsts: 5, Cycles: 9}, nil
 		},
 	}
@@ -199,6 +202,16 @@ func TestCacheSharesSimulation(t *testing.T) {
 	dmp.Cfg, dhp.Cfg = core.DMPConfig().Canonical(), core.DHPConfig().Canonical()
 	const callers = 8
 	var wg sync.WaitGroup
+	var reading atomic.Bool
+	reading.Store(true)
+	readers := make(chan struct{})
+	go func() {
+		defer close(readers)
+		for reading.Load() {
+			c.Seconds(dmp)
+			c.Seconds(dhp)
+		}
+	}()
 	stats := make([]*core.Stats, 2*callers)
 	for i := range stats {
 		wg.Add(1)
@@ -216,8 +229,13 @@ func TestCacheSharesSimulation(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	reading.Store(false)
+	<-readers
 	if runs.Load() != 1 {
 		t.Fatalf("simulation ran %d times, want 1", runs.Load())
+	}
+	if a, b := c.Seconds(dmp), c.Seconds(dhp); a <= 0 || a != b {
+		t.Fatalf("Seconds = %g and %g, want one positive value for the shared run", a, b)
 	}
 	for i := range stats {
 		if stats[i] != stats[0] {
@@ -242,6 +260,9 @@ func TestCacheSharesSimulation(t *testing.T) {
 	}
 	if cn := c2.Counts(); cn.StoreHits != 2 || cn.Computed != 0 || cn.Shared != 0 || simKeys.Load() != 0 {
 		t.Fatalf("restart counts = %+v with %d simulation keys evaluated, want 2 store hits and none", cn, simKeys.Load())
+	}
+	if s := c2.Seconds(dmp); s != 0 {
+		t.Fatalf("Seconds of a store hit = %g, want 0", s)
 	}
 
 	// Reset forgets simulations as well as requests.

@@ -184,7 +184,10 @@ type RunStatus struct {
 	Kind  string `json:"kind"`  // "run" | "experiments"
 	State string `json:"state"` // queued | running | done | failed
 	Error string `json:"error,omitempty"`
-	// Stats is the simulation result for kind "run".
+	// Stats is the simulation result for kind "run". Its wall-seconds
+	// field reads 0: ElapsedSeconds is the request's host time. Only a
+	// store object written before that rule may still carry a nonzero
+	// value, until the store's ModelVersion retires it.
 	Stats *core.Stats `json:"stats,omitempty"`
 	// Tables holds the rendered tables for kind "experiments", in
 	// requested order.

@@ -462,7 +462,6 @@ func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := *loops.Stats
-	got.WallSeconds = want.WallSeconds
 	if got != *want {
 		t.Errorf("loops run differs from a loop-diverge simulation\nserved: %v\ndirect: %v", &got, want)
 	}
