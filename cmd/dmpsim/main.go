@@ -288,6 +288,12 @@ func run(args []string) error {
 	if *mergeSt {
 		fmt.Print(mergeStatsLine(st))
 	}
+	if cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP {
+		// The knobs whose flip could have changed a decision of this run
+		// (core.Evidence): requests that differ only in the others share it.
+		ev := m.Evidence()
+		fmt.Printf("knobs exercised   %12s %s\n", "", ev.Describe(cfg))
+	}
 	printHostThroughput(p, cfg.MaxInsts, perSec(float64(st.RetiredInsts), wall))
 	return nil
 }

@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 
-	"dmp/internal/isa"
 	"dmp/internal/merge"
 	"dmp/internal/prog"
 )
@@ -372,11 +371,11 @@ func (c Config) Canonical() Config {
 }
 
 // FoldFor returns the identity of the simulation c runs on p: its
-// Canonical form, further folded by facts of p that leave some knobs
+// Canonical form, further folded by a fact of p that leaves some knobs
 // unreachable. Two configurations with equal FoldFor values on one
 // program give bit-identical Stats, though their Canonical values (and
-// so their result-cache keys) differ. The rules, each exact by reading
-// the code:
+// so their result-cache keys) differ. The one rule, exact by reading the
+// code:
 //
 //   - No admissible mark. DHP, or DMP with the annotated CFM source,
 //     predicates only branches whose mark passes admits (episodeDiverge
@@ -386,50 +385,25 @@ func (c Config) Canonical() Config {
 //     baseline with the same predictor, confidence estimator, geometry
 //     and limits. The baseline reads no annotation, so the fold also
 //     drops EnableLoopDiverge, which only selects the annotated program.
-//   - DHP to DMP. When every mark DMP admits is a simple hammock, the DHP
-//     and DMP filters in admits agree, and core reads Mode nowhere else
-//     that tells the two apart.
-//   - Merge-table size. The runtime merge predictor (DMP with a dynamic
-//     or hybrid CFM source) allocates an entry only for the PC of a
-//     conditional branch (isa.BR) and reads its size only when the table
-//     is full, so a table that holds every conditional branch of p never
-//     evicts: any size of at least that count is that count.
+//
+// Knobs that a run merely never exercised are shared at run time instead,
+// within a Family, on the run's Evidence. The rule stays static because
+// it crosses into the baseline's family.
 //
 // Sampled, dual-path and perfect-CBP configurations fold to Canonical.
 func (c Config) FoldFor(p *prog.Program) Config {
 	c = c.Canonical()
-	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) {
+	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) || c.CFMSource != "annotated" {
 		return c
 	}
-	if c.CFMSource != "annotated" {
-		// Dynamic or hybrid: Canonical left only DMP here.
-		brs := 0
-		for _, in := range p.Code {
-			if in.Op == isa.BR {
-				brs++
-			}
-		}
-		if c.MergeTableSize >= brs {
-			c.MergeTableSize = max(brs, 1)
-		}
-		return c
-	}
-	dmp := c
-	dmp.Mode = ModeDMP
-	admitted, complex := false, false
 	for _, d := range p.Diverge {
-		admitted = admitted || admits(&c, d)
-		complex = complex || (admits(&dmp, d) && d.Class != prog.ClassSimpleHammock)
+		if admits(&c, d) {
+			return c
+		}
 	}
-	switch {
-	case !admitted:
-		base := c
-		base.Mode = ModeBaseline
-		return base.Canonical()
-	case !complex:
-		return dmp
-	}
-	return c
+	base := c
+	base.Mode = ModeBaseline
+	return base.Canonical()
 }
 
 // Validate reports configuration errors.

@@ -82,6 +82,7 @@ type episode struct {
 	divergeGen            uint32
 
 	cfms      []uint64 // candidate CFM points (CAM contents)
+	moreCFMs  []uint64 // the region's CFM points after the first, whatever cfms holds (Evidence.MultipleCFM)
 	cfm       uint64   // CFM chosen by the predicted path (valid once chosen)
 	cfmChosen bool
 	phase     dpPhase
@@ -103,6 +104,7 @@ type episode struct {
 
 	altFetched    int // alternate-path instructions fetched (early exit)
 	exitThreshold int
+	ownExit       bool // exitThreshold is the region's own, not Config.EarlyExitDefault
 
 	exitCase  ExitCase
 	converted bool // reverted to a normal branch (early exit or MDB)

@@ -80,20 +80,26 @@ func (m *Machine) fetchStage() {
 	slots, brs := m.cfg.FetchWidth, 0
 	for slots > 0 && len(m.feq) < m.feqCap && !m.fetchHalted {
 		if ep := m.feEp; ep != nil {
-			if ep.phase == dpAlternate && m.cfg.EarlyExit && ep.altFetched >= ep.exitThreshold {
-				m.earlyExit(ep)
-				slots--
-				continue
-			}
-			if ep.phase == dpPredicted && m.cfmHit(ep, m.fetchPC) {
-				m.switchToAlternate(ep)
-				slots--
-				continue
-			}
-			if ep.phase == dpAlternate && m.fetchPC == ep.cfm {
-				m.exitPredication(ep)
-				slots--
-				continue
+			switch ep.phase {
+			case dpAlternate:
+				m.noteAltTest(ep)
+				if m.cfg.EarlyExit && ep.altFetched >= ep.exitThreshold {
+					m.earlyExit(ep)
+					slots--
+					continue
+				}
+				if m.fetchPC == ep.cfm {
+					m.exitPredication(ep)
+					slots--
+					continue
+				}
+			case dpPredicted:
+				m.noteCFMTest(ep, m.fetchPC)
+				if m.cfmHit(ep, m.fetchPC) {
+					m.switchToAlternate(ep)
+					slots--
+					continue
+				}
 			}
 		}
 		redirected, isCond := m.fetchOne()
@@ -294,21 +300,33 @@ func (m *Machine) maybeEnterDP(u *uop) bool {
 	if !u.lowConf {
 		return false
 	}
-	d, lk := m.episodeDiverge(m.prog, u.pc)
+	d, lk, hammockless := m.episodeDiverge(m.prog, u.pc)
 	switch lk {
 	case mergeHit:
 		m.Stats.MergeHits++
 	case mergeMiss:
 		m.Stats.MergeMisses++
 	}
+	if d == nil && !hammockless {
+		return false
+	}
+	ep := m.liveEp()
+	convertible := ep != nil && m.feEp == ep && ep.phase == dpPredicted
+	// Evidence: could the other value of a knob decide differently here?
+	if convertible {
+		m.ev.MultipleDiverge = true
+	}
+	if hammockless && (ep == nil || convertible) {
+		m.ev.DHPFilter = true
+	}
 	if d == nil {
 		return false
 	}
-	if ep := m.liveEp(); ep != nil {
+	if ep != nil {
 		// Section 2.7.3: on the predicted path, give up on the current
 		// episode and re-enter for the newer diverge branch. Anywhere
 		// else, ignore the newcomer.
-		if m.cfg.MultipleDiverge && m.feEp == ep && ep.phase == dpPredicted {
+		if m.cfg.MultipleDiverge && convertible {
 			m.Stats.MDBConversions++
 			if m.probe != nil {
 				m.probeEpisode(EpMDBConvert, ep)
@@ -330,7 +348,7 @@ func (m *Machine) maybeEnterDP(u *uop) bool {
 func (m *Machine) liveEp() *episode { return m.live }
 
 func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
-	cfms := d.CFMs
+	cfms, more := d.CFMs, d.CFMs[1:]
 	if !m.cfg.MultipleCFM {
 		cfms = cfms[:1]
 	}
@@ -344,10 +362,12 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		divergeU:       u.ref,
 		divergeGen:     u.gen,
 		cfms:           cfms,
+		moreCFMs:       more,
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
 		predID1:        m.preds.alloc(),
 		exitThreshold:  m.exitThreshold(d),
+		ownExit:        d.ExitThreshold > 0,
 		loop:           d.Loop,
 		dynCFM:         dyn,
 		rasAtDiverge:   ep.rasAtDiverge,
@@ -358,7 +378,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		// d points at the scratch dynDiv: give the episode its
 		// own copy of the single learned CFM so the scratch can be reused.
 		ep.cfmStore[0] = cfms[0]
-		ep.cfms = ep.cfmStore[:1]
+		ep.cfms, ep.moreCFMs = ep.cfmStore[:1], nil
 		m.Stats.DynCFMEpisodes++
 	}
 	if u.predictedTaken {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dmp/internal/bpred"
 	"dmp/internal/emu"
@@ -102,6 +103,9 @@ type Machine struct {
 	wdRetired  uint64
 	wdProgress uint64
 
+	// ev is the run's knob evidence (Evidence), kept beside Stats.
+	ev Evidence
+
 	Stats Stats
 }
 
@@ -142,6 +146,7 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 
 	m.oracle = newFetchOracle(emu.New(p), m.oracleWindow())
 	m.fetchPC = p.Entry
+	m.ev.Recorded = true
 	m.rat.e[isa.SP] = ratEntry{val: p.StackBase}
 	return m, nil
 }
@@ -158,6 +163,7 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m.feqCap = cfg.FetchQueueSize + cfg.frontEndDelay()*cfg.FetchWidth
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
+	m.ev.AltSlack = math.MaxInt
 	// Twice each queue's bound, so pushQueue never reallocates.
 	m.robBuf = make([]uopRef, 2*cfg.ROBSize)
 	m.rob = m.robBuf[:0]

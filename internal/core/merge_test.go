@@ -23,7 +23,8 @@ func TestEmptyCFMListFallsBack(t *testing.T) {
 // TestEpisodeEntryRule pins the filters of the episode-entry rule fetch
 // and functional warming share (WarmState.episodeDiverge): DHP predicates
 // only simple hammocks, and a loop-marked diverge branch is predicated
-// only with EnableLoopDiverge. Every branch is low-confidence, so the one
+// only with EnableLoopDiverge. A region DMP admits that is not a simple
+// hammock is reported in either mode (Evidence.DHPFilter). Every branch is low-confidence, so the one
 // annotated branch enters an episode exactly when the rule admits it.
 func TestEpisodeEntryRule(t *testing.T) {
 	for _, mode := range []Mode{ModeDMP, ModeDHP} {
@@ -42,11 +43,15 @@ func TestEpisodeEntryRule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, _ := ws.episodeDiverge(p, brPC)
+					d, _, hammockless := ws.episodeDiverge(p, brPC)
 					st := runBoth(t, p, cfg)
 					if got := d != nil; got != admitted {
 						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge admitted=%v, want %v",
 							mode, class, loop, enable, got, admitted)
+					}
+					if want := class != prog.ClassSimpleHammock && !(loop && !enable); hammockless != want {
+						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge hammockless=%v, want %v",
+							mode, class, loop, enable, hammockless, want)
 					}
 					if got := st.Episodes != 0; got != admitted {
 						t.Errorf("%v class=%v loop=%v enable=%v: %d episodes, want admitted=%v",

@@ -226,7 +226,12 @@ func (s *Stats) String() string {
 //     end recorded as wrong-path, and no more than FetchedInsts;
 //   - the oracle resumes only after pausing: OracleResumes ≤
 //     OraclePauses ≤ OracleResumes + 1;
-//   - RetiredMispredicts ≤ RetiredBranches.
+//   - RetiredMispredicts ≤ RetiredBranches;
+//   - the counters of the knob-driven conversions agree with the run's
+//     Evidence: EarlyExits > 0 only if early exit fires on the recorded
+//     trajectory at the run's threshold, MDBConversions > 0 only if
+//     MultipleDiverge is exercised, and MergeEvictions > 0 only if the
+//     merge table's peak occupancy reached its size.
 func (m *Machine) CheckStats() error {
 	st := &m.Stats
 	if !m.finished {
@@ -245,6 +250,18 @@ func (m *Machine) CheckStats() error {
 	}
 	if st.RetiredMispredicts > st.RetiredBranches {
 		return fmt.Errorf("core: %d retired mispredicts of %d retired branches", st.RetiredMispredicts, st.RetiredBranches)
+	}
+	ev := m.Evidence()
+	if st.EarlyExits > 0 && !ev.exits(m.cfg.EarlyExit, m.cfg.EarlyExitDefault) {
+		return fmt.Errorf("core: %d early exits, but no alternate path reached its threshold (longest %d, least own slack %d)",
+			st.EarlyExits, ev.AltLongest, ev.AltSlack)
+	}
+	if st.MDBConversions > 0 && !ev.MultipleDiverge {
+		return fmt.Errorf("core: %d multiple-diverge conversions, but no diverge branch met a live predicted path", st.MDBConversions)
+	}
+	if st.MergeEvictions > 0 && (m.merge == nil || ev.MergePeak != m.merge.Size()) {
+		return fmt.Errorf("core: %d merge-table evictions, but the table's peak occupancy %d is not its size",
+			st.MergeEvictions, ev.MergePeak)
 	}
 	return nil
 }

@@ -129,15 +129,19 @@ const (
 
 // admits is the static filter of the episode-entry rule: whether a
 // machine configured as cfg may predicate a branch whose diverge region
-// is d. A missing region, a region with no CFM point, a region other
-// than a simple hammock under DHP, and a loop diverge without
-// EnableLoopDiverge are filtered. episodeDiverge applies it to every
+// is d. A missing region, a region with no CFM point, a loop diverge
+// without EnableLoopDiverge (dmpAdmits), and under DHP a region other
+// than a simple hammock are filtered. episodeDiverge applies it to every
 // region, annotated or learned; Config.FoldFor applies it to a
 // program's marks.
 func admits(cfg *Config, d *prog.Diverge) bool {
-	return d != nil && len(d.CFMs) > 0 &&
-		(cfg.Mode != ModeDHP || d.Class == prog.ClassSimpleHammock) &&
-		(!d.Loop || cfg.EnableLoopDiverge)
+	return dmpAdmits(cfg, d) && (cfg.Mode != ModeDHP || d.Class == prog.ClassSimpleHammock)
+}
+
+// dmpAdmits is admits without DHP's simple-hammock filter: the filter
+// cfg would apply under DMP.
+func dmpAdmits(cfg *Config, d *prog.Diverge) bool {
+	return d != nil && len(d.CFMs) > 0 && (!d.Loop || cfg.EnableLoopDiverge)
 }
 
 // episodeDiverge is the episode-entry rule fetch (Machine.maybeEnterDP)
@@ -150,9 +154,11 @@ func admits(cfg *Config, d *prog.Diverge) bool {
 // the annotation is ignored; under hybrid it wins when present. The
 // region is then filtered by admits. A predictor hit is synthesized into
 // the scratch dynDiv — the caller copies the CFM out, so the next call
-// may reuse it.
-func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (*prog.Diverge, mergeLookup) {
-	d, lk := p.DivergeAt(pc), mergeNotAsked
+// may reuse it. hammockless reports a region DMP admits that is not a
+// simple hammock, whether or not cfg is DHP and so drops it: the entry
+// decision DHP and DMP disagree on (Evidence.DHPFilter).
+func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (d *prog.Diverge, lk mergeLookup, hammockless bool) {
+	d, lk = p.DivergeAt(pc), mergeNotAsked
 	if ws.merge != nil && (d == nil || ws.cfg.CFMSource == "dynamic") {
 		d, lk = nil, mergeMiss
 		if pr, ok := ws.merge.Lookup(pc); ok {
@@ -171,10 +177,13 @@ func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (*prog.Diverge, 
 			d = &ws.dynDiv
 		}
 	}
-	if !admits(&ws.cfg, d) {
-		return nil, lk
+	switch {
+	case !dmpAdmits(&ws.cfg, d):
+		return nil, lk, false
+	case !admits(&ws.cfg, d):
+		return nil, lk, true
 	}
-	return d, lk
+	return d, lk, d.Class != prog.ClassSimpleHammock
 }
 
 // exitThreshold is the early-exit threshold of an episode over d: the
@@ -307,7 +316,7 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, rg 
 	if (ws.cfg.Mode != ModeDMP && ws.cfg.Mode != ModeDHP) || rg.n > 0 {
 		return false
 	}
-	d, _ := ws.episodeDiverge(em.Prog, pc)
+	d, _, _ := ws.episodeDiverge(em.Prog, pc)
 	if d == nil {
 		return false
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"dmp/internal/core"
-	"dmp/internal/isa"
 	"dmp/internal/sched"
 	"dmp/internal/workload"
 )
@@ -39,7 +39,7 @@ func (r *recordingBacking) Store(sched.Key, *core.Stats) {}
 func requestedConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	o := Options{Scale: 1, Benchmarks: []string{"mcf"}}.norm()
-	st, err := simulate("mcf", core.DefaultConfig(), o)
+	st, _, err := simulate("mcf", core.DefaultConfig(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,30 +67,33 @@ func requestedConfigs(t *testing.T) []core.Config {
 }
 
 // knobSweep varies each predication knob on its own from the basic DMP,
-// DHP and enhanced DMP machines, with the merge-table size one below, at
-// and one above brs, the number of conditional branches in the code
-// image.
-func knobSweep(brs int) []core.Config {
+// DHP and enhanced DMP machines: each enhancement alone, early exit off
+// and on at default thresholds 8, 64 and 1<<20, and the dynamic and
+// hybrid CFM sources (mergeSizes adds the merge-table sizes around a
+// run's peak occupancy). The knobs no evidence vouches for (loop
+// diverge, selective predictor update, the alternate path's history,
+// the confidence estimator) are varied from enhanced DMP alone, which
+// keeps them in the fold check without multiplying the families.
+func knobSweep() []core.Config {
 	var cfgs []core.Config
 	for _, base := range []core.Config{core.DMPConfig(), core.DHPConfig(), core.EnhancedDMPConfig()} {
 		edits := []func(*core.Config){
 			func(*core.Config) {},
 			func(c *core.Config) { c.MultipleCFM = !c.MultipleCFM },
-			func(c *core.Config) { c.EarlyExit = !c.EarlyExit },
-			func(c *core.Config) { c.EarlyExit, c.EarlyExitDefault = true, 8 },
+			func(c *core.Config) { c.EarlyExit = false },
 			func(c *core.Config) { c.MultipleDiverge = !c.MultipleDiverge },
-			func(c *core.Config) { c.EnableLoopDiverge = true },
-			func(c *core.Config) { c.SelectiveBPUpdate = true },
-			func(c *core.Config) { c.KeepAlternateGHR = true },
-			func(c *core.Config) { c.ConfidenceName = "always-low" },
+			func(c *core.Config) { c.CFMSource = "dynamic" },
+			func(c *core.Config) { c.CFMSource = "hybrid" },
 		}
-		for _, src := range []string{"dynamic", "hybrid"} {
-			edits = append(edits, func(c *core.Config) { c.CFMSource = src })
-			for _, n := range []int{brs - 1, brs, brs + 1} {
-				if n > 0 {
-					edits = append(edits, func(c *core.Config) { c.CFMSource, c.MergeTableSize = src, n })
-				}
-			}
+		for _, thr := range []int{8, 64, 1 << 20} {
+			edits = append(edits, func(c *core.Config) { c.EarlyExit, c.EarlyExitDefault = true, thr })
+		}
+		if base.MultipleCFM {
+			edits = append(edits,
+				func(c *core.Config) { c.EnableLoopDiverge = true },
+				func(c *core.Config) { c.SelectiveBPUpdate = true },
+				func(c *core.Config) { c.KeepAlternateGHR = true },
+				func(c *core.Config) { c.ConfidenceName = "always-low" })
 		}
 		for _, edit := range edits {
 			c := base
@@ -101,55 +104,206 @@ func knobSweep(brs int) []core.Config {
 	return cfgs
 }
 
-// foldCase is one program the fold is checked on.
+// mergeSizes returns cfg, a DMP configuration with a dynamic or hybrid
+// CFM source, at merge-table sizes one below, at and one above peak.
+func mergeSizes(cfg core.Config, peak int) []core.Config {
+	var cfgs []core.Config
+	for _, n := range []int{peak - 1, peak, peak + 1} {
+		if n > 0 {
+			c := cfg
+			c.MergeTableSize = n
+			cfgs = append(cfgs, c)
+		}
+	}
+	return cfgs
+}
+
+// foldCase is one program the differential tests run on.
 type foldCase struct {
 	bench string
 	scale int
 }
 
-// TestFoldForIsExact is the differential test behind the result cache's
-// simulation sharing: wherever Config.FoldFor folds a configuration
-// further than Canonical, the configuration and its fold must give
-// bit-identical Stats (host time aside) on the program it runs on. It
-// covers every configuration the experiments request and a sweep of
-// each predication knob, on the fifteen benchmarks at scales 1 and 3
-// and on twenty generated programs (-short drops scale 3). It also
-// checks that sampled, dual-path and perfect-CBP configurations are
-// never folded.
-func TestFoldForIsExact(t *testing.T) {
-	requested := requestedConfigs(t)
-	scales := []int{1, 3}
-	if testing.Short() {
-		scales = scales[:1]
-	}
-	var cases []foldCase
-	for _, scale := range scales {
-		for _, b := range workload.Names() {
-			cases = append(cases, foldCase{b, scale})
-		}
-	}
-	for seed := 1; seed <= 20; seed++ {
-		cases = append(cases, foldCase{fmt.Sprintf("%s%d", workload.GenPrefix, seed), 1})
-	}
+// soloKey names one configuration's own run on one program.
+type soloKey struct {
+	c   foldCase
+	cfg core.Config
+}
 
-	type pair struct {
-		c     foldCase
-		cfg   core.Config
-		folds core.Config
-	}
-	var pairs []pair
-	folded := 0
-	for _, c := range cases {
-		plain := programFor(c.bench, c.scale, core.DefaultConfig())
-		if plain.err != nil {
-			t.Fatalf("%s scale %d: %v", c.bench, c.scale, plain.err)
+// soloRun is a configuration's own run: its Stats and knob evidence.
+type soloRun struct {
+	st  *core.Stats
+	ev  core.Evidence
+	err error
+}
+
+// solos memoizes solo runs for the whole test process: the differential
+// tests and TestShareCountsOrderIndependent ask for many of the same.
+var solos sync.Map // soloKey -> *soloEntry
+
+type soloEntry struct {
+	once sync.Once
+	r    soloRun
+}
+
+// solo returns k's run, simulating it on first request.
+func solo(k soloKey) soloRun {
+	v, _ := solos.LoadOrStore(k, &soloEntry{})
+	e := v.(*soloEntry)
+	e.once.Do(func() {
+		e.r.st, e.r.ev, e.r.err = simulate(k.c.bench, k.cfg, Options{Scale: k.c.scale})
+		if e.r.err != nil {
+			e.r.err = fmt.Errorf("%s scale %d %+v: %w", k.c.bench, k.c.scale, k.cfg, e.r.err)
 		}
-		brs := 0
-		for _, in := range plain.p.Code {
-			if in.Op == isa.BR {
-				brs++
+	})
+	return e.r
+}
+
+// differential is the workload TestFoldForIsExact and TestEvidenceIsExact
+// share: for every case, the canonical configurations checked on it (the
+// experiments' requests and the knob sweep) and the solo runs the checks
+// compare.
+type differential struct {
+	cases []foldCase
+	cfgs  map[foldCase][]core.Config
+	need  map[soloKey]bool
+	err   error
+}
+
+var (
+	diffOnce sync.Once
+	diffRuns differential
+)
+
+// differentialRuns builds (once per process) the shared workload: the
+// fifteen benchmarks at scales 1 and 3 (-short drops scale 3) and twenty
+// generated programs at scale 1. A configuration is simulated when a
+// check needs it: it folds further than Canonical (FoldFor), it is the
+// fold of one, or its simulation key shares a Family with another. The
+// merge-table sizes around each dynamic and hybrid sweep run's peak
+// occupancy are added once those runs are in.
+func differentialRuns(t *testing.T) *differential {
+	t.Helper()
+	diffOnce.Do(func() {
+		d := &diffRuns
+		requested := requestedConfigs(t)
+		scales := []int{1, 3}
+		if testing.Short() {
+			scales = scales[:1]
+		}
+		for _, scale := range scales {
+			for _, b := range workload.Names() {
+				d.cases = append(d.cases, foldCase{b, scale})
 			}
 		}
+		for seed := 1; seed <= 20; seed++ {
+			d.cases = append(d.cases, foldCase{fmt.Sprintf("%s%d", workload.GenPrefix, seed), 1})
+		}
+		d.cfgs = map[foldCase][]core.Config{}
+		d.need = map[soloKey]bool{}
+		sweep := knobSweep()
+		for _, c := range d.cases {
+			d.add(c, append(append([]core.Config(nil), requested...), sweep...))
+		}
+		if d.err = d.simulate(); d.err != nil {
+			return
+		}
+		for _, c := range d.cases {
+			var more []core.Config
+			for _, cfg := range sweep {
+				if cfg.CFMSource == "annotated" || cfg.Mode != core.ModeDMP {
+					continue
+				}
+				peak := solo(soloKey{c, d.simKey(c, cfg)}).ev.MergePeak
+				more = append(more, mergeSizes(cfg, peak)...)
+			}
+			d.add(c, more)
+		}
+		d.err = d.simulate()
+	})
+	if diffRuns.err != nil {
+		t.Fatal(diffRuns.err)
+	}
+	return &diffRuns
+}
+
+// simKey returns cfg's simulation key on case c (its fold for c's program).
+func (d *differential) simKey(c foldCase, cfg core.Config) core.Config {
+	return cfg.FoldFor(programFor(c.bench, c.scale, cfg).p)
+}
+
+// add records cfgs (canonicalized, without repeats) for case c and marks
+// the runs the checks need.
+func (d *differential) add(c foldCase, cfgs []core.Config) {
+	seen := map[core.Config]bool{}
+	for _, cfg := range d.cfgs[c] {
+		seen[cfg] = true
+	}
+	for _, cfg := range cfgs {
+		if canon := cfg.Canonical(); !seen[canon] {
+			seen[canon] = true
+			d.cfgs[c] = append(d.cfgs[c], canon)
+		}
+	}
+	members := map[core.Config]map[core.Config]bool{}
+	for _, canon := range d.cfgs[c] {
+		f := d.simKey(c, canon)
+		if f != canon {
+			d.need[soloKey{c, canon}] = true
+			d.need[soloKey{c, f}] = true
+		}
+		if members[f.Family()] == nil {
+			members[f.Family()] = map[core.Config]bool{}
+		}
+		members[f.Family()][f] = true
+	}
+	for _, keys := range members {
+		if len(keys) > 1 {
+			for f := range keys {
+				d.need[soloKey{c, f}] = true
+			}
+		}
+	}
+}
+
+// simulate runs every needed solo run, on every CPU.
+func (d *differential) simulate() error {
+	work := make(chan soloKey)
+	errs := make(chan error, len(d.need))
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.NumCPU(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range work {
+				errs <- solo(k).err
+			}
+		}()
+	}
+	for k := range d.need {
+		work <- k
+	}
+	close(work)
+	wg.Wait()
+	close(errs)
+	var all []error
+	for err := range errs {
+		all = append(all, err)
+	}
+	return errors.Join(all...)
+}
+
+// TestFoldForIsExact is the differential test behind the result cache's
+// static simulation sharing: wherever Config.FoldFor folds a
+// configuration further than Canonical, the configuration and its fold
+// must give bit-identical Stats on the program it runs on. It covers
+// every configuration the experiments request and a sweep of each
+// predication knob (differentialRuns). It also checks that sampled,
+// dual-path and perfect-CBP configurations are never folded.
+func TestFoldForIsExact(t *testing.T) {
+	d := differentialRuns(t)
+	folded := 0
+	for _, c := range d.cases {
 		unfolded := []core.Config{core.DefaultConfig()}
 		for _, m := range []core.Mode{core.ModePerfect, core.ModeDualPath} {
 			u := core.EnhancedDMPConfig()
@@ -160,86 +314,85 @@ func TestFoldForIsExact(t *testing.T) {
 		s.SampleMode = true
 		unfolded = append(unfolded, s)
 		for _, u := range unfolded {
-			pe := programFor(c.bench, c.scale, u)
-			if got := u.FoldFor(pe.p); got != u.Canonical() {
+			if got := d.simKey(c, u); got != u.Canonical() {
 				t.Errorf("%s scale %d: %v config folded to %+v", c.bench, c.scale, u.Mode, got)
 			}
 		}
-		seen := map[core.Config]bool{}
-		for _, cfg := range append(append([]core.Config(nil), requested...), knobSweep(brs)...) {
-			canon := cfg.Canonical()
-			if seen[canon] {
-				continue
-			}
-			seen[canon] = true
-			pe := programFor(c.bench, c.scale, cfg)
-			if pe.err != nil {
-				t.Fatalf("%s scale %d: %v", c.bench, c.scale, pe.err)
-			}
-			f := cfg.FoldFor(pe.p)
+		for _, canon := range d.cfgs[c] {
+			f := d.simKey(c, canon)
 			if f == canon {
 				continue
 			}
-			if f != f.FoldFor(programFor(c.bench, c.scale, f).p) {
+			folded++
+			if f != d.simKey(c, f) {
 				t.Errorf("%s scale %d: FoldFor is not idempotent on %+v", c.bench, c.scale, f)
 			}
-			pairs = append(pairs, pair{c, canon, f})
-			folded++
+			a, b := solo(soloKey{c, canon}).st, solo(soloKey{c, f}).st
+			if *a != *b {
+				t.Errorf("%s scale %d: %+v folds to %+v, but their Stats differ\nconfig: %v\nfolded: %v",
+					c.bench, c.scale, canon, f, a, b)
+			}
 		}
 	}
 	if folded == 0 {
 		t.Fatal("no configuration folded: the test checks nothing")
 	}
+	t.Logf("%d folded configurations checked", folded)
+}
 
-	// Simulate each distinct (program, configuration) once, on every CPU.
-	type runKey struct {
-		c   foldCase
-		cfg core.Config
-	}
-	runs := map[runKey]*core.Stats{}
-	var todo []runKey
-	for _, p := range pairs {
-		for _, k := range []runKey{{p.c, p.cfg}, {p.c, p.folds}} {
-			if _, ok := runs[k]; !ok {
-				runs[k] = nil
-				todo = append(todo, k)
+// TestEvidenceIsExact is the differential test behind sharing on run-time
+// evidence: wherever a run's knob evidence answers another simulation key
+// of its family on the same program (core.Evidence.Answers), that key's
+// solo run must give bit-identical Stats and record equal evidence (which
+// makes "answers" an equivalence relation, and the result cache's
+// simulation count independent of request order). Its inputs are the
+// configurations the experiments request and a sweep of each predication
+// knob (differentialRuns): each enhancement alone, DHP and DMP, early exit
+// off and on at three default thresholds, and merge-table sizes around
+// each run's peak occupancy.
+func TestEvidenceIsExact(t *testing.T) {
+	d := differentialRuns(t)
+	pairs, answered, runs := 0, 0, 0
+	for _, c := range d.cases {
+		families := map[core.Config][]core.Config{}
+		seen := map[core.Config]bool{}
+		for _, canon := range d.cfgs[c] {
+			f := d.simKey(c, canon)
+			if !seen[f] {
+				seen[f] = true
+				families[f.Family()] = append(families[f.Family()], f)
 			}
 		}
-	}
-	var mu sync.Mutex
-	work := make(chan runKey)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.NumCPU(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range work {
-				st, err := simulate(k.c.bench, k.cfg, Options{Scale: k.c.scale})
-				if err != nil {
-					t.Errorf("%s scale %d %+v: %v", k.c.bench, k.c.scale, k.cfg, err)
-					continue
+		for _, keys := range families {
+			if len(keys) < 2 {
+				continue
+			}
+			runs += len(keys)
+			for _, a := range keys {
+				ra := solo(soloKey{c, a})
+				if (a.Mode == core.ModeDMP || a.Mode == core.ModeDHP) && !a.SampleMode && !ra.ev.Recorded {
+					t.Errorf("%s scale %d: the run of %+v recorded no evidence", c.bench, c.scale, a)
 				}
-				mu.Lock()
-				runs[k] = st
-				mu.Unlock()
+				for _, b := range keys {
+					if a == b {
+						continue
+					}
+					pairs++
+					if !ra.ev.Answers(a, b) {
+						continue
+					}
+					answered++
+					rb := solo(soloKey{c, b})
+					if *ra.st != *rb.st || ra.ev != rb.ev {
+						t.Errorf("%s scale %d: the run of %+v answers %+v, but their runs differ\nran:  %v %+v\nsolo: %v %+v",
+							c.bench, c.scale, a, b, ra.st, ra.ev, rb.st, rb.ev)
+					}
+				}
 			}
-		}()
-	}
-	for _, k := range todo {
-		work <- k
-	}
-	close(work)
-	wg.Wait()
-
-	for _, p := range pairs {
-		a, b := runs[runKey{p.c, p.cfg}], runs[runKey{p.c, p.folds}]
-		if a == nil || b == nil {
-			continue
-		}
-		if *a != *b {
-			t.Errorf("%s scale %d: %+v folds to %+v, but their Stats differ\nconfig: %v\nfolded: %v",
-				p.c.bench, p.c.scale, p.cfg, p.folds, a, b)
 		}
 	}
-	t.Logf("%d folded configurations checked with %d simulations", folded, len(todo))
+	if answered == 0 || answered == pairs {
+		t.Fatalf("evidence answered %d of %d pairs: want some answered and some not", answered, pairs)
+	}
+	t.Logf("evidence answered %d of %d ordered pairs over %d runs; %d solo runs in all", answered, pairs, runs, len(d.need))
 }

@@ -19,10 +19,11 @@ import (
 // and loopdiverge — and the simulator is deterministic, so every repeat
 // after the first is a map lookup. Below the request entries, requests
 // whose configurations fold to one machine for their program
-// (core.Config.FoldFor) share one simulation. This file is now only the glue
-// between experiments and the scheduler: it builds the sched.Key,
-// supplies the computation (simulate), and re-exports the counters the
-// CLI prints. The cache machinery itself — singleflight entries, the
+// (core.Config.FoldFor), or whose predication knobs a finished run shows
+// it never exercised (core.Evidence), share one simulation. This file is
+// now only the glue between experiments and the scheduler: it builds the
+// sched.Key, supplies the computation (simulate), and re-exports the
+// counters the CLI prints. The cache machinery itself — singleflight entries, the
 // frozen-Stats snapshot guard, the worker pool, the optional persistent
 // backing store the dmpserve daemon installs — lives in internal/sched
 // (and internal/store for the on-disk half).
@@ -66,13 +67,22 @@ func SimCounts() (hits, misses uint64) {
 // POST /v1/runs come through here. cfg is an exact configuration; sampled
 // runs go through sampleCached. The request is keyed by the canonical
 // configuration, and the simulation by its fold for the program it runs
-// on (core.Config.FoldFor), so requests for one machine share a run. The
-// returned Stats are shared and frozen — Clone before mutating.
+// on (core.Config.FoldFor), so requests for one machine share a run; a
+// finished run also answers the requests of its family that its knob
+// evidence answers (core.Evidence). The returned Stats are shared and
+// frozen — Clone before mutating.
 func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	o = o.norm()
+	return runOn(simCache, sched.Shared(o.Parallel), bench, cfg, o, simulate)
+}
+
+// runOn is RunOne on cache c with worker pool pool, computing a missing
+// simulation with run: simulate, or in tests a memo of it.
+func runOn(c *sched.Cache, pool *sched.Pool, bench string, cfg core.Config, o Options,
+	run func(string, core.Config, Options) (*core.Stats, core.Evidence, error)) (*core.Stats, error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.Canonical()}
-	return simCache.Do(key, sched.Job{
-		Pool: sched.Shared(o.Parallel),
+	return c.Do(key, sched.Job{
+		Pool: pool,
 		Span: o.Span,
 		SimKey: func() (sched.Key, error) {
 			pe := programFor(bench, o.Scale, cfg)
@@ -81,32 +91,33 @@ func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 			}
 			return sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.FoldFor(pe.p)}, nil
 		},
-		Run: func(*telemetry.Span) (*core.Stats, error) {
-			return simulate(bench, cfg, o)
+		Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+			return run(bench, cfg, o)
 		},
 	})
 }
 
 // simulate is the uncached simulation behind RunOne: one benchmark, one
-// machine configuration, one run. The result is detached from the
-// Machine (Clone) so the cache does not pin simulator state.
-func simulate(bench string, cfg core.Config, o Options) (*core.Stats, error) {
+// machine configuration, one run, with the run's knob evidence. The
+// result is detached from the Machine (Clone) so the cache does not pin
+// simulator state.
+func simulate(bench string, cfg core.Config, o Options) (*core.Stats, core.Evidence, error) {
 	pe := programFor(bench, o.Scale, cfg)
 	if pe.err != nil {
-		return nil, pe.err
+		return nil, core.Evidence{}, pe.err
 	}
 	cfg.CheckRetirement = true
 	m, err := core.New(pe.p, cfg)
 	if err != nil {
-		return nil, err
+		return nil, core.Evidence{}, err
 	}
 	st, err := m.Run()
 	if err != nil {
 		// The benchmark name is attached by the caller (runSuite names
 		// every failing benchmark at its errors.Join point).
-		return nil, fmt.Errorf("under %v: %w", cfg.Mode, err)
+		return nil, core.Evidence{}, fmt.Errorf("under %v: %w", cfg.Mode, err)
 	}
-	return st.Clone(), nil
+	return st.Clone(), m.Evidence(), nil
 }
 
 // --- sampled-run memo ---

@@ -10,6 +10,7 @@ import (
 
 	"dmp/internal/core"
 	"dmp/internal/sample"
+	"dmp/internal/sched"
 	"dmp/internal/store"
 )
 
@@ -42,7 +43,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	o := simOpts()
 	for name, cfg := range modeConfigs() {
 		for _, bench := range o.Benchmarks {
-			fresh, err := simulate(bench, cfg, o)
+			fresh, _, err := simulate(bench, cfg, o)
 			if err != nil {
 				t.Fatalf("%s/%s fresh: %v", name, bench, err)
 			}
@@ -64,7 +65,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	}
 	loops := core.EnhancedDMPConfig()
 	loops.EnableLoopDiverge = true
-	fresh, err := simulate("gzip", loops, o)
+	fresh, _, err := simulate("gzip", loops, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRecomputedResultIsIdentical(t *testing.T) {
 	cfg := core.EnhancedDMPConfig()
 	exact := func() *core.Stats {
 		t.Helper()
-		st, err := simulate(bench, cfg, o)
+		st, _, err := simulate(bench, cfg, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +229,11 @@ func TestSimCacheConcurrentExperiments(t *testing.T) {
 	// Everything above needs only baseline, basic-DMP and enhanced-DMP:
 	// three configurations, two benchmarks. perlbmk carries no
 	// admissible diverge mark at scale 1, so both of its DMP machines
-	// are its baseline: four simulations for six requests.
-	if c := simCache.Counts(); c.Computed != 4 || c.Shared != 2 {
-		t.Errorf("concurrent generators: %+v, want 4 computed and 2 shared", c)
+	// are its baseline, and mcf's enhanced DMP run exercises none of its
+	// three enhancements, so it is mcf's basic DMP run too: three
+	// simulations for six requests.
+	if c := simCache.Counts(); c.Computed != 3 || c.Shared != 3 {
+		t.Errorf("concurrent generators: %+v, want 3 computed and 3 shared", c)
 	}
 	Reset()
 	for i, id := range gens {
@@ -273,4 +276,74 @@ func TestFrozenStatsGuard(t *testing.T) {
 		}
 	}()
 	RunOne("mcf", cfg, o)
+}
+
+// TestShareCountsOrderIndependent pins what makes sharing on run-time
+// evidence deterministic: the suite's requests (every configuration the
+// experiments request, on every benchmark at scale 1) need the same
+// number of simulations, and share the same number of runs, whether they
+// are issued forward or reversed one at a time on one slot, or reversed
+// all at once on four. Each simulation is a memoized solo run (solo),
+// which gives the cache the Stats and evidence a fresh run would.
+func TestShareCountsOrderIndependent(t *testing.T) {
+	cfgs := requestedConfigs(t)
+	o := Options{Scale: 1}.norm()
+	type request struct {
+		bench string
+		cfg   core.Config
+	}
+	var forward, reversed []request
+	for _, b := range o.Benchmarks {
+		for _, cfg := range cfgs {
+			forward = append(forward, request{b, cfg})
+		}
+	}
+	for i := len(forward) - 1; i >= 0; i-- {
+		reversed = append(reversed, forward[i])
+	}
+	memo := func(bench string, cfg core.Config, o Options) (*core.Stats, core.Evidence, error) {
+		r := solo(soloKey{foldCase{bench, o.Scale}, cfg.Canonical()})
+		return r.st, r.ev, r.err
+	}
+	var want sched.Counts
+	for i, pass := range []struct {
+		name  string
+		reqs  []request
+		slots int
+	}{
+		{"forward, one at a time, 1 slot", forward, 1},
+		{"reversed, one at a time, 1 slot", reversed, 1},
+		{"reversed, all at once, 4 slots", reversed, 4},
+	} {
+		c, pool := sched.NewCache(), sched.NewPool(pass.slots)
+		var wg sync.WaitGroup
+		for _, r := range pass.reqs {
+			wg.Add(1)
+			run := func(r request) {
+				defer wg.Done()
+				if _, err := runOn(c, pool, r.bench, r.cfg, o, memo); err != nil {
+					t.Errorf("%s: %s: %v", pass.name, r.bench, err)
+				}
+			}
+			if pass.slots == 1 {
+				run(r)
+			} else {
+				go run(r)
+			}
+		}
+		wg.Wait()
+		got := c.Counts()
+		t.Logf("%s: %d requests, %d simulations, %d shared", pass.name, len(pass.reqs), got.Computed, got.Shared)
+		if i == 0 {
+			want = got
+			if got.Shared == 0 || got.Computed+got.Shared != uint64(len(pass.reqs)) {
+				t.Fatalf("%s: counts %+v for %d distinct requests, want some shared and every miss computed or shared", pass.name, got, len(pass.reqs))
+			}
+			continue
+		}
+		if got.Computed != want.Computed || got.Shared != want.Shared {
+			t.Errorf("%s: %d simulations and %d shared, want %d and %d as issued forward",
+				pass.name, got.Computed, got.Shared, want.Computed, want.Shared)
+		}
+	}
 }

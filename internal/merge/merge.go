@@ -204,8 +204,12 @@ func New(cfg Config) (*Predictor, error) {
 // Counts returns the predictor's internal counters.
 func (p *Predictor) Counts() Counts { return p.counts }
 
-// Entries returns the number of live reconvergence-table entries.
+// Entries returns the number of live reconvergence-table entries. Entries
+// are replaced, never freed, so this is also the table's peak occupancy.
 func (p *Predictor) Entries() int { return p.used }
+
+// Size returns the table's capacity (Config.TableSize).
+func (p *Predictor) Size() int { return len(p.entries) }
 
 // Observe feeds one retired architectural instruction (predicate-TRUE
 // program instructions only, in retirement order). op and taken describe

@@ -47,14 +47,39 @@ type Backing interface {
 	Store(Key, *core.Stats)
 }
 
-// entry is a once-run cache slot: a request's in the request map, a
-// simulation's in the simulation map.
+// entry is a request's once-run slot in the request map.
 type entry struct {
 	once   sync.Once
 	st     *core.Stats
 	frozen core.Stats // snapshot taken at publication; guards the read-only invariant
 	err    error
 	run    atomic.Int64 // time.Duration job.Run took; atomic, as Seconds may read a filling entry
+}
+
+// family holds the finished simulations of one family: simulation keys
+// equal but for the knobs core.Evidence vouches for (core.Config.Family).
+// mu lets one simulation of the family run at a time, so a request that
+// waits for it next finds every run that could answer it; waiters hold
+// no worker slot.
+type family struct {
+	mu   sync.Mutex
+	runs []*simRun
+}
+
+// simRun is one finished simulation: its simulation key, result and
+// evidence. A failed run answers only its own key, with its error.
+type simRun struct {
+	key    Key
+	st     *core.Stats
+	frozen core.Stats
+	ev     core.Evidence
+	err    error
+	run    time.Duration // time job.Run took
+}
+
+// answers reports whether r answers the simulation key k.
+func (r *simRun) answers(k Key) bool {
+	return r.key == k || (r.err == nil && r.ev.Answers(r.key.Cfg, k.Cfg))
 }
 
 // Counts is a snapshot of the cache's request accounting.
@@ -70,8 +95,9 @@ type Counts struct {
 	StoreHits uint64
 	// Computed are simulations actually executed.
 	Computed uint64
-	// Shared are misses answered by a simulation another request with
-	// an equal simulation key ran (or is running).
+	// Shared are misses answered by a simulation another request ran:
+	// one with an equal simulation key, or one whose knob evidence shows
+	// it is the same run (Job.Run).
 	Shared uint64
 }
 
@@ -85,11 +111,16 @@ type Counts struct {
 // share one run. It is called only on a miss the backing store did not
 // answer, so a store-answered request never pays for it. Nil means the
 // request key itself.
+//
+// Run returns the simulation's Stats and its knob evidence: a finished
+// run also answers every simulation key of its family that its evidence
+// answers (core.Evidence.Answers). Zero evidence answers only the run's
+// own key.
 type Job struct {
 	Pool   *Pool
 	Span   *telemetry.Span
 	SimKey func() (Key, error)
-	Run    func(sp *telemetry.Span) (*core.Stats, error)
+	Run    func(sp *telemetry.Span) (*core.Stats, core.Evidence, error)
 }
 
 // Cache is a process-wide singleflight result cache. Results published
@@ -101,9 +132,9 @@ type Job struct {
 // error and panics with the offending key rather than returning
 // poisoned numbers.
 type Cache struct {
-	entries sync.Map // request Key -> *entry
-	sims    sync.Map // simulation Key (Job.SimKey) -> *entry
-	backing atomic.Pointer[backingBox]
+	entries  sync.Map // request Key -> *entry
+	families sync.Map // family Key (Job.SimKey's core.Config.Family) -> *family
+	backing  atomic.Pointer[backingBox]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -140,11 +171,16 @@ func (c *Cache) getBacking() Backing {
 // Do returns the cached result for key, computing it via job on first
 // request. Concurrent requests for the same key block on one execution
 // (without holding a worker slot — duplicate requests never occupy a
-// worker). A miss the backing store does not answer looks up its
-// simulation key (Job.SimKey) in a second singleflight map, so requests
-// that differ only in knobs their program never exercises share one run;
-// each still publishes under, and writes through to the store under, its
-// own key. The returned Stats are shared and frozen: Clone before
+// worker). A miss the backing store does not answer takes its
+// simulation key (Job.SimKey) to the key's family and, holding the
+// family's lock, is answered by the first finished run of the family
+// that answers the key: an equal key, or a run whose evidence shows the
+// knobs the two differ in never exercised. Only when none does, it
+// simulates and adds its run to the family. Every answer is exact and
+// the family runs one simulation at a time, so the number of simulations
+// depends neither on the order of requests nor on the pool size. Each
+// request still publishes under, and writes through to the store under,
+// its own key. The returned Stats are shared and frozen: Clone before
 // mutating.
 func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 	v, _ := c.entries.LoadOrStore(key, &entry{})
@@ -181,22 +217,21 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 				return
 			}
 		}
-		sv, _ := c.sims.LoadOrStore(simKey, &entry{})
-		s := sv.(*entry)
-		ran := false
-		s.once.Do(func() {
-			ran = true
-			c.simulate(s, key, label, job, t0)
-		})
-		e.st, e.frozen, e.err = s.st, s.frozen, s.err
-		e.run.Store(s.run.Load())
+		r, ran := c.answer(simKey, label, job)
+		e.st, e.frozen, e.err = r.st, r.frozen, r.err
+		e.run.Store(int64(r.run))
 		if !ran {
 			// Waiting on another request's simulation holds no slot,
 			// like a duplicate request.
 			c.shared.Add(1)
 			mShared.Inc()
+			msg := "shared"
+			if r.key != simKey {
+				mEvidenceShared.Inc()
+				msg = "shared-evidence"
+			}
 			if tel != nil {
-				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "shared"})
+				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: msg})
 			}
 			c.checkFrozen(key, e)
 		}
@@ -221,10 +256,32 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 	return e.st, e.err
 }
 
-// simulate runs the simulation behind simulation entry s for the
-// request key that found it missing: it takes a worker slot, records the
-// slot wait, the simulation's wall time and job.Run's, and freezes the result.
-func (c *Cache) simulate(s *entry, key Key, label string, job Job, t0 time.Time) {
+// answer returns the finished run of simKey's family that answers it,
+// simulating it first if none does; ran reports that this call
+// simulated. It holds the family's lock throughout and releases it even
+// if job.Run panics.
+func (c *Cache) answer(simKey Key, label string, job Job) (r *simRun, ran bool) {
+	fk := simKey
+	fk.Cfg = fk.Cfg.Family()
+	fv, _ := c.families.LoadOrStore(fk, &family{})
+	f := fv.(*family)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, r := range f.runs {
+		if r.answers(simKey) {
+			return r, false
+		}
+	}
+	r = &simRun{key: simKey}
+	c.simulate(r, label, job)
+	f.runs = append(f.runs, r)
+	return r, true
+}
+
+// simulate runs the simulation r for the request that found it missing:
+// it takes a worker slot, records the slot wait, the simulation's wall
+// time from its slot request and job.Run's, and freezes the result.
+func (c *Cache) simulate(s *simRun, label string, job Job) {
 	c.computed.Add(1)
 	tel := telemetry.Active()
 	var sp *telemetry.Span
@@ -238,18 +295,19 @@ func (c *Cache) simulate(s *entry, key Key, label string, job Job, t0 time.Time)
 	if pool == nil {
 		pool = Shared(0)
 	}
+	tq := time.Now() //dmp:allow nondeterminism -- host time: telemetry only
 	pool.Acquire()
 	t1 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
-	mSlotWait.Observe(t1.Sub(t0).Seconds())
+	mSlotWait.Observe(t1.Sub(tq).Seconds())
 	defer pool.Release()
-	s.st, s.err = job.Run(sp)
+	s.st, s.ev, s.err = job.Run(sp)
 	t2 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
-	s.run.Store(int64(t2.Sub(t1)))
+	s.run = t2.Sub(t1)
 	if s.err == nil {
 		s.frozen = *s.st
 	}
 	sp.End()
-	elapsed := t2.Sub(t0).Seconds()
+	elapsed := t2.Sub(tq).Seconds()
 	mSimSeconds.Observe(elapsed)
 	if tel != nil {
 		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
@@ -293,7 +351,7 @@ func (c *Cache) Counts() Counts {
 // backing store, if any, stays installed and keeps its contents — a
 // reset process recomputes nothing that persisted.
 func (c *Cache) Reset() {
-	for _, m := range []*sync.Map{&c.entries, &c.sims} {
+	for _, m := range []*sync.Map{&c.entries, &c.families} {
 		m.Range(func(k, _ any) bool {
 			m.Delete(k)
 			return true

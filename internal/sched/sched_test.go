@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,9 +58,9 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, error) {
+			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
 				runs.Add(1)
-				return &core.Stats{RetiredInsts: 42, Cycles: 7}, nil
+				return &core.Stats{RetiredInsts: 42, Cycles: 7}, core.Evidence{}, nil
 			}})
 			if err != nil {
 				t.Error(err)
@@ -88,7 +89,7 @@ func TestCacheErrorSharedNotStored(t *testing.T) {
 	b := newFakeBacking()
 	c.SetBacking(b)
 	boom := errors.New("boom")
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, error) { return nil, boom }}
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) { return nil, core.Evidence{}, boom }}
 	if _, err := c.Do(testKey("gcc"), job); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -108,7 +109,10 @@ func TestCacheBackingStoreHit(t *testing.T) {
 	c1 := NewCache()
 	c1.SetBacking(b)
 	var runs atomic.Uint64
-	run := func(*telemetry.Span) (*core.Stats, error) { runs.Add(1); return want.Clone(), nil }
+	run := func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		runs.Add(1)
+		return want.Clone(), core.Evidence{}, nil
+	}
 	if _, err := c1.Do(testKey("mcf"), Job{Pool: pool, Run: run}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +142,8 @@ func TestCacheBackingStoreHit(t *testing.T) {
 
 func TestCacheFrozenGuard(t *testing.T) {
 	c := NewCache()
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, error) {
-		return &core.Stats{RetiredInsts: 5}, nil
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		return &core.Stats{RetiredInsts: 5}, core.Evidence{}, nil
 	}}
 	st, err := c.Do(testKey("vpr"), job)
 	if err != nil {
@@ -162,9 +166,9 @@ func TestCacheFrozenGuard(t *testing.T) {
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
 	var runs atomic.Uint64
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, error) {
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
 		runs.Add(1)
-		return &core.Stats{}, nil
+		return &core.Stats{}, core.Evidence{}, nil
 	}}
 	c.Do(testKey("gap"), job)
 	c.Reset()
@@ -192,10 +196,10 @@ func TestCacheSharesSimulation(t *testing.T) {
 	job := Job{
 		Pool:   NewPool(2),
 		SimKey: func() (Key, error) { simKeys.Add(1); return sim, nil },
-		Run: func(*telemetry.Span) (*core.Stats, error) {
+		Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
 			runs.Add(1)
 			time.Sleep(time.Millisecond)
-			return &core.Stats{RetiredInsts: 5, Cycles: 9}, nil
+			return &core.Stats{RetiredInsts: 5, Cycles: 9}, core.Evidence{}, nil
 		},
 	}
 	dmp, dhp := sim, sim
@@ -405,4 +409,131 @@ func TestAdmitterStopRefusesAndDrains(t *testing.T) {
 		t.Fatalf("submit after Stop: err = %v, want ErrOverloaded", err)
 	}
 	a.Stop() // idempotent
+}
+
+// familyKeys returns request keys for bench under basic DMP, DHP and
+// enhanced DMP: three simulation keys of one family (core.Config.Family).
+func familyKeys(bench string) (dmp, dhp, enh Key) {
+	dmp, dhp, enh = testKey(bench), testKey(bench), testKey(bench)
+	dmp.Cfg, dhp.Cfg, enh.Cfg = core.DMPConfig().Canonical(), core.DHPConfig().Canonical(), core.EnhancedDMPConfig().Canonical()
+	return dmp, dhp, enh
+}
+
+// TestCacheSharesOnEvidence pins sharing on run-time evidence with fake
+// evidence: a finished run answers a request of its family whose knobs
+// the evidence shows unexercised, and no other; a request waiting on its
+// family's lock holds no worker slot; a failed run answers only its own
+// simulation key and leaves the family usable; and a panicking Run
+// releases the family.
+func TestCacheSharesOnEvidence(t *testing.T) {
+	c := NewCache()
+	pool := NewPool(2)
+	unexercised := core.Evidence{Recorded: true, AltSlack: math.MaxInt}
+	var runs atomic.Uint64
+	release := make(chan struct{})
+	blocking := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		runs.Add(1)
+		<-release
+		ev := unexercised
+		ev.MultipleCFM = true
+		return &core.Stats{Cycles: 3}, ev, nil
+	}}
+	dmp, dhp, enh := familyKeys("gap")
+	evidenceShared := mEvidenceShared.Value()
+
+	first := make(chan *core.Stats)
+	go func() {
+		st, _ := c.Do(dmp, blocking)
+		first <- st
+	}()
+	waiter := make(chan *core.Stats)
+	go func() {
+		for c.Counts().Misses < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		st, _ := c.Do(dhp, blocking)
+		waiter <- st
+	}()
+	for c.Counts().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if held := len(pool.Chan()); held != 1 {
+		t.Fatalf("%d slots held while one request simulates and one waits on its family, want 1", held)
+	}
+	// The free slot runs a request of another family meanwhile.
+	other := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		return &core.Stats{Cycles: 5}, core.Evidence{}, nil
+	}}
+	if _, err := c.Do(testKey("vpr"), other); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	a, b := <-first, <-waiter
+	if a != b || runs.Load() != 1 {
+		t.Fatalf("DHP request got %p after %d runs, want the DMP run's %p from one run", b, runs.Load(), a)
+	}
+	if got := mEvidenceShared.Value() - evidenceShared; got != 1 {
+		t.Fatalf("dmp_sched_evidence_shared_total rose by %d, want 1", got)
+	}
+	// The run exercised MultipleCFM, which enhanced DMP turns on.
+	if _, err := c.Do(enh, blocking); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 2 {
+		t.Fatalf("runs = %d: a run that exercised a knob answered a request that flips it", runs.Load())
+	}
+	if cn := c.Counts(); cn.Computed != 3 || cn.Shared != 1 || cn.Misses != 4 {
+		t.Fatalf("counts = %+v, want 3 computed, 1 shared, 4 misses", cn)
+	}
+
+	// A failed run answers only its own simulation key, with its error.
+	boom := errors.New("boom")
+	dmp, dhp, _ = familyKeys("twolf")
+	failing := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		runs.Add(1)
+		return nil, unexercised, boom
+	}}
+	if _, err := c.Do(dmp, failing); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	alias := dmp
+	alias.Cfg.KeepAlternateGHR = true
+	failing.SimKey = func() (Key, error) { return dmp, nil }
+	if _, err := c.Do(alias, failing); !errors.Is(err, boom) {
+		t.Fatalf("a request of the failed simulation key got %v, want its error", err)
+	}
+	if st, err := c.Do(dhp, other); err != nil || st.Cycles != 5 {
+		t.Fatalf("after a failed run its family answered %v, %v; want a run of its own", st, err)
+	}
+	if runs.Load() != 3 {
+		t.Fatalf("runs = %d, want the failure run once", runs.Load())
+	}
+
+	// A panicking Run releases its family.
+	dmp, dhp, _ = familyKeys("mesa")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run's panic did not reach the caller")
+			}
+		}()
+		c.Do(dmp, Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) { panic("simulator bug") }})
+	}()
+	done := make(chan error)
+	go func() {
+		_, err := c.Do(dhp, other)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a panicking Run left its family locked")
+	}
+	if held := len(pool.Chan()); held != 0 {
+		t.Fatalf("%d slots still held", held)
+	}
 }
