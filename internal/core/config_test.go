@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"dmp/internal/prog"
 )
 
 // TestCanonicalNormalizesDefaultNames pins that defaulted predictor and
@@ -307,6 +309,49 @@ func TestModeConfig(t *testing.T) {
 	for _, name := range []string{"", "perfect-cbp", "Enhanced", "warp"} {
 		if _, err := ModeConfig(name); err == nil {
 			t.Errorf("ModeConfig(%q) accepted an unknown mode", name)
+		}
+	}
+}
+
+// TestFoldForLoopOnlyProgram pins the no-admissible-mark rule of FoldFor
+// on a program whose only mark is a diverge loop branch: with loop
+// diverge on, the mark is admissible and the machine predicates, so the
+// configuration must not fold to the baseline; with it off, it folds
+// there, and the two runs agree. No benchmark or generated program in
+// the differential tests has loop marks alone.
+func TestFoldForLoopOnlyProgram(t *testing.T) {
+	p, _ := randomHammockProg(200)
+	loopPC := uint64(len(p.Code) - 3)
+	p.Diverge = map[uint64]*prog.Diverge{loopPC: {CFMs: []uint64{loopPC + 1}, Loop: true, Class: prog.ClassSimpleHammock}}
+	run := func(cfg Config) *Stats {
+		t.Helper()
+		m, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, mode := range []Mode{ModeDMP, ModeDHP} {
+		cfg := DMPConfig()
+		cfg.Mode, cfg.ConfidenceName = mode, "always-low"
+		loops := cfg
+		loops.EnableLoopDiverge = true
+		if f := loops.FoldFor(p); f != loops.Canonical() {
+			t.Errorf("%v with loop diverge folds to %v on a program with a loop mark alone", mode, f.Mode)
+		}
+		if st := run(loops); st.Episodes == 0 {
+			t.Errorf("%v with loop diverge entered no episode: the program tests nothing", mode)
+		}
+		f := cfg.FoldFor(p)
+		if f.Mode != ModeBaseline {
+			t.Fatalf("%v without loop diverge folds to %v, want the baseline", mode, f.Mode)
+		}
+		if a, b := run(cfg), run(f); *a != *b {
+			t.Errorf("%v without loop diverge and its baseline fold differ:\n%v\n%v", mode, a, b)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -34,7 +33,7 @@ import (
 //     alternate path's length so far against the episode's threshold.
 //     The default threshold is folded away when EarlyExit is off, so the
 //     record is threshold-free: AltLongest for regions without a
-//     threshold of their own, AltSlack for regions with one.
+//     threshold of their own, OwnExit for regions with one.
 //   - MergeTableSize: the merge table's peak occupancy, and whether an
 //     allocation ever found it full (the only read of its size).
 type Evidence struct {
@@ -49,11 +48,11 @@ type Evidence struct {
 	// AltLongest is the longest alternate path fetched at an early-exit
 	// test in an episode whose region has no threshold of its own: early
 	// exit at default threshold T fires on this trajectory iff
-	// AltLongest >= T. AltSlack is the least threshold - length at such a
-	// test in an episode whose region has its own threshold (MaxInt when
-	// there was none): early exit fires there iff AltSlack <= 0.
+	// AltLongest >= T. OwnExit reports an early-exit test, in an episode
+	// whose region has a threshold of its own, that found the path at
+	// that threshold: early exit fires there whatever T is.
 	AltLongest int
-	AltSlack   int
+	OwnExit    bool
 
 	// MergePeak is the merge table's peak occupancy; MergeEvicted reports
 	// an allocation that found the table full and evicted.
@@ -82,7 +81,7 @@ func (c Config) Family() Config {
 // exits reports whether early exit fires anywhere on the recorded
 // trajectory under EarlyExit on with default threshold T.
 func (e *Evidence) exits(on bool, T int) bool {
-	return on && (e.AltLongest >= T || e.AltSlack <= 0)
+	return on && (e.AltLongest >= T || e.OwnExit)
 }
 
 // Answers reports whether the run of ran that recorded e is, bit for
@@ -133,22 +132,28 @@ func (e *Evidence) Describe(cfg Config) string {
 	if len(knobs) == 0 {
 		knobs = []string{"none"}
 	}
-	slack := "none"
-	if e.AltSlack != math.MaxInt {
-		slack = fmt.Sprint(e.AltSlack)
-	}
-	return fmt.Sprintf("%s (longest alternate path %d, least own-threshold slack %s, merge-table peak %d)",
-		strings.Join(knobs, " "), e.AltLongest, slack, e.MergePeak)
+	return fmt.Sprintf("%s (longest alternate path %d, own threshold reached %v, merge-table peak %d)",
+		strings.Join(knobs, " "), e.AltLongest, e.OwnExit, e.MergePeak)
 }
 
-// Evidence returns the knob evidence of a finished run. Before Finish it
-// is zero, and a machine started from a checkpoint leaves Recorded unset:
-// either answers only the run's own configuration.
+// Excludes reports whether e, recorded so far by a run of ran that may
+// still be going, already shows that the finished run will not answer
+// req. A run's records only ever grow more exercised (the flags get set,
+// AltLongest and MergePeak grow), and Answers is monotone in them, so
+// what the records so far rule out stays ruled out.
+func (e Evidence) Excludes(ran, req Config) bool {
+	e.Recorded = true
+	return !e.Answers(ran, req)
+}
+
+// Evidence returns the knob evidence the run has recorded so far.
+// Recorded is set only once the run is finished and only if it started
+// at the program entry (not from a checkpoint): until then the evidence
+// answers only the run's own configuration, though Excludes may already
+// read it.
 func (m *Machine) Evidence() Evidence {
-	if !m.finished {
-		return Evidence{}
-	}
 	ev := m.ev
+	ev.Recorded = ev.Recorded && m.finished
 	if m.merge != nil {
 		ev.MergePeak = m.merge.Entries()
 		ev.MergeEvicted = m.merge.Counts().Evictions > 0
@@ -157,10 +162,10 @@ func (m *Machine) Evidence() Evidence {
 }
 
 // noteAltTest records the alternate path's length at an early-exit test
-// (Evidence.AltLongest and AltSlack).
+// (Evidence.AltLongest and OwnExit).
 func (m *Machine) noteAltTest(ep *episode) {
 	if ep.ownExit {
-		m.ev.AltSlack = min(m.ev.AltSlack, ep.exitThreshold-ep.altFetched)
+		m.ev.OwnExit = m.ev.OwnExit || ep.altFetched >= ep.exitThreshold
 	} else {
 		m.ev.AltLongest = max(m.ev.AltLongest, ep.altFetched)
 	}

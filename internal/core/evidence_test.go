@@ -145,3 +145,61 @@ func TestEntryEvidenceReadsNoKnob(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultThresholdEvidence covers the early-exit record of regions
+// without a threshold of their own (Evidence.AltLongest), which no
+// profiled program has: every mark the profiler writes carries its own
+// threshold, and so does every merge-predictor entry. A simple hammock
+// marked without one runs with early exit off and at default thresholds
+// from 1 to 64. Wherever a run's evidence answers another configuration
+// the two must give equal Stats and evidence, some must answer and some
+// not, and some run must exit early (which CheckStats ties to the
+// record).
+func TestDefaultThresholdEvidence(t *testing.T) {
+	p, hammockPC := randomHammockProg(300)
+	p.Diverge[hammockPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: prog.ClassSimpleHammock}
+	type run struct {
+		cfg Config
+		st  Stats
+		ev  Evidence
+	}
+	var runs []run
+	exits := uint64(0)
+	for _, thr := range []int{0, 1, 2, 3, 4, 8, 64} {
+		cfg := EnhancedDMPConfig()
+		cfg.ConfidenceName = "always-low"
+		cfg.EarlyExit, cfg.EarlyExitDefault = thr > 0, max(thr, 1)
+		m, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStats(t, m, st)
+		exits += st.EarlyExits
+		runs = append(runs, run{cfg.Canonical(), *st, m.Evidence()})
+	}
+	answered, pairs := 0, 0
+	for _, a := range runs {
+		for _, b := range runs {
+			if a.cfg == b.cfg {
+				continue
+			}
+			pairs++
+			if !a.ev.Answers(a.cfg, b.cfg) {
+				continue
+			}
+			answered++
+			if a.st != b.st || a.ev != b.ev {
+				t.Errorf("the run at threshold %d (early exit %v) answers threshold %d (%v), but the runs differ",
+					a.cfg.EarlyExitDefault, a.cfg.EarlyExit, b.cfg.EarlyExitDefault, b.cfg.EarlyExit)
+			}
+		}
+	}
+	if exits == 0 || answered == 0 || answered == pairs {
+		t.Fatalf("%d early exits, %d of %d pairs answered: want early exits, and some pairs answered and some not",
+			exits, answered, pairs)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"dmp/internal/bpred"
 	"dmp/internal/emu"
@@ -163,7 +162,6 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m.feqCap = cfg.FetchQueueSize + cfg.frontEndDelay()*cfg.FetchWidth
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
-	m.ev.AltSlack = math.MaxInt
 	// Twice each queue's bound, so pushQueue never reallocates.
 	m.robBuf = make([]uopRef, 2*cfg.ROBSize)
 	m.rob = m.robBuf[:0]

@@ -253,8 +253,8 @@ func (m *Machine) CheckStats() error {
 	}
 	ev := m.Evidence()
 	if st.EarlyExits > 0 && !ev.exits(m.cfg.EarlyExit, m.cfg.EarlyExitDefault) {
-		return fmt.Errorf("core: %d early exits, but no alternate path reached its threshold (longest %d, least own slack %d)",
-			st.EarlyExits, ev.AltLongest, ev.AltSlack)
+		return fmt.Errorf("core: %d early exits, but no alternate path reached its threshold (longest %d, own threshold reached %v)",
+			st.EarlyExits, ev.AltLongest, ev.OwnExit)
 	}
 	if st.MDBConversions > 0 && !ev.MultipleDiverge {
 		return fmt.Errorf("core: %d multiple-diverge conversions, but no diverge branch met a live predicted path", st.MDBConversions)

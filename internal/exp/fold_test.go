@@ -39,7 +39,7 @@ func (r *recordingBacking) Store(sched.Key, *core.Stats) {}
 func requestedConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	o := Options{Scale: 1, Benchmarks: []string{"mcf"}}.norm()
-	st, _, err := simulate("mcf", core.DefaultConfig(), o)
+	st, _, err := simulate("mcf", core.DefaultConfig(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func requestedConfigs(t *testing.T) []core.Config {
 
 // knobSweep varies each predication knob on its own from the basic DMP,
 // DHP and enhanced DMP machines: each enhancement alone, early exit off
-// and on at default thresholds 8, 64 and 1<<20, and the dynamic and
-// hybrid CFM sources (mergeSizes adds the merge-table sizes around a
-// run's peak occupancy). The knobs no evidence vouches for (loop
-// diverge, selective predictor update, the alternate path's history,
-// the confidence estimator) are varied from enhanced DMP alone, which
-// keeps them in the fold check without multiplying the families.
-func knobSweep() []core.Config {
-	var cfgs []core.Config
+// and on at default thresholds 8, 64 and 1<<20, the dynamic and hybrid
+// CFM sources (mergeSizes adds the merge-table sizes around a run's peak
+// occupancy), loop diverge, selective predictor update, the alternate
+// path's history and the always-low confidence estimator. The last four
+// are knobs no evidence vouches for: varied from basic DMP and DHP they
+// go to the fold check only (foldOnly), which keeps them there without
+// multiplying the families TestEvidenceIsExact compares.
+func knobSweep() (sweep, foldOnly []core.Config) {
 	for _, base := range []core.Config{core.DMPConfig(), core.DHPConfig(), core.EnhancedDMPConfig()} {
 		edits := []func(*core.Config){
 			func(*core.Config) {},
@@ -88,20 +88,28 @@ func knobSweep() []core.Config {
 		for _, thr := range []int{8, 64, 1 << 20} {
 			edits = append(edits, func(c *core.Config) { c.EarlyExit, c.EarlyExitDefault = true, thr })
 		}
-		if base.MultipleCFM {
-			edits = append(edits,
-				func(c *core.Config) { c.EnableLoopDiverge = true },
-				func(c *core.Config) { c.SelectiveBPUpdate = true },
-				func(c *core.Config) { c.KeepAlternateGHR = true },
-				func(c *core.Config) { c.ConfidenceName = "always-low" })
+		others := []func(*core.Config){
+			func(c *core.Config) { c.EnableLoopDiverge = true },
+			func(c *core.Config) { c.SelectiveBPUpdate = true },
+			func(c *core.Config) { c.KeepAlternateGHR = true },
+			func(c *core.Config) { c.ConfidenceName = "always-low" },
 		}
 		for _, edit := range edits {
 			c := base
 			edit(&c)
-			cfgs = append(cfgs, c)
+			sweep = append(sweep, c)
+		}
+		for _, edit := range others {
+			c := base
+			edit(&c)
+			if base.MultipleCFM {
+				sweep = append(sweep, c)
+			} else {
+				foldOnly = append(foldOnly, c)
+			}
 		}
 	}
-	return cfgs
+	return sweep, foldOnly
 }
 
 // mergeSizes returns cfg, a DMP configuration with a dynamic or hybrid
@@ -151,7 +159,7 @@ func solo(k soloKey) soloRun {
 	v, _ := solos.LoadOrStore(k, &soloEntry{})
 	e := v.(*soloEntry)
 	e.once.Do(func() {
-		e.r.st, e.r.ev, e.r.err = simulate(k.c.bench, k.cfg, Options{Scale: k.c.scale})
+		e.r.st, e.r.ev, e.r.err = simulate(k.c.bench, k.cfg, Options{Scale: k.c.scale}, nil)
 		if e.r.err != nil {
 			e.r.err = fmt.Errorf("%s scale %d %+v: %w", k.c.bench, k.c.scale, k.cfg, e.r.err)
 		}
@@ -161,13 +169,14 @@ func solo(k soloKey) soloRun {
 
 // differential is the workload TestFoldForIsExact and TestEvidenceIsExact
 // share: for every case, the canonical configurations checked on it (the
-// experiments' requests and the knob sweep) and the solo runs the checks
-// compare.
+// experiments' requests and the knob sweep), those of them the family
+// check covers, and the solo runs the checks compare.
 type differential struct {
-	cases []foldCase
-	cfgs  map[foldCase][]core.Config
-	need  map[soloKey]bool
-	err   error
+	cases  []foldCase
+	cfgs   map[foldCase][]core.Config
+	family map[foldCase]map[core.Config]bool
+	need   map[soloKey]bool
+	err    error
 }
 
 var (
@@ -179,7 +188,8 @@ var (
 // fifteen benchmarks at scales 1 and 3 (-short drops scale 3) and twenty
 // generated programs at scale 1. A configuration is simulated when a
 // check needs it: it folds further than Canonical (FoldFor), it is the
-// fold of one, or its simulation key shares a Family with another. The
+// fold of one, or it is in the family check (not foldOnly) and its
+// simulation key shares a Family with another there. The
 // merge-table sizes around each dynamic and hybrid sweep run's peak
 // occupancy are added once those runs are in.
 func differentialRuns(t *testing.T) *differential {
@@ -200,10 +210,12 @@ func differentialRuns(t *testing.T) *differential {
 			d.cases = append(d.cases, foldCase{fmt.Sprintf("%s%d", workload.GenPrefix, seed), 1})
 		}
 		d.cfgs = map[foldCase][]core.Config{}
+		d.family = map[foldCase]map[core.Config]bool{}
 		d.need = map[soloKey]bool{}
-		sweep := knobSweep()
+		sweep, foldOnly := knobSweep()
 		for _, c := range d.cases {
-			d.add(c, append(append([]core.Config(nil), requested...), sweep...))
+			d.add(c, append(append([]core.Config(nil), requested...), sweep...), true)
+			d.add(c, foldOnly, false)
 		}
 		if d.err = d.simulate(); d.err != nil {
 			return
@@ -217,7 +229,7 @@ func differentialRuns(t *testing.T) *differential {
 				peak := solo(soloKey{c, d.simKey(c, cfg)}).ev.MergePeak
 				more = append(more, mergeSizes(cfg, peak)...)
 			}
-			d.add(c, more)
+			d.add(c, more, true)
 		}
 		d.err = d.simulate()
 	})
@@ -233,16 +245,25 @@ func (d *differential) simKey(c foldCase, cfg core.Config) core.Config {
 }
 
 // add records cfgs (canonicalized, without repeats) for case c and marks
-// the runs the checks need.
-func (d *differential) add(c foldCase, cfgs []core.Config) {
+// the runs the checks need: both sides of every fold, and, where family
+// is set, the configurations join the family check, whose families with
+// more than one simulation key need every run.
+func (d *differential) add(c foldCase, cfgs []core.Config, family bool) {
 	seen := map[core.Config]bool{}
 	for _, cfg := range d.cfgs[c] {
 		seen[cfg] = true
 	}
+	if d.family[c] == nil {
+		d.family[c] = map[core.Config]bool{}
+	}
 	for _, cfg := range cfgs {
-		if canon := cfg.Canonical(); !seen[canon] {
+		canon := cfg.Canonical()
+		if !seen[canon] {
 			seen[canon] = true
 			d.cfgs[c] = append(d.cfgs[c], canon)
+		}
+		if family {
+			d.family[c][canon] = true
 		}
 	}
 	members := map[core.Config]map[core.Config]bool{}
@@ -251,6 +272,9 @@ func (d *differential) add(c foldCase, cfgs []core.Config) {
 		if f != canon {
 			d.need[soloKey{c, canon}] = true
 			d.need[soloKey{c, f}] = true
+		}
+		if !d.family[c][canon] {
+			continue
 		}
 		if members[f.Family()] == nil {
 			members[f.Family()] = map[core.Config]bool{}
@@ -358,7 +382,7 @@ func TestEvidenceIsExact(t *testing.T) {
 		seen := map[core.Config]bool{}
 		for _, canon := range d.cfgs[c] {
 			f := d.simKey(c, canon)
-			if !seen[f] {
+			if d.family[c][canon] && !seen[f] {
 				seen[f] = true
 				families[f.Family()] = append(families[f.Family()], f)
 			}

@@ -79,7 +79,7 @@ func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 // runOn is RunOne on cache c with worker pool pool, computing a missing
 // simulation with run: simulate, or in tests a memo of it.
 func runOn(c *sched.Cache, pool *sched.Pool, bench string, cfg core.Config, o Options,
-	run func(string, core.Config, Options) (*core.Stats, core.Evidence, error)) (*core.Stats, error) {
+	run func(string, core.Config, Options, func(core.Evidence)) (*core.Stats, core.Evidence, error)) (*core.Stats, error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.Canonical()}
 	return c.Do(key, sched.Job{
 		Pool: pool,
@@ -91,17 +91,25 @@ func runOn(c *sched.Cache, pool *sched.Pool, bench string, cfg core.Config, o Op
 			}
 			return sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.FoldFor(pe.p)}, nil
 		},
-		Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
-			return run(bench, cfg, o)
+		Run: func(_ *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+			return run(bench, cfg, o, progress)
 		},
 	})
 }
 
+// evidenceEvery is how many instructions an exact run retires between
+// reports of its evidence so far.
+const evidenceEvery = 1 << 12
+
 // simulate is the uncached simulation behind RunOne: one benchmark, one
-// machine configuration, one run, with the run's knob evidence. The
+// machine configuration, one run, with the run's knob evidence. Every
+// evidenceEvery retired instructions it hands the evidence so far to
+// progress (if not nil), which lets the result cache start requests the
+// run can no longer answer (sched.Job.Run); stopping and resuming at
+// those points leaves the run unchanged (core.Machine.RunUntil). The
 // result is detached from the Machine (Clone) so the cache does not pin
 // simulator state.
-func simulate(bench string, cfg core.Config, o Options) (*core.Stats, core.Evidence, error) {
+func simulate(bench string, cfg core.Config, o Options, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 	pe := programFor(bench, o.Scale, cfg)
 	if pe.err != nil {
 		return nil, core.Evidence{}, pe.err
@@ -110,6 +118,15 @@ func simulate(bench string, cfg core.Config, o Options) (*core.Stats, core.Evide
 	m, err := core.New(pe.p, cfg)
 	if err != nil {
 		return nil, core.Evidence{}, err
+	}
+	for n := uint64(evidenceEvery); cfg.MaxInsts == 0 || n < cfg.MaxInsts; n += evidenceEvery {
+		// A run short of n has halted, run out of cycles or failed.
+		if st, err := m.RunUntil(n); err != nil || st.RetiredInsts < n {
+			break
+		}
+		if progress != nil {
+			progress(m.Evidence())
+		}
 	}
 	st, err := m.Run()
 	if err != nil {

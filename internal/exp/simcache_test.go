@@ -43,7 +43,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	o := simOpts()
 	for name, cfg := range modeConfigs() {
 		for _, bench := range o.Benchmarks {
-			fresh, _, err := simulate(bench, cfg, o)
+			fresh, _, err := simulate(bench, cfg, o, nil)
 			if err != nil {
 				t.Fatalf("%s/%s fresh: %v", name, bench, err)
 			}
@@ -65,7 +65,7 @@ func TestCachedStatsBitIdenticalAllModes(t *testing.T) {
 	}
 	loops := core.EnhancedDMPConfig()
 	loops.EnableLoopDiverge = true
-	fresh, _, err := simulate("gzip", loops, o)
+	fresh, _, err := simulate("gzip", loops, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRecomputedResultIsIdentical(t *testing.T) {
 	cfg := core.EnhancedDMPConfig()
 	exact := func() *core.Stats {
 		t.Helper()
-		st, _, err := simulate(bench, cfg, o)
+		st, _, err := simulate(bench, cfg, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,9 @@ func TestFrozenStatsGuard(t *testing.T) {
 // number of simulations, and share the same number of runs, whether they
 // are issued forward or reversed one at a time on one slot, or reversed
 // all at once on four. Each simulation is a memoized solo run (solo),
-// which gives the cache the Stats and evidence a fresh run would.
+// which gives the cache the Stats and evidence a fresh run would, and
+// reports its evidence as progress before it returns, so requests that a
+// running simulation excludes start beside it.
 func TestShareCountsOrderIndependent(t *testing.T) {
 	cfgs := requestedConfigs(t)
 	o := Options{Scale: 1}.norm()
@@ -301,8 +303,15 @@ func TestShareCountsOrderIndependent(t *testing.T) {
 	for i := len(forward) - 1; i >= 0; i-- {
 		reversed = append(reversed, forward[i])
 	}
-	memo := func(bench string, cfg core.Config, o Options) (*core.Stats, core.Evidence, error) {
+	memo := func(bench string, cfg core.Config, o Options, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		r := solo(soloKey{foldCase{bench, o.Scale}, cfg.Canonical()})
+		if r.err == nil {
+			// The finished run's evidence, reported while it "runs":
+			// every request it excludes starts at once.
+			ev := r.ev
+			ev.Recorded = false
+			progress(ev)
+		}
 		return r.st, r.ev, r.err
 	}
 	var want sched.Counts

@@ -16,12 +16,14 @@ func BenchmarkCacheHit(b *testing.B) {
 	key := Key{Bench: "mcf", Scale: 1, Cfg: core.EnhancedDMPConfig().Canonical()}
 	st := &core.Stats{RetiredInsts: 1, Cycles: 2}
 	pool := NewPool(1)
-	if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) { return st, core.Evidence{}, nil }}); err != nil {
+	if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		return st, core.Evidence{}, nil
+	}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 			b.Fatal("hit path ran the job")
 			return nil, core.Evidence{}, nil
 		}}); err != nil {

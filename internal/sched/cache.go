@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,20 +57,29 @@ type entry struct {
 	run    atomic.Int64 // time.Duration job.Run took; atomic, as Seconds may read a filling entry
 }
 
-// family holds the finished simulations of one family: simulation keys
-// equal but for the knobs core.Evidence vouches for (core.Config.Family).
-// mu lets one simulation of the family run at a time, so a request that
-// waits for it next finds every run that could answer it; waiters hold
-// no worker slot.
+// family holds the simulations of one family, finished or running:
+// simulation keys equal but for the knobs core.Evidence vouches for
+// (core.Config.Family). A request simulates only once no run of its
+// family can answer it: no finished run answers it, and every running
+// one has already recorded a knob the two differ in as exercised
+// (core.Evidence.Excludes). Until then it waits on cond, holding no
+// worker slot. So no two runs of a family can answer each other, and
+// the family runs one simulation per class of "answers" among its
+// requests, whatever their order or the pool size; runs that cannot
+// answer each other go ahead side by side.
 type family struct {
 	mu   sync.Mutex
+	cond *sync.Cond // on mu; broadcast when a run reports evidence, finishes or is dropped
 	runs []*simRun
 }
 
-// simRun is one finished simulation: its simulation key, result and
-// evidence. A failed run answers only its own key, with its error.
+// simRun is one simulation of a family. Until done, ev is the evidence
+// the run has reported so far; then it holds the run's result. A failed
+// run answers only its own key, with its error. Every field is guarded
+// by the family's mu.
 type simRun struct {
 	key    Key
+	done   bool
 	st     *core.Stats
 	frozen core.Stats
 	ev     core.Evidence
@@ -77,9 +87,14 @@ type simRun struct {
 	run    time.Duration // time job.Run took
 }
 
-// answers reports whether r answers the simulation key k.
+// answers reports whether the finished run r answers the simulation key k.
 func (r *simRun) answers(k Key) bool {
 	return r.key == k || (r.err == nil && r.ev.Answers(r.key.Cfg, k.Cfg))
+}
+
+// mayAnswer reports whether r, still running, may yet answer k.
+func (r *simRun) mayAnswer(k Key) bool {
+	return r.key == k || !r.ev.Excludes(r.key.Cfg, k.Cfg)
 }
 
 // Counts is a snapshot of the cache's request accounting.
@@ -115,12 +130,15 @@ type Counts struct {
 // Run returns the simulation's Stats and its knob evidence: a finished
 // run also answers every simulation key of its family that its evidence
 // answers (core.Evidence.Answers). Zero evidence answers only the run's
-// own key.
+// own key. While it runs, Run may hand progress the evidence recorded so
+// far, which must never be more exercised than the finished run's: a
+// request of the family that it excludes starts its own simulation
+// without waiting for the run to finish.
 type Job struct {
 	Pool   *Pool
 	Span   *telemetry.Span
 	SimKey func() (Key, error)
-	Run    func(sp *telemetry.Span) (*core.Stats, core.Evidence, error)
+	Run    func(sp *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error)
 }
 
 // Cache is a process-wide singleflight result cache. Results published
@@ -172,16 +190,15 @@ func (c *Cache) getBacking() Backing {
 // request. Concurrent requests for the same key block on one execution
 // (without holding a worker slot — duplicate requests never occupy a
 // worker). A miss the backing store does not answer takes its
-// simulation key (Job.SimKey) to the key's family and, holding the
-// family's lock, is answered by the first finished run of the family
-// that answers the key: an equal key, or a run whose evidence shows the
-// knobs the two differ in never exercised. Only when none does, it
-// simulates and adds its run to the family. Every answer is exact and
-// the family runs one simulation at a time, so the number of simulations
-// depends neither on the order of requests nor on the pool size. Each
-// request still publishes under, and writes through to the store under,
-// its own key. The returned Stats are shared and frozen: Clone before
-// mutating.
+// simulation key (Job.SimKey) to the key's family, where a finished run
+// that answers the key answers it: an equal key, or a run whose evidence
+// shows the knobs the two differ in never exercised. While a running
+// simulation of the family may still answer it, the request waits for
+// it; only when none can does it simulate (family). Every answer is
+// exact, so the number of simulations depends neither on the order of
+// requests nor on the pool size. Each request still publishes under,
+// and writes through to the store under, its own key. The returned
+// Stats are shared and frozen: Clone before mutating.
 func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 	v, _ := c.entries.LoadOrStore(key, &entry{})
 	e := v.(*entry)
@@ -257,31 +274,79 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 }
 
 // answer returns the finished run of simKey's family that answers it,
-// simulating it first if none does; ran reports that this call
-// simulated. It holds the family's lock throughout and releases it even
-// if job.Run panics.
+// simulating it first if no run of the family can; ran reports that this
+// call simulated. A run whose job.Run panics is dropped from the family
+// before the panic goes on, and its waiters look again.
 func (c *Cache) answer(simKey Key, label string, job Job) (r *simRun, ran bool) {
 	fk := simKey
 	fk.Cfg = fk.Cfg.Family()
-	fv, _ := c.families.LoadOrStore(fk, &family{})
+	fv, _ := c.families.LoadOrStore(fk, newFamily())
 	f := fv.(*family)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range f.runs {
-		if r.answers(simKey) {
-			return r, false
-		}
+	if r := f.await(simKey); r != nil {
+		f.mu.Unlock()
+		return r, false
 	}
 	r = &simRun{key: simKey}
-	c.simulate(r, label, job)
 	f.runs = append(f.runs, r)
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		if !r.done {
+			f.runs = slices.DeleteFunc(f.runs, func(o *simRun) bool { return o == r })
+		}
+		f.mu.Unlock()
+		f.cond.Broadcast()
+	}()
+	progress := func(ev core.Evidence) {
+		f.mu.Lock()
+		changed := !r.done && ev != r.ev
+		if changed {
+			r.ev = ev
+		}
+		f.mu.Unlock()
+		if changed {
+			f.cond.Broadcast()
+		}
+	}
+	st, ev, d, err := c.simulate(label, job, progress)
+	f.mu.Lock()
+	r.done, r.st, r.ev, r.err, r.run = true, st, ev, err, d
+	if err == nil {
+		r.frozen = *st
+	}
+	f.mu.Unlock()
 	return r, true
 }
 
-// simulate runs the simulation r for the request that found it missing:
-// it takes a worker slot, records the slot wait, the simulation's wall
-// time from its slot request and job.Run's, and freezes the result.
-func (c *Cache) simulate(s *simRun, label string, job Job) {
+func newFamily() *family {
+	f := &family{}
+	f.cond = sync.NewCond(&f.mu)
+	return f
+}
+
+// await waits, holding f.mu, until a finished run answers k, which it
+// returns, or no running run may answer k any more (nil).
+func (f *family) await(k Key) *simRun {
+	for {
+		pending := false
+		for _, r := range f.runs {
+			if r.done && r.answers(k) {
+				return r
+			}
+			pending = pending || (!r.done && r.mayAnswer(k))
+		}
+		if !pending {
+			return nil
+		}
+		f.cond.Wait()
+	}
+}
+
+// simulate runs a simulation for the request that found it missing: it
+// takes a worker slot, records the slot wait, the simulation's wall time
+// from its slot request and job.Run's (d), and returns job.Run's result.
+func (c *Cache) simulate(label string, job Job, progress func(core.Evidence)) (st *core.Stats, ev core.Evidence, d time.Duration, err error) {
 	c.computed.Add(1)
 	tel := telemetry.Active()
 	var sp *telemetry.Span
@@ -300,18 +365,15 @@ func (c *Cache) simulate(s *simRun, label string, job Job) {
 	t1 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
 	mSlotWait.Observe(t1.Sub(tq).Seconds())
 	defer pool.Release()
-	s.st, s.ev, s.err = job.Run(sp)
+	st, ev, err = job.Run(sp, progress)
 	t2 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
-	s.run = t2.Sub(t1)
-	if s.err == nil {
-		s.frozen = *s.st
-	}
 	sp.End()
 	elapsed := t2.Sub(tq).Seconds()
 	mSimSeconds.Observe(elapsed)
 	if tel != nil {
 		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
 	}
+	return st, ev, t2.Sub(t1), err
 }
 
 // Seconds returns the host seconds job.Run took for the simulation that

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 				runs.Add(1)
 				return &core.Stats{RetiredInsts: 42, Cycles: 7}, core.Evidence{}, nil
 			}})
@@ -89,7 +88,9 @@ func TestCacheErrorSharedNotStored(t *testing.T) {
 	b := newFakeBacking()
 	c.SetBacking(b)
 	boom := errors.New("boom")
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) { return nil, core.Evidence{}, boom }}
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		return nil, core.Evidence{}, boom
+	}}
 	if _, err := c.Do(testKey("gcc"), job); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -109,7 +110,7 @@ func TestCacheBackingStoreHit(t *testing.T) {
 	c1 := NewCache()
 	c1.SetBacking(b)
 	var runs atomic.Uint64
-	run := func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+	run := func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		runs.Add(1)
 		return want.Clone(), core.Evidence{}, nil
 	}
@@ -142,7 +143,7 @@ func TestCacheBackingStoreHit(t *testing.T) {
 
 func TestCacheFrozenGuard(t *testing.T) {
 	c := NewCache()
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		return &core.Stats{RetiredInsts: 5}, core.Evidence{}, nil
 	}}
 	st, err := c.Do(testKey("vpr"), job)
@@ -166,7 +167,7 @@ func TestCacheFrozenGuard(t *testing.T) {
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
 	var runs atomic.Uint64
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		runs.Add(1)
 		return &core.Stats{}, core.Evidence{}, nil
 	}}
@@ -196,7 +197,7 @@ func TestCacheSharesSimulation(t *testing.T) {
 	job := Job{
 		Pool:   NewPool(2),
 		SimKey: func() (Key, error) { simKeys.Add(1); return sim, nil },
-		Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+		Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 			runs.Add(1)
 			time.Sleep(time.Millisecond)
 			return &core.Stats{RetiredInsts: 5, Cycles: 9}, core.Evidence{}, nil
@@ -421,22 +422,30 @@ func familyKeys(bench string) (dmp, dhp, enh Key) {
 
 // TestCacheSharesOnEvidence pins sharing on run-time evidence with fake
 // evidence: a finished run answers a request of its family whose knobs
-// the evidence shows unexercised, and no other; a request waiting on its
-// family's lock holds no worker slot; a failed run answers only its own
-// simulation key and leaves the family usable; and a panicking Run
-// releases the family.
+// the evidence shows unexercised, and no other; a request waiting on a
+// running simulation of its family holds no worker slot; once the
+// running simulation reports a knob the two differ in as exercised, the
+// request starts beside it instead of waiting for it to finish; a failed
+// run answers only its own simulation key and leaves the family usable;
+// and a panicking Run releases the requests waiting on it.
 func TestCacheSharesOnEvidence(t *testing.T) {
 	c := NewCache()
 	pool := NewPool(2)
-	unexercised := core.Evidence{Recorded: true, AltSlack: math.MaxInt}
+	unexercised := core.Evidence{Recorded: true}
+	cfm := unexercised
+	cfm.MultipleCFM = true
 	var runs atomic.Uint64
-	release := make(chan struct{})
-	blocking := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+	started, report, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	blocking := Job{Pool: pool, Run: func(_ *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		runs.Add(1)
+		close(started)
+		<-report
+		progress(core.Evidence{MultipleCFM: true})
 		<-release
-		ev := unexercised
-		ev.MultipleCFM = true
-		return &core.Stats{Cycles: 3}, ev, nil
+		return &core.Stats{Cycles: 3}, cfm, nil
+	}}
+	other := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		return &core.Stats{Cycles: 5}, core.Evidence{}, nil
 	}}
 	dmp, dhp, enh := familyKeys("gap")
 	evidenceShared := mEvidenceShared.Value()
@@ -446,27 +455,43 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 		st, _ := c.Do(dmp, blocking)
 		first <- st
 	}()
-	waiter := make(chan *core.Stats)
+	<-started
+	// The DHP request differs in the mode only, which the run may still
+	// leave unexercised; enhanced DMP also turns on MultipleCFM.
+	waiter, beside := make(chan *core.Stats), make(chan *core.Stats)
 	go func() {
-		for c.Counts().Misses < 1 {
-			time.Sleep(time.Millisecond)
-		}
 		st, _ := c.Do(dhp, blocking)
 		waiter <- st
 	}()
-	for c.Counts().Misses < 2 {
+	go func() {
+		st, _ := c.Do(enh, other)
+		beside <- st
+	}()
+	for c.Counts().Misses < 3 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
 	if held := len(pool.Chan()); held != 1 {
-		t.Fatalf("%d slots held while one request simulates and one waits on its family, want 1", held)
+		t.Fatalf("%d slots held while one request simulates and two wait on it, want 1", held)
 	}
-	// The free slot runs a request of another family meanwhile.
-	other := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
-		return &core.Stats{Cycles: 5}, core.Evidence{}, nil
-	}}
-	if _, err := c.Do(testKey("vpr"), other); err != nil {
-		t.Fatal(err)
+	select {
+	case <-beside:
+		t.Fatal("a request ran before the running simulation of its family excluded it")
+	default:
+	}
+	close(report)
+	select {
+	case st := <-beside:
+		if st.Cycles != 5 {
+			t.Fatalf("enhanced DMP got %v, want its own run", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a request the running simulation excludes still waits for it")
+	}
+	select {
+	case <-waiter:
+		t.Fatal("the DHP request did not wait for the run that may answer it")
+	default:
 	}
 	close(release)
 	a, b := <-first, <-waiter
@@ -476,21 +501,14 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	if got := mEvidenceShared.Value() - evidenceShared; got != 1 {
 		t.Fatalf("dmp_sched_evidence_shared_total rose by %d, want 1", got)
 	}
-	// The run exercised MultipleCFM, which enhanced DMP turns on.
-	if _, err := c.Do(enh, blocking); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("runs = %d: a run that exercised a knob answered a request that flips it", runs.Load())
-	}
-	if cn := c.Counts(); cn.Computed != 3 || cn.Shared != 1 || cn.Misses != 4 {
-		t.Fatalf("counts = %+v, want 3 computed, 1 shared, 4 misses", cn)
+	if cn := c.Counts(); cn.Computed != 2 || cn.Shared != 1 || cn.Misses != 3 {
+		t.Fatalf("counts = %+v, want 2 computed, 1 shared, 3 misses", cn)
 	}
 
 	// A failed run answers only its own simulation key, with its error.
 	boom := errors.New("boom")
 	dmp, dhp, _ = familyKeys("twolf")
-	failing := Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) {
+	failing := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 		runs.Add(1)
 		return nil, unexercised, boom
 	}}
@@ -506,32 +524,44 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	if st, err := c.Do(dhp, other); err != nil || st.Cycles != 5 {
 		t.Fatalf("after a failed run its family answered %v, %v; want a run of its own", st, err)
 	}
-	if runs.Load() != 3 {
+	if runs.Load() != 2 {
 		t.Fatalf("runs = %d, want the failure run once", runs.Load())
 	}
 
-	// A panicking Run releases its family.
+	// A panicking Run releases the requests waiting on it.
 	dmp, dhp, _ = familyKeys("mesa")
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Run's panic did not reach the caller")
-			}
-		}()
-		c.Do(dmp, Job{Pool: pool, Run: func(*telemetry.Span) (*core.Stats, core.Evidence, error) { panic("simulator bug") }})
+	started, release = make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(dmp, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+			close(started)
+			<-release
+			panic("simulator bug")
+		}})
 	}()
+	<-started
+	misses := c.Counts().Misses
 	done := make(chan error)
 	go func() {
 		_, err := c.Do(dhp, other)
 		done <- err
 	}()
+	for c.Counts().Misses == misses {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if <-panicked == nil {
+		t.Fatal("Run's panic did not reach the caller")
+	}
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a panicking Run left its family locked")
+		t.Fatal("a panicking Run left a request of its family waiting")
 	}
 	if held := len(pool.Chan()); held != 0 {
 		t.Fatalf("%d slots still held", held)
