@@ -186,28 +186,11 @@ func BenchmarkAblationPostDomCFM(b *testing.B) {
 	runDMPWith(b, o, nil)
 }
 
-// BenchmarkAblationStaticThreshold replaces compiler-selected early-exit
-// thresholds with a single static value (Section 2.7.2 finds
-// compiler-selected slightly better).
-func BenchmarkAblationStaticThreshold(b *testing.B) {
-	runDMPWith(b, profile.DefaultOptions(), func(c *core.Config) {
-		c.EarlyExitDefault = 24
-	})
-}
-
 // BenchmarkAblationSelectPorts1 limits select-uop insertion to one per
 // cycle (RAT port pressure).
 func BenchmarkAblationSelectPorts1(b *testing.B) {
 	runDMPWith(b, profile.DefaultOptions(), func(c *core.Config) {
 		c.SelectUopsPerCycle = 1
-	})
-}
-
-// BenchmarkAblationSelectiveBPUpdate enables the Section 2.7.4
-// predictor-update policy (no training on predicated branches).
-func BenchmarkAblationSelectiveBPUpdate(b *testing.B) {
-	runDMPWith(b, profile.DefaultOptions(), func(c *core.Config) {
-		c.SelectiveBPUpdate = true
 	})
 }
 

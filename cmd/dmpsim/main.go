@@ -292,7 +292,7 @@ func run(args []string) error {
 		// The knobs whose flip could have changed a decision of this run
 		// (core.Evidence): requests that differ only in the others share it.
 		ev := m.Evidence()
-		fmt.Printf("knobs exercised   %12s %s\n", "", ev.Describe(cfg))
+		fmt.Printf("knobs exercised   %12s %s\n", "", ev.Describe())
 	}
 	printHostThroughput(p, cfg.MaxInsts, perSec(float64(st.RetiredInsts), wall))
 	return nil

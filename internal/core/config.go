@@ -88,7 +88,6 @@ type Config struct {
 	// Dynamic predication enhancements (Section 2.7).
 	MultipleCFM       bool // 2.7.1: CAM over all marked CFM points
 	EarlyExit         bool // 2.7.2: give up on the alternate path
-	EarlyExitDefault  int  // static threshold when annotation has none
 	MultipleDiverge   bool // 2.7.3: re-enter for a newer diverge branch
 	EnableLoopDiverge bool // 2.7.4: predicate marked loop branches too
 
@@ -105,11 +104,6 @@ type Config struct {
 	// capacity (0 = the internal/merge default). Only meaningful when
 	// CFMSource is "dynamic" or "hybrid".
 	MergeTableSize int
-
-	// SelectiveBPUpdate suppresses branch-predictor training for
-	// dynamically predicated branches (Section 2.7.4's update-policy
-	// future work, after Klauser et al.).
-	SelectiveBPUpdate bool
 
 	// KeepAlternateGHR keeps the alternate path's global history when
 	// dynamic predication exits (the paper's design choice, footnote 7).
@@ -230,7 +224,6 @@ func DefaultConfig() Config {
 		SelectUopsPerCycle: 4,
 		PredictorName:      "perceptron",
 		ConfidenceName:     "jrs",
-		EarlyExitDefault:   64,
 		MaxCycles:          2_000_000_000,
 		CheckRetirement:    true,
 	}
@@ -294,9 +287,6 @@ func ModeConfig(name string) (Config, error) {
 //   - folds the dynamic-predication knobs to their zero values for modes
 //     that never enter an episode (baseline and perfect-CBP consult none
 //     of them — maybeEnterDP returns before any is read);
-//   - folds EarlyExitDefault when EarlyExit is off (the threshold is
-//     stored per episode but only ever compared under the EarlyExit
-//     flag);
 //   - folds CheckRetirement, which changes wall-clock but never a single
 //     Stats bit. The experiment drivers always check; the store
 //     carries it beside the canonical Config (Meta.Check);
@@ -339,19 +329,12 @@ func (c Config) Canonical() Config {
 	if c.CFMSource == "" {
 		c.CFMSource = "annotated"
 	}
-	switch c.Mode {
-	case ModeBaseline, ModePerfect:
+	if c.Mode == ModeBaseline || c.Mode == ModePerfect {
 		c.MultipleCFM = false
 		c.EarlyExit = false
-		c.EarlyExitDefault = 0
 		c.MultipleDiverge = false
 		c.EnableLoopDiverge = false
-		c.SelectiveBPUpdate = false
 		c.KeepAlternateGHR = false
-	default:
-		if !c.EarlyExit {
-			c.EarlyExitDefault = 0
-		}
 	}
 	if c.Mode != ModeDMP {
 		c.CFMSource = "annotated"

@@ -37,7 +37,6 @@ func TestCanonicalFoldsPredicationKnobsForBaseline(t *testing.T) {
 		knobbed.EarlyExit = true
 		knobbed.MultipleDiverge = true
 		knobbed.EnableLoopDiverge = true
-		knobbed.SelectiveBPUpdate = true
 		knobbed.KeepAlternateGHR = true
 		if plain.Canonical() != knobbed.Canonical() {
 			t.Errorf("%v: predication knobs not folded", mode)
@@ -65,22 +64,6 @@ func TestCanonicalKeepsConfidenceName(t *testing.T) {
 	b.ConfidenceName = "perfect"
 	if a.Canonical() == b.Canonical() {
 		t.Error("ConfidenceName folded for baseline; it changes Stats")
-	}
-}
-
-// TestCanonicalFoldsEarlyExitDefaultWhenOff pins that the static early
-// exit threshold only matters under the EarlyExit flag.
-func TestCanonicalFoldsEarlyExitDefaultWhenOff(t *testing.T) {
-	a := DMPConfig()
-	b := DMPConfig()
-	b.EarlyExitDefault = 999
-	if a.Canonical() != b.Canonical() {
-		t.Error("EarlyExitDefault not folded with EarlyExit off")
-	}
-	a.EarlyExit = true
-	b.EarlyExit = true
-	if a.Canonical() == b.Canonical() {
-		t.Error("EarlyExitDefault folded with EarlyExit on — it sets episode thresholds")
 	}
 }
 

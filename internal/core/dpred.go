@@ -104,7 +104,6 @@ type episode struct {
 
 	altFetched    int // alternate-path instructions fetched (early exit)
 	exitThreshold int
-	ownExit       bool // exitThreshold is the region's own, not Config.EarlyExitDefault
 
 	exitCase  ExitCase
 	converted bool // reverted to a normal branch (early exit or MDB)

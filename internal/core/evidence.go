@@ -29,11 +29,10 @@ import (
 //   - MultipleCFM: the predicted path of an episode reached one of its
 //     region's further CFM points (CFMs[1:]) before the first one
 //     (enterEpisode keeps CFMs[:1] without the knob).
-//   - EarlyExit: at every early-exit test of the fetch loop, the
-//     alternate path's length so far against the episode's threshold.
-//     The default threshold is folded away when EarlyExit is off, so the
-//     record is threshold-free: AltLongest for regions without a
-//     threshold of their own, OwnExit for regions with one.
+//   - EarlyExit: at an early-exit test of the fetch loop, an alternate
+//     path reached its episode's threshold. Thresholds are the marks'
+//     own (or a constant), never the configuration's, so the test reads
+//     no knob.
 //   - MergeTableSize: the merge table's peak occupancy, and whether an
 //     allocation ever found it full (the only read of its size).
 type Evidence struct {
@@ -45,14 +44,9 @@ type Evidence struct {
 	MultipleDiverge bool
 	MultipleCFM     bool
 
-	// AltLongest is the longest alternate path fetched at an early-exit
-	// test in an episode whose region has no threshold of its own: early
-	// exit at default threshold T fires on this trajectory iff
-	// AltLongest >= T. OwnExit reports an early-exit test, in an episode
-	// whose region has a threshold of its own, that found the path at
-	// that threshold: early exit fires there whatever T is.
-	AltLongest int
-	OwnExit    bool
+	// EarlyExit reports an alternate path that reached its episode's
+	// threshold: early exit fires on this trajectory iff it is on.
+	EarlyExit bool
 
 	// MergePeak is the merge table's peak occupancy; MergeEvicted reports
 	// an allocation that found the table full and evicted.
@@ -61,10 +55,10 @@ type Evidence struct {
 }
 
 // Family returns the configuration with the knobs Evidence vouches for
-// cleared: DHP becomes DMP, and MultipleCFM, EarlyExit, EarlyExitDefault,
-// MultipleDiverge and MergeTableSize take their zero values. Sampled
-// configurations and modes other than DMP and DHP are their own family.
-// c must be canonical.
+// cleared: DHP becomes DMP, and MultipleCFM, EarlyExit, MultipleDiverge
+// and MergeTableSize take their zero values. Sampled configurations and
+// modes other than DMP and DHP are their own family. c must be
+// canonical.
 func (c Config) Family() Config {
 	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) {
 		return c
@@ -72,16 +66,9 @@ func (c Config) Family() Config {
 	c.Mode = ModeDMP
 	c.MultipleCFM = false
 	c.EarlyExit = false
-	c.EarlyExitDefault = 0
 	c.MultipleDiverge = false
 	c.MergeTableSize = 0
 	return c
-}
-
-// exits reports whether early exit fires anywhere on the recorded
-// trajectory under EarlyExit on with default threshold T.
-func (e *Evidence) exits(on bool, T int) bool {
-	return on && (e.AltLongest >= T || e.OwnExit)
 }
 
 // Answers reports whether the run of ran that recorded e is, bit for
@@ -98,10 +85,8 @@ func (e *Evidence) Answers(ran, req Config) bool {
 	switch {
 	case ran.Mode != req.Mode && e.DHPFilter,
 		ran.MultipleCFM != req.MultipleCFM && e.MultipleCFM,
+		ran.EarlyExit != req.EarlyExit && e.EarlyExit,
 		ran.MultipleDiverge != req.MultipleDiverge && e.MultipleDiverge:
-		return false
-	case (ran.EarlyExit != req.EarlyExit || ran.EarlyExitDefault != req.EarlyExitDefault) &&
-		(e.exits(ran.EarlyExit, ran.EarlyExitDefault) || e.exits(req.EarlyExit, req.EarlyExitDefault)):
 		return false
 	case ran.MergeTableSize != req.MergeTableSize && (e.MergeEvicted || req.MergeTableSize < e.MergePeak):
 		return false
@@ -109,11 +94,10 @@ func (e *Evidence) Answers(ran, req Config) bool {
 	return true
 }
 
-// Describe names the knobs the run of cfg exercised, those whose flip
-// could have changed a decision on its trajectory, followed by the
-// threshold-free early-exit and merge-table records. The early-exit knob
-// is judged at cfg's own EarlyExitDefault, set even when EarlyExit is off.
-func (e *Evidence) Describe(cfg Config) string {
+// Describe names the knobs the run exercised, those whose flip could
+// have changed a decision on its trajectory, followed by the merge
+// table's peak occupancy.
+func (e *Evidence) Describe() string {
 	var knobs []string
 	for _, k := range []struct {
 		name string
@@ -121,7 +105,7 @@ func (e *Evidence) Describe(cfg Config) string {
 	}{
 		{"dhp-filter", e.DHPFilter},
 		{"multiple-cfm", e.MultipleCFM},
-		{"early-exit", e.exits(true, cfg.EarlyExitDefault)},
+		{"early-exit", e.EarlyExit},
 		{"multiple-diverge", e.MultipleDiverge},
 		{"merge-table-size", e.MergeEvicted},
 	} {
@@ -132,15 +116,14 @@ func (e *Evidence) Describe(cfg Config) string {
 	if len(knobs) == 0 {
 		knobs = []string{"none"}
 	}
-	return fmt.Sprintf("%s (longest alternate path %d, own threshold reached %v, merge-table peak %d)",
-		strings.Join(knobs, " "), e.AltLongest, e.OwnExit, e.MergePeak)
+	return fmt.Sprintf("%s (merge-table peak %d)", strings.Join(knobs, " "), e.MergePeak)
 }
 
 // Excludes reports whether e, recorded so far by a run of ran that may
 // still be going, already shows that the finished run will not answer
-// req. A run's records only ever grow more exercised (the flags get set,
-// AltLongest and MergePeak grow), and Answers is monotone in them, so
-// what the records so far rule out stays ruled out.
+// req. A run's records only ever grow more exercised (the flags get set
+// and MergePeak grows), and Answers is monotone in them, so what the
+// records so far rule out stays ruled out.
 func (e Evidence) Excludes(ran, req Config) bool {
 	e.Recorded = true
 	return !e.Answers(ran, req)
@@ -159,16 +142,6 @@ func (m *Machine) Evidence() Evidence {
 		ev.MergeEvicted = m.merge.Counts().Evictions > 0
 	}
 	return ev
-}
-
-// noteAltTest records the alternate path's length at an early-exit test
-// (Evidence.AltLongest and OwnExit).
-func (m *Machine) noteAltTest(ep *episode) {
-	if ep.ownExit {
-		m.ev.OwnExit = m.ev.OwnExit || ep.altFetched >= ep.exitThreshold
-	} else {
-		m.ev.AltLongest = max(m.ev.AltLongest, ep.altFetched)
-	}
 }
 
 // noteCFMTest records a predicted path reaching one of its region's

@@ -44,7 +44,7 @@ func TestStatsLawsTieCountersToEvidence(t *testing.T) {
 					fired[i]++
 				}
 			}
-			if st.Episodes > 0 && !ev.exits(cfg.EarlyExit, cfg.EarlyExitDefault) {
+			if st.Episodes > 0 && !(cfg.EarlyExit && ev.EarlyExit) {
 				quiet[0]++
 			}
 			if st.Episodes > 0 && !ev.MultipleDiverge {
@@ -146,57 +146,60 @@ func TestEntryEvidenceReadsNoKnob(t *testing.T) {
 	}
 }
 
-// TestDefaultThresholdEvidence covers the early-exit record of regions
-// without a threshold of their own (Evidence.AltLongest), which no
-// profiled program has: every mark the profiler writes carries its own
-// threshold, and so does every merge-predictor entry. A simple hammock
-// marked without one runs with early exit off and at default thresholds
-// from 1 to 64. Wherever a run's evidence answers another configuration
-// the two must give equal Stats and evidence, some must answer and some
-// not, and some run must exit early (which CheckStats ties to the
-// record).
+// TestDefaultThresholdEvidence covers the early-exit record
+// (Evidence.EarlyExit) across the thresholds a mark can carry. A simple
+// hammock is marked without a threshold of its own (0, which reads as
+// defaultExitThreshold) and with thresholds from 1 to 64, and each
+// program runs with early exit off and on. Wherever a run's evidence
+// answers the other configuration the two must give equal Stats and
+// evidence, some must answer and some not, and some run must exit early
+// (which CheckStats ties to the record). A mark without a threshold must
+// run as one marked with defaultExitThreshold.
 func TestDefaultThresholdEvidence(t *testing.T) {
-	p, hammockPC := randomHammockProg(300)
-	p.Diverge[hammockPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: prog.ClassSimpleHammock}
 	type run struct {
 		cfg Config
 		st  Stats
 		ev  Evidence
 	}
-	var runs []run
+	byThr := map[int][2]run{}
 	exits := uint64(0)
-	for _, thr := range []int{0, 1, 2, 3, 4, 8, 64} {
-		cfg := EnhancedDMPConfig()
-		cfg.ConfidenceName = "always-low"
-		cfg.EarlyExit, cfg.EarlyExitDefault = thr > 0, max(thr, 1)
-		m, err := New(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStats(t, m, st)
-		exits += st.EarlyExits
-		runs = append(runs, run{cfg.Canonical(), *st, m.Evidence()})
-	}
 	answered, pairs := 0, 0
-	for _, a := range runs {
-		for _, b := range runs {
-			if a.cfg == b.cfg {
-				continue
+	for _, thr := range []int{0, 1, 2, 3, 4, 8, defaultExitThreshold} {
+		p, hammockPC := randomHammockProg(300)
+		p.Diverge[hammockPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: prog.ClassSimpleHammock, ExitThreshold: thr}
+		var runs [2]run
+		for i, on := range []bool{false, true} {
+			cfg := EnhancedDMPConfig()
+			cfg.ConfidenceName = "always-low"
+			cfg.EarlyExit = on
+			m, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			st, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStats(t, m, st)
+			exits += st.EarlyExits
+			runs[i] = run{cfg.Canonical(), *st, m.Evidence()}
+		}
+		for _, ab := range [][2]run{{runs[0], runs[1]}, {runs[1], runs[0]}} {
+			a, b := ab[0], ab[1]
 			pairs++
 			if !a.ev.Answers(a.cfg, b.cfg) {
 				continue
 			}
 			answered++
 			if a.st != b.st || a.ev != b.ev {
-				t.Errorf("the run at threshold %d (early exit %v) answers threshold %d (%v), but the runs differ",
-					a.cfg.EarlyExitDefault, a.cfg.EarlyExit, b.cfg.EarlyExitDefault, b.cfg.EarlyExit)
+				t.Errorf("threshold %d: the run with early exit %v answers the one with %v, but the runs differ",
+					thr, a.cfg.EarlyExit, b.cfg.EarlyExit)
 			}
 		}
+		byThr[thr] = runs
+	}
+	if byThr[0] != byThr[defaultExitThreshold] {
+		t.Errorf("a mark without a threshold does not run as one marked %d", defaultExitThreshold)
 	}
 	if exits == 0 || answered == 0 || answered == pairs {
 		t.Fatalf("%d early exits, %d of %d pairs answered: want early exits, and some pairs answered and some not",

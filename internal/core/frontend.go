@@ -82,11 +82,13 @@ func (m *Machine) fetchStage() {
 		if ep := m.feEp; ep != nil {
 			switch ep.phase {
 			case dpAlternate:
-				m.noteAltTest(ep)
-				if m.cfg.EarlyExit && ep.altFetched >= ep.exitThreshold {
-					m.earlyExit(ep)
-					slots--
-					continue
+				if ep.altFetched >= ep.exitThreshold {
+					m.ev.EarlyExit = true
+					if m.cfg.EarlyExit {
+						m.earlyExit(ep)
+						slots--
+						continue
+					}
 				}
 				if m.fetchPC == ep.cfm {
 					m.exitPredication(ep)
@@ -366,8 +368,7 @@ func (m *Machine) enterEpisode(u *uop, d *prog.Diverge, dyn bool) {
 		phase:          dpPredicted,
 		predictedTaken: u.predictedTaken,
 		predID1:        m.preds.alloc(),
-		exitThreshold:  m.exitThreshold(d),
-		ownExit:        d.ExitThreshold > 0,
+		exitThreshold:  exitThreshold(d),
 		loop:           d.Loop,
 		dynCFM:         dyn,
 		rasAtDiverge:   ep.rasAtDiverge,

@@ -430,14 +430,6 @@ func TestPredictorVariants(t *testing.T) {
 	}
 }
 
-func TestSelectiveBPUpdate(t *testing.T) {
-	p, _ := randomHammockProg(1200)
-	profiled(t, p)
-	cfg := EnhancedDMPConfig()
-	cfg.SelectiveBPUpdate = true
-	runBoth(t, p, cfg)
-}
-
 // checkStats fails the test unless st, a finished run's Stats, are the
 // machine's own and obey the accounting's conservation laws
 // (Machine.CheckStats).

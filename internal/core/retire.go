@@ -118,9 +118,7 @@ func (m *Machine) retireOne(u *uop) {
 		if u.mispredicted {
 			m.Stats.RetiredMispredicts++
 		}
-		if !(m.cfg.SelectiveBPUpdate && u.isDiverge) {
-			m.pred.Update(u.pc, u.fetchGHR, u.actualTaken)
-		}
+		m.pred.Update(u.pc, u.fetchGHR, u.actualTaken)
 		m.confEst.Update(u.pc, u.fetchGHR, !u.mispredicted)
 		if u.actualTaken {
 			m.btb.Insert(u.pc, u.actualNext)

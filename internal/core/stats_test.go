@@ -380,19 +380,3 @@ func TestWPClassifierUnfinishedEpisode(t *testing.T) {
 		t.Error("double flushWPAll double-counted")
 	}
 }
-
-// SelectiveBPUpdate must not train the predictor on predicated diverge
-// branches: on a 50/50 hammock the predictor's counters stay unbiased,
-// which we can only observe indirectly — the run must stay correct and
-// still absorb mispredictions.
-func TestSelectiveBPUpdateStillAbsorbs(t *testing.T) {
-	p, _ := randomHammockProg(1500)
-	profiled(t, p)
-	cfg := EnhancedDMPConfig()
-	cfg.SelectiveBPUpdate = true
-	cfg.ConfidenceName = "perfect"
-	st := runBoth(t, p, cfg)
-	if st.ExitCases[Exit2] == 0 {
-		t.Error("no absorbed mispredictions under SelectiveBPUpdate")
-	}
-}

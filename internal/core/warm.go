@@ -186,13 +186,19 @@ func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (d *prog.Diverge
 	return d, lk, d.Class != prog.ClassSimpleHammock
 }
 
+// defaultExitThreshold is the early-exit threshold of a region marked
+// without one of its own. Every mark the profiler writes and every
+// merge-predictor entry carries its own; generated and hand-marked
+// programs may not.
+const defaultExitThreshold = 64
+
 // exitThreshold is the early-exit threshold of an episode over d: the
-// region's own, else cfg.EarlyExitDefault.
-func (ws *WarmState) exitThreshold(d *prog.Diverge) int {
+// region's own, else defaultExitThreshold.
+func exitThreshold(d *prog.Diverge) int {
 	if d.ExitThreshold > 0 {
 		return d.ExitThreshold
 	}
-	return ws.cfg.EarlyExitDefault
+	return defaultExitThreshold
 }
 
 // wrongPathDepth bounds the runahead excursion taken at each mispredicted
@@ -215,10 +221,7 @@ const wrongPathDepth = 256
 // executed st, whose state anchors the excursion. With an episode region
 // rg, a branch that enters dynamic predication replays the episode's
 // alternate path instead (maybeEpisode); with rg nil no episode is
-// replayed. One deliberate approximation versus a
-// detailed run remains: SelectiveBPUpdate cannot suppress updates for
-// would-be-predicated branches, since no episodes exist without a
-// pipeline.
+// replayed.
 //
 // The direction predictor predicts and trains in one fused call
 // (bpred.PredictUpdate): the outcome is known here, and none of the
@@ -320,10 +323,7 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, rg 
 	if d == nil {
 		return false
 	}
-	thr := ws.exitThreshold(d)
-	if thr <= 0 || thr > wrongPathDepth {
-		thr = wrongPathDepth
-	}
+	thr := min(exitThreshold(d), wrongPathDepth)
 	altPC := pc + 1
 	if !st.Taken {
 		altPC = st.Inst.Target

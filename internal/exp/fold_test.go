@@ -67,30 +67,25 @@ func requestedConfigs(t *testing.T) []core.Config {
 }
 
 // knobSweep varies each predication knob on its own from the basic DMP,
-// DHP and enhanced DMP machines: each enhancement alone, early exit off
-// and on at default thresholds 8, 64 and 1<<20, the dynamic and hybrid
-// CFM sources (mergeSizes adds the merge-table sizes around a run's peak
-// occupancy), loop diverge, selective predictor update, the alternate
-// path's history and the always-low confidence estimator. The last four
-// are knobs no evidence vouches for: varied from basic DMP and DHP they
-// go to the fold check only (foldOnly), which keeps them there without
+// DHP and enhanced DMP machines: each enhancement toggled alone, the
+// dynamic and hybrid CFM sources (mergeSizes adds the merge-table sizes
+// around a run's peak occupancy), loop diverge, the alternate path's
+// history and the always-low confidence estimator. The last three are
+// knobs no evidence vouches for: varied from basic DMP and DHP they go
+// to the fold check only (foldOnly), which keeps them there without
 // multiplying the families TestEvidenceIsExact compares.
 func knobSweep() (sweep, foldOnly []core.Config) {
 	for _, base := range []core.Config{core.DMPConfig(), core.DHPConfig(), core.EnhancedDMPConfig()} {
 		edits := []func(*core.Config){
 			func(*core.Config) {},
 			func(c *core.Config) { c.MultipleCFM = !c.MultipleCFM },
-			func(c *core.Config) { c.EarlyExit = false },
+			func(c *core.Config) { c.EarlyExit = !c.EarlyExit },
 			func(c *core.Config) { c.MultipleDiverge = !c.MultipleDiverge },
 			func(c *core.Config) { c.CFMSource = "dynamic" },
 			func(c *core.Config) { c.CFMSource = "hybrid" },
 		}
-		for _, thr := range []int{8, 64, 1 << 20} {
-			edits = append(edits, func(c *core.Config) { c.EarlyExit, c.EarlyExitDefault = true, thr })
-		}
 		others := []func(*core.Config){
 			func(c *core.Config) { c.EnableLoopDiverge = true },
-			func(c *core.Config) { c.SelectiveBPUpdate = true },
 			func(c *core.Config) { c.KeepAlternateGHR = true },
 			func(c *core.Config) { c.ConfidenceName = "always-low" },
 		}
@@ -371,9 +366,8 @@ func TestFoldForIsExact(t *testing.T) {
 // makes "answers" an equivalence relation, and the result cache's
 // simulation count independent of request order). Its inputs are the
 // configurations the experiments request and a sweep of each predication
-// knob (differentialRuns): each enhancement alone, DHP and DMP, early exit
-// off and on at three default thresholds, and merge-table sizes around
-// each run's peak occupancy.
+// knob (differentialRuns): each enhancement toggled alone, DHP and DMP,
+// and merge-table sizes around each run's peak occupancy.
 func TestEvidenceIsExact(t *testing.T) {
 	d := differentialRuns(t)
 	pairs, answered, runs := 0, 0, 0

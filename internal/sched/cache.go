@@ -48,9 +48,12 @@ type Backing interface {
 	Store(Key, *core.Stats)
 }
 
-// entry is a request's once-run slot in the request map.
+// entry is a request's once-run slot in the request map. done is set
+// once the slot is filled; a call that panics while filling it removes
+// the entry instead, and callers that waited on it look again.
 type entry struct {
 	once   sync.Once
+	done   bool
 	st     *core.Stats
 	frozen core.Stats // snapshot taken at publication; guards the read-only invariant
 	err    error
@@ -197,80 +200,100 @@ func (c *Cache) getBacking() Backing {
 // it; only when none can does it simulate (family). Every answer is
 // exact, so the number of simulations depends neither on the order of
 // requests nor on the pool size. Each request still publishes under,
-// and writes through to the store under, its own key. The returned
-// Stats are shared and frozen: Clone before mutating.
+// and writes through to the store under, its own key. A job that panics
+// poisons no key: the panic reaches the call that ran it, and the next
+// request for the key, or one that waited on it, computes afresh. The
+// returned Stats are shared and frozen: Clone before mutating.
 func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
-	v, _ := c.entries.LoadOrStore(key, &entry{})
-	e := v.(*entry)
-	hit := true
-	t0 := time.Now() //dmp:allow nondeterminism -- host telemetry only; never reaches Stats or tables
-	e.once.Do(func() {
-		hit = false
-		c.misses.Add(1)
-		mCacheMisses.Inc()
-		tel := telemetry.Active()
-		var label string
-		if tel != nil {
-			label = key.Label()
-		}
-		if b := c.getBacking(); b != nil {
-			if st, ok := b.Load(key); ok {
-				// A store hit publishes without taking a worker slot:
-				// the result is already computed, so the pool stays
-				// free for simulations that actually need it.
-				c.storeHits.Add(1)
-				mStoreHits.Inc()
-				e.st, e.frozen = st, *st
-				if tel != nil {
-					tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "store-hit"})
+	for {
+		v, _ := c.entries.LoadOrStore(key, &entry{})
+		e := v.(*entry)
+		hit := true
+		t0 := time.Now() //dmp:allow nondeterminism -- host telemetry only; never reaches Stats or tables
+		e.once.Do(func() {
+			hit = false
+			defer func() {
+				if !e.done {
+					c.entries.CompareAndDelete(key, e)
 				}
-				return
-			}
-			mStoreMisses.Inc()
+			}()
+			c.fill(key, e, job)
+			e.done = true
+		})
+		if !e.done {
+			continue // the call that filled e panicked
 		}
-		simKey := key
-		if job.SimKey != nil {
-			if simKey, e.err = job.SimKey(); e.err != nil {
-				return
-			}
-		}
-		r, ran := c.answer(simKey, label, job)
-		e.st, e.frozen, e.err = r.st, r.frozen, r.err
-		e.run.Store(int64(r.run))
-		if !ran {
-			// Waiting on another request's simulation holds no slot,
-			// like a duplicate request.
-			c.shared.Add(1)
-			mShared.Inc()
-			msg := "shared"
-			if r.key != simKey {
-				mEvidenceShared.Inc()
-				msg = "shared-evidence"
-			}
-			if tel != nil {
-				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: msg})
+		if hit {
+			c.hits.Add(1)
+			mCacheHits.Inc()
+			// Covers both flavors of hit: an instant lookup of a
+			// completed entry (~0) and blocking on another request's
+			// in-flight simulation (the singleflight case the histogram
+			// exists for).
+			mSingleflightWait.Observe(time.Since(t0).Seconds()) //dmp:allow nondeterminism -- host telemetry only
+			if tel := telemetry.Active(); tel != nil {
+				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: key.Label(), Msg: "hit"})
 			}
 			c.checkFrozen(key, e)
 		}
-		if e.err == nil {
-			if b := c.getBacking(); b != nil {
-				b.Store(key, e.st)
+		return e.st, e.err
+	}
+}
+
+// fill computes the missing entry e for key: from the backing store, or
+// from the run of key's family that answers it.
+func (c *Cache) fill(key Key, e *entry, job Job) {
+	c.misses.Add(1)
+	mCacheMisses.Inc()
+	tel := telemetry.Active()
+	var label string
+	if tel != nil {
+		label = key.Label()
+	}
+	if b := c.getBacking(); b != nil {
+		if st, ok := b.Load(key); ok {
+			// A store hit publishes without taking a worker slot:
+			// the result is already computed, so the pool stays
+			// free for simulations that actually need it.
+			c.storeHits.Add(1)
+			mStoreHits.Inc()
+			e.st, e.frozen = st, *st
+			if tel != nil {
+				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "store-hit"})
 			}
+			return
 		}
-	})
-	if hit {
-		c.hits.Add(1)
-		mCacheHits.Inc()
-		// Covers both flavors of hit: an instant lookup of a completed
-		// entry (~0) and blocking on another request's in-flight
-		// simulation (the singleflight case the histogram exists for).
-		mSingleflightWait.Observe(time.Since(t0).Seconds()) //dmp:allow nondeterminism -- host telemetry only
-		if tel := telemetry.Active(); tel != nil {
-			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: key.Label(), Msg: "hit"})
+		mStoreMisses.Inc()
+	}
+	simKey := key
+	if job.SimKey != nil {
+		if simKey, e.err = job.SimKey(); e.err != nil {
+			return
+		}
+	}
+	r, ran := c.answer(simKey, label, job)
+	e.st, e.frozen, e.err = r.st, r.frozen, r.err
+	e.run.Store(int64(r.run))
+	if !ran {
+		// Waiting on another request's simulation holds no slot,
+		// like a duplicate request.
+		c.shared.Add(1)
+		mShared.Inc()
+		msg := "shared"
+		if r.key != simKey {
+			mEvidenceShared.Inc()
+			msg = "shared-evidence"
+		}
+		if tel != nil {
+			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: msg})
 		}
 		c.checkFrozen(key, e)
 	}
-	return e.st, e.err
+	if e.err == nil {
+		if b := c.getBacking(); b != nil {
+			b.Store(key, e.st)
+		}
+	}
 }
 
 // answer returns the finished run of simKey's family that answers it,

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -565,5 +566,58 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	}
 	if held := len(pool.Chan()); held != 0 {
 		t.Fatalf("%d slots still held", held)
+	}
+}
+
+// TestCachePanicPoisonsNoKey runs a job that panics on its first call.
+// The panic reaches the call that ran it; a request that waited on that
+// call and a later request for the same key both get Stats from a fresh
+// run instead of the failed entry's nil.
+func TestCachePanicPoisonsNoKey(t *testing.T) {
+	c := NewCache()
+	key := testKey("gzip")
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	job := Job{Pool: NewPool(2), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("simulator bug")
+		}
+		return &core.Stats{Cycles: 9}, core.Evidence{}, nil
+	}}
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(key, job)
+	}()
+	<-started
+	waited := make(chan *core.Stats)
+	go func() {
+		st, err := c.Do(key, job)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- st
+	}()
+	// Both calls are inside the entry's sync.Once once the waiter blocks
+	// on the running call.
+	buf := make([]byte, 1<<20)
+	for strings.Count(string(buf[:runtime.Stack(buf, true)]), "sync.(*Once).doSlow") < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	if <-panicked == nil {
+		t.Fatal("Run's panic did not reach the caller")
+	}
+	if st := <-waited; st == nil || st.Cycles != 9 {
+		t.Fatalf("the waiter got %v, want a fresh run's Stats", st)
+	}
+	st, err := c.Do(key, job)
+	if err != nil || st == nil || st.Cycles != 9 {
+		t.Fatalf("a later request got %v, %v; want a fresh run's Stats", st, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("Run called %d times, want the panicking call and one more", n)
 	}
 }

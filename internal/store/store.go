@@ -94,11 +94,12 @@ type Meta struct {
 }
 
 // Digest returns the entry's content address: SHA-256 over the format
-// version, the Stats schema fingerprint, and the JSON encoding of m
-// (struct field order is fixed, so the encoding is deterministic).
+// version, the simulator's model version (core.ModelVersion), the Stats
+// schema fingerprint, and the JSON encoding of m (struct field order is
+// fixed, so the encoding is deterministic).
 func (m Meta) Digest() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "dmp-store/%d/%s\n", FormatVersion, statsSchema)
+	fmt.Fprintf(h, "dmp-store/%d/%d/%s\n", FormatVersion, core.ModelVersion, statsSchema)
 	enc, err := json.Marshal(m)
 	if err != nil {
 		// core.Config and the scalar fields always marshal; a failure

@@ -84,7 +84,10 @@ func TestDigestSeparatesVariants(t *testing.T) {
 // baseline run and one sampled enhanced run at a per-benchmark
 // operating point. Persisted objects are addressed by these digests, so
 // a Config change that moves them (a renamed, reordered or regrouped
-// field) turns every stored result into a miss.
+// field) turns every stored result into a miss. They moved once when
+// core.ModelVersion joined the preimage, in the same change that
+// dropped Config.EarlyExitDefault and Config.SelectiveBPUpdate: from
+// then on a simulator change that moves results bumps ModelVersion.
 func TestDigestPinned(t *testing.T) {
 	sampled := core.EnhancedDMPConfig()
 	sampled.SampleMode = true
@@ -95,9 +98,9 @@ func TestDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"exact-baseline", Meta{Bench: "mcf", Scale: 1, Check: true, Config: core.DefaultConfig().Canonical(), WorkloadHash: "w"},
-			"913fa43ed73b083ece1f622e5bc7924f76f7831e091ea784c37d24b3942308ee"},
+			"2bbd8797adb9c55b3c0671372d4a33ff6bcb6533e203b7ace3dc85897aef7020"},
 		{"sampled-enhanced", Meta{Bench: "mcf", Scale: 3, Check: true, Config: sampled.Canonical(), WorkloadHash: "w"},
-			"ca859ebed177f29974d12f94e767e0498a1ac6387105fc26dede03e1cde12985"},
+			"00b6faeae4770b824f30dd9515fb3f11a7a648133fd8abf0288701fcf3a22f7d"},
 	} {
 		if got := tc.meta.Digest(); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
