@@ -99,10 +99,10 @@ func BenchmarkDualPath(b *testing.B) {
 
 // BenchmarkAllExperiments tracks the full evaluation suite the way
 // cmd/dmpexp runs it: every experiment generated concurrently against a
-// cold process-wide result cache, each distinct machine (benchmark,
-// scale and config folded for its program, core.Config.FoldFor)
-// simulated exactly once. sims/run counts the simulations actually
-// executed; reused/run the requests answered without one of their own.
+// cold process-wide result cache, where a run answers every request of
+// its family whose extra predication knobs it never exercised
+// (core.Evidence). sims/run counts the simulations actually executed;
+// reused/run the requests answered without one of their own.
 // This is the wall-clock number the result-cache + global-scheduler work
 // optimizes (BENCH_expcache.json).
 func BenchmarkAllExperiments(b *testing.B) {
@@ -195,11 +195,9 @@ func BenchmarkAblationSelectPorts1(b *testing.B) {
 }
 
 // BenchmarkAblationLoopDiverge enables diverge loop branches (Section
-// 2.7.4 future work) with a profile pass that marks them.
+// 2.7.4 future work), which the profile pass always marks.
 func BenchmarkAblationLoopDiverge(b *testing.B) {
-	o := profile.DefaultOptions()
-	o.IncludeLoops = true
-	runDMPWith(b, o, func(c *core.Config) {
+	runDMPWith(b, profile.DefaultOptions(), func(c *core.Config) {
 		c.EnableLoopDiverge = true
 	})
 }

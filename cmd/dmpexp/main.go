@@ -39,8 +39,8 @@
 // (-sample-*, -telemetry*) are rejected with -remote. Either way the
 // experiments run through serve.RunExperiments, locally or in the daemon.
 //
-// Annotation legality is dmplint's job (dmplint -werror all, with and
-// without -loops), which checks the same programs dmpexp simulates.
+// Annotation legality is dmplint's job (dmplint -werror all), which
+// checks the same programs dmpexp simulates.
 //
 // -telemetry attaches the host-side telemetry layer (internal/telemetry):
 // a live single-line progress renderer on stderr (cache hits/misses,

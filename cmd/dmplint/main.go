@@ -10,7 +10,6 @@
 //
 //	dmplint all                 # every benchmark, post-profile annotations
 //	dmplint -scale 1 mcf twolf  # a subset at another scale
-//	dmplint -loops all          # with loop diverge branches marked (2.7.4)
 //	dmplint -asm prog.s         # an assembly file (annotations via -profile)
 //
 // Exit status: 0 when no Error-severity diagnostics were found (with
@@ -30,7 +29,6 @@ import (
 func main() {
 	var (
 		scale   = flag.Int("scale", 3, "workload scale factor")
-		loops   = flag.Bool("loops", false, "mark loop diverge branches too (Section 2.7.4)")
 		strict  = flag.Bool("strict", false, "enable the path-sensitive maybe-undef dataflow check")
 		maxDist = flag.Int("maxdist", 0, "CFM distance bound (0 = profiler default)")
 		werror  = flag.Bool("werror", false, "treat warnings as errors for the exit status")
@@ -53,7 +51,7 @@ func main() {
 		names = workload.Names()
 	}
 	for _, name := range names {
-		p, err := exp.Load(name, *asm, *scale, *loops, *doProf)
+		p, err := exp.Load(name, *asm, *scale, *doProf)
 		if err != nil {
 			fatal("%s: %v", name, err)
 		}

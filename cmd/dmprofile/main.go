@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asm     = fs.String("asm", "", "assembly file")
 		scale   = fs.Int("scale", 3, "workload scale")
 		postdom = fs.Bool("postdom", false, "use immediate post-dominator CFM selection (ablation)")
-		loops   = fs.Bool("loops", false, "mark diverge loop branches too (2.7.4)")
 		share   = fs.Float64("share", 0.001, "minimum misprediction share for a candidate")
 		frac    = fs.Float64("frac", 0.2, "minimum reconvergence fraction for a CFM point")
 		dist    = fs.Int("dist", 120, "maximum dynamic distance to a CFM point")
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *asm != "":
 		var err error
-		if p, err = exp.Load("", *asm, 0, false, false); err != nil {
+		if p, err = exp.Load("", *asm, 0, false); err != nil {
 			return fail(err)
 		}
 	case *bench != "":
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := profile.DefaultOptions()
 	opts.UsePostDom = *postdom
-	opts.IncludeLoops = *loops
 	opts.MispredictShare = *share
 	opts.ReconvergeFrac = *frac
 	opts.MaxDist = *dist

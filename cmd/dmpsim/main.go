@@ -159,7 +159,7 @@ func run(args []string) error {
 	if *bench == "" && *asm == "" {
 		return errors.New("need -bench or -asm (try -list)")
 	}
-	p, err := exp.Load(*bench, *asm, *scale, *loops, cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP)
+	p, err := exp.Load(*bench, *asm, *scale, cfg.Mode == core.ModeDMP || cfg.Mode == core.ModeDHP)
 	if err != nil {
 		return err
 	}

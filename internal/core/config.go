@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"dmp/internal/merge"
-	"dmp/internal/prog"
 )
 
 // Mode selects the machine organization being simulated.
@@ -96,7 +95,8 @@ type Config struct {
 	// program), "dynamic" (only the runtime merge-point predictor,
 	// internal/merge — annotations are ignored, so unannotated binaries
 	// can be predicated), or "hybrid" (the annotation wins when present,
-	// the predictor fills unannotated branches). The predictor is only
+	// the predictor fills unannotated branches; a loop mark reads as no
+	// annotation without EnableLoopDiverge). The predictor is only
 	// consulted in ModeDMP: it cannot prove the simple-hammock shape DHP
 	// requires, so DHP always runs from annotations.
 	CFMSource string
@@ -286,7 +286,8 @@ func ModeConfig(name string) (Config, error) {
 //     confidence is JRS — the same choices Machine construction makes);
 //   - folds the dynamic-predication knobs to their zero values for modes
 //     that never enter an episode (baseline and perfect-CBP consult none
-//     of them — maybeEnterDP returns before any is read);
+//     of them — they predicate no class of region, and every other knob
+//     is read only inside an episode);
 //   - folds CheckRetirement, which changes wall-clock but never a single
 //     Stats bit. The experiment drivers always check; the store
 //     carries it beside the canonical Config (Meta.Check);
@@ -351,42 +352,6 @@ func (c Config) Canonical() Config {
 	}
 	c.CheckRetirement = false
 	return c
-}
-
-// FoldFor returns the identity of the simulation c runs on p: its
-// Canonical form, further folded by a fact of p that leaves some knobs
-// unreachable. Two configurations with equal FoldFor values on one
-// program give bit-identical Stats, though their Canonical values (and
-// so their result-cache keys) differ. The one rule, exact by reading the
-// code:
-//
-//   - No admissible mark. DHP, or DMP with the annotated CFM source,
-//     predicates only branches whose mark passes admits (episodeDiverge
-//     for fetch, maybeEpisode for warming). With no such mark no episode
-//     is ever entered, and every other predication knob is read only
-//     inside an episode or by the entry rule, so the machine is the
-//     baseline with the same predictor, confidence estimator, geometry
-//     and limits. The baseline reads no annotation, so the fold also
-//     drops EnableLoopDiverge, which only selects the annotated program.
-//
-// Knobs that a run merely never exercised are shared at run time instead,
-// within a Family, on the run's Evidence. The rule stays static because
-// it crosses into the baseline's family.
-//
-// Sampled, dual-path and perfect-CBP configurations fold to Canonical.
-func (c Config) FoldFor(p *prog.Program) Config {
-	c = c.Canonical()
-	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) || c.CFMSource != "annotated" {
-		return c
-	}
-	for _, d := range p.Diverge {
-		if admits(&c, d) {
-			return c
-		}
-	}
-	base := c
-	base.Mode = ModeBaseline
-	return base.Canonical()
 }
 
 // Validate reports configuration errors.

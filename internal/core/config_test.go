@@ -296,17 +296,18 @@ func TestModeConfig(t *testing.T) {
 	}
 }
 
-// TestFoldForLoopOnlyProgram pins the no-admissible-mark rule of FoldFor
-// on a program whose only mark is a diverge loop branch: with loop
-// diverge on, the mark is admissible and the machine predicates, so the
-// configuration must not fold to the baseline; with it off, it folds
-// there, and the two runs agree. No benchmark or generated program in
-// the differential tests has loop marks alone.
-func TestFoldForLoopOnlyProgram(t *testing.T) {
+// TestLoopOnlyProgramEvidence runs a program whose only mark is a
+// diverge loop branch. With loop diverge on, DMP and DHP predicate it:
+// they enter episodes and record the loop class, so their runs do not
+// answer the baseline. With it off they never enter, and each run and
+// the baseline's answer each other with equal Stats and evidence. No
+// benchmark or generated program in the differential tests has loop
+// marks alone.
+func TestLoopOnlyProgramEvidence(t *testing.T) {
 	p, _ := randomHammockProg(200)
 	loopPC := uint64(len(p.Code) - 3)
 	p.Diverge = map[uint64]*prog.Diverge{loopPC: {CFMs: []uint64{loopPC + 1}, Loop: true, Class: prog.ClassSimpleHammock}}
-	run := func(cfg Config) *Stats {
+	run := func(cfg Config) (Config, *Stats, Evidence) {
 		t.Helper()
 		m, err := New(p, cfg)
 		if err != nil {
@@ -316,25 +317,33 @@ func TestFoldForLoopOnlyProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		checkStats(t, m, st)
+		return cfg.Canonical(), st, m.Evidence()
+	}
+	base := DefaultConfig()
+	base.ConfidenceName = "always-low"
+	base, baseSt, baseEv := run(base)
+	if baseEv.Seen != LoopHammock {
+		t.Fatalf("the baseline recorded regions %b, want the loop hammock alone", baseEv.Seen)
 	}
 	for _, mode := range []Mode{ModeDMP, ModeDHP} {
-		cfg := DMPConfig()
-		cfg.Mode, cfg.ConfidenceName = mode, "always-low"
+		cfg := base
+		cfg.Mode = mode
 		loops := cfg
 		loops.EnableLoopDiverge = true
-		if f := loops.FoldFor(p); f != loops.Canonical() {
-			t.Errorf("%v with loop diverge folds to %v on a program with a loop mark alone", mode, f.Mode)
-		}
-		if st := run(loops); st.Episodes == 0 {
+		loops, st, ev := run(loops)
+		if st.Episodes == 0 {
 			t.Errorf("%v with loop diverge entered no episode: the program tests nothing", mode)
 		}
-		f := cfg.FoldFor(p)
-		if f.Mode != ModeBaseline {
-			t.Fatalf("%v without loop diverge folds to %v, want the baseline", mode, f.Mode)
+		if ev.Seen&LoopHammock == 0 || ev.Answers(loops, base) || baseEv.Answers(base, loops) {
+			t.Errorf("%v with loop diverge: regions %b, and its run and the baseline's answer each other", mode, ev.Seen)
 		}
-		if a, b := run(cfg), run(f); *a != *b {
-			t.Errorf("%v without loop diverge and its baseline fold differ:\n%v\n%v", mode, a, b)
+		cfg, st, ev = run(cfg)
+		if !ev.Answers(cfg, base) || !baseEv.Answers(base, cfg) {
+			t.Errorf("%v without loop diverge and the baseline do not answer each other (regions %b)", mode, ev.Seen)
+		}
+		if *st != *baseSt || ev != baseEv {
+			t.Errorf("%v without loop diverge and the baseline differ:\n%v %+v\n%v %+v", mode, st, ev, baseSt, baseEv)
 		}
 	}
 }

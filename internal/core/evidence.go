@@ -3,29 +3,37 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"dmp/internal/prog"
 )
 
-// Evidence records, for one exact DMP or DHP run, whether flipping each
-// predication knob could ever have changed a decision on the run's own
-// trajectory. Each predicate reads the trajectory and no knob (the merge
-// record also notes whether the run's own table filled), so a run with a
-// knob on and a run with it off record the same evidence for as long as
-// their trajectories agree. Two configurations of one Family whose
-// differences the evidence shows unexercised therefore run the same
-// trajectory, bit for bit (Answers), and record equal evidence: "answers"
-// is an equivalence relation, which is what lets sched.Cache share runs
-// on it with an order-independent simulation count. The record lives
-// beside Stats, never in them.
+// Evidence records, for one exact baseline, DMP or DHP run, whether
+// flipping each predication knob could ever have changed a decision on
+// the run's own trajectory. Each predicate reads the trajectory and no
+// knob (the merge record also notes whether the run's own table filled),
+// so a run with a knob on and a run with it off record the same evidence
+// for as long as their trajectories agree. Two configurations of one
+// Family whose differences the evidence shows unexercised therefore run
+// the same trajectory, bit for bit (Answers), and record equal evidence:
+// "answers" is an equivalence relation, which is what lets sched.Cache
+// share runs on it with an order-independent simulation count. The
+// record lives beside Stats, never in them.
 //
 // The decision points and their predicates:
 //
-//   - DHPFilter: a low-confidence branch reached episode entry
-//     (maybeEnterDP) with a region only DHP's simple-hammock filter
-//     drops, while no episode was live or the live one was on its
-//     predicted path: where DMP enters or converts and DHP does not.
-//   - MultipleDiverge: a low-confidence branch with a region DMP admits
-//     reached episode entry while the live episode was on its predicted
-//     path (maybeEnterDP's conversion test, without the knob).
+//   - Seen: the classes of the regions a low-confidence branch met at
+//     episode entry (maybeEnterDP), annotated or learned, before the
+//     configuration's filter, while no episode was live or the live one
+//     was on its predicted path: where a configuration that predicates
+//     the class enters or converts and one that does not stays a normal
+//     branch. Under the hybrid CFM source a loop mark also decides
+//     whether the merge predictor is consulted, which it is whether or
+//     not an episode is live, so there its class is recorded at every
+//     low-confidence branch that meets it.
+//   - MultipleDiverge: a low-confidence branch with a region of any class
+//     (or a loop mark under hybrid) reached episode entry while the live
+//     episode was on its predicted path (maybeEnterDP's conversion test,
+//     without the knob).
 //   - MultipleCFM: the predicted path of an episode reached one of its
 //     region's further CFM points (CFMs[1:]) before the first one
 //     (enterEpisode keeps CFMs[:1] without the knob).
@@ -40,7 +48,7 @@ type Evidence struct {
 	// entry. Without it the run answers only its own configuration.
 	Recorded bool
 
-	DHPFilter       bool
+	Seen            Regions
 	MultipleDiverge bool
 	MultipleCFM     bool
 
@@ -54,19 +62,59 @@ type Evidence struct {
 	MergeEvicted bool
 }
 
+// Regions is a set of classes of diverge region, one bit each.
+type Regions uint8
+
+const (
+	Hammock     Regions = 1 << iota // a simple hammock
+	Complex                         // any other class
+	LoopHammock                     // a simple hammock on a loop branch
+	LoopComplex                     // any other class on a loop branch
+)
+
+// regionOf returns the class of region d.
+func regionOf(d *prog.Diverge) Regions {
+	r := Hammock
+	if d.Class != prog.ClassSimpleHammock {
+		r = Complex
+	}
+	if d.Loop {
+		r <<= 2
+	}
+	return r
+}
+
+// enters returns the classes of region c predicates: none for the
+// baseline, simple hammocks for DHP and every class for DMP, loop
+// regions only with EnableLoopDiverge (Section 2.7.4).
+func enters(c *Config) Regions {
+	var r Regions
+	switch c.Mode {
+	case ModeDHP:
+		r = Hammock
+	case ModeDMP:
+		r = Hammock | Complex
+	}
+	if c.EnableLoopDiverge {
+		r |= r << 2
+	}
+	return r
+}
+
 // Family returns the configuration with the knobs Evidence vouches for
-// cleared: DHP becomes DMP, and MultipleCFM, EarlyExit, MultipleDiverge
-// and MergeTableSize take their zero values. Sampled configurations and
-// modes other than DMP and DHP are their own family. c must be
-// canonical.
+// cleared: the baseline and DHP become DMP, and MultipleCFM, EarlyExit,
+// MultipleDiverge, EnableLoopDiverge and MergeTableSize take their zero
+// values. Sampled configurations and the other modes are their own
+// family. c must be canonical.
 func (c Config) Family() Config {
-	if c.SampleMode || (c.Mode != ModeDMP && c.Mode != ModeDHP) {
+	if c.SampleMode || (c.Mode != ModeBaseline && c.Mode != ModeDMP && c.Mode != ModeDHP) {
 		return c
 	}
 	c.Mode = ModeDMP
 	c.MultipleCFM = false
 	c.EarlyExit = false
 	c.MultipleDiverge = false
+	c.EnableLoopDiverge = false
 	c.MergeTableSize = 0
 	return c
 }
@@ -83,7 +131,7 @@ func (e *Evidence) Answers(ran, req Config) bool {
 		return false
 	}
 	switch {
-	case ran.Mode != req.Mode && e.DHPFilter,
+	case (enters(&ran)^enters(&req))&e.Seen != 0,
 		ran.MultipleCFM != req.MultipleCFM && e.MultipleCFM,
 		ran.EarlyExit != req.EarlyExit && e.EarlyExit,
 		ran.MultipleDiverge != req.MultipleDiverge && e.MultipleDiverge:
@@ -95,15 +143,19 @@ func (e *Evidence) Answers(ran, req Config) bool {
 }
 
 // Describe names the knobs the run exercised, those whose flip could
-// have changed a decision on its trajectory, followed by the merge
-// table's peak occupancy.
+// have changed a decision on its trajectory (the region classes met at
+// episode entry stand for the mode and loop diverge), followed by the
+// merge table's peak occupancy.
 func (e *Evidence) Describe() string {
 	var knobs []string
 	for _, k := range []struct {
 		name string
 		on   bool
 	}{
-		{"dhp-filter", e.DHPFilter},
+		{"hammock", e.Seen&Hammock != 0},
+		{"complex", e.Seen&Complex != 0},
+		{"loop-hammock", e.Seen&LoopHammock != 0},
+		{"loop-complex", e.Seen&LoopComplex != 0},
 		{"multiple-cfm", e.MultipleCFM},
 		{"early-exit", e.EarlyExit},
 		{"multiple-diverge", e.MultipleDiverge},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dmp/internal/isa"
@@ -63,85 +64,134 @@ func TestStatsLawsTieCountersToEvidence(t *testing.T) {
 	}
 }
 
-// TestEntryEvidenceReadsNoKnob drives episode entry (maybeEnterDP) for a
-// simple-hammock and a complex region in every state a live episode can
-// be in when the branch is fetched: none, on its predicted path, on its
-// alternate path, exited. Under DMP and DHP, with MultipleDiverge off and
-// on, the four machines must record the same evidence, and wherever
-// flipping a knob changes the decision (enter, convert, or ignore), that
-// knob must be recorded as exercised.
-func TestEntryEvidenceReadsNoKnob(t *testing.T) {
-	const none = dpDead
-	type outcome struct {
-		entered   bool
-		converted uint64
-		ev        Evidence
+// entryOutcome is what one call of maybeEnterDP decided, and the
+// evidence it left.
+type entryOutcome struct {
+	cfg      Config
+	decision [4]uint64 // entered, conversions, merge hits, merge misses
+	ev       Evidence
+}
+
+// enterAt builds a machine for cfg on a program with a simple hammock
+// and a second region d at its loop branch, puts a live episode over the
+// hammock in phase live (dpDead: none), and fetches the loop branch at
+// low confidence.
+func enterAt(t *testing.T, cfg Config, d prog.Diverge, live dpPhase) entryOutcome {
+	t.Helper()
+	p, hammockPC := randomHammockProg(10)
+	loopPC := uint64(len(p.Code) - 3) // the loop's backward branch
+	if p.Code[loopPC].Op != isa.BR {
+		t.Fatalf("pc %d is %v, want the loop branch", loopPC, p.Code[loopPC].Op)
 	}
-	for _, class := range []prog.BranchClass{prog.ClassSimpleHammock, prog.ClassComplexDiverge} {
-		for k, live := range []dpPhase{none, dpPredicted, dpAlternate, dpExited} {
-			var got [2][2]outcome // [DHP][MultipleDiverge]
-			for i, mode := range []Mode{ModeDMP, ModeDHP} {
-				for j, mdb := range []bool{false, true} {
-					p, hammockPC := randomHammockProg(10)
-					loopPC := uint64(len(p.Code) - 3) // the loop's backward branch
-					if p.Code[loopPC].Op != isa.BR {
-						t.Fatalf("pc %d is %v, want the loop branch", loopPC, p.Code[loopPC].Op)
-					}
-					p.Diverge[hammockPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: prog.ClassSimpleHammock}
-					p.Diverge[loopPC] = &prog.Diverge{CFMs: []uint64{loopPC + 1}, Class: class}
+	d.CFMs = []uint64{loopPC + 1}
+	p.Diverge[hammockPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: prog.ClassSimpleHammock}
+	p.Diverge[loopPC] = &d
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(pc uint64) *uop {
+		u := m.arena.alloc(m.nextSeq(), pc, kindInst)
+		u.inst = m.prog.At(pc)
+		u.lowConf = true
+		return u
+	}
+	if live != dpDead {
+		if !m.maybeEnterDP(fetch(hammockPC)) {
+			t.Fatal("the simple hammock entered no episode")
+		}
+		m.live.phase = live
+		if live == dpExited {
+			m.feEp = nil
+		}
+	}
+	entered := uint64(0)
+	if m.maybeEnterDP(fetch(loopPC)) {
+		entered = 1
+	}
+	return entryOutcome{cfg.Canonical(), [4]uint64{entered, m.Stats.MDBConversions, m.Stats.MergeHits, m.Stats.MergeMisses}, m.ev}
+}
+
+// TestEntryEvidenceReadsNoKnob drives episode entry (maybeEnterDP) for
+// simple-hammock and complex regions, on forward and loop branches, in
+// every state a live episode can be in when the branch is fetched: none,
+// on its predicted path, on its alternate path, exited. The machines are
+// the baseline (which never has a live episode), DMP and DHP, with
+// MultipleDiverge and EnableLoopDiverge off and on, and DMP under the
+// hybrid CFM source. Machines of one CFM source must record the same
+// evidence, and wherever two machines decide differently (enter,
+// convert, ignore, or consult the merge predictor), each one's evidence
+// must exclude the other.
+func TestEntryEvidenceReadsNoKnob(t *testing.T) {
+	var cfgs []Config
+	for _, src := range []string{"annotated", "hybrid"} {
+		for _, mode := range []Mode{ModeBaseline, ModeDMP, ModeDHP} {
+			for _, mdb := range []bool{false, true} {
+				for _, loops := range []bool{false, true} {
 					cfg := DMPConfig()
-					cfg.Mode, cfg.MultipleDiverge = mode, mdb
-					m, err := New(p, cfg)
-					if err != nil {
-						t.Fatal(err)
+					cfg.Mode, cfg.CFMSource, cfg.MultipleDiverge, cfg.EnableLoopDiverge = mode, src, mdb, loops
+					if cfg = cfg.Canonical(); cfg.CFMSource == src && !slices.Contains(cfgs, cfg) {
+						cfgs = append(cfgs, cfg)
 					}
-					fetch := func(pc uint64) *uop {
-						u := m.arena.alloc(m.nextSeq(), pc, kindInst)
-						u.inst = m.prog.At(pc)
-						u.lowConf = true
-						return u
+				}
+			}
+		}
+	}
+	answered, differ := 0, 0
+	for _, class := range []prog.BranchClass{prog.ClassSimpleHammock, prog.ClassComplexDiverge} {
+		for _, loop := range []bool{false, true} {
+			for k, live := range []dpPhase{dpDead, dpPredicted, dpAlternate, dpExited} {
+				var got []entryOutcome
+				for _, cfg := range cfgs {
+					if live == dpDead || cfg.Mode != ModeBaseline {
+						got = append(got, enterAt(t, cfg, prog.Diverge{Class: class, Loop: loop}, live))
 					}
-					if live != none {
-						if !m.maybeEnterDP(fetch(hammockPC)) {
-							t.Fatal("the simple hammock entered no episode")
+				}
+				name := fmt.Sprintf("%v region, loop %v, live episode %s", class, loop, []string{"none", "predicted", "alternate", "exited"}[k])
+				for _, a := range got {
+					for _, b := range got {
+						if a.cfg.CFMSource == b.cfg.CFMSource && a.ev != b.ev {
+							t.Errorf("%s: evidence %+v under %+v, %+v under %+v: it read a knob", name, a.ev, a.cfg, b.ev, b.cfg)
 						}
-						ep := m.live
-						ep.phase = live
-						if live == dpExited {
-							m.feEp = nil
+						if a.decision != b.decision {
+							differ++
+							if !a.ev.Excludes(a.cfg, b.cfg) {
+								t.Errorf("%s: %+v decides %v and %+v decides %v, but evidence %+v does not tell them apart",
+									name, a.cfg, a.decision, b.cfg, b.decision, a.ev)
+							}
+						} else if !a.ev.Excludes(a.cfg, b.cfg) {
+							answered++
 						}
 					}
-					entered := m.maybeEnterDP(fetch(loopPC))
-					got[i][j] = outcome{entered, m.Stats.MDBConversions, m.ev}
 				}
 			}
-			name := fmt.Sprintf("%v region, live episode %s", class, []string{"none", "predicted", "alternate", "exited"}[k])
-			for i := range got {
-				for j := range got[i] {
-					if got[i][j].ev != got[0][0].ev {
-						t.Errorf("%s: evidence %+v under (dhp %d, mdb %d), %+v under DMP: it read a knob",
-							name, got[i][j].ev, i, j, got[0][0].ev)
-					}
-				}
-			}
-			ev := got[0][0].ev
-			decision := func(o outcome) [2]uint64 {
-				e := uint64(0)
-				if o.entered {
-					e = 1
-				}
-				return [2]uint64{e, o.converted}
-			}
-			for j := 0; j < 2; j++ {
-				if decision(got[0][j]) != decision(got[1][j]) && !ev.DHPFilter {
-					t.Errorf("%s, mdb %d: DHP and DMP decide differently, but DHPFilter is unset", name, j)
-				}
-			}
-			for i := 0; i < 2; i++ {
-				if decision(got[i][0]) != decision(got[i][1]) && !ev.MultipleDiverge {
-					t.Errorf("%s, dhp %d: MultipleDiverge off and on decide differently, but it is unset", name, i)
-				}
-			}
+		}
+	}
+	if answered == 0 || differ == 0 {
+		t.Fatalf("%d pairs decided differently and %d answered each other: want both", differ, answered)
+	}
+}
+
+// TestHybridLoopMarkOffPredictedPath meets a loop mark only while an
+// episode is live on its alternate path, where entry ignores every
+// diverge branch. Under the hybrid CFM source the mark still decides
+// whether the merge predictor is consulted (a loop mark DMP does not
+// predicate reads as no annotation), so DMP with loop diverge off and on
+// decide differently there, and each one's evidence must record the
+// loop class and exclude the other.
+func TestHybridLoopMarkOffPredictedPath(t *testing.T) {
+	var got [2]entryOutcome
+	for i, loops := range []bool{false, true} {
+		cfg := DMPConfig()
+		cfg.CFMSource, cfg.EnableLoopDiverge = "hybrid", loops
+		got[i] = enterAt(t, cfg, prog.Diverge{Class: prog.ClassComplexDiverge, Loop: true}, dpAlternate)
+	}
+	if got[0].decision == got[1].decision {
+		t.Fatalf("loop diverge off and on decided alike (%v): the test checks nothing", got[0].decision)
+	}
+	for i, o := range got {
+		if o.ev.Seen&LoopComplex == 0 || !o.ev.Excludes(o.cfg, got[1-i].cfg) {
+			t.Errorf("loop diverge %v: regions %b, and its evidence does not exclude the other", o.cfg.EnableLoopDiverge, o.ev.Seen)
 		}
 	}
 }
@@ -204,5 +254,39 @@ func TestDefaultThresholdEvidence(t *testing.T) {
 	if exits == 0 || answered == 0 || answered == pairs {
 		t.Fatalf("%d early exits, %d of %d pairs answered: want early exits, and some pairs answered and some not",
 			exits, answered, pairs)
+	}
+}
+
+// TestEpisodeAccountingLaw runs DMP, DHP, enhanced DMP, and enhanced DMP
+// with loop diverge and with the dynamic CFM source on every benchmark
+// at scale 1, and requires CheckStats to hold on each, the law that
+// every episode ends once included: Episodes is the sum of ExitCases,
+// EarlyExits and MDBConversions, plus the episodes still unresolved at
+// Finish. A miscounted exit case fails it.
+func TestEpisodeAccountingLaw(t *testing.T) {
+	loops, dynamic := EnhancedDMPConfig(), EnhancedDMPConfig()
+	loops.EnableLoopDiverge = true
+	dynamic.CFMSource = "dynamic"
+	cfgs := []Config{DMPConfig(), DHPConfig(), EnhancedDMPConfig(), loops, dynamic}
+	episodes := uint64(0)
+	for _, w := range workload.All() {
+		p := annotatedRef(t, w, 1)
+		for _, cfg := range cfgs {
+			m, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			if err := m.CheckStats(); err != nil {
+				t.Errorf("%s under %+v: %v", w.Name, cfg, err)
+			}
+			episodes += st.Episodes
+		}
+	}
+	if episodes == 0 {
+		t.Fatal("no run entered an episode: the law checks nothing")
 	}
 }

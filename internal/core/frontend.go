@@ -290,10 +290,12 @@ func (m *Machine) lowConfidence(u *uop) bool {
 
 // maybeEnterDP decides whether the fetched branch starts a dynamic
 // predication episode (or a dual-path fork) and sets it up. Returns true
-// if an episode began at this branch.
+// if an episode began at this branch. The baseline comes here too: it
+// predicates no class of region, so it records its evidence and never
+// enters.
 func (m *Machine) maybeEnterDP(u *uop) bool {
 	switch m.cfg.Mode {
-	case ModeDMP, ModeDHP:
+	case ModeBaseline, ModeDMP, ModeDHP:
 	case ModeDualPath:
 		return m.maybeFork(u)
 	default:
@@ -302,24 +304,25 @@ func (m *Machine) maybeEnterDP(u *uop) bool {
 	if !u.lowConf {
 		return false
 	}
-	d, lk, hammockless := m.episodeDiverge(m.prog, u.pc)
+	d, lk, met, hybridLoop := m.episodeDiverge(m.prog, u.pc)
 	switch lk {
 	case mergeHit:
 		m.Stats.MergeHits++
 	case mergeMiss:
 		m.Stats.MergeMisses++
 	}
-	if d == nil && !hammockless {
+	m.ev.Seen |= hybridLoop
+	if met|hybridLoop == 0 {
 		return false
 	}
 	ep := m.liveEp()
 	convertible := ep != nil && m.feEp == ep && ep.phase == dpPredicted
 	// Evidence: could the other value of a knob decide differently here?
+	if ep == nil || convertible {
+		m.ev.Seen |= met
+	}
 	if convertible {
 		m.ev.MultipleDiverge = true
-	}
-	if hammockless && (ep == nil || convertible) {
-		m.ev.DHPFilter = true
 	}
 	if d == nil {
 		return false

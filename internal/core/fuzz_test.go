@@ -205,10 +205,8 @@ func TestFuzzRandomProgramsAllModes(t *testing.T) {
 		if !ref.Halted {
 			t.Fatalf("seed %d: program did not halt", seed)
 		}
-		// Profile (marks diverge branches; loop marking for enh-loops).
-		popts := profile.DefaultOptions()
-		popts.IncludeLoops = true
-		if _, err := profile.Run(p, popts); err != nil {
+		// Profile (marks diverge branches, loop branches included).
+		if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		for name, cfg := range fuzzModes() {
@@ -259,9 +257,7 @@ func TestFuzzSmallWindows(t *testing.T) {
 		if _, err := ref.Run(2_000_000); err != nil {
 			t.Fatal(err)
 		}
-		popts := profile.DefaultOptions()
-		popts.IncludeLoops = true
-		if _, err := profile.Run(p, popts); err != nil {
+		if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 		for gi, tweak := range geoms {
@@ -307,9 +303,7 @@ func TestFuzzLintSoundness(t *testing.T) {
 		if !ref.Halted {
 			t.Fatalf("seed %d: lint-clean program did not halt", seed)
 		}
-		popts := profile.DefaultOptions()
-		popts.IncludeLoops = seed%2 == 0
-		if _, err := profile.Run(p, popts); err != nil {
+		if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		if ds := lint.Check(p, lint.Options{}); ds.HasErrors() {

@@ -23,11 +23,12 @@ func TestEmptyCFMListFallsBack(t *testing.T) {
 // TestEpisodeEntryRule pins the filters of the episode-entry rule fetch
 // and functional warming share (WarmState.episodeDiverge): DHP predicates
 // only simple hammocks, and a loop-marked diverge branch is predicated
-// only with EnableLoopDiverge. A region DMP admits that is not a simple
-// hammock is reported in either mode (Evidence.DHPFilter). Every branch is low-confidence, so the one
-// annotated branch enters an episode exactly when the rule admits it.
+// only with EnableLoopDiverge, and the baseline predicates none. The
+// region's class is reported whatever the filter decides (the record of
+// Evidence.Seen). Every branch is low-confidence, so the one annotated
+// branch enters an episode exactly when the rule admits it.
 func TestEpisodeEntryRule(t *testing.T) {
-	for _, mode := range []Mode{ModeDMP, ModeDHP} {
+	for _, mode := range []Mode{ModeBaseline, ModeDMP, ModeDHP} {
 		for _, class := range []prog.BranchClass{prog.ClassSimpleHammock, prog.ClassComplexDiverge} {
 			for _, loop := range []bool{false, true} {
 				for _, enable := range []bool{false, true} {
@@ -37,21 +38,28 @@ func TestEpisodeEntryRule(t *testing.T) {
 					cfg.EnableLoopDiverge = enable
 					p, brPC := randomHammockProg(300)
 					p.Diverge[brPC] = &prog.Diverge{CFMs: []uint64{p.Labels["join"]}, Class: class, Loop: loop}
-					admitted := !(mode == ModeDHP && class != prog.ClassSimpleHammock) && !(loop && !enable)
+					admitted := mode != ModeBaseline && !(mode == ModeDHP && class != prog.ClassSimpleHammock) && !(loop && !enable)
+					want := Hammock
+					if class != prog.ClassSimpleHammock {
+						want = Complex
+					}
+					if loop {
+						want <<= 2
+					}
 
 					ws, err := newWarmState(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, _, hammockless := ws.episodeDiverge(p, brPC)
+					d, _, met, _ := ws.episodeDiverge(p, brPC)
 					st := runBoth(t, p, cfg)
 					if got := d != nil; got != admitted {
 						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge admitted=%v, want %v",
 							mode, class, loop, enable, got, admitted)
 					}
-					if want := class != prog.ClassSimpleHammock && !(loop && !enable); hammockless != want {
-						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge hammockless=%v, want %v",
-							mode, class, loop, enable, hammockless, want)
+					if met != want {
+						t.Errorf("%v class=%v loop=%v enable=%v: episodeDiverge met %b, want %b",
+							mode, class, loop, enable, met, want)
 					}
 					if got := st.Episodes != 0; got != admitted {
 						t.Errorf("%v class=%v loop=%v enable=%v: %d episodes, want admitted=%v",

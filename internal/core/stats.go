@@ -235,6 +235,11 @@ func (s *Stats) String() string {
 //   - the oracle resumes only after pausing: OracleResumes ≤
 //     OraclePauses ≤ OracleResumes + 1;
 //   - RetiredMispredicts ≤ RetiredBranches;
+//   - every dynamic predication episode ends once: Episodes is the sum
+//     of ExitCases (squashed episodes included), EarlyExits and
+//     MDBConversions, plus the episodes still unresolved at Finish
+//     (dual-path forks also end by a conservative abort, which no
+//     counter records, so the law skips that mode);
 //   - the counters of the knob-driven conversions agree with the run's
 //     Evidence: EarlyExits > 0 only if early exit fires on the recorded
 //     trajectory at the run's threshold, MDBConversions > 0 only if
@@ -258,6 +263,19 @@ func (m *Machine) CheckStats() error {
 	}
 	if st.RetiredMispredicts > st.RetiredBranches {
 		return fmt.Errorf("core: %d retired mispredicts of %d retired branches", st.RetiredMispredicts, st.RetiredBranches)
+	}
+	ended := st.EarlyExits + st.MDBConversions
+	for _, n := range st.ExitCases {
+		ended += n
+	}
+	for _, ep := range m.episodes {
+		if ep.exitCase == ExitNone {
+			ended++
+		}
+	}
+	if m.cfg.Mode != ModeDualPath && st.Episodes != ended {
+		return fmt.Errorf("core: %d episodes, but %d ended by exit case, early exit or conversion, or are unresolved",
+			st.Episodes, ended)
 	}
 	ev := m.Evidence()
 	if st.EarlyExits > 0 && !(m.cfg.EarlyExit && ev.EarlyExit) {

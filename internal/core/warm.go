@@ -127,23 +127,6 @@ const (
 	mergeHit
 )
 
-// admits is the static filter of the episode-entry rule: whether a
-// machine configured as cfg may predicate a branch whose diverge region
-// is d. A missing region, a region with no CFM point, a loop diverge
-// without EnableLoopDiverge (dmpAdmits), and under DHP a region other
-// than a simple hammock are filtered. episodeDiverge applies it to every
-// region, annotated or learned; Config.FoldFor applies it to a
-// program's marks.
-func admits(cfg *Config, d *prog.Diverge) bool {
-	return dmpAdmits(cfg, d) && (cfg.Mode != ModeDHP || d.Class == prog.ClassSimpleHammock)
-}
-
-// dmpAdmits is admits without DHP's simple-hammock filter: the filter
-// cfg would apply under DMP.
-func dmpAdmits(cfg *Config, d *prog.Diverge) bool {
-	return d != nil && len(d.CFMs) > 0 && (!d.Loop || cfg.EnableLoopDiverge)
-}
-
 // episodeDiverge is the episode-entry rule fetch (Machine.maybeEnterDP)
 // and functional warming (maybeEpisode) share: the diverge region a
 // low-confidence conditional branch at pc predicates, or nil when it
@@ -151,39 +134,52 @@ func dmpAdmits(cfg *Config, d *prog.Diverge) bool {
 // annotation, the runtime merge-point predictor, or their hybrid, per
 // cfg.CFMSource: with no predictor attached (annotated source, or any
 // non-DMP mode) this is the static annotation; under the dynamic source
-// the annotation is ignored; under hybrid it wins when present. The
-// region is then filtered by admits. A predictor hit is synthesized into
-// the scratch dynDiv — the caller copies the CFM out, so the next call
-// may reuse it. hammockless reports a region DMP admits that is not a
-// simple hammock, whether or not cfg is DHP and so drops it: the entry
-// decision DHP and DMP disagree on (Evidence.DHPFilter).
-func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (d *prog.Diverge, lk mergeLookup, hammockless bool) {
+// the annotation is ignored; under hybrid it wins when present, except a
+// loop mark cfg does not predicate, which reads as no annotation. A
+// region with no CFM point is no region. The region is then filtered by
+// the classes cfg predicates (enters). A predictor hit is synthesized
+// into the scratch dynDiv — the caller copies the CFM out, so the next
+// call may reuse it.
+//
+// met is the class of the region found, before the filter, and
+// hybridLoop the class of a loop mark met under hybrid, whether or not
+// cfg predicates it: the records of Evidence.Seen.
+func (ws *WarmState) episodeDiverge(p *prog.Program, pc uint64) (d *prog.Diverge, lk mergeLookup, met, hybridLoop Regions) {
 	d, lk = p.DivergeAt(pc), mergeNotAsked
-	if ws.merge != nil && (d == nil || ws.cfg.CFMSource == "dynamic") {
-		d, lk = nil, mergeMiss
-		if pr, ok := ws.merge.Lookup(pc); ok {
-			lk = mergeHit
-			ws.dynCFM[0] = pr.CFM
-			ws.dynDiv = prog.Diverge{
-				CFMs: ws.dynCFM[:1],
-				// The predictor knows reconvergence, not hammock shape, so
-				// the learned region is treated as a complex
-				// (frequently-hit-path) diverge; backward branches are
-				// flagged as loop diverges and filtered like annotated ones.
-				Class:         prog.ClassComplexDiverge,
-				ExitThreshold: pr.ExitThreshold,
-				Loop:          p.Code[pc].Target <= pc,
+	if ws.merge != nil {
+		if d != nil && d.Loop && ws.cfg.CFMSource == "hybrid" {
+			hybridLoop = regionOf(d)
+			if !ws.cfg.EnableLoopDiverge {
+				d = nil
 			}
-			d = &ws.dynDiv
+		}
+		if d == nil || ws.cfg.CFMSource == "dynamic" {
+			d, lk = nil, mergeMiss
+			if pr, ok := ws.merge.Lookup(pc); ok {
+				lk = mergeHit
+				ws.dynCFM[0] = pr.CFM
+				ws.dynDiv = prog.Diverge{
+					CFMs: ws.dynCFM[:1],
+					// The predictor knows reconvergence, not hammock shape, so
+					// the learned region is treated as a complex
+					// (frequently-hit-path) diverge; backward branches are
+					// flagged as loop diverges and filtered like annotated ones.
+					Class:         prog.ClassComplexDiverge,
+					ExitThreshold: pr.ExitThreshold,
+					Loop:          p.Code[pc].Target <= pc,
+				}
+				d = &ws.dynDiv
+			}
 		}
 	}
-	switch {
-	case !dmpAdmits(&ws.cfg, d):
-		return nil, lk, false
-	case !admits(&ws.cfg, d):
-		return nil, lk, true
+	if d == nil || len(d.CFMs) == 0 {
+		return nil, lk, 0, hybridLoop
 	}
-	return d, lk, d.Class != prog.ClassSimpleHammock
+	met = regionOf(d)
+	if enters(&ws.cfg)&met == 0 {
+		return nil, lk, met, hybridLoop
+	}
+	return d, lk, met, hybridLoop
 }
 
 // defaultExitThreshold is the early-exit threshold of a region marked
@@ -319,7 +315,7 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st *emu.Step, rg 
 	if (ws.cfg.Mode != ModeDMP && ws.cfg.Mode != ModeDHP) || rg.n > 0 {
 		return false
 	}
-	d, _, _ := ws.episodeDiverge(em.Prog, pc)
+	d, _, _, _ := ws.episodeDiverge(em.Prog, pc)
 	if d == nil {
 		return false
 	}

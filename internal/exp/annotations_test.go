@@ -99,7 +99,7 @@ func runEnhanced(t *testing.T, p *prog.Program) core.Stats {
 // a program runs no profile and simulates exactly as a fresh build.
 func TestStoredTableReplacesProfile(t *testing.T) {
 	SetAnnotationBacking(nil)
-	fresh, err := buildAnnotated("mcf", 1, false)
+	fresh, err := buildAnnotated("mcf", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestStoredTableReplacesProfile(t *testing.T) {
 // as a fresh build, and is healed by the write-back.
 func TestBadStoredTableReprofiles(t *testing.T) {
 	SetAnnotationBacking(nil)
-	fresh, err := buildAnnotated("mcf", 1, false)
+	fresh, err := buildAnnotated("mcf", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,10 @@ func TestBadStoredTableReprofiles(t *testing.T) {
 }
 
 // TestConcurrentBuildsShareStoredTables builds several programs at once,
-// cold and then from the stored tables, as a daemon's concurrent
-// requests do; under -race it checks the backing's install and the
-// store's reads and writes.
+// two requesters each, cold and then from the stored tables, as a
+// daemon's concurrent requests do: each program profiles once, cold. Under
+// -race it checks the backing's install and the store's reads and
+// writes.
 func TestConcurrentBuildsShareStoredTables(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -251,27 +252,25 @@ func TestConcurrentBuildsShareStoredTables(t *testing.T) {
 		resetProgramCache()
 		hashes := make([]string, 2*len(benches))
 		var wg sync.WaitGroup
-		for i, b := range benches {
-			for j, get := range []func(string, int) (*prog.Program, error){Annotated, AnnotatedLoops} {
-				wg.Add(1)
-				go func(k int, b string, get func(string, int) (*prog.Program, error)) {
-					defer wg.Done()
-					p, err := get(b, 1)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					hashes[k] = p.Hash()
-				}(2*i+j, b, get)
-			}
+		for k := range hashes {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				p, err := Annotated(benches[k/2], 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				hashes[k] = p.Hash()
+			}(k)
 		}
 		wg.Wait()
 		return hashes
 	}
 	runs := mProfileRuns.Value()
 	cold := build()
-	if got := mProfileRuns.Value() - runs; got != uint64(len(cold)) {
-		t.Fatalf("cold builds ran %d profiles, want %d", got, len(cold))
+	if got := mProfileRuns.Value() - runs; got != uint64(len(benches)) {
+		t.Fatalf("cold builds ran %d profiles, want %d", got, len(benches))
 	}
 	runs = mProfileRuns.Value()
 	warm := build()

@@ -3,12 +3,13 @@ package exp
 import (
 	"sync"
 
-	"dmp/internal/core"
 	"dmp/internal/prog"
 )
 
-// Annotated programs are memoized per (benchmark, scale, loop-marking):
-// the workload build plus the training profile.Run dominates experiment
+// Annotated programs are memoized per (benchmark, scale): every machine
+// configuration runs the one program, whose marks include loop diverge
+// branches (a machine without EnableLoopDiverge ignores those). The
+// workload build plus the training profile.Run dominates experiment
 // wall-clock, and figures.go runs the same benchmark under 20+ machine
 // configurations, so building each annotated program once eliminates
 // nearly all of that work. (Across processes, the daemon's stored
@@ -37,7 +38,6 @@ import (
 type progKey struct {
 	bench string
 	scale int
-	loops bool // profile.Options.IncludeLoops (Section 2.7.4)
 }
 
 // progEntry is a once-built cache slot; concurrent requesters for the
@@ -58,28 +58,19 @@ var progCache sync.Map // progKey -> *progEntry
 // programEntry returns the key's cache slot with its program built.
 // Errors are cached too: a benchmark that fails to build fails
 // identically for every configuration that asks.
-func programEntry(bench string, scale int, loops bool) *progEntry {
-	v, _ := progCache.LoadOrStore(progKey{bench, scale, loops}, &progEntry{})
+func programEntry(bench string, scale int) *progEntry {
+	v, _ := progCache.LoadOrStore(progKey{bench, scale}, &progEntry{})
 	e := v.(*progEntry)
-	e.once.Do(func() { e.p, e.err = buildAnnotated(bench, scale, loops) })
+	e.once.Do(func() { e.p, e.err = buildAnnotated(bench, scale) })
 	return e
 }
 
-// programFor returns the slot of the program bench runs on under cfg. It
-// is the one place that picks the annotation variant: the loop-marked
-// program exactly when cfg predicates loop diverge branches (Section
-// 2.7.4). Canonical folds that bit away for modes that never read
-// annotations, so they share the plain program.
-func programFor(bench string, scale int, cfg core.Config) *progEntry {
-	return programEntry(bench, scale, cfg.Canonical().EnableLoopDiverge)
-}
-
-// WorkloadHash returns prog.Program.Hash of the memoized program bench
-// runs on under cfg (see programFor), hashing it once per cached
-// program. The dmpserve store folds it into every persistent key,
-// pinning results to the program bytes they were measured on.
-func WorkloadHash(bench string, scale int, cfg core.Config) (string, error) {
-	e := programFor(bench, scale, cfg)
+// WorkloadHash returns prog.Program.Hash of bench's memoized annotated
+// program, hashing it once per cached program. The dmpserve store folds
+// it into every persistent key, pinning results to the program bytes
+// they were measured on.
+func WorkloadHash(bench string, scale int) (string, error) {
+	e := programEntry(bench, scale)
 	if e.err != nil {
 		return "", e.err
 	}

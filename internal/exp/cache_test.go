@@ -12,7 +12,7 @@ func runWith(t *testing.T, bench string, cfg core.Config, fresh bool) *core.Stat
 	t.Helper()
 	p, err := Annotated(bench, 1)
 	if fresh {
-		p, err = buildAnnotated(bench, 1, false)
+		p, err = buildAnnotated(bench, 1)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -66,45 +67,33 @@ func requestedConfigs(t *testing.T) []core.Config {
 	return cfgs
 }
 
-// knobSweep varies each predication knob on its own from the basic DMP,
-// DHP and enhanced DMP machines: each enhancement toggled alone, the
-// dynamic and hybrid CFM sources (mergeSizes adds the merge-table sizes
-// around a run's peak occupancy), loop diverge, the alternate path's
-// history and the always-low confidence estimator. The last three are
-// knobs no evidence vouches for: varied from basic DMP and DHP they go
-// to the fold check only (foldOnly), which keeps them there without
-// multiplying the families TestEvidenceIsExact compares.
-func knobSweep() (sweep, foldOnly []core.Config) {
-	for _, base := range []core.Config{core.DMPConfig(), core.DHPConfig(), core.EnhancedDMPConfig()} {
-		edits := []func(*core.Config){
+// knobSweep varies each predication knob on its own from the baseline
+// and the basic DMP, DHP and enhanced DMP machines: each enhancement
+// toggled alone, the dynamic and hybrid CFM sources (mergeSizes adds the
+// merge-table sizes around a run's peak occupancy), and loop diverge
+// alone and with each CFM source. Knobs no evidence vouches for (the
+// alternate path's history, the confidence estimator) make families of
+// one, which no check compares.
+func knobSweep() []core.Config {
+	var sweep []core.Config
+	for _, base := range []core.Config{core.DefaultConfig(), core.DMPConfig(), core.DHPConfig(), core.EnhancedDMPConfig()} {
+		for _, edit := range []func(*core.Config){
 			func(*core.Config) {},
 			func(c *core.Config) { c.MultipleCFM = !c.MultipleCFM },
 			func(c *core.Config) { c.EarlyExit = !c.EarlyExit },
 			func(c *core.Config) { c.MultipleDiverge = !c.MultipleDiverge },
 			func(c *core.Config) { c.CFMSource = "dynamic" },
 			func(c *core.Config) { c.CFMSource = "hybrid" },
-		}
-		others := []func(*core.Config){
 			func(c *core.Config) { c.EnableLoopDiverge = true },
-			func(c *core.Config) { c.KeepAlternateGHR = true },
-			func(c *core.Config) { c.ConfidenceName = "always-low" },
-		}
-		for _, edit := range edits {
+			func(c *core.Config) { c.EnableLoopDiverge, c.CFMSource = true, "dynamic" },
+			func(c *core.Config) { c.EnableLoopDiverge, c.CFMSource = true, "hybrid" },
+		} {
 			c := base
 			edit(&c)
 			sweep = append(sweep, c)
 		}
-		for _, edit := range others {
-			c := base
-			edit(&c)
-			if base.MultipleCFM {
-				sweep = append(sweep, c)
-			} else {
-				foldOnly = append(foldOnly, c)
-			}
-		}
 	}
-	return sweep, foldOnly
+	return sweep
 }
 
 // mergeSizes returns cfg, a DMP configuration with a dynamic or hybrid
@@ -121,15 +110,15 @@ func mergeSizes(cfg core.Config, peak int) []core.Config {
 	return cfgs
 }
 
-// foldCase is one program the differential tests run on.
-type foldCase struct {
+// diffCase is one program the differential test runs on.
+type diffCase struct {
 	bench string
 	scale int
 }
 
 // soloKey names one configuration's own run on one program.
 type soloKey struct {
-	c   foldCase
+	c   diffCase
 	cfg core.Config
 }
 
@@ -162,16 +151,14 @@ func solo(k soloKey) soloRun {
 	return e.r
 }
 
-// differential is the workload TestFoldForIsExact and TestEvidenceIsExact
-// share: for every case, the canonical configurations checked on it (the
-// experiments' requests and the knob sweep), those of them the family
-// check covers, and the solo runs the checks compare.
+// differential is the workload TestEvidenceIsExact checks: for every
+// case, the canonical configurations checked on it (the experiments'
+// requests and the knob sweep), and the solo runs the check compares.
 type differential struct {
-	cases  []foldCase
-	cfgs   map[foldCase][]core.Config
-	family map[foldCase]map[core.Config]bool
-	need   map[soloKey]bool
-	err    error
+	cases []diffCase
+	cfgs  map[diffCase][]core.Config
+	need  map[soloKey]bool
+	err   error
 }
 
 var (
@@ -181,12 +168,10 @@ var (
 
 // differentialRuns builds (once per process) the shared workload: the
 // fifteen benchmarks at scales 1 and 3 (-short drops scale 3) and twenty
-// generated programs at scale 1. A configuration is simulated when a
-// check needs it: it folds further than Canonical (FoldFor), it is the
-// fold of one, or it is in the family check (not foldOnly) and its
-// simulation key shares a Family with another there. The
-// merge-table sizes around each dynamic and hybrid sweep run's peak
-// occupancy are added once those runs are in.
+// generated programs at scale 1. A configuration is simulated when its
+// Family holds another configuration of the case. The merge-table sizes
+// around each dynamic and hybrid sweep run's peak occupancy are added
+// once those runs are in.
 func differentialRuns(t *testing.T) *differential {
 	t.Helper()
 	diffOnce.Do(func() {
@@ -198,19 +183,17 @@ func differentialRuns(t *testing.T) *differential {
 		}
 		for _, scale := range scales {
 			for _, b := range workload.Names() {
-				d.cases = append(d.cases, foldCase{b, scale})
+				d.cases = append(d.cases, diffCase{b, scale})
 			}
 		}
 		for seed := 1; seed <= 20; seed++ {
-			d.cases = append(d.cases, foldCase{fmt.Sprintf("%s%d", workload.GenPrefix, seed), 1})
+			d.cases = append(d.cases, diffCase{fmt.Sprintf("%s%d", workload.GenPrefix, seed), 1})
 		}
-		d.cfgs = map[foldCase][]core.Config{}
-		d.family = map[foldCase]map[core.Config]bool{}
+		d.cfgs = map[diffCase][]core.Config{}
 		d.need = map[soloKey]bool{}
-		sweep, foldOnly := knobSweep()
+		sweep := knobSweep()
 		for _, c := range d.cases {
-			d.add(c, append(append([]core.Config(nil), requested...), sweep...), true)
-			d.add(c, foldOnly, false)
+			d.add(c, append(append([]core.Config(nil), requested...), sweep...))
 		}
 		if d.err = d.simulate(); d.err != nil {
 			return
@@ -218,13 +201,14 @@ func differentialRuns(t *testing.T) *differential {
 		for _, c := range d.cases {
 			var more []core.Config
 			for _, cfg := range sweep {
+				cfg = cfg.Canonical()
 				if cfg.CFMSource == "annotated" || cfg.Mode != core.ModeDMP {
 					continue
 				}
-				peak := solo(soloKey{c, d.simKey(c, cfg)}).ev.MergePeak
+				peak := solo(soloKey{c, cfg}).ev.MergePeak
 				more = append(more, mergeSizes(cfg, peak)...)
 			}
-			d.add(c, more, true)
+			d.add(c, more)
 		}
 		d.err = d.simulate()
 	})
@@ -234,52 +218,23 @@ func differentialRuns(t *testing.T) *differential {
 	return &diffRuns
 }
 
-// simKey returns cfg's simulation key on case c (its fold for c's program).
-func (d *differential) simKey(c foldCase, cfg core.Config) core.Config {
-	return cfg.FoldFor(programFor(c.bench, c.scale, cfg).p)
-}
-
 // add records cfgs (canonicalized, without repeats) for case c and marks
-// the runs the checks need: both sides of every fold, and, where family
-// is set, the configurations join the family check, whose families with
-// more than one simulation key need every run.
-func (d *differential) add(c foldCase, cfgs []core.Config, family bool) {
-	seen := map[core.Config]bool{}
-	for _, cfg := range d.cfgs[c] {
-		seen[cfg] = true
-	}
-	if d.family[c] == nil {
-		d.family[c] = map[core.Config]bool{}
-	}
+// the runs the check needs: every configuration whose family has more
+// than one.
+func (d *differential) add(c diffCase, cfgs []core.Config) {
 	for _, cfg := range cfgs {
-		canon := cfg.Canonical()
-		if !seen[canon] {
-			seen[canon] = true
+		if canon := cfg.Canonical(); !slices.Contains(d.cfgs[c], canon) {
 			d.cfgs[c] = append(d.cfgs[c], canon)
 		}
-		if family {
-			d.family[c][canon] = true
-		}
 	}
-	members := map[core.Config]map[core.Config]bool{}
+	members := map[core.Config][]core.Config{}
 	for _, canon := range d.cfgs[c] {
-		f := d.simKey(c, canon)
-		if f != canon {
-			d.need[soloKey{c, canon}] = true
-			d.need[soloKey{c, f}] = true
-		}
-		if !d.family[c][canon] {
-			continue
-		}
-		if members[f.Family()] == nil {
-			members[f.Family()] = map[core.Config]bool{}
-		}
-		members[f.Family()][f] = true
+		members[canon.Family()] = append(members[canon.Family()], canon)
 	}
 	for _, keys := range members {
 		if len(keys) > 1 {
-			for f := range keys {
-				d.need[soloKey{c, f}] = true
+			for _, k := range keys {
+				d.need[soloKey{c, k}] = true
 			}
 		}
 	}
@@ -312,53 +267,6 @@ func (d *differential) simulate() error {
 	return errors.Join(all...)
 }
 
-// TestFoldForIsExact is the differential test behind the result cache's
-// static simulation sharing: wherever Config.FoldFor folds a
-// configuration further than Canonical, the configuration and its fold
-// must give bit-identical Stats on the program it runs on. It covers
-// every configuration the experiments request and a sweep of each
-// predication knob (differentialRuns). It also checks that sampled,
-// dual-path and perfect-CBP configurations are never folded.
-func TestFoldForIsExact(t *testing.T) {
-	d := differentialRuns(t)
-	folded := 0
-	for _, c := range d.cases {
-		unfolded := []core.Config{core.DefaultConfig()}
-		for _, m := range []core.Mode{core.ModePerfect, core.ModeDualPath} {
-			u := core.EnhancedDMPConfig()
-			u.Mode = m
-			unfolded = append(unfolded, u)
-		}
-		s := core.EnhancedDMPConfig()
-		s.SampleMode = true
-		unfolded = append(unfolded, s)
-		for _, u := range unfolded {
-			if got := d.simKey(c, u); got != u.Canonical() {
-				t.Errorf("%s scale %d: %v config folded to %+v", c.bench, c.scale, u.Mode, got)
-			}
-		}
-		for _, canon := range d.cfgs[c] {
-			f := d.simKey(c, canon)
-			if f == canon {
-				continue
-			}
-			folded++
-			if f != d.simKey(c, f) {
-				t.Errorf("%s scale %d: FoldFor is not idempotent on %+v", c.bench, c.scale, f)
-			}
-			a, b := solo(soloKey{c, canon}).st, solo(soloKey{c, f}).st
-			if *a != *b {
-				t.Errorf("%s scale %d: %+v folds to %+v, but their Stats differ\nconfig: %v\nfolded: %v",
-					c.bench, c.scale, canon, f, a, b)
-			}
-		}
-	}
-	if folded == 0 {
-		t.Fatal("no configuration folded: the test checks nothing")
-	}
-	t.Logf("%d folded configurations checked", folded)
-}
-
 // TestEvidenceIsExact is the differential test behind sharing on run-time
 // evidence: wherever a run's knob evidence answers another simulation key
 // of its family on the same program (core.Evidence.Answers), that key's
@@ -366,20 +274,16 @@ func TestFoldForIsExact(t *testing.T) {
 // makes "answers" an equivalence relation, and the result cache's
 // simulation count independent of request order). Its inputs are the
 // configurations the experiments request and a sweep of each predication
-// knob (differentialRuns): each enhancement toggled alone, DHP and DMP,
-// and merge-table sizes around each run's peak occupancy.
+// knob (differentialRuns): the baseline, DHP and DMP, each enhancement
+// toggled alone, loop diverge, and merge-table sizes around each run's
+// peak occupancy.
 func TestEvidenceIsExact(t *testing.T) {
 	d := differentialRuns(t)
 	pairs, answered, runs := 0, 0, 0
 	for _, c := range d.cases {
 		families := map[core.Config][]core.Config{}
-		seen := map[core.Config]bool{}
 		for _, canon := range d.cfgs[c] {
-			f := d.simKey(c, canon)
-			if d.family[c][canon] && !seen[f] {
-				seen[f] = true
-				families[f.Family()] = append(families[f.Family()], f)
-			}
+			families[canon.Family()] = append(families[canon.Family()], canon)
 		}
 		for _, keys := range families {
 			if len(keys) < 2 {
@@ -388,7 +292,7 @@ func TestEvidenceIsExact(t *testing.T) {
 			runs += len(keys)
 			for _, a := range keys {
 				ra := solo(soloKey{c, a})
-				if (a.Mode == core.ModeDMP || a.Mode == core.ModeDHP) && !a.SampleMode && !ra.ev.Recorded {
+				if !ra.ev.Recorded {
 					t.Errorf("%s scale %d: the run of %+v recorded no evidence", c.bench, c.scale, a)
 				}
 				for _, b := range keys {

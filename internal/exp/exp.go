@@ -70,33 +70,27 @@ func (o Options) norm() Options {
 
 // Annotated returns the measurement (reference-input) program for a
 // benchmark with diverge-branch annotations transferred from a profiling
-// run on the training input — the paper's train/ref methodology. The
-// result is memoized per (bench, scale) and shared by every machine
-// configuration; it must be treated as read-only (see cache.go for the
-// sharing invariant).
+// run on the training input — the paper's train/ref methodology. Loop
+// diverge branches (Section 2.7.4) are marked too; a machine predicates
+// them only with EnableLoopDiverge. The result is memoized per (bench,
+// scale) and shared by every machine configuration; it must be treated
+// as read-only (see cache.go for the sharing invariant).
 func Annotated(bench string, scale int) (*prog.Program, error) {
-	e := programEntry(bench, scale, false)
+	e := programEntry(bench, scale)
 	return e.p, e.err
 }
 
-// AnnotatedLoops is Annotated with loop diverge branches (Section 2.7.4)
-// additionally marked, as the loop-diverge experiments use. The same
-// read-only sharing contract applies.
-func AnnotatedLoops(bench string, scale int) (*prog.Program, error) {
-	e := programEntry(bench, scale, true)
-	return e.p, e.err
-}
+// AnnotatedLoops is Annotated, under the name cmd/dmpbench's
+// loop-diverge probe calls.
+func AnnotatedLoops(bench string, scale int) (*prog.Program, error) { return Annotated(bench, scale) }
 
 // Load returns the program a command runs: the assembly file asm when
-// it is set, else bench's annotated measurement program at scale
-// (AnnotatedLoops when loops is set, else Annotated). An assembly file
-// carries no annotations of its own: with prof set it is profiled in
-// place on its one input, marking loop diverge branches when loops is
-// set.
-func Load(bench, asm string, scale int, loops, prof bool) (*prog.Program, error) {
+// it is set, else bench's annotated measurement program at scale. An
+// assembly file carries no annotations of its own: with prof set it is
+// profiled in place on its one input.
+func Load(bench, asm string, scale int, prof bool) (*prog.Program, error) {
 	if asm == "" {
-		e := programEntry(bench, scale, loops)
-		return e.p, e.err
+		return Annotated(bench, scale)
 	}
 	src, err := os.ReadFile(asm)
 	if err != nil {
@@ -107,9 +101,7 @@ func Load(bench, asm string, scale int, loops, prof bool) (*prog.Program, error)
 		return nil, err
 	}
 	if prof {
-		popts := profile.DefaultOptions()
-		popts.IncludeLoops = loops
-		if _, err := profile.Run(p, popts); err != nil {
+		if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
 			return nil, fmt.Errorf("profile: %w", err)
 		}
 	}
@@ -118,9 +110,8 @@ func Load(bench, asm string, scale int, loops, prof bool) (*prog.Program, error)
 
 // buildAnnotated is the uncached builder behind Annotated: workload
 // build, then the training input's diverge table (stored, or profiled)
-// transferred to the reference build. loops additionally marks backward
-// (loop) diverge branches (Section 2.7.4).
-func buildAnnotated(bench string, scale int, loops bool) (*prog.Program, error) {
+// transferred to the reference build.
+func buildAnnotated(bench string, scale int) (*prog.Program, error) {
 	w, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -128,7 +119,6 @@ func buildAnnotated(bench string, scale int, loops bool) (*prog.Program, error) 
 	train := w.Build(workload.BuildConfig{Seed: workload.TrainSeed, Scale: scale})
 	ref := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: scale})
 	popts := profile.DefaultOptions()
-	popts.IncludeLoops = loops
 
 	b := annotationBacking()
 	var trainHash, profiler string

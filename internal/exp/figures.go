@@ -114,8 +114,8 @@ func Figure6(o Options) (*Table, error) {
 				return
 			}
 			for _, bs := range rep.Branches {
-				cls := 2 // other
-				if dv := p.DivergeAt(bs.PC); dv != nil {
+				cls := 2 // other, loop diverge branches included
+				if dv := p.DivergeAt(bs.PC); dv != nil && !dv.Loop {
 					if dv.Class == prog.ClassSimpleHammock {
 						cls = 0
 					} else {
@@ -386,11 +386,9 @@ func DualPath(o Options) (*Table, error) {
 
 // LoopDiverge evaluates the diverge loop branch extension (Section 2.7.4
 // future work, implemented here): enhanced DMP with and without
-// predication of marked backward branches. The loop-diverge run simulates
-// a separately annotated program (profile.Options.IncludeLoops), which
-// RunOne picks from the config's EnableLoopDiverge bit. The baseline and
-// enhanced suites resolve from the result cache when other experiments
-// already ran them.
+// predication of the marked backward branches every annotated program
+// carries. The baseline and enhanced suites resolve from the result
+// cache when other experiments already ran them.
 func LoopDiverge(o Options) (*Table, error) {
 	o = o.norm()
 	loops := core.EnhancedDMPConfig()

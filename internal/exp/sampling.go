@@ -45,8 +45,8 @@ import (
 //
 // Accuracy is the binding constraint (the gate is amean |err| and 15/15
 // coverage, not any single row); longer periods and caches-only warming
-// are the two throughput levers on a single-CPU host, where the streamed
-// pipeline cannot overlap intervals.
+// are the two throughput levers on a single-CPU host, where no worker
+// slot is free and every interval runs inline on the warming pass.
 var benchPoints = map[string]core.SamplePoint{
 	"ammp":    {SamplePeriod: 18000, SampleInterval: 500, SampleWarmup: 1024, WarmMode: "caches"},
 	"bzip2":   {SamplePeriod: 24000, SampleInterval: 750},

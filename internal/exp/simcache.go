@@ -13,14 +13,13 @@ import (
 
 // Simulation results are memoized process-wide by internal/sched's
 // singleflight result cache, one entry per unique (benchmark, scale,
-// annotation-variant, canonical config) tuple. `dmpexp all`
-// asks for the same simulation many times over — the baseline suite
+// canonical config) tuple. `dmpexp all` asks for the same simulation
+// many times over — the baseline suite
 // alone is needed by table3, fig1, fig7, fig9, fig11, fig12, dualpath
 // and loopdiverge — and the simulator is deterministic, so every repeat
 // after the first is a map lookup. Below the request entries, requests
-// whose configurations fold to one machine for their program
-// (core.Config.FoldFor), or whose predication knobs a finished run shows
-// it never exercised (core.Evidence), share one simulation. This file is
+// whose predication knobs a finished run of their family shows it never
+// exercised (core.Evidence) share one simulation. This file is
 // now only the glue between experiments and the scheduler: it builds the
 // sched.Key, supplies the computation (simulate), and re-exports the
 // counters the CLI prints. The cache machinery itself — singleflight entries, the
@@ -66,11 +65,9 @@ func SimCounts() (hits, misses uint64) {
 // on first request: every experiment's suites and the dmpserve daemon's
 // POST /v1/runs come through here. cfg is an exact configuration; sampled
 // runs go through sampleCached. The request is keyed by the canonical
-// configuration, and the simulation by its fold for the program it runs
-// on (core.Config.FoldFor), so requests for one machine share a run; a
-// finished run also answers the requests of its family that its knob
-// evidence answers (core.Evidence). The returned Stats are shared and
-// frozen — Clone before mutating.
+// configuration, and a finished run also answers the requests of its
+// family that its knob evidence answers (core.Evidence). The returned
+// Stats are shared and frozen — Clone before mutating.
 func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
 	o = o.norm()
 	return runOn(simCache, sched.Shared(o.Parallel), bench, cfg, o, simulate)
@@ -84,13 +81,6 @@ func runOn(c *sched.Cache, pool *sched.Pool, bench string, cfg core.Config, o Op
 	return c.Do(key, sched.Job{
 		Pool: pool,
 		Span: o.Span,
-		SimKey: func() (sched.Key, error) {
-			pe := programFor(bench, o.Scale, cfg)
-			if pe.err != nil {
-				return sched.Key{}, pe.err
-			}
-			return sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.FoldFor(pe.p)}, nil
-		},
 		Run: func(_ *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 			return run(bench, cfg, o, progress)
 		},
@@ -110,7 +100,7 @@ const evidenceEvery = 1 << 12
 // result is detached from the Machine (Clone) so the cache does not pin
 // simulator state.
 func simulate(bench string, cfg core.Config, o Options, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-	pe := programFor(bench, o.Scale, cfg)
+	pe := programEntry(bench, o.Scale)
 	if pe.err != nil {
 		return nil, core.Evidence{}, pe.err
 	}
@@ -168,7 +158,7 @@ func sampleCached(bench string, sCfg core.Config, o Options) (res *sample.Result
 	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
 	e := v.(*sampleEntry)
 	e.once.Do(func() {
-		pe := programFor(bench, o.Scale, sCfg)
+		pe := programEntry(bench, o.Scale)
 		if pe.err != nil {
 			e.err = pe.err
 			return

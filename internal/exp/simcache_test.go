@@ -103,7 +103,7 @@ func TestRecomputedResultIsIdentical(t *testing.T) {
 	sCfg.SampleMode = true
 	sCfg.CheckRetirement = true
 	sCfg.SamplePoint = pointFor(o, bench)
-	pe := programFor(bench, o.Scale, sCfg)
+	pe := programEntry(bench, o.Scale)
 	sampled := func() *core.Stats {
 		t.Helper()
 		r, err := sample.Run(pe.p, sCfg, sample.Options{})
@@ -199,7 +199,7 @@ func TestSimCacheKeySeparatesVariants(t *testing.T) {
 		t.Errorf("enhanced with/without loop diverge aliased: %d misses, want 3", misses)
 	}
 	if loops.Episodes <= plain.Episodes {
-		t.Errorf("loop diverge ran %d episodes, plain %d: want the loop-marked program's extra episodes", loops.Episodes, plain.Episodes)
+		t.Errorf("loop diverge ran %d episodes, plain %d: want the loop marks' extra episodes", loops.Episodes, plain.Episodes)
 	}
 }
 
@@ -304,7 +304,7 @@ func TestShareCountsOrderIndependent(t *testing.T) {
 		reversed = append(reversed, forward[i])
 	}
 	memo := func(bench string, cfg core.Config, o Options, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-		r := solo(soloKey{foldCase{bench, o.Scale}, cfg.Canonical()})
+		r := solo(soloKey{diffCase{bench, o.Scale}, cfg.Canonical()})
 		if r.err == nil {
 			// The finished run's evidence, reported while it "runs":
 			// every request it excludes starts at once.

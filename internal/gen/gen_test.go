@@ -214,9 +214,7 @@ func TestGenWorkloadProfileAnnotationsLint(t *testing.T) {
 		o.Annotate = false
 		o.Iters = 100
 		p := Generate(o)
-		popts := profile.DefaultOptions()
-		popts.IncludeLoops = seed%2 == 0
-		if _, err := profile.Run(p, popts); err != nil {
+		if _, err := profile.Run(p, profile.DefaultOptions()); err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		if ds := lint.Check(p, lint.Options{}); ds.HasErrors() {

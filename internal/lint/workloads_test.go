@@ -6,16 +6,17 @@ import (
 
 	"dmp/internal/exp"
 	"dmp/internal/lint"
+	"dmp/internal/prog"
 	"dmp/internal/workload"
 )
 
 // TestWorkloadsLintClean is the calibration gate: every benchmark's
 // annotated program — all 15 workloads, both scales the experiments use,
-// with and without loop diverge marking — must be completely
-// diagnostic-clean, warnings included. The lint checks are tuned so that
-// legitimate profiler output never trips them; any finding here is
-// either a profiler regression or an over-eager check, and both need
-// fixing before merge.
+// as a machine without loop diverge reads it (its loop marks dropped)
+// and whole — must be completely diagnostic-clean, warnings included.
+// The lint checks are tuned so that legitimate profiler output never
+// trips them; any finding here is either a profiler regression or an
+// over-eager check, and both need fixing before merge.
 func TestWorkloadsLintClean(t *testing.T) {
 	scales := []int{1, 3}
 	if testing.Short() {
@@ -26,13 +27,19 @@ func TestWorkloadsLintClean(t *testing.T) {
 			for _, loops := range []bool{false, true} {
 				name := fmt.Sprintf("%s/scale%d/loops=%v", w.Name, scale, loops)
 				t.Run(name, func(t *testing.T) {
-					annotated := exp.Annotated
-					if loops {
-						annotated = exp.AnnotatedLoops
-					}
-					p, err := annotated(w.Name, scale)
+					p, err := exp.Annotated(w.Name, scale)
 					if err != nil {
 						t.Fatalf("annotate: %v", err)
+					}
+					if !loops {
+						plain := *p
+						plain.Diverge = map[uint64]*prog.Diverge{}
+						for pc, d := range p.Diverge {
+							if !d.Loop {
+								plain.Diverge[pc] = d
+							}
+						}
+						p = &plain
 					}
 					if ds := lint.Check(p, lint.Options{}); len(ds) != 0 {
 						t.Errorf("not lint-clean:\n%s", ds)

@@ -23,9 +23,6 @@ import (
 func runMCF(t *testing.T, loops bool, cfm string, p *core.Probe) *core.Stats {
 	t.Helper()
 	prg, err := exp.Annotated("mcf", 1)
-	if loops {
-		prg, err = exp.AnnotatedLoops("mcf", 1)
-	}
 	if err != nil {
 		t.Fatalf("annotate: %v", err)
 	}

@@ -62,10 +62,6 @@ type Options struct {
 	// SamplesPerBranch caps how many dynamic instances per (branch,
 	// direction) feed the reconvergence analysis, for profiling speed.
 	SamplesPerBranch int
-	// IncludeLoops marks backward (loop) diverge branches too (Section
-	// 2.7.4 future work). When false, backward branches are classified
-	// but not marked.
-	IncludeLoops bool
 	// UsePostDom selects the immediate post-dominator as the CFM point
 	// instead of the frequently-executed-path point (ablation: this is
 	// what DMP argues *against*, since the post-dominator is often much
@@ -100,9 +96,9 @@ func DefaultOptions() Options {
 // program identically. Predictor is not part of it; callers that key
 // persisted tables on Key run the default predictor.
 func (o Options) Key() string {
-	return fmt.Sprintf("profile/v%d max-insts=%d mispredict-share=%g reconverge-frac=%g max-dist=%d max-cfms=%d samples=%d loops=%t postdom=%t",
+	return fmt.Sprintf("profile/v%d max-insts=%d mispredict-share=%g reconverge-frac=%g max-dist=%d max-cfms=%d samples=%d postdom=%t",
 		Version, o.MaxInsts, o.MispredictShare, o.ReconvergeFrac, o.MaxDist, o.MaxCFMs,
-		o.SamplesPerBranch, o.IncludeLoops, o.UsePostDom)
+		o.SamplesPerBranch, o.UsePostDom)
 }
 
 // BranchStat summarises one static branch over the profiling run.
@@ -112,9 +108,8 @@ type BranchStat struct {
 	Taken       uint64
 	Mispredicts uint64
 	Class       prog.BranchClass
-	// Marked reports whether the branch was annotated as a diverge branch.
-	Marked bool
-	// CFMs are the selected merge points (empty if none qualified).
+	// CFMs are the selected merge points (empty if none qualified). A
+	// branch with any is marked as a diverge branch.
 	CFMs []uint64
 	// AvgDist is the mean dynamic distance to the primary CFM point.
 	AvgDist float64
@@ -137,7 +132,7 @@ func (r *Report) String() string {
 		"pc", "execs", "taken", "misp", "class", "marked", "avgdist", "cfms")
 	for _, b := range r.Branches {
 		s += fmt.Sprintf("%8d %10d %10d %10d %-16s %6v %8.1f %v\n",
-			b.PC, b.Execs, b.Taken, b.Mispredicts, b.Class, b.Marked, b.AvgDist, b.CFMs)
+			b.PC, b.Execs, b.Taken, b.Mispredicts, b.Class, len(b.CFMs) > 0, b.AvgDist, b.CFMs)
 	}
 	return s
 }
@@ -256,20 +251,16 @@ func Run(p *prog.Program, opts Options) (*Report, error) {
 				} else {
 					bs.Class = prog.ClassComplexDiverge
 				}
-				isLoop := p.Code[pc].Target <= bs.PC
-				if !isLoop || opts.IncludeLoops {
-					thr := int(avgDist*1.5) + 8
-					if thr > opts.MaxDist {
-						thr = opts.MaxDist
-					}
-					p.MarkDiverge(bs.PC, &prog.Diverge{
-						CFMs:          cfms,
-						Class:         bs.Class,
-						ExitThreshold: thr,
-						Loop:          isLoop,
-					})
-					bs.Marked = true
+				thr := int(avgDist*1.5) + 8
+				if thr > opts.MaxDist {
+					thr = opts.MaxDist
 				}
+				p.MarkDiverge(bs.PC, &prog.Diverge{
+					CFMs:          cfms,
+					Class:         bs.Class,
+					ExitThreshold: thr,
+					Loop:          p.Code[pc].Target <= bs.PC,
+				})
 			}
 		}
 		report.Branches = append(report.Branches, bs)

@@ -149,15 +149,11 @@ func refRun(p *prog.Program, opts Options) (*Report, error) {
 				} else {
 					bs.Class = prog.ClassComplexDiverge
 				}
-				isLoop := p.Code[pc].Target <= pc
-				if !isLoop || opts.IncludeLoops {
-					thr := int(avgDist*1.5) + 8
-					if thr > opts.MaxDist {
-						thr = opts.MaxDist
-					}
-					p.MarkDiverge(pc, &prog.Diverge{CFMs: cfms, Class: bs.Class, ExitThreshold: thr, Loop: isLoop})
-					bs.Marked = true
+				thr := int(avgDist*1.5) + 8
+				if thr > opts.MaxDist {
+					thr = opts.MaxDist
 				}
+				p.MarkDiverge(pc, &prog.Diverge{CFMs: cfms, Class: bs.Class, ExitThreshold: thr, Loop: p.Code[pc].Target <= pc})
 			}
 		}
 		report.Branches = append(report.Branches, bs)
@@ -192,7 +188,7 @@ func sameAsRef(t *testing.T, name string, build func() *prog.Program, opts Optio
 	for i := range want.Branches {
 		g, w := got.Branches[i], want.Branches[i]
 		if g.PC != w.PC || g.Execs != w.Execs || g.Taken != w.Taken || g.Mispredicts != w.Mispredicts ||
-			g.Class != w.Class || g.Marked != w.Marked || !reflect.DeepEqual(g.CFMs, w.CFMs) ||
+			g.Class != w.Class || !reflect.DeepEqual(g.CFMs, w.CFMs) ||
 			math.Float64bits(g.AvgDist) != math.Float64bits(w.AvgDist) {
 			t.Fatalf("%s: branch row %d differs:\n got %+v\nwant %+v", name, i, g, w)
 		}
@@ -218,20 +214,18 @@ func benchBuild(t *testing.T, bench string, scale int) func() *prog.Program {
 }
 
 // TestRunMatchesReference holds the streaming profiler to the
-// trace-based reference over every benchmark, both loop and CFM-source
-// settings, bounded runs, the sampling and distance extremes, and
+// trace-based reference over every benchmark, both CFM-source settings,
+// bounded runs, the sampling and distance extremes, and
 // generated programs.
 func TestRunMatchesReference(t *testing.T) {
 	t.Run("benchmarks", func(t *testing.T) {
 		for _, scale := range []int{1, 3} {
 			for _, bench := range workload.Names() {
 				build := benchBuild(t, bench, scale)
-				for _, loops := range []bool{false, true} {
-					for _, postdom := range []bool{false, true} {
-						opts := DefaultOptions()
-						opts.IncludeLoops, opts.UsePostDom = loops, postdom
-						sameAsRef(t, fmt.Sprintf("%s scale %d loops=%t postdom=%t", bench, scale, loops, postdom), build, opts)
-					}
+				for _, postdom := range []bool{false, true} {
+					opts := DefaultOptions()
+					opts.UsePostDom = postdom
+					sameAsRef(t, fmt.Sprintf("%s scale %d postdom=%t", bench, scale, postdom), build, opts)
 				}
 			}
 		}
@@ -242,9 +236,7 @@ func TestRunMatchesReference(t *testing.T) {
 			t.Skip("long profiles")
 		}
 		for _, bench := range []string{"mcf", "gap"} {
-			opts := DefaultOptions()
-			opts.IncludeLoops = true
-			sameAsRef(t, bench+" scale 40", benchBuild(t, bench, 40), opts)
+			sameAsRef(t, bench+" scale 40", benchBuild(t, bench, 40), DefaultOptions())
 		}
 	})
 
@@ -297,9 +289,7 @@ func TestRunMatchesReference(t *testing.T) {
 	t.Run("gen", func(t *testing.T) {
 		for seed := uint64(1); seed <= 50; seed++ {
 			build := func() *prog.Program { return gen.Generate(gen.Options{Seed: seed, Iters: 200}) }
-			opts := DefaultOptions()
-			opts.IncludeLoops = seed%2 == 0
-			sameAsRef(t, fmt.Sprintf("gen seed %d", seed), build, opts)
+			sameAsRef(t, fmt.Sprintf("gen seed %d", seed), build, DefaultOptions())
 		}
 	})
 }

@@ -67,16 +67,15 @@ func TestProfilerFindsHammockCFM(t *testing.T) {
 
 func TestProfilerSkipsPredictableBranch(t *testing.T) {
 	// The loop back-branch is almost always taken: well predicted, so it
-	// must not be a diverge candidate (below the misprediction share) —
-	// and it is backward, so even if it were, it would not be marked.
+	// must not be a diverge candidate (below the misprediction share).
 	p, _, _ := randomHammock(t, 3000)
 	rep, err := Run(p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range rep.Branches {
-		if p.Code[bs.PC].Target <= bs.PC && bs.Marked {
-			t.Errorf("backward branch %d marked without IncludeLoops", bs.PC)
+		if p.Code[bs.PC].Target <= bs.PC && len(bs.CFMs) > 0 {
+			t.Errorf("well-predicted backward branch %d marked", bs.PC)
 		}
 	}
 }
@@ -104,26 +103,16 @@ func randomTripLoop() (*prog.Program, uint64) {
 	return b.MustBuild(), innerBr
 }
 
-func TestProfilerLoopBranchWithIncludeLoops(t *testing.T) {
-	// With IncludeLoops the hard-to-predict back-branch is marked, and
-	// as a loop diverge branch.
+func TestProfilerMarksLoopBranch(t *testing.T) {
+	// The hard-to-predict back-branch is marked, and as a loop diverge
+	// branch: whether to predicate it is the machine's choice
+	// (core.Config.EnableLoopDiverge).
 	p, innerBr := randomTripLoop()
-	opts := DefaultOptions()
-	opts.IncludeLoops = true
-	if _, err := Run(p, opts); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.DivergeAt(innerBr); d == nil || !d.Loop {
-		t.Errorf("with IncludeLoops, back-branch marked %+v; want a Loop diverge branch", d)
-	}
-
-	// Without IncludeLoops the same branch must not be marked.
-	p, innerBr = randomTripLoop()
 	if _, err := Run(p, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if d := p.DivergeAt(innerBr); d != nil {
-		t.Errorf("without IncludeLoops, back-branch marked %+v", d)
+	if d := p.DivergeAt(innerBr); d == nil || !d.Loop {
+		t.Errorf("back-branch marked %+v; want a Loop diverge branch", d)
 	}
 }
 

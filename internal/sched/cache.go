@@ -15,8 +15,8 @@ import (
 // persistent store are both keyed by. Cfg must already be canonicalized
 // (core.Config.Canonical) so that configurations that cannot change the
 // result share one entry. Every simulation is checked, so checking is no
-// key dimension. The same type also names a simulation (Job.SimKey),
-// which several requests may share.
+// key dimension. A request's key also names the simulation it runs when
+// no run of its family answers it.
 type Key struct {
 	Bench string
 	Scale int
@@ -61,7 +61,7 @@ type entry struct {
 }
 
 // family holds the simulations of one family, finished or running:
-// simulation keys equal but for the knobs core.Evidence vouches for
+// keys equal but for the knobs core.Evidence vouches for
 // (core.Config.Family). A request simulates only once no run of its
 // family can answer it: no finished run answers it, and every running
 // one has already recorded a knob the two differ in as exercised
@@ -78,8 +78,7 @@ type family struct {
 
 // simRun is one simulation of a family. Until done, ev is the evidence
 // the run has reported so far; then it holds the run's result. A failed
-// run answers only its own key, with its error. Every field is guarded
-// by the family's mu.
+// run answers no other key. Every field is guarded by the family's mu.
 type simRun struct {
 	key    Key
 	done   bool
@@ -88,16 +87,6 @@ type simRun struct {
 	ev     core.Evidence
 	err    error
 	run    time.Duration // time job.Run took
-}
-
-// answers reports whether the finished run r answers the simulation key k.
-func (r *simRun) answers(k Key) bool {
-	return r.key == k || (r.err == nil && r.ev.Answers(r.key.Cfg, k.Cfg))
-}
-
-// mayAnswer reports whether r, still running, may yet answer k.
-func (r *simRun) mayAnswer(k Key) bool {
-	return r.key == k || !r.ev.Excludes(r.key.Cfg, k.Cfg)
 }
 
 // Counts is a snapshot of the cache's request accounting.
@@ -113,35 +102,27 @@ type Counts struct {
 	StoreHits uint64
 	// Computed are simulations actually executed.
 	Computed uint64
-	// Shared are misses answered by a simulation another request ran:
-	// one with an equal simulation key, or one whose knob evidence shows
-	// it is the same run (Job.Run).
+	// Shared are misses answered by a simulation another request ran,
+	// whose knob evidence shows it is the same run (Job.Run).
 	Shared uint64
 }
 
 // Job describes how to compute a missing entry: the pool to take a
-// worker slot from, the telemetry parent span, the key of the simulation
-// behind the request, and the computation itself (called with the
-// simulation's own async child span, or nil when telemetry is off).
-//
-// SimKey names the simulation the request needs. Requests whose
-// simulation keys are equal must give bit-identical Stats, and they
-// share one run. It is called only on a miss the backing store did not
-// answer, so a store-answered request never pays for it. Nil means the
-// request key itself.
+// worker slot from, the telemetry parent span, and the computation
+// itself (called with the simulation's own async child span, or nil when
+// telemetry is off).
 //
 // Run returns the simulation's Stats and its knob evidence: a finished
-// run also answers every simulation key of its family that its evidence
-// answers (core.Evidence.Answers). Zero evidence answers only the run's
-// own key. While it runs, Run may hand progress the evidence recorded so
+// run also answers every key of its family that its evidence answers
+// (core.Evidence.Answers). Zero evidence answers only the run's own key.
+// While it runs, Run may hand progress the evidence recorded so
 // far, which must never be more exercised than the finished run's: a
 // request of the family that it excludes starts its own simulation
 // without waiting for the run to finish.
 type Job struct {
-	Pool   *Pool
-	Span   *telemetry.Span
-	SimKey func() (Key, error)
-	Run    func(sp *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error)
+	Pool *Pool
+	Span *telemetry.Span
+	Run  func(sp *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error)
 }
 
 // Cache is a process-wide singleflight result cache. Results published
@@ -154,7 +135,7 @@ type Job struct {
 // poisoned numbers.
 type Cache struct {
 	entries  sync.Map // request Key -> *entry
-	families sync.Map // family Key (Job.SimKey's core.Config.Family) -> *family
+	families sync.Map // family Key (core.Config.Family) -> *family
 	backing  atomic.Pointer[backingBox]
 
 	hits      atomic.Uint64
@@ -192,18 +173,17 @@ func (c *Cache) getBacking() Backing {
 // Do returns the cached result for key, computing it via job on first
 // request. Concurrent requests for the same key block on one execution
 // (without holding a worker slot — duplicate requests never occupy a
-// worker). A miss the backing store does not answer takes its
-// simulation key (Job.SimKey) to the key's family, where a finished run
-// that answers the key answers it: an equal key, or a run whose evidence
-// shows the knobs the two differ in never exercised. While a running
-// simulation of the family may still answer it, the request waits for
-// it; only when none can does it simulate (family). Every answer is
-// exact, so the number of simulations depends neither on the order of
-// requests nor on the pool size. Each request still publishes under,
-// and writes through to the store under, its own key. A job that panics
-// poisons no key: the panic reaches the call that ran it, and the next
-// request for the key, or one that waited on it, computes afresh. The
-// returned Stats are shared and frozen: Clone before mutating.
+// worker). A miss the backing store does not answer goes to its key's
+// family, where a finished run answers it whose evidence shows the knobs
+// the two differ in never exercised. While a running simulation of the
+// family may still answer it, the request waits for it; only when none
+// can does it simulate (family). Every answer is exact, so the number
+// of simulations depends neither on the order of requests nor on the
+// pool size. Each request still publishes under, and writes through to
+// the store under, its own key. A job that panics poisons no key: the
+// panic reaches the call that ran it, and the next request for the key,
+// or one that waited on it, computes afresh. The returned Stats are
+// shared and frozen: Clone before mutating.
 func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 	for {
 		v, _ := c.entries.LoadOrStore(key, &entry{})
@@ -265,13 +245,7 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 		}
 		mStoreMisses.Inc()
 	}
-	simKey := key
-	if job.SimKey != nil {
-		if simKey, e.err = job.SimKey(); e.err != nil {
-			return
-		}
-	}
-	r, ran := c.answer(simKey, label, job)
+	r, ran := c.answer(key, label, job)
 	e.st, e.frozen, e.err = r.st, r.frozen, r.err
 	e.run.Store(int64(r.run))
 	if !ran {
@@ -279,13 +253,8 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 		// like a duplicate request.
 		c.shared.Add(1)
 		mShared.Inc()
-		msg := "shared"
-		if r.key != simKey {
-			mEvidenceShared.Inc()
-			msg = "shared-evidence"
-		}
 		if tel != nil {
-			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: msg})
+			tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "shared"})
 		}
 		c.checkFrozen(key, e)
 	}
@@ -296,21 +265,21 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 	}
 }
 
-// answer returns the finished run of simKey's family that answers it,
+// answer returns the finished run of key's family that answers it,
 // simulating it first if no run of the family can; ran reports that this
 // call simulated. A run whose job.Run panics is dropped from the family
 // before the panic goes on, and its waiters look again.
-func (c *Cache) answer(simKey Key, label string, job Job) (r *simRun, ran bool) {
-	fk := simKey
+func (c *Cache) answer(key Key, label string, job Job) (r *simRun, ran bool) {
+	fk := key
 	fk.Cfg = fk.Cfg.Family()
 	fv, _ := c.families.LoadOrStore(fk, newFamily())
 	f := fv.(*family)
 	f.mu.Lock()
-	if r := f.await(simKey); r != nil {
+	if r := f.await(key); r != nil {
 		f.mu.Unlock()
 		return r, false
 	}
-	r = &simRun{key: simKey}
+	r = &simRun{key: key}
 	f.runs = append(f.runs, r)
 	f.mu.Unlock()
 	defer func() {
@@ -349,15 +318,16 @@ func newFamily() *family {
 }
 
 // await waits, holding f.mu, until a finished run answers k, which it
-// returns, or no running run may answer k any more (nil).
+// returns, or no running run may answer k any more (nil). A failed run
+// answers no key: its own request keeps its error in the request map.
 func (f *family) await(k Key) *simRun {
 	for {
 		pending := false
 		for _, r := range f.runs {
-			if r.done && r.answers(k) {
+			if r.done && r.err == nil && r.ev.Answers(r.key.Cfg, k.Cfg) {
 				return r
 			}
-			pending = pending || (!r.done && r.mayAnswer(k))
+			pending = pending || (!r.done && !r.ev.Excludes(r.key.Cfg, k.Cfg))
 		}
 		if !pending {
 			return nil

@@ -184,28 +184,25 @@ func TestCacheReset(t *testing.T) {
 }
 
 // TestCacheSharesSimulation pins sharing below the request map: requests
-// with different keys but one simulation key run one simulation, each
-// publishes it and writes it through under its own key, a store-answered
-// request never evaluates its simulation key, and Reset forgets the
-// simulation too. Both requests read the simulation's host seconds, and
+// with different keys whose run's evidence answers both run one
+// simulation, each publishes it and writes it through under its own key,
+// a restart answers each from its own stored object, and Reset forgets
+// the simulation too. Both requests read the simulation's host seconds, and
 // reading them while requests still wait on the run is race-free.
 func TestCacheSharesSimulation(t *testing.T) {
 	c := NewCache()
 	b := newFakeBacking()
 	c.SetBacking(b)
-	var runs, simKeys atomic.Uint64
-	sim := testKey("eon")
+	var runs atomic.Uint64
 	job := Job{
-		Pool:   NewPool(2),
-		SimKey: func() (Key, error) { simKeys.Add(1); return sim, nil },
+		Pool: NewPool(2),
 		Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
 			runs.Add(1)
 			time.Sleep(time.Millisecond)
-			return &core.Stats{RetiredInsts: 5, Cycles: 9}, core.Evidence{}, nil
+			return &core.Stats{RetiredInsts: 5, Cycles: 9}, core.Evidence{Recorded: true}, nil
 		},
 	}
-	dmp, dhp := sim, sim
-	dmp.Cfg, dhp.Cfg = core.DMPConfig().Canonical(), core.DHPConfig().Canonical()
+	dmp, dhp, _ := familyKeys("eon")
 	const callers = 8
 	var wg sync.WaitGroup
 	var reading atomic.Bool
@@ -258,14 +255,13 @@ func TestCacheSharesSimulation(t *testing.T) {
 	// A restart answers each request from its own stored object.
 	c2 := NewCache()
 	c2.SetBacking(b)
-	simKeys.Store(0)
 	for _, k := range []Key{dmp, dhp} {
 		if _, err := c2.Do(k, job); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cn := c2.Counts(); cn.StoreHits != 2 || cn.Computed != 0 || cn.Shared != 0 || simKeys.Load() != 0 {
-		t.Fatalf("restart counts = %+v with %d simulation keys evaluated, want 2 store hits and none", cn, simKeys.Load())
+	if cn := c2.Counts(); cn.StoreHits != 2 || cn.Computed != 0 || cn.Shared != 0 {
+		t.Fatalf("restart counts = %+v, want 2 store hits", cn)
 	}
 	if s := c2.Seconds(dmp); s != 0 {
 		t.Fatalf("Seconds of a store hit = %g, want 0", s)
@@ -279,19 +275,6 @@ func TestCacheSharesSimulation(t *testing.T) {
 	}
 	if runs.Load() != 2 {
 		t.Fatalf("simulation ran %d times, want a rerun after Reset", runs.Load())
-	}
-
-	// A simulation key that cannot be computed fails the request, and the
-	// error is memoized like a failed run.
-	boom := errors.New("no program")
-	bad := Job{Pool: NewPool(1), SimKey: func() (Key, error) { return Key{}, boom }, Run: job.Run}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Do(testKey("bogus"), bad); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want the simulation key's error", err)
-		}
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("a request without a simulation key ran a simulation")
 	}
 }
 
@@ -414,7 +397,7 @@ func TestAdmitterStopRefusesAndDrains(t *testing.T) {
 }
 
 // familyKeys returns request keys for bench under basic DMP, DHP and
-// enhanced DMP: three simulation keys of one family (core.Config.Family).
+// enhanced DMP: three keys of one family (core.Config.Family).
 func familyKeys(bench string) (dmp, dhp, enh Key) {
 	dmp, dhp, enh = testKey(bench), testKey(bench), testKey(bench)
 	dmp.Cfg, dhp.Cfg, enh.Cfg = core.DMPConfig().Canonical(), core.DHPConfig().Canonical(), core.EnhancedDMPConfig().Canonical()
@@ -427,7 +410,7 @@ func familyKeys(bench string) (dmp, dhp, enh Key) {
 // running simulation of its family holds no worker slot; once the
 // running simulation reports a knob the two differ in as exercised, the
 // request starts beside it instead of waiting for it to finish; a failed
-// run answers only its own simulation key and leaves the family usable;
+// run answers only its own key and leaves the family usable;
 // and a panicking Run releases the requests waiting on it.
 func TestCacheSharesOnEvidence(t *testing.T) {
 	c := NewCache()
@@ -449,7 +432,7 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 		return &core.Stats{Cycles: 5}, core.Evidence{}, nil
 	}}
 	dmp, dhp, enh := familyKeys("gap")
-	evidenceShared := mEvidenceShared.Value()
+	shared := mShared.Value()
 
 	first := make(chan *core.Stats)
 	go func() {
@@ -499,14 +482,14 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	if a != b || runs.Load() != 1 {
 		t.Fatalf("DHP request got %p after %d runs, want the DMP run's %p from one run", b, runs.Load(), a)
 	}
-	if got := mEvidenceShared.Value() - evidenceShared; got != 1 {
-		t.Fatalf("dmp_sched_evidence_shared_total rose by %d, want 1", got)
+	if got := mShared.Value() - shared; got != 1 {
+		t.Fatalf("dmp_sched_shared_total rose by %d, want 1", got)
 	}
 	if cn := c.Counts(); cn.Computed != 2 || cn.Shared != 1 || cn.Misses != 3 {
 		t.Fatalf("counts = %+v, want 2 computed, 1 shared, 3 misses", cn)
 	}
 
-	// A failed run answers only its own simulation key, with its error.
+	// A failed run answers only its own key, with its error.
 	boom := errors.New("boom")
 	dmp, dhp, _ = familyKeys("twolf")
 	failing := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
@@ -516,11 +499,8 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	if _, err := c.Do(dmp, failing); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	alias := dmp
-	alias.Cfg.KeepAlternateGHR = true
-	failing.SimKey = func() (Key, error) { return dmp, nil }
-	if _, err := c.Do(alias, failing); !errors.Is(err, boom) {
-		t.Fatalf("a request of the failed simulation key got %v, want its error", err)
+	if _, err := c.Do(dmp, failing); !errors.Is(err, boom) {
+		t.Fatalf("a request of the failed key got %v, want its error", err)
 	}
 	if st, err := c.Do(dhp, other); err != nil || st.Cycles != 5 {
 		t.Fatalf("after a failed run its family answered %v, %v; want a run of its own", st, err)

@@ -21,9 +21,7 @@ var (
 	mStoreMisses = telemetry.NewCounter("dmp_sched_store_misses_total",
 		"cache misses the backing store also missed (a simulation ran or was shared)")
 	mShared = telemetry.NewCounter("dmp_sched_shared_total",
-		"cache misses answered by another request's simulation of the same machine")
-	mEvidenceShared = telemetry.NewCounter("dmp_sched_evidence_shared_total",
-		"shared cache misses answered by a run of another simulation key whose knob evidence shows the same run")
+		"cache misses answered by a run of another key whose knob evidence shows the same run")
 	mSingleflightWait = telemetry.NewHistogram("dmp_sched_singleflight_wait_seconds",
 		"time a cache hit spent blocked on another request's in-flight simulation",
 		telemetry.SecondsBuckets())

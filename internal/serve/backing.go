@@ -21,7 +21,7 @@ type storeBacking struct {
 }
 
 func (b storeBacking) metaFor(k sched.Key) (store.Meta, bool) {
-	h, err := exp.WorkloadHash(k.Bench, k.Scale, k.Cfg)
+	h, err := exp.WorkloadHash(k.Bench, k.Scale)
 	if err != nil {
 		// No workload identity, no persistent key: the scheduler will
 		// compute (and fail with the real error) instead.

@@ -73,8 +73,8 @@ func TestRestartNeverProfiles(t *testing.T) {
 	}
 
 	cold, profiles := daemon("cold", "baseline", "enhanced", "loops")
-	if profiles != 2 {
-		t.Fatalf("cold daemon ran %d profiles, want 2 (plain and loop-marked)", profiles)
+	if profiles != 1 {
+		t.Fatalf("cold daemon ran %d profiles, want 1: every mode runs the one annotated program", profiles)
 	}
 
 	// dualpath first, so the restarted daemon builds its program for a
@@ -99,8 +99,8 @@ func TestRestartNeverProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, profiles := daemon("old-store", "dualpath", "baseline", "enhanced", "loops")
-	if profiles != 2 {
-		t.Errorf("store without annotation objects: %d profiles, want 2", profiles)
+	if profiles != 1 {
+		t.Errorf("store without annotation objects: %d profiles, want 1", profiles)
 	}
 	for name, run := range old {
 		if run.Counts.Simulated != 0 {

@@ -292,11 +292,23 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-func (s *Server) options(scale int) exp.Options {
+// maxScale bounds a request's workload scale at the largest scale the
+// long-scale study runs. The training profile emulates the whole
+// program before MaxCycles bounds anything, so without it one request
+// could hold a worker for as long as it asks.
+const maxScale = 200
+
+// options returns the experiment options of a request at scale. A scale
+// over maxScale is answered 400, and options reports false.
+func (s *Server) options(w http.ResponseWriter, scale int) (exp.Options, bool) {
+	if scale > maxScale {
+		badRequest(w, "scale %d is over the bound of %d", scale, maxScale)
+		return exp.Options{}, false
+	}
 	o := exp.DefaultOptions()
 	o.Scale = scale
 	o.Parallel = s.cfg.Parallel
-	return o
+	return o, true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -327,7 +339,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	o := s.options(req.Scale)
+	o, ok := s.options(w, req.Scale)
+	if !ok {
+		return
+	}
 	s.submit(w, r, "run", func(sp *telemetry.Span) (*RunStatus, error) {
 		ro := o
 		ro.Span = sp
@@ -356,7 +371,10 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	o := s.options(req.Scale)
+	o, ok := s.options(w, req.Scale)
+	if !ok {
+		return
+	}
 	o.Benchmarks = req.Benchmarks
 	s.submit(w, r, "experiments", func(sp *telemetry.Span) (*RunStatus, error) {
 		o.Span = sp

@@ -226,17 +226,22 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatal("repeat run returned different stats")
 	}
 
+	profiles := counterValue(t, "dmp_exp_profile_runs_total")
 	for name, body := range map[string]map[string]any{
 		"unknown bench":      {"bench": "nope"},
 		"unknown mode":       {"bench": "mcf", "mode": "warp"},
 		"missing bench":      {"mode": "dmp"},
 		"unknown field":      {"bench": "mcf", "turbo": true},
 		"unknown cfm_source": {"bench": "mcf", "cfm_source": "oracle"},
+		"scale over bound":   {"bench": "mcf", "scale": maxScale + 1},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", "run-a", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if got := counterValue(t, "dmp_exp_profile_runs_total") - profiles; got != 0 {
+		t.Errorf("bad requests ran %d profiles, want 0", got)
 	}
 
 	resp3, err := http.Get(ts.URL + "/v1/runs/r999999")
@@ -324,22 +329,28 @@ func TestSSEEvents(t *testing.T) {
 }
 
 // TestExperimentsEndpointRejects pins the 400 answers for experiment
-// ids that exp.Resolve refuses, before anything is admitted.
+// ids that exp.Resolve refuses and for a scale over the bound, before
+// anything is admitted or profiled.
 func TestExperimentsEndpointRejects(t *testing.T) {
 	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 2}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
+	profiles := counterValue(t, "dmp_exp_profile_runs_total")
 	for name, body := range map[string]map[string]any{
 		"empty ids":         {"ids": []string{}},
 		"missing ids":       {"scale": 1},
 		"unknown id":        {"ids": []string{"fig7", "fig99"}},
 		"all mixed with id": {"ids": []string{"all", "fig7"}},
+		"scale over bound":  {"ids": []string{"fig7"}, "benchmarks": []string{"mcf"}, "scale": maxScale + 1},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/experiments?wait=1", "reject-a", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if got := counterValue(t, "dmp_exp_profile_runs_total") - profiles; got != 0 {
+		t.Errorf("rejected requests ran %d profiles, want 0", got)
 	}
 }
 
@@ -418,7 +429,7 @@ func TestRunExperimentsKeepsSuccesses(t *testing.T) {
 // loops:true run is the LoopDiverge experiment's enhanced+loops leg. It
 // reuses the leg's cache entry, its episodes exceed the enhanced run's by
 // the table's loop-episodes cell, and its Stats equal a direct
-// loop-diverge simulation of the loop-marked program.
+// loop-diverge simulation of the annotated program.
 func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 	exp.Reset()
 	defer exp.Reset()
@@ -447,7 +458,7 @@ func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 		t.Errorf("loops run has %s more episodes than enhanced, table says %s", got, want)
 	}
 
-	p, err := exp.AnnotatedLoops("gzip", 1)
+	p, err := exp.Annotated("gzip", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +480,9 @@ func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 
 // TestLoopsRunPersistsUnderLoopsHash covers the store key of a loop
 // diverge run: it persists with EnableLoopDiverge in its config under
-// the hash of exp.AnnotatedLoops' program, and a restarted server
-// answers the same request from the store without simulating.
+// the hash of exp.Annotated's program, whose marks include the loop
+// branches, and a restarted server answers the same request from the
+// store without simulating.
 func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
 	dir := t.TempDir()
 	defer exp.ResultCache().SetBacking(nil)
@@ -497,18 +509,20 @@ func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
 	if cold.Counts.Simulated != 1 {
 		t.Fatalf("cold run counts %+v, want 1 simulated", cold.Counts)
 	}
-	loopsProg, err := exp.AnnotatedLoops("gzip", 1)
+	p, err := exp.Annotated("gzip", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainProg, err := exp.Annotated("gzip", 1)
-	if err != nil {
-		t.Fatal(err)
+	loopMarks := 0
+	for _, pc := range p.DivergePCs() {
+		if p.DivergeAt(pc).Loop {
+			loopMarks++
+		}
 	}
-	want := loopsProg.Hash()
-	if want == plainProg.Hash() {
-		t.Fatal("gzip's loop-marked program hashes like the plain one; the test cannot tell them apart")
+	if loopMarks == 0 {
+		t.Fatal("gzip's program carries no loop mark; the test cannot tell a loop run apart")
 	}
+	want := p.Hash()
 	var persisted []store.Meta
 	for _, d := range st.Digests() {
 		if m, ok := st.Meta(d); ok {

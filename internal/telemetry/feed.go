@@ -13,7 +13,7 @@ import (
 //
 //	run-start      Name=command, Msg=args summary
 //	experiment     Name=experiment, Msg="start"|"done", V=wall seconds when done
-//	simulation     Name=bench/config label, Msg="hit"|"miss"|"store-hit"|"shared"|"shared-evidence"|"done", V=wall seconds
+//	simulation     Name=bench/config label, Msg="hit"|"miss"|"store-hit"|"shared"|"done", V=wall seconds
 //	diff           Name=stage on divergence, N=seeds verified so far
 //	progress       N=completed units, V=total units, Msg=current item
 //	metrics        Metrics=delta of every registered metric since last metrics event

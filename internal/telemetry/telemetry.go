@@ -1,9 +1,9 @@
 // Package telemetry is the host-side observability layer: where
 // internal/obs makes the *simulated machine* observable (PR 4's probe
 // sinks), this package makes the *host infrastructure* observable — the
-// process-wide result cache and worker pool (internal/exp), the streamed
-// sampling pipeline (internal/sample), and the differential harness
-// (internal/gen/diff).
+// process-wide result cache and worker pool (internal/exp), sampled
+// runs with their intervals on free worker slots or inline
+// (internal/sample), and the differential harness (internal/gen/diff).
 //
 // It has three parts:
 //
