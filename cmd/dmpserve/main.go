@@ -109,7 +109,7 @@ func main() {
 			fail("store: %v", err)
 		}
 		cfg.Store = st
-		fmt.Fprintf(os.Stderr, "dmpserve: store %s (%d results)\n", st.Dir(), st.Len())
+		fmt.Fprintf(os.Stderr, "dmpserve: store %s (%d result objects)\n", st.Dir(), st.Len())
 	}
 	srv := serve.New(cfg)
 

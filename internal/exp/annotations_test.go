@@ -98,7 +98,7 @@ func runEnhanced(t *testing.T, p *prog.Program) core.Stats {
 // TestStoredTableReplacesProfile: with a warm annotation store, building
 // a program runs no profile and simulates exactly as a fresh build.
 func TestStoredTableReplacesProfile(t *testing.T) {
-	SetAnnotationBacking(nil)
+	SetStore(nil)
 	fresh, err := buildAnnotated("mcf", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestStoredTableReplacesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetAnnotationBacking(st)
-	defer SetAnnotationBacking(nil)
+	SetStore(st)
+	defer SetStore(nil)
 	for _, phase := range []struct {
 		name     string
 		profiles uint64
@@ -138,7 +138,7 @@ func TestStoredTableReplacesProfile(t *testing.T) {
 // lint-rejected object re-profiles, counts one reject, simulates exactly
 // as a fresh build, and is healed by the write-back.
 func TestBadStoredTableReprofiles(t *testing.T) {
-	SetAnnotationBacking(nil)
+	SetStore(nil)
 	fresh, err := buildAnnotated("mcf", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +150,8 @@ func TestBadStoredTableReprofiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetAnnotationBacking(st)
-	defer SetAnnotationBacking(nil)
+	SetStore(st)
+	defer SetStore(nil)
 	path := tablePath(t, dir, "mcf")
 	for _, tc := range []struct {
 		name   string
@@ -238,15 +238,14 @@ func TestBadStoredTableReprofiles(t *testing.T) {
 // TestConcurrentBuildsShareStoredTables builds several programs at once,
 // two requesters each, cold and then from the stored tables, as a
 // daemon's concurrent requests do: each program profiles once, cold. Under
-// -race it checks the backing's install and the store's reads and
-// writes.
+// -race it checks the store's install and its reads and writes.
 func TestConcurrentBuildsShareStoredTables(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetAnnotationBacking(st)
-	defer SetAnnotationBacking(nil)
+	SetStore(st)
+	defer SetStore(nil)
 	benches := []string{"mcf", "twolf", "gzip"}
 	build := func() []string {
 		resetProgramCache()
@@ -281,5 +280,42 @@ func TestConcurrentBuildsShareStoredTables(t *testing.T) {
 		if warm[k] != cold[k] {
 			t.Errorf("program %d: hash from the stored table differs from the profiled one", k)
 		}
+	}
+}
+
+// TestSetStoreNilUninstallsBoth: SetStore installs the store behind both
+// the diverge tables and the result cache, and SetStore(nil) removes it
+// from both, so that a rebuild profiles and a request simulates again.
+func TestSetStoreNilUninstallsBoth(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetStore(nil)
+	o := DefaultOptions()
+	o.Scale = 1
+	o.Parallel = 1
+	cfg := core.DefaultConfig()
+	// request builds mcf from a cold program cache and runs it from a
+	// cold result cache, returning the profiles and simulations it took.
+	request := func() (profiles, simulated uint64) {
+		t.Helper()
+		Reset()
+		runs := mProfileRuns.Value()
+		if _, err := RunOne("mcf", cfg, o); err != nil {
+			t.Fatal(err)
+		}
+		return mProfileRuns.Value() - runs, simCache.Counts().Computed
+	}
+	SetStore(st)
+	if p, s := request(); p != 1 || s != 1 {
+		t.Fatalf("cold store: %d profiles, %d simulations; want 1 and 1", p, s)
+	}
+	if p, s := request(); p != 0 || s != 0 {
+		t.Fatalf("warm store: %d profiles, %d simulations; want 0 and 0", p, s)
+	}
+	SetStore(nil)
+	if p, s := request(); p != 1 || s != 1 {
+		t.Fatalf("after SetStore(nil): %d profiles, %d simulations; want 1 and 1", p, s)
 	}
 }

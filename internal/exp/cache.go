@@ -2,8 +2,12 @@ package exp
 
 import (
 	"sync"
+	"sync/atomic"
 
+	"dmp/internal/core"
 	"dmp/internal/prog"
+	"dmp/internal/sched"
+	"dmp/internal/store"
 )
 
 // Annotated programs are memoized per (benchmark, scale): every machine
@@ -76,6 +80,61 @@ func WorkloadHash(bench string, scale int) (string, error) {
 	}
 	e.hashOnce.Do(func() { e.hash = e.p.Hash() })
 	return e.hash, nil
+}
+
+// stored is the store SetStore installed, or nil.
+var stored atomic.Pointer[store.Store]
+
+// SetStore installs st, the dmpserve daemon's store, behind the
+// process-wide result cache and behind buildAnnotated's diverge tables;
+// nil removes it from both. Programs and results already in memory are
+// unaffected, and Reset leaves it installed. Safe to call concurrently
+// with program builds and simulations.
+func SetStore(st *store.Store) {
+	stored.Store(st)
+	if st == nil {
+		simCache.SetBacking(nil)
+		return
+	}
+	simCache.SetBacking(storeBacking{st})
+}
+
+// storeBacking adapts the store to the result cache's sched.Backing.
+// The translation from a sched.Key to a store.Meta adds the one fact the
+// scheduler does not track: the workload hash, a digest of the exact
+// annotated program bytes the result was measured on (WorkloadHash).
+// Folding it into the persistent key means a store survives
+// workload-generator changes safely — results for the old program bytes
+// simply stop being addressed, instead of being served against the new
+// ones.
+type storeBacking struct{ st *store.Store }
+
+func (b storeBacking) meta(k sched.Key) (store.Meta, bool) {
+	h, err := WorkloadHash(k.Bench, k.Scale)
+	if err != nil {
+		// No workload identity, no persistent key: the scheduler will
+		// compute (and fail with the real error) instead.
+		return store.Meta{}, false
+	}
+	// Every simulation the scheduler runs is checked, so Check is always
+	// true, which keeps the digests of stores written when it was a knob.
+	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: true, Config: k.Cfg, WorkloadHash: h}, true
+}
+
+func (b storeBacking) Load(k sched.Key) (*core.Stats, bool) {
+	m, ok := b.meta(k)
+	if !ok {
+		return nil, false
+	}
+	return b.st.Load(m)
+}
+
+func (b storeBacking) Store(k sched.Key, st *core.Stats) {
+	if m, ok := b.meta(k); ok {
+		// A failed write degrades to an unpersisted (but still correct)
+		// result; the in-memory entry serves this process either way.
+		b.st.Put(m, st)
+	}
 }
 
 // resetProgramCache drops every cached program (tests only).

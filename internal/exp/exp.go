@@ -120,11 +120,11 @@ func buildAnnotated(bench string, scale int) (*prog.Program, error) {
 	ref := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: scale})
 	popts := profile.DefaultOptions()
 
-	b := annotationBacking()
+	st := stored.Load()
 	var trainHash, profiler string
-	if b != nil {
+	if st != nil {
 		trainHash, profiler = train.Hash(), popts.Key()
-		table, err := b.Annotations(trainHash, profiler)
+		table, err := st.Annotations(trainHash, profiler)
 		switch {
 		case err == nil && markChecked(ref, table, popts):
 			return ref, nil
@@ -142,9 +142,9 @@ func buildAnnotated(bench string, scale int) (*prog.Program, error) {
 	for pc, d := range train.Diverge {
 		ref.MarkDiverge(pc, d)
 	}
-	if b != nil {
+	if st != nil {
 		// A failed write only costs the next process a profile.
-		b.PutAnnotations(trainHash, profiler, train)
+		st.PutAnnotations(trainHash, profiler, train)
 	}
 	return ref, nil
 }

@@ -24,8 +24,8 @@ import (
 // sched.Key, supplies the computation (simulate), and re-exports the
 // counters the CLI prints. The cache machinery itself — singleflight entries, the
 // frozen-Stats snapshot guard, the worker pool, the optional persistent
-// backing store the dmpserve daemon installs — lives in internal/sched
-// (and internal/store for the on-disk half).
+// backing store the dmpserve daemon installs (SetStore) — lives in
+// internal/sched (and internal/store for the on-disk half).
 //
 // Cached *core.Stats are FROZEN: every caller shares one pointer, so a
 // mutation by any of them would silently corrupt every other experiment's
@@ -42,13 +42,12 @@ import (
 // occupy a worker.
 
 // simCache is the process-wide result cache. The dmpserve daemon
-// installs a persistent backing store on it (ResultCache().SetBacking);
-// the CLI path runs it memory-only.
+// installs its store behind it (SetStore); the CLI path runs it
+// memory-only.
 var simCache = sched.NewCache()
 
 // ResultCache exposes the process-wide result cache so embedders (the
-// dmpserve daemon, benchmarks) can install a backing store and read the
-// scheduler's counters.
+// dmpserve daemon, benchmarks) can read the scheduler's counters.
 func ResultCache() *sched.Cache { return simCache }
 
 // SimCounts returns the result-cache reuse and simulation totals since
@@ -180,8 +179,8 @@ func sampleCached(bench string, sCfg core.Config, o Options) (res *sample.Result
 
 // Reset drops every cached program and simulation result and zeroes the
 // cache counters. For benchmarks and long-lived embedders that need a
-// cold start; experiment correctness never requires it. A backing store
-// installed on the result cache stays installed and keeps its contents.
+// cold start; experiment correctness never requires it. A store
+// installed with SetStore stays installed and keeps its contents.
 func Reset() {
 	resetProgramCache()
 	resetSimCache()

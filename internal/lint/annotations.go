@@ -81,12 +81,12 @@ func Annotations(p *prog.Program, cfg *prog.CFG, opts Options) Diags {
 
 // region is the predicated range of one annotated branch, used for the
 // nested-region containment check: every PC reachable from either path
-// before the primary CFM, with its shortest static distance.
+// before the primary CFM.
 type region struct {
 	branch uint64
 	cfm    uint64
 	loop   bool
-	pcs    map[uint64]int
+	pcs    map[uint64]bool
 }
 
 // checkBranch checks one candidate annotation d for the branch at pc and
@@ -127,13 +127,13 @@ func checkBranch(p *prog.Program, cfg *prog.CFG, g *graph, pc uint64, d *prog.Di
 	}
 
 	// Distances from each outgoing path. The fall-through successor
-	// exists whenever Program passed (no fallthrough-end error), but
-	// guard anyway for standalone Annotations calls.
+	// exists whenever Program passed (no fallthrough-end error); for
+	// standalone Annotations calls distWithin reaches nothing past the
+	// code's end.
 	distTaken := g.distWithin(br.Target, opts.MaxDist, NoPC)
-	var distFall map[uint64]int
-	if pc+1 < n {
-		distFall = g.distWithin(pc+1, opts.MaxDist, NoPC)
-	}
+	defer g.release(distTaken)
+	distFall := g.distWithin(pc+1, opts.MaxDist, NoPC)
+	defer g.release(distFall)
 	ipdom, hasIPdom := cfg.IPostDom(pc)
 
 	for _, cfm := range d.CFMs {
@@ -150,8 +150,8 @@ func checkBranch(p *prog.Program, cfg *prog.CFG, g *graph, pc uint64, d *prog.Di
 			ds.add(pc, "cfm-degenerate", Warning, "CFM point %d is %s", cfm, what)
 			continue
 		}
-		_, onTaken := distTaken[cfm]
-		_, onFall := distFall[cfm]
+		_, onTaken := distTaken.at(cfm)
+		_, onFall := distFall.at(cfm)
 		switch {
 		case !onTaken && !onFall:
 			ds.add(pc, "cfm-unreachable", Error,
@@ -174,18 +174,17 @@ func checkBranch(p *prog.Program, cfg *prog.CFG, g *graph, pc uint64, d *prog.Di
 				probe = 1024
 			}
 			far := g.distWithin(br.Target, probe, NoPC)
-			farF := map[uint64]int{}
-			if pc+1 < n {
-				farF = g.distWithin(pc+1, probe, NoPC)
-			}
-			if dT, okT := far[cfm]; okT && !onTaken {
+			if dT, okT := far.at(cfm); okT && !onTaken {
 				ds.add(pc, "cfm-too-far", Warning,
 					"CFM point %d is %d instructions down the taken path (bound %d)", cfm, dT, opts.MaxDist)
 			}
-			if dF, okF := farF[cfm]; okF && !onFall {
+			g.release(far)
+			farF := g.distWithin(pc+1, probe, NoPC)
+			if dF, okF := farF.at(cfm); okF && !onFall {
 				ds.add(pc, "cfm-too-far", Warning,
 					"CFM point %d is %d instructions down the fall-through path (bound %d)", cfm, dF, opts.MaxDist)
 			}
+			g.release(farF)
 		}
 		// A primary CFM strictly past the post-dominator: every path
 		// already merged at ipdom, so a later "merge point" is
@@ -202,16 +201,13 @@ func checkBranch(p *prog.Program, cfg *prog.CFG, g *graph, pc uint64, d *prog.Di
 	// Region for nesting checks: everything reachable from either
 	// path before the primary CFM.
 	primary := d.CFMs[0]
-	reg := &region{branch: pc, cfm: primary, loop: d.Loop, pcs: map[uint64]int{}}
-	for k, v := range g.distWithin(br.Target, opts.MaxDist, primary) {
-		reg.pcs[k] = v
-	}
-	if pc+1 < n {
-		for k, v := range g.distWithin(pc+1, opts.MaxDist, primary) {
-			if old, ok := reg.pcs[k]; !ok || v < old {
-				reg.pcs[k] = v
-			}
+	reg := &region{branch: pc, cfm: primary, loop: d.Loop, pcs: map[uint64]bool{}}
+	for _, start := range []uint64{br.Target, pc + 1} {
+		x := g.distWithin(start, opts.MaxDist, primary)
+		for _, k := range x.pcs {
+			reg.pcs[k] = true
 		}
+		g.release(x)
 	}
 	return ds, reg
 }
@@ -222,7 +218,8 @@ func checkBranch(p *prog.Program, cfg *prog.CFG, g *graph, pc uint64, d *prog.Di
 // synthesizer drives it as the legality oracle while choosing CFM
 // points; Annotations itself runs the same per-branch check, so an
 // oracle-approved annotation can only draw cross-branch (nested-region)
-// diagnostics once attached.
+// diagnostics once attached. An oracle serves one goroutine at a time:
+// its searches reuse scratch buffers.
 type AnnotationOracle struct {
 	p   *prog.Program
 	cfg *prog.CFG
@@ -264,9 +261,14 @@ func pastIPostDom(g *graph, ipdom, cfm uint64, maxDist int) bool {
 	if ipdom == cfm {
 		return false
 	}
-	if _, fwd := g.distWithin(ipdom, maxDist, NoPC)[cfm]; !fwd {
+	fwd := g.distWithin(ipdom, maxDist, NoPC)
+	_, reaches := fwd.at(cfm)
+	g.release(fwd)
+	if !reaches {
 		return false
 	}
-	_, back := g.distWithin(cfm, maxDist, NoPC)[ipdom]
-	return !back
+	back := g.distWithin(cfm, maxDist, NoPC)
+	_, returns := back.at(ipdom)
+	g.release(back)
+	return !returns
 }

@@ -26,6 +26,7 @@ type graph struct {
 	n     uint64
 	succs [][]uint64
 	exits []uint64 // PCs of HALT/RET/JR instructions (static exit points)
+	free  []*dists // distWithin's released results, for reuse
 }
 
 // buildGraph constructs the supergraph. Targets must already be
@@ -167,33 +168,62 @@ func (g *graph) reachesExit() map[uint64]bool {
 	return seen
 }
 
+// dists is one bounded BFS's result: the shortest distance to every PC
+// the search reached, and those PCs in the order it reached them.
+type dists struct {
+	d   []int32  // by PC; 0: not reached
+	pcs []uint64 // the reached PCs, in BFS order
+}
+
+// at returns the distance to pc and whether the search reached it.
+func (x *dists) at(pc uint64) (int, bool) {
+	if pc >= uint64(len(x.d)) || x.d[pc] == 0 {
+		return 0, false
+	}
+	return int(x.d[pc]), true
+}
+
 // distWithin runs a bounded BFS from a start PC and returns the shortest
 // distance (in instructions executed, start counting as 1) to every PC
 // within maxDist. stop, if valid, is not expanded past — used to bound a
-// diverge region at its CFM point.
-func (g *graph) distWithin(start uint64, maxDist int, stop uint64) map[uint64]int {
-	dist := map[uint64]int{}
-	if start >= g.n {
-		return dist
+// diverge region at its CFM point. The result is scratch of g's, handed
+// back with release once read, so a graph serves one goroutine at a
+// time.
+func (g *graph) distWithin(start uint64, maxDist int, stop uint64) *dists {
+	var x *dists
+	if k := len(g.free); k > 0 {
+		x, g.free = g.free[k-1], g.free[:k-1]
+	} else {
+		x = &dists{d: make([]int32, g.n)}
 	}
-	frontier := []uint64{start}
-	dist[start] = 1
-	for d := 1; d < maxDist && len(frontier) > 0; d++ {
-		var next []uint64
-		for _, pc := range frontier {
-			if pc == stop {
-				continue
-			}
-			for _, s := range g.succs[pc] {
-				if s < g.n {
-					if _, ok := dist[s]; !ok {
-						dist[s] = d + 1
-						next = append(next, s)
-					}
-				}
+	if start >= g.n {
+		return x
+	}
+	x.d[start] = 1
+	x.pcs = append(x.pcs, start)
+	// x.pcs is the BFS queue: distances along it never decrease.
+	for i := 0; i < len(x.pcs); i++ {
+		pc := x.pcs[i]
+		d := x.d[pc]
+		if int(d) >= maxDist || pc == stop {
+			continue
+		}
+		for _, s := range g.succs[pc] {
+			if s < g.n && x.d[s] == 0 {
+				x.d[s] = d + 1
+				x.pcs = append(x.pcs, s)
 			}
 		}
-		frontier = next
 	}
-	return dist
+	return x
+}
+
+// release clears x, a result of g.distWithin, and returns it to g's
+// scratch.
+func (g *graph) release(x *dists) {
+	for _, pc := range x.pcs {
+		x.d[pc] = 0
+	}
+	x.pcs = x.pcs[:0]
+	g.free = append(g.free, x)
 }

@@ -49,3 +49,22 @@ func TestWorkloadsLintClean(t *testing.T) {
 		}
 	}
 }
+
+// TestDistWithinMatchesReference checks the lint's bounded BFS against
+// its map-based reference on every branch of the fifteen benchmarks at
+// scale 1: equal distances from each branch target and fall-through.
+func TestDistWithinMatchesReference(t *testing.T) {
+	for _, w := range workload.All() {
+		p, err := exp.Annotated(w.Name, 1)
+		if err != nil {
+			t.Fatalf("%s: annotate: %v", w.Name, err)
+		}
+		msg, runs := lint.DistWithinMismatch(p)
+		if msg != "" {
+			t.Errorf("%s: %s", w.Name, msg)
+		}
+		if runs == 0 {
+			t.Errorf("%s: no branch to compare from", w.Name)
+		}
+	}
+}

@@ -272,7 +272,10 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 func (c *Cache) answer(key Key, label string, job Job) (r *simRun, ran bool) {
 	fk := key
 	fk.Cfg = fk.Cfg.Family()
-	fv, _ := c.families.LoadOrStore(fk, newFamily())
+	fv, ok := c.families.Load(fk)
+	if !ok {
+		fv, _ = c.families.LoadOrStore(fk, newFamily())
+	}
 	f := fv.(*family)
 	f.mu.Lock()
 	if r := f.await(key); r != nil {

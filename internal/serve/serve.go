@@ -1,12 +1,12 @@
 // Package serve implements the dmpserve daemon: simulation as a
 // service over HTTP/JSON. A Server owns the admission controller
 // (internal/sched.Admitter) and, when configured with a store, installs
-// the persistent content-addressed result store (internal/store) as the
-// backing of the process-wide result cache — every simulation any
-// request triggers lands on disk, and any later request (or daemon
-// restart) for the same (workload bytes, config, scale) key is
-// a read, not a simulation. The same store keeps each program's diverge
-// table, so a restarted daemon builds its programs without profiling.
+// the persistent content-addressed store (internal/store) with
+// exp.SetStore — every simulation any request triggers lands on disk,
+// and any later request (or daemon restart) for the same (workload
+// bytes, config, scale) key is a read, not a simulation. The same store
+// keeps each program's diverge table, so a restarted daemon builds its
+// programs without profiling.
 //
 // Endpoints:
 //
@@ -57,10 +57,10 @@ var (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store, when non-nil, persists every computed result and serves
-	// warm-store hits without simulating. It is installed as the backing
-	// of the process-wide result cache for the Server's lifetime
-	// (removed again by Close).
+	// Store, when non-nil, persists every computed result and diverge
+	// table and serves warm-store hits without simulating or profiling.
+	// New installs it with exp.SetStore for the Server's lifetime, and
+	// Close removes it.
 	Store *store.Store
 	// Parallel bounds simulation workers, as exp.Options.Parallel
 	// (default NumCPU; the first simulation fixes the process pool).
@@ -87,14 +87,13 @@ type Server struct {
 	closed bool
 }
 
-// New builds a Server and, when cfg.Store is set, installs it behind
-// the process-wide result cache. The active telemetry feed (if any) is
+// New builds a Server and, when cfg.Store is set, installs it with
+// exp.SetStore. The active telemetry feed (if any) is
 // bridged to the SSE hub.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, adm: sched.NewAdmitter(cfg.Admit), hub: newHub(), runs: make(map[string]*run)}
 	if cfg.Store != nil {
-		exp.ResultCache().SetBacking(storeBacking{cfg.Store})
-		exp.SetAnnotationBacking(cfg.Store)
+		exp.SetStore(cfg.Store)
 	}
 	telemetry.Active().Feed().Subscribe(s.hub.publish)
 	mux := http.NewServeMux()
@@ -115,7 +114,7 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close stops admitting, drains requests already accepted, and
-// uninstalls the backing store. Subsequent POSTs answer 429.
+// uninstalls the store. Subsequent POSTs answer 429.
 func (s *Server) Close() {
 	s.mu.Lock()
 	wasClosed := s.closed
@@ -126,8 +125,7 @@ func (s *Server) Close() {
 	}
 	s.adm.Stop()
 	if s.cfg.Store != nil {
-		exp.ResultCache().SetBacking(nil)
-		exp.SetAnnotationBacking(nil)
+		exp.SetStore(nil)
 	}
 }
 

@@ -76,7 +76,7 @@ func tableTexts(t *testing.T, st RunStatus) []string {
 // with zero simulations, and the remote tables match a local run.
 func TestWarmStoreServesWithoutSimulating(t *testing.T) {
 	dir := t.TempDir()
-	defer exp.ResultCache().SetBacking(nil)
+	defer exp.SetStore(nil)
 
 	exp.ResetResults()
 	st1, err := store.Open(dir)
@@ -125,7 +125,7 @@ func TestWarmStoreServesWithoutSimulating(t *testing.T) {
 	}
 
 	// The remote tables are byte-identical to a plain local run.
-	exp.ResultCache().SetBacking(nil)
+	exp.SetStore(nil)
 	exp.ResetResults()
 	o := exp.DefaultOptions()
 	o.Scale = 1
@@ -485,7 +485,7 @@ func TestLoopsRunMatchesLoopDivergeLeg(t *testing.T) {
 // store without simulating.
 func TestLoopsRunPersistsUnderLoopsHash(t *testing.T) {
 	dir := t.TempDir()
-	defer exp.ResultCache().SetBacking(nil)
+	defer exp.SetStore(nil)
 	body := map[string]any{"bench": "gzip", "mode": "enhanced", "scale": 1, "loops": true}
 	serveOnce := func(client string) (*store.Store, RunStatus) {
 		t.Helper()

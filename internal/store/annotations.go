@@ -17,12 +17,12 @@ import (
 // cost of building an annotated program, so a daemon restarted over a
 // store that holds its tables builds every program without profiling.
 // They share the result objects' envelope, checksum, atomic rename and
-// strict decode, and live in their own tree so that Open's scan of
-// objects/ never mistakes one for a result:
+// strict decode, and live in their own tree, out of Len and Digests:
 //
 //	annotations/<digest[:2]>/<digest>.json   one diverge table
 //
-// They are not in index.jsonl.
+// An annotation object misplaced under objects/ fails the result
+// payload's strict decode, so Get never serves it.
 
 // divergeSchema fingerprints prog.Diverge's field set, as statsSchema
 // does for core.Stats: an annotation field added, renamed or retyped

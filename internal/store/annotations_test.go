@@ -162,23 +162,21 @@ func TestAnnotationCorruptionDegradesToMiss(t *testing.T) {
 	}
 }
 
-// TestOpenKeepsAnnotations covers crash recovery with both object kinds
-// present: valid annotation objects survive Open, torn ones and leftover
-// temp files are deleted, and neither kind is adopted into the result
-// index, not even an annotation object dropped into objects/.
+// TestOpenKeepsAnnotations covers both object kinds in one store: a
+// torn annotation object reads as an error other than a plain miss and
+// is removed by that read, a valid one survives Open, and an annotation
+// object dropped into objects/ is never served as a result.
 func TestOpenKeepsAnnotations(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	d := mustPut(t, s, testMeta("mcf"), testStats())
 	good := testAnnMeta("mcf")
-	goodPath := s.annotationPath(mustPutAnn(t, s, good))
+	mustPutAnn(t, s, good)
 
 	torn := testAnnMeta("gcc")
 	tornPath := s.annotationPath(mustPutAnn(t, s, torn))
 	data, _ := os.ReadFile(tornPath)
 	os.WriteFile(tornPath, data[:len(data)/3], 0o644)
-	tmp := filepath.Join(filepath.Dir(goodPath), good.Digest()+".123.tmp")
-	os.WriteFile(tmp, data[:10], 0o644)
 
 	// An annotation object misplaced among the results.
 	stray := testAnnMeta("vpr").Digest()
@@ -191,14 +189,21 @@ func TestOpenKeepsAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s2.Annotations(good.TrainHash, good.Profile); err != nil {
-		t.Fatalf("recovery lost a valid annotation object: %v", err)
+		t.Fatalf("a valid annotation object did not survive Open: %v", err)
 	}
-	for what, path := range map[string]string{"torn annotation object": tornPath, "temp file": tmp, "stray object": strayPath} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("recovery kept the %s", what)
-		}
+	if _, err := s2.Annotations(torn.TrainHash, torn.Profile); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("torn annotation object: error %v, want a validation error", err)
+	}
+	if _, err := os.Stat(tornPath); !os.IsNotExist(err) {
+		t.Error("the torn annotation object survived the read that rejected it")
+	}
+	if _, ok := s2.Meta(stray); ok {
+		t.Fatal("annotation object under objects/ served a result Meta")
+	}
+	if _, ok := s2.Get(stray); ok {
+		t.Fatal("annotation object under objects/ served as a result")
 	}
 	if ds := s2.Digests(); len(ds) != 1 || ds[0] != d {
-		t.Fatalf("recovered result index %v, want only [%s]", ds, d)
+		t.Fatalf("result digests %v after the reads, want only [%s]", ds, d)
 	}
 }

@@ -1,11 +1,9 @@
 // Package store is a content-addressed on-disk result store: the
 // persistent half of the scheduler's result cache (internal/sched's
 // Backing). Entries are keyed by a digest of everything that determines
-// a simulation's outcome — the canonical machine configuration (whose
-// loop-diverge bit also picks the annotation variant), the
+// a simulation's outcome — the canonical machine configuration, the
 // benchmark/scale/checker tuple, and a hash of the workload program
-// itself — and hold versioned, checksummed
-// JSON-serialized core.Stats.
+// itself — and hold versioned, checksummed JSON-serialized core.Stats.
 //
 // Durability contract: a reader may never observe a torn or corrupt
 // entry as valid Stats. Every failure mode — truncated value file,
@@ -23,24 +21,23 @@
 //     so a schema change (field added, renamed, retyped) changes every
 //     key and old entries simply become unreachable rather than
 //     decoding into the wrong shape;
-//   - Open drops leftover *.tmp files and reconciles the index against
-//     the objects actually on disk (torn index lines are skipped,
-//     orphaned objects are adopted or deleted).
+//   - Open removes leftover *.tmp files, the traces of interrupted
+//     writes. It reads no object: every read checks the object it
+//     opens, so a fault is met and removed by the first read that
+//     reaches it, and a bad file no key addresses is never served.
 //
 // Layout under the store directory:
 //
 //	objects/<digest[:2]>/<digest>.json       one entry per unique simulation
-//	index.jsonl                              advisory inventory, one line per entry
 //	annotations/<digest[:2]>/<digest>.json   one diverge table (annotations.go)
 //
-// The index is an inventory for humans and for fast Open; reads go
-// straight to the object files, so several processes may share one
-// store directory (writers via atomic rename — last identical write
-// wins — and readers never consult another process's in-memory state).
+// The files are the whole store: a Store holds no state beside them, so
+// several processes may share one store directory (writers via atomic
+// rename — last identical write wins — and every read goes to disk).
+// An index.jsonl left by an older version is ignored.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -50,9 +47,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"dmp/internal/core"
 )
@@ -123,115 +119,40 @@ type payload struct {
 	Stats core.Stats `json:"stats"`
 }
 
-// indexLine is one advisory inventory record.
-type indexLine struct {
-	Digest string `json:"digest"`
-	Meta   Meta   `json:"meta"`
-}
-
-// Store is one directory of results. Safe for concurrent use within a
-// process and for multiple processes sharing the directory.
+// Store is one directory of results. It holds no state beside the
+// directory's files, so it is safe for concurrent use within a process
+// and for multiple processes sharing the directory.
 type Store struct {
 	dir string
-
-	mu  sync.Mutex
-	idx map[string]Meta // digest -> meta, this process's view
 }
 
-// Open opens (creating if needed) a store directory and runs crash
-// recovery: leftover temp files from interrupted writes are removed,
-// torn index lines are dropped, objects missing from the index are
-// verified and adopted (or deleted if corrupt), and annotation objects
-// are verified and kept (or deleted if corrupt), never indexed.
+// Open opens (creating if needed) a store directory and removes the
+// temp files that interrupted writes left in it. It reads no object.
 func Open(dir string) (*Store, error) {
-	objects := filepath.Join(dir, "objects")
-	if err := os.MkdirAll(objects, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, idx: map[string]Meta{}}
-
 	// Writes go temp-file -> rename, so any surviving *.tmp is an
 	// interrupted write: unreadable by design, deleted on sight.
-	var orphans []string
-	err := filepath.WalkDir(objects, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.HasSuffix(path, ".tmp") {
-			os.Remove(path)
-			return nil
-		}
-		if strings.HasSuffix(path, ".json") {
-			orphans = append(orphans, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: scan objects: %w", err)
-	}
-
-	// Load the index, tolerating a torn tail (a crash mid-append leaves
-	// a partial last line; everything before it is still good).
-	if f, err := os.Open(s.indexPath()); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-		for sc.Scan() {
-			var ln indexLine
-			if json.Unmarshal(sc.Bytes(), &ln) != nil || ln.Digest == "" {
-				continue
+	for _, tree := range []string{"objects", "annotations"} {
+		err := filepath.WalkDir(filepath.Join(dir, tree), func(path string, d fs.DirEntry, err error) error {
+			if os.IsNotExist(err) {
+				return nil
 			}
-			if _, err := os.Stat(s.objectPath(ln.Digest)); err == nil {
-				s.idx[ln.Digest] = ln.Meta
-			}
-		}
-		f.Close()
-	}
-
-	// Adopt objects the index missed (crash between rename and index
-	// append, or an index written by another process): verify each; a
-	// corrupt or misfiled object is deleted rather than trusted.
-	for _, path := range orphans {
-		digest := strings.TrimSuffix(filepath.Base(path), ".json")
-		if _, ok := s.idx[digest]; ok {
-			continue
-		}
-		_, meta, err := readObject(path)
-		if err != nil || meta.Digest() != digest {
-			os.Remove(path)
-			continue
-		}
-		s.idx[digest] = meta
-		s.appendIndex(indexLine{Digest: digest, Meta: meta})
-	}
-
-	// Annotation objects are verified the same way but never indexed.
-	err = filepath.WalkDir(filepath.Join(dir, "annotations"), func(path string, d fs.DirEntry, err error) error {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		if err != nil || d.IsDir() {
-			return err
-		}
-		switch {
-		case strings.HasSuffix(path, ".tmp"):
-			os.Remove(path)
-		case strings.HasSuffix(path, ".json"):
-			if _, err := readAnnotations(path, strings.TrimSuffix(filepath.Base(path), ".json")); err != nil {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {
 				os.Remove(path)
 			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("store: scan %s: %w", tree, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: scan annotations: %w", err)
 	}
-	return s, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") }
 
 func (s *Store) objectPath(digest string) string {
 	return filepath.Join(s.dir, "objects", shard(digest), digest+".json")
@@ -248,24 +169,31 @@ func shard(digest string) string {
 // Get returns the Stats stored under digest, or (nil, false) on any
 // miss or doubt. Corrupt files (truncation, checksum mismatch, version
 // skew, undecodable or misfiled payload) are deleted so the slot heals
-// on the next Put. Reads go to disk, not to this process's index, so a
-// Get observes other processes' completed writes.
+// on the next Put. Reads go to disk, so a Get observes other processes'
+// completed writes.
 func (s *Store) Get(digest string) (*core.Stats, bool) {
+	st, _, ok := s.read(digest)
+	return st, ok
+}
+
+// read reads and checks the object filed under digest, removing it if
+// it fails.
+func (s *Store) read(digest string) (*core.Stats, Meta, bool) {
 	path := s.objectPath(digest)
 	st, meta, err := readObject(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			os.Remove(path)
 		}
-		return nil, false
+		return nil, Meta{}, false
 	}
 	if meta.Digest() != digest {
 		// The payload belongs to a different key: a misfiled object can
 		// only come from corruption or tampering; never serve it.
 		os.Remove(path)
-		return nil, false
+		return nil, Meta{}, false
 	}
-	return st, true
+	return st, meta, true
 }
 
 // Load is the Meta-level read: digest computed for the caller.
@@ -281,15 +209,6 @@ func (s *Store) Put(m Meta, st *core.Stats) (string, error) {
 	digest := m.Digest()
 	if err := writeObject(s.objectPath(digest), digest, payload{Meta: m, Stats: *st}); err != nil {
 		return "", err
-	}
-	s.mu.Lock()
-	_, known := s.idx[digest]
-	if !known {
-		s.idx[digest] = m
-	}
-	s.mu.Unlock()
-	if !known {
-		s.appendIndex(indexLine{Digest: digest, Meta: m})
 	}
 	return digest, nil
 }
@@ -327,46 +246,27 @@ func writeObject(path, digest string, pl any) error {
 	return nil
 }
 
-// appendIndex appends one inventory line. The index is advisory (reads
-// never depend on it), so append errors are swallowed: the object is
-// already durable and Open's orphan scan re-adopts it.
-func (s *Store) appendIndex(ln indexLine) {
-	data, err := json.Marshal(ln)
-	if err != nil {
-		return
-	}
-	f, err := os.OpenFile(s.indexPath(), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	f.Write(append(data, '\n'))
-	f.Close()
-}
+// Len returns the number of result object files.
+func (s *Store) Len() int { return len(s.Digests()) }
 
-// Len returns the number of entries in this process's view.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idx)
-}
-
-// Digests returns this process's view of the stored digests, sorted.
+// Digests returns the digests of the result object files, sorted. A
+// listed object is not yet checked: Get or Meta checks it on read.
 func (s *Store) Digests() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.idx))
-	for d := range s.idx { //dmp:allow nondeterminism -- keys are sorted below
-		out = append(out, d)
-	}
-	sort.Strings(out)
+	var out []string
+	filepath.WalkDir(filepath.Join(s.dir, "objects"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			out = append(out, strings.TrimSuffix(d.Name(), ".json"))
+		}
+		return nil
+	})
+	slices.Sort(out)
 	return out
 }
 
-// Meta returns the recorded Meta for a digest in this process's view.
+// Meta returns the Meta of the object filed under digest, read and
+// checked as Get reads it.
 func (s *Store) Meta(digest string) (Meta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.idx[digest]
+	_, m, ok := s.read(digest)
 	return m, ok
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -280,26 +281,31 @@ func TestSecondProcessReadsWhileFirstWrites(t *testing.T) {
 	}
 }
 
-// TestOpenRecovery covers the crash-recovery matrix: torn index tail,
-// index lines pointing at missing objects, orphaned valid objects
-// (crash between rename and index append), and orphaned corrupt
-// objects.
+// TestOpenRecovery covers crash recovery: Open removes the temp files
+// interrupted writes left in both trees and reads no object; a
+// truncated object and a corrupt orphan each read as a miss and are gone
+// after that read; Len and Digests count the object files.
 func TestOpenRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	d1 := mustPut(t, s, testMeta("mcf"), testStats())
 	d2 := mustPut(t, s, testMeta("gcc"), testStats())
+	ann := testAnnMeta("mcf")
+	annPath := s.annotationPath(mustPutAnn(t, s, ann))
 
-	// Orphan d2 from the index and tear the tail: keep d1's line, then
-	// garbage.
-	idx, _ := os.ReadFile(filepath.Join(dir, "index.jsonl"))
-	lines := strings.SplitN(string(idx), "\n", 2)
-	torn := lines[0] + "\n" + `{"digest":"missing-object","meta":{}}` + "\n" + `{"dig`
-	os.WriteFile(filepath.Join(dir, "index.jsonl"), []byte(torn), 0o644)
+	// Leftover temp files in both trees.
+	var tmps []string
+	for _, path := range []string{s.objectPath(d1), annPath} {
+		tmp := strings.TrimSuffix(path, ".json") + ".123.tmp"
+		os.WriteFile(tmp, []byte(`{"version":1,"sum":"`), 0o644)
+		tmps = append(tmps, tmp)
+	}
 
-	// Drop an orphaned corrupt object next to the valid ones.
-	badDigest := testMeta("bad").Digest()
-	badPath := s.objectPath(badDigest)
+	// Truncate d2, and drop a corrupt orphan next to the valid objects.
+	data, _ := os.ReadFile(s.objectPath(d2))
+	os.WriteFile(s.objectPath(d2), data[:len(data)/2], 0o644)
+	bad := testMeta("bad").Digest()
+	badPath := s.objectPath(bad)
 	os.MkdirAll(filepath.Dir(badPath), 0o755)
 	os.WriteFile(badPath, []byte("not json"), 0o644)
 
@@ -307,19 +313,42 @@ func TestOpenRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tmp := range tmps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("Open left the temp file %s", filepath.Base(tmp))
+		}
+	}
+	// Open reads no object: the damaged files are still there, counted.
+	want := []string{d1, d2, bad}
+	slices.Sort(want)
+	if ds := s2.Digests(); !slices.Equal(ds, want) {
+		t.Fatalf("Digests after Open = %v, want %v", ds, want)
+	}
+	if s2.Len() != 3 {
+		t.Fatalf("Len after Open = %d, want 3", s2.Len())
+	}
+
 	if _, ok := s2.Get(d1); !ok {
-		t.Fatal("recovery lost an indexed entry")
+		t.Fatal("Open lost a valid object")
 	}
-	if _, ok := s2.Get(d2); !ok {
-		t.Fatal("recovery did not adopt the orphaned valid object")
+	if _, err := s2.Annotations(ann.TrainHash, ann.Profile); err != nil {
+		t.Fatalf("Open lost a valid annotation object: %v", err)
 	}
-	if _, ok := s2.Meta(d2); !ok {
-		t.Fatal("adopted orphan missing from the recovered inventory")
+	if _, ok := s2.Get(d2); ok {
+		t.Fatal("truncated object served as a hit")
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("recovered Len = %d, want 2", s2.Len())
+	if _, ok := s2.Meta(bad); ok {
+		t.Fatal("corrupt orphan served a Meta")
 	}
-	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
-		t.Fatal("recovery kept a corrupt orphan")
+	for what, path := range map[string]string{"truncated object": s.objectPath(d2), "corrupt orphan": badPath} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("the %s survived the read that rejected it", what)
+		}
+	}
+	if ds := s2.Digests(); len(ds) != 1 || ds[0] != d1 || s2.Len() != 1 {
+		t.Fatalf("Digests after the reads = %v (Len %d), want [%s]", ds, s2.Len(), d1)
+	}
+	if m, ok := s2.Meta(d1); !ok || m != testMeta("mcf") {
+		t.Fatalf("Meta(%s) = %+v, %v; want %+v", d1[:12], m, ok, testMeta("mcf"))
 	}
 }
