@@ -189,9 +189,9 @@ func run(args []string) int {
 	fmt.Fprintf(os.Stderr, "total %.1fs; result cache: %d simulations, %d reused\n",
 		time.Since(start).Seconds(), misses, hits)
 	// The machine-readable sampling report reads the runs the sampling
-	// table already made (exact ones from the result cache, sampled ones
-	// from exp's sampled-run memo): it simulates nothing, and it comes
-	// after the summary so the printed counts are the tables' own.
+	// table already made, exact and sampled, from the result cache: it
+	// simulates nothing, and it comes after the summary so the printed
+	// counts are the tables' own.
 	var sampleRep *exp.SampleReport
 	if *sampleJSON != "" || *sampleGate != 0 {
 		if _, sampleRep, err = exp.SamplingReport(opts); err != nil {

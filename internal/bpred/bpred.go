@@ -404,8 +404,7 @@ func (h *Hybrid) Clone() *Hybrid {
 // CloneDir snapshots a direction predictor's trained state
 // (copy-on-write; the copies stay isolated). Sampled simulation warms
 // one predictor continuously during functional fast-forward and clones
-// it per checkpoint. Stateless predictors (StaticTaken, StaticNotTaken)
-// are returned as-is.
+// it per checkpoint. A predictor of any other type is returned as-is.
 func CloneDir(p DirPredictor) DirPredictor {
 	switch v := p.(type) {
 	case *Perceptron:
@@ -420,21 +419,3 @@ func CloneDir(p DirPredictor) DirPredictor {
 		return p
 	}
 }
-
-// --- static predictors for tests and lower bounds ---
-
-// StaticTaken always predicts taken.
-type StaticTaken struct{}
-
-func (StaticTaken) Predict(uint64, GHR) bool { return true }
-func (StaticTaken) Update(uint64, GHR, bool) {}
-func (StaticTaken) HistoryBits() int         { return 0 }
-func (StaticTaken) Name() string             { return "static-taken" }
-
-// StaticNotTaken always predicts not-taken.
-type StaticNotTaken struct{}
-
-func (StaticNotTaken) Predict(uint64, GHR) bool { return false }
-func (StaticNotTaken) Update(uint64, GHR, bool) {}
-func (StaticNotTaken) HistoryBits() int         { return 0 }
-func (StaticNotTaken) Name() string             { return "static-nottaken" }

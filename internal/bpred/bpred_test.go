@@ -176,12 +176,6 @@ func TestPredictorNames(t *testing.T) {
 			t.Errorf("%s.Name() = %q", k, p.Name())
 		}
 	}
-	if (StaticTaken{}).Name() != "static-taken" || (StaticNotTaken{}).Name() != "static-nottaken" {
-		t.Error("static predictor names")
-	}
-	if !(StaticTaken{}).Predict(0, 0) || (StaticNotTaken{}).Predict(0, 0) {
-		t.Error("static predictions wrong")
-	}
 }
 
 func TestBadConfigsPanic(t *testing.T) {

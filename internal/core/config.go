@@ -123,9 +123,10 @@ type Config struct {
 	// systematic sampling: functional fast-forward between short detailed
 	// intervals, with full-run Stats extrapolated from the intervals and
 	// reported with confidence bounds. The Machine itself ignores these
-	// knobs — drivers (internal/sample, cmd/dmpsim, the exp result cache)
-	// dispatch on SampleMode — but they live on Config so Canonical() keys
-	// sampled and exact results apart in the result cache. The embedded
+	// knobs — drivers (internal/sample, cmd/dmpsim, the exp result
+	// cache's one job) dispatch on SampleMode — but they live on Config
+	// so Canonical() keys sampled and exact results apart in the result
+	// cache and the store. The embedded
 	// SamplePoint is the operating point; it is ignored when SampleMode is
 	// off.
 	SampleMode bool

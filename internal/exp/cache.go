@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dmp/internal/core"
 	"dmp/internal/prog"
 	"dmp/internal/sched"
 	"dmp/internal/store"
@@ -121,19 +120,33 @@ func (b storeBacking) meta(k sched.Key) (store.Meta, bool) {
 	return store.Meta{Bench: k.Bench, Scale: k.Scale, Check: true, Config: k.Cfg, WorkloadHash: h}, true
 }
 
-func (b storeBacking) Load(k sched.Key) (*core.Stats, bool) {
+func (b storeBacking) Load(k sched.Key) (sched.Result, bool) {
 	m, ok := b.meta(k)
 	if !ok {
-		return nil, false
+		return sched.Result{}, false
 	}
-	return b.st.Load(m)
+	if k.Cfg.SampleMode {
+		r, ok := b.st.LoadSampled(m)
+		if !ok {
+			return sched.Result{}, false
+		}
+		return sched.Result{Stats: r.Extrapolated, Sample: r}, true
+	}
+	st, ok := b.st.Load(m)
+	return sched.Result{Stats: st}, ok
 }
 
-func (b storeBacking) Store(k sched.Key, st *core.Stats) {
-	if m, ok := b.meta(k); ok {
-		// A failed write degrades to an unpersisted (but still correct)
-		// result; the in-memory entry serves this process either way.
-		b.st.Put(m, st)
+func (b storeBacking) Store(k sched.Key, r sched.Result) {
+	m, ok := b.meta(k)
+	if !ok {
+		return
+	}
+	// A failed write degrades to an unpersisted (but still correct)
+	// result; the in-memory entry serves this process either way.
+	if r.Sample != nil {
+		b.st.PutSampled(m, r.Sample)
+	} else {
+		b.st.Put(m, r.Stats)
 	}
 }
 

@@ -23,14 +23,14 @@ type recordingBacking struct {
 	cfgs map[core.Config]bool
 }
 
-func (r *recordingBacking) Load(k sched.Key) (*core.Stats, bool) {
+func (r *recordingBacking) Load(k sched.Key) (sched.Result, bool) {
 	r.mu.Lock()
 	r.cfgs[k.Cfg] = true
 	r.mu.Unlock()
-	return r.st, true
+	return sched.Result{Stats: r.st}, true
 }
 
-func (r *recordingBacking) Store(sched.Key, *core.Stats) {}
+func (r *recordingBacking) Store(sched.Key, sched.Result) {}
 
 // requestedConfigs returns every canonical configuration the experiments
 // send through RunOne. The set does not depend on the benchmark or the

@@ -156,30 +156,32 @@ func buildAnnotated(bench string, scale int) (*prog.Program, error) {
 // worker slot while its simulation actually runs; repeats resolve from
 // the result cache.
 func runSuite(cfg core.Config, o Options) ([]*core.Stats, error) {
-	stats := make([]*core.Stats, len(o.Benchmarks))
+	return perBench(o, func(bench string) (*core.Stats, error) { return RunOne(bench, cfg, o) })
+}
+
+// perBench calls fn for every benchmark of o concurrently and returns
+// the results in benchmark order. It reports every failing benchmark,
+// each named, not just the first: a core bug usually breaks several
+// workloads at once and the full list is the diagnostic.
+func perBench[T any](o Options, fn func(bench string) (T, error)) ([]T, error) {
+	out := make([]T, len(o.Benchmarks))
 	errs := make([]error, len(o.Benchmarks))
 	var wg sync.WaitGroup
 	for i, bench := range o.Benchmarks {
 		wg.Add(1)
 		go func(i int, bench string) {
 			defer wg.Done()
-			stats[i], errs[i] = RunOne(bench, cfg, o)
+			var err error
+			if out[i], err = fn(bench); err != nil {
+				errs[i] = fmt.Errorf("%s: %w", bench, err)
+			}
 		}(i, bench)
 	}
 	wg.Wait()
-	var failed []error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Errorf("%s: %w", o.Benchmarks[i], err))
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	if len(failed) > 0 {
-		// Report every failing benchmark, not just the first: a core bug
-		// usually breaks several workloads at once and the full list is
-		// the diagnostic.
-		return nil, errors.Join(failed...)
-	}
-	return stats, nil
+	return out, nil
 }
 
 // runSuites runs one suite per configuration concurrently, returning

@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"dmp/internal/core"
 	"dmp/internal/profile"
@@ -82,59 +79,54 @@ func Figure6(o Options) (*Table, error) {
 	o = o.norm()
 	t := &Table{ID: "fig6", Title: "Mispredicted branch taxonomy, MPKI (paper Figure 6)",
 		Header: []string{"bench", "simple-hammock", "complex-diverge", "other", "total-mpki"}}
-	mpkis := make([][3]float64, len(o.Benchmarks))
-	ks := make([]float64, len(o.Benchmarks))
-	errs := make([]error, len(o.Benchmarks))
-	pool := sched.Shared(o.Parallel)
-	var wg sync.WaitGroup
-	for i, bench := range o.Benchmarks {
-		wg.Add(1)
-		go func(i int, bench string) {
-			defer wg.Done()
-			pool.Acquire()
-			defer pool.Release()
-			// Attribute mispredictions on the reference input with the same
-			// predictor family as the machine. profile.Run annotates its
-			// argument in place (ClearDiverge + ref-derived MarkDiverge), so it
-			// must run on a private build, never on the shared cached program —
-			// see the sharing invariant in cache.go. The taxonomy below reads
-			// the ref-derived marks, exactly as it always has: the training
-			// annotations were cleared by this very profile pass before the
-			// cache existed, so a fresh ref build is byte-identical (and
-			// skips a now-useless training run).
-			w, err := workload.ByName(bench)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", bench, err)
-				return
-			}
-			p := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: o.Scale})
-			rep, err := profile.Run(p, profile.DefaultOptions())
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", bench, err)
-				return
-			}
-			for _, bs := range rep.Branches {
-				cls := 2 // other, loop diverge branches included
-				if dv := p.DivergeAt(bs.PC); dv != nil && !dv.Loop {
-					if dv.Class == prog.ClassSimpleHammock {
-						cls = 0
-					} else {
-						cls = 1
-					}
-				}
-				mpkis[i][cls] += float64(bs.Mispredicts)
-			}
-			ks[i] = 1000 / float64(rep.TotalInsts)
-		}(i, bench)
+	type counts struct {
+		misp [3]float64 // mispredictions per class
+		k    float64    // per-thousand-instructions factor
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	pool := sched.Shared(o.Parallel)
+	rows, err := perBench(o, func(bench string) (counts, error) {
+		pool.Acquire()
+		defer pool.Release()
+		// Attribute mispredictions on the reference input with the same
+		// predictor family as the machine. profile.Run annotates its
+		// argument in place (ClearDiverge + ref-derived MarkDiverge), so it
+		// must run on a private build, never on the shared cached program —
+		// see the sharing invariant in cache.go. The taxonomy below reads
+		// the ref-derived marks, exactly as it always has: the training
+		// annotations were cleared by this very profile pass before the
+		// cache existed, so a fresh ref build is byte-identical (and
+		// skips a now-useless training run).
+		var m counts
+		w, err := workload.ByName(bench)
+		if err != nil {
+			return m, err
+		}
+		p := w.Build(workload.BuildConfig{Seed: workload.RefSeed, Scale: o.Scale})
+		rep, err := profile.Run(p, profile.DefaultOptions())
+		if err != nil {
+			return m, err
+		}
+		for _, bs := range rep.Branches {
+			cls := 2 // other, loop diverge branches included
+			if dv := p.DivergeAt(bs.PC); dv != nil && !dv.Loop {
+				if dv.Class == prog.ClassSimpleHammock {
+					cls = 0
+				} else {
+					cls = 1
+				}
+			}
+			m.misp[cls] += float64(bs.Mispredicts)
+		}
+		m.k = 1000 / float64(rep.TotalInsts)
+		return m, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, bench := range o.Benchmarks {
-		mpki, k := mpkis[i], ks[i]
-		t.AddRow(bench, f2(mpki[0]*k), f2(mpki[1]*k), f2(mpki[2]*k),
-			f2((mpki[0]+mpki[1]+mpki[2])*k))
+		misp, k := rows[i].misp, rows[i].k
+		t.AddRow(bench, f2(misp[0]*k), f2(misp[1]*k), f2(misp[2]*k),
+			f2((misp[0]+misp[1]+misp[2])*k))
 	}
 	t.Note = "paper: diverge branches cover ~57% of mispredictions, simple hammocks ~9%; mcf is hammock-dominated, gcc is 'other'"
 	return t, nil
@@ -407,37 +399,43 @@ func LoopDiverge(o Options) (*Table, error) {
 	return t, nil
 }
 
-// All lists the experiment generators by id.
-var All = map[string]func(Options) (*Table, error){
-	"table2":      Table2,
-	"table3":      Table3,
-	"fig1":        Figure1,
-	"fig6":        Figure6,
-	"fig7":        Figure7,
-	"fig8":        Figure8,
-	"fig9":        Figure9,
-	"fig10":       Figure10,
-	"fig11":       Figure11,
-	"fig12":       Figure12,
-	"fig13a":      Figure13a,
-	"fig13b":      Figure13b,
-	"dualpath":    DualPath,
-	"loopdiverge": LoopDiverge,
-	"mergepred":   MergePred,
-	"sampling":    Sampling,
+// experiments lists the experiment generators in presentation order.
+var experiments = []struct {
+	id  string
+	gen func(Options) (*Table, error)
+}{
+	{"table2", Table2},
+	{"table3", Table3},
+	{"fig1", Figure1},
+	{"fig6", Figure6},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"fig9", Figure9},
+	{"fig10", Figure10},
+	{"fig11", Figure11},
+	{"fig12", Figure12},
+	{"fig13a", Figure13a},
+	{"fig13b", Figure13b},
+	{"dualpath", DualPath},
+	{"loopdiverge", LoopDiverge},
+	{"mergepred", MergePred},
+	{"sampling", Sampling},
 }
+
+// All lists the experiment generators by id.
+var All = func() map[string]func(Options) (*Table, error) {
+	all := make(map[string]func(Options) (*Table, error), len(experiments))
+	for _, e := range experiments {
+		all[e.id] = e.gen
+	}
+	return all
+}()
 
 // IDs returns the experiment ids in presentation order.
 func IDs() []string {
-	ids := []string{"table2", "table3", "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "dualpath", "loopdiverge", "mergepred", "sampling"}
-	if len(ids) != len(All) {
-		keys := make([]string, 0, len(All))
-		//dmp:allow nondeterminism -- keys are sorted on the next line
-		for k := range All {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		panic(fmt.Sprintf("exp: id list drift: %v", keys))
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
 	return ids
 }

@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"dmp/internal/core"
 	"dmp/internal/sample"
@@ -173,29 +171,16 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 		return nil, nil, err
 	}
 
-	results := make([]*sample.Result, len(o.Benchmarks))
-	sampleWalls := make([]float64, len(o.Benchmarks))
-	points := make([]core.SamplePoint, len(o.Benchmarks))
-	errs := make([]error, len(o.Benchmarks))
-	var wg sync.WaitGroup
-	for i, bench := range o.Benchmarks {
-		pt := pointFor(o, bench)
-		points[i] = pt
-		sCfg := exCfg
-		sCfg.SampleMode = true
-		sCfg.CheckRetirement = true
-		sCfg.SamplePoint = pt
-		wg.Add(1)
-		go func(i int, bench string, sCfg core.Config) {
-			defer wg.Done()
-			results[i], sampleWalls[i], errs[i] = sampleCached(bench, sCfg, o)
-			if errs[i] != nil {
-				errs[i] = fmt.Errorf("%s: %w", bench, errs[i])
-			}
-		}(i, bench, sCfg)
+	sampledCfg := func(bench string) core.Config {
+		c := exCfg
+		c.SampleMode = true
+		c.SamplePoint = pointFor(o, bench)
+		return c
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	sampled, err := perBench(o, func(bench string) (sched.Result, error) {
+		return runRecord(bench, sampledCfg(bench), o)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -206,7 +191,8 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 	var absErrs, speedups []float64
 	var detailedFrac float64
 	for i, bench := range o.Benchmarks {
-		ex, r, pt := exact[i], results[i], points[i]
+		sCfg := sampledCfg(bench)
+		ex, r, pt := exact[i], sampled[i].Sample, sCfg.SamplePoint
 		b := SampleBench{
 			Bench:      bench,
 			TotalInsts: r.TotalInsts,
@@ -221,7 +207,7 @@ func SamplingReport(o Options) (*Table, *SampleReport, error) {
 			Covered:    r.Covers(ex.IPC()),
 			K:          r.K,
 			ExactWall:  simCache.Seconds(sched.Key{Bench: bench, Scale: o.Scale, Cfg: exCfg.Canonical()}),
-			SampleWall: sampleWalls[i],
+			SampleWall: simCache.Seconds(sched.Key{Bench: bench, Scale: o.Scale, Cfg: sCfg.Canonical()}),
 		}
 		b.ErrPct = 100 * (r.IPC - b.ExactIPC) / b.ExactIPC
 		if b.ExactWall > 0 {

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"dmp/internal/core"
 	"dmp/internal/sample"
@@ -11,28 +9,31 @@ import (
 	"dmp/internal/telemetry"
 )
 
-// Simulation results are memoized process-wide by internal/sched's
-// singleflight result cache, one entry per unique (benchmark, scale,
-// canonical config) tuple. `dmpexp all` asks for the same simulation
-// many times over — the baseline suite
-// alone is needed by table3, fig1, fig7, fig9, fig11, fig12, dualpath
-// and loopdiverge — and the simulator is deterministic, so every repeat
-// after the first is a map lookup. Below the request entries, requests
-// whose predication knobs a finished run of their family shows it never
-// exercised (core.Evidence) share one simulation. This file is
-// now only the glue between experiments and the scheduler: it builds the
-// sched.Key, supplies the computation (simulate), and re-exports the
-// counters the CLI prints. The cache machinery itself — singleflight entries, the
-// frozen-Stats snapshot guard, the worker pool, the optional persistent
-// backing store the dmpserve daemon installs (SetStore) — lives in
-// internal/sched (and internal/store for the on-disk half).
+// Simulation results, exact and sampled, are memoized process-wide by
+// internal/sched's singleflight result cache, one entry per unique
+// (benchmark, scale, canonical config) tuple. `dmpexp all` asks for the
+// same simulation many times over — the baseline suite alone is needed
+// by table3, fig1, fig7, fig9, fig11, fig12, dualpath and loopdiverge —
+// and the simulator is deterministic, so every repeat after the first is
+// a map lookup. Below the request entries, requests whose predication
+// knobs a finished run of their family shows it never exercised
+// (core.Evidence) share one simulation; a sampled run is its own family
+// and answers only its own key. This file is only the glue between
+// experiments and the scheduler: it builds the sched.Key, supplies the
+// computation (simulate, or sample.Run for a sampled configuration), and
+// re-exports the counters the CLI prints. The cache machinery itself —
+// singleflight entries, the frozen-Stats snapshot guard, the worker
+// pool, the optional persistent backing store the dmpserve daemon
+// installs (SetStore) — lives in internal/sched (and internal/store for
+// the on-disk half).
 //
-// Cached *core.Stats are FROZEN: every caller shares one pointer, so a
-// mutation by any of them would silently corrupt every other experiment's
-// table. Callers that need to write (accumulate, rescale) must work on a
-// core.Stats.Clone(). sched.Cache keeps a private snapshot of each result
-// and compares on every hit; a mutated entry is a programming error and
-// panics with the offending key rather than returning poisoned numbers.
+// Cached results are FROZEN: every caller shares one *core.Stats (and
+// one *sample.Result), so a mutation by any of them would silently
+// corrupt every other experiment's table. Callers that need to write
+// (accumulate, rescale) must work on a core.Stats.Clone(). sched.Cache
+// keeps a private snapshot of each result's Stats and compares on every
+// hit; a mutated entry is a programming error and panics with the
+// offending key rather than returning poisoned numbers.
 //
 // Worker scheduling is process-global, not per-suite: Options.Parallel
 // is a process-level cap — the first acquire sizes one shared slot pool
@@ -62,26 +63,39 @@ func SimCounts() (hits, misses uint64) {
 
 // RunOne returns the memoized simulation of bench under cfg, running it
 // on first request: every experiment's suites and the dmpserve daemon's
-// POST /v1/runs come through here. cfg is an exact configuration; sampled
-// runs go through sampleCached. The request is keyed by the canonical
-// configuration, and a finished run also answers the requests of its
-// family that its knob evidence answers (core.Evidence). The returned
-// Stats are shared and frozen — Clone before mutating.
+// POST /v1/runs come through here. The request is keyed by the canonical
+// configuration, and a finished exact run also answers the requests of
+// its family that its knob evidence answers (core.Evidence). A sampled
+// cfg (SampleMode) returns the run's extrapolated Stats; runRecord
+// returns its sample.Result too. The returned Stats are shared and
+// frozen — Clone before mutating.
 func RunOne(bench string, cfg core.Config, o Options) (*core.Stats, error) {
+	r, err := runRecord(bench, cfg, o)
+	return r.Stats, err
+}
+
+// runRecord is RunOne returning the cache's whole record of the run.
+func runRecord(bench string, cfg core.Config, o Options) (sched.Result, error) {
 	o = o.norm()
 	return runOn(simCache, sched.Shared(o.Parallel), bench, cfg, o, simulate)
 }
 
-// runOn is RunOne on cache c with worker pool pool, computing a missing
-// simulation with run: simulate, or in tests a memo of it.
+// runOn is runRecord on cache c with worker pool pool, computing a
+// missing exact simulation with run: simulate, or in tests a memo of it.
+// A sampled cfg runs simulateSampled.
 func runOn(c *sched.Cache, pool *sched.Pool, bench string, cfg core.Config, o Options,
-	run func(string, core.Config, Options, func(core.Evidence)) (*core.Stats, core.Evidence, error)) (*core.Stats, error) {
+	run func(string, core.Config, Options, func(core.Evidence)) (*core.Stats, core.Evidence, error)) (sched.Result, error) {
 	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: cfg.Canonical()}
 	return c.Do(key, sched.Job{
 		Pool: pool,
 		Span: o.Span,
-		Run: func(_ *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-			return run(bench, cfg, o, progress)
+		Run: func(sp *telemetry.Span, progress func(core.Evidence)) (sched.Result, core.Evidence, error) {
+			if cfg.SampleMode {
+				r, err := simulateSampled(bench, cfg, o, pool, sp)
+				return r, core.Evidence{}, err
+			}
+			st, ev, err := run(bench, cfg, o, progress)
+			return sched.Result{Stats: st}, ev, err
 		},
 	})
 }
@@ -119,62 +133,28 @@ func simulate(bench string, cfg core.Config, o Options, progress func(core.Evide
 	}
 	st, err := m.Run()
 	if err != nil {
-		// The benchmark name is attached by the caller (runSuite names
+		// The benchmark name is attached by the caller (perBench names
 		// every failing benchmark at its errors.Join point).
 		return nil, core.Evidence{}, fmt.Errorf("under %v: %w", cfg.Mode, err)
 	}
 	return st.Clone(), m.Evidence(), nil
 }
 
-// --- sampled-run memo ---
-
-// sampleCache memoizes full sample.Result values per (bench, scale,
-// canonical sampled config), so the daemon's overlapping clients
-// coalesce to one sampled run each, the way RunOne coalesces
-// exact runs. It is process-local and never persisted: the result store
-// has no kind for a sample.Result yet. Each entry keeps the host seconds
-// its sample.Run took beside the Result. Shared Results are read-only by
-// the same frozen contract as cached Stats.
-var sampleCache sync.Map // sched.Key -> *sampleEntry
-
-type sampleEntry struct {
-	once sync.Once
-	res  *sample.Result
-	secs float64
-	err  error
-}
-
-// sampleCached runs (or reuses) the sampled simulation of bench under
-// sCfg, holding one slot of the global pool for the duration of an
-// actual run; its intervals take further slots from the same pool when
-// free and run inline otherwise. secs is the host time sample.Run took
-// once it held its slot; every request for the key reads the same value.
-// An actual run gets its own trace lane under o.Span, labelled like
-// sched's exact runs: an experiment's sampled runs overlap, and their
-// stage spans are sequential only within one run.
-func sampleCached(bench string, sCfg core.Config, o Options) (res *sample.Result, secs float64, err error) {
-	key := sched.Key{Bench: bench, Scale: o.Scale, Cfg: sCfg.Canonical()}
-	v, _ := sampleCache.LoadOrStore(key, &sampleEntry{})
-	e := v.(*sampleEntry)
-	e.once.Do(func() {
-		pe := programEntry(bench, o.Scale)
-		if pe.err != nil {
-			e.err = pe.err
-			return
-		}
-		var sp *telemetry.Span
-		if o.Span != nil {
-			sp = o.Span.ChildAsync(key.Label(), "sample")
-		}
-		defer sp.End()
-		pool := sched.Shared(o.Parallel)
-		pool.Acquire()
-		defer pool.Release()
-		t0 := time.Now() //dmp:allow nondeterminism -- host time: the sampling report's walls only
-		e.res, e.err = sample.Run(pe.p, sCfg, sample.Options{Slots: pool.Chan(), Span: sp})
-		e.secs = time.Since(t0).Seconds() //dmp:allow nondeterminism -- host time: the sampling report's walls only
-	})
-	return e.res, e.secs, e.err
+// simulateSampled is simulate for a sampled configuration: sample.Run
+// on the slot the result cache took for it, with its intervals on
+// pool's free slots and its stage spans under sp. It records no knob
+// evidence, so it answers only its own key.
+func simulateSampled(bench string, cfg core.Config, o Options, pool *sched.Pool, sp *telemetry.Span) (sched.Result, error) {
+	pe := programEntry(bench, o.Scale)
+	if pe.err != nil {
+		return sched.Result{}, pe.err
+	}
+	cfg.CheckRetirement = true
+	r, err := sample.Run(pe.p, cfg, sample.Options{Slots: pool.Chan(), Span: sp})
+	if err != nil {
+		return sched.Result{}, err
+	}
+	return sched.Result{Stats: r.Extrapolated, Sample: r}, nil
 }
 
 // Reset drops every cached program and simulation result and zeroes the
@@ -183,7 +163,7 @@ func sampleCached(bench string, sCfg core.Config, o Options) (res *sample.Result
 // installed with SetStore stays installed and keeps its contents.
 func Reset() {
 	resetProgramCache()
-	resetSimCache()
+	simCache.Reset()
 }
 
 // ResetResults drops cached simulation results and counters but keeps
@@ -191,15 +171,5 @@ func Reset() {
 // what one experiment's simulations cost (the pre-cache semantics: shared
 // annotations, fresh runs) rather than a cache lookup.
 func ResetResults() {
-	resetSimCache()
-}
-
-// resetSimCache drops cached simulation and sampled results and zeroes
-// the counters.
-func resetSimCache() {
 	simCache.Reset()
-	sampleCache.Range(func(k, _ any) bool {
-		sampleCache.Delete(k)
-		return true
-	})
 }

@@ -12,6 +12,7 @@ import (
 	"dmp/internal/sample"
 	"dmp/internal/sched"
 	"dmp/internal/store"
+	"dmp/internal/telemetry"
 )
 
 func simOpts() Options {
@@ -136,6 +137,53 @@ func TestRecomputedResultIsIdentical(t *testing.T) {
 	}
 	if first, again := object(a), object(b); !bytes.Equal(first, again) {
 		t.Errorf("recomputed result wrote a different object:\n%s\n%s", first, again)
+	}
+}
+
+// TestWarmStoreSamplesNothing pins that sampled runs persist like exact
+// ones: over a store a first Sampling filled, a restarted process
+// renders the same table from the store alone, simulating nothing and
+// measuring no sampled interval.
+func TestWarmStoreSamplesNothing(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetStore(st)
+	defer func() {
+		SetStore(nil)
+		Reset()
+	}()
+	intervals := func() uint64 {
+		t.Helper()
+		for _, c := range telemetry.DefaultRegistry().Snapshot().Counters {
+			if c.Name == "dmp_sample_intervals_total" {
+				return c.Value
+			}
+		}
+		t.Fatal("no dmp_sample_intervals_total counter")
+		return 0
+	}
+	o := Options{Scale: 1, Benchmarks: []string{"mcf", "twolf"}}
+	Reset()
+	cold, err := Sampling(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Reset()
+	before := intervals()
+	warm, err := Sampling(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := simCache.Counts(); c.Computed != 0 || c.StoreHits != 2*uint64(len(o.Benchmarks)) {
+		t.Errorf("warm store: %+v, want 0 computed and a store hit per exact and sampled run", c)
+	}
+	if got := intervals() - before; got != 0 {
+		t.Errorf("warm store: %d sampled intervals measured, want 0", got)
+	}
+	if warm.String() != cold.String() {
+		t.Errorf("warm-store table differs:\n%s\nvs cold:\n%s", warm, cold)
 	}
 }
 

@@ -67,9 +67,6 @@ type Options struct {
 	// what DMP argues *against*, since the post-dominator is often much
 	// farther than the frequent-path merge point).
 	UsePostDom bool
-	// Predictor used to attribute mispredictions during profiling; nil
-	// selects a fresh default perceptron.
-	Predictor bpred.DirPredictor
 }
 
 // Version names the profiler's selection behaviour. Diverge tables
@@ -93,8 +90,7 @@ func DefaultOptions() Options {
 
 // Key names the profiler and every scalar option that selects the
 // diverge table Run produces: two Options with equal Keys mark the same
-// program identically. Predictor is not part of it; callers that key
-// persisted tables on Key run the default predictor.
+// program identically.
 func (o Options) Key() string {
 	return fmt.Sprintf("profile/v%d max-insts=%d mispredict-share=%g reconverge-frac=%g max-dist=%d max-cfms=%d samples=%d postdom=%t",
 		Version, o.MaxInsts, o.MispredictShare, o.ReconvergeFrac, o.MaxDist, o.MaxCFMs,
@@ -153,10 +149,7 @@ func Run(p *prog.Program, opts Options) (*Report, error) {
 	if opts.MaxDist <= 0 || opts.ReconvergeFrac <= 0 {
 		return nil, fmt.Errorf("profile: invalid options (use DefaultOptions)")
 	}
-	pred := opts.Predictor
-	if pred == nil {
-		pred = bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
-	}
+	pred := bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
 
 	// Pass 1: per-branch execution, direction and misprediction counts,
 	// indexed by PC.

@@ -24,10 +24,7 @@ func refRun(p *prog.Program, opts Options) (*Report, error) {
 	if opts.MaxDist <= 0 || opts.ReconvergeFrac <= 0 {
 		return nil, fmt.Errorf("profile: invalid options (use DefaultOptions)")
 	}
-	pred := opts.Predictor
-	if pred == nil {
-		pred = bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
-	}
+	pred := bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
 
 	type bstat struct {
 		execs, taken, misp uint64

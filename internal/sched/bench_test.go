@@ -16,16 +16,16 @@ func BenchmarkCacheHit(b *testing.B) {
 	key := Key{Bench: "mcf", Scale: 1, Cfg: core.EnhancedDMPConfig().Canonical()}
 	st := &core.Stats{RetiredInsts: 1, Cycles: 2}
 	pool := NewPool(1)
-	if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-		return st, core.Evidence{}, nil
+	if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		return Result{Stats: st}, core.Evidence{}, nil
 	}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		if _, err := c.Do(key, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 			b.Fatal("hit path ran the job")
-			return nil, core.Evidence{}, nil
+			return Result{}, core.Evidence{}, nil
 		}}); err != nil {
 			b.Fatal(err)
 		}

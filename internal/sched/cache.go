@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dmp/internal/core"
+	"dmp/internal/sample"
 	"dmp/internal/telemetry"
 )
 
@@ -25,7 +26,7 @@ type Key struct {
 
 // Label names the simulation for spans and feed events: benchmark,
 // machine mode, and the key variants that change what actually runs.
-// It allocates; call it only with telemetry active.
+// It allocates; call it only with telemetry active or a parent span.
 func (k Key) Label() string {
 	l := fmt.Sprintf("%s/%v", k.Bench, k.Cfg.Mode)
 	if k.Cfg.CFMSource != "" && k.Cfg.CFMSource != "annotated" {
@@ -34,18 +35,29 @@ func (k Key) Label() string {
 	if k.Cfg.EnableLoopDiverge {
 		l += "/loops"
 	}
+	if k.Cfg.SampleMode {
+		l += "/sampled"
+	}
 	return l
+}
+
+// Result is one run's record: its Stats and, for a sampled run
+// (core.Config.SampleMode), the sample.Result whose extrapolated Stats
+// they are. Sample is nil for an exact run. Both are shared and frozen.
+type Result struct {
+	Stats  *core.Stats
+	Sample *sample.Result
 }
 
 // Backing is a persistent second-level store behind the in-memory
 // cache: consulted on every memory miss, written through after every
 // successful computation. Implementations must be safe for concurrent
-// use and must never return partially written Stats — a corrupt or
-// doubtful entry degrades to (nil, false) and the cache recomputes
+// use and must never return a partially written Result — a corrupt or
+// doubtful entry degrades to a miss and the cache recomputes
 // (internal/store implements exactly that contract over a directory).
 type Backing interface {
-	Load(Key) (*core.Stats, bool)
-	Store(Key, *core.Stats)
+	Load(Key) (Result, bool)
+	Store(Key, Result)
 }
 
 // entry is a request's once-run slot in the request map. done is set
@@ -54,7 +66,7 @@ type Backing interface {
 type entry struct {
 	once   sync.Once
 	done   bool
-	st     *core.Stats
+	res    Result
 	frozen core.Stats // snapshot taken at publication; guards the read-only invariant
 	err    error
 	run    atomic.Int64 // time.Duration job.Run took; atomic, as Seconds may read a filling entry
@@ -82,7 +94,7 @@ type family struct {
 type simRun struct {
 	key    Key
 	done   bool
-	st     *core.Stats
+	res    Result
 	frozen core.Stats
 	ev     core.Evidence
 	err    error
@@ -109,10 +121,10 @@ type Counts struct {
 
 // Job describes how to compute a missing entry: the pool to take a
 // worker slot from, the telemetry parent span, and the computation
-// itself (called with the simulation's own async child span, or nil when
-// telemetry is off).
+// itself (called with the simulation's own async child span of Span, or
+// nil when Span is nil).
 //
-// Run returns the simulation's Stats and its knob evidence: a finished
+// Run returns the simulation's Result and its knob evidence: a finished
 // run also answers every key of its family that its evidence answers
 // (core.Evidence.Answers). Zero evidence answers only the run's own key.
 // While it runs, Run may hand progress the evidence recorded so
@@ -122,17 +134,17 @@ type Counts struct {
 type Job struct {
 	Pool *Pool
 	Span *telemetry.Span
-	Run  func(sp *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error)
+	Run  func(sp *telemetry.Span, progress func(core.Evidence)) (Result, core.Evidence, error)
 }
 
 // Cache is a process-wide singleflight result cache. Results published
-// into it are FROZEN: every caller shares one *core.Stats pointer, so a
-// mutation by any of them would silently corrupt every other caller's
-// numbers. Callers that need to write (accumulate, rescale) must work
-// on a core.Stats.Clone(). The cache keeps a private snapshot of each
-// result and compares on every hit; a mutated entry is a programming
-// error and panics with the offending key rather than returning
-// poisoned numbers.
+// into it are FROZEN: every caller shares one Result, so a mutation by
+// any of them would silently corrupt every other caller's numbers.
+// Callers that need to write (accumulate, rescale) must work on a
+// core.Stats.Clone(). The cache keeps a private snapshot of each
+// result's Stats and compares on every hit; a mutated entry is a
+// programming error and panics with the offending key rather than
+// returning poisoned numbers.
 type Cache struct {
 	entries  sync.Map // request Key -> *entry
 	families sync.Map // family Key (core.Config.Family) -> *family
@@ -182,9 +194,9 @@ func (c *Cache) getBacking() Backing {
 // pool size. Each request still publishes under, and writes through to
 // the store under, its own key. A job that panics poisons no key: the
 // panic reaches the call that ran it, and the next request for the key,
-// or one that waited on it, computes afresh. The returned Stats are
-// shared and frozen: Clone before mutating.
-func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
+// or one that waited on it, computes afresh. The returned Result is
+// shared and frozen: Clone its Stats before mutating.
+func (c *Cache) Do(key Key, job Job) (Result, error) {
 	for {
 		v, _ := c.entries.LoadOrStore(key, &entry{})
 		e := v.(*entry)
@@ -216,7 +228,7 @@ func (c *Cache) Do(key Key, job Job) (*core.Stats, error) {
 			}
 			c.checkFrozen(key, e)
 		}
-		return e.st, e.err
+		return e.res, e.err
 	}
 }
 
@@ -227,17 +239,17 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 	mCacheMisses.Inc()
 	tel := telemetry.Active()
 	var label string
-	if tel != nil {
+	if tel != nil || job.Span != nil {
 		label = key.Label()
 	}
 	if b := c.getBacking(); b != nil {
-		if st, ok := b.Load(key); ok {
+		if res, ok := b.Load(key); ok {
 			// A store hit publishes without taking a worker slot:
 			// the result is already computed, so the pool stays
 			// free for simulations that actually need it.
 			c.storeHits.Add(1)
 			mStoreHits.Inc()
-			e.st, e.frozen = st, *st
+			e.res, e.frozen = res, *res.Stats
 			if tel != nil {
 				tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "store-hit"})
 			}
@@ -246,7 +258,7 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 		mStoreMisses.Inc()
 	}
 	r, ran := c.answer(key, label, job)
-	e.st, e.frozen, e.err = r.st, r.frozen, r.err
+	e.res, e.frozen, e.err = r.res, r.frozen, r.err
 	e.run.Store(int64(r.run))
 	if !ran {
 		// Waiting on another request's simulation holds no slot,
@@ -260,7 +272,7 @@ func (c *Cache) fill(key Key, e *entry, job Job) {
 	}
 	if e.err == nil {
 		if b := c.getBacking(); b != nil {
-			b.Store(key, e.st)
+			b.Store(key, e.res)
 		}
 	}
 }
@@ -304,11 +316,11 @@ func (c *Cache) answer(key Key, label string, job Job) (r *simRun, ran bool) {
 			f.cond.Broadcast()
 		}
 	}
-	st, ev, d, err := c.simulate(label, job, progress)
+	res, ev, d, err := c.simulate(label, job, progress)
 	f.mu.Lock()
-	r.done, r.st, r.ev, r.err, r.run = true, st, ev, err, d
+	r.done, r.res, r.ev, r.err, r.run = true, res, ev, err, d
 	if err == nil {
-		r.frozen = *st
+		r.frozen = *res.Stats
 	}
 	f.mu.Unlock()
 	return r, true
@@ -342,16 +354,15 @@ func (f *family) await(k Key) *simRun {
 // simulate runs a simulation for the request that found it missing: it
 // takes a worker slot, records the slot wait, the simulation's wall time
 // from its slot request and job.Run's (d), and returns job.Run's result.
-func (c *Cache) simulate(label string, job Job, progress func(core.Evidence)) (st *core.Stats, ev core.Evidence, d time.Duration, err error) {
+func (c *Cache) simulate(label string, job Job, progress func(core.Evidence)) (res Result, ev core.Evidence, d time.Duration, err error) {
 	c.computed.Add(1)
 	tel := telemetry.Active()
-	var sp *telemetry.Span
 	if tel != nil {
 		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "miss"})
-		// The simulation gets its own trace lane: pooled simulations
-		// from one experiment overlap each other and their parent.
-		sp = job.Span.ChildAsync(label, "sched")
 	}
+	// The simulation gets its own trace lane: pooled simulations
+	// from one experiment overlap each other and their parent.
+	sp := job.Span.ChildAsync(label, "sched")
 	pool := job.Pool
 	if pool == nil {
 		pool = Shared(0)
@@ -361,7 +372,7 @@ func (c *Cache) simulate(label string, job Job, progress func(core.Evidence)) (s
 	t1 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
 	mSlotWait.Observe(t1.Sub(tq).Seconds())
 	defer pool.Release()
-	st, ev, err = job.Run(sp, progress)
+	res, ev, err = job.Run(sp, progress)
 	t2 := time.Now() //dmp:allow nondeterminism -- host time: telemetry and Seconds only
 	sp.End()
 	elapsed := t2.Sub(tq).Seconds()
@@ -369,7 +380,7 @@ func (c *Cache) simulate(label string, job Job, progress func(core.Evidence)) (s
 	if tel != nil {
 		tel.Feed().Emit(telemetry.Event{Kind: "simulation", Name: label, Msg: "done", V: elapsed})
 	}
-	return st, ev, t2.Sub(t1), err
+	return res, ev, t2.Sub(t1), err
 }
 
 // Seconds returns the host seconds job.Run took for the simulation that
@@ -387,7 +398,7 @@ func (c *Cache) Seconds(key Key) float64 {
 // checkFrozen panics if a published result was mutated since it was
 // frozen.
 func (c *Cache) checkFrozen(key Key, e *entry) {
-	if e.err == nil && *e.st != e.frozen {
+	if e.err == nil && *e.res.Stats != e.frozen {
 		panic(fmt.Sprintf("sched: cached Stats for %s/%v (scale %d) were mutated; cached results are frozen — use Stats.Clone",
 			key.Bench, key.Cfg.Mode, key.Scale))
 	}

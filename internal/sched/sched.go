@@ -16,7 +16,8 @@
 //     process-level -parallel cap holds across every concurrently
 //     generated experiment instead of being oversubscribed per suite.
 //   - Cache: requests keyed by Key dedupe to one execution
-//     (singleflight); completed results are shared frozen *core.Stats.
+//     (singleflight); completed results, exact or sampled, are shared
+//     frozen Results.
 //     A Backing store, when installed, is consulted before computing
 //     and written through after, which is what makes results survive
 //     the process (internal/store implements it over a directory).

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dmp/internal/core"
+	"dmp/internal/sample"
 	"dmp/internal/telemetry"
 )
 
@@ -18,33 +20,43 @@ func testKey(bench string) Key {
 	return Key{Bench: bench, Scale: 1, Cfg: core.DefaultConfig().Canonical()}
 }
 
-// fakeBacking is an in-memory Backing with call accounting.
+// fakeBacking is an in-memory Backing with call accounting. It keeps
+// and hands out copies, as a store keeps bytes.
 type fakeBacking struct {
 	mu     sync.Mutex
-	m      map[Key]core.Stats
+	m      map[Key]Result
 	loads  atomic.Uint64
 	stores atomic.Uint64
 }
 
-func newFakeBacking() *fakeBacking { return &fakeBacking{m: map[Key]core.Stats{}} }
+func newFakeBacking() *fakeBacking { return &fakeBacking{m: map[Key]Result{}} }
 
-func (f *fakeBacking) Load(k Key) (*core.Stats, bool) {
+func (f *fakeBacking) Load(k Key) (Result, bool) {
 	f.loads.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st, ok := f.m[k]
+	r, ok := f.m[k]
 	if !ok {
-		return nil, false
+		return Result{}, false
 	}
-	cp := st
-	return &cp, true
+	return copyResult(r), true
 }
 
-func (f *fakeBacking) Store(k Key, st *core.Stats) {
+func (f *fakeBacking) Store(k Key, r Result) {
 	f.stores.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.m[k] = *st
+	f.m[k] = copyResult(r)
+}
+
+func copyResult(r Result) Result {
+	st := *r.Stats
+	r.Stats = &st
+	if r.Sample != nil {
+		s := *r.Sample
+		r.Sample = &s
+	}
+	return r
 }
 
 func TestCacheSingleflight(t *testing.T) {
@@ -58,15 +70,15 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+			st, err := c.Do(testKey("mcf"), Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 				runs.Add(1)
-				return &core.Stats{RetiredInsts: 42, Cycles: 7}, core.Evidence{}, nil
+				return Result{Stats: &core.Stats{RetiredInsts: 42, Cycles: 7}}, core.Evidence{}, nil
 			}})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			stats[i] = st
+			stats[i] = st.Stats
 		}(i)
 	}
 	wg.Wait()
@@ -89,8 +101,8 @@ func TestCacheErrorSharedNotStored(t *testing.T) {
 	b := newFakeBacking()
 	c.SetBacking(b)
 	boom := errors.New("boom")
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-		return nil, core.Evidence{}, boom
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		return Result{}, core.Evidence{}, boom
 	}}
 	if _, err := c.Do(testKey("gcc"), job); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -111,9 +123,9 @@ func TestCacheBackingStoreHit(t *testing.T) {
 	c1 := NewCache()
 	c1.SetBacking(b)
 	var runs atomic.Uint64
-	run := func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+	run := func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 		runs.Add(1)
-		return want.Clone(), core.Evidence{}, nil
+		return Result{Stats: want.Clone()}, core.Evidence{}, nil
 	}
 	if _, err := c1.Do(testKey("mcf"), Job{Pool: pool, Run: run}); err != nil {
 		t.Fatal(err)
@@ -130,7 +142,7 @@ func TestCacheBackingStoreHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *st != *want {
+	if *st.Stats != *want {
 		t.Fatalf("store-served stats = %+v, want %+v", st, want)
 	}
 	if runs.Load() != 1 {
@@ -142,16 +154,80 @@ func TestCacheBackingStoreHit(t *testing.T) {
 	}
 }
 
+// TestCacheCarriesSampledRecord pins that the cache keeps a run's whole
+// record, not only its Stats: a Result with a Sample is published to the
+// request that ran it and to a duplicate request that waited on it,
+// written through to the backing store, and reloaded intact by a
+// restarted cache. A sampled key is labelled apart from the exact run.
+func TestCacheCarriesSampledRecord(t *testing.T) {
+	cfg := core.EnhancedDMPConfig()
+	cfg.SampleMode = true
+	key := Key{Bench: "mcf", Scale: 1, Cfg: cfg.Canonical()}
+	if l := key.Label(); !strings.HasSuffix(l, "/sampled") {
+		t.Errorf("sampled key labelled %q, want a /sampled suffix", l)
+	}
+	want := Result{Stats: &core.Stats{RetiredInsts: 40, Cycles: 20},
+		Sample: &sample.Result{TotalInsts: 40, K: 1, IPC: 2, Intervals: []sample.Interval{{Retired: 10, Cycles: 5, IPC: 2}}}}
+	b := newFakeBacking()
+	c := NewCache()
+	c.SetBacking(b)
+	started, release := make(chan struct{}), make(chan struct{})
+	job := Job{Pool: NewPool(2), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		close(started)
+		<-release
+		return want, core.Evidence{}, nil
+	}}
+	ran, waited := make(chan Result), make(chan Result)
+	go func() {
+		r, _ := c.Do(key, job)
+		ran <- r
+	}()
+	<-started
+	go func() {
+		r, _ := c.Do(key, job)
+		waited <- r
+	}()
+	// Both calls are inside the entry's sync.Once once the waiter blocks
+	// on the running call.
+	buf := make([]byte, 1<<20)
+	for strings.Count(string(buf[:runtime.Stack(buf, true)]), "sync.(*Once).doSlow") < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r, w := <-ran, <-waited; r != want || w != want {
+		t.Fatalf("the run got %+v and its waiter %+v, want the published %+v", r, w, want)
+	}
+	if cn := c.Counts(); cn.Computed != 1 || cn.Hits != 1 {
+		t.Fatalf("counts = %+v, want 1 computed and 1 hit", cn)
+	}
+	if b.stores.Load() != 1 {
+		t.Fatalf("stores = %d, want the sampled record written through", b.stores.Load())
+	}
+
+	c2 := NewCache()
+	c2.SetBacking(b)
+	r, err := c2.Do(key, Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		t.Error("a stored sampled record was simulated again")
+		return Result{}, core.Evidence{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Sample == nil || *r.Stats != *want.Stats || !reflect.DeepEqual(*r.Sample, *want.Sample) {
+		t.Fatalf("reloaded %+v (sample %+v), want %+v (sample %+v)", r, r.Sample, want, want.Sample)
+	}
+}
+
 func TestCacheFrozenGuard(t *testing.T) {
 	c := NewCache()
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-		return &core.Stats{RetiredInsts: 5}, core.Evidence{}, nil
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		return Result{Stats: &core.Stats{RetiredInsts: 5}}, core.Evidence{}, nil
 	}}
 	st, err := c.Do(testKey("vpr"), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.RetiredInsts++ // the forbidden mutation
+	st.Stats.RetiredInsts++ // the forbidden mutation
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -168,9 +244,9 @@ func TestCacheFrozenGuard(t *testing.T) {
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
 	var runs atomic.Uint64
-	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+	job := Job{Pool: NewPool(1), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 		runs.Add(1)
-		return &core.Stats{}, core.Evidence{}, nil
+		return Result{Stats: &core.Stats{}}, core.Evidence{}, nil
 	}}
 	c.Do(testKey("gap"), job)
 	c.Reset()
@@ -196,10 +272,10 @@ func TestCacheSharesSimulation(t *testing.T) {
 	var runs atomic.Uint64
 	job := Job{
 		Pool: NewPool(2),
-		Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 			runs.Add(1)
 			time.Sleep(time.Millisecond)
-			return &core.Stats{RetiredInsts: 5, Cycles: 9}, core.Evidence{Recorded: true}, nil
+			return Result{Stats: &core.Stats{RetiredInsts: 5, Cycles: 9}}, core.Evidence{Recorded: true}, nil
 		},
 	}
 	dmp, dhp, _ := familyKeys("eon")
@@ -228,7 +304,7 @@ func TestCacheSharesSimulation(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			stats[i] = st
+			stats[i] = st.Stats
 		}(i)
 	}
 	wg.Wait()
@@ -420,16 +496,16 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	cfm.MultipleCFM = true
 	var runs atomic.Uint64
 	started, report, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	blocking := Job{Pool: pool, Run: func(_ *telemetry.Span, progress func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+	blocking := Job{Pool: pool, Run: func(_ *telemetry.Span, progress func(core.Evidence)) (Result, core.Evidence, error) {
 		runs.Add(1)
 		close(started)
 		<-report
 		progress(core.Evidence{MultipleCFM: true})
 		<-release
-		return &core.Stats{Cycles: 3}, cfm, nil
+		return Result{Stats: &core.Stats{Cycles: 3}}, cfm, nil
 	}}
-	other := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
-		return &core.Stats{Cycles: 5}, core.Evidence{}, nil
+	other := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
+		return Result{Stats: &core.Stats{Cycles: 5}}, core.Evidence{}, nil
 	}}
 	dmp, dhp, enh := familyKeys("gap")
 	shared := mShared.Value()
@@ -437,7 +513,7 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	first := make(chan *core.Stats)
 	go func() {
 		st, _ := c.Do(dmp, blocking)
-		first <- st
+		first <- st.Stats
 	}()
 	<-started
 	// The DHP request differs in the mode only, which the run may still
@@ -445,11 +521,11 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	waiter, beside := make(chan *core.Stats), make(chan *core.Stats)
 	go func() {
 		st, _ := c.Do(dhp, blocking)
-		waiter <- st
+		waiter <- st.Stats
 	}()
 	go func() {
 		st, _ := c.Do(enh, other)
-		beside <- st
+		beside <- st.Stats
 	}()
 	for c.Counts().Misses < 3 {
 		time.Sleep(time.Millisecond)
@@ -492,9 +568,9 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	// A failed run answers only its own key, with its error.
 	boom := errors.New("boom")
 	dmp, dhp, _ = familyKeys("twolf")
-	failing := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+	failing := Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 		runs.Add(1)
-		return nil, unexercised, boom
+		return Result{}, unexercised, boom
 	}}
 	if _, err := c.Do(dmp, failing); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -502,7 +578,7 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	if _, err := c.Do(dmp, failing); !errors.Is(err, boom) {
 		t.Fatalf("a request of the failed key got %v, want its error", err)
 	}
-	if st, err := c.Do(dhp, other); err != nil || st.Cycles != 5 {
+	if st, err := c.Do(dhp, other); err != nil || st.Stats.Cycles != 5 {
 		t.Fatalf("after a failed run its family answered %v, %v; want a run of its own", st, err)
 	}
 	if runs.Load() != 2 {
@@ -515,7 +591,7 @@ func TestCacheSharesOnEvidence(t *testing.T) {
 	panicked := make(chan any)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Do(dmp, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+		c.Do(dmp, Job{Pool: pool, Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 			close(started)
 			<-release
 			panic("simulator bug")
@@ -558,13 +634,13 @@ func TestCachePanicPoisonsNoKey(t *testing.T) {
 	key := testKey("gzip")
 	started, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int32
-	job := Job{Pool: NewPool(2), Run: func(*telemetry.Span, func(core.Evidence)) (*core.Stats, core.Evidence, error) {
+	job := Job{Pool: NewPool(2), Run: func(*telemetry.Span, func(core.Evidence)) (Result, core.Evidence, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
 			panic("simulator bug")
 		}
-		return &core.Stats{Cycles: 9}, core.Evidence{}, nil
+		return Result{Stats: &core.Stats{Cycles: 9}}, core.Evidence{}, nil
 	}}
 	panicked := make(chan any)
 	go func() {
@@ -578,7 +654,7 @@ func TestCachePanicPoisonsNoKey(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		waited <- st
+		waited <- st.Stats
 	}()
 	// Both calls are inside the entry's sync.Once once the waiter blocks
 	// on the running call.
@@ -594,7 +670,7 @@ func TestCachePanicPoisonsNoKey(t *testing.T) {
 		t.Fatalf("the waiter got %v, want a fresh run's Stats", st)
 	}
 	st, err := c.Do(key, job)
-	if err != nil || st == nil || st.Cycles != 9 {
+	if err != nil || st.Stats == nil || st.Stats.Cycles != 9 {
 		t.Fatalf("a later request got %v, %v; want a fresh run's Stats", st, err)
 	}
 	if n := calls.Load(); n != 2 {

@@ -3,7 +3,9 @@
 // Backing). Entries are keyed by a digest of everything that determines
 // a simulation's outcome — the canonical machine configuration, the
 // benchmark/scale/checker tuple, and a hash of the workload program
-// itself — and hold versioned, checksummed JSON-serialized core.Stats.
+// itself — and hold versioned, checksummed JSON-serialized core.Stats,
+// with a sampled run's manifest (sample.Result) beside its extrapolated
+// Stats.
 //
 // Durability contract: a reader may never observe a torn or corrupt
 // entry as valid Stats. Every failure mode — truncated value file,
@@ -51,6 +53,7 @@ import (
 	"strings"
 
 	"dmp/internal/core"
+	"dmp/internal/sample"
 )
 
 // FormatVersion is the on-disk envelope version. Bump it when the
@@ -113,10 +116,14 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// payload is the checksummed content.
+// payload is the checksummed content. A sampled run's payload also
+// holds its manifest, whose extrapolated Stats are the payload's Stats;
+// an exact run's holds none, so its object encodes as it did before
+// sampled runs were stored.
 type payload struct {
-	Meta  Meta       `json:"meta"`
-	Stats core.Stats `json:"stats"`
+	Meta   Meta           `json:"meta"`
+	Stats  core.Stats     `json:"stats"`
+	Sample *sample.Result `json:"sample,omitempty"`
 }
 
 // Store is one directory of results. It holds no state beside the
@@ -172,28 +179,31 @@ func shard(digest string) string {
 // on the next Put. Reads go to disk, so a Get observes other processes'
 // completed writes.
 func (s *Store) Get(digest string) (*core.Stats, bool) {
-	st, _, ok := s.read(digest)
-	return st, ok
+	p, ok := s.read(digest)
+	if !ok {
+		return nil, false
+	}
+	return &p.Stats, true
 }
 
-// read reads and checks the object filed under digest, removing it if
-// it fails.
-func (s *Store) read(digest string) (*core.Stats, Meta, bool) {
+// read reads and fully checks the object filed under digest, removing
+// it if it fails.
+func (s *Store) read(digest string) (*payload, bool) {
 	path := s.objectPath(digest)
-	st, meta, err := readObject(path)
-	if err != nil {
+	var p payload
+	if err := readEnvelope(path, &p); err != nil {
 		if !os.IsNotExist(err) {
 			os.Remove(path)
 		}
-		return nil, Meta{}, false
+		return nil, false
 	}
-	if meta.Digest() != digest {
+	if p.Meta.Digest() != digest {
 		// The payload belongs to a different key: a misfiled object can
 		// only come from corruption or tampering; never serve it.
 		os.Remove(path)
-		return nil, Meta{}, false
+		return nil, false
 	}
-	return st, meta, true
+	return &p, true
 }
 
 // Load is the Meta-level read: digest computed for the caller.
@@ -201,13 +211,34 @@ func (s *Store) Load(m Meta) (*core.Stats, bool) {
 	return s.Get(m.Digest())
 }
 
+// LoadSampled is Load for a sampled run: its manifest, with the
+// extrapolated Stats attached. An exact run's object never answers it.
+func (s *Store) LoadSampled(m Meta) (*sample.Result, bool) {
+	p, ok := s.read(m.Digest())
+	if !ok || p.Sample == nil {
+		return nil, false
+	}
+	p.Sample.Extrapolated = &p.Stats
+	return p.Sample, true
+}
+
 // Put writes an entry, returning its digest. The write is atomic
 // (private temp file, fsync-free rename): concurrent writers of the
 // same key race benignly — the payload bytes are identical because the
 // simulator is deterministic, and the last rename wins.
 func (s *Store) Put(m Meta, st *core.Stats) (string, error) {
-	digest := m.Digest()
-	if err := writeObject(s.objectPath(digest), digest, payload{Meta: m, Stats: *st}); err != nil {
+	return s.put(payload{Meta: m, Stats: *st})
+}
+
+// PutSampled is Put for a sampled run: it stores r's manifest beside
+// its extrapolated Stats. m.Config has SampleMode set.
+func (s *Store) PutSampled(m Meta, r *sample.Result) (string, error) {
+	return s.put(payload{Meta: m, Stats: *r.Extrapolated, Sample: r})
+}
+
+func (s *Store) put(p payload) (string, error) {
+	digest := p.Meta.Digest()
+	if err := writeObject(s.objectPath(digest), digest, p); err != nil {
 		return "", err
 	}
 	return digest, nil
@@ -266,17 +297,11 @@ func (s *Store) Digests() []string {
 // Meta returns the Meta of the object filed under digest, read and
 // checked as Get reads it.
 func (s *Store) Meta(digest string) (Meta, bool) {
-	_, m, ok := s.read(digest)
-	return m, ok
-}
-
-// readObject reads and fully validates one result object file.
-func readObject(path string) (*core.Stats, Meta, error) {
-	var p payload
-	if err := readEnvelope(path, &p); err != nil {
-		return nil, Meta{}, err
+	p, ok := s.read(digest)
+	if !ok {
+		return Meta{}, false
 	}
-	return &p.Stats, p.Meta, nil
+	return p.Meta, true
 }
 
 // readEnvelope reads one object file, checks its envelope version and

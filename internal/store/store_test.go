@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"dmp/internal/core"
+	"dmp/internal/sample"
 )
 
 func sumHex(b []byte) string {
@@ -26,6 +28,21 @@ func testMeta(bench string) Meta {
 
 func testStats() *core.Stats {
 	return &core.Stats{RetiredInsts: 12345, Cycles: 6789, WallSeconds: 1.5}
+}
+
+// testSampled returns a sampled run's Meta and Result.
+func testSampled(bench string) (Meta, *sample.Result) {
+	cfg := core.EnhancedDMPConfig()
+	cfg.SampleMode = true
+	m := testMeta(bench)
+	m.Config = cfg.Canonical()
+	return m, &sample.Result{TotalInsts: 12345, Period: 6000, IntervalLen: 500, Ramp: 512,
+		PrefixRetired: 2048, PrefixCycles: 4000, K: 2, DetailedRetired: 3048, DetailedCycles: 4600,
+		IPC: 1.8, IPCMean: 1.75, CI95: 0.05,
+		Intervals: []sample.Interval{
+			{Index: 0, Start: 6000, RampRetired: 512, Retired: 500, Cycles: 300, IPC: 500.0 / 300},
+			{Index: 1, Start: 12000, RampRetired: 512, Retired: 500, Cycles: 300, IPC: 500.0 / 300}},
+		Extrapolated: testStats()}
 }
 
 func mustPut(t *testing.T, s *Store, m Meta, st *core.Stats) string {
@@ -56,6 +73,62 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if ds := s.Digests(); len(ds) != 1 || ds[0] != d {
 		t.Fatalf("Digests = %v, want [%s]", ds, d)
+	}
+}
+
+// TestSampledRoundTrip pins the sampled half of the store: a sampled
+// run reads back with an equal manifest and equal extrapolated Stats, an
+// exact object never answers a sampled read, and an exact object's
+// payload carries no sample key, so it encodes as it did before sampled
+// runs were stored.
+func TestSampledRoundTrip(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, want := testSampled("mcf")
+	d, err := s.PutSampled(m, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != m.Digest() {
+		t.Fatalf("PutSampled filed under %s, want %s", d, m.Digest())
+	}
+	got, ok := s.LoadSampled(m)
+	if !ok {
+		t.Fatal("LoadSampled missed a just-written entry")
+	}
+	if *got.Extrapolated != *want.Extrapolated {
+		t.Errorf("extrapolated Stats: got %+v, want %+v", got.Extrapolated, want.Extrapolated)
+	}
+	gotM, wantM := *got, *want
+	gotM.Extrapolated, wantM.Extrapolated = nil, nil
+	if !reflect.DeepEqual(gotM, wantM) {
+		t.Errorf("manifest: got %+v, want %+v", gotM, wantM)
+	}
+
+	exact := testMeta("mcf")
+	ed := mustPut(t, s, exact, testStats())
+	if _, ok := s.LoadSampled(exact); ok {
+		t.Error("an exact object answered a sampled read")
+	}
+	if _, ok := s.Get(ed); !ok {
+		t.Error("a sampled read removed the exact object it declined")
+	}
+	data, err := os.ReadFile(s.objectPath(ed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	var pl map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Payload, &pl); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pl["sample"]; ok || len(pl) != 2 {
+		t.Errorf("exact payload %s, want meta and stats only", env.Payload)
 	}
 }
 
@@ -112,28 +185,48 @@ func TestDigestPinned(t *testing.T) {
 // TestTruncatedValueDegradesToMiss pins the first corruption path: a
 // value file cut short (crash mid-write would be caught by the rename
 // protocol, but disks and copies can still truncate) reads as a miss
-// and the file is removed so the slot heals.
+// and the file is removed so the slot heals. Exact and sampled objects
+// alike.
 func TestTruncatedValueDegradesToMiss(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	d := mustPut(t, s, testMeta("mcf"), testStats())
-	path := s.objectPath(d)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(d); ok {
-		t.Fatal("truncated entry served as a hit")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("truncated entry was not removed")
-	}
-	// The slot heals: a re-Put serves again.
-	mustPut(t, s, testMeta("mcf"), testStats())
-	if _, ok := s.Get(d); !ok {
-		t.Fatal("re-Put after corruption did not heal the slot")
+	sm, sr := testSampled("mcf")
+	for _, tc := range []struct {
+		name string
+		put  func(*Store) (string, error)
+		read func(*Store) bool
+	}{
+		{"exact",
+			func(s *Store) (string, error) { return s.Put(testMeta("mcf"), testStats()) },
+			func(s *Store) bool { _, ok := s.Load(testMeta("mcf")); return ok }},
+		{"sampled",
+			func(s *Store) (string, error) { return s.PutSampled(sm, sr) },
+			func(s *Store) bool { _, ok := s.LoadSampled(sm); return ok }},
+	} {
+		s, _ := Open(t.TempDir())
+		d, err := tc.put(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.objectPath(d)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.read(s) {
+			t.Fatalf("%s: truncated entry served as a hit", tc.name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: truncated entry was not removed", tc.name)
+		}
+		// The slot heals: a re-Put serves again.
+		if _, err := tc.put(s); err != nil {
+			t.Fatal(err)
+		}
+		if !tc.read(s) {
+			t.Fatalf("%s: re-Put after corruption did not heal the slot", tc.name)
+		}
 	}
 }
 
